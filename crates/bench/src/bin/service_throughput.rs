@@ -34,19 +34,6 @@
 //! the `telemetry` key of `BENCH_service.json` together with the final
 //! registry snapshot — CI gates the overhead at <= 3%.
 //!
-//! It also runs a **data-plane probe** on the same point: the arena
-//! bucket layout (`DataPlane::Arena`, the serving default) vs the legacy
-//! boxed-slot layout, as the same style of paired ratios, recorded under
-//! the `data_plane` key — CI gates the speedup at >= 1.2x. The probe
-//! runs its own shape: one 8-shard table under sequential epochs
-//! instead of the two-table zipf/dlrm mix, so cold misses dominate the
-//! measured window. Path fetch, oblivious select, write-back and
-//! batched eviction are the subsystems the two planes implement
-//! differently; the mix's heavy row reuse would let the client cache
-//! absorb most accesses, and its second table would double the worker
-//! threads on the probe core — both of which measure plane-independent
-//! engine overhead instead.
-//!
 //! Usage: `service_throughput [--entries 65536] [--batch 8192]
 //! [--batches 24] [--warmup 4] [--s 8] [--seed N] [--shards 1,2,4,8]
 //! [--backends mem,disk] [--workload mixed|zipf] [--exponent 1.2,1.6]
@@ -58,10 +45,9 @@ use std::time::Instant;
 
 use laoram_bench::runner::Args;
 use laoram_service::{
-    BatchPolicy, DataPlane, DiskBackendSpec, HotSetSpec, LaoramService, Request, ServiceConfig,
-    ServiceStats, StorageBackend, TableSpec, TelemetrySpec,
+    BatchPolicy, DiskBackendSpec, HotSetSpec, LaoramService, Request, ServiceConfig, ServiceStats,
+    StorageBackend, TableSpec, TelemetrySpec,
 };
-use oram_protocol::EvictionConfig;
 use oram_workloads::{DlrmTraceConfig, MultiTenantMix, TenantSpec, TraceKind, ZipfTraceConfig};
 
 struct Measurement {
@@ -104,10 +90,6 @@ struct SweepPoint {
 }
 
 fn service_config(p: SweepPoint) -> ServiceConfig {
-    service_config_with_plane(p, DataPlane::default())
-}
-
-fn service_config_with_plane(p: SweepPoint, plane: DataPlane) -> ServiceConfig {
     ServiceConfig::new()
         .table(
             TableSpec::new("zipf", p.entries)
@@ -115,7 +97,6 @@ fn service_config_with_plane(p: SweepPoint, plane: DataPlane) -> ServiceConfig {
                 .superblock_size(p.superblock)
                 .payloads(false)
                 .backend(backend_for(p.backend))
-                .data_plane(plane)
                 .seed(p.seed),
         )
         .table(
@@ -124,7 +105,6 @@ fn service_config_with_plane(p: SweepPoint, plane: DataPlane) -> ServiceConfig {
                 .superblock_size(p.superblock)
                 .payloads(false)
                 .backend(backend_for(p.backend))
-                .data_plane(plane)
                 .seed(p.seed ^ 0xD1),
         )
         .queue_depth(4)
@@ -134,61 +114,6 @@ fn service_config_with_plane(p: SweepPoint, plane: DataPlane) -> ServiceConfig {
                 .max_delay(std::time::Duration::from_millis(2))
                 .align_to_superblock(true),
         )
-}
-
-/// Engine shape for the data-plane probe: a single metadata-only
-/// table across the point's shard count. One table (not the sweep's
-/// two) keeps the worker-thread count equal to the shard count — the
-/// extra context switching from doubled workers costs both planes
-/// identically and only dilutes the ratio the gate reads. Eviction
-/// thresholds are scaled to the probe's per-shard stash: the paper
-/// defaults (hi 500 / lo 50) are sized for full tables and never
-/// trigger on a probe-sized shard, which would leave batched eviction
-/// — pure data-plane work (a dummy path read plus write-back, no
-/// request bookkeeping) — out of the measured window.
-fn data_plane_config(p: SweepPoint, plane: DataPlane) -> ServiceConfig {
-    let eviction = EvictionConfig::with_thresholds(8, 2);
-    ServiceConfig::new()
-        .table(
-            TableSpec::new("rows", p.entries)
-                .shards(p.shards)
-                .superblock_size(p.superblock)
-                .payloads(false)
-                .eviction(eviction)
-                .backend(backend_for(p.backend))
-                .data_plane(plane)
-                .seed(p.seed),
-        )
-        .queue_depth(4)
-        .batch_policy(
-            BatchPolicy::new()
-                .max_batch(p.batch_len)
-                .max_delay(std::time::Duration::from_millis(2))
-                .align_to_superblock(true),
-        )
-}
-
-/// Traffic for the data-plane probe: sequential epochs over the probe
-/// table. Every index is touched once per epoch, so superblock bins
-/// carry no reuse, (almost) every access is a cold miss, and path
-/// fetch, oblivious select, write-back and batched eviction dominate
-/// the measured window. Those are exactly the subsystems the two data
-/// planes implement differently; the zipf/dlrm mix's heavy row reuse
-/// would let the client cache serve most accesses and the probe would
-/// mostly measure shared engine overhead.
-fn data_plane_traffic(entries: u32, batch_len: usize, batches: usize) -> Vec<Vec<Request>> {
-    let mut next = 0u32;
-    (0..batches)
-        .map(|_| {
-            (0..batch_len)
-                .map(|_| {
-                    let index = next;
-                    next = (next + 1) % entries;
-                    Request::read(0, index)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 fn finish(
@@ -363,107 +288,6 @@ fn run_overhead_probe(
         (ratios[ratios.len() / 2 - 1] * ratios[ratios.len() / 2]).sqrt()
     };
     (best_off * ratio, best_off, snapshot)
-}
-
-/// One data-plane arm: the batch path on the probe table pinned to
-/// `plane`, serving the cold-miss [`data_plane_traffic`]. Returns
-/// genuine accesses/sec.
-fn run_data_plane_arm(
-    traffic: &[Vec<Request>],
-    warmup: usize,
-    p: SweepPoint,
-    plane: DataPlane,
-) -> f64 {
-    let mut config = data_plane_config(p, plane);
-    if std::env::var("PROBE_TELEM").is_ok() {
-        config = config.telemetry(TelemetrySpec::new());
-    }
-    let mut service = LaoramService::start(config).expect("service start");
-    for batch in &traffic[..warmup] {
-        service.submit(batch.clone()).expect("warmup submit");
-    }
-    service.drain().expect("warmup drain");
-    service.reset_stats().expect("reset");
-    let start = Instant::now();
-    for batch in &traffic[warmup..] {
-        service.submit(batch.clone()).expect("submit");
-    }
-    service.drain().expect("drain");
-    let elapsed = start.elapsed().as_secs_f64();
-    let merged = service.stats().merged.clone();
-    let accesses = merged.real_accesses;
-    if std::env::var("PROBE_DEBUG").is_ok() {
-        eprintln!(
-            "#   {plane:?}: real={} path_reads={} dummy={} fetched={} cache_hits={} stash_peak={}",
-            merged.real_accesses,
-            merged.path_reads,
-            merged.dummy_reads,
-            merged.blocks_fetched,
-            merged.cache_hits,
-            merged.stash_peak
-        );
-    }
-    let report = service.shutdown().expect("shutdown");
-    if let Some(t) = report.telemetry {
-        eprintln!("#   {plane:?} telemetry wall={elapsed:.3}s:\n{}", t.snapshot.to_json());
-    }
-    accesses as f64 / elapsed
-}
-
-/// The data-plane probe: arena vs legacy in-memory storage on the same
-/// sweep point, compared as *paired ratios* for the same drift-related
-/// reasons as [`run_overhead_probe`] — each repeat runs both arms back
-/// to back, the order alternates between repeats, and the median ratio
-/// scales the best observed legacy run. Returns
-/// `(arena acc/s, legacy acc/s)`; their quotient is the drift-cancelled
-/// speedup CI gates on.
-fn run_data_plane_probe(
-    batches: usize,
-    warmup: usize,
-    p: SweepPoint,
-    repeats: usize,
-) -> (f64, f64) {
-    // Re-chunk the sweep's access budget into larger batches: the two
-    // planes differ only inside the serve path, so the probe amortizes
-    // the plane-independent per-batch work (plan build, channel hops,
-    // response assembly) over more accesses per batch than the
-    // latency-oriented sweep uses.
-    let total = (warmup + batches) * p.batch_len;
-    let probe_batch = p.batch_len.max(16384);
-    let batches = (total / probe_batch).max(2);
-    let warmup = 1;
-    let p = SweepPoint { batch_len: probe_batch, ..p };
-    let traffic = data_plane_traffic(p.entries, probe_batch, warmup + batches);
-    let traffic = traffic.as_slice();
-    let mut best_legacy = 0f64;
-    let mut ratios = Vec::new();
-    run_data_plane_arm(traffic, warmup, p, DataPlane::Legacy); // burn-in, discarded
-    for repeat in 0..repeats.max(1) {
-        let (arena, legacy) = if repeat % 2 == 0 {
-            let legacy = run_data_plane_arm(traffic, warmup, p, DataPlane::Legacy);
-            let arena = run_data_plane_arm(traffic, warmup, p, DataPlane::Arena);
-            (arena, legacy)
-        } else {
-            let arena = run_data_plane_arm(traffic, warmup, p, DataPlane::Arena);
-            let legacy = run_data_plane_arm(traffic, warmup, p, DataPlane::Legacy);
-            (arena, legacy)
-        };
-        best_legacy = best_legacy.max(legacy);
-        ratios.push(arena / legacy.max(1.0));
-        if std::env::var("PROBE_DEBUG").is_ok() {
-            eprintln!(
-                "# data-plane pair {repeat}: legacy={legacy:.0} arena={arena:.0} ratio={:.4}",
-                arena / legacy.max(1.0)
-            );
-        }
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let ratio = if ratios.len() % 2 == 1 {
-        ratios[ratios.len() / 2]
-    } else {
-        (ratios[ratios.len() / 2 - 1] * ratios[ratios.len() / 2]).sqrt()
-    };
-    (best_legacy * ratio, best_legacy)
 }
 
 /// One point of the zipf-skew scenario.
@@ -808,17 +632,6 @@ fn main() {
         overhead * 100.0
     );
 
-    // Data-plane probe: the arena layout (serving default) vs the legacy
-    // boxed-slot layout on the same point. The tracked claim — the arena
-    // refactor buys >= 1.2x mem-backend throughput — is gated in CI from
-    // the "data_plane" key below.
-    let (arena, legacy) = run_data_plane_probe(batches, warmup, probe_point, repeats);
-    let speedup = arena / legacy.max(1.0);
-    println!(
-        "# data-plane probe ({probe_shards} shards, mem, {repeats} pairs): \
-         {legacy:.0} acc/s legacy, {arena:.0} acc/s arena ({speedup:.2}x)"
-    );
-
     if let Some(path) = json_path {
         let mut json = String::from("{\n  \"bench\": \"service_throughput\",\n");
         let _ = writeln!(json, "  \"entries\": {entries},");
@@ -853,13 +666,6 @@ fn main() {
         let _ = writeln!(json, "    \"enabled_accesses_per_sec\": {on:.0},");
         let _ = writeln!(json, "    \"overhead_fraction\": {overhead:.4},");
         let _ = writeln!(json, "    \"snapshot\": {snapshot}");
-        json.push_str("  },\n");
-        json.push_str("  \"data_plane\": {\n");
-        let _ = writeln!(json, "    \"probe_shards\": {probe_shards},");
-        let _ = writeln!(json, "    \"repeats\": {repeats},");
-        let _ = writeln!(json, "    \"legacy_accesses_per_sec\": {legacy:.0},");
-        let _ = writeln!(json, "    \"arena_accesses_per_sec\": {arena:.0},");
-        let _ = writeln!(json, "    \"speedup\": {speedup:.4}");
         json.push_str("  }\n}\n");
         std::fs::write(&path, json).expect("write json");
         println!("# wrote {path}");

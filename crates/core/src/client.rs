@@ -690,10 +690,10 @@ impl<S: BucketStore> LaOram<S> {
         let first_fetch_of_bin =
             !self.plan.bin_members(bin).iter().any(|m| self.cache.contains_key(m));
         let path = self.inner.position_of(accessed)?;
-        // Fused serve: in scratch mode the fetched path stays pending in
-        // the protocol client's scratch — the takes below resolve against
-        // it directly and the write-back plans over the combined holdings,
-        // so path passengers never materialise as stash blocks.
+        // Fused serve: the fetched path stays pending in the protocol
+        // client's scratch — the takes below resolve against it directly
+        // and the write-back plans over the combined holdings, so path
+        // passengers never materialise as stash blocks.
         self.inner.fetch_path_pending(path, AccessKind::Real);
         if !first_fetch_of_bin {
             // A previous fetch for this bin missed this member: the member

@@ -65,8 +65,9 @@ pub enum ErrorCode {
     IndexOutOfRange,
     /// The server is draining for shutdown and accepts no new requests.
     ShuttingDown,
-    /// The frame exceeded the receiver's size cap. The server closes
-    /// the connection.
+    /// Connection-level: the frame exceeded the receiver's size cap, and
+    /// the server closes the connection. Per-request: a write's payload
+    /// exceeded the table's `row_bytes`; the connection stays up.
     Oversized,
     /// An internal serving error; details in the message.
     Internal,

@@ -839,6 +839,7 @@ fn error_code_of(err: &ServiceError) -> ErrorCode {
     match err {
         ServiceError::UnknownTable { .. } => ErrorCode::UnknownTable,
         ServiceError::IndexOutOfRange { .. } => ErrorCode::IndexOutOfRange,
+        ServiceError::PayloadTooLarge { .. } => ErrorCode::Oversized,
         ServiceError::ShuttingDown => ErrorCode::ShuttingDown,
         ServiceError::NoOptimizerLayout { .. } | ServiceError::OptimizerMismatch { .. } => {
             ErrorCode::NoOptimizer

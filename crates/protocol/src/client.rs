@@ -3,7 +3,10 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use oram_tree::{Block, BlockId, BucketStore, LeafId, PathScratch, TreeGeometry, TreeStorage};
+use oram_tree::{
+    Block, BlockId, BucketStore, Candidate, LeafId, PathCandidates, PathScratch, TreeGeometry,
+    TreeStorage,
+};
 
 use crate::{
     AccessKind, AccessObserver, AccessStats, DensePositionMap, EvictionConfig, NullObserver,
@@ -29,9 +32,14 @@ use crate::{
 /// to the in-memory [`TreeStorage`] ([`PathOramClient::new`]). Use
 /// [`with_store`](Self::with_store) to run the identical protocol over
 /// any other backend — e.g. a file-backed
-/// [`DiskStore`](oram_tree::DiskStore) for tables larger than RAM. The
-/// protocol's obliviousness is backend-independent: the server-visible
-/// request sequence is generated above the storage boundary.
+/// [`DiskStore`](oram_tree::DiskStore) for tables larger than RAM. Every
+/// store is driven through the same two calls
+/// ([`read_path_into`](BucketStore::read_path_into) a reusable scratch,
+/// [`write_path_with`](BucketStore::write_path_with) a borrowed view of
+/// `[stash..., fetched path...]`), so nothing here depends on which store
+/// it is. The protocol's obliviousness is backend-independent: the
+/// server-visible request sequence is generated above the storage
+/// boundary.
 ///
 /// # Advanced primitives
 ///
@@ -62,7 +70,7 @@ pub struct PathOramClient<S: BucketStore = TreeStorage> {
 use crate::Stash as Stash2;
 
 /// Recycles payload boxes between fetches and write-backs so the
-/// scratch-mode serving path stops allocating once every in-flight
+/// serving path stops allocating once every in-flight
 /// payload length has a pooled box. Keyed by exact length: the serving
 /// tier stores fixed-width rows, so in practice this is one bucket.
 #[derive(Debug, Default)]
@@ -99,9 +107,8 @@ impl PayloadPool {
     }
 }
 
-/// Per-client reusable buffers for the zero-copy serving path: one
-/// scratch for path fetches, one for write-back candidates, and a
-/// payload-box pool bridging the two.
+/// Per-client reusable buffers for the serving path: the scratch every
+/// path fetch lands in, and a payload-box pool bridging it and the stash.
 ///
 /// The `pending` group carries a *fused serve* between
 /// [`PathOramClient::fetch_path_pending`] and the closing
@@ -113,7 +120,6 @@ impl PayloadPool {
 #[derive(Debug, Default)]
 struct AccessScratch {
     fetch: PathScratch,
-    out: PathScratch,
     pool: PayloadPool,
     placed: Vec<bool>,
     /// A fused serve is open: `fetch` holds live path slots and `order` /
@@ -142,7 +148,7 @@ struct WriteBackView<'a> {
     fetched: &'a PathScratch,
 }
 
-impl oram_tree::PathCandidates for WriteBackView<'_> {
+impl PathCandidates for WriteBackView<'_> {
     fn len(&self) -> usize {
         self.stash.len() + self.fetched.len()
     }
@@ -154,13 +160,10 @@ impl oram_tree::PathCandidates for WriteBackView<'_> {
         }
     }
 
-    fn encode_into(&self, i: usize, dst: &mut [u8]) {
+    fn get(&self, i: usize) -> Candidate<'_> {
         match i.checked_sub(self.stash.len()) {
-            Some(j) => self.fetched.copy_slot_into(j, dst),
-            None => {
-                let b = &self.stash[i];
-                oram_tree::encode_slot(dst, b.id(), b.leaf(), b.data());
-            }
+            Some(j) => self.fetched.get(j),
+            None => Candidate::Block(&self.stash[i]),
         }
     }
 }
@@ -187,7 +190,7 @@ impl OrderedView<'_> {
     }
 }
 
-impl oram_tree::PathCandidates for OrderedView<'_> {
+impl PathCandidates for OrderedView<'_> {
     fn len(&self) -> usize {
         self.order.len()
     }
@@ -199,13 +202,10 @@ impl oram_tree::PathCandidates for OrderedView<'_> {
         }
     }
 
-    fn encode_into(&self, v: usize, dst: &mut [u8]) {
+    fn get(&self, v: usize) -> Candidate<'_> {
         match self.resolve(v) {
-            (j, true) => self.fetched.copy_slot_into(j, dst),
-            (p, false) => {
-                let b = &self.stash[p];
-                oram_tree::encode_slot(dst, b.id(), b.leaf(), b.data());
-            }
+            (j, true) => self.fetched.get(j),
+            (p, false) => Candidate::Block(&self.stash[p]),
         }
     }
 }
@@ -556,58 +556,38 @@ impl<S: BucketStore> PathOramClient<S> {
     // Advanced primitives (used by LAORAM / PrORAM layers)
     // ------------------------------------------------------------------
 
-    /// Whether the serving path can run over reusable scratch buffers:
-    /// the store must speak the stride format natively
-    /// ([`BucketStore::path_scratch_spec`]), and sealing must be off —
-    /// sealed clients re-encrypt on every write-back and stay on the
-    /// allocating `Vec<Block>` path. Returns the stride's payload
-    /// capacity.
-    fn scratch_capacity(&self) -> Option<usize> {
-        if self.sealer.is_some() {
-            return None;
-        }
-        self.storage.path_scratch_spec()
-    }
-
-    /// Reads the whole path to `leaf` into the stash, recording stats and
-    /// notifying the observer. Does **not** write back; pair with
-    /// [`writeback_path`](Self::writeback_path).
-    pub fn fetch_path(&mut self, leaf: LeafId, kind: AccessKind) {
-        debug_assert!(!self.scratch.pending, "fetch_path during a fused serve");
+    /// The fetch half of every route: reads the path to `leaf` into the
+    /// fetch scratch, recording stats (the stash high-water mark counts
+    /// the fetched blocks wherever they end up) and notifying the observer.
+    fn fetch_into_scratch(&mut self, leaf: LeafId, kind: AccessKind) {
+        debug_assert!(!self.scratch.pending, "path fetch during a fused serve");
         match kind {
             AccessKind::Real => self.stats.path_reads += 1,
             AccessKind::Dummy => self.stats.dummy_reads += 1,
         }
         self.stats.slots_read += self.geometry().path_slots();
         self.observer.observe(ServerOp::ReadPath(leaf, kind));
-        if self.scratch_capacity().is_some() {
-            let mut fetch = std::mem::take(&mut self.scratch.fetch);
-            self.storage.read_path_into(leaf, &mut fetch);
-            self.stats.blocks_fetched += fetch.len() as u64;
-            for i in 0..fetch.len() {
-                let block = match fetch.payload(i) {
-                    Some(bytes) => {
-                        Block::with_data(fetch.id(i), fetch.leaf(i), self.scratch.pool.take(bytes))
-                    }
-                    None => Block::metadata_only(fetch.id(i), fetch.leaf(i)),
-                };
-                self.stash.insert(block);
-            }
-            fetch.clear();
-            self.scratch.fetch = fetch;
-        } else {
-            let fetched = self.storage.read_path(leaf);
-            self.stats.blocks_fetched += fetched.len() as u64;
-            for b in fetched {
-                self.stash.insert(b);
-            }
-        }
-        self.stats.observe_stash(self.stash.len() + self.checked_out.len());
+        self.storage.read_path_into(leaf, &mut self.scratch.fetch);
+        let fetched = self.scratch.fetch.len();
+        self.stats.blocks_fetched += fetched as u64;
+        self.stats.observe_stash(self.stash.len() + fetched + self.checked_out.len());
     }
 
-    /// Like [`fetch_path`](Self::fetch_path), but in scratch mode the
-    /// fetched path is held *pending* in the fetch scratch instead of
-    /// materialising into the stash: between this call and the closing
+    /// Reads the whole path to `leaf` into the stash, recording stats and
+    /// notifying the observer. Does **not** write back; pair with
+    /// [`writeback_path`](Self::writeback_path).
+    pub fn fetch_path(&mut self, leaf: LeafId, kind: AccessKind) {
+        self.fetch_into_scratch(leaf, kind);
+        for j in 0..self.scratch.fetch.len() {
+            let block = Self::materialize_fetched(&self.scratch.fetch, j, &mut self.scratch.pool);
+            self.stash.insert(block);
+        }
+        self.scratch.fetch.clear();
+    }
+
+    /// Like [`fetch_path`](Self::fetch_path), but the fetched path is held
+    /// *pending* in the fetch scratch instead of materialising into the
+    /// stash: between this call and the closing
     /// [`writeback_path`](Self::writeback_path), the checkout primitives
     /// ([`stash_contains`](Self::stash_contains),
     /// [`take_from_stash`](Self::take_from_stash)) transparently resolve
@@ -618,37 +598,27 @@ impl<S: BucketStore> PathOramClient<S> {
     ///
     /// Stats, stash high-water marks, server traffic and checkout
     /// semantics are byte-identical to the classic
-    /// fetch → take → write-back sequence. Outside scratch mode this *is*
-    /// [`fetch_path`](Self::fetch_path).
+    /// fetch → take → write-back sequence. A sealed client *is* that
+    /// classic sequence: every block it carries must pass through the
+    /// stash to be re-sealed at write-back.
     ///
     /// The serve must be closed by
     /// [`writeback_path`](Self::writeback_path) on the same path before
     /// any other path operation.
     pub fn fetch_path_pending(&mut self, leaf: LeafId, kind: AccessKind) {
-        if self.scratch_capacity().is_none() {
+        if self.sealer.is_some() {
             self.fetch_path(leaf, kind);
             return;
         }
-        debug_assert!(!self.scratch.pending, "fetch_path_pending during a fused serve");
-        match kind {
-            AccessKind::Real => self.stats.path_reads += 1,
-            AccessKind::Dummy => self.stats.dummy_reads += 1,
-        }
-        self.stats.slots_read += self.geometry().path_slots();
-        self.observer.observe(ServerOp::ReadPath(leaf, kind));
-        let mut fetch = std::mem::take(&mut self.scratch.fetch);
-        self.storage.read_path_into(leaf, &mut fetch);
-        self.stats.blocks_fetched += fetch.len() as u64;
-        self.stats.observe_stash(self.stash.len() + fetch.len() + self.checked_out.len());
+        self.fetch_into_scratch(leaf, kind);
         // O(1) id lookups for the checkout primitives below; extraction
         // keeps the index clean, so it holds for the whole serve.
         self.stash.prepare_lookups();
-        let m = self.stash.len();
+        let fetched = self.scratch.fetch.len();
         self.scratch.order.clear();
-        self.scratch.order.extend(0..(m + fetch.len()) as u32);
+        self.scratch.order.extend(0..(self.stash.len() + fetched) as u32);
         self.scratch.fetch_taken.clear();
-        self.scratch.fetch_taken.resize(fetch.len(), false);
-        self.scratch.fetch = fetch;
+        self.scratch.fetch_taken.resize(fetched, false);
         self.scratch.pending = true;
     }
 
@@ -662,91 +632,50 @@ impl<S: BucketStore> PathOramClient<S> {
     }
 
     /// Greedily evicts the stash along the path to `leaf`, recording stats
-    /// and notifying the observer. With sealing enabled, every payload is
-    /// re-sealed under a fresh nonce so consecutive write-backs of the
-    /// same block are unlinkable.
+    /// and notifying the observer. With sealing enabled, every stashed
+    /// payload is first re-sealed under a fresh nonce (in stash order), so
+    /// consecutive write-backs of the same block are unlinkable.
     pub fn writeback_path(&mut self, leaf: LeafId) {
         self.stats.path_writes += 1;
         self.stats.slots_written += self.geometry().path_slots();
         self.observer.observe(ServerOp::WritePath(leaf));
-        if let Some(capacity) = self.scratch_capacity() {
-            self.writeback_in_place(leaf, capacity);
-        } else {
-            let mut candidates = self.stash.take_all();
-            if let Some(sealer) = &mut self.sealer {
-                for block in &mut candidates {
-                    if let Some(cipher) = block.replace_data(None) {
-                        let plain = sealer.open(&cipher).unwrap_or(cipher);
-                        let resealed = sealer.seal(&plain);
-                        block.replace_data(Some(resealed));
-                    }
+        if let Some(sealer) = &mut self.sealer {
+            for block in self.stash.blocks_mut() {
+                if let Some(cipher) = block.replace_data(None) {
+                    let plain = sealer.open(&cipher).unwrap_or(cipher);
+                    block.replace_data(Some(sealer.seal(&plain)));
                 }
             }
-            self.storage.write_path(leaf, &mut candidates);
-            self.stash.absorb(candidates);
         }
+        self.writeback_in_place(leaf);
         self.stats.observe_stash(self.stash.len() + self.checked_out.len());
     }
 
-    /// The scratch-mode write-back core, shared by
+    /// The write-back core, shared by
     /// [`writeback_path`](Self::writeback_path) and the batched
     /// [`dummy_access`](Self::dummy_access): plans over the **borrowed**
-    /// candidate sequence `[stash..., fetch scratch...]` (identical to the
-    /// order the drained routes feed the shared planner) and lets the
+    /// candidate sequence `[stash..., fetch scratch...]` and lets the
     /// store copy the winners straight out of it. The stash is never
     /// drained — placed residents are dropped in place with their order
     /// preserved and the id index rebuild deferred, and only unplaced
     /// fetched entries materialise as stash blocks. Stats and observer
     /// calls are the caller's responsibility.
-    fn writeback_in_place(&mut self, leaf: LeafId, capacity: usize) {
+    fn writeback_in_place(&mut self, leaf: LeafId) {
         if self.scratch.pending {
-            self.writeback_pending(leaf, capacity);
+            self.writeback_pending(leaf);
             return;
         }
         let mut fetch = std::mem::take(&mut self.scratch.fetch);
         let mut placed = std::mem::take(&mut self.scratch.placed);
         let view = WriteBackView { stash: self.stash.blocks(), fetched: &fetch };
-        if self.storage.write_path_with(leaf, &view, &mut placed) {
-            let stash_n = self.stash.len();
-            let pool = &mut self.scratch.pool;
-            self.stash.retain_unplaced_with(&placed[..stash_n], |boxed| pool.put(boxed));
-            for j in 0..fetch.len() {
-                if !placed[stash_n + j] {
-                    let block = match fetch.payload(j) {
-                        Some(bytes) => {
-                            Block::with_data(fetch.id(j), fetch.leaf(j), pool.take(bytes))
-                        }
-                        None => Block::metadata_only(fetch.id(j), fetch.leaf(j)),
-                    };
-                    self.stash.push_deferred(block);
-                }
+        self.storage.write_path_with(leaf, &view, &mut placed);
+        let stash_n = self.stash.len();
+        let pool = &mut self.scratch.pool;
+        self.stash.retain_unplaced_with(&placed[..stash_n], |boxed| pool.put(boxed));
+        for j in 0..fetch.len() {
+            if !placed[stash_n + j] {
+                self.stash.push_deferred(Self::materialize_fetched(&fetch, j, pool));
             }
-        } else {
-            // Store speaks the stride format but has no borrowed-candidate
-            // route: fall back to draining through the out scratch.
-            let mut out = std::mem::take(&mut self.scratch.out);
-            out.ensure_shape(capacity);
-            out.clear();
-            let pool = &mut self.scratch.pool;
-            self.stash.drain_with(|mut block| {
-                out.push(block.id(), block.leaf(), block.data());
-                if let Some(boxed) = block.replace_data(None) {
-                    pool.put(boxed);
-                }
-            });
-            if !fetch.is_empty() {
-                out.append_from(&fetch);
-            }
-            self.storage.write_path_from(leaf, &mut out);
-            for i in 0..out.len() {
-                let block = match out.payload(i) {
-                    Some(bytes) => Block::with_data(out.id(i), out.leaf(i), pool.take(bytes)),
-                    None => Block::metadata_only(out.id(i), out.leaf(i)),
-                };
-                self.stash.insert(block);
-            }
-            out.clear();
-            self.scratch.out = out;
         }
         fetch.clear();
         self.scratch.fetch = fetch;
@@ -761,71 +690,33 @@ impl<S: BucketStore> PathOramClient<S> {
     /// order. The resulting stash contents and order, and every placement
     /// decision, are identical to the classic route's. Stats and observer
     /// calls are the caller's responsibility.
-    fn writeback_pending(&mut self, leaf: LeafId, capacity: usize) {
+    fn writeback_pending(&mut self, leaf: LeafId) {
         let mut fetch = std::mem::take(&mut self.scratch.fetch);
         let mut placed = std::mem::take(&mut self.scratch.placed);
         let mut order = std::mem::take(&mut self.scratch.order);
         let m = self.stash.len();
         let view = OrderedView { stash: self.stash.blocks(), fetched: &fetch, order: &order };
-        if self.storage.write_path_with(leaf, &view, &mut placed) {
-            let mut rebuilt = std::mem::take(&mut self.scratch.rebuilt);
-            rebuilt.clear();
-            for (v, &h) in order.iter().enumerate() {
-                let h = h as usize;
-                if placed[v] {
-                    if h < m {
-                        if let Some(boxed) = self.stash.reclaim_payload_at(h) {
-                            self.scratch.pool.put(boxed);
-                        }
-                    }
-                    continue;
-                }
-                let block = if h < m {
-                    self.stash.extract_for_rebuild(h)
-                } else {
-                    Self::materialize_fetched(&fetch, h - m, &mut self.scratch.pool)
-                };
-                rebuilt.push(block);
-            }
-            self.scratch.rebuilt = self.stash.rebuild_from(rebuilt);
-        } else {
-            // Store speaks the stride format but has no borrowed-candidate
-            // route: materialise the virtual candidates into the out
-            // scratch (in virtual order) and drain through it.
-            let mut out = std::mem::take(&mut self.scratch.out);
-            out.ensure_shape(capacity);
-            out.clear();
-            for &h in &order {
-                let h = h as usize;
+        self.storage.write_path_with(leaf, &view, &mut placed);
+        let mut rebuilt = std::mem::take(&mut self.scratch.rebuilt);
+        rebuilt.clear();
+        for (v, &h) in order.iter().enumerate() {
+            let h = h as usize;
+            if placed[v] {
                 if h < m {
-                    {
-                        let b = &self.stash.blocks()[h];
-                        out.push(b.id(), b.leaf(), b.data());
-                    }
                     if let Some(boxed) = self.stash.reclaim_payload_at(h) {
                         self.scratch.pool.put(boxed);
                     }
-                } else {
-                    let j = h - m;
-                    out.push(fetch.id(j), fetch.leaf(j), fetch.payload(j));
                 }
+                continue;
             }
-            self.storage.write_path_from(leaf, &mut out);
-            let mut rebuilt = std::mem::take(&mut self.scratch.rebuilt);
-            rebuilt.clear();
-            for i in 0..out.len() {
-                let block = match out.payload(i) {
-                    Some(bytes) => {
-                        Block::with_data(out.id(i), out.leaf(i), self.scratch.pool.take(bytes))
-                    }
-                    None => Block::metadata_only(out.id(i), out.leaf(i)),
-                };
-                rebuilt.push(block);
-            }
-            self.scratch.rebuilt = self.stash.rebuild_from(rebuilt);
-            out.clear();
-            self.scratch.out = out;
+            let block = if h < m {
+                self.stash.extract_for_rebuild(h)
+            } else {
+                Self::materialize_fetched(&fetch, h - m, &mut self.scratch.pool)
+            };
+            rebuilt.push(block);
         }
+        self.scratch.rebuilt = self.stash.rebuild_from(rebuilt);
         fetch.clear();
         self.scratch.fetch = fetch;
         self.scratch.placed = placed;
@@ -1115,41 +1006,23 @@ impl<S: BucketStore> PathOramClient<S> {
     /// One dummy read/write pair on a uniformly random path. Public so
     /// higher layers can drain their own pressure.
     ///
-    /// In scratch mode the whole path is processed in one batched pass:
-    /// the fetched slots never materialise as stash-resident [`Block`]s —
-    /// they are spliced after the stash's candidates in the write-back
-    /// scratch, exactly where the unbatched fetch-then-drain pair would
-    /// have placed them, so stats, stash high-water marks and the
-    /// observable access sequence are identical to the classic pair.
+    /// The whole path is processed in one batched pass: the fetched slots
+    /// never materialise as stash-resident [`Block`]s — they are spliced
+    /// after the stash's candidates in the write-back view, exactly where
+    /// the unbatched fetch-then-write-back pair would have placed them, so
+    /// stats, stash high-water marks and the observable access sequence
+    /// are identical to the classic pair. A sealed client runs that
+    /// classic pair, so every block the path carries is re-sealed.
     pub fn dummy_access(&mut self) {
-        debug_assert!(!self.scratch.pending, "dummy_access during a fused serve");
         let leaf = self.random_leaf();
-        let Some(capacity) = self.scratch_capacity() else {
+        if self.sealer.is_some() {
             self.fetch_path(leaf, AccessKind::Dummy);
-            self.writeback_path(leaf);
-            return;
-        };
-
-        // Fetch half (stats/observer mirror `fetch_path` exactly; the
-        // stash high-water mark still counts the fetched blocks even
-        // though they bypass the stash).
-        self.stats.dummy_reads += 1;
-        self.stats.slots_read += self.geometry().path_slots();
-        self.observer.observe(ServerOp::ReadPath(leaf, AccessKind::Dummy));
-        let mut fetch = std::mem::take(&mut self.scratch.fetch);
-        self.storage.read_path_into(leaf, &mut fetch);
-        self.stats.blocks_fetched += fetch.len() as u64;
-        self.stats.observe_stash(self.stash.len() + fetch.len() + self.checked_out.len());
-
-        // Write-back half: candidates are [stash..., fetched in path
-        // order...] — the exact order `take_all` would yield after the
-        // unbatched fetch inserted the path's blocks.
-        self.stats.path_writes += 1;
-        self.stats.slots_written += self.geometry().path_slots();
-        self.observer.observe(ServerOp::WritePath(leaf));
-        self.scratch.fetch = fetch;
-        self.writeback_in_place(leaf, capacity);
-        self.stats.observe_stash(self.stash.len() + self.checked_out.len());
+        } else {
+            self.fetch_into_scratch(leaf, AccessKind::Dummy);
+        }
+        // Candidates are [stash..., fetched in path order...] — the exact
+        // order the unbatched fetch would have left in the stash.
+        self.writeback_path(leaf);
     }
 
     /// Runs the background-eviction loop if the stash exceeds the
@@ -1523,17 +1396,24 @@ mod tests {
         assert!(c.stats().eviction_stalls > 0);
     }
 
+    /// Shares a recorder with the client that owns the observer box.
+    #[derive(Default, Clone)]
+    struct Tap(std::sync::Arc<std::sync::Mutex<RecordingObserver>>);
+
+    impl crate::AccessObserver for Tap {
+        fn observe(&mut self, op: crate::ServerOp) {
+            self.0.lock().expect("tap lock").observe(op);
+        }
+    }
+
+    impl Tap {
+        fn ops(&self) -> Vec<crate::ServerOp> {
+            self.0.lock().expect("tap lock").ops().to_vec()
+        }
+    }
+
     #[test]
     fn recording_observer_sees_uniformish_reads() {
-        use crate::RecordingObserver;
-        // Share the recorder via a small adapter since the client owns it.
-        #[derive(Default, Clone)]
-        struct Tap(std::sync::Arc<std::sync::Mutex<RecordingObserver>>);
-        impl crate::AccessObserver for Tap {
-            fn observe(&mut self, op: crate::ServerOp) {
-                self.0.lock().expect("tap lock").observe(op);
-            }
-        }
         let tap = Tap::default();
         let mut c = small_client(64, 24);
         c.set_observer(Box::new(tap.clone()));
@@ -1543,6 +1423,91 @@ mod tests {
         let rec = tap.0.lock().expect("tap lock");
         assert_eq!(rec.read_leaves().count(), 64);
         assert_eq!(rec.ops().len(), 128, "64 reads + 64 writes");
+    }
+
+    /// What a sealed run exposes: responses, the server-visible access
+    /// sequence, and the access statistics.
+    type SealedRun = (Vec<Option<Box<[u8]>>>, Vec<crate::ServerOp>, AccessStats);
+
+    /// Runs a fixed sealed read/write/dummy trace.
+    fn sealed_trace<S: BucketStore>(store: S) -> SealedRun {
+        let config =
+            PathOramConfig::new(48).with_seed(31).with_payloads(true).with_sealing_key(0x5EA1);
+        let mut c = PathOramClient::with_store(config, store).unwrap();
+        let tap = Tap::default();
+        c.set_observer(Box::new(tap.clone()));
+        let mut responses = Vec::new();
+        for step in 0..200u32 {
+            let id = BlockId::new((step * 7) % 48);
+            responses.push(match step % 3 {
+                0 => c.write(id, vec![step as u8; 8].into()).unwrap(),
+                1 => c.read(id).unwrap(),
+                _ => {
+                    c.dummy_access();
+                    c.fetch_update(id, |old| old.map_or(Box::from([0u8; 8]), Box::from)).unwrap()
+                }
+            });
+        }
+        c.verify_invariants().unwrap();
+        (responses, tap.ops(), c.stats().clone())
+    }
+
+    #[test]
+    fn sealed_client_is_store_independent() {
+        let geometry = PathOramConfig::new(48).geometry().unwrap();
+        let capacity = 8 + oram_tree::NONCE_BYTES as u32;
+        let reference = sealed_trace(TreeStorage::new(geometry.clone()));
+        let arena = sealed_trace(oram_tree::ArenaStore::new(
+            geometry.clone(),
+            oram_tree::ArenaStoreConfig::new().payload_capacity(capacity),
+        ));
+        assert_eq!(arena, reference, "sealed arena client diverged from the reference");
+        let path = std::env::temp_dir()
+            .join(format!("laoram-protocol-sealed-{}.oram", std::process::id()));
+        let disk = sealed_trace(
+            oram_tree::DiskStore::create(
+                &path,
+                geometry,
+                oram_tree::DiskStoreConfig::new().payload_capacity(capacity).write_back_paths(1),
+            )
+            .unwrap(),
+        );
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(disk, reference, "sealed disk client diverged from the reference");
+    }
+
+    #[test]
+    fn untouched_stash_resident_is_resealed_at_every_writeback() {
+        // Pin more blocks to leaf 0 than its path holds, so some stay in
+        // the stash across write-backs along other paths.
+        let cfg = PathOramConfig::new(16)
+            .with_seed(33)
+            .with_levels(2)
+            .with_payloads(true)
+            .with_sealing_key(0xC0FFEE)
+            .with_eviction(EvictionConfig::disabled());
+        let mut c = PathOramClient::new(cfg).unwrap();
+        for i in 0..16u32 {
+            c.access(BlockId::new(i), Some(vec![i as u8; 8].into()), Some(LeafId::new(0))).unwrap();
+        }
+        let snapshot = |c: &PathOramClient| -> std::collections::HashMap<BlockId, Vec<u8>> {
+            c.stash.iter().map(|b| (b.id(), b.data().expect("written").to_vec())).collect()
+        };
+        let before = snapshot(&c);
+        c.fetch_path(LeafId::new(3), AccessKind::Dummy);
+        c.writeback_path(LeafId::new(3));
+        let middle = snapshot(&c);
+        c.fetch_path(LeafId::new(2), AccessKind::Dummy);
+        c.writeback_path(LeafId::new(2));
+        let after = snapshot(&c);
+        let resident = before
+            .keys()
+            .find(|id| middle.contains_key(id) && after.contains_key(id))
+            .expect("an overfull path leaves residents in the stash");
+        assert_ne!(before[resident], middle[resident], "first write-back did not re-seal");
+        assert_ne!(middle[resident], after[resident], "second write-back did not re-seal");
+        let id = *resident;
+        assert_eq!(c.read(id).unwrap().as_deref(), Some(&[id.index() as u8; 8][..]));
     }
 
     #[test]

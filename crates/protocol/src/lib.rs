@@ -25,12 +25,14 @@
 //! boundary — and the workspace's backend-equivalence tests assert that
 //! responses and observer sequences are identical across backends.
 //!
-//! Over stride-format stores (the arena backend), the serving
-//! primitives run allocation-free on reusable scratch buffers, with
-//! write-backs planned over borrowed candidate views and path
-//! passengers bypassing the stash entirely on fused serves — see
-//! ARCHITECTURE.md's "Data layout" section for the slot encoding,
-//! scratch ownership and the leakage argument.
+//! [`PathOramClient`] drives every store through the one path-I/O
+//! contract — [`read_path_into`](oram_tree::BucketStore::read_path_into) a
+//! reusable scratch, [`write_path_with`](oram_tree::BucketStore::write_path_with)
+//! a borrowed candidate view — so its routes differ by *operation*
+//! (classic access, batched dummy access, fused look-ahead serve where
+//! path passengers bypass the stash entirely), never by which store it
+//! was handed. See ARCHITECTURE.md's "Data layout" section for the slot
+//! encoding, scratch ownership and the leakage argument.
 //!
 //! # Example
 //!

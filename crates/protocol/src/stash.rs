@@ -10,11 +10,12 @@ type IdIndex = HashMap<BlockId, usize, IdHashBuilder>;
 /// The Path ORAM stash.
 ///
 /// Holds real blocks that are currently not stored in the server tree.
-/// Lookups are O(1); the write-back path drains the stash wholesale through
-/// [`Stash::take_all`] / [`Stash::absorb`] (or, on the zero-copy route,
-/// [`Stash::drain_with`]), with both the block vector and the id index
-/// retaining their reservations across cycles — steady-state write-backs
-/// do not allocate.
+/// Lookups are O(1). The Path ORAM client writes back **in place** (the
+/// store plans over a borrowed view of the stash and only placed blocks
+/// leave it); Ring ORAM drains wholesale through [`Stash::take_all`] /
+/// [`Stash::absorb`]. Either way the block vector and the id index retain
+/// their reservations across cycles — steady-state write-backs do not
+/// allocate.
 #[derive(Debug, Default)]
 pub struct Stash {
     blocks: Vec<Block>,
@@ -165,24 +166,18 @@ impl Stash {
         }
     }
 
-    /// Drains every block through `f` in stash order (the order
-    /// [`Stash::take_all`] would return), clearing the stash while keeping
-    /// both backing reservations. The zero-copy write-back path uses this
-    /// to export candidates straight into a path scratch without an
-    /// intermediate `Vec<Block>` hand-off.
-    pub fn drain_with(&mut self, mut f: impl FnMut(Block)) {
-        self.index.clear();
-        self.dirty = false;
-        for block in self.blocks.drain(..) {
-            f(block);
-        }
-    }
-
     /// Borrows the stashed blocks in stash order (the order
     /// [`Stash::take_all`] would yield) — the candidate view for in-place
     /// write-backs.
     pub(crate) fn blocks(&self) -> &[Block] {
         &self.blocks
+    }
+
+    /// Mutably borrows the stashed blocks in stash order, for payload
+    /// rewrites (the sealed client's re-seal pass). Ids must not change —
+    /// the id index is not consulted.
+    pub(crate) fn blocks_mut(&mut self) -> &mut [Block] {
+        &mut self.blocks
     }
 
     /// In-place leftover compaction for a planned write-back: drops every
@@ -393,30 +388,6 @@ mod tests {
                 "cycle {round} moved the stash's backing reservations"
             );
         }
-    }
-
-    #[test]
-    fn drain_with_yields_take_all_order_and_keeps_reservations() {
-        let mut s = Stash::new();
-        for i in 0..12 {
-            s.insert(blk(i, i));
-        }
-        let mut clone_order: Vec<u32> = Vec::new();
-        let mut other = Stash::new();
-        for i in 0..12 {
-            other.insert(blk(i, i));
-        }
-        for b in other.take_all() {
-            clone_order.push(b.id().index());
-        }
-        let reserved = s.reserved();
-        let mut drained: Vec<u32> = Vec::new();
-        s.drain_with(|b| drained.push(b.id().index()));
-        assert_eq!(drained, clone_order);
-        assert!(s.is_empty());
-        assert_eq!(s.reserved(), reserved, "drain must keep the reservations");
-        s.insert(blk(99, 0));
-        assert!(s.contains(BlockId::new(99)));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use laoram_telemetry::{FlightDump, Sampler, SpanRecord, TelemetrySnapshot};
 use oram_protocol::AccessStats;
 use oram_tree::{
     BucketStore, DiskIoStats, DiskStore, DiskStoreConfig, DynBucketStore, StateSnapshot,
-    StoreTelemetry, TreeStorage,
+    StoreTelemetry,
 };
 
 use crate::completion::{CompletionShared, GroupDone};
@@ -1134,10 +1134,10 @@ fn resolve_backends(
                 _ => ResolvedBackend::InMemory,
             },
         };
-        if matches!(choice, ResolvedBackend::Disk { .. }) && spec.payloads && spec.row_bytes == 0 {
+        if spec.payloads && spec.row_bytes == 0 {
             return Err(ServiceError::InvalidConfig(format!(
-                "table '{}' is disk-backed with payloads but row_bytes = 0; disk slots need a \
-                 fixed payload capacity",
+                "table '{}' carries payloads but row_bytes = 0; bucket slots need a fixed \
+                 payload capacity",
                 spec.name
             )));
         }
@@ -1171,25 +1171,13 @@ fn build_client(
     let store_telemetry =
         telemetry.map(|t| StoreTelemetry::new(Arc::clone(&t.recorder), t.epoch(), Some(worker)));
     let geometry = laoram_config.geometry()?;
+    let payload_capacity = if spec.payloads { spec.row_bytes } else { 0 };
     match backend {
         ResolvedBackend::InMemory => {
-            // Arena shards carry a fixed per-slot payload capacity
-            // (row_bytes); a payload table declaring row_bytes = 0 has
-            // no usable capacity, so it falls back to the boxed-slot
-            // layout (which sizes slots per write).
-            let arena = spec.data_plane == crate::DataPlane::Arena
-                && !(spec.payloads && spec.row_bytes == 0);
-            let store: DynBucketStore = if arena {
-                let capacity = if spec.payloads { spec.row_bytes } else { 0 };
-                Box::new(oram_tree::ArenaStore::new(
-                    geometry,
-                    oram_tree::ArenaStoreConfig::new().payload_capacity(capacity),
-                ))
-            } else if spec.payloads {
-                Box::new(TreeStorage::new(geometry))
-            } else {
-                Box::new(TreeStorage::metadata_only(geometry))
-            };
+            let store: DynBucketStore = Box::new(oram_tree::ArenaStore::new(
+                geometry,
+                oram_tree::ArenaStoreConfig::new().payload_capacity(payload_capacity),
+            ));
             // No core.sync span hook here: an in-memory store's sync is a
             // no-op, so the span would record nothing but its own cost
             // (one allocation + recorder lock per superblock boundary,
@@ -1206,11 +1194,7 @@ fn build_client(
                 )))
             })?;
             let file = shard_file_path(dir, spec, table, shard);
-            let mut disk_config = DiskStoreConfig::new().payload_capacity(if spec.payloads {
-                spec.row_bytes
-            } else {
-                0
-            });
+            let mut disk_config = DiskStoreConfig::new().payload_capacity(payload_capacity);
             // Explicit disk tables carry their own tuning; Auto spill
             // takes the service-wide spill_spec (its dir and snapshots
             // fields do not apply — snapshots on the spill path were

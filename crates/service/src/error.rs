@@ -86,6 +86,18 @@ pub enum ServiceError {
         /// What disagreed.
         detail: String,
     },
+    /// A write's payload is longer than the table's
+    /// [`TableSpec::row_bytes`](crate::TableSpec::row_bytes) — the fixed
+    /// payload capacity of every bucket slot, so the row could never be
+    /// stored. Refused at submit.
+    PayloadTooLarge {
+        /// The requested table id.
+        table: usize,
+        /// The offered payload length in bytes.
+        len: usize,
+        /// The table's row capacity in bytes.
+        row_bytes: u32,
+    },
     /// The request was submitted after
     /// [`shutdown`](crate::LaoramService::shutdown) began.
     ShuttingDown,
@@ -128,6 +140,9 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::OptimizerMismatch { table, detail } => {
                 write!(f, "update does not match table {table}'s optimizer layout: {detail}")
+            }
+            ServiceError::PayloadTooLarge { table, len, row_bytes } => {
+                write!(f, "write of {len} bytes exceeds table {table}'s row_bytes of {row_bytes}")
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::Disconnected => write!(f, "pipeline stage terminated unexpectedly"),

@@ -231,7 +231,7 @@ pub use error::ServiceError;
 pub use request::{Completion, RequestTicket, RequestTiming, Session, SessionId};
 pub use router::{GroupRouting, RowPlacement, ShardRouter, TablePartition};
 pub use spec::{
-    AdaptiveController, BatchPolicy, DataPlane, DiskBackendSpec, HotSetSpec, PartitionStrategy,
+    AdaptiveController, BatchPolicy, DiskBackendSpec, HotSetSpec, PartitionStrategy,
     ReplicaPlacement, ResolvedBackend, ServiceConfig, StorageBackend, TableRecovery, TableSpec,
     TableStatus, TelemetrySpec,
 };

@@ -309,6 +309,8 @@ pub struct ShardRouter {
     num_workers: usize,
     /// Per-table training layout, for fused-update validation.
     optimizers: Vec<Option<OptimizerLayout>>,
+    /// Per-table slot payload capacity, for write validation.
+    row_bytes: Vec<u32>,
 }
 
 impl ShardRouter {
@@ -324,6 +326,7 @@ impl ShardRouter {
         let mut partitions = Vec::with_capacity(tables.len());
         let mut worker_base = Vec::with_capacity(tables.len());
         let mut optimizers = Vec::with_capacity(tables.len());
+        let mut row_bytes = Vec::with_capacity(tables.len());
         let mut next = 0usize;
         for spec in tables {
             worker_base.push(next);
@@ -331,8 +334,9 @@ impl ShardRouter {
             next += partition.shards() as usize;
             partitions.push(partition);
             optimizers.push(spec.optimizer);
+            row_bytes.push(spec.row_bytes);
         }
-        Ok(ShardRouter { partitions, worker_base, num_workers: next, optimizers })
+        Ok(ShardRouter { partitions, worker_base, num_workers: next, optimizers, row_bytes })
     }
 
     /// Total worker count across all tables.
@@ -411,19 +415,28 @@ impl ShardRouter {
     }
 
     /// Full admission validation of one request: the routing checks of
-    /// [`route`](Self::route), plus — for fused updates — that the table
-    /// declares an optimizer layout the update matches. Every submission
-    /// path runs this, so malformed training traffic is refused with a
-    /// typed error at submit time instead of degrading a shard worker.
+    /// [`route`](Self::route), plus — for writes — that the payload fits
+    /// the table's `row_bytes` slot capacity, and — for fused updates —
+    /// that the table declares an optimizer layout the update matches.
+    /// Every submission path runs this, so unstorable or malformed
+    /// traffic is refused with a typed error at submit time instead of
+    /// degrading a shard worker.
     ///
     /// # Errors
     /// As [`route`](Self::route), plus
+    /// [`ServiceError::PayloadTooLarge`] for writes and
     /// [`ServiceError::NoOptimizerLayout`] /
     /// [`ServiceError::OptimizerMismatch`] for fused updates.
     pub fn validate(&self, request: &crate::Request) -> Result<(), ServiceError> {
         self.route(request.table, request.index)?;
+        let table = request.table;
+        if let RequestOp::Write(data) = &request.op {
+            let row_bytes = self.row_bytes[table];
+            if data.len() > row_bytes as usize {
+                return Err(ServiceError::PayloadTooLarge { table, len: data.len(), row_bytes });
+            }
+        }
         if let RequestOp::FetchUpdate(update) = &request.op {
-            let table = request.table;
             let layout = self.optimizers[table].ok_or(ServiceError::NoOptimizerLayout { table })?;
             if !update.matches(layout) {
                 return Err(ServiceError::OptimizerMismatch {

@@ -26,8 +26,8 @@ pub enum StorageBackend {
     /// they would need for a restart is not persisted. The default.
     #[default]
     Auto,
-    /// Always in-memory ([`TreeStorage`](oram_tree::TreeStorage)),
-    /// regardless of any configured cap.
+    /// Always in-memory ([`ArenaStore`](oram_tree::ArenaStore) at
+    /// `row_bytes` slot capacity), regardless of any configured cap.
     InMemory,
     /// Always on disk ([`DiskStore`](oram_tree::DiskStore)), one backing
     /// file per shard.
@@ -278,27 +278,6 @@ pub enum PartitionStrategy {
     },
 }
 
-/// Which in-memory bucket-storage layout a table's shards use.
-///
-/// Disk-backed shards are unaffected: [`DiskStore`](oram_tree::DiskStore)
-/// has its own slot encoding. The layouts are byte-equivalent at the
-/// protocol level — responses, statistics and the server-visible access
-/// sequence are identical (pinned by the workspace's backend-equivalence
-/// proptests); only allocation behaviour differs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum DataPlane {
-    /// Contiguous fixed-stride level arenas
-    /// ([`ArenaStore`](oram_tree::ArenaStore)) with zero-copy scratch
-    /// path I/O — the serving default.
-    #[default]
-    Arena,
-    /// The original boxed-slot layout
-    /// ([`TreeStorage`](oram_tree::TreeStorage)); retained as the
-    /// baseline arm for equivalence tests and paired benchmarks.
-    Legacy,
-}
-
 /// Configuration of one hosted embedding table.
 ///
 /// Each table is partitioned across `shards` independent LAORAM
@@ -325,11 +304,13 @@ pub struct TableSpec {
     pub eviction: EvictionConfig,
     /// Base RNG seed; each shard derives an independent stream from it.
     pub seed: u64,
-    /// Maximum row size in bytes. Used to estimate the table's in-memory
-    /// footprint for [`StorageBackend::Auto`] spill decisions and as the
-    /// fixed per-slot payload capacity of disk-backed shards — a write
-    /// larger than this to a disk-backed table is a fatal shard error.
-    /// Ignored (estimation aside) for metadata-only tables.
+    /// Maximum row size in bytes: the fixed per-slot payload capacity of
+    /// every shard's bucket store, in memory and on disk alike, and the
+    /// figure [`StorageBackend::Auto`] spill decisions estimate the
+    /// table's footprint from. A write longer than this is refused at
+    /// submit ([`ServiceError::PayloadTooLarge`](crate::ServiceError::PayloadTooLarge));
+    /// a payload table declaring `0` is refused at start. Metadata-only
+    /// tables reserve no payload bytes whatever the value.
     pub row_bytes: u32,
     /// Storage backend selection for this table's shards.
     pub backend: StorageBackend,
@@ -348,9 +329,6 @@ pub struct TableSpec {
     /// must fit in [`row_bytes`](Self::row_bytes), and the table must
     /// keep payloads enabled — both validated at startup.
     pub optimizer: Option<laoram_core::OptimizerLayout>,
-    /// In-memory bucket-storage layout for this table's shards (ignored
-    /// by disk-backed shards).
-    pub data_plane: DataPlane,
 }
 
 impl TableSpec {
@@ -373,7 +351,6 @@ impl TableSpec {
             partition: PartitionStrategy::Hash,
             hot_set: None,
             optimizer: None,
-            data_plane: DataPlane::default(),
         }
     }
 
@@ -419,8 +396,8 @@ impl TableSpec {
         self
     }
 
-    /// Sets the maximum row size in bytes (footprint estimation, and the
-    /// per-slot payload capacity of disk-backed shards).
+    /// Sets the maximum row size in bytes: the fixed slot payload capacity
+    /// of every backend (see [`row_bytes`](Self::row_bytes)).
     #[must_use]
     pub fn row_bytes(mut self, bytes: u32) -> Self {
         self.row_bytes = bytes;
@@ -453,14 +430,6 @@ impl TableSpec {
     #[must_use]
     pub fn hot_set(mut self, hot_set: HotSetSpec) -> Self {
         self.hot_set = Some(hot_set);
-        self
-    }
-
-    /// Selects the in-memory bucket-storage layout for this table's
-    /// shards.
-    #[must_use]
-    pub fn data_plane(mut self, data_plane: DataPlane) -> Self {
-        self.data_plane = data_plane;
         self
     }
 

@@ -2,13 +2,13 @@
 //! tree level, fixed-stride slots, allocation-free path I/O.
 //!
 //! [`TreeStorage`](crate::TreeStorage) keeps slot metadata in a flat
-//! array but boxes every payload individually and materialises every path
-//! read as a fresh `Vec<Block>`. [`ArenaStore`] is the serving-path
-//! replacement: each level is a single `Box<[u8]>` arena of fixed-stride
-//! slots (12-byte header + a fixed payload capacity), and path I/O moves
-//! slots between the arena and a caller-owned
-//! [`PathScratch`](crate::PathScratch) with per-stride `memcpy`s —
-//! no per-block allocation, no `Vec<Block>` round-trip.
+//! array but boxes every payload individually, so a "path copy" there
+//! moves pointers. [`ArenaStore`] is the in-memory serving store: each
+//! level is a single `Box<[u8]>` arena of fixed-stride slots (12-byte
+//! header + a fixed payload capacity), and path I/O physically copies
+//! slot bytes between the arena and the caller's buffers — a row's bytes
+//! never keep their address across an access, which is the ORAM — with
+//! per-stride `memcpy`s and no per-block allocation.
 //!
 //! The path read is **branchless and constant-shape**: every slot on the
 //! path is copied out and marked empty whether or not it holds a real
@@ -21,13 +21,12 @@
 //! sequences to be identical against `TreeStorage`. See ARCHITECTURE.md's
 //! "Data layout" section.
 
+use crate::path::encode_slot;
 use crate::path::{NO_PAYLOAD, SLOT_HEADER_BYTES};
-use crate::store::{
-    compact_unplaced, plan_greedy_write_back, plan_greedy_write_back_reusing, plan_place_for_init,
-    PlanScratch,
-};
+use crate::store::{plan_greedy_write_back, plan_place_for_init, PlanScratch};
 use crate::{
-    Block, BlockId, BucketStore, LeafId, PathScratch, PathSnapshot, TreeError, TreeGeometry,
+    Block, BlockId, BucketStore, Candidate, LeafId, PathCandidates, PathScratch, PathSnapshot,
+    TreeError, TreeGeometry,
 };
 
 const EMPTY_ID_BYTES: [u8; 4] = u32::MAX.to_le_bytes();
@@ -68,13 +67,12 @@ impl ArenaStoreConfig {
 /// Implements the same [`BucketStore`] contract as
 /// [`TreeStorage`](crate::TreeStorage) — the backend-equivalence suite
 /// pins responses and observer sequences to be identical — while serving
-/// the native scratch I/O pair
-/// ([`read_path_into`](BucketStore::read_path_into) /
-/// [`write_path_from`](BucketStore::write_path_from)) without allocating:
+/// the path-I/O pair ([`read_path_into`](BucketStore::read_path_into) /
+/// [`write_path_with`](BucketStore::write_path_with)) without allocating:
 /// reads are a constant-shape copy-out of the path's slots, write-backs
-/// plan with reusable pools
-/// and place by stride `memcpy`. Unlike `TreeStorage`, payload capacity
-/// is fixed per slot at construction, as on the disk backend.
+/// plan with reusable pools and encode winners straight into the arena.
+/// Unlike `TreeStorage`, payload capacity is fixed per slot at
+/// construction, as on the disk backend.
 ///
 /// # Example
 /// ```
@@ -222,37 +220,28 @@ impl ArenaStore {
         Some(block)
     }
 
-    /// Stores `block` into the (empty) slot, moving its payload out.
+    /// Refuses payloads this store cannot hold.
     ///
     /// # Panics
-    /// Panics if the block carries a payload and the store is
-    /// metadata-only, or if the payload exceeds the slot capacity.
-    fn put_block(&mut self, flat: usize, block: &mut Block) {
-        let data = block.replace_data(None);
+    /// Panics if a payload is handed to a metadata-only store, or exceeds
+    /// the slot capacity.
+    fn check_payload(payload_capacity: usize, payload: Option<&[u8]>) {
+        let Some(p) = payload else { return };
+        assert!(payload_capacity > 0, "payload block written into a metadata-only tree");
         assert!(
-            data.is_none() || self.payload_capacity > 0,
-            "payload block written into a metadata-only tree"
+            p.len() <= payload_capacity,
+            "payload of {} bytes exceeds the arena slot capacity of {payload_capacity}",
+            p.len(),
         );
-        if let Some(d) = &data {
-            assert!(
-                d.len() <= self.payload_capacity,
-                "payload of {} bytes exceeds the arena slot capacity of {}",
-                d.len(),
-                self.payload_capacity,
-            );
-        }
-        let id = block.id().index();
-        let leaf = block.leaf().index();
-        let slot = self.slot_mut(flat);
-        slot[0..4].copy_from_slice(&id.to_le_bytes());
-        slot[4..8].copy_from_slice(&leaf.to_le_bytes());
-        match data {
-            Some(d) => {
-                slot[8..12].copy_from_slice(&(d.len() as u32).to_le_bytes());
-                slot[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + d.len()].copy_from_slice(&d);
-            }
-            None => slot[8..12].copy_from_slice(&NO_PAYLOAD.to_le_bytes()),
-        }
+    }
+
+    /// Stores `block` into the (empty) slot.
+    ///
+    /// # Panics
+    /// As [`check_payload`](Self::check_payload).
+    fn put_block(&mut self, flat: usize, block: &Block) {
+        Self::check_payload(self.payload_capacity, block.data());
+        encode_slot(self.slot_mut(flat), block.id(), block.leaf(), block.data());
         self.occupied += 1;
     }
 }
@@ -268,24 +257,6 @@ impl BucketStore for ArenaStore {
 
     fn occupancy(&self) -> u64 {
         self.occupied
-    }
-
-    fn path_scratch_spec(&self) -> Option<usize> {
-        Some(self.payload_capacity)
-    }
-
-    fn read_path(&mut self, leaf: LeafId) -> Vec<Block> {
-        debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
-        let mut out = Vec::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let node = self.geometry.path_node_in_level(leaf, level);
-            for slot in self.geometry.bucket_slot_range(level, node) {
-                if let Some(block) = self.take_block(slot) {
-                    out.push(block);
-                }
-            }
-        }
-        out
     }
 
     fn read_path_into(&mut self, leaf: LeafId, out: &mut PathScratch) {
@@ -317,86 +288,41 @@ impl BucketStore for ArenaStore {
         self.occupied -= cursor as u64;
     }
 
-    fn write_path(&mut self, leaf: LeafId, candidates: &mut Vec<Block>) {
-        debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
-        if candidates.is_empty() {
-            return;
-        }
-        let (placements, mut placed) =
-            plan_greedy_write_back(&self.geometry, leaf, candidates, |slot| {
-                self.slot_is_empty(slot)
-            });
-        for (slot, idx) in placements {
-            self.put_block(slot, &mut candidates[idx]);
-        }
-        compact_unplaced(candidates, &mut placed);
-    }
-
-    fn write_path_from(&mut self, leaf: LeafId, candidates: &mut PathScratch) {
-        debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
-        assert_eq!(
-            candidates.payload_capacity(),
-            self.payload_capacity,
-            "scratch shaped for a different store"
-        );
-        if candidates.is_empty() {
-            return;
-        }
-        let stride = self.stride();
-        {
-            let (levels, level_base) = (&self.levels, &self.level_base);
-            plan_greedy_write_back_reusing(
-                &self.geometry,
-                leaf,
-                candidates.len(),
-                |i| candidates.leaf(i),
-                |flat| {
-                    let (level, off) = Self::locate(level_base, stride, flat);
-                    levels[level][off..off + 4] == EMPTY_ID_BYTES
-                },
-                &mut self.plan,
-            );
-        }
-        for k in 0..self.plan.placements.len() {
-            let (flat, idx) = self.plan.placements[k];
-            let (level, off) = Self::locate(&self.level_base, stride, flat);
-            self.levels[level][off..off + stride].copy_from_slice(candidates.raw_slot(idx));
-        }
-        self.occupied += self.plan.placements.len() as u64;
-        candidates.retain_unplaced(&mut self.plan.placed);
-    }
-
     fn write_path_with(
         &mut self,
         leaf: LeafId,
-        candidates: &dyn crate::PathCandidates,
+        candidates: &dyn PathCandidates,
         placed: &mut Vec<bool>,
-    ) -> bool {
+    ) {
         debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
         let stride = self.stride();
-        {
-            let (levels, level_base) = (&self.levels, &self.level_base);
-            plan_greedy_write_back_reusing(
-                &self.geometry,
-                leaf,
-                candidates.len(),
-                |i| candidates.leaf_of(i),
-                |flat| {
-                    let (level, off) = Self::locate(level_base, stride, flat);
-                    levels[level][off..off + 4] == EMPTY_ID_BYTES
-                },
-                &mut self.plan,
-            );
-        }
-        for k in 0..self.plan.placements.len() {
-            let (flat, idx) = self.plan.placements[k];
-            let (level, off) = Self::locate(&self.level_base, stride, flat);
-            candidates.encode_into(idx, &mut self.levels[level][off..off + stride]);
+        let (levels, level_base) = (&mut self.levels, &self.level_base);
+        plan_greedy_write_back(
+            &self.geometry,
+            leaf,
+            candidates,
+            |flat| {
+                let (level, off) = Self::locate(level_base, stride, flat);
+                levels[level][off..off + 4] == EMPTY_ID_BYTES
+            },
+            &mut self.plan,
+            placed,
+        );
+        for &(flat, idx) in &self.plan.placements {
+            let (level, off) = Self::locate(level_base, stride, flat);
+            let dst = &mut levels[level][off..off + stride];
+            match candidates.get(idx) {
+                Candidate::Slot(raw) => {
+                    assert_eq!(raw.len(), stride, "scratch shaped for a different store");
+                    dst.copy_from_slice(raw);
+                }
+                Candidate::Block(b) => {
+                    Self::check_payload(self.payload_capacity, b.data());
+                    encode_slot(dst, b.id(), b.leaf(), b.data());
+                }
+            }
         }
         self.occupied += self.plan.placements.len() as u64;
-        placed.clear();
-        placed.extend_from_slice(&self.plan.placed);
-        true
     }
 
     fn read_bucket(&mut self, level: u32, node_in_level: u64) -> Vec<Block> {
@@ -415,8 +341,8 @@ impl BucketStore for ArenaStore {
             if !self.slot_is_empty(slot) {
                 continue;
             }
-            let Some(mut block) = blocks.next() else { return Vec::new() };
-            self.put_block(slot, &mut block);
+            let Some(block) = blocks.next() else { return Vec::new() };
+            self.put_block(slot, &block);
         }
         blocks.collect()
     }
@@ -425,8 +351,7 @@ impl BucketStore for ArenaStore {
         self.geometry.check_leaf(block.leaf())?;
         match plan_place_for_init(&self.geometry, block.leaf(), |slot| self.slot_is_empty(slot)) {
             Some(slot) => {
-                let mut block = block;
-                self.put_block(slot, &mut block);
+                self.put_block(slot, &block);
                 Ok(None)
             }
             None => Ok(Some(block)),
@@ -603,59 +528,10 @@ mod tests {
     }
 
     #[test]
-    fn scratch_route_matches_vec_route() {
-        // The native scratch I/O and the Vec<Block> route must agree on
-        // placements and leftover order.
-        let g = geometry(4);
-        let mut via_scratch =
-            ArenaStore::new(g.clone(), ArenaStoreConfig::new().payload_capacity(1));
-        let mut via_vec = ArenaStore::new(g.clone(), ArenaStoreConfig::new().payload_capacity(1));
-        let num_leaves = g.num_leaves() as u32;
-        let mut scratch = PathScratch::new();
-        scratch.ensure_shape(1);
-        for round in 0..40u32 {
-            let leaf = LeafId::new(round % num_leaves);
-            let mut blocks: Vec<Block> = (0..4)
-                .map(|i| {
-                    let id = round * 8 + i;
-                    Block::with_data(
-                        BlockId::new(id),
-                        LeafId::new((id * 7 + 3) % num_leaves),
-                        vec![id as u8].into(),
-                    )
-                })
-                .collect();
-            scratch.clear();
-            for b in &blocks {
-                scratch.push(b.id(), b.leaf(), b.data());
-            }
-            via_scratch.write_path_from(leaf, &mut scratch);
-            via_vec.write_path(leaf, &mut blocks);
-            assert_eq!(scratch.len(), blocks.len());
-            for (i, b) in blocks.iter().enumerate() {
-                assert_eq!(scratch.id(i), b.id());
-                assert_eq!(scratch.leaf(i), b.leaf());
-                assert_eq!(scratch.payload(i), b.data());
-            }
-            let read_leaf = LeafId::new((round * 3 + 1) % num_leaves);
-            via_scratch.read_path_into(read_leaf, &mut scratch);
-            let fetched = via_vec.read_path(read_leaf);
-            assert_eq!(scratch.len(), fetched.len());
-            for (i, b) in fetched.iter().enumerate() {
-                assert_eq!(scratch.id(i), b.id());
-                assert_eq!(scratch.leaf(i), b.leaf());
-                assert_eq!(scratch.payload(i), b.data());
-            }
-            assert_eq!(via_scratch.occupancy(), via_vec.occupancy());
-            scratch.clear();
-        }
-    }
-
-    #[test]
     fn metadata_only_store_uses_header_stride() {
         let mut store = ArenaStore::metadata_only(geometry(3));
         assert!(!store.payloads_enabled());
-        assert_eq!(store.path_scratch_spec(), Some(0));
+        assert_eq!(store.payload_capacity(), 0);
         let mut blocks = vec![Block::metadata_only(BlockId::new(1), LeafId::new(0))];
         store.write_path(LeafId::new(0), &mut blocks);
         assert!(blocks.is_empty());

@@ -75,9 +75,10 @@ use std::io::Write as _;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use crate::store::{compact_unplaced, plan_greedy_write_back, plan_place_for_init};
+use crate::store::{plan_greedy_write_back, plan_place_for_init, PlanScratch};
 use crate::{
-    Block, BlockId, BucketProfile, BucketStore, LeafId, PathSnapshot, TreeError, TreeGeometry,
+    Block, BlockId, BucketProfile, BucketStore, LeafId, PathCandidates, PathScratch, PathSnapshot,
+    TreeError, TreeGeometry,
 };
 
 /// Fixed size of the self-describing header at the start of the file.
@@ -246,10 +247,6 @@ struct SlotRecord {
 
 impl SlotRecord {
     const EMPTY: SlotRecord = SlotRecord { id_plus1: 0, leaf: 0, data: None };
-
-    fn is_empty(&self) -> bool {
-        self.id_plus1 == 0
-    }
 }
 
 /// A file-backed bucket store. See the `disk` module source docs above
@@ -317,6 +314,7 @@ pub struct DiskStore {
     pending_error: Option<TreeError>,
     /// Optional flight-recorder hook for backend spans.
     telemetry: Option<crate::StoreTelemetry>,
+    plan: PlanScratch,
 }
 
 impl std::fmt::Debug for DiskStore {
@@ -408,6 +406,7 @@ impl DiskStore {
             io: std::cell::Cell::new(DiskIoStats::default()),
             pending_error: None,
             telemetry: config.telemetry,
+            plan: PlanScratch::default(),
         };
         store.write_header()?;
         Ok(store)
@@ -490,6 +489,7 @@ impl DiskStore {
             io: std::cell::Cell::new(DiskIoStats::default()),
             pending_error: None,
             telemetry: config.telemetry,
+            plan: PlanScratch::default(),
         })
     }
 
@@ -555,28 +555,30 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Decodes one slot image from its raw on-disk bytes.
-    fn decode_rec(&self, bytes: &[u8], slot: u64) -> Result<SlotRecord, TreeError> {
+    /// Decodes one slot image's fields (`id + 1`, leaf, payload) from its
+    /// raw on-disk bytes, borrowing the payload.
+    fn decode_slot<'a>(
+        &self,
+        bytes: &'a [u8],
+        slot: u64,
+    ) -> Result<(u32, u32, Option<&'a [u8]>), TreeError> {
         let id_plus1 = u32::from_le_bytes(bytes[0..4].try_into().expect("4"));
         let leaf = u32::from_le_bytes(bytes[4..8].try_into().expect("4"));
-        let data = if self.payload_capacity > 0 {
-            let len_plus1 = u32::from_le_bytes(bytes[8..12].try_into().expect("4"));
-            if len_plus1 == 0 {
-                None
-            } else {
-                let len = (len_plus1 - 1) as usize;
-                if len > self.payload_capacity as usize {
-                    return Err(TreeError::CorruptStore(format!(
-                        "slot {slot} claims a {len}-byte payload in a store with capacity {}",
-                        self.payload_capacity
-                    )));
-                }
-                Some(Box::from(&bytes[12..12 + len]))
-            }
-        } else {
-            None
-        };
-        Ok(SlotRecord { id_plus1, leaf, data })
+        if self.payload_capacity == 0 {
+            return Ok((id_plus1, leaf, None));
+        }
+        let len_plus1 = u32::from_le_bytes(bytes[8..12].try_into().expect("4"));
+        if len_plus1 == 0 {
+            return Ok((id_plus1, leaf, None));
+        }
+        let len = (len_plus1 - 1) as usize;
+        if len > self.payload_capacity as usize {
+            return Err(TreeError::CorruptStore(format!(
+                "slot {slot} claims a {len}-byte payload in a store with capacity {}",
+                self.payload_capacity
+            )));
+        }
+        Ok((id_plus1, leaf, Some(&bytes[12..12 + len])))
     }
 
     /// Reads the raw bytes of `len` consecutive slots starting at
@@ -593,36 +595,39 @@ impl DiskStore {
         Ok(buf)
     }
 
-    /// Loads `len` consecutive slots starting at `start`: write-back
-    /// buffer first, then the prefetch cache, then one batched file read
-    /// for whatever is left (skipped entirely when the caches cover the
-    /// run).
-    fn load_run(&self, start: u64, len: usize) -> Result<Vec<SlotRecord>, TreeError> {
-        let mut out: Vec<Option<SlotRecord>> = Vec::with_capacity(len);
-        let mut missing = false;
-        for i in 0..len as u64 {
-            let slot = start + i;
-            let rec = self.dirty.get(&slot).or_else(|| self.prefetch.get(&slot)).cloned();
-            missing |= rec.is_none();
-            out.push(rec);
-        }
-        if missing {
-            let bytes = self.read_run_bytes(start, len)?;
-            let slot_bytes = self.slot_bytes() as usize;
-            for (i, entry) in out.iter_mut().enumerate() {
-                if entry.is_none() {
-                    *entry = Some(self.decode_rec(
-                        &bytes[i * slot_bytes..(i + 1) * slot_bytes],
-                        start + i as u64,
-                    )?);
-                }
+    /// Visits `len` consecutive slots starting at `start` as
+    /// `(slot, id + 1, leaf, payload)`: write-back buffer first, then the
+    /// clean cache, then one batched file read for whatever is left
+    /// (skipped entirely when the caches cover the run). Payloads are
+    /// borrowed from wherever the slot image lives — nothing is cloned.
+    fn visit_run(
+        &self,
+        start: u64,
+        len: usize,
+        mut visit: impl FnMut(u64, u32, u32, Option<&[u8]>),
+    ) -> Result<(), TreeError> {
+        let slot_bytes = self.slot_bytes() as usize;
+        let mut file_bytes = None;
+        for i in 0..len {
+            let slot = start + i as u64;
+            if let Some(rec) = self.dirty.get(&slot).or_else(|| self.prefetch.get(&slot)) {
+                visit(slot, rec.id_plus1, rec.leaf, rec.data.as_deref());
+                continue;
             }
+            if file_bytes.is_none() {
+                file_bytes = Some(self.read_run_bytes(start, len)?);
+            }
+            let bytes = file_bytes.as_deref().expect("read above");
+            let (id_plus1, leaf, payload) =
+                self.decode_slot(&bytes[i * slot_bytes..(i + 1) * slot_bytes], slot)?;
+            visit(slot, id_plus1, leaf, payload);
         }
-        Ok(out.into_iter().map(|rec| rec.expect("every slot resolved")).collect())
+        Ok(())
     }
 
-    /// As [`load_run`](Self::load_run), but decoding only each slot's
-    /// `(id + 1, leaf)` metadata (no payload allocation).
+    /// As [`visit_run`](Self::visit_run), but decoding only each slot's
+    /// `(id + 1, leaf)` metadata (payload bytes are neither validated nor
+    /// touched).
     fn load_run_meta(&self, start: u64, len: usize) -> Result<Vec<(u32, u32)>, TreeError> {
         let mut out: Vec<Option<(u32, u32)>> = Vec::with_capacity(len);
         let mut missing = false;
@@ -826,22 +831,33 @@ impl DiskStore {
         range.start as u64..range.end as u64
     }
 
-    fn rec_to_block(rec: SlotRecord) -> Block {
-        let id = BlockId::new(rec.id_plus1 - 1);
-        let leaf = LeafId::new(rec.leaf);
-        match rec.data {
-            Some(d) => Block::with_data(id, leaf, d),
-            None => Block::metadata_only(id, leaf),
+    /// The free slots on the path to `leaf`, by flat index: one batched
+    /// metadata read per bucket, for the planners to run against.
+    fn empty_path_slots(
+        &self,
+        leaf: LeafId,
+    ) -> Result<std::collections::HashSet<usize>, TreeError> {
+        let mut empties = std::collections::HashSet::new();
+        for level in 0..=self.geometry.leaf_level() {
+            let node = self.geometry.path_node_in_level(leaf, level);
+            let bounds = self.bucket_slot_bounds(level, node);
+            let len = (bounds.end - bounds.start) as usize;
+            for (i, (id_plus1, _)) in self.load_run_meta(bounds.start, len)?.into_iter().enumerate()
+            {
+                if id_plus1 == 0 {
+                    empties.insert(bounds.start as usize + i);
+                }
+            }
         }
+        Ok(empties)
     }
 
-    fn block_to_rec(&self, block: &mut Block) -> SlotRecord {
-        let data = block.replace_data(None);
-        assert!(
-            data.is_none() || self.payload_capacity > 0,
-            "payload block written into a metadata-only tree"
-        );
-        SlotRecord { id_plus1: block.id().index() + 1, leaf: block.leaf().index(), data }
+    fn block_to_rec(block: Block) -> SlotRecord {
+        SlotRecord {
+            id_plus1: block.id().index() + 1,
+            leaf: block.leaf().index(),
+            data: block.into_data(),
+        }
     }
 
     /// Streams `(slot, id_plus1, leaf)` for every slot in `range`,
@@ -876,31 +892,36 @@ impl BucketStore for DiskStore {
         self.occupied
     }
 
-    fn read_path(&mut self, leaf: LeafId) -> Vec<Block> {
+    fn read_path_into(&mut self, leaf: LeafId, out: &mut PathScratch) {
         debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
         let trace = self.telemetry.as_ref().map(|t| (t.now_ns(), self.io.get()));
-        let mut out = Vec::new();
+        out.ensure_shape(self.payload_capacity as usize);
+        out.clear();
+        let mut touched = Vec::new();
         for level in 0..=self.geometry.leaf_level() {
             let node = self.geometry.path_node_in_level(leaf, level);
             let bounds = self.bucket_slot_bounds(level, node);
             let len = (bounds.end - bounds.start) as usize;
-            let recs = self.load_run(bounds.start, len).expect("bucket-store read failed");
-            for (i, rec) in recs.into_iter().enumerate() {
-                let slot = bounds.start + i as u64;
-                if rec.is_empty() {
+            touched.clear();
+            self.visit_run(bounds.start, len, |slot, id_plus1, assigned, payload| {
+                if id_plus1 != 0 {
+                    out.push(BlockId::new(id_plus1 - 1), LeafId::new(assigned), payload);
+                }
+                touched.push((slot, id_plus1 != 0));
+            })
+            .expect("bucket-store read failed");
+            for &(slot, real) in &touched {
+                if real {
+                    self.store_slot(slot, SlotRecord::EMPTY);
+                    self.occupied -= 1;
+                } else if self.prefetch.len() < self.prefetch_cap {
                     // Remember the emptiness: the write-back that follows
                     // a path read probes exactly these slots, and a clean
                     // cached EMPTY saves it the file round trip. Purely
                     // opportunistic — never evict real cache content
                     // (e.g. the current readahead window) for a memo.
-                    if self.prefetch.len() < self.prefetch_cap {
-                        self.prefetch.insert(slot, SlotRecord::EMPTY);
-                    }
-                    continue;
+                    self.prefetch.insert(slot, SlotRecord::EMPTY);
                 }
-                self.store_slot(slot, SlotRecord::EMPTY);
-                self.occupied -= 1;
-                out.push(Self::rec_to_block(rec));
             }
         }
         self.maybe_spill();
@@ -916,53 +937,63 @@ impl BucketStore for DiskStore {
                 )),
             );
         }
-        out
     }
 
-    fn write_path(&mut self, leaf: LeafId, candidates: &mut Vec<Block>) {
+    fn write_path_with(
+        &mut self,
+        leaf: LeafId,
+        candidates: &dyn PathCandidates,
+        placed: &mut Vec<bool>,
+    ) {
         debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
+        placed.clear();
         if candidates.is_empty() {
             return;
         }
-        // Learn which path slots are free (one batched read per bucket),
-        // then run the shared greedy planner against that snapshot.
-        let mut empties = std::collections::HashSet::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let node = self.geometry.path_node_in_level(leaf, level);
-            let bounds = self.bucket_slot_bounds(level, node);
-            let len = (bounds.end - bounds.start) as usize;
-            let metas = self.load_run_meta(bounds.start, len).expect("bucket-store read failed");
-            for (i, (id_plus1, _)) in metas.into_iter().enumerate() {
-                if id_plus1 == 0 {
-                    empties.insert(bounds.start as usize + i);
-                }
-            }
-        }
-        let (placements, mut placed) =
-            plan_greedy_write_back(&self.geometry, leaf, candidates, |slot| {
-                empties.contains(&slot)
-            });
-        for (slot, idx) in placements {
-            let rec = self.block_to_rec(&mut candidates[idx]);
+        // Learn which path slots are free, then run the shared greedy
+        // planner against that snapshot.
+        let empties = self.empty_path_slots(leaf).expect("bucket-store read failed");
+        let mut plan = std::mem::take(&mut self.plan);
+        plan_greedy_write_back(
+            &self.geometry,
+            leaf,
+            candidates,
+            |slot| empties.contains(&slot),
+            &mut plan,
+            placed,
+        );
+        for &(slot, idx) in &plan.placements {
+            let (id, assigned, payload) = candidates.get(idx).fields();
+            let rec = SlotRecord {
+                id_plus1: id.index() + 1,
+                leaf: assigned.index(),
+                data: payload.map(Box::from),
+            };
             self.store_slot(slot as u64, rec);
             self.occupied += 1;
         }
-        compact_unplaced(candidates, &mut placed);
+        self.plan = plan;
         self.maybe_spill();
     }
 
     fn read_bucket(&mut self, level: u32, node_in_level: u64) -> Vec<Block> {
         let bounds = self.bucket_slot_bounds(level, node_in_level);
         let len = (bounds.end - bounds.start) as usize;
-        let recs = self.load_run(bounds.start, len).expect("bucket-store read failed");
-        let mut out = Vec::new();
-        for (i, rec) in recs.into_iter().enumerate() {
-            if rec.is_empty() {
-                continue;
+        let (mut slots, mut out) = (Vec::new(), Vec::new());
+        self.visit_run(bounds.start, len, |slot, id_plus1, leaf, payload| {
+            if id_plus1 != 0 {
+                let (id, leaf) = (BlockId::new(id_plus1 - 1), LeafId::new(leaf));
+                slots.push(slot);
+                out.push(match payload {
+                    Some(p) => Block::with_data(id, leaf, p.into()),
+                    None => Block::metadata_only(id, leaf),
+                });
             }
-            self.store_slot(bounds.start + i as u64, SlotRecord::EMPTY);
+        })
+        .expect("bucket-store read failed");
+        for slot in slots {
+            self.store_slot(slot, SlotRecord::EMPTY);
             self.occupied -= 1;
-            out.push(Self::rec_to_block(rec));
         }
         self.maybe_spill();
         out
@@ -978,9 +1009,8 @@ impl BucketStore for DiskStore {
             if id_plus1 != 0 {
                 continue;
             }
-            let Some(mut block) = blocks.next() else { break };
-            let rec = self.block_to_rec(&mut block);
-            self.store_slot(bounds.start + i as u64, rec);
+            let Some(block) = blocks.next() else { break };
+            self.store_slot(bounds.start + i as u64, Self::block_to_rec(block));
             self.occupied += 1;
         }
         leftover.extend(blocks);
@@ -990,26 +1020,11 @@ impl BucketStore for DiskStore {
 
     fn place_for_init(&mut self, block: Block) -> Result<Option<Block>, TreeError> {
         self.geometry.check_leaf(block.leaf())?;
-        // Batch-load the whole path's occupancy once; the shared planner
-        // then runs against the in-memory snapshot.
-        let mut empty = std::collections::HashSet::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let node = self.geometry.path_node_in_level(block.leaf(), level);
-            let bounds = self.bucket_slot_bounds(level, node);
-            let len = (bounds.end - bounds.start) as usize;
-            for (i, (id_plus1, _)) in self.load_run_meta(bounds.start, len)?.into_iter().enumerate()
-            {
-                if id_plus1 == 0 {
-                    empty.insert(bounds.start as usize + i);
-                }
-            }
-        }
+        let empty = self.empty_path_slots(block.leaf())?;
         let slot = plan_place_for_init(&self.geometry, block.leaf(), |slot| empty.contains(&slot));
         match slot {
             Some(slot) => {
-                let mut block = block;
-                let rec = self.block_to_rec(&mut block);
-                self.store_slot(slot as u64, rec);
+                self.store_slot(slot as u64, Self::block_to_rec(block));
                 self.occupied += 1;
                 self.maybe_spill();
                 Ok(None)
@@ -1180,11 +1195,13 @@ impl BucketStore for DiskStore {
                 if self.dirty.contains_key(&slot) {
                     continue;
                 }
-                let Ok(rec) = self.decode_rec(&bytes[i * slot_bytes..(i + 1) * slot_bytes], slot)
+                let Ok((id_plus1, leaf, payload)) =
+                    self.decode_slot(&bytes[i * slot_bytes..(i + 1) * slot_bytes], slot)
                 else {
                     continue;
                 };
-                self.prefetch.insert(slot, rec);
+                self.prefetch
+                    .insert(slot, SlotRecord { id_plus1, leaf, data: payload.map(Box::from) });
                 hinted.push(slot);
             }
         }
@@ -1497,62 +1514,85 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The decisive equivalence check at the storage layer: a random
-    /// operation sequence drives both backends into identical states.
+    /// The decisive equivalence check at the storage layer: one random
+    /// operation sequence drives the path-I/O pair on all three stores —
+    /// across dirty-buffer spills, prefetch hits, syncs and a reopen of
+    /// the disk store — into identical scratch contents, placed flags and
+    /// final states.
     #[test]
     fn random_ops_equivalent_to_tree_storage() {
+        use crate::{ArenaStore, ArenaStoreConfig};
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
+        fn entries(s: &PathScratch) -> Vec<(BlockId, LeafId, Option<Vec<u8>>)> {
+            (0..s.len()).map(|i| (s.id(i), s.leaf(i), s.payload(i).map(Vec::from))).collect()
+        }
         let path = tmp("equiv");
         let g = uniform(4, 2);
         let cfg = DiskStoreConfig::new().payload_capacity(4).write_back_paths(1);
-        let mut disk = DiskStore::create(&path, g.clone(), cfg).unwrap();
+        let mut disk = DiskStore::create(&path, g.clone(), cfg.clone()).unwrap();
+        let mut arena = ArenaStore::new(g.clone(), ArenaStoreConfig::new().payload_capacity(4));
         let mut mem = TreeStorage::new(g.clone());
+        let mut scratch = [PathScratch::new(), PathScratch::new(), PathScratch::new()];
+        let mut placed = [Vec::new(), Vec::new(), Vec::new()];
         let mut rng = StdRng::seed_from_u64(0xD15C);
         let leaves = g.num_leaves() as u32;
         let mut next_id = 0u32;
+        let mut spills = 0;
         for round in 0..200 {
-            let leaf = LeafId::new(rng.random_range(0..leaves));
-            // Exercise the readahead cache alongside ordinary traffic.
-            if round % 11 == 0 {
+            let mut leaf = LeafId::new(rng.random_range(0..leaves));
+            // Exercise the readahead cache alongside ordinary traffic: a
+            // hinted path is then read without touching the file.
+            let hinted = round % 11 == 0;
+            if hinted {
                 let hint: Vec<LeafId> =
                     (0..4).map(|_| LeafId::new(rng.random_range(0..leaves))).collect();
                 disk.prefetch_paths(&hint);
-                mem.prefetch_paths(&hint); // no-op on the memory backend
+                leaf = hint[0];
             }
-            if rng.random_range(0..3u32) == 0 {
-                let a = disk.read_path(leaf);
-                let b = mem.read_path(leaf);
-                assert_eq!(a, b, "round {round}: destructive reads diverged");
+            let dirty_before = disk.dirty_slots();
+            if hinted || rng.random_range(0..3u32) == 0 {
+                let file_reads = disk.io_stats().reads;
+                disk.read_path_into(leaf, &mut scratch[0]);
+                arena.read_path_into(leaf, &mut scratch[1]);
+                mem.read_path_into(leaf, &mut scratch[2]);
+                assert!(!hinted || disk.io_stats().reads == file_reads, "round {round}: miss");
+                assert_eq!(entries(&scratch[0]), entries(&scratch[2]), "round {round}: disk read");
+                assert_eq!(entries(&scratch[1]), entries(&scratch[2]), "round {round}: arena read");
             } else {
-                let n = rng.random_range(1..4u32);
-                let mut batch_a = Vec::new();
-                for _ in 0..n {
-                    let id = BlockId::new(next_id % 1000);
-                    next_id += 1;
-                    let assigned = LeafId::new(rng.random_range(0..leaves));
-                    let block = if rng.random_range(0..2u32) == 0 {
-                        Block::with_data(id, assigned, vec![id.index() as u8; 3].into())
-                    } else {
-                        Block::metadata_only(id, assigned)
-                    };
-                    batch_a.push(block);
-                }
-                let mut batch_b = batch_a.clone();
-                disk.write_path(leaf, &mut batch_a);
-                mem.write_path(leaf, &mut batch_b);
-                assert_eq!(batch_a, batch_b, "round {round}: leftovers diverged");
+                let batch: Vec<Block> = (0..rng.random_range(1..4u32))
+                    .map(|_| {
+                        let id = BlockId::new(next_id % 1000);
+                        next_id += 1;
+                        let assigned = LeafId::new(rng.random_range(0..leaves));
+                        if rng.random_range(0..2u32) == 0 {
+                            Block::with_data(id, assigned, vec![id.index() as u8; 3].into())
+                        } else {
+                            Block::metadata_only(id, assigned)
+                        }
+                    })
+                    .collect();
+                disk.write_path_with(leaf, &batch, &mut placed[0]);
+                arena.write_path_with(leaf, &batch, &mut placed[1]);
+                mem.write_path_with(leaf, &batch, &mut placed[2]);
+                assert_eq!(placed[0], placed[2], "round {round}: disk placements diverged");
+                assert_eq!(placed[1], placed[2], "round {round}: arena placements diverged");
             }
+            spills += usize::from(disk.dirty_slots() < dirty_before);
             if round % 17 == 0 {
                 disk.sync().unwrap();
             }
+            if round == 100 {
+                disk.sync().unwrap();
+                drop(disk);
+                disk = DiskStore::open(&path, cfg.clone()).unwrap();
+            }
             assert_eq!(disk.occupancy(), mem.occupancy(), "round {round}");
+            assert_eq!(arena.occupancy(), mem.occupancy(), "round {round}");
         }
-        let mut a = disk.collect_blocks();
-        let mut b = mem.collect_blocks();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "final states diverged");
+        assert!(spills > 0, "the 1-path write-back budget must have spilled");
+        assert_eq!(disk.collect_blocks(), mem.collect_blocks(), "disk final state diverged");
+        assert_eq!(arena.collect_blocks(), mem.collect_blocks(), "arena final state diverged");
         drop(disk);
         let _ = std::fs::remove_file(&path);
     }

@@ -12,23 +12,26 @@
 //! position map): it exposes path-granularity reads and greedy path
 //! write-back, which the [`oram-protocol`] crate drives.
 //!
-//! Storage is **pluggable** behind the [`BucketStore`] trait: the
-//! in-memory [`TreeStorage`] is the default backend, the arena-based
-//! [`ArenaStore`] is the serving-path in-memory backend (contiguous
-//! fixed-stride level arenas with allocation-free
-//! [`read_path_into`](BucketStore::read_path_into) /
-//! [`write_path_from`](BucketStore::write_path_from) scratch I/O over a
-//! [`PathScratch`] — see ARCHITECTURE.md's "Data layout" section), and
-//! the file-backed [`DiskStore`] serves trees larger than RAM with a
-//! write-back buffer and explicit [`sync`](BucketStore::sync) durability
-//! points. Protocol clients are generic over the backend (defaulting to
-//! `TreeStorage`), and serving engines pick one at runtime through
-//! [`DynBucketStore`].
+//! Storage is **pluggable** behind the [`BucketStore`] trait, and every
+//! store speaks one path-I/O contract: it implements
+//! [`read_path_into`](BucketStore::read_path_into) (fill a caller-owned
+//! [`PathScratch`]) and [`write_path_with`](BucketStore::write_path_with)
+//! (place winners out of a borrowed [`PathCandidates`] view), and inherits
+//! the `Vec<Block>` conveniences used below. The boxed-slot
+//! [`TreeStorage`] is the default simulation store and the reference the
+//! equivalence tests compare against; the arena-based [`ArenaStore`]
+//! (contiguous fixed-stride level arenas, allocation-free path I/O — see
+//! ARCHITECTURE.md's "Data layout" section) is the in-memory serving
+//! store; and the file-backed [`DiskStore`] serves trees larger than RAM
+//! with a write-back buffer and explicit [`sync`](BucketStore::sync)
+//! durability points. Protocol clients are generic over the backend
+//! (defaulting to `TreeStorage`), and serving engines pick one at runtime
+//! through [`DynBucketStore`].
 //!
 //! # Example
 //!
 //! ```
-//! use oram_tree::{Block, BlockId, BucketProfile, LeafId, TreeGeometry, TreeStorage};
+//! use oram_tree::{Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry, TreeStorage};
 //!
 //! let geometry = TreeGeometry::with_levels(4, BucketProfile::Uniform { capacity: 4 })?;
 //! let mut storage = TreeStorage::new(geometry.clone());
@@ -73,7 +76,7 @@ pub use path::{encode_slot, PathScratch, SLOT_HEADER_BYTES};
 pub use sealing::{BlockSealer, NONCE_BYTES};
 pub use snapshot::{ClientLevelState, SnapshotBlock, StateSnapshot};
 pub use storage::{PathSnapshot, TreeStorage};
-pub use store::{BucketStore, DynBucketStore, PathCandidates};
+pub use store::{BucketStore, Candidate, DynBucketStore, PathCandidates};
 pub use telemetry::StoreTelemetry;
 
 /// Convenience alias for results produced by this crate.

@@ -1,14 +1,16 @@
 //! Reusable path scratch buffer in the arena stride format.
 //!
-//! [`PathScratch`] is the borrow-based carrier for zero-copy path I/O:
+//! [`PathScratch`] is the caller-owned carrier of the one path-I/O
+//! contract: every store's
 //! [`BucketStore::read_path_into`](crate::BucketStore::read_path_into)
-//! fills it and
+//! fills it, and it is itself a
+//! [`PathCandidates`](crate::PathCandidates) view, so
 //! [`BucketStore::write_path_from`](crate::BucketStore::write_path_from)
-//! drains it, neither allocating once the buffer has warmed up to the
+//! can drain it — neither allocating once the buffer has warmed up to the
 //! path's slot count. Entries use the same fixed-stride encoding as
 //! [`ArenaStore`](crate::ArenaStore) levels — a 12-byte header (`id`,
 //! `leaf`, `len` as little-endian `u32`s) followed by `payload_capacity`
-//! payload bytes — so moving a slot between the tree and the scratch is a
+//! payload bytes — so moving a slot from the arena into the scratch is a
 //! single `memcpy` of one stride. See ARCHITECTURE.md's "Data layout"
 //! section for the full encoding.
 
@@ -27,9 +29,7 @@ pub(crate) const NO_PAYLOAD: u32 = u32::MAX;
 /// payload `len`) followed by the payload bytes. Bytes beyond the payload
 /// are left untouched — readers bound the payload region by the `len`
 /// word, never by the stride. This is the single encoding shared by
-/// [`ArenaStore`](crate::ArenaStore) levels, [`PathScratch`] entries, and
-/// borrowed write-back candidates
-/// ([`BucketStore::write_path_with`](crate::BucketStore::write_path_with)).
+/// [`ArenaStore`](crate::ArenaStore) levels and [`PathScratch`] entries.
 ///
 /// # Panics
 /// Panics if `dst` is shorter than [`SLOT_HEADER_BYTES`] plus the payload
@@ -44,6 +44,16 @@ pub fn encode_slot(dst: &mut [u8], id: BlockId, leaf: LeafId, payload: Option<&[
         }
         None => dst[8..12].copy_from_slice(&NO_PAYLOAD.to_le_bytes()),
     }
+}
+
+/// Decodes the fields of one stride slot (see [`encode_slot`]): id,
+/// assigned leaf, and the payload bytes the `len` word bounds.
+pub(crate) fn decode_slot(slot: &[u8]) -> (BlockId, LeafId, Option<&[u8]>) {
+    let word = |at: usize| u32::from_le_bytes(slot[at..at + 4].try_into().expect("4 bytes"));
+    let len = word(8);
+    let payload =
+        (len != NO_PAYLOAD).then(|| &slot[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + len as usize]);
+    (BlockId::new(word(0)), LeafId::new(word(4)), payload)
 }
 
 /// A reusable, fixed-stride buffer of path slots.
@@ -70,6 +80,9 @@ pub struct PathScratch {
     payload_capacity: usize,
     len: usize,
     buf: Vec<u8>,
+    /// Reusable placed-flag buffer for
+    /// [`BucketStore::write_path_from`](crate::BucketStore::write_path_from).
+    pub(crate) placed: Vec<bool>,
 }
 
 impl PathScratch {
@@ -194,6 +207,19 @@ impl PathScratch {
         Some(&self.buf[off..off + len as usize])
     }
 
+    /// Raw stride bytes of entry `i` (header + payload region) — what a
+    /// [`Candidate::Slot`](crate::Candidate::Slot) borrows, so a stride
+    /// store can take the entry with one `memcpy`.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn raw_slot(&self, i: usize) -> &[u8] {
+        assert!(i < self.len, "entry {i} out of range ({} held)", self.len);
+        let stride = self.stride();
+        &self.buf[i * stride..(i + 1) * stride]
+    }
+
     /// Materialises entry `i` as an owned [`Block`] (allocates for the
     /// payload, if any) — the bridge for `Vec<Block>`-based callers.
     ///
@@ -205,24 +231,6 @@ impl PathScratch {
             Some(p) => Block::with_data(self.id(i), self.leaf(i), p.into()),
             None => Block::metadata_only(self.id(i), self.leaf(i)),
         }
-    }
-
-    /// Appends every entry of `other` (which must share this stride
-    /// shape), preserving order. Used by batched eviction to splice a
-    /// fetched path after the stash's candidates.
-    ///
-    /// # Panics
-    /// Panics if the stride shapes differ.
-    pub fn append_from(&mut self, other: &PathScratch) {
-        assert_eq!(
-            self.payload_capacity, other.payload_capacity,
-            "appending between differently-shaped scratches"
-        );
-        self.grow_slots(self.len + other.len);
-        let stride = self.stride();
-        let dst = self.len * stride;
-        self.buf[dst..dst + other.len * stride].copy_from_slice(&other.buf[..other.len * stride]);
-        self.len += other.len;
     }
 
     /// Stable in-place compaction mirroring the shared planner's
@@ -246,25 +254,6 @@ impl PathScratch {
             }
         }
         self.len = keep;
-    }
-
-    /// Copies entry `i`'s raw stride bytes into `dst` — one `memcpy`
-    /// of header plus payload region. The borrowed-candidate write path
-    /// ([`BucketStore::write_path_with`](crate::BucketStore::write_path_with))
-    /// uses this to splice fetched entries straight into tree slots.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range or `dst` is not exactly
-    /// [`stride`](Self::stride) bytes long.
-    pub fn copy_slot_into(&self, i: usize, dst: &mut [u8]) {
-        assert!(i < self.len, "entry {i} out of range ({} held)", self.len);
-        dst.copy_from_slice(self.raw_slot(i));
-    }
-
-    /// Raw stride bytes of entry `i` (header + payload region).
-    pub(crate) fn raw_slot(&self, i: usize) -> &[u8] {
-        let stride = self.stride();
-        &self.buf[i * stride..(i + 1) * stride]
     }
 
     /// Mutable raw stride bytes of backing slot `i`, which may lie at or
@@ -345,19 +334,6 @@ mod tests {
         s.set_leaf(0, LeafId::new(7));
         assert_eq!(s.leaf(0), LeafId::new(7));
         assert_eq!(s.id(0), BlockId::new(4));
-    }
-
-    #[test]
-    fn append_from_preserves_order() {
-        let mut a = PathScratch::new();
-        let mut b = PathScratch::new();
-        a.push(BlockId::new(1), LeafId::new(0), None);
-        b.push(BlockId::new(2), LeafId::new(0), None);
-        b.push(BlockId::new(3), LeafId::new(0), None);
-        a.append_from(&b);
-        let ids: Vec<u32> = (0..a.len()).map(|i| a.id(i).index()).collect();
-        assert_eq!(ids, vec![1, 2, 3]);
-        assert_eq!(b.len(), 2, "source is untouched");
     }
 
     #[test]

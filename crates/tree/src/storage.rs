@@ -5,8 +5,10 @@
 //! configurations of the paper within a laptop's memory when run
 //! metadata-only.
 
-use crate::store::{compact_unplaced, plan_greedy_write_back, plan_place_for_init};
-use crate::{Block, BlockId, BucketStore, LeafId, TreeError, TreeGeometry};
+use crate::store::{plan_greedy_write_back, plan_place_for_init, PlanScratch};
+use crate::{
+    Block, BlockId, BucketStore, LeafId, PathCandidates, PathScratch, TreeError, TreeGeometry,
+};
 
 /// One slot's metadata. `id == BlockId::EMPTY_RAW` marks an empty (dummy)
 /// slot; dummies are never materialised as `Block` values.
@@ -32,7 +34,8 @@ impl SlotMeta {
 ///
 /// # Example
 /// ```
-/// use oram_tree::{Block, BlockId, BucketProfile, LeafId, TreeGeometry, TreeStorage};
+/// use oram_tree::{Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry,
+///                 TreeStorage};
 ///
 /// let geometry = TreeGeometry::with_levels(3, BucketProfile::Uniform { capacity: 4 })?;
 /// let mut storage = TreeStorage::new(geometry);
@@ -66,17 +69,24 @@ impl PathSnapshot {
 
 /// The server-side ORAM tree: a flat, bucketised slot array in memory.
 ///
-/// This is the canonical (and default) [`BucketStore`] implementation.
+/// This is the default **simulation** [`BucketStore`] and the independent
+/// reference the equivalence tests compare the serving stores against.
 /// Two construction modes exist: [`TreeStorage::new`] keeps a parallel
-/// payload array so blocks can carry bytes, while
+/// array of individually boxed payloads (any length per slot), while
 /// [`TreeStorage::metadata_only`] stores only `(id, leaf)` pairs — the mode
 /// used for the paper-scale simulations where only access *counts* matter.
-/// For tables whose tree does not fit in RAM, the file-backed
-/// [`DiskStore`](crate::DiskStore) offers the same interface.
+///
+/// It is not a serving store: payloads live in `Box`es that path I/O hands
+/// back and forth and dummy slots reserve no payload bytes, so it skips
+/// the physical path copy and the full-tree footprint a deployment pays
+/// (see ARCHITECTURE.md, "Why the serving plane copies bytes"). Serving
+/// engines use [`ArenaStore`](crate::ArenaStore) in memory and
+/// [`DiskStore`](crate::DiskStore) for trees larger than RAM.
 ///
 /// # Example
 /// ```
-/// use oram_tree::{Block, BlockId, BucketProfile, LeafId, TreeGeometry, TreeStorage};
+/// use oram_tree::{Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry,
+///                 TreeStorage};
 ///
 /// let geometry = TreeGeometry::with_levels(3, BucketProfile::Uniform { capacity: 4 })?;
 /// let mut storage = TreeStorage::new(geometry);
@@ -101,6 +111,7 @@ pub struct TreeStorage {
     data: Vec<Option<Box<[u8]>>>,
     payloads_enabled: bool,
     occupied: u64,
+    plan: PlanScratch,
 }
 
 impl std::fmt::Debug for TreeStorage {
@@ -125,6 +136,7 @@ impl TreeStorage {
             data: (0..slots).map(|_| None).collect(),
             payloads_enabled: true,
             occupied: 0,
+            plan: PlanScratch::default(),
         }
     }
 
@@ -145,6 +157,7 @@ impl TreeStorage {
             data: Vec::new(),
             payloads_enabled: false,
             occupied: 0,
+            plan: PlanScratch::default(),
         }
     }
 
@@ -166,72 +179,23 @@ impl TreeStorage {
         self.occupied
     }
 
-    /// Removes and returns every real block on the path to `leaf`,
-    /// root first. All touched slots become dummies.
-    ///
-    /// # Panics
-    /// Panics if `leaf` is out of range (checked in debug builds); callers
-    /// are expected to validate leaves at the protocol boundary.
-    pub fn read_path(&mut self, leaf: LeafId) -> Vec<Block> {
-        debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
-        let mut out = Vec::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let node = self.geometry.path_node_in_level(leaf, level);
-            for slot in self.geometry.bucket_slot_range(level, node) {
-                let m = self.meta[slot];
-                if m.is_empty() {
-                    continue;
-                }
-                self.meta[slot] = SlotMeta::EMPTY;
-                self.occupied -= 1;
-                let data = if self.payloads_enabled { self.data[slot].take() } else { None };
-                let id = BlockId::new(m.id);
-                let assigned = LeafId::new(m.leaf);
-                out.push(match data {
-                    Some(d) => Block::with_data(id, assigned, d),
-                    None => Block::metadata_only(id, assigned),
-                });
-            }
-        }
-        out
+    /// Flat slot indices of the path to `leaf`, root first.
+    fn path_slot_indices(&self, leaf: LeafId) -> impl Iterator<Item = usize> + '_ {
+        self.geometry.path_levels().flat_map(move |level| {
+            self.geometry.bucket_slot_range(level, self.geometry.path_node_in_level(leaf, level))
+        })
     }
 
-    /// Greedily writes blocks from `candidates` back onto the path to
-    /// `leaf`, filling the deepest eligible buckets first (the classic Path
-    /// ORAM eviction rule). Placed blocks are removed from `candidates`;
-    /// whatever remains must stay in the caller's stash.
-    ///
-    /// The relative order of the remaining candidates is not preserved.
+    /// Stores a block into the (empty) slot.
     ///
     /// # Panics
-    /// Panics (debug) if `leaf` is out of range, or if a payload-carrying
-    /// block is written into a metadata-only tree.
-    pub fn write_path(&mut self, leaf: LeafId, candidates: &mut Vec<Block>) {
-        debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
-        if candidates.is_empty() {
-            return;
-        }
-        let meta = &self.meta;
-        let (placements, mut placed) =
-            plan_greedy_write_back(&self.geometry, leaf, candidates, |slot| meta[slot].is_empty());
-        for (slot, idx) in placements {
-            self.fill_slot(slot, &mut candidates[idx]);
-        }
-        compact_unplaced(candidates, &mut placed);
-    }
-
-    /// Stores `block` into the (empty) slot, moving its payload out.
-    ///
-    /// # Panics
-    /// Panics if the block carries a payload and the tree is
-    /// metadata-only.
-    fn fill_slot(&mut self, slot: usize, block: &mut Block) {
-        let data = block.replace_data(None);
+    /// Panics if a payload is handed to a metadata-only tree.
+    fn fill_slot(&mut self, slot: usize, id: BlockId, leaf: LeafId, data: Option<Box<[u8]>>) {
         assert!(
             data.is_none() || self.payloads_enabled,
             "payload block written into a metadata-only tree"
         );
-        self.meta[slot] = SlotMeta { id: block.id().index(), leaf: block.leaf().index() };
+        self.meta[slot] = SlotMeta { id: id.index(), leaf: leaf.index() };
         if self.payloads_enabled {
             self.data[slot] = data;
         }
@@ -276,8 +240,8 @@ impl TreeStorage {
             if !self.meta[slot].is_empty() {
                 continue;
             }
-            let Some(mut block) = blocks.next() else { return Vec::new() };
-            self.fill_slot(slot, &mut block);
+            let Some(block) = blocks.next() else { return Vec::new() };
+            self.fill_slot(slot, block.id(), block.leaf(), block.into_data());
         }
         blocks.collect()
     }
@@ -293,8 +257,7 @@ impl TreeStorage {
         let meta = &self.meta;
         match plan_place_for_init(&self.geometry, block.leaf(), |slot| meta[slot].is_empty()) {
             Some(slot) => {
-                let mut block = block;
-                self.fill_slot(slot, &mut block);
+                self.fill_slot(slot, block.id(), block.leaf(), block.into_data());
                 Ok(None)
             }
             None => Ok(Some(block)),
@@ -307,16 +270,12 @@ impl TreeStorage {
     /// Returns [`TreeError::LeafOutOfRange`] for invalid leaves.
     pub fn snapshot_path(&self, leaf: LeafId) -> Result<PathSnapshot, TreeError> {
         self.geometry.check_leaf(leaf)?;
-        let mut blocks = Vec::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let node = self.geometry.path_node_in_level(leaf, level);
-            for slot in self.geometry.bucket_slot_range(level, node) {
-                let m = self.meta[slot];
-                if !m.is_empty() {
-                    blocks.push((BlockId::new(m.id), LeafId::new(m.leaf)));
-                }
-            }
-        }
+        let blocks = self
+            .path_slot_indices(leaf)
+            .map(|slot| self.meta[slot])
+            .filter(|m| !m.is_empty())
+            .map(|m| (BlockId::new(m.id), LeafId::new(m.leaf)))
+            .collect();
         Ok(PathSnapshot { leaf, blocks, slot_count: self.geometry.path_slots() })
     }
 
@@ -404,11 +363,56 @@ impl BucketStore for TreeStorage {
     fn occupancy(&self) -> u64 {
         TreeStorage::occupancy(self)
     }
-    fn read_path(&mut self, leaf: LeafId) -> Vec<Block> {
-        TreeStorage::read_path(self, leaf)
+    fn read_path_into(&mut self, leaf: LeafId, out: &mut PathScratch) {
+        debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
+        // Payloads are boxed per slot at any length: widen the scratch to
+        // the longest one on this path before copying into it.
+        let widest = self
+            .path_slot_indices(leaf)
+            .filter_map(|slot| self.data.get(slot)?.as_ref())
+            .map(|d| d.len())
+            .max()
+            .unwrap_or(0);
+        if widest > out.payload_capacity() {
+            out.ensure_shape(widest);
+        }
+        out.clear();
+        for level in self.geometry.path_levels() {
+            let node = self.geometry.path_node_in_level(leaf, level);
+            for slot in self.geometry.bucket_slot_range(level, node) {
+                let m = self.meta[slot];
+                if m.is_empty() {
+                    continue;
+                }
+                self.meta[slot] = SlotMeta::EMPTY;
+                self.occupied -= 1;
+                let data = if self.payloads_enabled { self.data[slot].take() } else { None };
+                out.push(BlockId::new(m.id), LeafId::new(m.leaf), data.as_deref());
+            }
+        }
     }
-    fn write_path(&mut self, leaf: LeafId, candidates: &mut Vec<Block>) {
-        TreeStorage::write_path(self, leaf, candidates);
+    fn write_path_with(
+        &mut self,
+        leaf: LeafId,
+        candidates: &dyn PathCandidates,
+        placed: &mut Vec<bool>,
+    ) {
+        debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
+        let mut plan = std::mem::take(&mut self.plan);
+        let meta = &self.meta;
+        plan_greedy_write_back(
+            &self.geometry,
+            leaf,
+            candidates,
+            |slot| meta[slot].is_empty(),
+            &mut plan,
+            placed,
+        );
+        for &(slot, idx) in &plan.placements {
+            let (id, assigned, payload) = candidates.get(idx).fields();
+            self.fill_slot(slot, id, assigned, payload.map(Box::from));
+        }
+        self.plan = plan;
     }
     fn read_bucket(&mut self, level: u32, node_in_level: u64) -> Vec<Block> {
         TreeStorage::read_bucket(self, level, node_in_level)

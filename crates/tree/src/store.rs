@@ -1,13 +1,27 @@
 //! The pluggable bucket-storage boundary.
 //!
 //! [`BucketStore`] is the server-side storage contract every ORAM protocol
-//! client in this workspace is written against. The canonical in-memory
-//! implementation is [`TreeStorage`](crate::TreeStorage); the file-backed
-//! [`DiskStore`](crate::DiskStore) serves tables larger than RAM behind the
-//! same interface. Protocol clients take the store as a type parameter
-//! defaulting to `TreeStorage`, so single-machine simulations pay no
-//! dynamic dispatch while serving engines can select a backend at runtime
-//! through [`DynBucketStore`].
+//! client in this workspace is written against. Three stores implement it:
+//! the boxed-slot [`TreeStorage`](crate::TreeStorage) (the default
+//! simulation store and the reference the equivalence tests compare
+//! against), the arena-backed [`ArenaStore`](crate::ArenaStore) (the
+//! in-memory serving store) and the file-backed
+//! [`DiskStore`](crate::DiskStore) (tables larger than RAM). Protocol
+//! clients take the store as a type parameter defaulting to `TreeStorage`,
+//! so single-machine simulations pay no dynamic dispatch while serving
+//! engines can select a backend at runtime through [`DynBucketStore`].
+//!
+//! # One path-I/O contract
+//!
+//! A store implements exactly two path operations, both over caller-owned
+//! buffers: [`read_path_into`](BucketStore::read_path_into) fills a
+//! [`PathScratch`], and [`write_path_with`](BucketStore::write_path_with)
+//! places winners straight out of a borrowed [`PathCandidates`] view. The
+//! `Vec<Block>` conveniences ([`read_path`](BucketStore::read_path),
+//! [`write_path`](BucketStore::write_path)) and the drained-scratch
+//! [`write_path_from`](BucketStore::write_path_from) are provided methods
+//! written once over that pair; no store overrides them, so a protocol
+//! client never needs to ask which store it got.
 //!
 //! # Why the boundary sits here
 //!
@@ -19,7 +33,7 @@
 //! whole-path reads and write-backs, bucket-granular reads for Ring-style
 //! protocols, and bulk initialisation — and nothing protocol-specific.
 
-use crate::{Block, LeafId, PathScratch, PathSnapshot, TreeError, TreeGeometry};
+use crate::{Block, BlockId, LeafId, PathScratch, PathSnapshot, TreeError, TreeGeometry};
 
 /// Server-side bucket storage for tree-based ORAM protocols.
 ///
@@ -56,21 +70,26 @@ use crate::{Block, LeafId, PathScratch, PathSnapshot, TreeError, TreeGeometry};
 /// # Contract
 ///
 /// Implementations model a complete binary tree of buckets whose shape is
-/// fixed at construction time by a [`TreeGeometry`]. All implementations
-/// must agree on the observable semantics below; the backend-equivalence
-/// property tests in the workspace assert that a trace produces **bit-
-/// identical responses and identical server-visible access sequences** on
-/// every backend.
+/// fixed at construction time by a [`TreeGeometry`]. Path I/O is the
+/// scratch pair — [`read_path_into`](Self::read_path_into) and
+/// [`write_path_with`](Self::write_path_with) are the only path methods a
+/// store implements; [`read_path`](Self::read_path),
+/// [`write_path`](Self::write_path) and
+/// [`write_path_from`](Self::write_path_from) are provided over them. All
+/// implementations must agree on the observable semantics below; the
+/// backend-equivalence property tests in the workspace assert that a trace
+/// produces **bit-identical responses and identical server-visible access
+/// sequences** on every backend.
 ///
 /// ## Ordering
 ///
-/// * [`read_path`](Self::read_path) visits buckets root → leaf and slots
-///   in ascending index order within each bucket, returning the real
-///   blocks in that visit order. Protocol-layer determinism (and therefore
-///   cross-backend equivalence) depends on this order.
-/// * [`write_path`](Self::write_path) uses the greedy deepest-first Path
-///   ORAM eviction rule, implemented once in this crate and shared by all
-///   backends so placement decisions cannot diverge.
+/// * [`read_path_into`](Self::read_path_into) visits buckets root → leaf
+///   and slots in ascending index order within each bucket, appending the
+///   real blocks in that visit order. Protocol-layer determinism (and
+///   therefore cross-backend equivalence) depends on this order.
+/// * [`write_path_with`](Self::write_path_with) uses the greedy
+///   deepest-first Path ORAM eviction rule, implemented once in this crate
+///   and shared by all backends so placement decisions cannot diverge.
 /// * [`read_bucket`](Self::read_bucket) /
 ///   [`write_bucket`](Self::write_bucket) likewise preserve slot order.
 ///
@@ -107,33 +126,80 @@ pub trait BucketStore {
     /// Number of real blocks currently stored.
     fn occupancy(&self) -> u64;
 
-    /// Removes and returns every real block on the path to `leaf`, root
-    /// first (see the ordering contract above). All touched slots become
-    /// dummies.
+    /// Destructively reads the path to `leaf` into a caller-owned
+    /// [`PathScratch`]: every real block on the path is appended root
+    /// first, slots in ascending order within each bucket (see the
+    /// ordering contract above), and all touched slots become dummies.
+    /// The store shapes the scratch's stride for its own payload width
+    /// and discards whatever the scratch held.
     ///
     /// # Panics
     /// May panic (checked in debug builds) if `leaf` is out of range;
     /// callers validate leaves at the protocol boundary. The infallible
-    /// read-side signatures (`read_path`, `read_bucket`,
+    /// read-side signatures (`read_path_into`, `read_bucket`,
     /// `collect_blocks`, `occupancy_by_level`) mirror the in-memory
-    /// store, so backends whose reads can genuinely fail (disk I/O)
+    /// stores, so backends whose reads can genuinely fail (disk I/O)
     /// panic on unrecoverable backing-medium errors — a failed read has
     /// no data to return and no deferred-error channel, unlike writes,
     /// which buffer and surface failures at [`sync`](Self::sync).
-    fn read_path(&mut self, leaf: LeafId) -> Vec<Block>;
+    fn read_path_into(&mut self, leaf: LeafId, out: &mut PathScratch);
 
-    /// Greedily writes blocks from `candidates` back onto the path to
-    /// `leaf`, deepest eligible bucket first (the classic Path ORAM
-    /// eviction rule). Placed blocks are removed from `candidates`;
-    /// whatever remains must stay in the caller's stash. The relative
-    /// order of the remaining candidates is not preserved, but is
-    /// identical across backends.
+    /// Greedily writes blocks from a **borrowed** candidate view onto the
+    /// path to `leaf`, deepest eligible bucket first (the classic Path
+    /// ORAM eviction rule, planned by the one shared planner). Nothing
+    /// moves unless the planner places it: `placed` is rewritten to one
+    /// flag per candidate and the caller drops exactly the flagged
+    /// entries from wherever they live. The candidate order and assigned
+    /// leaves fully determine the placements, so every store makes the
+    /// same decisions.
+    ///
+    /// This is the keystone of the allocation-free serving path: the
+    /// protocol client keeps its stash intact across a write-back and
+    /// hands the store a view over `[stash..., fetched path...]`, so the
+    /// hundreds of unplaced stash residents are never drained, re-boxed,
+    /// or re-indexed per eviction.
     ///
     /// # Panics
     /// May panic (debug) for out-of-range leaves, and always panics if a
-    /// payload-carrying block is written into a store without payload
-    /// storage.
-    fn write_path(&mut self, leaf: LeafId, candidates: &mut Vec<Block>);
+    /// placed candidate carries a payload the store cannot hold (a
+    /// metadata-only store, or a payload wider than the slot capacity).
+    fn write_path_with(
+        &mut self,
+        leaf: LeafId,
+        candidates: &dyn PathCandidates,
+        placed: &mut Vec<bool>,
+    );
+
+    /// [`read_path_into`](Self::read_path_into) for `Vec<Block>` callers
+    /// (tests, examples, offline tools): allocates a scratch and one
+    /// [`Block`] per real block.
+    fn read_path(&mut self, leaf: LeafId) -> Vec<Block> {
+        let mut scratch = PathScratch::new();
+        self.read_path_into(leaf, &mut scratch);
+        (0..scratch.len()).map(|i| scratch.block_at(i)).collect()
+    }
+
+    /// [`write_path_with`](Self::write_path_with) for `Vec<Block>`
+    /// callers: placed blocks are removed from `candidates`; whatever
+    /// remains, in its original relative order, must stay in the
+    /// caller's stash.
+    fn write_path(&mut self, leaf: LeafId, candidates: &mut Vec<Block>) {
+        let mut placed = Vec::new();
+        self.write_path_with(leaf, &*candidates, &mut placed);
+        let mut placed = placed.into_iter();
+        candidates.retain(|_| !placed.next().expect("one placed flag per candidate"));
+    }
+
+    /// [`write_path_with`](Self::write_path_with) draining a
+    /// [`PathScratch`]: placed entries are removed and the leftovers
+    /// compacted in place, in their original relative order. Allocates
+    /// nothing once the scratch has warmed up.
+    fn write_path_from(&mut self, leaf: LeafId, candidates: &mut PathScratch) {
+        let mut placed = std::mem::take(&mut candidates.placed);
+        self.write_path_with(leaf, &*candidates, &mut placed);
+        candidates.retain_unplaced(&mut placed);
+        candidates.placed = placed;
+    }
 
     /// Removes and returns every real block in the bucket at
     /// (`level`, `node_in_level`), in slot order. Ring-style protocols
@@ -223,88 +289,36 @@ pub trait BucketStore {
     fn io_stats(&self) -> Option<crate::DiskIoStats> {
         None
     }
+}
 
-    /// Declares native scratch-buffer path I/O: `Some(payload_capacity)`
-    /// when [`read_path_into`](Self::read_path_into) and
-    /// [`write_path_from`](Self::write_path_from) run allocation-free
-    /// against a fixed per-slot payload capacity (the stride shape the
-    /// caller must give its [`PathScratch`]), `None` when they fall back
-    /// to the `Vec<Block>` shims below. Protocol clients use this to pick
-    /// the zero-copy path; the default keeps existing backends on the
-    /// `Vec<Block>` route unchanged.
-    fn path_scratch_spec(&self) -> Option<usize> {
-        None
-    }
+/// One write-back candidate, borrowed in whichever form its holder keeps
+/// it — so a store can take it the cheapest way its own slots allow (the
+/// arena copies a [`Slot`](Self::Slot) with one `memcpy`).
+#[derive(Debug, Clone, Copy)]
+pub enum Candidate<'a> {
+    /// A stride-format slot (a [`PathScratch`] entry, see
+    /// [`encode_slot`](crate::encode_slot)): header plus payload region.
+    Slot(&'a [u8]),
+    /// A boxed block (a stash resident).
+    Block(&'a Block),
+}
 
-    /// As [`read_path`](Self::read_path), but filling a caller-owned
-    /// [`PathScratch`] instead of allocating a `Vec<Block>`. Semantics are
-    /// identical — destructive, root first, slot order — and the default
-    /// shim delegates to `read_path`, so every backend agrees with its own
-    /// `Vec<Block>` behaviour by construction. Backends advertising
-    /// [`path_scratch_spec`](Self::path_scratch_spec) override this with
-    /// an allocation-free implementation.
-    fn read_path_into(&mut self, leaf: LeafId, out: &mut PathScratch) {
-        let blocks = self.read_path(leaf);
-        let widest = blocks.iter().map(|b| b.data().map_or(0, <[u8]>::len)).max().unwrap_or(0);
-        if widest > out.payload_capacity() {
-            out.ensure_shape(widest);
+impl<'a> Candidate<'a> {
+    /// Id, assigned leaf and payload bytes (`None` = no payload attached).
+    #[must_use]
+    pub fn fields(self) -> (BlockId, LeafId, Option<&'a [u8]>) {
+        match self {
+            Candidate::Slot(raw) => crate::path::decode_slot(raw),
+            Candidate::Block(b) => (b.id(), b.leaf(), b.data()),
         }
-        out.clear();
-        for block in &blocks {
-            out.push(block.id(), block.leaf(), block.data());
-        }
-    }
-
-    /// As [`write_path`](Self::write_path), but draining candidates from a
-    /// [`PathScratch`]: placed entries are removed and the leftovers are
-    /// compacted in the scratch (same deterministic leftover order as the
-    /// `Vec<Block>` route). The default shim round-trips through
-    /// `write_path`.
-    fn write_path_from(&mut self, leaf: LeafId, candidates: &mut PathScratch) {
-        let mut blocks: Vec<Block> =
-            (0..candidates.len()).map(|i| candidates.block_at(i)).collect();
-        self.write_path(leaf, &mut blocks);
-        candidates.clear();
-        for block in &blocks {
-            candidates.push(block.id(), block.leaf(), block.data());
-        }
-    }
-
-    /// As [`write_path_from`](Self::write_path_from), but planning and
-    /// copying straight out of a **borrowed** candidate view instead of a
-    /// drained scratch: nothing moves unless the planner places it. On
-    /// success, `placed` is rewritten to one flag per candidate (same
-    /// deterministic plan as the other write-back routes — the candidate
-    /// order and assigned leaves fully determine the placements) and the
-    /// method returns `true`; the caller then drops exactly the flagged
-    /// entries from wherever they live. A `false` return means the
-    /// backend has no borrowed-candidate route and wrote **nothing** —
-    /// the caller must fall back to
-    /// [`write_path_from`](Self::write_path_from) or
-    /// [`write_path`](Self::write_path). The default declines.
-    ///
-    /// This is the keystone of the allocation-free serving path: the
-    /// protocol client keeps its stash intact across a write-back and
-    /// hands the store a view over `[stash..., fetched path...]`, so the
-    /// hundreds of unplaced stash residents are never drained, re-boxed,
-    /// or re-indexed per eviction.
-    fn write_path_with(
-        &mut self,
-        leaf: LeafId,
-        candidates: &dyn PathCandidates,
-        placed: &mut Vec<bool>,
-    ) -> bool {
-        let _ = (leaf, candidates, placed);
-        false
     }
 }
 
 /// A borrowed view of write-back candidates for
 /// [`BucketStore::write_path_with`]: the store asks for each candidate's
-/// assigned leaf while planning, then asks the view to encode the placed
-/// winners directly into tree slots (stride format, see
-/// [`encode_slot`](crate::encode_slot)). Object-safe so runtime-selected
-/// backends ([`DynBucketStore`]) can take it.
+/// assigned leaf while planning, then takes the placed winners and encodes
+/// them into its own slots. Object-safe so runtime-selected backends
+/// ([`DynBucketStore`]) can take it.
 pub trait PathCandidates {
     /// Number of candidates in the view.
     fn len(&self) -> usize;
@@ -317,10 +331,32 @@ pub trait PathCandidates {
     /// Assigned leaf of candidate `i`.
     fn leaf_of(&self, i: usize) -> LeafId;
 
-    /// Encodes candidate `i` into the raw stride slot `dst`
-    /// (`SLOT_HEADER_BYTES + payload_capacity` bytes, see
-    /// [`encode_slot`](crate::encode_slot)).
-    fn encode_into(&self, i: usize, dst: &mut [u8]);
+    /// Candidate `i`.
+    fn get(&self, i: usize) -> Candidate<'_>;
+}
+
+impl PathCandidates for Vec<Block> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+    fn leaf_of(&self, i: usize) -> LeafId {
+        self[i].leaf()
+    }
+    fn get(&self, i: usize) -> Candidate<'_> {
+        Candidate::Block(&self[i])
+    }
+}
+
+impl PathCandidates for PathScratch {
+    fn len(&self) -> usize {
+        PathScratch::len(self)
+    }
+    fn leaf_of(&self, i: usize) -> LeafId {
+        self.leaf(i)
+    }
+    fn get(&self, i: usize) -> Candidate<'_> {
+        Candidate::Slot(self.raw_slot(i))
+    }
 }
 
 impl<S: BucketStore + ?Sized> BucketStore for Box<S> {
@@ -333,11 +369,16 @@ impl<S: BucketStore + ?Sized> BucketStore for Box<S> {
     fn occupancy(&self) -> u64 {
         (**self).occupancy()
     }
-    fn read_path(&mut self, leaf: LeafId) -> Vec<Block> {
-        (**self).read_path(leaf)
+    fn read_path_into(&mut self, leaf: LeafId, out: &mut PathScratch) {
+        (**self).read_path_into(leaf, out);
     }
-    fn write_path(&mut self, leaf: LeafId, candidates: &mut Vec<Block>) {
-        (**self).write_path(leaf, candidates);
+    fn write_path_with(
+        &mut self,
+        leaf: LeafId,
+        candidates: &dyn PathCandidates,
+        placed: &mut Vec<bool>,
+    ) {
+        (**self).write_path_with(leaf, candidates, placed);
     }
     fn read_bucket(&mut self, level: u32, node_in_level: u64) -> Vec<Block> {
         (**self).read_bucket(level, node_in_level)
@@ -375,55 +416,57 @@ impl<S: BucketStore + ?Sized> BucketStore for Box<S> {
     fn io_stats(&self) -> Option<crate::DiskIoStats> {
         (**self).io_stats()
     }
-    fn path_scratch_spec(&self) -> Option<usize> {
-        (**self).path_scratch_spec()
-    }
-    fn read_path_into(&mut self, leaf: LeafId, out: &mut PathScratch) {
-        (**self).read_path_into(leaf, out);
-    }
-    fn write_path_from(&mut self, leaf: LeafId, candidates: &mut PathScratch) {
-        (**self).write_path_from(leaf, candidates);
-    }
-    fn write_path_with(
-        &mut self,
-        leaf: LeafId,
-        candidates: &dyn PathCandidates,
-        placed: &mut Vec<bool>,
-    ) -> bool {
-        (**self).write_path_with(leaf, candidates, placed)
-    }
 }
 
 /// A boxed, thread-movable bucket store — the form serving engines use
 /// when the backend is chosen at runtime (per-table spill-to-disk).
 pub type DynBucketStore = Box<dyn BucketStore + Send>;
 
+/// Reusable working memory for [`plan_greedy_write_back`]: the per-depth
+/// candidate pools and the placement list. Owned by each store so
+/// steady-state write-backs allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PlanScratch {
+    by_depth: Vec<Vec<u32>>,
+    /// `(flat slot index, candidate index)` per placement of the last plan.
+    pub(crate) placements: Vec<(usize, usize)>,
+}
+
 /// Plans the greedy deepest-first write-back shared by every backend.
 ///
-/// Returns `(placements, placed)`: `placements` maps a flat slot index to
-/// the index of the candidate that fills it, and `placed[i]` is whether
-/// `candidates[i]` found a slot. The algorithm walks the path leaf → root,
-/// preferring candidates whose assigned leaf shares the deepest prefix
-/// with `leaf`, exactly as Path ORAM's eviction rule demands. Keeping the
-/// planner in one place is what makes backend placement decisions — and
-/// therefore stash contents and responses — identical across backends.
+/// Fills `scratch.placements` with `(flat slot index, candidate index)`
+/// pairs and rewrites `placed` to one flag per candidate. The algorithm
+/// walks the path leaf → root, preferring candidates whose assigned leaf
+/// shares the deepest prefix with `leaf`, exactly as Path ORAM's eviction
+/// rule demands. Keeping the planner in one place is what makes backend
+/// placement decisions — and therefore stash contents and responses —
+/// identical across backends.
 pub(crate) fn plan_greedy_write_back(
     geometry: &TreeGeometry,
     leaf: LeafId,
-    candidates: &[Block],
+    candidates: &dyn PathCandidates,
     mut slot_is_empty: impl FnMut(usize) -> bool,
-) -> (Vec<(usize, usize)>, Vec<bool>) {
+    scratch: &mut PlanScratch,
+    placed: &mut Vec<bool>,
+) {
     let leaf_level = geometry.leaf_level() as usize;
+    if scratch.by_depth.len() < leaf_level + 1 {
+        scratch.by_depth.resize_with(leaf_level + 1, Vec::new);
+    }
+    for pool in &mut scratch.by_depth {
+        pool.clear();
+    }
+    scratch.placements.clear();
+    placed.clear();
+    placed.resize(candidates.len(), false);
     // Bucket the candidate indices by their common depth with `leaf`:
     // a block assigned to leaf l' may live at any level <= cd(l, l').
-    let mut by_depth: Vec<Vec<usize>> = vec![Vec::new(); leaf_level + 1];
-    for (idx, block) in candidates.iter().enumerate() {
-        debug_assert!(geometry.check_leaf(block.leaf()).is_ok());
-        let cd = geometry.common_depth(leaf, block.leaf()) as usize;
-        by_depth[cd].push(idx);
+    for idx in 0..candidates.len() {
+        let assigned = candidates.leaf_of(idx);
+        debug_assert!(geometry.check_leaf(assigned).is_ok());
+        let cd = geometry.common_depth(leaf, assigned) as usize;
+        scratch.by_depth[cd].push(idx as u32);
     }
-    let mut placements = Vec::new();
-    let mut placed = vec![false; candidates.len()];
     // `pool_level` walks from the deepest group downwards as groups drain.
     let mut pool_level = leaf_level;
     for level in (0..=leaf_level).rev() {
@@ -441,95 +484,6 @@ pub(crate) fn plan_greedy_write_back(
                 if pool_level < level {
                     break None;
                 }
-                match by_depth[pool_level].pop() {
-                    Some(idx) => break Some(idx),
-                    None => {
-                        if pool_level == level {
-                            break None;
-                        }
-                        pool_level -= 1;
-                    }
-                }
-            };
-            let Some(idx) = candidate else { break };
-            placements.push((slot, idx));
-            placed[idx] = true;
-        }
-    }
-    (placements, placed)
-}
-
-/// Compacts the unplaced candidates to the front of `candidates` and
-/// truncates, mirroring [`plan_greedy_write_back`]'s `placed` flags. The
-/// resulting leftover order is deterministic and backend-independent.
-pub(crate) fn compact_unplaced(candidates: &mut Vec<Block>, placed: &mut [bool]) {
-    let mut keep = 0;
-    for idx in 0..placed.len() {
-        if !placed[idx] {
-            candidates.swap(keep, idx);
-            placed.swap(keep, idx);
-            keep += 1;
-        }
-    }
-    candidates.truncate(keep);
-}
-
-/// Reusable working memory for [`plan_greedy_write_back_reusing`]: the
-/// per-depth candidate pools, placement list, and placed flags that the
-/// allocating planner re-creates on every call. Owned by stores with
-/// native scratch I/O so steady-state write-backs allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PlanScratch {
-    by_depth: Vec<Vec<u32>>,
-    pub(crate) placements: Vec<(usize, usize)>,
-    pub(crate) placed: Vec<bool>,
-}
-
-/// [`plan_greedy_write_back`] with caller-owned working memory and a
-/// candidate-leaf accessor instead of a `&[Block]` slice, so the arena
-/// backend can plan straight off a [`PathScratch`]. The decision sequence
-/// — depth pools filled in candidate order, LIFO pops, the `pool_level`
-/// cursor, the per-level early break — mirrors the allocating planner
-/// statement for statement; `planner_equivalence` proptests below pin the
-/// two to identical placements and placed flags.
-pub(crate) fn plan_greedy_write_back_reusing(
-    geometry: &TreeGeometry,
-    leaf: LeafId,
-    num_candidates: usize,
-    mut leaf_of: impl FnMut(usize) -> LeafId,
-    mut slot_is_empty: impl FnMut(usize) -> bool,
-    scratch: &mut PlanScratch,
-) {
-    let leaf_level = geometry.leaf_level() as usize;
-    if scratch.by_depth.len() < leaf_level + 1 {
-        scratch.by_depth.resize_with(leaf_level + 1, Vec::new);
-    }
-    for pool in &mut scratch.by_depth {
-        pool.clear();
-    }
-    scratch.placements.clear();
-    scratch.placed.clear();
-    scratch.placed.resize(num_candidates, false);
-    for idx in 0..num_candidates {
-        let assigned = leaf_of(idx);
-        debug_assert!(geometry.check_leaf(assigned).is_ok());
-        let cd = geometry.common_depth(leaf, assigned) as usize;
-        scratch.by_depth[cd].push(idx as u32);
-    }
-    let mut pool_level = leaf_level;
-    for level in (0..=leaf_level).rev() {
-        if pool_level < level {
-            pool_level = level;
-        }
-        let node = geometry.path_node_in_level(leaf, level as u32);
-        for slot in geometry.bucket_slot_range(level as u32, node) {
-            if !slot_is_empty(slot) {
-                continue;
-            }
-            let candidate = loop {
-                if pool_level < level {
-                    break None;
-                }
                 match scratch.by_depth[pool_level].pop() {
                     Some(idx) => break Some(idx as usize),
                     None => {
@@ -542,7 +496,7 @@ pub(crate) fn plan_greedy_write_back_reusing(
             };
             let Some(idx) = candidate else { break };
             scratch.placements.push((slot, idx));
-            scratch.placed[idx] = true;
+            placed[idx] = true;
         }
     }
 }
@@ -563,76 +517,4 @@ pub(crate) fn plan_place_for_init(
         }
     }
     None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{BlockId, BucketProfile};
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The reusable-scratch planner is decision-for-decision identical
-        /// to the allocating planner, including when the scratch is dirty
-        /// from a previous (differently shaped) call.
-        #[test]
-        fn scratch_planner_matches_allocating_planner(
-            levels in 1u32..6,
-            leaf_raw in 0u32..32,
-            leaves in proptest::collection::vec(0u32..32, 0..24),
-            full_mask in any::<u64>(),
-        ) {
-            let geometry =
-                TreeGeometry::with_levels(levels, BucketProfile::Uniform { capacity: 2 }).unwrap();
-            let num_leaves = geometry.num_leaves() as u32;
-            let leaf = LeafId::new(leaf_raw % num_leaves);
-            let candidates: Vec<Block> = leaves
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| {
-                    Block::metadata_only(BlockId::new(i as u32), LeafId::new(l % num_leaves))
-                })
-                .collect();
-            let empty = |slot: usize| full_mask & (1 << (slot % 64)) == 0;
-
-            let (placements, placed) =
-                plan_greedy_write_back(&geometry, leaf, &candidates, empty);
-
-            let mut scratch = PlanScratch::default();
-            // Dirty the scratch first to prove per-call state is reset.
-            plan_greedy_write_back_reusing(
-                &geometry,
-                LeafId::new((leaf_raw + 1) % num_leaves),
-                candidates.len(),
-                |i| candidates[i].leaf(),
-                |_| true,
-                &mut scratch,
-            );
-            plan_greedy_write_back_reusing(
-                &geometry,
-                leaf,
-                candidates.len(),
-                |i| candidates[i].leaf(),
-                empty,
-                &mut scratch,
-            );
-            prop_assert_eq!(&scratch.placements, &placements);
-            prop_assert_eq!(&scratch.placed, &placed);
-
-            // And the scratch-side compaction agrees with compact_unplaced.
-            let mut vec_left = candidates.clone();
-            let mut placed_vec = placed.clone();
-            compact_unplaced(&mut vec_left, &mut placed_vec);
-            let mut path_scratch = PathScratch::new();
-            for b in &candidates {
-                path_scratch.push(b.id(), b.leaf(), b.data());
-            }
-            path_scratch.retain_unplaced(&mut scratch.placed);
-            prop_assert_eq!(path_scratch.len(), vec_left.len());
-            for (i, b) in vec_left.iter().enumerate() {
-                prop_assert_eq!(path_scratch.id(i), b.id());
-                prop_assert_eq!(path_scratch.leaf(i), b.leaf());
-            }
-        }
-    }
 }

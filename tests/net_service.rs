@@ -214,6 +214,41 @@ fn fetch_update_without_optimizer_is_refused_with_typed_error() {
     server.shutdown().expect("shutdown");
 }
 
+/// A write one byte longer than the table's `row_bytes` can never be
+/// stored: it is answered with a per-request `Oversized` error frame, the
+/// shard workers never see it, and the same connection keeps serving.
+#[test]
+fn oversized_write_is_refused_with_error_frame() {
+    let config = ServiceConfig::new()
+        .table(TableSpec::new("t", 64).row_bytes(16).shards(2).superblock_size(4).seed(20));
+    let server = start_server(config, NetServerConfig::default());
+    let mut client = NetClient::connect(server.local_addr(), 4).expect("connect");
+    client
+        .send_frame(&frame::Frame::Request {
+            id: 7,
+            table: 0,
+            index: 3,
+            op: frame::WireOp::Write(vec![7; 17]),
+        })
+        .expect("send");
+    match client.recv().expect("recv") {
+        NetEvent::Error { id, code, .. } => assert_eq!((id, code), (7, ErrorCode::Oversized)),
+        other => panic!("expected Oversized error, got {other:?}"),
+    }
+    client.write(8, 0, 3, vec![7; 16]).expect("send full-width write");
+    assert!(matches!(client.recv().expect("recv"), NetEvent::Response { id: 8, .. }));
+    for id in 0..64 {
+        client.read(100 + id, 0, id as u32).expect("send read");
+        assert!(
+            matches!(client.recv().expect("recv"), NetEvent::Response { .. }),
+            "connection must survive a refused write"
+        );
+    }
+    client.goodbye().expect("goodbye");
+    let report = server.shutdown().expect("shutdown");
+    assert!(report.service.worker_errors.is_empty(), "{:?}", report.service.worker_errors);
+}
+
 /// A connection that negotiated protocol version 1 may not use the v2
 /// `FetchUpdate` op: the server acknowledges the v1 handshake, then
 /// answers the fused request with a per-request `UnsupportedVersion`

@@ -177,17 +177,31 @@ fn auto_tables_stay_in_memory_under_the_cap() {
     service.shutdown().unwrap();
 }
 
+/// One rule for every backend: a payload table's `row_bytes` is the fixed
+/// slot capacity of its stores, so zero is refused at start — in memory
+/// exactly as on disk.
 #[test]
 fn disk_backend_with_payloads_requires_row_bytes() {
-    use laoram::service::DiskBackendSpec;
+    use laoram::service::{DiskBackendSpec, ServiceError};
     let dir = unique_dir("invalid");
-    let err = LaoramService::start(
-        ServiceConfig::new().table(
-            TableSpec::new("bad", 64)
-                .row_bytes(0)
-                .backend(StorageBackend::Disk(DiskBackendSpec::new(&dir))),
-        ),
-    );
-    assert!(err.is_err(), "payloads with zero row_bytes must be rejected for disk tables");
+    for backend in [
+        StorageBackend::Disk(DiskBackendSpec::new(&dir)),
+        StorageBackend::InMemory,
+        StorageBackend::Auto,
+    ] {
+        let label = format!("{backend:?}");
+        let err = LaoramService::start(
+            ServiceConfig::new().table(TableSpec::new("bad", 64).row_bytes(0).backend(backend)),
+        )
+        .expect_err("payloads with zero row_bytes must be rejected");
+        assert!(matches!(err, ServiceError::InvalidConfig(_)), "{label}: {err}");
+    }
+    // Metadata-only tables reserve no payload bytes, so zero is fine there.
+    LaoramService::start(ServiceConfig::new().table(
+        TableSpec::new("meta", 64).payloads(false).row_bytes(0).backend(StorageBackend::InMemory),
+    ))
+    .expect("metadata-only table with row_bytes = 0")
+    .shutdown()
+    .expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

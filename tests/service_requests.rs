@@ -195,3 +195,29 @@ fn batch_and_request_paths_interleave() {
     assert_eq!(report.requests_served, 128);
     assert_eq!(report.truncated_requests, 0);
 }
+
+/// A write longer than the table's `row_bytes` can never be stored in a
+/// fixed-capacity slot: both ingress paths refuse it with a typed error at
+/// submit, no shard worker is harmed, and a sweep over the table drains.
+#[test]
+fn oversized_write_is_refused_at_submit() {
+    let mut service = LaoramService::start(
+        ServiceConfig::new().table(TableSpec::new("t", 256).row_bytes(16).shards(2)),
+    )
+    .expect("start");
+    let too_large = |err: ServiceError| {
+        assert!(
+            matches!(err, ServiceError::PayloadTooLarge { table: 0, len: 40, row_bytes: 16 }),
+            "unexpected refusal: {err}"
+        );
+    };
+    too_large(service.submit_request(Request::write(0, 3, vec![7; 40].into())).unwrap_err());
+    too_large(service.submit(vec![Request::write(0, 3, vec![7; 40].into())]).unwrap_err());
+
+    service.submit(vec![Request::write(0, 3, vec![7; 16].into())]).expect("a full row fits");
+    service.submit((0..256).map(|i| Request::read(0, i)).collect()).expect("sweep");
+    let responses = service.drain().expect("drain returns");
+    assert_eq!(responses[1].outputs[3].as_deref(), Some(&[7u8; 16][..]));
+    let report = service.shutdown().expect("shutdown");
+    assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
+}
