@@ -1,0 +1,662 @@
+//! The serving engine: micro-batcher → preprocessor → shard workers →
+//! collector → completion queue.
+//!
+//! # Pipeline
+//!
+//! ```text
+//!  submit_request()/Session ─▶[pending]─▶ micro-batcher ─┐   (coalesces under BatchPolicy)
+//!                                                        ▼
+//!  submit() batch ──────────────────────────▶ [ingress queue] ──▶ preprocessor ──▶ shard workers
+//!   (pre-coalesced group,                      (bounded,          bins + assigns     one LaOram each,
+//!    backpressure)                              groups)           paths for group    serve group N
+//!                                                                 N+1 while shards       │
+//!                                                                 serve group N           ▼
+//!  try_complete()/wait()◀── completion queue ◀────────────── collector ◀── per-group parts
+//! ```
+//!
+//! The preprocessor is the paper's dataset-scan + path-generation stage
+//! (§IV-B): while shard workers serve group `N`, it bins group `N+1` and
+//! draws its superblock paths, then stages the resulting
+//! [`SuperblockPlan`] into each worker's double-buffered queue. Workers
+//! opportunistically stage the next window *before* serving the current
+//! one, so block flushes exit toward their next-window paths and the
+//! steady state survives group boundaries. Per-stage timestamps are
+//! recorded so the overlap is observable, not just asserted.
+
+use std::collections::VecDeque;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::Instant;
+
+use laoram_core::{BatchOp, LaOram, SuperblockPlan};
+use laoram_telemetry::{FlightDump, Sampler, TelemetrySnapshot};
+use oram_protocol::AccessStats;
+use oram_tree::{DiskIoStats, DynBucketStore};
+
+use crate::completion::CompletionShared;
+use crate::ingress::{GroupMeta, Ingress};
+use crate::stats::build_stats;
+use crate::telemetry::{EngineTelemetry, TelemetryReport};
+use crate::{
+    BatchResponse, BatchTicket, BatchTiming, Completion, Request, RequestLatencyStats,
+    RequestTicket, ResolvedBackend, ServiceError, ServiceStats, Session, ShardRouter, SkewStats,
+    TableStatus,
+};
+
+mod collector;
+mod preprocessor;
+mod start;
+mod worker;
+
+/// A shard worker's LAORAM client: backend chosen at runtime, so the
+/// store is a boxed trait object behind the `BucketStore` boundary.
+type ShardClient = LaOram<DynBucketStore>;
+
+/// Slot sentinel marking a padding operation whose output is discarded.
+const PAD_SLOT: u32 = u32::MAX;
+
+/// Messages from the preprocessor into one shard worker.
+enum WorkerMsg {
+    /// The next look-ahead window for this shard.
+    Plan(SuperblockPlan),
+    /// The operations of one group under the most recently staged window.
+    Ops {
+        group: u64,
+        ops: Vec<BatchOp>,
+        slots: Vec<u32>,
+    },
+    ResetStats,
+}
+
+/// Messages into the collector.
+enum CollectorMsg {
+    /// Announces a group: how many shard parts it splits into, its
+    /// request count, and the submission metadata the completion queue
+    /// needs.
+    Manifest { group: u64, parts: usize, len: usize, meta: GroupMeta },
+    /// One shard's outputs, with the group positions they belong at.
+    Part {
+        group: u64,
+        outputs: Vec<Option<Box<[u8]>>>,
+        slots: Vec<u32>,
+        serve_start_ns: u64,
+        serve_end_ns: u64,
+    },
+    /// Zero the latency statistics once every group below `before_group`
+    /// has been emitted, so in-flight pre-reset groups cannot pollute the
+    /// post-reset histograms.
+    ResetLatency { before_group: u64 },
+}
+
+/// State shared between the engine handle and the pipeline threads.
+pub(crate) struct Shared {
+    start: Instant,
+    pub(crate) inner: Mutex<SharedInner>,
+    /// Requests accepted so far (diagnostics).
+    pub(crate) submitted: AtomicU64,
+    /// Unified telemetry instruments; `None` when telemetry is disabled,
+    /// in which case no pipeline stage records anything.
+    pub(crate) telemetry: Option<Arc<EngineTelemetry>>,
+    /// Whether an adaptive controller is running
+    /// ([`BatchPolicy::p99_target`](crate::BatchPolicy::p99_target)):
+    /// gates the collector's extra window recording.
+    pub(crate) adaptive: bool,
+}
+
+/// Per-group timing records kept live (a rolling window, so an unbounded
+/// run cannot grow the shared state or the `stats()` clones without
+/// limit).
+const TIMING_WINDOW: usize = 4096;
+
+#[derive(Default)]
+pub(crate) struct SharedInner {
+    pub(crate) worker_stats: Vec<AccessStats>,
+    pub(crate) worker_serve_ns: Vec<u64>,
+    pub(crate) worker_batches: Vec<u64>,
+    pub(crate) worker_errors: Vec<Option<String>>,
+    /// Genuine operations routed to each worker (fan-out included, pads
+    /// excluded), counted by the preprocessor.
+    pub(crate) worker_routed: Vec<u64>,
+    /// Padding reads issued to each worker.
+    pub(crate) worker_pads: Vec<u64>,
+    /// Per-group shard-load skew accumulators.
+    pub(crate) skew: SkewStats,
+    pub(crate) preprocess_ns: u64,
+    pub(crate) batches_preprocessed: u64,
+    /// Timing records for groups `timing_base ..`, oldest first.
+    pub(crate) batch_timing: Vec<BatchTiming>,
+    pub(crate) timing_base: u64,
+    /// Per-request latency, recorded by the collector at group
+    /// completion.
+    pub(crate) request_latency: RequestLatencyStats,
+    pub(crate) requests_completed: u64,
+    /// Dummy accesses emitted to equalise per-shard sub-batch lengths.
+    pub(crate) pad_accesses: u64,
+    /// Each worker's cumulative backend I/O counters, published after
+    /// every served batch; `None` for in-memory shards. Kept regardless
+    /// of whether telemetry is enabled — `table_status()` surfaces the
+    /// per-table sums.
+    pub(crate) worker_disk_io: Vec<Option<DiskIoStats>>,
+    /// Rolling window of total request latencies for the adaptive
+    /// batching controller; the micro-batcher drains it once per
+    /// adaptation epoch. Only written when [`Shared::adaptive`] is set.
+    pub(crate) adaptive_window: crate::stats::LatencyHistogram,
+}
+
+impl SharedInner {
+    /// The timing record for `group`, growing the window as needed.
+    /// Returns `None` for groups that pre-date a stats reset or have
+    /// aged out of the rolling window (late updates are dropped).
+    fn timing_slot(&mut self, group: u64) -> Option<&mut BatchTiming> {
+        if group < self.timing_base {
+            return None;
+        }
+        let idx = (group - self.timing_base) as usize;
+        if idx >= self.batch_timing.len() {
+            self.batch_timing.resize(idx + 1, BatchTiming::default());
+            if self.batch_timing.len() > TIMING_WINDOW {
+                let excess = self.batch_timing.len() - TIMING_WINDOW;
+                self.batch_timing.drain(..excess);
+                self.timing_base += excess as u64;
+            }
+        }
+        let idx = group.checked_sub(self.timing_base)? as usize;
+        self.batch_timing.get_mut(idx)
+    }
+}
+
+impl Shared {
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+}
+
+/// The sharded, pipelined LAORAM serving engine.
+///
+/// See the [crate docs](crate) for a usage example and the relationship
+/// between the request-level and batch-level APIs.
+pub struct LaoramService {
+    ingress: Arc<Ingress>,
+    completions: Arc<CompletionShared>,
+    shared: Arc<Shared>,
+    router: Arc<ShardRouter>,
+    /// `(table, shard)` per flattened worker id.
+    worker_homes: Vec<(usize, u32)>,
+    /// The storage backend chosen for each table at startup.
+    table_backends: Vec<ResolvedBackend>,
+    /// Per-table backend + recovered-vs-fresh status.
+    table_status: Vec<TableStatus>,
+    /// Shard files created for Auto-spilled tables, removed at shutdown.
+    spill_cleanup: Vec<PathBuf>,
+    /// The spill directory, when this service generated it (also removed
+    /// at shutdown).
+    generated_spill_dir: Option<PathBuf>,
+    batcher: Option<JoinHandle<()>>,
+    handles: Vec<JoinHandle<()>>,
+    /// The periodic telemetry sampler, when one was configured.
+    sampler: Option<Sampler>,
+    next_batch: u64,
+    pending_batches: VecDeque<BatchTicket>,
+    next_session: AtomicU64,
+}
+
+impl std::fmt::Debug for LaoramService {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaoramService")
+            .field("workers", &self.worker_homes.len())
+            .field("next_batch", &self.next_batch)
+            .field("outstanding_batches", &self.pending_batches.len())
+            .finish()
+    }
+}
+
+/// Final report returned by [`LaoramService::shutdown`].
+#[derive(Debug)]
+pub struct ServiceReport {
+    /// Statistics at shutdown, including each worker's final flush.
+    pub stats: ServiceStats,
+    /// Responses of batches that were complete but unclaimed when the
+    /// engine shut down, in submission order.
+    pub responses: Vec<BatchResponse>,
+    /// Individually submitted completions that were never claimed, in
+    /// ticket order.
+    pub completions: Vec<Completion>,
+    /// Total requests accepted over the engine's lifetime.
+    pub requests_served: u64,
+    /// Requests that never completed because the pipeline died mid-drain
+    /// (also reported as a synthetic [`worker_errors`](Self::worker_errors)
+    /// entry). A network serving tier in front of the engine
+    /// (`laoram-net`) additionally folds in its **network-side
+    /// truncations** — requests that completed but whose owning
+    /// connection had dropped, so the response was claimed and
+    /// discarded instead of delivered. 0 on a healthy run.
+    pub truncated_requests: u64,
+    /// `(worker id, failure)` for every shard that degraded (see
+    /// [`ServiceStats::worker_errors`]); an entry with id equal to the
+    /// worker count describes a pipeline-level failure such as truncated
+    /// shutdown. Empty on a healthy run.
+    pub worker_errors: Vec<(usize, String)>,
+    /// Each table's storage backend and recovered-vs-fresh status, in
+    /// table order — not just the backend chosen at startup, but whether
+    /// the table's state came from persisted files. Disk-backed tables
+    /// carry their final summed backend I/O counters
+    /// ([`TableStatus::disk_io`]), including each shard's shutdown
+    /// flush.
+    pub table_status: Vec<TableStatus>,
+    /// Telemetry artifacts (final snapshot, Prometheus exposition,
+    /// sampler window, flight-dump paths); `None` when telemetry was
+    /// disabled.
+    pub telemetry: Option<TelemetryReport>,
+}
+
+impl LaoramService {
+    // ------------------------------------------------------------------
+    // Request-level API
+    // ------------------------------------------------------------------
+
+    /// Validates and enqueues one request into the micro-batcher,
+    /// returning the ticket its [`Completion`] will carry. The request is
+    /// coalesced into a pipeline group under the configured
+    /// [`BatchPolicy`](crate::BatchPolicy).
+    ///
+    /// # Errors
+    /// Rejects requests naming unknown tables or out-of-range indices.
+    pub fn submit_request(&self, request: Request) -> Result<RequestTicket, ServiceError> {
+        self.ingress.submit_request(0, request)
+    }
+
+    /// A new per-tenant submission handle. Sessions share this engine's
+    /// micro-batcher and pipeline; their completions carry the session's
+    /// id for fan-out. Sessions may outlive the handle and be used from
+    /// any thread.
+    #[must_use]
+    pub fn session(&self) -> Session {
+        Session {
+            ingress: Arc::clone(&self.ingress),
+            id: self.next_session.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// Releases every pending micro-batcher request into the pipeline
+    /// now instead of waiting for the
+    /// [`BatchPolicy`](crate::BatchPolicy) size or deadline trigger.
+    /// Asynchronous: the micro-batcher thread performs the flush (it is
+    /// the only sender of coalesced groups, which is what keeps request
+    /// order total), so completions become observable through
+    /// [`wait`](Self::wait) / [`try_complete`](Self::try_complete)
+    /// shortly after, not necessarily before this returns.
+    ///
+    /// # Errors
+    /// Infallible today; the `Result` reserves room for shutdown races.
+    pub fn flush(&self) -> Result<(), ServiceError> {
+        self.ingress.flush()
+    }
+
+    /// Claims the oldest unclaimed completion without blocking.
+    /// Completions surface in *completion order* (group order, request
+    /// order within a group), which matches submission order per session
+    /// but may interleave across sessions and deadline flushes.
+    #[must_use]
+    pub fn try_complete(&self) -> Option<Completion> {
+        self.completions.try_complete()
+    }
+
+    /// Claims the oldest unclaimed completion, blocking while requests
+    /// are outstanding (a pending micro-batch counts: the deadline flush
+    /// will release it).
+    ///
+    /// # Errors
+    /// [`ServiceError::NoPendingRequests`] with nothing outstanding;
+    /// [`ServiceError::Disconnected`] if the pipeline died.
+    pub fn complete_blocking(&self) -> Result<Completion, ServiceError> {
+        self.completions.complete_blocking(|| self.ingress.issued())
+    }
+
+    /// Blocks until `ticket`'s request completes and claims it. Safe to
+    /// call while other threads poll
+    /// [`try_complete`](Self::try_complete): if a poll claims the ticket
+    /// first, this returns [`ServiceError::TicketClaimed`].
+    ///
+    /// # Errors
+    /// [`ServiceError::UnknownTicket`] for a never-issued ticket;
+    /// [`ServiceError::TicketClaimed`] if already claimed;
+    /// [`ServiceError::Disconnected`] if the pipeline died.
+    pub fn wait(&self, ticket: RequestTicket) -> Result<Completion, ServiceError> {
+        self.completions.wait(ticket.0, self.ingress.issued())
+    }
+
+    /// Requests submitted (through every path) whose completions have not
+    /// been claimed yet, including requests still pending in the
+    /// micro-batcher.
+    #[must_use]
+    pub fn outstanding_requests(&self) -> u64 {
+        self.completions.unclaimed(self.ingress.issued())
+    }
+
+    /// The batching policy the micro-batcher is *currently* running
+    /// with: the configured [`BatchPolicy`](crate::BatchPolicy), with
+    /// `max_batch`/`max_delay` replaced by the adaptive controller's
+    /// effective values when
+    /// [`p99_target`](crate::BatchPolicy::p99_target) is set (they equal
+    /// the configured values otherwise).
+    #[must_use]
+    pub fn effective_batch_policy(&self) -> crate::BatchPolicy {
+        let (max_batch, delay_ns) = self.ingress.effective_policy();
+        let mut policy = self.ingress.policy().clone();
+        policy.max_batch = max_batch;
+        policy.max_delay = std::time::Duration::from_nanos(delay_ns);
+        policy
+    }
+
+    // ------------------------------------------------------------------
+    // Batch API (a pre-coalesced group sharing a ticket range)
+    // ------------------------------------------------------------------
+
+    /// Validates and enqueues a pre-coalesced batch as one pipeline
+    /// group, blocking while the ingress queue is full (backpressure).
+    /// Returns the ticket its response will carry; the ticket also names
+    /// the batch's per-request ticket range
+    /// ([`BatchTicket::request_tickets`]).
+    ///
+    /// # Errors
+    /// Rejects requests naming unknown tables or out-of-range indices;
+    /// [`ServiceError::Disconnected`] if the pipeline died.
+    pub fn submit(&mut self, batch: Vec<Request>) -> Result<BatchTicket, ServiceError> {
+        let id = self.next_batch;
+        let (first_request, len) = self.ingress.submit_batch(batch, id)?;
+        self.next_batch += 1;
+        let ticket = BatchTicket { id, first_request, len };
+        self.pending_batches.push_back(ticket);
+        Ok(ticket)
+    }
+
+    /// As [`submit`](Self::submit), but failing fast instead of blocking
+    /// when the queue is full; the batch is handed back inside
+    /// [`ServiceError::Backpressure`].
+    ///
+    /// # Errors
+    /// As [`submit`](Self::submit), plus [`ServiceError::Backpressure`].
+    pub fn try_submit(&mut self, batch: Vec<Request>) -> Result<BatchTicket, ServiceError> {
+        let id = self.next_batch;
+        let (first_request, len) = self.ingress.try_submit_batch(batch, id)?;
+        self.next_batch += 1;
+        let ticket = BatchTicket { id, first_request, len };
+        self.pending_batches.push_back(ticket);
+        Ok(ticket)
+    }
+
+    /// Receives the next completed batch, in submission order (blocking).
+    /// Implemented on the completion queue: the batch's request
+    /// completions are claimed in ticket order and reassembled.
+    ///
+    /// A degraded shard answers its part of a group with empty outputs
+    /// rather than stalling the pipeline; check
+    /// [`ServiceStats::worker_errors`] (via [`stats`](Self::stats)) to
+    /// distinguish that from legitimately empty rows.
+    ///
+    /// # Errors
+    /// [`ServiceError::NoPendingBatches`] with nothing outstanding;
+    /// [`ServiceError::TicketClaimed`] if one of the batch's requests was
+    /// already claimed individually;
+    /// [`ServiceError::Disconnected`] if the pipeline died.
+    pub fn next_response(&mut self) -> Result<BatchResponse, ServiceError> {
+        let ticket = self.pending_batches.pop_front().ok_or(ServiceError::NoPendingBatches)?;
+        if ticket.len == 0 {
+            self.completions.wait_batch(ticket.id)?;
+            return Ok(BatchResponse { ticket, outputs: Vec::new() });
+        }
+        let issued = self.ingress.issued();
+        let mut outputs = Vec::with_capacity(ticket.len as usize);
+        for request in ticket.request_tickets() {
+            outputs.push(self.completions.wait(request, issued)?.output);
+        }
+        Ok(BatchResponse { ticket, outputs })
+    }
+
+    /// Waits for every outstanding batch, returning the responses in
+    /// submission order.
+    ///
+    /// # Errors
+    /// As [`next_response`](Self::next_response).
+    pub fn drain(&mut self) -> Result<Vec<BatchResponse>, ServiceError> {
+        let mut out = Vec::with_capacity(self.pending_batches.len());
+        while !self.pending_batches.is_empty() {
+            out.push(self.next_response()?);
+        }
+        Ok(out)
+    }
+
+    // ------------------------------------------------------------------
+    // Statistics and lifecycle
+    // ------------------------------------------------------------------
+
+    /// Zeroes every shard's access counters, the pipeline timers, and the
+    /// latency histograms, ordered after all previously *coalesced*
+    /// groups. Call [`drain`](Self::drain) (and claim outstanding
+    /// completions) first for a clean measurement boundary; requests
+    /// still pending in the micro-batcher will be counted after the
+    /// reset.
+    ///
+    /// # Errors
+    /// [`ServiceError::Disconnected`] if the pipeline died.
+    pub fn reset_stats(&mut self) -> Result<(), ServiceError> {
+        self.ingress.send_reset()
+    }
+
+    /// A snapshot of shard, merged, pipeline, and latency statistics.
+    ///
+    /// Shard counters reflect groups whose completions have been emitted;
+    /// for exact boundaries, [`drain`](Self::drain) first.
+    #[must_use]
+    pub fn stats(&self) -> ServiceStats {
+        let inner = self.shared.inner.lock().expect("stats lock");
+        build_stats(&inner, &self.worker_homes, self.shared.now_ns())
+    }
+
+    /// Number of batches submitted but not yet returned.
+    #[must_use]
+    pub fn outstanding(&self) -> u64 {
+        self.pending_batches.len() as u64
+    }
+
+    /// The routing layer (introspection: shard sizes, worker homes).
+    #[must_use]
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// The storage backend chosen for each table at startup, in table
+    /// order — reports whether an [`StorageBackend::Auto`] table spilled
+    /// to disk under
+    /// [`in_memory_cap_bytes`](crate::ServiceConfig::in_memory_cap_bytes).
+    /// See [`table_status`](Self::table_status) for the recovered-vs-fresh
+    /// status that goes with each backend.
+    #[must_use]
+    pub fn table_backends(&self) -> &[ResolvedBackend] {
+        &self.table_backends
+    }
+
+    /// Each table's backend *and* recovered-vs-fresh status, in table
+    /// order: a snapshot-enabled disk table whose store + snapshot files
+    /// already existed at startup reports
+    /// [`TableRecovery::Recovered`], everything else
+    /// [`TableRecovery::Fresh`]. Disk-backed tables additionally carry
+    /// their live backend I/O counters
+    /// ([`TableStatus::disk_io`], summed over the table's shards and
+    /// refreshed after every served batch). Also included in the final
+    /// [`ServiceReport`].
+    #[must_use]
+    pub fn table_status(&self) -> Vec<TableStatus> {
+        let inner = self.shared.inner.lock().expect("status lock");
+        self.table_status_with_io(&inner)
+    }
+
+    /// The startup statuses with each disk-backed table's current summed
+    /// backend I/O counters folded in.
+    fn table_status_with_io(&self, inner: &SharedInner) -> Vec<TableStatus> {
+        let mut status = self.table_status.clone();
+        for (worker, &(table, _)) in self.worker_homes.iter().enumerate() {
+            if let Some(io) = inner.worker_disk_io[worker] {
+                let entry = status[table].disk_io.get_or_insert_with(DiskIoStats::default);
+                entry.reads += io.reads;
+                entry.read_bytes += io.read_bytes;
+                entry.writes += io.writes;
+                entry.write_bytes += io.write_bytes;
+            }
+        }
+        status
+    }
+
+    /// A point-in-time snapshot of the telemetry registry, or `None`
+    /// when telemetry is disabled. One snapshot covers ingress, batcher,
+    /// per-shard, and disk metrics; serialise it with
+    /// [`TelemetrySnapshot::to_json`] or
+    /// [`TelemetrySnapshot::to_prometheus`].
+    #[must_use]
+    pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+        self.shared.telemetry.as_ref().map(|t| t.registry.snapshot())
+    }
+
+    /// The current registry state in Prometheus text exposition format,
+    /// or `None` when telemetry is disabled.
+    #[must_use]
+    pub fn telemetry_prometheus(&self) -> Option<String> {
+        self.telemetry_snapshot().map(|s| s.to_prometheus())
+    }
+
+    /// Dumps the pipeline flight recorder now (without clearing it),
+    /// returning the bounded span history, or `None` when telemetry is
+    /// disabled. The engine also dumps automatically — to a JSON file
+    /// under [`TelemetrySpec::flight_dump_dir`](crate::TelemetrySpec) —
+    /// on the first worker error or a startup refusal.
+    #[must_use]
+    pub fn dump_flight_recorder(&self, reason: &str) -> Option<FlightDump> {
+        self.shared.telemetry.as_ref().map(|t| t.dump(reason))
+    }
+
+    /// Removes auto-spill shard files (and the spill directory, when this
+    /// service generated it). Idempotent; runs at shutdown and, as a
+    /// backstop, on drop.
+    fn cleanup_spill(&mut self) {
+        for file in self.spill_cleanup.drain(..) {
+            let _ = std::fs::remove_file(file);
+        }
+        if let Some(dir) = self.generated_spill_dir.take() {
+            let _ = std::fs::remove_dir(dir);
+        }
+    }
+
+    /// Stops the pipeline: flushes the micro-batcher and every shard,
+    /// joins all threads, and returns the final statistics plus
+    /// everything that was still unclaimed. Shard files created by
+    /// [`StorageBackend::Auto`] spill are removed here (their client
+    /// state is not persisted, so they cannot serve a restart);
+    /// explicitly [`StorageBackend::Disk`]-backed files are
+    /// caller-managed and left in place. If a worker died mid-drain,
+    /// the lost requests are *counted*, not silently dropped:
+    /// [`ServiceReport::truncated_requests`] carries the shortfall and a
+    /// synthetic entry is appended to
+    /// [`ServiceReport::worker_errors`]. Check both before trusting the
+    /// outputs of a long run.
+    ///
+    /// # Errors
+    /// Infallible today; the `Result` reserves room for teardown
+    /// failures.
+    pub fn shutdown(mut self) -> Result<ServiceReport, ServiceError> {
+        // 1. Stop accepting; the micro-batcher flushes its pending tail.
+        self.ingress.begin_shutdown();
+        if let Some(batcher) = self.batcher.take() {
+            let _ = batcher.join();
+        }
+        // 2. Close the pipeline end to end and let every stage drain.
+        self.ingress.close_channel();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+        // Workers (and their stores) are gone: drop auto-spill files so a
+        // start/stop cycle cannot accumulate dead table footprints.
+        self.cleanup_spill();
+        // 3. Everything that completed is now buffered in the completion
+        //    channel; ingest it all and account for what is missing.
+        let drain = self.completions.drain_for_shutdown();
+        let mut ready = drain.ready;
+        let mut responses = Vec::new();
+        let mut truncated_batches = 0u64;
+        for ticket in std::mem::take(&mut self.pending_batches) {
+            if ticket.len == 0 {
+                if drain.batch_done.contains(&ticket.id) {
+                    responses.push(BatchResponse { ticket, outputs: Vec::new() });
+                } else {
+                    truncated_batches += 1;
+                }
+                continue;
+            }
+            if ticket.request_tickets().all(|t| ready.contains_key(&t)) {
+                let outputs = ticket
+                    .request_tickets()
+                    .map(|t| ready.remove(&t).expect("checked present").output)
+                    .collect();
+                responses.push(BatchResponse { ticket, outputs });
+            } else {
+                // Leave any partial completions in `ready`: they surface
+                // in `ServiceReport::completions` instead of vanishing.
+                truncated_batches += 1;
+            }
+        }
+        let mut completions: Vec<Completion> = ready.into_values().collect();
+        completions.sort_by_key(|c| c.ticket.id());
+
+        let issued = self.ingress.issued();
+        let counters = drain.counters;
+        let truncated_requests = issued.saturating_sub(counters.voided + counters.expanded);
+
+        let inner = self.shared.inner.lock().expect("shutdown lock");
+        let mut stats = build_stats(&inner, &self.worker_homes, self.shared.now_ns());
+        let table_status = self.table_status_with_io(&inner);
+        drop(inner);
+        // Telemetry epilogue: stop the sampler (collecting its window),
+        // then snapshot the registry after the pipeline drained so the
+        // final snapshot covers every completed request.
+        let telemetry = self.shared.telemetry.as_ref().map(|t| {
+            let samples = self.sampler.take().map(Sampler::stop).unwrap_or_default();
+            let snapshot = t.registry.snapshot();
+            TelemetryReport {
+                prometheus: snapshot.to_prometheus(),
+                samples,
+                flight_dumps: t.dumps_written(),
+                snapshot,
+            }
+        });
+        if truncated_requests > 0 || truncated_batches > 0 {
+            stats.worker_errors.push((
+                self.worker_homes.len(),
+                format!(
+                    "shutdown truncated {truncated_requests} request(s) across \
+                     {truncated_batches} unclaimed batch(es): a pipeline stage died mid-drain"
+                ),
+            ));
+        }
+        let worker_errors = stats.worker_errors.clone();
+        Ok(ServiceReport {
+            stats,
+            responses,
+            completions,
+            requests_served: self.shared.submitted.load(Ordering::Relaxed),
+            truncated_requests,
+            worker_errors,
+            table_status,
+            telemetry,
+        })
+    }
+}
+
+impl Drop for LaoramService {
+    fn drop(&mut self) {
+        // A service dropped without shutdown() must not leak its spill
+        // files; on unix, unlinking under still-running workers is safe
+        // (their file handles stay valid until they exit).
+        self.cleanup_spill();
+    }
+}

@@ -3,6 +3,8 @@
 
 use oram_protocol::AccessStats;
 
+use crate::engine::SharedInner;
+
 /// The service's latency histogram: the log-linear
 /// [`Histogram`](laoram_telemetry::Histogram) from `laoram-telemetry`.
 ///
@@ -197,6 +199,82 @@ impl ServiceStats {
             merged.merge(&shard.stats);
         }
         merged
+    }
+}
+
+pub(crate) fn build_stats(
+    inner: &SharedInner,
+    worker_homes: &[(usize, u32)],
+    wall_ns: u64,
+) -> ServiceStats {
+    let mut shards = Vec::with_capacity(worker_homes.len());
+    let mut merged = AccessStats::new();
+    for (worker, &(table, shard)) in worker_homes.iter().enumerate() {
+        let stats = inner.worker_stats[worker].clone();
+        merged.merge(&stats);
+        shards.push(ShardStats {
+            table,
+            shard,
+            stats,
+            serve_ns: inner.worker_serve_ns[worker],
+            batches: inner.worker_batches[worker],
+            routed: inner.worker_routed[worker],
+            pads: inner.worker_pads[worker],
+        });
+    }
+    // Overlap: preprocessing wall-clock hidden behind concurrent serving.
+    // Merge all serve spans into disjoint intervals, then intersect each
+    // group's preprocessing span with the union.
+    let mut serve_spans: Vec<(u64, u64)> = inner
+        .batch_timing
+        .iter()
+        .filter(|t| t.serve_end_ns > t.serve_start_ns)
+        .map(|t| (t.serve_start_ns, t.serve_end_ns))
+        .collect();
+    serve_spans.sort_unstable();
+    let mut merged_spans: Vec<(u64, u64)> = Vec::with_capacity(serve_spans.len());
+    for (lo, hi) in serve_spans {
+        match merged_spans.last_mut() {
+            Some((_, last_hi)) if lo <= *last_hi => *last_hi = (*last_hi).max(hi),
+            _ => merged_spans.push((lo, hi)),
+        }
+    }
+    let mut overlap_ns = 0u64;
+    let mut window_preprocess_ns = 0u64;
+    for timing in &inner.batch_timing {
+        if timing.prep_end_ns <= timing.prep_start_ns {
+            continue;
+        }
+        window_preprocess_ns += timing.prep_end_ns - timing.prep_start_ns;
+        for &(lo, hi) in &merged_spans {
+            let cut_lo = timing.prep_start_ns.max(lo);
+            let cut_hi = timing.prep_end_ns.min(hi);
+            overlap_ns += cut_hi.saturating_sub(cut_lo);
+        }
+    }
+    let worker_errors = inner
+        .worker_errors
+        .iter()
+        .enumerate()
+        .filter_map(|(worker, e)| e.as_ref().map(|m| (worker, m.clone())))
+        .collect();
+    ServiceStats {
+        shards,
+        merged,
+        worker_errors,
+        pipeline: PipelineStats {
+            batches: inner.batches_preprocessed,
+            preprocess_ns: inner.preprocess_ns,
+            serve_ns: inner.worker_serve_ns.iter().sum(),
+            wall_ns,
+            window_preprocess_ns,
+            overlap_ns,
+        },
+        batches: inner.batch_timing.clone(),
+        request_latency: inner.request_latency.clone(),
+        requests_completed: inner.requests_completed,
+        skew: inner.skew.clone(),
+        pad_accesses: inner.pad_accesses,
     }
 }
 
