@@ -11,9 +11,8 @@
 //!   claimed from the poll-based queue, with p50/p95/p99 per-request
 //!   latency from `ServiceStats`.
 //!
-//! This is the perf baseline future scaling PRs measure against; pass
-//! `--json PATH` to emit the machine-readable `BENCH_service.json`
-//! tracked by CI. `--backends mem,disk` measures the same sweep over the
+//! Pass `--json PATH` to emit the machine-readable record CI's gates
+//! read. `--backends mem,disk` measures the same sweep over the
 //! in-memory and disk-backed (`DiskStore`) bucket stores, quantifying
 //! what serving a larger-than-RAM table costs.
 //!
@@ -28,11 +27,12 @@
 //! imbalance) — the throughput-vs-skew trade the mitigations buy.
 //!
 //! The mixed workload additionally runs a **telemetry overhead probe**:
-//! the largest mem-backend shard count with the full `TelemetrySpec`
-//! instrument set on vs off, compared as drift-cancelling paired ratios
-//! over `--overhead-repeats` pairs (use an even count), recorded under
-//! the `telemetry` key of `BENCH_service.json` together with the final
-//! registry snapshot — CI gates the overhead at <= 3%.
+//! the largest mem-backend shard count with a `TelemetrySpec` on vs off
+//! (the engine's counters run in both arms, so this measures what the
+//! spec adds: spans, sampler, export), compared as drift-cancelling
+//! paired ratios over `--overhead-repeats` pairs (use an even count),
+//! recorded under the `telemetry` key of the JSON record together with
+//! the final registry snapshot — CI gates the overhead at <= 3%.
 //!
 //! Usage: `service_throughput [--entries 65536] [--batch 8192]
 //! [--batches 24] [--warmup 4] [--s 8] [--seed N] [--shards 1,2,4,8]

@@ -20,8 +20,7 @@
 //!
 //! The headline figure is `efficiency_ratio` — baseline ORAM accesses
 //! per trained row over fused accesses per trained row (theoretical
-//! 2.0). Pass `--json PATH` for the machine-readable record CI merges
-//! into `BENCH_service.json` under the `train_dlrm` key and gates at
+//! 2.0). Pass `--json PATH` for the machine-readable record CI gates at
 //! >= 1.6.
 //!
 //! Usage: `train_dlrm [--entries 32768] [--dim 16] [--batch 4096]

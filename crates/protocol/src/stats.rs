@@ -97,6 +97,31 @@ impl AccessStats {
         self.reshuffles += other.reshuffles;
     }
 
+    /// The work done after `baseline` was taken, where `baseline` is an
+    /// earlier copy of the same monotonic counters: every counter
+    /// subtracts (saturating). `stash_peak` is a maximum, not a
+    /// difference, and keeps its lifetime value.
+    #[must_use]
+    pub fn since(&self, baseline: &AccessStats) -> AccessStats {
+        AccessStats {
+            real_accesses: self.real_accesses.saturating_sub(baseline.real_accesses),
+            path_reads: self.path_reads.saturating_sub(baseline.path_reads),
+            dummy_reads: self.dummy_reads.saturating_sub(baseline.dummy_reads),
+            path_writes: self.path_writes.saturating_sub(baseline.path_writes),
+            cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
+            cold_misses: self.cold_misses.saturating_sub(baseline.cold_misses),
+            blocks_fetched: self.blocks_fetched.saturating_sub(baseline.blocks_fetched),
+            slots_read: self.slots_read.saturating_sub(baseline.slots_read),
+            slots_written: self.slots_written.saturating_sub(baseline.slots_written),
+            stash_peak: self.stash_peak,
+            init_stash_overflow: self
+                .init_stash_overflow
+                .saturating_sub(baseline.init_stash_overflow),
+            eviction_stalls: self.eviction_stalls.saturating_sub(baseline.eviction_stalls),
+            reshuffles: self.reshuffles.saturating_sub(baseline.reshuffles),
+        }
+    }
+
     /// Records a stash occupancy observation.
     pub fn observe_stash(&mut self, len: usize) {
         self.stash_peak = self.stash_peak.max(len as u64);
@@ -133,6 +158,37 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.real_accesses, 3);
         assert_eq!(a.stash_peak, 5);
+    }
+
+    #[test]
+    fn since_is_the_inverse_of_merge() {
+        let a = AccessStats {
+            real_accesses: 10,
+            path_reads: 4,
+            slots_read: 40,
+            stash_peak: 6,
+            init_stash_overflow: 2,
+            ..Default::default()
+        };
+        let b = AccessStats {
+            real_accesses: 25,
+            path_reads: 9,
+            dummy_reads: 1,
+            slots_read: 100,
+            stash_peak: 8,
+            init_stash_overflow: 2,
+            ..Default::default()
+        };
+        let diff = b.since(&a);
+        assert_eq!(diff.real_accesses, 15);
+        assert_eq!(diff.slots_read, 60);
+        assert_eq!(diff.init_stash_overflow, 0);
+        assert_eq!(diff.stash_peak, 8, "the peak is a lifetime value, not a difference");
+        let mut rebuilt = a.clone();
+        rebuilt.merge(&diff);
+        assert_eq!(rebuilt, b);
+        // Nothing happened since `b`: every counter is zero, the peak stays.
+        assert_eq!(b.since(&b), AccessStats { stash_peak: 8, ..Default::default() });
     }
 
     #[test]

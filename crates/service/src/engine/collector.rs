@@ -1,45 +1,81 @@
-//! The collector stage: reassembly, in-order emission, and latency
-//! recording.
+//! The collector stage: reassembly, in-order emission, and — at
+//! emission — all of the engine's counting.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
 use laoram_telemetry::SpanRecord;
+use oram_protocol::AccessStats;
+use oram_tree::DiskIoStats;
 
-use super::{CollectorMsg, Shared, PAD_SLOT};
+use super::{CollectorMsg, PrepCounts, ServeCounts, Shared, SharedInner, PAD_SLOT, TIMING_WINDOW};
 use crate::completion::GroupDone;
 use crate::ingress::GroupMeta;
-use crate::RequestLatencyStats;
+use crate::stats::lifetime_totals;
+use crate::telemetry::Instruments;
+use crate::BatchTiming;
 
 /// One group being reassembled by the collector.
 struct PendingGroup {
     outputs: Vec<Option<Box<[u8]>>>,
     remaining: usize,
     meta: GroupMeta,
-    serve_start_ns: u64,
-    serve_end_ns: u64,
+    prep: PrepCounts,
+    served: Vec<ServeCounts>,
 }
 
+/// A reassembled group and the measurements counted when it is emitted.
+type Reassembled = (GroupDone, PrepCounts, Vec<ServeCounts>);
+
 impl PendingGroup {
-    fn finish(self, done_ns: u64) -> GroupDone {
-        GroupDone {
+    fn finish(self, done_ns: u64) -> Reassembled {
+        let done = GroupDone {
             batch: self.meta.batch,
             outputs: self.outputs,
             requests: self.meta.requests,
             coalesce_ns: self.meta.coalesce_ns,
-            serve_start_ns: self.serve_start_ns,
-            serve_end_ns: self.serve_end_ns,
+            // Earliest start and latest end over the group's shard parts
+            // (0 for an empty group).
+            serve_start_ns: self.served.iter().map(|s| s.serve_start_ns).min().unwrap_or(0),
+            serve_end_ns: self.served.iter().map(|s| s.serve_end_ns).max().unwrap_or(0),
             done_ns,
-        }
+        };
+        (done, self.prep, self.served)
     }
 }
 
-/// Records one emitted group's per-request latencies (and, with
-/// telemetry on, the group's completion span and latency histograms).
-fn record_latency(shared: &Shared, group_id: u64, group: &GroupDone) {
-    if let Some(t) = shared.telemetry.as_deref() {
-        t.recorder.record(SpanRecord {
+/// Publishes one worker's cumulative counters.
+fn publish_worker(
+    instruments: &Instruments,
+    inner: &mut SharedInner,
+    worker: usize,
+    stats: AccessStats,
+    disk_io: Option<DiskIoStats>,
+) {
+    instruments.workers[worker].real_accesses.set_total(stats.real_accesses);
+    inner.worker_stats[worker] = stats;
+    if let Some(io) = disk_io {
+        let last = inner.worker_disk_io[worker].replace(io).unwrap_or_default();
+        instruments.disk_reads.add(io.reads.saturating_sub(last.reads));
+        instruments.disk_read_bytes.add(io.read_bytes.saturating_sub(last.read_bytes));
+        instruments.disk_flushes.add(io.writes.saturating_sub(last.writes));
+        instruments.disk_flush_bytes.add(io.write_bytes.saturating_sub(last.write_bytes));
+    }
+}
+
+/// Counts one emitted group — the only place the engine's statistics are
+/// written: what the preprocessor and the shard workers measured rode
+/// the manifest and the parts here.
+fn count_group(
+    shared: &Shared,
+    group_id: u64,
+    group: &GroupDone,
+    prep: PrepCounts,
+    served: Vec<ServeCounts>,
+) {
+    if let Some(flight) = shared.flight.as_deref() {
+        flight.recorder.record(SpanRecord {
             start_ns: group.coalesce_ns,
             end_ns: group.done_ns,
             stage: "group.complete",
@@ -47,73 +83,104 @@ fn record_latency(shared: &Shared, group_id: u64, group: &GroupDone) {
             worker: None,
             detail: Some(format!("requests={}", group.requests.len())),
         });
-        t.requests_completed.add(group.requests.len() as u64);
-        let len = group.requests.len() as u64;
-        // Service latency is a group-level quantity: one bulk record
-        // instead of `len` identical ones. Total and queue-wait vary per
-        // request through `enqueue_ns`, but batch submissions stamp every
-        // request in the batch with one enqueue time, so runs of equal
-        // values collapse the same way; per-request traffic degrades
-        // gracefully to one record each.
-        t.latency_service.record_n(group.serve_end_ns.saturating_sub(group.coalesce_ns), len);
-        let mut run_start = 0;
-        while run_start < group.requests.len() {
-            let enqueue_ns = group.requests[run_start].enqueue_ns;
-            let mut run_end = run_start + 1;
-            while run_end < group.requests.len() && group.requests[run_end].enqueue_ns == enqueue_ns
-            {
-                run_end += 1;
-            }
-            let n = (run_end - run_start) as u64;
-            t.latency_total.record_n(group.done_ns.saturating_sub(enqueue_ns), n);
-            t.latency_queue_wait.record_n(group.coalesce_ns.saturating_sub(enqueue_ns), n);
-            run_start = run_end;
-        }
     }
-    if group.requests.is_empty() {
-        return;
-    }
+    let instruments = &shared.instruments;
+    // Held across the registry writes, so `stats()` (which reads the
+    // registry under the same lock) never sees half a group.
     let mut inner = shared.inner.lock().expect("collector lock");
-    inner.requests_completed += group.requests.len() as u64;
-    for meta in &group.requests {
-        let total = group.done_ns.saturating_sub(meta.enqueue_ns);
-        inner.request_latency.total.record(total);
-        inner.request_latency.queue_wait.record(group.coalesce_ns.saturating_sub(meta.enqueue_ns));
-        inner.request_latency.service.record(group.serve_end_ns.saturating_sub(group.coalesce_ns));
-        if shared.adaptive {
-            inner.adaptive_window.record(total);
+    let len = group.requests.len() as u64;
+    instruments.requests_completed.add(len);
+    // Service latency is a group-level quantity: one bulk record
+    // instead of `len` identical ones. Total and queue-wait vary per
+    // request through `enqueue_ns`, but batch submissions stamp every
+    // request in the batch with one enqueue time, so runs of equal
+    // values collapse the same way; per-request traffic degrades
+    // gracefully to one record each.
+    instruments.latency_service.record_n(group.serve_end_ns.saturating_sub(group.coalesce_ns), len);
+    let mut run_start = 0;
+    while run_start < group.requests.len() {
+        let enqueue_ns = group.requests[run_start].enqueue_ns;
+        let mut run_end = run_start + 1;
+        while run_end < group.requests.len() && group.requests[run_end].enqueue_ns == enqueue_ns {
+            run_end += 1;
         }
+        let n = (run_end - run_start) as u64;
+        instruments.latency_total.record_n(group.done_ns.saturating_sub(enqueue_ns), n);
+        instruments.latency_queue_wait.record_n(group.coalesce_ns.saturating_sub(enqueue_ns), n);
+        run_start = run_end;
+    }
+    instruments.prep_ns.add(prep.prep_end_ns - prep.prep_start_ns);
+    instruments.prep_batches.inc();
+    let mut routed_ops = 0;
+    for &(worker, count) in &prep.routed {
+        instruments.workers[worker].routed.add(count);
+        routed_ops += count;
+    }
+    for &(worker, count) in &prep.pads {
+        instruments.workers[worker].pads.add(count);
+        instruments.pad_accesses.add(count);
+    }
+    if routed_ops > 0 {
+        instruments.skew_groups.inc();
+        instruments.skew_routed_ops.add(routed_ops);
+        instruments.skew_sum_max_subbatch.add(prep.max_subbatch);
+        let imbalance =
+            prep.max_subbatch as f64 * instruments.workers.len() as f64 / routed_ops as f64;
+        inner.worst_imbalance = inner.worst_imbalance.max(imbalance);
+    }
+    for part in served {
+        let worker = &instruments.workers[part.worker];
+        worker.batches.inc();
+        worker.serve_ns.add(part.serve_end_ns - part.serve_start_ns);
+        worker.stash_occupancy.set(part.stash_len);
+        publish_worker(instruments, &mut inner, part.worker, part.stats, part.disk_io);
+    }
+    inner.batch_timing.push_back(BatchTiming {
+        prep_start_ns: prep.prep_start_ns,
+        prep_end_ns: prep.prep_end_ns,
+        serve_start_ns: group.serve_start_ns,
+        serve_end_ns: group.serve_end_ns,
+    });
+    if inner.batch_timing.len() > TIMING_WINDOW {
+        inner.batch_timing.pop_front();
     }
 }
 
 /// The collector: reassembles shard parts into whole-group completions
-/// and emits the groups in group order, recording per-request latency at
-/// emission — emission order is group order, which is what lets a stats
-/// reset act as a clean barrier (`ResetLatency`) between pre- and
-/// post-reset traffic.
+/// and emits the groups in group order, counting each group as it is
+/// emitted — emission order is group order, which is what lets a stats
+/// reset act as a clean barrier (`Baseline`) between pre- and post-reset
+/// traffic.
 pub(super) fn run_collector(
     rx: Receiver<CollectorMsg>,
     completions: mpsc::Sender<GroupDone>,
     shared: Arc<Shared>,
 ) {
     let mut pending: HashMap<u64, PendingGroup> = HashMap::new();
-    let mut done: BTreeMap<u64, GroupDone> = BTreeMap::new();
+    let mut done: BTreeMap<u64, Reassembled> = BTreeMap::new();
     let mut next_emit = 0u64;
-    // Latency-reset barrier: fires once `next_emit` reaches it.
+    // Reset barrier: fires once `next_emit` reaches it.
     let mut reset_at: Option<u64> = None;
+    // Final counters of workers that have exited. Applied once the
+    // channel closes, so a group emitted after a worker retired cannot
+    // overwrite that worker's shutdown flush with an earlier reading.
+    let mut retired = Vec::new();
     let apply_reset = |reset_at: &mut Option<u64>, next_emit: u64, shared: &Shared| {
         if reset_at.is_some_and(|before| next_emit >= before) {
             let mut inner = shared.inner.lock().expect("collector lock");
-            inner.request_latency = RequestLatencyStats::default();
-            inner.requests_completed = 0;
+            inner.baseline = Some(lifetime_totals(shared, &inner));
+            inner.worst_imbalance = 0.0;
+            inner.batch_timing.clear();
             *reset_at = None;
         }
     };
     let emit =
-        |done: &mut BTreeMap<u64, GroupDone>, next_emit: &mut u64, reset_at: &mut Option<u64>| {
-            while let Some(group) = done.remove(next_emit) {
+        |done: &mut BTreeMap<u64, Reassembled>, next_emit: &mut u64, reset_at: &mut Option<u64>| {
+            while let Some((group, prep, served)) = done.remove(next_emit) {
                 apply_reset(reset_at, *next_emit, &shared);
-                record_latency(&shared, *next_emit, &group);
+                // Counted before the completions become claimable: whoever
+                // claims one finds its group in `stats()`.
+                count_group(&shared, *next_emit, &group, prep, served);
                 if completions.send(group).is_err() {
                     return;
                 }
@@ -123,13 +190,13 @@ pub(super) fn run_collector(
         };
     while let Ok(msg) = rx.recv() {
         match msg {
-            CollectorMsg::Manifest { group, parts, len, meta } => {
+            CollectorMsg::Manifest { group, parts, len, meta, prep } => {
                 let entry = PendingGroup {
                     outputs: vec![None; len],
                     remaining: parts,
                     meta,
-                    serve_start_ns: 0,
-                    serve_end_ns: 0,
+                    prep,
+                    served: Vec::with_capacity(parts),
                 };
                 if parts == 0 {
                     done.insert(group, entry.finish(shared.now_ns()));
@@ -138,17 +205,14 @@ pub(super) fn run_collector(
                 }
                 emit(&mut done, &mut next_emit, &mut reset_at);
             }
-            CollectorMsg::Part { group, outputs, slots, serve_start_ns, serve_end_ns } => {
+            CollectorMsg::Part { group, outputs, slots, served } => {
                 let entry = pending.get_mut(&group).expect("part before manifest");
                 for (slot, output) in slots.into_iter().zip(outputs) {
                     if slot != PAD_SLOT {
                         entry.outputs[slot as usize] = output;
                     }
                 }
-                if entry.serve_start_ns == 0 || serve_start_ns < entry.serve_start_ns {
-                    entry.serve_start_ns = serve_start_ns;
-                }
-                entry.serve_end_ns = entry.serve_end_ns.max(serve_end_ns);
+                entry.served.push(served);
                 entry.remaining -= 1;
                 if entry.remaining == 0 {
                     let finished = pending.remove(&group).expect("present");
@@ -156,10 +220,17 @@ pub(super) fn run_collector(
                     emit(&mut done, &mut next_emit, &mut reset_at);
                 }
             }
-            CollectorMsg::ResetLatency { before_group } => {
+            CollectorMsg::Retired { worker, stats, disk_io } => {
+                retired.push((worker, stats, disk_io));
+            }
+            CollectorMsg::Baseline { before_group } => {
                 reset_at = Some(reset_at.map_or(before_group, |b| b.max(before_group)));
                 apply_reset(&mut reset_at, next_emit, &shared);
             }
         }
+    }
+    let mut inner = shared.inner.lock().expect("collector lock");
+    for (worker, stats, disk_io) in retired {
+        publish_worker(&shared.instruments, &mut inner, worker, stats, disk_io);
     }
 }

@@ -22,6 +22,15 @@
 //! one, so block flushes exit toward their next-window paths and the
 //! steady state survives group boundaries. Per-stage timestamps are
 //! recorded so the overlap is observable, not just asserted.
+//!
+//! # Statistics
+//!
+//! The preprocessor and the workers only *measure*; their measurements
+//! ride the group's manifest and parts to the collector, which is the
+//! one stage that counts — into the always-present registry
+//! ([`Instruments`]), when it emits the group. [`ServiceStats`] is a
+//! view: registry totals minus the baseline the collector stores at a
+//! [`reset_stats`](LaoramService::reset_stats) barrier.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -38,11 +47,10 @@ use oram_tree::{DiskIoStats, DynBucketStore};
 use crate::completion::CompletionShared;
 use crate::ingress::{GroupMeta, Ingress};
 use crate::stats::build_stats;
-use crate::telemetry::{EngineTelemetry, TelemetryReport};
+use crate::telemetry::{Flight, Instruments, TelemetryReport};
 use crate::{
-    BatchResponse, BatchTicket, BatchTiming, Completion, Request, RequestLatencyStats,
-    RequestTicket, ResolvedBackend, ServiceError, ServiceStats, Session, ShardRouter, SkewStats,
-    TableStatus,
+    BatchResponse, BatchTicket, BatchTiming, Completion, Request, RequestTicket, ResolvedBackend,
+    ServiceError, ServiceStats, Session, ShardRouter, TableStatus,
 };
 
 mod collector;
@@ -62,47 +70,69 @@ enum WorkerMsg {
     /// The next look-ahead window for this shard.
     Plan(SuperblockPlan),
     /// The operations of one group under the most recently staged window.
-    Ops {
-        group: u64,
-        ops: Vec<BatchOp>,
-        slots: Vec<u32>,
-    },
-    ResetStats,
+    Ops { group: u64, ops: Vec<BatchOp>, slots: Vec<u32> },
+}
+
+/// What the preprocessor measured about one group. Rides the manifest
+/// and is counted by the collector when the group is emitted.
+struct PrepCounts {
+    prep_start_ns: u64,
+    prep_end_ns: u64,
+    /// `(worker, genuine operations routed)`: fan-out included, pads
+    /// excluded.
+    routed: Vec<(usize, u64)>,
+    /// `(worker, padding reads issued)`.
+    pads: Vec<(usize, u64)>,
+    /// The group's longest genuine per-worker sub-batch, measured before
+    /// padding masks it (the skew numerator).
+    max_subbatch: u64,
+}
+
+/// What one shard worker measured serving its part of a group. Rides
+/// the part and is counted by the collector when the group is emitted.
+struct ServeCounts {
+    worker: usize,
+    serve_start_ns: u64,
+    serve_end_ns: u64,
+    /// The client's cumulative (never reset) counters after the batch.
+    stats: AccessStats,
+    /// The backend's cumulative I/O counters; `None` for in-memory shards.
+    disk_io: Option<DiskIoStats>,
+    stash_len: u64,
 }
 
 /// Messages into the collector.
 enum CollectorMsg {
     /// Announces a group: how many shard parts it splits into, its
-    /// request count, and the submission metadata the completion queue
-    /// needs.
-    Manifest { group: u64, parts: usize, len: usize, meta: GroupMeta },
-    /// One shard's outputs, with the group positions they belong at.
-    Part {
-        group: u64,
-        outputs: Vec<Option<Box<[u8]>>>,
-        slots: Vec<u32>,
-        serve_start_ns: u64,
-        serve_end_ns: u64,
-    },
-    /// Zero the latency statistics once every group below `before_group`
-    /// has been emitted, so in-flight pre-reset groups cannot pollute the
-    /// post-reset histograms.
-    ResetLatency { before_group: u64 },
+    /// request count, the submission metadata the completion queue
+    /// needs, and the preprocessor's measurements.
+    Manifest { group: u64, parts: usize, len: usize, meta: GroupMeta, prep: PrepCounts },
+    /// One shard's outputs, with the group positions they belong at and
+    /// the worker's measurements.
+    Part { group: u64, outputs: Vec<Option<Box<[u8]>>>, slots: Vec<u32>, served: ServeCounts },
+    /// A worker's final counters, after its shutdown flush.
+    Retired { worker: usize, stats: AccessStats, disk_io: Option<DiskIoStats> },
+    /// The `reset_stats()` barrier: once every group below `before_group`
+    /// has been emitted, the registry totals become the baseline
+    /// `stats()` subtracts — in-flight pre-reset groups land before it,
+    /// post-reset groups after.
+    Baseline { before_group: u64 },
 }
 
 /// State shared between the engine handle and the pipeline threads.
 pub(crate) struct Shared {
     start: Instant,
+    /// `(table, shard)` per flattened worker id.
+    pub(crate) worker_homes: Vec<(usize, u32)>,
     pub(crate) inner: Mutex<SharedInner>,
-    /// Requests accepted so far (diagnostics).
-    pub(crate) submitted: AtomicU64,
-    /// Unified telemetry instruments; `None` when telemetry is disabled,
-    /// in which case no pipeline stage records anything.
-    pub(crate) telemetry: Option<Arc<EngineTelemetry>>,
-    /// Whether an adaptive controller is running
-    /// ([`BatchPolicy::p99_target`](crate::BatchPolicy::p99_target)):
-    /// gates the collector's extra window recording.
-    pub(crate) adaptive: bool,
+    /// The always-present instrument set: the one place the engine
+    /// counts. Written by the collector (and the ingress, for
+    /// `service.ingress.*`) whether or not anyone can read it.
+    pub(crate) instruments: Instruments,
+    /// The flight recorder and dump policy; `None` without a
+    /// [`TelemetrySpec`](crate::TelemetrySpec), in which case no span is
+    /// recorded and the registry is not exported.
+    pub(crate) flight: Option<Arc<Flight>>,
 }
 
 /// Per-group timing records kept live (a rolling window, so an unbounded
@@ -110,61 +140,22 @@ pub(crate) struct Shared {
 /// limit).
 const TIMING_WINDOW: usize = 4096;
 
-#[derive(Default)]
+/// The state the registry cannot hold, written by the collector under
+/// one lock per emitted group (and by a failing worker, for its error).
 pub(crate) struct SharedInner {
+    /// Each worker's cumulative LAORAM counters as of its last emitted
+    /// batch (its shutdown flush included, once retired).
     pub(crate) worker_stats: Vec<AccessStats>,
-    pub(crate) worker_serve_ns: Vec<u64>,
-    pub(crate) worker_batches: Vec<u64>,
     pub(crate) worker_errors: Vec<Option<String>>,
-    /// Genuine operations routed to each worker (fan-out included, pads
-    /// excluded), counted by the preprocessor.
-    pub(crate) worker_routed: Vec<u64>,
-    /// Padding reads issued to each worker.
-    pub(crate) worker_pads: Vec<u64>,
-    /// Per-group shard-load skew accumulators.
-    pub(crate) skew: SkewStats,
-    pub(crate) preprocess_ns: u64,
-    pub(crate) batches_preprocessed: u64,
-    /// Timing records for groups `timing_base ..`, oldest first.
-    pub(crate) batch_timing: Vec<BatchTiming>,
-    pub(crate) timing_base: u64,
-    /// Per-request latency, recorded by the collector at group
-    /// completion.
-    pub(crate) request_latency: RequestLatencyStats,
-    pub(crate) requests_completed: u64,
-    /// Dummy accesses emitted to equalise per-shard sub-batch lengths.
-    pub(crate) pad_accesses: u64,
-    /// Each worker's cumulative backend I/O counters, published after
-    /// every served batch; `None` for in-memory shards. Kept regardless
-    /// of whether telemetry is enabled — `table_status()` surfaces the
-    /// per-table sums.
+    /// Each worker's cumulative backend I/O counters; `None` for
+    /// in-memory shards. `table_status()` surfaces the per-table sums.
     pub(crate) worker_disk_io: Vec<Option<DiskIoStats>>,
-    /// Rolling window of total request latencies for the adaptive
-    /// batching controller; the micro-batcher drains it once per
-    /// adaptation epoch. Only written when [`Shared::adaptive`] is set.
-    pub(crate) adaptive_window: crate::stats::LatencyHistogram,
-}
-
-impl SharedInner {
-    /// The timing record for `group`, growing the window as needed.
-    /// Returns `None` for groups that pre-date a stats reset or have
-    /// aged out of the rolling window (late updates are dropped).
-    fn timing_slot(&mut self, group: u64) -> Option<&mut BatchTiming> {
-        if group < self.timing_base {
-            return None;
-        }
-        let idx = (group - self.timing_base) as usize;
-        if idx >= self.batch_timing.len() {
-            self.batch_timing.resize(idx + 1, BatchTiming::default());
-            if self.batch_timing.len() > TIMING_WINDOW {
-                let excess = self.batch_timing.len() - TIMING_WINDOW;
-                self.batch_timing.drain(..excess);
-                self.timing_base += excess as u64;
-            }
-        }
-        let idx = group.checked_sub(self.timing_base)? as usize;
-        self.batch_timing.get_mut(idx)
-    }
+    /// Worst per-group `max / mean` imbalance since the last barrier.
+    pub(crate) worst_imbalance: f64,
+    /// Timing records of the most recently emitted groups, oldest first.
+    pub(crate) batch_timing: VecDeque<BatchTiming>,
+    /// The lifetime totals at the last `reset_stats()` barrier.
+    pub(crate) baseline: Option<ServiceStats>,
 }
 
 impl Shared {
@@ -182,8 +173,6 @@ pub struct LaoramService {
     completions: Arc<CompletionShared>,
     shared: Arc<Shared>,
     router: Arc<ShardRouter>,
-    /// `(table, shard)` per flattened worker id.
-    worker_homes: Vec<(usize, u32)>,
     /// The storage backend chosen for each table at startup.
     table_backends: Vec<ResolvedBackend>,
     /// Per-table backend + recovered-vs-fresh status.
@@ -205,7 +194,7 @@ pub struct LaoramService {
 impl std::fmt::Debug for LaoramService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LaoramService")
-            .field("workers", &self.worker_homes.len())
+            .field("workers", &self.shared.worker_homes.len())
             .field("next_batch", &self.next_batch)
             .field("outstanding_batches", &self.pending_batches.len())
             .finish()
@@ -432,12 +421,21 @@ impl LaoramService {
     // Statistics and lifecycle
     // ------------------------------------------------------------------
 
-    /// Zeroes every shard's access counters, the pipeline timers, and the
-    /// latency histograms, ordered after all previously *coalesced*
-    /// groups. Call [`drain`](Self::drain) (and claim outstanding
-    /// completions) first for a clean measurement boundary; requests
-    /// still pending in the micro-batcher will be counted after the
-    /// reset.
+    /// Starts a new measurement window: [`stats`](Self::stats) then
+    /// reports only what was counted after this call. Nothing is zeroed —
+    /// the engine's counters are monotonic — the collector instead takes
+    /// the registry totals as a baseline once every previously
+    /// *coalesced* group has been emitted, and `stats()` subtracts it.
+    /// Without a [`drain`](Self::drain) first, groups already in flight
+    /// therefore land entirely *before* the boundary (and until they have
+    /// all been emitted `stats()` still shows the old window); requests
+    /// still pending in the micro-batcher land after it. The three
+    /// maxima that are not differences follow a stated rule each:
+    /// [`AccessStats::stash_peak`] stays a lifetime peak, a latency
+    /// histogram's maximum is the lifetime maximum clamped to the top
+    /// non-empty bucket of the window, and
+    /// [`SkewStats::worst_imbalance`](crate::SkewStats::worst_imbalance)
+    /// is cleared at the barrier.
     ///
     /// # Errors
     /// [`ServiceError::Disconnected`] if the pipeline died.
@@ -445,14 +443,18 @@ impl LaoramService {
         self.ingress.send_reset()
     }
 
-    /// A snapshot of shard, merged, pipeline, and latency statistics.
+    /// A snapshot of shard, merged, pipeline, and latency statistics
+    /// since the last [`reset_stats`](Self::reset_stats) (or since start).
     ///
-    /// Shard counters reflect groups whose completions have been emitted;
-    /// for exact boundaries, [`drain`](Self::drain) first.
+    /// Every counter is applied when a group is *emitted* — all of its
+    /// shard parts served and every earlier group emitted — and before
+    /// its completions become claimable: a caller that has claimed a
+    /// request's completion sees that request's whole group counted, and
+    /// a group still being served is not counted at all. For exact
+    /// boundaries, [`drain`](Self::drain) first.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let inner = self.shared.inner.lock().expect("stats lock");
-        build_stats(&inner, &self.worker_homes, self.shared.now_ns())
+        build_stats(&self.shared)
     }
 
     /// Number of batches submitted but not yet returned.
@@ -468,7 +470,8 @@ impl LaoramService {
     }
 
     /// The storage backend chosen for each table at startup, in table
-    /// order — reports whether an [`StorageBackend::Auto`] table spilled
+    /// order — reports whether an
+    /// [`StorageBackend::Auto`](crate::StorageBackend::Auto) table spilled
     /// to disk under
     /// [`in_memory_cap_bytes`](crate::ServiceConfig::in_memory_cap_bytes).
     /// See [`table_status`](Self::table_status) for the recovered-vs-fresh
@@ -481,23 +484,18 @@ impl LaoramService {
     /// Each table's backend *and* recovered-vs-fresh status, in table
     /// order: a snapshot-enabled disk table whose store + snapshot files
     /// already existed at startup reports
-    /// [`TableRecovery::Recovered`], everything else
-    /// [`TableRecovery::Fresh`]. Disk-backed tables additionally carry
-    /// their live backend I/O counters
+    /// [`TableRecovery::Recovered`](crate::TableRecovery::Recovered),
+    /// everything else
+    /// [`TableRecovery::Fresh`](crate::TableRecovery::Fresh). Disk-backed
+    /// tables additionally carry their live backend I/O counters
     /// ([`TableStatus::disk_io`], summed over the table's shards and
-    /// refreshed after every served batch). Also included in the final
+    /// refreshed with every emitted group). Also included in the final
     /// [`ServiceReport`].
     #[must_use]
     pub fn table_status(&self) -> Vec<TableStatus> {
         let inner = self.shared.inner.lock().expect("status lock");
-        self.table_status_with_io(&inner)
-    }
-
-    /// The startup statuses with each disk-backed table's current summed
-    /// backend I/O counters folded in.
-    fn table_status_with_io(&self, inner: &SharedInner) -> Vec<TableStatus> {
         let mut status = self.table_status.clone();
-        for (worker, &(table, _)) in self.worker_homes.iter().enumerate() {
+        for (worker, &(table, _)) in self.shared.worker_homes.iter().enumerate() {
             if let Some(io) = inner.worker_disk_io[worker] {
                 let entry = status[table].disk_io.get_or_insert_with(DiskIoStats::default);
                 entry.reads += io.reads;
@@ -516,7 +514,7 @@ impl LaoramService {
     /// [`TelemetrySnapshot::to_prometheus`].
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.shared.telemetry.as_ref().map(|t| t.registry.snapshot())
+        self.shared.flight.as_ref().map(|_| self.shared.instruments.registry.snapshot())
     }
 
     /// The current registry state in Prometheus text exposition format,
@@ -533,7 +531,7 @@ impl LaoramService {
     /// on the first worker error or a startup refusal.
     #[must_use]
     pub fn dump_flight_recorder(&self, reason: &str) -> Option<FlightDump> {
-        self.shared.telemetry.as_ref().map(|t| t.dump(reason))
+        self.shared.flight.as_ref().map(|f| f.recorder.dump(reason))
     }
 
     /// Removes auto-spill shard files (and the spill directory, when this
@@ -551,10 +549,11 @@ impl LaoramService {
     /// Stops the pipeline: flushes the micro-batcher and every shard,
     /// joins all threads, and returns the final statistics plus
     /// everything that was still unclaimed. Shard files created by
-    /// [`StorageBackend::Auto`] spill are removed here (their client
-    /// state is not persisted, so they cannot serve a restart);
-    /// explicitly [`StorageBackend::Disk`]-backed files are
-    /// caller-managed and left in place. If a worker died mid-drain,
+    /// [`StorageBackend::Auto`](crate::StorageBackend::Auto) spill are
+    /// removed here (their client state is not persisted, so they cannot
+    /// serve a restart); explicitly
+    /// [`StorageBackend::Disk`](crate::StorageBackend::Disk)-backed files
+    /// are caller-managed and left in place. If a worker died mid-drain,
     /// the lost requests are *counted*, not silently dropped:
     /// [`ServiceReport::truncated_requests`] carries the shortfall and a
     /// synthetic entry is appended to
@@ -612,26 +611,24 @@ impl LaoramService {
         let counters = drain.counters;
         let truncated_requests = issued.saturating_sub(counters.voided + counters.expanded);
 
-        let inner = self.shared.inner.lock().expect("shutdown lock");
-        let mut stats = build_stats(&inner, &self.worker_homes, self.shared.now_ns());
-        let table_status = self.table_status_with_io(&inner);
-        drop(inner);
+        let mut stats = self.stats();
+        let table_status = self.table_status();
         // Telemetry epilogue: stop the sampler (collecting its window),
         // then snapshot the registry after the pipeline drained so the
         // final snapshot covers every completed request.
-        let telemetry = self.shared.telemetry.as_ref().map(|t| {
+        let telemetry = self.shared.flight.as_ref().map(|flight| {
             let samples = self.sampler.take().map(Sampler::stop).unwrap_or_default();
-            let snapshot = t.registry.snapshot();
+            let snapshot = self.shared.instruments.registry.snapshot();
             TelemetryReport {
                 prometheus: snapshot.to_prometheus(),
                 samples,
-                flight_dumps: t.dumps_written(),
+                flight_dumps: flight.dumps_written(),
                 snapshot,
             }
         });
         if truncated_requests > 0 || truncated_batches > 0 {
             stats.worker_errors.push((
-                self.worker_homes.len(),
+                self.shared.worker_homes.len(),
                 format!(
                     "shutdown truncated {truncated_requests} request(s) across \
                      {truncated_batches} unclaimed batch(es): a pipeline stage died mid-drain"
@@ -643,7 +640,7 @@ impl LaoramService {
             stats,
             responses,
             completions,
-            requests_served: self.shared.submitted.load(Ordering::Relaxed),
+            requests_served: self.shared.instruments.ingress_submitted.total(),
             truncated_requests,
             worker_errors,
             table_status,

@@ -7,9 +7,9 @@ use std::sync::Arc;
 use laoram_core::{BatchOp, SuperblockPlanner};
 use laoram_telemetry::SpanRecord;
 
-use super::{CollectorMsg, Shared, WorkerMsg, PAD_SLOT};
+use super::{CollectorMsg, PrepCounts, Shared, WorkerMsg, PAD_SLOT};
 use crate::ingress::EngineMsg;
-use crate::{Request, RequestOp, ShardRouter, SkewStats};
+use crate::{Request, RequestOp, ShardRouter};
 
 /// Per-worker routing product: shard-local index stream, operations, and
 /// each operation's position in the original group.
@@ -35,8 +35,8 @@ pub(super) fn run_preprocessor(
     // idle there is no N+1 to wait for, and the pending operations flush
     // immediately — no added latency for an unloaded service.
     let mut pending: Option<Vec<(usize, WorkerMsg)>> = None;
-    // Group id the next group will carry; a stats reset anchors the timing
-    // window here so pre-reset records are dropped, not resurrected.
+    // Group id the next group will carry: where a stats reset's barrier
+    // is anchored.
     let mut next_group_hint = 0u64;
     // Rotating per-worker cursor choosing padding rows.
     let mut pad_cursor: Vec<u32> = vec![0; workers.len()];
@@ -79,36 +79,13 @@ pub(super) fn run_preprocessor(
         };
         match msg {
             EngineMsg::ResetStats => {
-                if !flush(&mut pending) {
-                    return;
-                }
-                {
-                    let mut inner = shared.inner.lock().expect("preprocessor lock");
-                    inner.preprocess_ns = 0;
-                    inner.batches_preprocessed = 0;
-                    inner.batch_timing.clear();
-                    // Drop (don't re-create) records of pre-reset groups:
-                    // late worker updates for them are discarded.
-                    inner.timing_base = next_group_hint;
-                    inner.pad_accesses = 0;
-                    inner.worker_routed.fill(0);
-                    inner.worker_pads.fill(0);
-                    inner.skew =
-                        SkewStats { workers: workers.len() as u32, ..SkewStats::default() };
-                }
-                // The latency histograms are written by the collector, so
-                // their reset is a collector-side barrier: it fires only
-                // after every already-coalesced group has been emitted.
-                if collector
-                    .send(CollectorMsg::ResetLatency { before_group: next_group_hint })
-                    .is_err()
+                // Nothing is counted here, so there is nothing to zero:
+                // the collector, which counts a group when it emits it,
+                // takes its baseline once every already-coalesced group
+                // has been emitted.
+                if collector.send(CollectorMsg::Baseline { before_group: next_group_hint }).is_err()
                 {
                     return;
-                }
-                for tx in &workers {
-                    if tx.send(WorkerMsg::ResetStats).is_err() {
-                        return;
-                    }
                 }
             }
             EngineMsg::Group { group, requests, meta } => {
@@ -171,20 +148,18 @@ pub(super) fn run_preprocessor(
                         }
                     }
                 }
-                // Skew telemetry, measured where the imbalance is created
-                // (and before padding masks it): the group's longest
-                // *genuine* sub-batch against the all-workers mean —
-                // cadence pads are excluded like every other pad.
-                let genuine = |w: usize, p: &RoutedPart| {
-                    p.1.len() as u64 - cadence_pads.get(&w).copied().unwrap_or(0)
-                };
-                let routed_ops: u64 = per_worker.iter().map(|(&w, p)| genuine(w, p)).sum();
-                let max_subbatch: u64 =
-                    per_worker.iter().map(|(&w, p)| genuine(w, p)).max().unwrap_or(0);
-                let routed_counts: Vec<(usize, u64)> =
-                    per_worker.iter().map(|(&w, p)| (w, genuine(w, p))).collect();
-                let mut pads: u64 = cadence_pads.values().sum();
-                let mut pad_counts: Vec<(usize, u64)> = cadence_pads.into_iter().collect();
+                // Skew, measured where the imbalance is created (and
+                // before padding masks it): the group's longest *genuine*
+                // sub-batch — cadence pads are excluded like every other
+                // pad.
+                let routed: Vec<(usize, u64)> = per_worker
+                    .iter()
+                    .map(|(&w, p)| {
+                        (w, p.1.len() as u64 - cadence_pads.get(&w).copied().unwrap_or(0))
+                    })
+                    .collect();
+                let max_subbatch = routed.iter().map(|&(_, n)| n).max().unwrap_or(0);
+                let mut pads: Vec<(usize, u64)> = cadence_pads.into_iter().collect();
                 // Volume padding: bring every shard of every *hosted*
                 // table up to the group's longest sub-batch (cadence pads
                 // included — they are real work the shard performs), so a
@@ -207,8 +182,7 @@ pub(super) fn run_preprocessor(
                             entry.2.push(PAD_SLOT);
                         }
                         if short > 0 {
-                            pads += short as u64;
-                            pad_counts.push((worker, short as u64));
+                            pads.push((worker, short as u64));
                         }
                     }
                 }
@@ -221,48 +195,17 @@ pub(super) fn run_preprocessor(
                 }
                 dispatch.sort_by_key(|(worker, ..)| *worker);
                 let prep_end_ns = shared.now_ns();
-                {
-                    let mut inner = shared.inner.lock().expect("preprocessor lock");
-                    inner.preprocess_ns += prep_end_ns - prep_start_ns;
-                    inner.batches_preprocessed += 1;
-                    inner.pad_accesses += pads;
-                    for &(worker, count) in &routed_counts {
-                        inner.worker_routed[worker] += count;
-                    }
-                    for &(worker, count) in &pad_counts {
-                        inner.worker_pads[worker] += count;
-                    }
-                    if routed_ops > 0 {
-                        inner.skew.groups += 1;
-                        inner.skew.routed_ops += routed_ops;
-                        inner.skew.sum_max_subbatch += max_subbatch;
-                        let imbalance =
-                            max_subbatch as f64 * workers.len() as f64 / routed_ops as f64;
-                        if imbalance > inner.skew.worst_imbalance {
-                            inner.skew.worst_imbalance = imbalance;
-                        }
-                    }
-                    if let Some(timing) = inner.timing_slot(group) {
-                        timing.prep_start_ns = prep_start_ns;
-                        timing.prep_end_ns = prep_end_ns;
-                    }
-                }
-                if let Some(t) = shared.telemetry.as_deref() {
-                    t.pad_accesses.add(pads);
-                    for &(worker, count) in &routed_counts {
-                        t.workers[worker].routed.add(count);
-                    }
-                    for &(worker, count) in &pad_counts {
-                        t.workers[worker].pads.add(count);
-                    }
-                    t.recorder.record(SpanRecord {
+                if let Some(flight) = shared.flight.as_deref() {
+                    flight.recorder.record(SpanRecord {
                         start_ns: prep_start_ns,
                         end_ns: prep_end_ns,
                         stage: "prep.plan",
                         group: Some(group),
                         worker: None,
                         detail: Some(format!(
-                            "ops={routed_ops} pads={pads} parts={}",
+                            "ops={} pads={} parts={}",
+                            routed.iter().map(|&(_, n)| n).sum::<u64>(),
+                            pads.iter().map(|&(_, n)| n).sum::<u64>(),
                             dispatch.len()
                         )),
                     });
@@ -273,6 +216,7 @@ pub(super) fn run_preprocessor(
                         parts: dispatch.len(),
                         len: meta.requests.len(),
                         meta,
+                        prep: PrepCounts { prep_start_ns, prep_end_ns, routed, pads, max_subbatch },
                     })
                     .is_err()
                 {

@@ -19,10 +19,10 @@ use super::worker::run_worker;
 use super::{CollectorMsg, LaoramService, ShardClient, Shared, SharedInner, WorkerMsg};
 use crate::completion::{CompletionShared, GroupDone};
 use crate::ingress::{run_batcher, EngineMsg, Ingress};
-use crate::telemetry::EngineTelemetry;
+use crate::telemetry::{Flight, Instruments};
 use crate::{
-    DiskBackendSpec, ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, SkewStats,
-    StorageBackend, TableRecovery, TableSpec, TableStatus,
+    DiskBackendSpec, ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend,
+    TableRecovery, TableSpec, TableStatus,
 };
 
 /// Monotonic discriminator making concurrent services' spill directories
@@ -100,14 +100,11 @@ impl LaoramService {
 
         // The engine epoch: every pipeline timestamp (stats *and*
         // telemetry spans, including backend-level disk spans) is
-        // nanoseconds since this instant. Telemetry is built before any
-        // construction work so a startup refusal can still dump the
-        // spans recorded up to the refusal point.
+        // nanoseconds since this instant. The flight recorder is built
+        // before any construction work so a startup refusal can still
+        // dump the spans recorded up to the refusal point.
         let start = Instant::now();
-        let telemetry = config
-            .telemetry
-            .as_ref()
-            .map(|spec| Arc::new(EngineTelemetry::new(spec, start, num_workers)));
+        let flight = config.telemetry.as_ref().map(|spec| Arc::new(Flight::new(spec, start)));
 
         // Per-worker LAORAM configurations, built first so the footprint
         // estimate behind Auto backend selection uses the exact per-shard
@@ -135,8 +132,8 @@ impl LaoramService {
         // recorded up to the refusal point), so the refusal is
         // diagnosable from the same artifact as a runtime failure.
         let refuse = |e: ServiceError| -> ServiceError {
-            if let Some(t) = &telemetry {
-                t.dump_on_failure(&format!("startup refusal: {e}"));
+            if let Some(f) = &flight {
+                f.dump_on_failure(&format!("startup refusal: {e}"));
             }
             e
         };
@@ -148,7 +145,7 @@ impl LaoramService {
         // a mix of restored and empty shards would answer inconsistently.
         let mut table_recover = vec![false; config.tables.len()];
         for (table, spec) in config.tables.iter().enumerate() {
-            let check_start_ns = telemetry.as_ref().map(|t| t.now_ns());
+            let check_start_ns = flight.as_ref().map(|f| f.now_ns());
             let StorageBackend::Disk(disk) = &spec.backend else { continue };
             if !disk.snapshots {
                 continue;
@@ -201,10 +198,10 @@ impl LaoramService {
                 }
             }
             if table_recover[table] {
-                if let (Some(t), Some(start_ns)) = (&telemetry, check_start_ns) {
-                    t.recorder.record(SpanRecord {
+                if let (Some(f), Some(start_ns)) = (&flight, check_start_ns) {
+                    f.recorder.record(SpanRecord {
                         start_ns,
-                        end_ns: t.now_ns(),
+                        end_ns: f.now_ns(),
                         stage: "recover.table",
                         group: None,
                         worker: None,
@@ -282,7 +279,7 @@ impl LaoramService {
                     laoram_config,
                     table_recover[table],
                     config.spill_spec.as_ref(),
-                    telemetry.as_deref(),
+                    flight.as_deref(),
                     worker as u32,
                 )?;
                 // A recovered shard's planner draws from a seed derived
@@ -342,31 +339,27 @@ impl LaoramService {
 
         let shared = Arc::new(Shared {
             start,
+            worker_homes,
             inner: Mutex::new(SharedInner {
                 worker_stats: vec![AccessStats::new(); num_workers],
-                worker_serve_ns: vec![0; num_workers],
-                worker_batches: vec![0; num_workers],
                 worker_errors: vec![None; num_workers],
-                worker_routed: vec![0; num_workers],
-                worker_pads: vec![0; num_workers],
                 worker_disk_io: vec![None; num_workers],
-                skew: SkewStats { workers: num_workers as u32, ..SkewStats::default() },
-                ..Default::default()
+                worst_imbalance: 0.0,
+                batch_timing: VecDeque::new(),
+                baseline: None,
             }),
-            submitted: AtomicU64::new(0),
-            telemetry: telemetry.clone(),
-            adaptive: config.batch_policy.p99_target.is_some(),
+            instruments: Instruments::new(num_workers),
+            flight,
         });
 
         // The periodic sampler, when a cadence was configured: a fixed
         // interval by design — never load-adaptive — so the sampling
         // schedule leaks nothing about traffic.
-        let sampler = match (&telemetry, &config.telemetry) {
-            (Some(t), Some(spec)) => spec
-                .sample_interval
-                .map(|interval| Sampler::start(t.registry.clone(), interval, spec.sample_window)),
-            _ => None,
-        };
+        let sampler = config.telemetry.as_ref().and_then(|spec| {
+            spec.sample_interval.map(|interval| {
+                Sampler::start(shared.instruments.registry.clone(), interval, spec.sample_window)
+            })
+        });
 
         let (ingress_tx, ingress_rx) = sync_channel::<EngineMsg>(config.queue_depth);
         let (collector_tx, collector_rx) = mpsc::channel::<CollectorMsg>();
@@ -444,7 +437,6 @@ impl LaoramService {
             completions,
             shared,
             router,
-            worker_homes,
             table_backends,
             table_status,
             spill_cleanup,
@@ -533,7 +525,7 @@ fn build_client(
     laoram_config: &LaOramConfig,
     recover: bool,
     spill_spec: Option<&DiskBackendSpec>,
-    telemetry: Option<&EngineTelemetry>,
+    flight: Option<&Flight>,
     worker: u32,
 ) -> Result<(ShardClient, Option<u64>), ServiceError> {
     // One span hook per shard, tagged with the worker id, recording into
@@ -541,7 +533,7 @@ fn build_client(
     // spans (disk.read/flush/prefetch, core.sync) land on the same
     // timeline as the pipeline spans.
     let store_telemetry =
-        telemetry.map(|t| StoreTelemetry::new(Arc::clone(&t.recorder), t.epoch(), Some(worker)));
+        flight.map(|f| StoreTelemetry::new(Arc::clone(&f.recorder), f.epoch, Some(worker)));
     let geometry = laoram_config.geometry()?;
     let payload_capacity = if spec.payloads { spec.row_bytes } else { 0 };
     match backend {

@@ -5,10 +5,9 @@ use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
 use laoram_telemetry::SpanRecord;
-use oram_protocol::AccessStats;
-use oram_tree::{BucketStore, DiskIoStats};
+use oram_tree::BucketStore;
 
-use super::{CollectorMsg, ShardClient, Shared, WorkerMsg};
+use super::{CollectorMsg, ServeCounts, ShardClient, Shared, WorkerMsg};
 
 /// One shard worker: owns a LAORAM instance, installs plan windows, and
 /// serves operation groups. Before serving, it opportunistically stages
@@ -26,12 +25,6 @@ pub(super) fn run_worker(
     // which removes the *first* Plan in the queue — plans are staged
     // strictly in arrival order.
     let mut queue: VecDeque<WorkerMsg> = VecDeque::new();
-    let telemetry = shared.telemetry.clone();
-    let shard_telemetry = telemetry.as_ref().map(|t| &t.workers[worker]);
-    // Counter deltas published per batch: the client's stats are
-    // cumulative (and resettable), telemetry counters are monotonic.
-    let mut last_real_accesses = 0u64;
-    let mut last_io = DiskIoStats::default();
     // Keep the *first* failure: later PlanIncomplete/PlanBacklog errors
     // are cascades of the root cause and would otherwise mask it.
     // A failure also triggers the one-shot flight-recorder dump, so the
@@ -43,8 +36,8 @@ pub(super) fn run_worker(
                 *slot = Some(e.to_string());
             }
         }
-        if let Some(t) = &shared.telemetry {
-            t.dump_on_failure(&format!("worker {worker} error: {e}"));
+        if let Some(flight) = &shared.flight {
+            flight.dump_on_failure(&format!("worker {worker} error: {e}"));
         }
     };
     /// Pumps every already-delivered message into the local queue.
@@ -79,16 +72,6 @@ pub(super) fn run_worker(
         pump(&rx, &mut queue);
         let msg = queue.pop_front().expect("nonempty after recv");
         match msg {
-            WorkerMsg::ResetStats => {
-                client.reset_stats();
-                // Telemetry counters stay monotonic across stats resets;
-                // only the delta baseline restarts.
-                last_real_accesses = 0;
-                let mut inner = shared.inner.lock().expect("worker lock");
-                inner.worker_stats[worker] = AccessStats::new();
-                inner.worker_serve_ns[worker] = 0;
-                inner.worker_batches[worker] = 0;
-            }
             WorkerMsg::Plan(plan) => {
                 // Normally plans are absorbed by `stage_next_plan`; one
                 // reaches here only when it arrived with no ops pending.
@@ -130,39 +113,8 @@ pub(super) fn run_worker(
                     }
                 };
                 let serve_end_ns = shared.now_ns();
-                let disk_io = client.storage().io_stats();
-                {
-                    let mut inner = shared.inner.lock().expect("worker lock");
-                    inner.worker_stats[worker] = client.stats().clone();
-                    inner.worker_serve_ns[worker] += serve_end_ns - serve_start_ns;
-                    inner.worker_batches[worker] += 1;
-                    inner.worker_disk_io[worker] = disk_io;
-                    if let Some(timing) = inner.timing_slot(group) {
-                        if timing.serve_start_ns == 0 || serve_start_ns < timing.serve_start_ns {
-                            timing.serve_start_ns = serve_start_ns;
-                        }
-                        if serve_end_ns > timing.serve_end_ns {
-                            timing.serve_end_ns = serve_end_ns;
-                        }
-                    }
-                }
-                if let Some(t) = shard_telemetry {
-                    let real = client.stats().real_accesses;
-                    t.batches.inc();
-                    t.serve_ns.add(serve_end_ns - serve_start_ns);
-                    t.stash_occupancy.set(client.stash_len() as u64);
-                    t.real_accesses.add(real.saturating_sub(last_real_accesses));
-                    last_real_accesses = real;
-                }
-                if let Some(t) = telemetry.as_deref() {
-                    if let Some(io) = disk_io {
-                        t.disk_reads.add(io.reads.saturating_sub(last_io.reads));
-                        t.disk_read_bytes.add(io.read_bytes.saturating_sub(last_io.read_bytes));
-                        t.disk_flushes.add(io.writes.saturating_sub(last_io.writes));
-                        t.disk_flush_bytes.add(io.write_bytes.saturating_sub(last_io.write_bytes));
-                        last_io = io;
-                    }
-                    t.recorder.record(SpanRecord {
+                if let Some(flight) = shared.flight.as_deref() {
+                    flight.recorder.record(SpanRecord {
                         start_ns: serve_start_ns,
                         end_ns: serve_end_ns,
                         stage: "shard.serve",
@@ -171,36 +123,31 @@ pub(super) fn run_worker(
                         detail: None,
                     });
                 }
-                if collector
-                    .send(CollectorMsg::Part {
-                        group,
-                        outputs,
-                        slots,
-                        serve_start_ns,
-                        serve_end_ns,
-                    })
-                    .is_err()
-                {
+                // The measurements ride the part: the collector counts
+                // them when the group is emitted. The client's counters
+                // are cumulative and never reset — `stats()` subtracts.
+                let served = ServeCounts {
+                    worker,
+                    serve_start_ns,
+                    serve_end_ns,
+                    stats: client.stats().clone(),
+                    disk_io: client.storage().io_stats(),
+                    stash_len: client.stash_len() as u64,
+                };
+                if collector.send(CollectorMsg::Part { group, outputs, slots, served }).is_err() {
                     break;
                 }
             }
         }
     }
-    // Channel closed: flush the shard and record final statistics
-    // (including the final flush's disk I/O).
+    // Channel closed: flush the shard and hand the collector the final
+    // counters (including the final flush's disk I/O).
     if let Err(e) = client.finish() {
         fail(&shared, &e);
     }
-    let disk_io = client.storage().io_stats();
-    if let Some(t) = telemetry.as_deref() {
-        if let Some(io) = disk_io {
-            t.disk_reads.add(io.reads.saturating_sub(last_io.reads));
-            t.disk_read_bytes.add(io.read_bytes.saturating_sub(last_io.read_bytes));
-            t.disk_flushes.add(io.writes.saturating_sub(last_io.writes));
-            t.disk_flush_bytes.add(io.write_bytes.saturating_sub(last_io.write_bytes));
-        }
-    }
-    let mut inner = shared.inner.lock().expect("worker lock");
-    inner.worker_stats[worker] = client.stats().clone();
-    inner.worker_disk_io[worker] = disk_io;
+    let _ = collector.send(CollectorMsg::Retired {
+        worker,
+        stats: client.stats().clone(),
+        disk_io: client.storage().io_stats(),
+    });
 }

@@ -16,7 +16,7 @@ use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use laoram_telemetry::SpanRecord;
+use laoram_telemetry::{Histogram, SpanRecord};
 
 use crate::completion::CompletionShared;
 use crate::engine::Shared;
@@ -182,9 +182,7 @@ impl Ingress {
         let ticket = pending.next_ticket;
         pending.next_ticket += 1;
         pending.entries.push((request, RequestMeta { ticket, session, enqueue_ns }));
-        if let Some(t) = self.shared.telemetry.as_deref() {
-            t.ingress_queued.set(pending.entries.len() as u64);
-        }
+        self.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
         // Wake the batcher when the first entry arms a deadline or the
         // queue crosses the flush threshold; in between it is already
         // sleeping on the right timeout.
@@ -192,10 +190,7 @@ impl Ingress {
             self.batcher_wake.notify_one();
         }
         drop(pending);
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.shared.telemetry.as_deref() {
-            t.ingress_submitted.inc();
-        }
+        self.shared.instruments.ingress_submitted.inc();
         Ok(RequestTicket(ticket))
     }
 
@@ -243,10 +238,7 @@ impl Ingress {
         if !self.send_group(entries, Some(batch), Vec::new()) {
             return Err(ServiceError::Disconnected);
         }
-        self.shared.submitted.fetch_add(len, Ordering::Relaxed);
-        if let Some(t) = self.shared.telemetry.as_deref() {
-            t.ingress_submitted.add(len);
-        }
+        self.shared.instruments.ingress_submitted.add(len);
         Ok((first, len))
     }
 
@@ -298,10 +290,10 @@ impl Ingress {
         };
         match tx.try_send(msg) {
             Ok(()) => {
-                if let Some(t) = self.shared.telemetry.as_deref() {
-                    t.groups.inc();
-                    t.ingress_submitted.add(len);
-                    t.recorder.record(SpanRecord {
+                self.shared.instruments.groups.inc();
+                self.shared.instruments.ingress_submitted.add(len);
+                if let Some(flight) = self.shared.flight.as_deref() {
+                    flight.recorder.record(SpanRecord {
                         start_ns: now,
                         end_ns: now,
                         stage: "ingress.coalesce",
@@ -312,9 +304,6 @@ impl Ingress {
                 }
                 sender.next_group += 1;
                 pending.next_ticket += len;
-                drop(sender);
-                drop(pending);
-                self.shared.submitted.fetch_add(len, Ordering::Relaxed);
                 Ok((first, len))
             }
             Err(TrySendError::Full(EngineMsg::Group { requests, .. })) => {
@@ -383,9 +372,9 @@ impl Ingress {
         };
         match tx.send(msg) {
             Ok(()) => {
-                if let Some(t) = self.shared.telemetry.as_deref() {
-                    t.groups.inc();
-                    t.recorder.record(SpanRecord {
+                self.shared.instruments.groups.inc();
+                if let Some(flight) = self.shared.flight.as_deref() {
+                    flight.recorder.record(SpanRecord {
                         start_ns: oldest_ns,
                         end_ns: coalesce_ns,
                         stage: "ingress.coalesce",
@@ -415,18 +404,18 @@ impl Ingress {
 const ADAPT_EPOCH_SAMPLES: u64 = 64;
 
 impl Ingress {
-    /// One adaptation step: when the collector has accumulated an
-    /// epoch's worth of completed-request latencies, feed their p99 to
-    /// the controller and publish the new effective policy.
-    fn maybe_adapt(&self, controller: &mut AdaptiveController) {
-        let window = {
-            let mut inner = self.shared.inner.lock().expect("adapt lock");
-            if inner.adaptive_window.count() < ADAPT_EPOCH_SAMPLES {
-                return;
-            }
-            std::mem::take(&mut inner.adaptive_window)
-        };
-        let (batch, delay_ns) = controller.observe(window.p99());
+    /// One adaptation step: when an epoch's worth of requests has
+    /// completed since `epoch_start` (the `service.request.total_ns`
+    /// histogram as of the previous step), feed the p99 of the difference
+    /// to the controller and publish the new effective policy.
+    fn maybe_adapt(&self, controller: &mut AdaptiveController, epoch_start: &mut Histogram) {
+        let instruments = &self.shared.instruments;
+        if instruments.requests_completed.total() < epoch_start.count() + ADAPT_EPOCH_SAMPLES {
+            return;
+        }
+        let now = instruments.latency_total.snapshot();
+        let (batch, delay_ns) = controller.observe(now.since(epoch_start).p99());
+        *epoch_start = now;
         self.effective_batch.store(batch.max(1), Ordering::Relaxed);
         self.effective_delay_ns.store(delay_ns.max(1), Ordering::Relaxed);
     }
@@ -462,6 +451,7 @@ pub(crate) fn run_batcher(ingress: Arc<Ingress>) {
         return;
     }
     let mut controller = AdaptiveController::new(&ingress.policy);
+    let mut epoch_start = Histogram::new();
     loop {
         let chunk: Option<Vec<(Request, RequestMeta)>> = {
             let mut pending = ingress.pending.lock().expect("batcher lock");
@@ -500,9 +490,7 @@ pub(crate) fn run_batcher(ingress: Arc<Ingress>) {
                     ingress.batcher_wake.wait_timeout(pending, timeout).expect("batcher wait");
                 pending = guard;
             };
-            if let Some(t) = ingress.shared.telemetry.as_deref() {
-                t.ingress_queued.set(pending.entries.len() as u64);
-            }
+            ingress.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
             chunk
         };
         match chunk {
@@ -512,7 +500,7 @@ pub(crate) fn run_batcher(ingress: Arc<Ingress>) {
                     return;
                 }
                 if let Some(c) = controller.as_mut() {
-                    ingress.maybe_adapt(c);
+                    ingress.maybe_adapt(c, &mut epoch_start);
                 }
             }
         }
@@ -560,9 +548,7 @@ fn run_cadence_batcher(ingress: &Arc<Ingress>) {
             } else {
                 let take = pending.entries.len().min(flush_len);
                 let chunk = Some(pending.entries.drain(..take).collect());
-                if let Some(t) = ingress.shared.telemetry.as_deref() {
-                    t.ingress_queued.set(pending.entries.len() as u64);
-                }
+                ingress.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
                 chunk
             }
         };

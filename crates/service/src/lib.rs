@@ -24,6 +24,12 @@
 //!   enqueue → coalesce → serve → complete timestamps
 //!   ([`RequestTiming`]); p50/p95/p99 latency histograms are folded into
 //!   [`ServiceStats::request_latency`].
+//! * **Counted once** — every statistic lives in one metrics registry,
+//!   written by one pipeline stage (the collector, as it emits a group);
+//!   [`ServiceStats`] is a view over it and
+//!   [`reset_stats`](LaoramService::reset_stats) takes a baseline instead
+//!   of zeroing anything. A [`TelemetrySpec`] adds spans, a sampler and
+//!   the registry's export (`docs/OBSERVABILITY.md`).
 //! * **Batch-compatible** — the training-shaped batch API
 //!   ([`submit`](LaoramService::submit) /
 //!   [`next_response`](LaoramService::next_response)) is a thin layer on
@@ -155,7 +161,12 @@
 //!   timing) would depend on the private access history. Any future cache
 //!   of that shape must document its leakage budget before it ships; the
 //!   ROADMAP tracks this as an explicit trade-off study.
-//! * **Telemetry output.** Enabling [`TelemetrySpec`] creates a new
+//! * **Telemetry output.** The engine always counts into one metrics
+//!   registry ([`ServiceStats`] is a view over it, written by the
+//!   collector as it emits each group), but counting without export adds
+//!   no observer: without a [`TelemetrySpec`] the registry can only be
+//!   read through [`LaoramService::stats`]. Enabling [`TelemetrySpec`]
+//!   creates a new
 //!   observer surface: metric snapshots expose per-shard volumes and
 //!   stage timings (signals the sections above already concede), and
 //!   flight-recorder dumps contain real per-group span timestamps.
@@ -487,6 +498,28 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_batching_reads_the_request_latency_histogram() {
+        // An unreachable target: every epoch's p99 overshoots, so the
+        // controller must halve the batch size as soon as it has seen an
+        // epoch's worth of completed requests.
+        let policy = BatchPolicy::new()
+            .max_batch(64)
+            .max_delay(std::time::Duration::from_millis(1))
+            .p99_target(std::time::Duration::from_nanos(1));
+        let service = LaoramService::start(two_shard_config().batch_policy(policy)).unwrap();
+        assert_eq!(service.effective_batch_policy().max_batch, 64);
+        for _ in 0..2 {
+            let tickets: Vec<_> =
+                (0..128).map(|i| service.submit_request(Request::read(0, i)).unwrap()).collect();
+            for ticket in tickets {
+                service.wait(ticket).unwrap();
+            }
+        }
+        assert!(service.effective_batch_policy().max_batch < 64, "the controller never adapted");
+        service.shutdown().unwrap();
+    }
+
+    #[test]
     fn micro_batcher_deadline_flushes_without_explicit_flush() {
         let service = LaoramService::start(
             ServiceConfig::new()
@@ -578,6 +611,9 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.requests_completed, 32, "only the post-reset batch counted");
         assert_eq!(stats.request_latency.total.count(), 32);
+        assert_eq!(stats.merged.real_accesses, 32);
+        assert_eq!(stats.pad_accesses, 0);
+        assert_eq!(stats.shards.iter().map(|s| s.routed).sum::<u64>(), 32);
         service.shutdown().unwrap();
     }
 

@@ -675,15 +675,17 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Telemetry configuration: enables the unified metrics registry,
-/// pipeline flight recorder, and (optionally) the periodic sampler.
+/// Telemetry configuration: enables the pipeline flight recorder, the
+/// export of the metrics registry, and (optionally) the periodic sampler.
 ///
 /// Telemetry is **off by default** (`ServiceConfig::telemetry` is
-/// `None`): a service without a spec registers nothing, records nothing,
-/// and pays nothing on its hot paths. With a spec attached, recording is
-/// lock-free (relaxed atomics) plus one short mutex per flight-recorder
-/// span; the CI gate holds the measured throughput cost on the in-memory
-/// backend to ≤ 3%.
+/// `None`). The engine counts into its metrics registry either way —
+/// [`ServiceStats`](crate::ServiceStats) is a view over it — but a
+/// service without a spec records no span, starts no thread, and exports
+/// nothing: the telemetry accessors return `None` and the TCP tier
+/// refuses a metrics request. With a spec attached, spans cost one short
+/// mutex each; the CI gate holds the measured throughput cost of what
+/// the spec adds, on the in-memory backend, to ≤ 3%.
 ///
 /// The sampler cadence is **fixed** at [`sample_interval`](Self::sample_interval)
 /// — it never adapts to load, so the sampling schedule itself carries no
@@ -800,8 +802,9 @@ pub struct ServiceConfig {
     /// [`ServiceError::ScratchOnlySpill`](crate::ServiceError::ScratchOnlySpill)
     /// — a restartable table needs an explicit [`StorageBackend::Disk`].
     pub spill_spec: Option<DiskBackendSpec>,
-    /// Telemetry: `None` (the default) disables the registry, flight
-    /// recorder, and sampler entirely; `Some` enables them per the spec.
+    /// Telemetry: `None` (the default) disables the flight recorder, the
+    /// sampler, and every export of the metrics registry; `Some` enables
+    /// them per the spec.
     pub telemetry: Option<TelemetrySpec>,
 }
 
@@ -873,7 +876,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables telemetry (metrics registry + flight recorder, and the
+    /// Enables telemetry (flight recorder + metrics export, and the
     /// sampler when the spec asks for one).
     #[must_use]
     pub fn telemetry(mut self, spec: TelemetrySpec) -> Self {

@@ -3,7 +3,7 @@
 
 use oram_protocol::AccessStats;
 
-use crate::engine::SharedInner;
+use crate::engine::{Shared, SharedInner};
 
 /// The service's latency histogram: the log-linear
 /// [`Histogram`](laoram_telemetry::Histogram) from `laoram-telemetry`.
@@ -18,7 +18,10 @@ pub use laoram_telemetry::Histogram as LatencyHistogram;
 /// Per-request latency statistics, one histogram per pipeline stage
 /// boundary (all in nanoseconds). Recorded when a request's group
 /// completes, so the counters do not depend on when the caller polls its
-/// completions.
+/// completions. After a stats reset each histogram is the difference
+/// from the reset ([`LatencyHistogram::since`]): counts, sums and
+/// quantiles cover only the new window, and the maximum is the lifetime
+/// maximum clamped to the window's top non-empty bucket.
 #[derive(Debug, Clone, Default)]
 pub struct RequestLatencyStats {
     /// enqueue → completion: the full per-request latency.
@@ -37,7 +40,10 @@ pub struct ShardStats {
     pub table: usize,
     /// Shard number within the table.
     pub shard: u32,
-    /// The shard's LAORAM access counters.
+    /// The shard's LAORAM access counters since the last
+    /// [`reset_stats`](crate::LaoramService::reset_stats) — except
+    /// [`stash_peak`](AccessStats::stash_peak), which is a maximum rather
+    /// than a difference and stays the shard's **lifetime** peak.
     pub stats: AccessStats,
     /// Wall-clock nanoseconds this worker spent serving batches.
     pub serve_ns: u64,
@@ -70,7 +76,9 @@ pub struct ShardStats {
 /// preprocessing almost entirely hidden off the critical path.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
-    /// Batches preprocessed since start (or the last stats reset).
+    /// Batches preprocessed since start (or the last stats reset) —
+    /// counted, like every other figure, when the batch's group is
+    /// emitted.
     pub batches: u64,
     /// Cumulative wall-clock nanoseconds spent binning + path-assigning.
     pub preprocess_ns: u64,
@@ -119,7 +127,8 @@ pub struct SkewStats {
     pub routed_ops: u64,
     /// Sum over groups of the longest per-worker sub-batch.
     pub sum_max_subbatch: u64,
-    /// Worst per-group `max / mean` imbalance observed.
+    /// Worst per-group `max / mean` imbalance observed since the last
+    /// stats reset.
     pub worst_imbalance: f64,
     /// Shard workers the mean is taken over (all tables').
     pub workers: u32,
@@ -140,20 +149,22 @@ impl SkewStats {
 }
 
 /// Timing record of one batch's trip through the pipeline (nanoseconds
-/// since engine start).
+/// since engine start), written when the batch's group is emitted.
 #[derive(Debug, Clone, Default)]
 pub struct BatchTiming {
     /// Preprocessing (routing + planning) started.
     pub prep_start_ns: u64,
     /// Preprocessing finished; shard messages dispatched.
     pub prep_end_ns: u64,
-    /// Earliest shard began serving this batch (0 until served).
+    /// Earliest shard began serving this batch (0 for an empty batch).
     pub serve_start_ns: u64,
-    /// Latest shard finished serving this batch (0 until served).
+    /// Latest shard finished serving this batch (0 for an empty batch).
     pub serve_end_ns: u64,
 }
 
-/// A consistent snapshot of the whole engine's statistics.
+/// A consistent snapshot of the whole engine's statistics: a view over
+/// the engine's metrics registry — lifetime totals minus the baseline
+/// taken at the last [`reset_stats`](crate::LaoramService::reset_stats).
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// One entry per shard worker, in flattened worker order.
@@ -167,8 +178,9 @@ pub struct ServiceStats {
     pub worker_errors: Vec<(usize, String)>,
     /// Pipeline-stage timing.
     pub pipeline: PipelineStats,
-    /// Per-group timing records for a recent window of pipeline groups,
-    /// oldest first (bounded; long runs age out old records).
+    /// Per-group timing records for a recent window of emitted groups,
+    /// oldest first (bounded; long runs age out old records, a stats
+    /// reset clears them).
     pub batches: Vec<BatchTiming>,
     /// Per-request latency percentiles (enqueue → coalesce → serve →
     /// complete).
@@ -202,31 +214,94 @@ impl ServiceStats {
     }
 }
 
-pub(crate) fn build_stats(
-    inner: &SharedInner,
-    worker_homes: &[(usize, u32)],
-    wall_ns: u64,
-) -> ServiceStats {
-    let mut shards = Vec::with_capacity(worker_homes.len());
+/// The engine's lifetime totals as a [`ServiceStats`]: every counter is
+/// read straight from the registry (the shards' [`AccessStats`] from the
+/// cumulative copies the collector publishes beside it). The window
+/// fields — `batches`, the overlap figures, `worker_errors`,
+/// `worst_imbalance` — are left empty for [`build_stats`] to fill.
+pub(crate) fn lifetime_totals(shared: &Shared, inner: &SharedInner) -> ServiceStats {
+    let instruments = &shared.instruments;
     let mut merged = AccessStats::new();
-    for (worker, &(table, shard)) in worker_homes.iter().enumerate() {
+    let mut shards = Vec::with_capacity(shared.worker_homes.len());
+    for (worker, &(table, shard)) in shared.worker_homes.iter().enumerate() {
         let stats = inner.worker_stats[worker].clone();
         merged.merge(&stats);
+        let counters = &instruments.workers[worker];
         shards.push(ShardStats {
             table,
             shard,
             stats,
-            serve_ns: inner.worker_serve_ns[worker],
-            batches: inner.worker_batches[worker],
-            routed: inner.worker_routed[worker],
-            pads: inner.worker_pads[worker],
+            serve_ns: counters.serve_ns.total(),
+            batches: counters.batches.total(),
+            routed: counters.routed.total(),
+            pads: counters.pads.total(),
         });
     }
-    // Overlap: preprocessing wall-clock hidden behind concurrent serving.
-    // Merge all serve spans into disjoint intervals, then intersect each
-    // group's preprocessing span with the union.
-    let mut serve_spans: Vec<(u64, u64)> = inner
-        .batch_timing
+    ServiceStats {
+        pipeline: PipelineStats {
+            batches: instruments.prep_batches.total(),
+            preprocess_ns: instruments.prep_ns.total(),
+            serve_ns: shards.iter().map(|s| s.serve_ns).sum(),
+            ..PipelineStats::default()
+        },
+        shards,
+        merged,
+        worker_errors: Vec::new(),
+        batches: Vec::new(),
+        request_latency: RequestLatencyStats {
+            total: instruments.latency_total.snapshot(),
+            queue_wait: instruments.latency_queue_wait.snapshot(),
+            service: instruments.latency_service.snapshot(),
+        },
+        requests_completed: instruments.requests_completed.total(),
+        skew: SkewStats {
+            groups: instruments.skew_groups.total(),
+            routed_ops: instruments.skew_routed_ops.total(),
+            sum_max_subbatch: instruments.skew_sum_max_subbatch.total(),
+            worst_imbalance: 0.0,
+            workers: shared.worker_homes.len() as u32,
+        },
+        pad_accesses: instruments.pad_accesses.total(),
+    }
+}
+
+impl ServiceStats {
+    /// These lifetime totals minus the totals at the last reset barrier.
+    fn since(mut self, baseline: &ServiceStats) -> ServiceStats {
+        for (shard, base) in self.shards.iter_mut().zip(&baseline.shards) {
+            shard.stats = shard.stats.since(&base.stats);
+            shard.serve_ns -= base.serve_ns;
+            shard.batches -= base.batches;
+            shard.routed -= base.routed;
+            shard.pads -= base.pads;
+        }
+        self.merged = self.merged.since(&baseline.merged);
+        self.pipeline.batches -= baseline.pipeline.batches;
+        self.pipeline.preprocess_ns -= baseline.pipeline.preprocess_ns;
+        self.pipeline.serve_ns -= baseline.pipeline.serve_ns;
+        let latency = &baseline.request_latency;
+        self.request_latency.total = self.request_latency.total.since(&latency.total);
+        self.request_latency.queue_wait =
+            self.request_latency.queue_wait.since(&latency.queue_wait);
+        self.request_latency.service = self.request_latency.service.since(&latency.service);
+        self.requests_completed -= baseline.requests_completed;
+        self.skew.groups -= baseline.skew.groups;
+        self.skew.routed_ops -= baseline.skew.routed_ops;
+        self.skew.sum_max_subbatch -= baseline.skew.sum_max_subbatch;
+        self.pad_accesses -= baseline.pad_accesses;
+        self
+    }
+}
+
+/// `(window_preprocess_ns, overlap_ns)` of a timing window: the
+/// preprocessing wall-clock in it, and the part of that hidden behind
+/// concurrent serving — each group's preprocessing span intersected with
+/// the union of all serving spans. One preprocessor thread works through
+/// the groups in order, so the window's preprocessing spans are already
+/// sorted and disjoint, and one sweep over them and the merged serving
+/// spans finds every intersection.
+fn window_overlap(window: &[BatchTiming]) -> (u64, u64) {
+    let mut serve_spans: Vec<(u64, u64)> = window
         .iter()
         .filter(|t| t.serve_end_ns > t.serve_start_ns)
         .map(|t| (t.serve_start_ns, t.serve_end_ns))
@@ -239,43 +314,50 @@ pub(crate) fn build_stats(
             _ => merged_spans.push((lo, hi)),
         }
     }
-    let mut overlap_ns = 0u64;
     let mut window_preprocess_ns = 0u64;
-    for timing in &inner.batch_timing {
-        if timing.prep_end_ns <= timing.prep_start_ns {
-            continue;
-        }
+    let mut overlap_ns = 0u64;
+    // First serving span that can still reach the current (and therefore
+    // any later) preprocessing span.
+    let mut first = 0;
+    for timing in window.iter().filter(|t| t.prep_end_ns > t.prep_start_ns) {
         window_preprocess_ns += timing.prep_end_ns - timing.prep_start_ns;
-        for &(lo, hi) in &merged_spans {
-            let cut_lo = timing.prep_start_ns.max(lo);
-            let cut_hi = timing.prep_end_ns.min(hi);
-            overlap_ns += cut_hi.saturating_sub(cut_lo);
+        while merged_spans.get(first).is_some_and(|&(_, hi)| hi <= timing.prep_start_ns) {
+            first += 1;
+        }
+        for &(lo, hi) in
+            merged_spans[first..].iter().take_while(|&&(lo, _)| lo < timing.prep_end_ns)
+        {
+            overlap_ns += timing.prep_end_ns.min(hi) - timing.prep_start_ns.max(lo);
         }
     }
-    let worker_errors = inner
-        .worker_errors
-        .iter()
-        .enumerate()
-        .filter_map(|(worker, e)| e.as_ref().map(|m| (worker, m.clone())))
-        .collect();
-    ServiceStats {
-        shards,
-        merged,
-        worker_errors,
-        pipeline: PipelineStats {
-            batches: inner.batches_preprocessed,
-            preprocess_ns: inner.preprocess_ns,
-            serve_ns: inner.worker_serve_ns.iter().sum(),
-            wall_ns,
-            window_preprocess_ns,
-            overlap_ns,
-        },
-        batches: inner.batch_timing.clone(),
-        request_latency: inner.request_latency.clone(),
-        requests_completed: inner.requests_completed,
-        skew: inner.skew.clone(),
-        pad_accesses: inner.pad_accesses,
-    }
+    (window_preprocess_ns, overlap_ns)
+}
+
+/// The statistics since the last reset barrier: registry totals minus
+/// the baseline the collector stored there.
+pub(crate) fn build_stats(shared: &Shared) -> ServiceStats {
+    let mut stats = {
+        let inner = shared.inner.lock().expect("stats lock");
+        let totals = lifetime_totals(shared, &inner);
+        let mut stats = match &inner.baseline {
+            Some(baseline) => totals.since(baseline),
+            None => totals,
+        };
+        stats.worker_errors = inner
+            .worker_errors
+            .iter()
+            .enumerate()
+            .filter_map(|(worker, e)| e.as_ref().map(|m| (worker, m.clone())))
+            .collect();
+        stats.skew.worst_imbalance = inner.worst_imbalance;
+        stats.batches = inner.batch_timing.iter().cloned().collect();
+        stats
+    };
+    // The overlap fold runs on the cloned window, after the lock is gone.
+    (stats.pipeline.window_preprocess_ns, stats.pipeline.overlap_ns) =
+        window_overlap(&stats.batches);
+    stats.pipeline.wall_ns = shared.now_ns();
+    stats
 }
 
 #[cfg(test)]
@@ -289,6 +371,64 @@ mod tests {
         p.window_preprocess_ns = 100;
         p.overlap_ns = 80;
         assert!((p.overlap_fraction() - 0.8).abs() < 1e-12);
+    }
+
+    /// The fold `stats()` used to run under the engine lock: every
+    /// preprocessing span against every merged serving span.
+    fn nested_loop_overlap(window: &[BatchTiming]) -> (u64, u64) {
+        let mut spans: Vec<(u64, u64)> = window
+            .iter()
+            .filter(|t| t.serve_end_ns > t.serve_start_ns)
+            .map(|t| (t.serve_start_ns, t.serve_end_ns))
+            .collect();
+        spans.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::new();
+        for (lo, hi) in spans {
+            match merged.last_mut() {
+                Some((_, last_hi)) if lo <= *last_hi => *last_hi = (*last_hi).max(hi),
+                _ => merged.push((lo, hi)),
+            }
+        }
+        let (mut prep, mut overlap) = (0, 0);
+        for t in window.iter().filter(|t| t.prep_end_ns > t.prep_start_ns) {
+            prep += t.prep_end_ns - t.prep_start_ns;
+            for &(lo, hi) in &merged {
+                overlap += t.prep_end_ns.min(hi).saturating_sub(t.prep_start_ns.max(lo));
+            }
+        }
+        (prep, overlap)
+    }
+
+    #[test]
+    fn window_overlap_matches_the_nested_loop() {
+        let timing = |prep: (u64, u64), serve: (u64, u64)| BatchTiming {
+            prep_start_ns: prep.0,
+            prep_end_ns: prep.1,
+            serve_start_ns: serve.0,
+            serve_end_ns: serve.1,
+        };
+        // Disjoint: nothing is being served while anything is planned.
+        let disjoint = [timing((0, 10), (10, 20)), timing((20, 30), (30, 40))];
+        assert_eq!(window_overlap(&disjoint), (20, 0));
+        // Nested: group 1 is planned entirely inside group 0's serving.
+        let nested = [timing((0, 10), (10, 100)), timing((20, 50), (100, 120))];
+        assert_eq!(window_overlap(&nested), (40, 30));
+        // Straddling: plans that start before a serving span and end in
+        // it, cover two of them and the gap between, and end after one;
+        // overlapping and nested serving spans merge; an unserved group
+        // (serve 0..0) and an empty plan (prep 0..0) are skipped.
+        let straddling = [
+            timing((0, 10), (5, 30)),
+            timing((20, 45), (25, 35)),
+            timing((50, 80), (40, 60)),
+            timing((90, 95), (70, 75)),
+            timing((100, 130), (0, 0)),
+            timing((0, 0), (120, 125)),
+        ];
+        assert_eq!(window_overlap(&straddling), (100, 5 + 20 + 15 + 5));
+        for window in [&disjoint[..], &nested[..], &straddling[..], &[]] {
+            assert_eq!(window_overlap(window), nested_loop_overlap(window));
+        }
     }
 
     #[test]

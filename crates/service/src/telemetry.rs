@@ -1,11 +1,14 @@
-//! Engine-side telemetry wiring: the instrument set the pipeline records
-//! into, and the report handed back at shutdown.
+//! Engine-side telemetry wiring: the instrument set the engine counts
+//! in, the optional flight recorder, and the report handed back at
+//! shutdown.
 //!
 //! All instruments live in one [`Registry`] under the workspace naming
 //! scheme (`service.*`, `shard.N.*`, `disk.*`), so a single snapshot
-//! covers ingress, batcher, per-shard, and disk activity. The flight
-//! recorder collects pipeline spans and is dumped to a JSON file on the
-//! first worker error, on a startup refusal, or on request.
+//! covers ingress, batcher, per-shard, and disk activity — and
+//! [`ServiceStats`](crate::ServiceStats) is a view over the same
+//! registry. The flight recorder, present only with a [`TelemetrySpec`],
+//! collects pipeline spans and is dumped to a JSON file on the first
+//! worker error, on a startup refusal, or on request.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -13,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use laoram_telemetry::{
-    Counter, FlightDump, FlightRecorder, Gauge, HistogramHandle, Registry, TelemetrySnapshot,
+    Counter, FlightRecorder, Gauge, HistogramHandle, Registry, TelemetrySnapshot,
 };
 
 use crate::spec::TelemetrySpec;
@@ -37,7 +40,7 @@ pub struct TelemetryReport {
 }
 
 /// Per-worker instrument handles.
-pub(crate) struct WorkerTelemetry {
+pub(crate) struct WorkerInstruments {
     pub routed: Counter,
     pub pads: Counter,
     pub batches: Counter,
@@ -46,16 +49,13 @@ pub(crate) struct WorkerTelemetry {
     pub real_accesses: Counter,
 }
 
-/// The engine's instrument set plus the flight recorder and dump policy.
-pub(crate) struct EngineTelemetry {
+/// The engine's instrument set — always present, and the only place the
+/// engine counts anything. The ingress writes `service.ingress.*`; every
+/// other instrument is written by the collector when a group is emitted.
+/// Whether an operator can *read* the registry is a separate matter,
+/// gated on [`TelemetrySpec`] (see [`Flight`]).
+pub(crate) struct Instruments {
     pub registry: Registry,
-    pub recorder: Arc<FlightRecorder>,
-    epoch: Instant,
-    dump_dir: PathBuf,
-    /// Guards the automatic (worker-error) dump: one per service run.
-    auto_dumped: AtomicBool,
-    dump_seq: AtomicU64,
-    dumps_written: Mutex<Vec<PathBuf>>,
     // Ingress / batcher.
     pub ingress_queued: Gauge,
     pub ingress_submitted: Counter,
@@ -66,8 +66,14 @@ pub(crate) struct EngineTelemetry {
     pub latency_total: HistogramHandle,
     pub latency_queue_wait: HistogramHandle,
     pub latency_service: HistogramHandle,
+    // Preprocessor measurements.
+    pub prep_ns: Counter,
+    pub prep_batches: Counter,
+    pub skew_groups: Counter,
+    pub skew_routed_ops: Counter,
+    pub skew_sum_max_subbatch: Counter,
     // Per shard worker, in flattened worker order.
-    pub workers: Vec<WorkerTelemetry>,
+    pub workers: Vec<WorkerInstruments>,
     // Disk totals, summed over every disk-backed shard.
     pub disk_reads: Counter,
     pub disk_read_bytes: Counter,
@@ -75,22 +81,12 @@ pub(crate) struct EngineTelemetry {
     pub disk_flush_bytes: Counter,
 }
 
-impl std::fmt::Debug for EngineTelemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineTelemetry")
-            .field("registry", &self.registry)
-            .field("recorder", &self.recorder)
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
-impl EngineTelemetry {
+impl Instruments {
     /// Builds the full instrument set for `num_workers` shard workers.
-    pub(crate) fn new(spec: &TelemetrySpec, epoch: Instant, num_workers: usize) -> Self {
+    pub(crate) fn new(num_workers: usize) -> Self {
         let registry = Registry::new();
         let workers = (0..num_workers)
-            .map(|w| WorkerTelemetry {
+            .map(|w| WorkerInstruments {
                 routed: registry.counter(&format!("shard.{w}.routed")),
                 pads: registry.counter(&format!("shard.{w}.pads")),
                 batches: registry.counter(&format!("shard.{w}.batches")),
@@ -99,13 +95,7 @@ impl EngineTelemetry {
                 real_accesses: registry.counter(&format!("shard.{w}.real_accesses")),
             })
             .collect();
-        EngineTelemetry {
-            recorder: Arc::new(FlightRecorder::new(spec.flight_spans)),
-            epoch,
-            dump_dir: spec.flight_dump_dir.clone().unwrap_or_else(std::env::temp_dir),
-            auto_dumped: AtomicBool::new(false),
-            dump_seq: AtomicU64::new(0),
-            dumps_written: Mutex::new(Vec::new()),
+        Instruments {
             ingress_queued: registry.gauge("service.ingress.queued"),
             ingress_submitted: registry.counter("service.ingress.submitted"),
             groups: registry.counter("service.ingress.groups"),
@@ -114,6 +104,11 @@ impl EngineTelemetry {
             latency_total: registry.histogram("service.request.total_ns"),
             latency_queue_wait: registry.histogram("service.request.queue_wait_ns"),
             latency_service: registry.histogram("service.request.service_ns"),
+            prep_ns: registry.counter("service.prep.ns"),
+            prep_batches: registry.counter("service.prep.batches"),
+            skew_groups: registry.counter("service.skew.groups"),
+            skew_routed_ops: registry.counter("service.skew.routed_ops"),
+            skew_sum_max_subbatch: registry.counter("service.skew.sum_max_subbatch"),
             workers,
             disk_reads: registry.counter("disk.reads"),
             disk_read_bytes: registry.counter("disk.read_bytes"),
@@ -122,15 +117,37 @@ impl EngineTelemetry {
             registry,
         }
     }
+}
+
+/// What a [`TelemetrySpec`] turns on: the flight recorder and its dump
+/// policy. Its presence is also what makes the registry readable
+/// (snapshots, Prometheus text, the sampler, the shutdown report).
+pub(crate) struct Flight {
+    pub recorder: Arc<FlightRecorder>,
+    /// The engine epoch (shared with backend/core span hooks).
+    pub epoch: Instant,
+    dump_dir: PathBuf,
+    /// Guards the automatic (worker-error) dump: one per service run.
+    auto_dumped: AtomicBool,
+    dump_seq: AtomicU64,
+    dumps_written: Mutex<Vec<PathBuf>>,
+}
+
+impl Flight {
+    pub(crate) fn new(spec: &TelemetrySpec, epoch: Instant) -> Self {
+        Flight {
+            recorder: Arc::new(FlightRecorder::new(spec.flight_spans)),
+            epoch,
+            dump_dir: spec.flight_dump_dir.clone().unwrap_or_else(std::env::temp_dir),
+            auto_dumped: AtomicBool::new(false),
+            dump_seq: AtomicU64::new(0),
+            dumps_written: Mutex::new(Vec::new()),
+        }
+    }
 
     /// Nanoseconds since the engine epoch.
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// The engine epoch (shared with backend/core span hooks).
-    pub(crate) fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// Dumps the flight recorder to a JSON file in the dump directory.
@@ -158,11 +175,6 @@ impl EngineTelemetry {
             return None;
         }
         self.dump_to_file(reason)
-    }
-
-    /// In-memory dump (no file), for callers that want the spans.
-    pub(crate) fn dump(&self, reason: &str) -> FlightDump {
-        self.recorder.dump(reason)
     }
 
     /// Paths of every dump file written so far.

@@ -172,6 +172,33 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
+    /// The observations recorded after `baseline` was taken, where
+    /// `baseline` is an earlier snapshot of the same histogram: buckets,
+    /// count and sum subtract (saturating). A maximum is not a
+    /// difference, so the result reports the lifetime maximum clamped to
+    /// the top non-empty bucket of the difference — exact whenever the
+    /// largest value arrived after the baseline, within one sub-bucket
+    /// otherwise.
+    #[must_use]
+    pub fn since(&self, baseline: &Histogram) -> Histogram {
+        let mut out = Histogram::new();
+        let mut top = None;
+        for (index, (mine, theirs)) in self.buckets.iter().zip(baseline.buckets.iter()).enumerate()
+        {
+            out.buckets[index] = mine.saturating_sub(*theirs);
+            if out.buckets[index] > 0 {
+                top = Some(index);
+            }
+        }
+        out.count = self.count.saturating_sub(baseline.count);
+        out.sum = self.sum.saturating_sub(baseline.sum);
+        out.max = top.map_or(0, |index| {
+            let (lo, width) = bucket_bounds(index);
+            self.max.min(lo.saturating_add(width - 1))
+        });
+        out
+    }
+
     /// Condensed summary used by snapshots and exporters.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
@@ -457,6 +484,51 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, combined);
+    }
+
+    #[test]
+    fn since_is_the_inverse_of_merge() {
+        let mut earlier = Histogram::new();
+        let mut later_only = Histogram::new();
+        for v in 0..400u64 {
+            earlier.record(v * 5 + 2);
+        }
+        let mut total = earlier.clone();
+        for v in 0..300u64 {
+            total.record(v * 11 + 7);
+            later_only.record(v * 11 + 7);
+        }
+        // The largest value arrived after the baseline, so the
+        // difference is exactly the histogram of the later samples.
+        let diff = total.since(&earlier);
+        assert_eq!(diff, later_only);
+        for q in [0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(diff.quantile(q), later_only.quantile(q), "q={q}");
+        }
+        let mut rebuilt = earlier.clone();
+        rebuilt.merge(&diff);
+        assert_eq!(rebuilt, total);
+        assert_eq!(total.since(&total), Histogram::new());
+    }
+
+    #[test]
+    fn since_clamps_a_pre_baseline_max() {
+        let mut earlier = Histogram::new();
+        earlier.record(1_000_000);
+        let mut total = earlier.clone();
+        for _ in 0..10 {
+            total.record(100);
+        }
+        let diff = total.since(&earlier);
+        assert_eq!(diff.count(), 10);
+        assert_eq!(diff.sum(), 1_000);
+        // The lifetime max (1 ms) pre-dates the baseline: the difference
+        // reports the top of its own highest bucket, [100, 104).
+        assert_eq!(diff.max_ns(), 103);
+        assert!((100..=103).contains(&diff.p99()), "p99 {}", diff.p99());
+        let mut rebuilt = earlier.clone();
+        rebuilt.merge(&diff);
+        assert_eq!(rebuilt, total);
     }
 
     #[test]

@@ -622,3 +622,28 @@ fn metrics_frame_serves_prometheus_exposition() {
     client.goodbye().expect("goodbye");
     server.shutdown().expect("shutdown");
 }
+
+/// Without a `TelemetrySpec` the engine still counts (its statistics are
+/// a view over the registry), but nothing is exported: a metrics request
+/// is refused with an error frame and the connection keeps serving.
+#[test]
+fn metrics_request_is_refused_without_a_telemetry_spec() {
+    let server =
+        start_server(small_config(19, 16, Duration::from_millis(1)), NetServerConfig::default());
+    let mut client = NetClient::connect(server.local_addr(), 3).expect("connect");
+    client.read(1, 0, 9).expect("send");
+    match client.metrics() {
+        Err(laoram::net::NetError::Refused { code, message }) => {
+            assert_eq!(code, ErrorCode::Internal);
+            assert!(message.contains("telemetry is disabled"), "refusal reads: {message}");
+        }
+        other => panic!("metrics must be refused without a TelemetrySpec: {other:?}"),
+    }
+    // The request submitted before the refusal still completes, and so
+    // does one submitted after it.
+    assert!(matches!(client.recv().expect("recv"), NetEvent::Response { id: 1, .. }));
+    client.read(2, 0, 10).expect("send after refusal");
+    assert!(matches!(client.recv().expect("recv"), NetEvent::Response { id: 2, .. }));
+    client.goodbye().expect("goodbye");
+    server.shutdown().expect("shutdown");
+}

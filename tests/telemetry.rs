@@ -1,8 +1,10 @@
 //! Integration tests of the unified telemetry layer through the serving
 //! engine: registry counters agreeing with `ServiceStats` on a fixed
-//! trace, pipeline spans landing in the flight recorder, the automatic
-//! dump on a refused start, sampler snapshot monotonicity, per-table disk
-//! I/O surfacing, and the whole layer being absent when not configured.
+//! trace (and staying monotonic across a stats reset), `ServiceStats`
+//! not depending on whether telemetry is configured, pipeline spans
+//! landing in the flight recorder, the automatic dump on a refused
+//! start, sampler snapshot monotonicity, per-table disk I/O surfacing,
+//! and nothing being exported when not configured.
 
 use std::time::Duration;
 
@@ -37,7 +39,9 @@ fn batches(count: usize) -> Vec<Vec<Request>> {
 #[test]
 fn snapshot_counters_match_service_stats_on_a_fixed_trace() {
     let mut service = LaoramService::start(mem_config(2).telemetry(TelemetrySpec::new())).unwrap();
-    for batch in batches(4) {
+    let mut trace = batches(8);
+    let second_half = trace.split_off(4);
+    for batch in trace {
         service.submit(batch).unwrap();
     }
     service.drain().unwrap();
@@ -77,7 +81,92 @@ fn snapshot_counters_match_service_stats_on_a_fixed_trace() {
         "prometheus exposition:\n{text}"
     );
 
+    // A reset starts a new window without rewinding the registry:
+    // ServiceStats is the registry minus the baseline taken here.
+    let at_reset = snapshot;
+    service.reset_stats().unwrap();
+    for batch in second_half {
+        service.submit(batch).unwrap();
+    }
+    service.drain().unwrap();
+    let stats = service.stats();
+    let after = service.telemetry_snapshot().expect("telemetry is on");
+
+    for sample in &at_reset.metrics {
+        if let Some(before) = at_reset.counter(&sample.name) {
+            let now = after.counter(&sample.name).unwrap();
+            assert!(now >= before, "{} went backwards across the reset", sample.name);
+        }
+    }
+    assert_eq!(after.counter("service.requests.completed"), Some(2 * submitted));
+    for name in
+        ["service.request.total_ns", "service.request.queue_wait_ns", "service.request.service_ns"]
+    {
+        assert_eq!(after.histogram(name).unwrap().count, 2 * submitted, "{name} lifetime count");
+    }
+
+    let window = |name: &str| after.counter(name).unwrap() - at_reset.counter(name).unwrap();
+    assert_eq!(stats.requests_completed, submitted, "exactly the second half");
+    assert_eq!(stats.request_latency.total.count(), submitted);
+    assert_eq!(stats.merged.real_accesses, submitted);
+    assert_eq!(stats.pipeline.batches, 4);
+    assert_eq!(stats.requests_completed, window("service.requests.completed"));
+    assert_eq!(stats.pad_accesses, window("service.pad_accesses"));
+    for (w, shard) in stats.shards.iter().enumerate() {
+        assert_eq!(shard.routed, window(&format!("shard.{w}.routed")), "shard {w} routed");
+        assert_eq!(shard.pads, window(&format!("shard.{w}.pads")), "shard {w} pads");
+        assert_eq!(shard.batches, window(&format!("shard.{w}.batches")), "shard {w} batches");
+        assert_eq!(
+            shard.stats.real_accesses,
+            window(&format!("shard.{w}.real_accesses")),
+            "shard {w} real accesses"
+        );
+    }
+
     service.shutdown().unwrap();
+}
+
+/// The engine has one counting path whether or not a `TelemetrySpec` is
+/// set: the same trace yields the same `ServiceStats` counters.
+#[test]
+fn service_stats_do_not_depend_on_the_telemetry_spec() {
+    let run = |config: ServiceConfig| {
+        let mut service = LaoramService::start(config).unwrap();
+        // Drained one at a time: each group is then planned and served
+        // with no successor staged, so the path counters are exact too.
+        for batch in batches(4) {
+            service.submit(batch).unwrap();
+            service.drain().unwrap();
+        }
+        let stats = service.stats();
+        service.shutdown().unwrap();
+        stats
+    };
+    let off = run(mem_config(2));
+    let on = run(mem_config(2).telemetry(TelemetrySpec::new()));
+
+    assert_eq!(on.merged, off.merged);
+    assert_eq!(on.shards.len(), off.shards.len());
+    for (a, b) in on.shards.iter().zip(&off.shards) {
+        assert_eq!((a.routed, a.pads, a.batches), (b.routed, b.pads, b.batches));
+        assert_eq!(a.stats, b.stats);
+    }
+    assert_eq!(on.pipeline.batches, off.pipeline.batches);
+    assert_eq!(on.requests_completed, off.requests_completed);
+    assert_eq!(on.requests_completed, (4 * BATCH_LEN) as u64);
+    assert_eq!(on.pad_accesses, off.pad_accesses);
+    for (a, b) in [
+        (&on.request_latency.total, &off.request_latency.total),
+        (&on.request_latency.queue_wait, &off.request_latency.queue_wait),
+        (&on.request_latency.service, &off.request_latency.service),
+    ] {
+        assert_eq!(a.count(), b.count());
+    }
+    assert_eq!(
+        (on.skew.groups, on.skew.routed_ops, on.skew.sum_max_subbatch),
+        (off.skew.groups, off.skew.routed_ops, off.skew.sum_max_subbatch)
+    );
+    assert!(off.skew.groups > 0 && off.pipeline.preprocess_ns > 0, "the off engine counted");
 }
 
 #[test]
