@@ -22,6 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod golden;
 mod insecure;
 mod proram_dynamic;
 mod proram_static;

@@ -69,7 +69,7 @@ impl PrOramDynamicConfig {
 
 /// Dynamic-superblock PrORAM over the Path ORAM engine.
 pub struct PrOramDynamic {
-    inner: PathOramClient,
+    pub(crate) inner: PathOramClient,
     config: PrOramDynamicConfig,
     /// log2 of the group size each block currently belongs to.
     level: Vec<u8>,
@@ -247,7 +247,7 @@ impl PrOramDynamic {
             let bid = BlockId::new(b);
             if !self.inner.stash_contains(bid) {
                 let path = self.inner.position_of(bid)?;
-                self.inner.fetch_path(path, AccessKind::Real);
+                self.inner.fetch_path_pending(path, AccessKind::Real);
                 if !first_read {
                     self.inner.note_cold_miss();
                 }

@@ -39,7 +39,7 @@ impl PrOramStaticConfig {
 /// benefit PrORAM is built around); any access to a different group
 /// flushes the previous one.
 pub struct PrOramStatic {
-    inner: PathOramClient,
+    pub(crate) inner: PathOramClient,
     group_size: u32,
     /// Members of the most recently fetched group still held client-side.
     cached_group: Option<u32>,
@@ -120,7 +120,7 @@ impl PrOramStatic {
         self.flush_cache()?;
 
         let path = self.inner.position_of(id)?;
-        self.inner.fetch_path(path, AccessKind::Real);
+        self.inner.fetch_path_pending(path, AccessKind::Real);
         // Check out every member; all share `path` by construction.
         let start = group * self.group_size;
         let end = (start + self.group_size).min(self.inner.num_blocks());

@@ -136,7 +136,7 @@ fn run_custom_profile(
         let members = plan.bin_members(bin).to_vec();
         let head = members[0];
         let path = client.position_of(head).expect("position");
-        client.fetch_path(path, AccessKind::Real);
+        client.fetch_path_pending(path, AccessKind::Real);
         for (i, &m) in members.iter().enumerate() {
             if client.stash_contains(m) {
                 let mut block = client.take_from_stash(m).expect("member fetched");

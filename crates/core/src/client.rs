@@ -582,21 +582,7 @@ impl<S: BucketStore> LaOram<S> {
         if !self.config.payloads {
             return Err(LaOramError::Protocol(oram_protocol::ProtocolError::PayloadsDisabled));
         }
-        let block = self.serve(idx)?;
-        let stored = block.replace_data(None);
-        let plain_old = match (&self.sealer, stored) {
-            (Some(s), Some(c)) => s.open(&c),
-            (_, stored) => stored,
-        };
-        let new = f(plain_old.as_deref());
-        let sealed = match &mut self.sealer {
-            Some(s) => s.seal(&new),
-            None => new,
-        };
-        // Re-borrow the cached block (sealer borrow above ends here).
-        let block = self.cache.get_mut(&BlockId::new(idx)).expect("serve keeps the block cached");
-        block.replace_data(Some(sealed));
-        Ok(())
+        self.rewrite_served(idx, f).map(|_| ())
     }
 
     /// Fused training step following the plan: applies `update` to the
@@ -634,18 +620,21 @@ impl<S: BucketStore> LaOram<S> {
                 ),
             });
         }
-        let block = self.serve(idx)?;
-        let stored = block.replace_data(None);
-        let plain_old = match (&self.sealer, stored) {
-            (Some(s), Some(c)) => s.open(&c),
-            (_, stored) => stored,
-        };
-        let new = update.apply(layout, plain_old.as_deref());
-        let sealed = match &mut self.sealer {
-            Some(s) => s.seal(&new),
-            None => new,
-        };
-        // Re-borrow the cached block (sealer borrow above ends here).
+        self.rewrite_served(idx, |old| update.apply(layout, old))
+    }
+
+    /// Serves the next planned access and rewrites its row in the cache:
+    /// open the stored payload, let `apply` produce the replacement, seal
+    /// it, store it. Returns the pre-update plaintext.
+    fn rewrite_served(
+        &mut self,
+        idx: u32,
+        apply: impl FnOnce(Option<&[u8]>) -> Box<[u8]>,
+    ) -> Result<Option<Box<[u8]>>> {
+        let stored = self.serve(idx)?.replace_data(None);
+        let plain_old = self.open_payload(stored);
+        let sealed = self.seal_payload(apply(plain_old.as_deref()));
+        // Re-borrow the cached block (the sealer needed `self` in between).
         let block = self.cache.get_mut(&BlockId::new(idx)).expect("serve keeps the block cached");
         block.replace_data(Some(sealed));
         Ok(plain_old)
@@ -690,10 +679,10 @@ impl<S: BucketStore> LaOram<S> {
         let first_fetch_of_bin =
             !self.plan.bin_members(bin).iter().any(|m| self.cache.contains_key(m));
         let path = self.inner.position_of(accessed)?;
-        // Fused serve: the fetched path stays pending in the protocol
-        // client's scratch — the takes below resolve against it directly
-        // and the write-back plans over the combined holdings, so path
-        // passengers never materialise as stash blocks.
+        // The fetched path stays pending in the protocol client's scratch
+        // — the takes below resolve against it directly and the write-back
+        // plans over the combined holdings, so path passengers never
+        // materialise as stash blocks.
         self.inner.fetch_path_pending(path, AccessKind::Real);
         if !first_fetch_of_bin {
             // A previous fetch for this bin missed this member: the member
@@ -760,10 +749,15 @@ impl<S: BucketStore> LaOram<S> {
         blocks.clear();
         self.scratch_ids = blocks;
         self.inner.maybe_background_evict()?;
-        // Superblock boundary = storage durability point: flush the
-        // store's write-back buffer (no-op for in-memory trees), then
-        // checkpoint the client state against the new generation when
-        // persistence is enabled.
+        // Superblock boundary = storage durability point.
+        self.sync_point()
+    }
+
+    /// A durability point: flushes the store's write-back buffer (no-op
+    /// for in-memory trees), then checkpoints the client state against
+    /// the new generation when persistence is enabled — one `core.sync`
+    /// span around both.
+    fn sync_point(&mut self) -> Result<()> {
         let sync_start = self.telemetry.as_ref().map(|t| t.now_ns());
         self.inner.sync_storage()?;
         self.write_snapshot()?;
@@ -788,13 +782,7 @@ impl<S: BucketStore> LaOram<S> {
         // flush_cache early-returns on an empty cache, so sync (and
         // snapshot) here unconditionally: a finished client must leave
         // its store at a durability point for reopen to accept it.
-        let sync_start = self.telemetry.as_ref().map(|t| t.now_ns());
-        self.inner.sync_storage()?;
-        self.write_snapshot()?;
-        if let (Some(start_ns), Some(telemetry)) = (sync_start, self.telemetry.as_ref()) {
-            telemetry.span("core.sync", start_ns, Some(format!("stash={}", self.stash_len())));
-        }
-        Ok(())
+        self.sync_point()
     }
 
     /// Runs the entire remaining planned stream as reads, returning the

@@ -20,11 +20,20 @@ use crate::{
 ///
 /// A logical access to block `b`:
 /// 1. looks up `b`'s path in the position map,
-/// 2. reads the entire path into the stash,
+/// 2. reads the entire path (it joins the stash's holdings),
 /// 3. reassigns `b` to a fresh path (uniform, or a caller-provided hint —
 ///    the hook superblock schemes use),
-/// 4. greedily writes the stash back along the path just read,
+/// 4. greedily writes the holdings back along the path just read,
 /// 5. drains the stash with dummy reads if it exceeds the high-water mark.
+///
+/// Every operation runs on **one** fetch → write-back route:
+/// [`fetch_path_pending`](Self::fetch_path_pending) reads the path into a
+/// reusable scratch where it stays *pending* — logically stash holdings,
+/// physically never copied into the stash — and
+/// [`writeback_path`](Self::writeback_path) plans over the combined
+/// holdings. A logical access is that pair around one checkout,
+/// [`dummy_access`](Self::dummy_access) that pair around none, and a
+/// sealed client only adds a re-seal of everything it is about to offer.
 ///
 /// # Storage backends
 ///
@@ -43,14 +52,17 @@ use crate::{
 ///
 /// # Advanced primitives
 ///
-/// [`fetch_path`](Self::fetch_path), [`writeback_path`](Self::writeback_path),
+/// [`fetch_path_pending`](Self::fetch_path_pending),
+/// [`writeback_path`](Self::writeback_path),
 /// [`take_from_stash`](Self::take_from_stash) /
 /// [`return_to_stash`](Self::return_to_stash) and
 /// [`assign_leaf`](Self::assign_leaf) expose the protocol steps individually
 /// so higher layers can fetch a whole superblock with one path read and keep
-/// its members in a client cache. Misuse is guarded: blocks taken from the
-/// stash are tracked as *checked out* and the invariant checker accounts for
-/// them.
+/// its members in a client cache. Between a fetch and its write-back the
+/// checkout primitives see the pending path as stash holdings; outside a
+/// serve they act on the stash proper. Misuse is guarded: blocks taken
+/// from the stash are tracked as *checked out* and the invariant checker
+/// accounts for them.
 pub struct PathOramClient<S: BucketStore = TreeStorage> {
     storage: S,
     stash: Stash2,
@@ -110,25 +122,25 @@ impl PayloadPool {
 /// Per-client reusable buffers for the serving path: the scratch every
 /// path fetch lands in, and a payload-box pool bridging it and the stash.
 ///
-/// The `pending` group carries a *fused serve* between
+/// The `pending` group carries an open serve between
 /// [`PathOramClient::fetch_path_pending`] and the closing
 /// [`PathOramClient::writeback_path`]: the fetched path stays in `fetch`
 /// instead of materialising into the stash, and `order` tracks the
 /// virtual candidate sequence `[stash..., fetched...]` through any
-/// checkouts so the write-back plans over exactly the order the classic
-/// fetch-insert-take-drain route would have produced.
+/// checkouts and returns, so the write-back plans over exactly the order
+/// a stash that had absorbed the path would be in.
 #[derive(Debug, Default)]
 struct AccessScratch {
     fetch: PathScratch,
     pool: PayloadPool,
     placed: Vec<bool>,
-    /// A fused serve is open: `fetch` holds live path slots and `order` /
+    /// A serve is open: `fetch` holds live path slots and `order` /
     /// `fetch_taken` are authoritative.
     pending: bool,
-    /// Handles into the virtual candidate vec: `h < stash.len()` is stash
-    /// position `h`; otherwise fetch-scratch slot `h - stash.len()`.
-    /// Checkouts `swap_remove` from this vec exactly as [`Stash::take`]
-    /// would from the materialised stash.
+    /// Handles into the virtual candidate vec: a stash position, or with
+    /// [`FETCHED`] set a fetch-scratch slot. Checkouts `swap_remove` from
+    /// this vec and returns push onto it, exactly as [`Stash::take`] and
+    /// [`Stash::insert`] would on a materialised stash.
     order: Vec<u32>,
     /// Fetch-scratch slots already checked out (their slot bytes are
     /// stale; `order` no longer references them).
@@ -137,57 +149,20 @@ struct AccessScratch {
     rebuilt: Vec<Block>,
 }
 
-/// The borrowed candidate view the in-place write-back hands to
-/// [`BucketStore::write_path_with`]: the live stash (in stash order)
-/// followed by a just-fetched path still sitting in the fetch scratch.
-/// This is exactly the candidate order `take_all` would yield after the
-/// unbatched fetch inserted the path's blocks, so the shared planner makes
-/// identical placement decisions.
-struct WriteBackView<'a> {
-    stash: &'a [Block],
-    fetched: &'a PathScratch,
-}
+/// Handle bit marking a fetch-scratch slot (the other bits are the slot
+/// index); without it a handle is a stash position.
+const FETCHED: u32 = 1 << 31;
 
-impl PathCandidates for WriteBackView<'_> {
-    fn len(&self) -> usize {
-        self.stash.len() + self.fetched.len()
-    }
-
-    fn leaf_of(&self, i: usize) -> LeafId {
-        match i.checked_sub(self.stash.len()) {
-            Some(j) => self.fetched.leaf(j),
-            None => self.stash[i].leaf(),
-        }
-    }
-
-    fn get(&self, i: usize) -> Candidate<'_> {
-        match i.checked_sub(self.stash.len()) {
-            Some(j) => self.fetched.get(j),
-            None => Candidate::Block(&self.stash[i]),
-        }
-    }
-}
-
-/// The fused-serve counterpart of [`WriteBackView`]: candidate `v` is
-/// whatever `order[v]` resolves to, so checkouts that `swap_remove`d
-/// handles from `order` are invisible to the planner — exactly as blocks
-/// taken out of a materialised stash would be. Handles below `stash_len`
-/// index the stash vector (tombstoned positions are never referenced);
-/// the rest index the fetch scratch.
+/// The borrowed candidate view a write-back hands to
+/// [`BucketStore::write_path_with`]: candidate `v` is whatever `order[v]`
+/// resolves to, so checkouts that `swap_remove`d handles from `order` are
+/// invisible to the planner — exactly as blocks taken out of a
+/// materialised stash would be. Tombstoned stash positions are never
+/// referenced.
 struct OrderedView<'a> {
     stash: &'a [Block],
     fetched: &'a PathScratch,
     order: &'a [u32],
-}
-
-impl OrderedView<'_> {
-    fn resolve(&self, v: usize) -> (usize, bool) {
-        let h = self.order[v] as usize;
-        match h.checked_sub(self.stash.len()) {
-            Some(j) => (j, true),
-            None => (h, false),
-        }
-    }
 }
 
 impl PathCandidates for OrderedView<'_> {
@@ -196,16 +171,16 @@ impl PathCandidates for OrderedView<'_> {
     }
 
     fn leaf_of(&self, v: usize) -> LeafId {
-        match self.resolve(v) {
-            (j, true) => self.fetched.leaf(j),
-            (p, false) => self.stash[p].leaf(),
+        match self.order[v] {
+            h if h & FETCHED != 0 => self.fetched.leaf((h ^ FETCHED) as usize),
+            h => self.stash[h as usize].leaf(),
         }
     }
 
     fn get(&self, v: usize) -> Candidate<'_> {
-        match self.resolve(v) {
-            (j, true) => self.fetched.get(j),
-            (p, false) => Candidate::Block(&self.stash[p]),
+        match self.order[v] {
+            h if h & FETCHED != 0 => self.fetched.get((h ^ FETCHED) as usize),
+            h => Candidate::Block(&self.stash[h as usize]),
         }
     }
 }
@@ -484,23 +459,12 @@ impl<S: BucketStore> PathOramClient<S> {
         if !self.payloads {
             return Err(ProtocolError::PayloadsDisabled);
         }
-        self.check_block(id)?;
-        self.stats.real_accesses += 1;
-        let path = self.posmap.get(id);
-        self.fetch_path(path, AccessKind::Real);
-        let mut block =
-            self.stash.take(id).ok_or(ProtocolError::CheckoutViolation { block: id })?;
-        let new_leaf = self.random_leaf();
-        block.set_leaf(new_leaf);
-        self.posmap.set(id, new_leaf);
-        let plain_old = self.open_payload(block.replace_data(None));
-        let new = f(plain_old.as_deref());
-        let sealed = self.seal_payload(new);
-        block.replace_data(Some(sealed));
-        self.stash.insert(block);
-        self.writeback_path(path);
-        self.maybe_background_evict()?;
-        Ok(plain_old)
+        self.access_with(id, None, |client, block| {
+            let plain_old = client.open_payload(block.replace_data(None));
+            let sealed = client.seal_payload(f(plain_old.as_deref()));
+            block.replace_data(Some(sealed));
+            plain_old
+        })
     }
 
     /// Full access with an optional payload update and an optional new-leaf
@@ -521,46 +485,71 @@ impl<S: BucketStore> PathOramClient<S> {
         if new_data.is_some() && !self.payloads {
             return Err(ProtocolError::PayloadsDisabled);
         }
+        self.access_with(id, leaf_hint, |client, block| {
+            let stored = match new_data {
+                Some(d) => {
+                    let sealed = client.seal_payload(d);
+                    block.replace_data(Some(sealed))
+                }
+                None => block.data().map(Box::from),
+            };
+            client.open_payload(stored)
+        })
+    }
+
+    /// The one access skeleton every logical operation runs: open a serve
+    /// on the block's path, check the block out, remap it, let `rewrite`
+    /// touch its payload (it returns what the caller gets back), hand the
+    /// block in as the last write-back candidate, close the serve.
+    fn access_with(
+        &mut self,
+        id: BlockId,
+        leaf_hint: Option<LeafId>,
+        rewrite: impl FnOnce(&mut Self, &mut Block) -> Option<Box<[u8]>>,
+    ) -> Result<Option<Box<[u8]>>> {
+        self.check_block(id)?;
+        if let Some(hint) = leaf_hint {
+            self.geometry().check_leaf(hint)?;
+        }
         self.stats.real_accesses += 1;
         let path = self.posmap.get(id);
-        self.fetch_path(path, AccessKind::Real);
-
-        // The block is now either in the stash (fetched or already there)
-        // or it is a populated metadata-only block; it must exist.
-        let mut block =
-            self.stash.take(id).ok_or(ProtocolError::CheckoutViolation { block: id })?;
+        self.fetch_path_pending(path, AccessKind::Real);
+        // Fetched or already stashed, the block is now among the serve's
+        // holdings; it must exist.
+        let mut block = self.take_from_stash(id)?;
         let new_leaf = match leaf_hint {
-            Some(l) => {
-                self.geometry().check_leaf(l)?;
-                l
-            }
+            Some(hint) => hint,
             None => self.random_leaf(),
         };
         block.set_leaf(new_leaf);
         self.posmap.set(id, new_leaf);
-        let old = match new_data {
-            Some(d) => {
-                let sealed = self.seal_payload(d);
-                block.replace_data(Some(sealed))
-            }
-            None => block.data().map(Box::from),
-        };
-        self.stash.insert(block);
-
+        let answer = rewrite(self, &mut block);
+        self.return_to_stash(block)?;
         self.writeback_path(path);
         self.maybe_background_evict()?;
-        Ok(self.open_payload(old))
+        Ok(answer)
     }
 
     // ------------------------------------------------------------------
     // Advanced primitives (used by LAORAM / PrORAM layers)
     // ------------------------------------------------------------------
 
-    /// The fetch half of every route: reads the path to `leaf` into the
-    /// fetch scratch, recording stats (the stash high-water mark counts
-    /// the fetched blocks wherever they end up) and notifying the observer.
-    fn fetch_into_scratch(&mut self, leaf: LeafId, kind: AccessKind) {
-        debug_assert!(!self.scratch.pending, "path fetch during a fused serve");
+    /// Opens a serve: reads the whole path to `leaf` into the fetch
+    /// scratch, recording stats (the stash high-water mark counts the
+    /// fetched blocks) and notifying the observer, and holds it there
+    /// *pending*. Until the closing [`writeback_path`](Self::writeback_path)
+    /// the checkout primitives ([`stash_contains`](Self::stash_contains),
+    /// [`take_from_stash`](Self::take_from_stash),
+    /// [`return_to_stash`](Self::return_to_stash)) resolve against the
+    /// combined `[stash..., fetched...]` holdings, and the write-back plans
+    /// over that same virtual candidate order — the order a stash that had
+    /// absorbed the path block by block would be in. Blocks the path
+    /// merely carries through never touch the stash.
+    ///
+    /// The serve must be closed on the same path before any other path
+    /// operation.
+    pub fn fetch_path_pending(&mut self, leaf: LeafId, kind: AccessKind) {
+        debug_assert!(!self.scratch.pending, "path fetch during an open serve");
         match kind {
             AccessKind::Real => self.stats.path_reads += 1,
             AccessKind::Dummy => self.stats.dummy_reads += 1,
@@ -571,52 +560,12 @@ impl<S: BucketStore> PathOramClient<S> {
         let fetched = self.scratch.fetch.len();
         self.stats.blocks_fetched += fetched as u64;
         self.stats.observe_stash(self.stash.len() + fetched + self.checked_out.len());
-    }
-
-    /// Reads the whole path to `leaf` into the stash, recording stats and
-    /// notifying the observer. Does **not** write back; pair with
-    /// [`writeback_path`](Self::writeback_path).
-    pub fn fetch_path(&mut self, leaf: LeafId, kind: AccessKind) {
-        self.fetch_into_scratch(leaf, kind);
-        for j in 0..self.scratch.fetch.len() {
-            let block = Self::materialize_fetched(&self.scratch.fetch, j, &mut self.scratch.pool);
-            self.stash.insert(block);
-        }
-        self.scratch.fetch.clear();
-    }
-
-    /// Like [`fetch_path`](Self::fetch_path), but the fetched path is held
-    /// *pending* in the fetch scratch instead of materialising into the
-    /// stash: between this call and the closing
-    /// [`writeback_path`](Self::writeback_path), the checkout primitives
-    /// ([`stash_contains`](Self::stash_contains),
-    /// [`take_from_stash`](Self::take_from_stash)) transparently resolve
-    /// against the combined `[stash..., fetched...]` holdings, and the
-    /// write-back plans over that same virtual candidate order. Blocks the
-    /// path merely carries through therefore never touch the stash at all —
-    /// the dominant cost of a cache-line fill in the look-ahead layer.
-    ///
-    /// Stats, stash high-water marks, server traffic and checkout
-    /// semantics are byte-identical to the classic
-    /// fetch → take → write-back sequence. A sealed client *is* that
-    /// classic sequence: every block it carries must pass through the
-    /// stash to be re-sealed at write-back.
-    ///
-    /// The serve must be closed by
-    /// [`writeback_path`](Self::writeback_path) on the same path before
-    /// any other path operation.
-    pub fn fetch_path_pending(&mut self, leaf: LeafId, kind: AccessKind) {
-        if self.sealer.is_some() {
-            self.fetch_path(leaf, kind);
-            return;
-        }
-        self.fetch_into_scratch(leaf, kind);
         // O(1) id lookups for the checkout primitives below; extraction
         // keeps the index clean, so it holds for the whole serve.
         self.stash.prepare_lookups();
-        let fetched = self.scratch.fetch.len();
         self.scratch.order.clear();
-        self.scratch.order.extend(0..(self.stash.len() + fetched) as u32);
+        self.scratch.order.extend(0..self.stash.len() as u32);
+        self.scratch.order.extend((0..fetched as u32).map(|j| FETCHED | j));
         self.scratch.fetch_taken.clear();
         self.scratch.fetch_taken.resize(fetched, false);
         self.scratch.pending = true;
@@ -631,90 +580,67 @@ impl<S: BucketStore> PathOramClient<S> {
         }
     }
 
-    /// Greedily evicts the stash along the path to `leaf`, recording stats
-    /// and notifying the observer. With sealing enabled, every stashed
-    /// payload is first re-sealed under a fresh nonce (in stash order), so
-    /// consecutive write-backs of the same block are unlinkable.
+    /// Closes the serve [`fetch_path_pending`](Self::fetch_path_pending)
+    /// opened on `leaf`: greedily evicts the serve's holdings along the
+    /// path, recording stats and notifying the observer. The store plans
+    /// over the **borrowed** candidate order and takes the winners
+    /// straight out of it; the stash is rebuilt from the unplaced, so only
+    /// unplaced fetched entries ever materialise as stash blocks.
+    ///
+    /// With sealing enabled, every payload about to be offered — stash
+    /// residents and the path's passengers alike — is first re-sealed
+    /// under a fresh nonce, in candidate order, so consecutive write-backs
+    /// of the same block are unlinkable.
+    ///
+    /// # Panics
+    /// Panics if no serve is open: a path is only ever written after it
+    /// was read.
     pub fn writeback_path(&mut self, leaf: LeafId) {
+        assert!(self.scratch.pending, "writeback_path without an open fetch_path_pending");
         self.stats.path_writes += 1;
         self.stats.slots_written += self.geometry().path_slots();
         self.observer.observe(ServerOp::WritePath(leaf));
+        let mut fetch = std::mem::take(&mut self.scratch.fetch);
+        let mut placed = std::mem::take(&mut self.scratch.placed);
+        let mut order = std::mem::take(&mut self.scratch.order);
         if let Some(sealer) = &mut self.sealer {
-            for block in self.stash.blocks_mut() {
+            for handle in &mut order {
+                if *handle & FETCHED != 0 {
+                    let j = (*handle ^ FETCHED) as usize;
+                    if fetch.payload(j).is_none() {
+                        continue;
+                    }
+                    // A scratch slot cannot be rewritten in place: the
+                    // passenger keeps its place in the order as a block.
+                    *handle = self.stash.len() as u32;
+                    let passenger = Self::materialize_fetched(&fetch, j, &mut self.scratch.pool);
+                    self.stash.insert(passenger);
+                }
+                let block = &mut self.stash.blocks_mut()[*handle as usize];
                 if let Some(cipher) = block.replace_data(None) {
                     let plain = sealer.open(&cipher).unwrap_or(cipher);
                     block.replace_data(Some(sealer.seal(&plain)));
                 }
             }
         }
-        self.writeback_in_place(leaf);
-        self.stats.observe_stash(self.stash.len() + self.checked_out.len());
-    }
-
-    /// The write-back core, shared by
-    /// [`writeback_path`](Self::writeback_path) and the batched
-    /// [`dummy_access`](Self::dummy_access): plans over the **borrowed**
-    /// candidate sequence `[stash..., fetch scratch...]` and lets the
-    /// store copy the winners straight out of it. The stash is never
-    /// drained — placed residents are dropped in place with their order
-    /// preserved and the id index rebuild deferred, and only unplaced
-    /// fetched entries materialise as stash blocks. Stats and observer
-    /// calls are the caller's responsibility.
-    fn writeback_in_place(&mut self, leaf: LeafId) {
-        if self.scratch.pending {
-            self.writeback_pending(leaf);
-            return;
-        }
-        let mut fetch = std::mem::take(&mut self.scratch.fetch);
-        let mut placed = std::mem::take(&mut self.scratch.placed);
-        let view = WriteBackView { stash: self.stash.blocks(), fetched: &fetch };
-        self.storage.write_path_with(leaf, &view, &mut placed);
-        let stash_n = self.stash.len();
-        let pool = &mut self.scratch.pool;
-        self.stash.retain_unplaced_with(&placed[..stash_n], |boxed| pool.put(boxed));
-        for j in 0..fetch.len() {
-            if !placed[stash_n + j] {
-                self.stash.push_deferred(Self::materialize_fetched(&fetch, j, pool));
-            }
-        }
-        fetch.clear();
-        self.scratch.fetch = fetch;
-        self.scratch.placed = placed;
-    }
-
-    /// Closes a fused serve (see
-    /// [`fetch_path_pending`](Self::fetch_path_pending)): plans over the
-    /// order-indirected candidate view — the virtual stash the classic
-    /// route would hold at this point — writes winners straight out of it,
-    /// and rebuilds the stash from the unplaced survivors in virtual
-    /// order. The resulting stash contents and order, and every placement
-    /// decision, are identical to the classic route's. Stats and observer
-    /// calls are the caller's responsibility.
-    fn writeback_pending(&mut self, leaf: LeafId) {
-        let mut fetch = std::mem::take(&mut self.scratch.fetch);
-        let mut placed = std::mem::take(&mut self.scratch.placed);
-        let mut order = std::mem::take(&mut self.scratch.order);
-        let m = self.stash.len();
         let view = OrderedView { stash: self.stash.blocks(), fetched: &fetch, order: &order };
         self.storage.write_path_with(leaf, &view, &mut placed);
         let mut rebuilt = std::mem::take(&mut self.scratch.rebuilt);
         rebuilt.clear();
-        for (v, &h) in order.iter().enumerate() {
-            let h = h as usize;
-            if placed[v] {
-                if h < m {
-                    if let Some(boxed) = self.stash.reclaim_payload_at(h) {
-                        self.scratch.pool.put(boxed);
-                    }
+        for (&handle, &was_placed) in order.iter().zip(&placed) {
+            if handle & FETCHED != 0 {
+                if !was_placed {
+                    let j = (handle ^ FETCHED) as usize;
+                    rebuilt.push(Self::materialize_fetched(&fetch, j, &mut self.scratch.pool));
                 }
                 continue;
             }
-            let block = if h < m {
-                self.stash.extract_for_rebuild(h)
-            } else {
-                Self::materialize_fetched(&fetch, h - m, &mut self.scratch.pool)
-            };
-            rebuilt.push(block);
+            let mut block = self.stash.extract_for_rebuild(handle as usize);
+            if !was_placed {
+                rebuilt.push(block);
+            } else if let Some(boxed) = block.replace_data(None) {
+                self.scratch.pool.put(boxed);
+            }
         }
         self.scratch.rebuilt = self.stash.rebuild_from(rebuilt);
         fetch.clear();
@@ -723,6 +649,7 @@ impl<S: BucketStore> PathOramClient<S> {
         order.clear();
         self.scratch.order = order;
         self.scratch.pending = false;
+        self.stats.observe_stash(self.stash.len() + self.checked_out.len());
     }
 
     /// Flushes the server store's write-back buffer to its backing
@@ -866,65 +793,60 @@ impl<S: BucketStore> PathOramClient<S> {
 
     /// Removes a block from the stash into the caller's custody (the
     /// LAORAM client cache). The block no longer participates in
-    /// write-backs until returned.
+    /// write-backs until returned. During an open serve the pending
+    /// fetched path counts as stash holdings.
     ///
     /// # Errors
     /// [`ProtocolError::CheckoutViolation`] if the block is not in the
     /// stash (e.g. still in the tree) or already checked out.
     pub fn take_from_stash(&mut self, id: BlockId) -> Result<Block> {
-        if self.scratch.pending {
-            return self.take_pending(id);
-        }
-        let block = self.stash.take(id).ok_or(ProtocolError::CheckoutViolation { block: id })?;
+        let block = if self.scratch.pending { self.take_pending(id) } else { self.stash.take(id) };
+        let block = block.ok_or(ProtocolError::CheckoutViolation { block: id })?;
         let inserted = self.checked_out.insert(id);
         debug_assert!(inserted);
         Ok(block)
     }
 
-    /// Locates `id` in the virtual holdings of a fused serve: the stash
-    /// index first (clean for the whole serve, and tombstoned checkouts
-    /// are already removed from it), then a linear scan of the not-yet-
-    /// taken fetch-scratch slots.
-    fn pending_find(&self, id: BlockId) -> Option<usize> {
+    /// Locates `id` among an open serve's holdings, as a handle of the
+    /// virtual candidate order: the stash index first (clean for the whole
+    /// serve, and tombstoned checkouts are already removed from it), then
+    /// a linear scan of the not-yet-taken fetch-scratch slots.
+    fn pending_find(&self, id: BlockId) -> Option<u32> {
         if let Some(pos) = self.stash.position(id) {
-            return Some(pos);
+            return Some(pos as u32);
         }
-        let m = self.stash.len();
         let fetch = &self.scratch.fetch;
-        (0..fetch.len()).find(|&j| !self.scratch.fetch_taken[j] && fetch.id(j) == id).map(|j| m + j)
+        (0..fetch.len())
+            .find(|&j| !self.scratch.fetch_taken[j] && fetch.id(j) == id)
+            .map(|j| FETCHED | j as u32)
     }
 
-    /// [`take_from_stash`](Self::take_from_stash) during a fused serve:
+    /// [`take_from_stash`](Self::take_from_stash) during an open serve:
     /// `swap_remove`s the block's handle from the virtual candidate order
-    /// — the exact structural effect [`Stash::take`] has on the
-    /// materialised stash — and moves the block out (stash residents leave
-    /// an unreferenced tombstone; fetched residents materialise from the
+    /// — the exact structural effect [`Stash::take`] has on a materialised
+    /// stash — and moves the block out (stash residents leave an
+    /// unreferenced tombstone; fetched residents materialise from the
     /// scratch).
-    fn take_pending(&mut self, id: BlockId) -> Result<Block> {
-        let handle = self.pending_find(id).ok_or(ProtocolError::CheckoutViolation { block: id })?;
+    fn take_pending(&mut self, id: BlockId) -> Option<Block> {
+        let handle = self.pending_find(id)?;
         let v = self
             .scratch
             .order
             .iter()
-            .position(|&h| h as usize == handle)
+            .position(|&h| h == handle)
             .expect("handle of a live block must be in the candidate order");
         self.scratch.order.swap_remove(v);
-        let m = self.stash.len();
-        let block = if handle < m {
-            self.stash.extract_at(handle)
-        } else {
-            let j = handle - m;
-            self.scratch.fetch_taken[j] = true;
-            Self::materialize_fetched(&self.scratch.fetch, j, &mut self.scratch.pool)
-        };
-        let inserted = self.checked_out.insert(id);
-        debug_assert!(inserted);
-        Ok(block)
+        if handle & FETCHED == 0 {
+            return Some(self.stash.extract_at(handle as usize));
+        }
+        let j = (handle ^ FETCHED) as usize;
+        self.scratch.fetch_taken[j] = true;
+        Some(Self::materialize_fetched(&self.scratch.fetch, j, &mut self.scratch.pool))
     }
 
     /// Whether `id` is currently in the stash (and not checked out).
-    /// During a fused serve the pending fetched path counts as stash
-    /// holdings, matching what the classic route would have materialised.
+    /// During an open serve the pending fetched path counts as stash
+    /// holdings.
     #[must_use]
     pub fn stash_contains(&self, id: BlockId) -> bool {
         if self.scratch.pending {
@@ -933,18 +855,23 @@ impl<S: BucketStore> PathOramClient<S> {
         self.stash.contains(id)
     }
 
-    /// Returns a checked-out block to the stash.
+    /// Returns a checked-out block to the stash — during an open serve,
+    /// also to the end of the serve's candidate order.
     ///
     /// # Errors
     /// [`ProtocolError::CheckoutViolation`] if the block was not checked
     /// out.
     pub fn return_to_stash(&mut self, block: Block) -> Result<()> {
-        debug_assert!(!self.scratch.pending, "return_to_stash during a fused serve");
         if !self.checked_out.remove(&block.id()) {
             return Err(ProtocolError::CheckoutViolation { block: block.id() });
         }
+        let mut holdings = self.stash.len() + 1;
+        if self.scratch.pending {
+            self.scratch.order.push(self.stash.len() as u32);
+            holdings = self.scratch.order.len();
+        }
         self.stash.insert(block);
-        self.stats.observe_stash(self.stash.len() + self.checked_out.len());
+        self.stats.observe_stash(holdings + self.checked_out.len());
         Ok(())
     }
 
@@ -1003,25 +930,11 @@ impl<S: BucketStore> PathOramClient<S> {
         self.stats.cold_misses += 1;
     }
 
-    /// One dummy read/write pair on a uniformly random path. Public so
-    /// higher layers can drain their own pressure.
-    ///
-    /// The whole path is processed in one batched pass: the fetched slots
-    /// never materialise as stash-resident [`Block`]s — they are spliced
-    /// after the stash's candidates in the write-back view, exactly where
-    /// the unbatched fetch-then-write-back pair would have placed them, so
-    /// stats, stash high-water marks and the observable access sequence
-    /// are identical to the classic pair. A sealed client runs that
-    /// classic pair, so every block the path carries is re-sealed.
+    /// One dummy read/write pair on a uniformly random path: a serve with
+    /// no checkout. Public so higher layers can drain their own pressure.
     pub fn dummy_access(&mut self) {
         let leaf = self.random_leaf();
-        if self.sealer.is_some() {
-            self.fetch_path(leaf, AccessKind::Dummy);
-        } else {
-            self.fetch_into_scratch(leaf, AccessKind::Dummy);
-        }
-        // Candidates are [stash..., fetched in path order...] — the exact
-        // order the unbatched fetch would have left in the stash.
+        self.fetch_path_pending(leaf, AccessKind::Dummy);
         self.writeback_path(leaf);
     }
 
@@ -1236,12 +1149,23 @@ mod tests {
         let mut c = small_client(32, 12);
         let id = BlockId::new(4);
         let path = c.position_of(id).unwrap();
-        c.fetch_path(path, AccessKind::Real);
+        c.fetch_path_pending(path, AccessKind::Real);
         let mut b = c.take_from_stash(id).unwrap();
         assert!(c.take_from_stash(id).is_err(), "double checkout must fail");
         b.set_leaf(LeafId::new(0));
         c.assign_leaf(id, LeafId::new(0)).unwrap();
+        c.writeback_path(path);
         c.verify_invariants().unwrap(); // checked-out block is accounted for
+        c.return_to_stash(b).unwrap();
+        c.verify_invariants().unwrap();
+        // Handed back inside a serve instead, it is the serve's last
+        // candidate and can be taken again before the write-back.
+        let path = c.position_of(BlockId::new(9)).unwrap();
+        c.fetch_path_pending(path, AccessKind::Real);
+        let b = c.take_from_stash(BlockId::new(9)).unwrap();
+        c.return_to_stash(b).unwrap();
+        assert!(c.stash_contains(BlockId::new(9)));
+        let b = c.take_from_stash(BlockId::new(9)).unwrap();
         c.return_to_stash(b).unwrap();
         c.writeback_path(path);
         c.verify_invariants().unwrap();
@@ -1257,18 +1181,27 @@ mod tests {
     #[test]
     fn background_eviction_keeps_stash_bounded() {
         // Plain Path ORAM drains its stash at write-back, so manufacture
-        // pressure directly: fetch many paths without writing back, then
-        // let the background-eviction loop drain to the low-water mark.
+        // pressure the way a client cache does: check whole paths out,
+        // hand everything back at once, then let the background-eviction
+        // loop drain to the low-water mark.
         let cfg = PathOramConfig::new(256)
             .with_seed(14)
             .with_levels(6)
             .with_eviction(EvictionConfig::with_thresholds(16, 8));
         let mut c = PathOramClient::new(cfg).unwrap();
-        let mut leaf = 0u32;
-        while c.stash_len() <= 16 {
-            c.fetch_path(LeafId::new(leaf % 64), AccessKind::Real);
+        let (mut leaf, mut cached) = (0u32, Vec::new());
+        while cached.len() <= 16 {
+            let path = LeafId::new(leaf % 64);
+            let carried = c.storage().snapshot_path(path).unwrap().blocks;
+            c.fetch_path_pending(path, AccessKind::Real);
+            cached.extend(carried.iter().map(|&(id, _)| c.take_from_stash(id).unwrap()));
+            c.writeback_path(path);
             leaf += 7;
         }
+        for block in cached {
+            c.return_to_stash(block).unwrap();
+        }
+        assert!(c.stash_len() > 16);
         c.maybe_background_evict().unwrap();
         assert!(c.stash_len() <= 8, "stash {} above low-water after drain", c.stash_len());
         assert!(c.stats().dummy_reads > 0, "eviction should have triggered");
@@ -1494,10 +1427,10 @@ mod tests {
             c.stash.iter().map(|b| (b.id(), b.data().expect("written").to_vec())).collect()
         };
         let before = snapshot(&c);
-        c.fetch_path(LeafId::new(3), AccessKind::Dummy);
+        c.fetch_path_pending(LeafId::new(3), AccessKind::Dummy);
         c.writeback_path(LeafId::new(3));
         let middle = snapshot(&c);
-        c.fetch_path(LeafId::new(2), AccessKind::Dummy);
+        c.fetch_path_pending(LeafId::new(2), AccessKind::Dummy);
         c.writeback_path(LeafId::new(2));
         let after = snapshot(&c);
         let resident = before
@@ -1510,6 +1443,47 @@ mod tests {
         assert_eq!(c.read(id).unwrap().as_deref(), Some(&[id.index() as u8; 8][..]));
     }
 
+    /// The bytes the server holds for `id`, through the raw primitives:
+    /// fetch its path, look at the block, put everything back.
+    fn raw_fetch(c: &mut PathOramClient, id: BlockId) -> Vec<u8> {
+        let path = c.position_of(id).unwrap();
+        c.fetch_path_pending(path, AccessKind::Real);
+        let block = c.take_from_stash(id).unwrap();
+        let stored = block.data().expect("written").to_vec();
+        c.return_to_stash(block).unwrap();
+        c.writeback_path(path);
+        stored
+    }
+
+    #[test]
+    fn carried_block_is_resealed_without_being_checked_out() {
+        let cfg = PathOramConfig::new(32)
+            .with_seed(41)
+            .with_payloads(true)
+            .with_sealing_key(0xCA_221ED)
+            .with_eviction(EvictionConfig::disabled());
+        let mut c = PathOramClient::new(cfg).unwrap();
+        for i in 0..32u32 {
+            c.write(BlockId::new(i), vec![i as u8; 8].into()).unwrap();
+        }
+        // A tree resident, and what the server holds for it.
+        let id = (0..32).map(BlockId::new).find(|&id| !c.stash.contains(id)).unwrap();
+        let path = c.position_of(id).unwrap();
+        let stored = |c: &PathOramClient| {
+            let on_path = c.storage.clone().read_path(path);
+            on_path.iter().find(|b| b.id() == id).map(|b| b.data().expect("written").to_vec())
+        };
+        let before = stored(&c).expect("a tree resident is on its path");
+        // A serve on its path that never names it: the path merely
+        // carries the block, and has room to take it straight back.
+        c.fetch_path_pending(path, AccessKind::Dummy);
+        c.writeback_path(path);
+        let after = stored(&c).expect("placed straight back");
+        assert_eq!(after.len(), before.len());
+        assert_ne!(after, before, "a carried block went back under the same ciphertext");
+        assert_eq!(c.read(id).unwrap().as_deref(), Some(&[id.index() as u8; 8][..]));
+    }
+
     #[test]
     fn sealed_client_roundtrips_and_stores_ciphertext() {
         let cfg =
@@ -1517,14 +1491,11 @@ mod tests {
         let mut c = PathOramClient::new(cfg).unwrap();
         let plain = vec![0xAA; 32];
         c.write(BlockId::new(3), plain.clone().into()).unwrap();
-        // Server-side bytes (visible in the stash after a raw fetch) must
-        // be ciphertext: longer by the nonce and different in content.
-        let path = c.position_of(BlockId::new(3)).unwrap();
-        c.fetch_path(path, AccessKind::Real);
-        let stored = c.stash.get(BlockId::new(3)).unwrap().data().unwrap().to_vec();
+        // Server-side bytes (what a raw fetch hands over) must be
+        // ciphertext: longer by the nonce and different in content.
+        let stored = raw_fetch(&mut c, BlockId::new(3));
         assert_eq!(stored.len(), plain.len() + oram_tree::NONCE_BYTES);
         assert_ne!(&stored[oram_tree::NONCE_BYTES..], &plain[..]);
-        c.writeback_path(path);
         // Read returns the plaintext.
         let got = c.read(BlockId::new(3)).unwrap();
         assert_eq!(got.as_deref(), Some(&plain[..]));
@@ -1563,15 +1534,8 @@ mod tests {
             PathOramConfig::new(32).with_seed(27).with_payloads(true).with_sealing_key(0xFEED);
         let mut c = PathOramClient::new(cfg).unwrap();
         c.write(BlockId::new(7), vec![0x42; 16].into()).unwrap();
-        let grab = |c: &mut PathOramClient| {
-            let path = c.position_of(BlockId::new(7)).unwrap();
-            c.fetch_path(path, AccessKind::Real);
-            let bytes = c.stash.get(BlockId::new(7)).unwrap().data().unwrap().to_vec();
-            c.writeback_path(path);
-            bytes
-        };
-        let first = grab(&mut c);
-        let second = grab(&mut c);
+        let first = raw_fetch(&mut c, BlockId::new(7));
+        let second = raw_fetch(&mut c, BlockId::new(7));
         assert_ne!(first, second, "write-backs must re-seal with fresh nonces");
         assert_eq!(c.read(BlockId::new(7)).unwrap().as_deref(), Some(&[0x42; 16][..]));
     }
@@ -1607,7 +1571,7 @@ mod tests {
         let mut c = small_client(16, 78);
         let id = BlockId::new(3);
         let path = c.position_of(id).unwrap();
-        c.fetch_path(path, AccessKind::Real);
+        c.fetch_path_pending(path, AccessKind::Real);
         let b = c.take_from_stash(id).unwrap();
         assert!(matches!(c.snapshot_state(), Err(ProtocolError::CheckoutViolation { .. })));
         c.return_to_stash(b).unwrap();

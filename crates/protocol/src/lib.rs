@@ -7,8 +7,9 @@
 //!   position map, per-access path read + greedy write-back, background
 //!   eviction), over the tree storage of the [`oram-tree`] crate. Besides the
 //!   classic `read`/`write` interface it exposes the lower-level primitives
-//!   (`fetch_path`, `writeback_path`, `take_from_stash`, …) from which the
-//!   LAORAM look-ahead client and the PrORAM baselines are composed.
+//!   (`fetch_path_pending`, `writeback_path`, `take_from_stash`, …) from
+//!   which the LAORAM look-ahead client and the PrORAM baselines are
+//!   composed.
 //! * [`RingOramClient`] — a functional Ring ORAM (Ren et al.) reading one
 //!   slot per bucket with periodic evict-path and early-reshuffle, used by
 //!   the §VIII-G comparison.
@@ -28,11 +29,12 @@
 //! [`PathOramClient`] drives every store through the one path-I/O
 //! contract — [`read_path_into`](oram_tree::BucketStore::read_path_into) a
 //! reusable scratch, [`write_path_with`](oram_tree::BucketStore::write_path_with)
-//! a borrowed candidate view — so its routes differ by *operation*
-//! (classic access, batched dummy access, fused look-ahead serve where
-//! path passengers bypass the stash entirely), never by which store it
-//! was handed. See ARCHITECTURE.md's "Data layout" section for the slot
-//! encoding, scratch ownership and the leakage argument.
+//! a borrowed candidate view — on **one** fetch → write-back route
+//! (`fetch_path_pending` → `writeback_path`, path passengers bypassing
+//! the stash entirely) that every logical access, dummy access and
+//! look-ahead serve runs on, whichever store it was handed. See
+//! ARCHITECTURE.md's "Data layout" section for the slot encoding, scratch
+//! ownership and the leakage argument.
 //!
 //! # Example
 //!

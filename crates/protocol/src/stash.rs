@@ -10,18 +10,18 @@ type IdIndex = HashMap<BlockId, usize, IdHashBuilder>;
 /// The Path ORAM stash.
 ///
 /// Holds real blocks that are currently not stored in the server tree.
-/// Lookups are O(1). The Path ORAM client writes back **in place** (the
-/// store plans over a borrowed view of the stash and only placed blocks
-/// leave it); Ring ORAM drains wholesale through [`Stash::take_all`] /
-/// [`Stash::absorb`]. Either way the block vector and the id index retain
-/// their reservations across cycles — steady-state write-backs do not
-/// allocate.
+/// Lookups are O(1). The Path ORAM client writes back over a **borrowed**
+/// view (the store plans over the stash where it lies, and the survivors
+/// are swapped back in through `rebuild_from`); Ring ORAM drains
+/// wholesale through [`Stash::take_all`] / [`Stash::absorb`]. Either way
+/// the block vector and the id index retain their reservations across
+/// cycles — steady-state write-backs do not allocate.
 #[derive(Debug, Default)]
 pub struct Stash {
     blocks: Vec<Block>,
     index: IdIndex,
-    /// When set, `index` is stale: an in-place write-back compacted or
-    /// appended to `blocks` without paying the per-entry re-index. The
+    /// When set, `index` is stale: a write-back swapped in the rebuilt
+    /// `blocks` without paying the per-entry re-index. The
     /// index is rebuilt lazily by the next positional lookup — background
     /// eviction runs long bursts of write-backs with no lookups in
     /// between, so deferring turns hundreds of hash-map updates per pass
@@ -36,9 +36,9 @@ impl Stash {
         Self::default()
     }
 
-    /// Rebuilds the id index from `blocks` if an in-place write-back left
-    /// it stale. Every `&mut self` entry point that reads or writes the
-    /// index calls this first.
+    /// Rebuilds the id index from `blocks` if a write-back left it stale.
+    /// Every `&mut self` entry point that reads or writes the index calls
+    /// this first.
     fn ensure_index(&mut self) {
         if !self.dirty {
             return;
@@ -167,8 +167,8 @@ impl Stash {
     }
 
     /// Borrows the stashed blocks in stash order (the order
-    /// [`Stash::take_all`] would yield) — the candidate view for in-place
-    /// write-backs.
+    /// [`Stash::take_all`] would yield) — the stash's part of a
+    /// write-back's candidate view.
     pub(crate) fn blocks(&self) -> &[Block] {
         &self.blocks
     }
@@ -180,54 +180,8 @@ impl Stash {
         &mut self.blocks
     }
 
-    /// In-place leftover compaction for a planned write-back: drops every
-    /// block whose `placed` flag is set, preserving the relative order of
-    /// the survivors (the order `take_all` → plan → `absorb` of the
-    /// leftovers would produce). Payloads of placed blocks are handed to
-    /// `reclaim` so the caller can recycle their allocations. Defers the
-    /// index rebuild — see [`Stash::ensure_index`].
-    ///
-    /// # Panics
-    /// Panics if `placed` is shorter than the stash.
-    // The index walks `placed` and `self.blocks` in lockstep while
-    // swapping inside `self.blocks`, which rules out an iterator.
-    #[allow(clippy::needless_range_loop)]
-    pub(crate) fn retain_unplaced_with(
-        &mut self,
-        placed: &[bool],
-        mut reclaim: impl FnMut(Box<[u8]>),
-    ) {
-        assert!(placed.len() >= self.blocks.len(), "placed flags shorter than the stash");
-        let mut keep = 0;
-        for i in 0..self.blocks.len() {
-            if placed[i] {
-                if let Some(boxed) = self.blocks[i].replace_data(None) {
-                    reclaim(boxed);
-                }
-            } else {
-                if keep != i {
-                    self.blocks.swap(keep, i);
-                }
-                keep += 1;
-            }
-        }
-        self.blocks.truncate(keep);
-        self.dirty = true;
-    }
-
-    /// Appends a block without updating the id index (deferred rebuild —
-    /// see [`Stash::ensure_index`]). Only the in-place write-back path
-    /// uses this, immediately after
-    /// [`retain_unplaced_with`](Stash::retain_unplaced_with) has already
-    /// marked the index stale; the duplicate-id invariant is re-checked at
-    /// rebuild time.
-    pub(crate) fn push_deferred(&mut self, block: Block) {
-        self.blocks.push(block);
-        self.dirty = true;
-    }
-
     /// Forces the deferred index rebuild now, so the `&self` position
-    /// lookups below run O(1) for the rest of a fused serve.
+    /// lookups below run O(1) for the rest of a serve.
     pub(crate) fn prepare_lookups(&mut self) {
         self.ensure_index();
     }
@@ -241,8 +195,8 @@ impl Stash {
 
     /// Moves the block at `pos` out, leaving a tombstone (the reserved
     /// `u32::MAX` id, which no lookup can name) so every other position —
-    /// and therefore the id index — stays valid. The fused serving path
-    /// uses this mid-serve; the tombstones are swept when the serve's
+    /// and therefore the id index — stays valid. Checkouts use this
+    /// mid-serve; the tombstones are swept when the serve's
     /// write-back calls [`rebuild_from`](Stash::rebuild_from).
     ///
     /// # Panics
@@ -263,12 +217,6 @@ impl Stash {
     pub(crate) fn extract_for_rebuild(&mut self, pos: usize) -> Block {
         let tombstone = Block::tombstone();
         std::mem::replace(&mut self.blocks[pos], tombstone)
-    }
-
-    /// Detaches and returns the payload of the block at `pos` (placed-
-    /// entry reclamation during a fused write-back).
-    pub(crate) fn reclaim_payload_at(&mut self, pos: usize) -> Option<Box<[u8]>> {
-        self.blocks[pos].replace_data(None)
     }
 
     /// Swaps in `blocks` as the new stash contents and hands back the old

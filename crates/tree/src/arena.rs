@@ -23,10 +23,12 @@
 
 use crate::path::encode_slot;
 use crate::path::{NO_PAYLOAD, SLOT_HEADER_BYTES};
-use crate::store::{plan_greedy_write_back, plan_place_for_init, PlanScratch};
+use std::ops::Range;
+
+use crate::store::{plan_greedy_write_back, PlanScratch};
 use crate::{
-    Block, BlockId, BucketStore, Candidate, LeafId, PathCandidates, PathScratch, PathSnapshot,
-    TreeError, TreeGeometry,
+    Block, BlockId, BucketStore, Candidate, LeafId, PathCandidates, PathScratch, TreeError,
+    TreeGeometry,
 };
 
 const EMPTY_ID_BYTES: [u8; 4] = u32::MAX.to_le_bytes();
@@ -127,14 +129,11 @@ impl ArenaStore {
         let stride = SLOT_HEADER_BYTES + payload_capacity;
         let mut levels = Vec::new();
         let mut level_base = Vec::new();
-        for level in 0..=geometry.leaf_level() {
-            let nodes = 1u64 << level;
-            let first = geometry.bucket_slot_range(level, 0);
-            let last = geometry.bucket_slot_range(level, nodes - 1);
-            let slots = last.end - first.start;
+        for level in geometry.path_levels() {
+            let slots = geometry.level_slot_range(level);
             // 0xFF fill: every id reads as the empty sentinel.
-            levels.push(vec![0xFF; slots * stride].into_boxed_slice());
-            level_base.push(first.start);
+            levels.push(vec![0xFF; slots.len() * stride].into_boxed_slice());
+            level_base.push(slots.start);
         }
         ArenaStore {
             geometry,
@@ -152,22 +151,10 @@ impl ArenaStore {
         ArenaStore::new(geometry, ArenaStoreConfig::new())
     }
 
-    /// The geometry this store was built with.
-    #[must_use]
-    pub fn geometry(&self) -> &TreeGeometry {
-        &self.geometry
-    }
-
     /// Fixed payload bytes per slot (0 = metadata-only).
     #[must_use]
     pub fn payload_capacity(&self) -> usize {
         self.payload_capacity
-    }
-
-    /// Number of real blocks currently stored.
-    #[must_use]
-    pub fn occupancy(&self) -> u64 {
-        self.occupied
     }
 
     fn stride(&self) -> usize {
@@ -347,85 +334,15 @@ impl BucketStore for ArenaStore {
         blocks.collect()
     }
 
-    fn place_for_init(&mut self, block: Block) -> Result<Option<Block>, TreeError> {
-        self.geometry.check_leaf(block.leaf())?;
-        match plan_place_for_init(&self.geometry, block.leaf(), |slot| self.slot_is_empty(slot)) {
-            Some(slot) => {
-                self.put_block(slot, &block);
-                Ok(None)
-            }
-            None => Ok(Some(block)),
-        }
-    }
-
-    fn snapshot_path(&self, leaf: LeafId) -> Result<PathSnapshot, TreeError> {
-        self.geometry.check_leaf(leaf)?;
-        let mut blocks = Vec::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let node = self.geometry.path_node_in_level(leaf, level);
-            for slot in self.geometry.bucket_slot_range(level, node) {
-                let (id, leaf_raw, _) = Self::header(self.slot(slot));
-                if id != BlockId::EMPTY_RAW {
-                    blocks.push((BlockId::new(id), LeafId::new(leaf_raw)));
-                }
-            }
-        }
-        Ok(PathSnapshot { leaf, blocks, slot_count: self.geometry.path_slots() })
-    }
-
-    fn collect_blocks(&self) -> Vec<(BlockId, LeafId)> {
-        let stride = self.stride();
-        let mut out = Vec::new();
-        for arena in &self.levels {
-            for slot in arena.chunks_exact(stride) {
-                let (id, leaf, _) = Self::header(slot);
-                if id != BlockId::EMPTY_RAW {
-                    out.push((BlockId::new(id), LeafId::new(leaf)));
-                }
-            }
-        }
-        out
-    }
-
-    fn occupancy_by_level(&self) -> Vec<(u32, u64, u64)> {
-        let stride = self.stride();
-        let mut out = Vec::new();
-        for (level, arena) in self.levels.iter().enumerate() {
-            let total = (arena.len() / stride) as u64;
-            let used =
-                arena.chunks_exact(stride).filter(|slot| slot[0..4] != EMPTY_ID_BYTES).count()
-                    as u64;
-            out.push((level as u32, used, total));
-        }
-        out
-    }
-
-    fn verify_consistency(&self, num_blocks: u64) -> Result<(), String> {
-        let mut seen = vec![false; num_blocks as usize];
-        for level in 0..=self.geometry.leaf_level() {
-            for node in 0..(1u64 << level) {
-                for flat in self.geometry.bucket_slot_range(level, node) {
-                    let (id, leaf_raw, _) = Self::header(self.slot(flat));
-                    if id == BlockId::EMPTY_RAW {
-                        continue;
-                    }
-                    if u64::from(id) >= num_blocks {
-                        return Err(format!("slot {flat} holds out-of-range block {id}"));
-                    }
-                    if seen[id as usize] {
-                        return Err(format!("block {id} stored twice"));
-                    }
-                    seen[id as usize] = true;
-                    let leaf = LeafId::new(leaf_raw);
-                    if self.geometry.check_leaf(leaf).is_err() {
-                        return Err(format!("block {id} assigned invalid leaf {leaf_raw}"));
-                    }
-                    if self.geometry.path_node_in_level(leaf, level) != node {
-                        return Err(format!(
-                            "block {id} at level {level} node {node} not on path to leaf {leaf_raw}"
-                        ));
-                    }
-                }
+    fn scan_slots(
+        &self,
+        slots: Range<usize>,
+        visit: &mut dyn FnMut(usize, BlockId, LeafId),
+    ) -> Result<(), TreeError> {
+        for flat in slots {
+            let (id, leaf, _) = Self::header(self.slot(flat));
+            if id != BlockId::EMPTY_RAW {
+                visit(flat, BlockId::new(id), LeafId::new(leaf));
             }
         }
         Ok(())
@@ -442,7 +359,7 @@ impl BucketStore for ArenaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BucketProfile, TreeStorage};
+    use crate::BucketProfile;
 
     fn geometry(levels: u32) -> TreeGeometry {
         TreeGeometry::with_levels(levels, BucketProfile::Uniform { capacity: 2 }).unwrap()
@@ -466,65 +383,6 @@ mod tests {
             .collect();
         seen.sort();
         assert_eq!(seen, vec![(1, Some(vec![9, 8, 7])), (2, None)]);
-    }
-
-    #[test]
-    fn behaves_like_tree_storage_on_a_mixed_trace() {
-        // Drive both stores through identical path reads/writes and
-        // bucket ops; every observable (returned blocks, leftovers,
-        // occupancy, snapshots) must match slot for slot.
-        let g = geometry(5);
-        let mut arena = ArenaStore::new(g.clone(), ArenaStoreConfig::new().payload_capacity(2));
-        let mut tree = TreeStorage::new(g.clone());
-        let num_leaves = g.num_leaves() as u32;
-        let block = |i: u32, l: u32| {
-            Block::with_data(
-                BlockId::new(i),
-                LeafId::new(l % num_leaves),
-                vec![i as u8, l as u8].into(),
-            )
-        };
-        let mut state = 0x9E3779B9u32;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 17;
-            state ^= state << 5;
-            state
-        };
-        let mut next_id = 0u32;
-        for step in 0..200u32 {
-            let leaf = LeafId::new(rand() % num_leaves);
-            match step % 4 {
-                0 | 1 => {
-                    let mut a: Vec<Block> = (0..3)
-                        .map(|_| {
-                            next_id += 1;
-                            block(next_id, rand())
-                        })
-                        .collect();
-                    let mut b = a.clone();
-                    arena.write_path(leaf, &mut a);
-                    tree.write_path(leaf, &mut b);
-                    assert_eq!(a, b, "leftovers diverged at step {step}");
-                }
-                2 => {
-                    assert_eq!(arena.read_path(leaf), tree.read_path(leaf));
-                }
-                _ => {
-                    let level = rand() % (g.leaf_level() + 1);
-                    let node = u64::from(rand()) % (1u64 << level);
-                    assert_eq!(arena.read_bucket(level, node), tree.read_bucket(level, node));
-                }
-            }
-            assert_eq!(arena.occupancy(), tree.occupancy(), "occupancy diverged at step {step}");
-            assert_eq!(
-                arena.snapshot_path(leaf).unwrap().blocks,
-                tree.snapshot_path(leaf).unwrap().blocks
-            );
-        }
-        assert_eq!(arena.occupancy_by_level(), tree.occupancy_by_level());
-        assert_eq!(arena.collect_blocks(), tree.collect_blocks());
-        arena.verify_consistency(u64::from(next_id) + 1).unwrap();
     }
 
     #[test]
@@ -553,21 +411,5 @@ mod tests {
         let mut blocks =
             vec![Block::with_data(BlockId::new(1), LeafId::new(0), vec![1, 2, 3].into())];
         store.write_path(LeafId::new(0), &mut blocks);
-    }
-
-    #[test]
-    fn clear_empties_every_level() {
-        let mut store = ArenaStore::new(geometry(4), ArenaStoreConfig::new().payload_capacity(1));
-        for i in 0..10u32 {
-            let leaf = LeafId::new(i % store.geometry().num_leaves() as u32);
-            store
-                .place_for_init(Block::with_data(BlockId::new(i), leaf, vec![i as u8].into()))
-                .unwrap();
-        }
-        assert!(store.occupancy() > 0);
-        store.clear();
-        assert_eq!(store.occupancy(), 0);
-        assert!(store.collect_blocks().is_empty());
-        store.verify_consistency(10).unwrap();
     }
 }

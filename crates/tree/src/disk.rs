@@ -37,12 +37,12 @@
 //! performed as **one read per bucket** (`L + 1` reads per path) rather
 //! than one per slot, and the write-back buffer is flushed as
 //! **run-length-coalesced writes**: dirty slots are sorted and maximal
-//! consecutive runs become single `pwrite`s. Full-tree scans
-//! (`collect_blocks`, `verify_consistency`, `occupancy_by_level`) stream
-//! the file in large chunks. On top of that, callers that know which
-//! paths are coming (the look-ahead preprocessor knows batch `N+1`'s
-//! paths exactly) can [`prefetch_paths`](BucketStore::prefetch_paths)
-//! them into a bounded read cache, after which serving those paths costs
+//! consecutive runs become single `pwrite`s. Metadata scans
+//! ([`scan_slots`](BucketStore::scan_slots), and through it the trait's
+//! audits) stream the requested range in large chunks. On top of that,
+//! callers that know which paths are coming (the look-ahead preprocessor
+//! knows batch `N+1`'s paths exactly) can
+//! [`prefetch_paths`](BucketStore::prefetch_paths) them into a bounded read cache, after which serving those paths costs
 //! no backing-file reads at all. The prefetch is a pure I/O-scheduling
 //! hint: responses and the protocol-visible access sequence are
 //! unchanged (the cache is consulted only for clean slots and
@@ -72,13 +72,14 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use crate::store::{plan_greedy_write_back, plan_place_for_init, PlanScratch};
+use crate::store::{plan_greedy_write_back, PlanScratch};
 use crate::{
-    Block, BlockId, BucketProfile, BucketStore, LeafId, PathCandidates, PathScratch, PathSnapshot,
-    TreeError, TreeGeometry,
+    Block, BlockId, BucketProfile, BucketStore, LeafId, PathCandidates, PathScratch, TreeError,
+    TreeGeometry,
 };
 
 /// Fixed size of the self-describing header at the start of the file.
@@ -91,7 +92,7 @@ const VERSION: u32 = 1;
 /// by older sessions, which is exactly the "clean" reading).
 const UNSYNCED_FLAG_AT: usize = 36;
 /// Slots per chunk when streaming full-tree scans.
-const SCAN_CHUNK_SLOTS: u64 = 8192;
+const SCAN_CHUNK_SLOTS: usize = 8192;
 /// Byte gap under which two prefetch runs are merged into one read:
 /// reading a page of don't-care bytes is cheaper than a second syscall,
 /// and the gap slots are cached too (they are clean file data). At the
@@ -471,6 +472,12 @@ impl DiskStore {
                  (truncated or mismatched copy?)"
             )));
         }
+        if occupied > geometry.total_slots() {
+            return Err(TreeError::CorruptStore(format!(
+                "header names {occupied} occupied slots but the geometry has only {}",
+                geometry.total_slots()
+            )));
+        }
         let path_slots = geometry.path_slots().max(1) as usize;
         Ok(DiskStore {
             file,
@@ -623,38 +630,6 @@ impl DiskStore {
             visit(slot, id_plus1, leaf, payload);
         }
         Ok(())
-    }
-
-    /// As [`visit_run`](Self::visit_run), but decoding only each slot's
-    /// `(id + 1, leaf)` metadata (payload bytes are neither validated nor
-    /// touched).
-    fn load_run_meta(&self, start: u64, len: usize) -> Result<Vec<(u32, u32)>, TreeError> {
-        let mut out: Vec<Option<(u32, u32)>> = Vec::with_capacity(len);
-        let mut missing = false;
-        for i in 0..len as u64 {
-            let slot = start + i;
-            let meta = self
-                .dirty
-                .get(&slot)
-                .or_else(|| self.prefetch.get(&slot))
-                .map(|rec| (rec.id_plus1, rec.leaf));
-            missing |= meta.is_none();
-            out.push(meta);
-        }
-        if missing {
-            let bytes = self.read_run_bytes(start, len)?;
-            let slot_bytes = self.slot_bytes() as usize;
-            for (i, entry) in out.iter_mut().enumerate() {
-                if entry.is_none() {
-                    let at = i * slot_bytes;
-                    *entry = Some((
-                        u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4")),
-                        u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4")),
-                    ));
-                }
-            }
-        }
-        Ok(out.into_iter().map(|meta| meta.expect("every slot resolved")).collect())
     }
 
     /// Queues one slot image in the write-back buffer, invalidating any
@@ -831,25 +806,20 @@ impl DiskStore {
         range.start as u64..range.end as u64
     }
 
-    /// The free slots on the path to `leaf`, by flat index: one batched
-    /// metadata read per bucket, for the planners to run against.
-    fn empty_path_slots(
+    /// The occupied slots on the path to `leaf`, by flat index: one
+    /// batched metadata scan per bucket, for the planner to run against.
+    fn occupied_path_slots(
         &self,
         leaf: LeafId,
     ) -> Result<std::collections::HashSet<usize>, TreeError> {
-        let mut empties = std::collections::HashSet::new();
-        for level in 0..=self.geometry.leaf_level() {
+        let mut occupied = std::collections::HashSet::new();
+        for level in self.geometry.path_levels() {
             let node = self.geometry.path_node_in_level(leaf, level);
-            let bounds = self.bucket_slot_bounds(level, node);
-            let len = (bounds.end - bounds.start) as usize;
-            for (i, (id_plus1, _)) in self.load_run_meta(bounds.start, len)?.into_iter().enumerate()
-            {
-                if id_plus1 == 0 {
-                    empties.insert(bounds.start as usize + i);
-                }
-            }
+            self.scan_slots(self.geometry.bucket_slot_range(level, node), &mut |slot, _, _| {
+                occupied.insert(slot);
+            })?;
         }
-        Ok(empties)
+        Ok(occupied)
     }
 
     fn block_to_rec(block: Block) -> SlotRecord {
@@ -858,24 +828,6 @@ impl DiskStore {
             leaf: block.leaf().index(),
             data: block.into_data(),
         }
-    }
-
-    /// Streams `(slot, id_plus1, leaf)` for every slot in `range`,
-    /// reading the file in large chunks with cache overlay.
-    fn for_each_meta(
-        &self,
-        range: std::ops::Range<u64>,
-        mut f: impl FnMut(u64, u32, u32),
-    ) -> Result<(), TreeError> {
-        let mut at = range.start;
-        while at < range.end {
-            let len = (range.end - at).min(SCAN_CHUNK_SLOTS) as usize;
-            for (i, (id_plus1, leaf)) in self.load_run_meta(at, len)?.into_iter().enumerate() {
-                f(at + i as u64, id_plus1, leaf);
-            }
-            at += len as u64;
-        }
-        Ok(())
     }
 }
 
@@ -950,15 +902,15 @@ impl BucketStore for DiskStore {
         if candidates.is_empty() {
             return;
         }
-        // Learn which path slots are free, then run the shared greedy
+        // Learn which path slots are taken, then run the shared greedy
         // planner against that snapshot.
-        let empties = self.empty_path_slots(leaf).expect("bucket-store read failed");
+        let occupied = self.occupied_path_slots(leaf).expect("bucket-store read failed");
         let mut plan = std::mem::take(&mut self.plan);
         plan_greedy_write_back(
             &self.geometry,
             leaf,
             candidates,
-            |slot| empties.contains(&slot),
+            |slot| !occupied.contains(&slot),
             &mut plan,
             placed,
         );
@@ -1000,116 +952,37 @@ impl BucketStore for DiskStore {
     }
 
     fn write_bucket(&mut self, level: u32, node_in_level: u64, blocks: Vec<Block>) -> Vec<Block> {
-        let bounds = self.bucket_slot_bounds(level, node_in_level);
-        let len = (bounds.end - bounds.start) as usize;
-        let metas = self.load_run_meta(bounds.start, len).expect("bucket-store read failed");
+        let bucket = self.geometry.bucket_slot_range(level, node_in_level);
+        let mut occupied = Vec::new();
+        self.scan_slots(bucket.clone(), &mut |slot, _, _| occupied.push(slot))
+            .expect("bucket-store read failed");
+        let mut occupied = occupied.into_iter().peekable();
         let mut blocks = blocks.into_iter();
-        let mut leftover = Vec::new();
-        for (i, (id_plus1, _)) in metas.into_iter().enumerate() {
-            if id_plus1 != 0 {
+        for slot in bucket {
+            if occupied.next_if_eq(&slot).is_some() {
                 continue;
             }
             let Some(block) = blocks.next() else { break };
-            self.store_slot(bounds.start + i as u64, Self::block_to_rec(block));
+            self.store_slot(slot as u64, Self::block_to_rec(block));
             self.occupied += 1;
         }
-        leftover.extend(blocks);
         self.maybe_spill();
-        leftover
+        blocks.collect()
     }
 
-    fn place_for_init(&mut self, block: Block) -> Result<Option<Block>, TreeError> {
-        self.geometry.check_leaf(block.leaf())?;
-        let empty = self.empty_path_slots(block.leaf())?;
-        let slot = plan_place_for_init(&self.geometry, block.leaf(), |slot| empty.contains(&slot));
-        match slot {
-            Some(slot) => {
-                self.store_slot(slot as u64, Self::block_to_rec(block));
-                self.occupied += 1;
-                self.maybe_spill();
-                Ok(None)
-            }
-            None => Ok(Some(block)),
-        }
-    }
-
-    fn snapshot_path(&self, leaf: LeafId) -> Result<PathSnapshot, TreeError> {
-        self.geometry.check_leaf(leaf)?;
-        let mut blocks = Vec::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let node = self.geometry.path_node_in_level(leaf, level);
-            let bounds = self.bucket_slot_bounds(level, node);
-            let len = (bounds.end - bounds.start) as usize;
-            for (id_plus1, leaf) in self.load_run_meta(bounds.start, len)? {
+    fn scan_slots(
+        &self,
+        slots: Range<usize>,
+        visit: &mut dyn FnMut(usize, BlockId, LeafId),
+    ) -> Result<(), TreeError> {
+        // One batched run per chunk: at most one file read each.
+        for start in slots.clone().step_by(SCAN_CHUNK_SLOTS) {
+            let len = SCAN_CHUNK_SLOTS.min(slots.end - start);
+            self.visit_run(start as u64, len, |slot, id_plus1, leaf, _| {
                 if id_plus1 != 0 {
-                    blocks.push((BlockId::new(id_plus1 - 1), LeafId::new(leaf)));
+                    visit(slot as usize, BlockId::new(id_plus1 - 1), LeafId::new(leaf));
                 }
-            }
-        }
-        Ok(PathSnapshot { leaf, blocks, slot_count: self.geometry.path_slots() })
-    }
-
-    fn collect_blocks(&self) -> Vec<(BlockId, LeafId)> {
-        let mut out = Vec::new();
-        self.for_each_meta(0..self.geometry.total_slots(), |_, id_plus1, leaf| {
-            if id_plus1 != 0 {
-                out.push((BlockId::new(id_plus1 - 1), LeafId::new(leaf)));
-            }
-        })
-        .expect("bucket-store read failed");
-        out
-    }
-
-    fn occupancy_by_level(&self) -> Vec<(u32, u64, u64)> {
-        let mut out = Vec::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let cap = u64::from(self.geometry.bucket_capacity(level));
-            let nodes = 1u64 << level;
-            let start = self.bucket_slot_bounds(level, 0).start;
-            let end = self.bucket_slot_bounds(level, nodes - 1).end;
-            let mut used = 0;
-            self.for_each_meta(start..end, |_, id_plus1, _| {
-                if id_plus1 != 0 {
-                    used += 1;
-                }
-            })
-            .expect("bucket-store read failed");
-            out.push((level, used, cap * nodes));
-        }
-        out
-    }
-
-    fn verify_consistency(&self, num_blocks: u64) -> Result<(), String> {
-        let mut seen = vec![false; num_blocks as usize];
-        for level in 0..=self.geometry.leaf_level() {
-            for node in 0..(1u64 << level) {
-                let bounds = self.bucket_slot_bounds(level, node);
-                let len = (bounds.end - bounds.start) as usize;
-                let metas = self.load_run_meta(bounds.start, len).map_err(|e| e.to_string())?;
-                for (i, (id_plus1, leaf)) in metas.into_iter().enumerate() {
-                    let slot = bounds.start + i as u64;
-                    if id_plus1 == 0 {
-                        continue;
-                    }
-                    let id = u64::from(id_plus1 - 1);
-                    if id >= num_blocks {
-                        return Err(format!("slot {slot} holds out-of-range block {id}"));
-                    }
-                    if seen[id as usize] {
-                        return Err(format!("block {id} stored twice"));
-                    }
-                    seen[id as usize] = true;
-                    let leaf = LeafId::new(leaf);
-                    if self.geometry.check_leaf(leaf).is_err() {
-                        return Err(format!("block {id} assigned invalid leaf {leaf}"));
-                    }
-                    if self.geometry.path_node_in_level(leaf, level) != node {
-                        return Err(format!(
-                            "block {id} at level {level} node {node} not on path to leaf {leaf}"
-                        ));
-                    }
-                }
-            }
+            })?;
         }
         Ok(())
     }
@@ -1240,7 +1113,6 @@ impl Drop for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TreeStorage;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("laoram-disk-test-{}-{name}.oram", std::process::id()))
@@ -1348,6 +1220,15 @@ mod tests {
         drop(s);
         let err = DiskStore::open(&path, DiskStoreConfig::new().payload_capacity(4)).unwrap_err();
         assert!(matches!(err, TreeError::CorruptStore(_)));
+        // Header offset 24 is the occupancy word: every slot taken is
+        // still a store, one more than the geometry has is not.
+        let (slots, config) = (uniform(2, 2).total_slots(), DiskStoreConfig::new());
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&slots.to_le_bytes(), 24).unwrap();
+        assert!(DiskStore::open(&path, config.clone().payload_capacity(8)).is_ok());
+        file.write_all_at(&(slots + 1).to_le_bytes(), 24).unwrap();
+        let err = DiskStore::open(&path, config.payload_capacity(8)).unwrap_err();
+        assert!(matches!(err, TreeError::CorruptStore(_)), "got {err}");
         std::fs::write(&path, b"garbage").unwrap();
         // Too-short files fail the header read; corrupt-but-long files
         // fail the magic check. Both must refuse to open.
@@ -1422,32 +1303,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_ops_match_memory_backend() {
-        let path = tmp("buckets");
-        let g = uniform(2, 2);
-        let mut disk = DiskStore::create(&path, g.clone(), DiskStoreConfig::new()).unwrap();
-        let mut mem = TreeStorage::metadata_only(g);
-        for store in [&mut disk as &mut dyn BucketStore, &mut mem as &mut dyn BucketStore] {
-            let leftover = store.write_bucket(
-                1,
-                1,
-                vec![
-                    Block::metadata_only(BlockId::new(0), LeafId::new(2)),
-                    Block::metadata_only(BlockId::new(1), LeafId::new(3)),
-                    Block::metadata_only(BlockId::new(2), LeafId::new(2)),
-                ],
-            );
-            assert_eq!(leftover.len(), 1, "bucket of 2 slots holds 2 of 3");
-            assert_eq!(leftover[0].id(), BlockId::new(2));
-        }
-        let d: Vec<_> = disk.read_bucket(1, 1).iter().map(Block::id).collect();
-        let m: Vec<_> = mem.read_bucket(1, 1).iter().map(Block::id).collect();
-        assert_eq!(d, m, "slot order identical across backends");
-        drop(disk);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn prefetch_serves_planned_paths_without_changing_results() {
         let path = tmp("prefetch");
         let cfg = DiskStoreConfig::new().payload_capacity(4);
@@ -1511,89 +1366,6 @@ mod tests {
         s.prefetch_paths(&[LeafId::new(0), LeafId::new(1)]);
         assert_eq!(s.prefetched_slots(), 0);
         drop(s);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// The decisive equivalence check at the storage layer: one random
-    /// operation sequence drives the path-I/O pair on all three stores —
-    /// across dirty-buffer spills, prefetch hits, syncs and a reopen of
-    /// the disk store — into identical scratch contents, placed flags and
-    /// final states.
-    #[test]
-    fn random_ops_equivalent_to_tree_storage() {
-        use crate::{ArenaStore, ArenaStoreConfig};
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        fn entries(s: &PathScratch) -> Vec<(BlockId, LeafId, Option<Vec<u8>>)> {
-            (0..s.len()).map(|i| (s.id(i), s.leaf(i), s.payload(i).map(Vec::from))).collect()
-        }
-        let path = tmp("equiv");
-        let g = uniform(4, 2);
-        let cfg = DiskStoreConfig::new().payload_capacity(4).write_back_paths(1);
-        let mut disk = DiskStore::create(&path, g.clone(), cfg.clone()).unwrap();
-        let mut arena = ArenaStore::new(g.clone(), ArenaStoreConfig::new().payload_capacity(4));
-        let mut mem = TreeStorage::new(g.clone());
-        let mut scratch = [PathScratch::new(), PathScratch::new(), PathScratch::new()];
-        let mut placed = [Vec::new(), Vec::new(), Vec::new()];
-        let mut rng = StdRng::seed_from_u64(0xD15C);
-        let leaves = g.num_leaves() as u32;
-        let mut next_id = 0u32;
-        let mut spills = 0;
-        for round in 0..200 {
-            let mut leaf = LeafId::new(rng.random_range(0..leaves));
-            // Exercise the readahead cache alongside ordinary traffic: a
-            // hinted path is then read without touching the file.
-            let hinted = round % 11 == 0;
-            if hinted {
-                let hint: Vec<LeafId> =
-                    (0..4).map(|_| LeafId::new(rng.random_range(0..leaves))).collect();
-                disk.prefetch_paths(&hint);
-                leaf = hint[0];
-            }
-            let dirty_before = disk.dirty_slots();
-            if hinted || rng.random_range(0..3u32) == 0 {
-                let file_reads = disk.io_stats().reads;
-                disk.read_path_into(leaf, &mut scratch[0]);
-                arena.read_path_into(leaf, &mut scratch[1]);
-                mem.read_path_into(leaf, &mut scratch[2]);
-                assert!(!hinted || disk.io_stats().reads == file_reads, "round {round}: miss");
-                assert_eq!(entries(&scratch[0]), entries(&scratch[2]), "round {round}: disk read");
-                assert_eq!(entries(&scratch[1]), entries(&scratch[2]), "round {round}: arena read");
-            } else {
-                let batch: Vec<Block> = (0..rng.random_range(1..4u32))
-                    .map(|_| {
-                        let id = BlockId::new(next_id % 1000);
-                        next_id += 1;
-                        let assigned = LeafId::new(rng.random_range(0..leaves));
-                        if rng.random_range(0..2u32) == 0 {
-                            Block::with_data(id, assigned, vec![id.index() as u8; 3].into())
-                        } else {
-                            Block::metadata_only(id, assigned)
-                        }
-                    })
-                    .collect();
-                disk.write_path_with(leaf, &batch, &mut placed[0]);
-                arena.write_path_with(leaf, &batch, &mut placed[1]);
-                mem.write_path_with(leaf, &batch, &mut placed[2]);
-                assert_eq!(placed[0], placed[2], "round {round}: disk placements diverged");
-                assert_eq!(placed[1], placed[2], "round {round}: arena placements diverged");
-            }
-            spills += usize::from(disk.dirty_slots() < dirty_before);
-            if round % 17 == 0 {
-                disk.sync().unwrap();
-            }
-            if round == 100 {
-                disk.sync().unwrap();
-                drop(disk);
-                disk = DiskStore::open(&path, cfg.clone()).unwrap();
-            }
-            assert_eq!(disk.occupancy(), mem.occupancy(), "round {round}");
-            assert_eq!(arena.occupancy(), mem.occupancy(), "round {round}");
-        }
-        assert!(spills > 0, "the 1-path write-back budget must have spilled");
-        assert_eq!(disk.collect_blocks(), mem.collect_blocks(), "disk final state diverged");
-        assert_eq!(arena.collect_blocks(), mem.collect_blocks(), "arena final state diverged");
-        drop(disk);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -272,6 +272,13 @@ impl TreeGeometry {
         start as usize..(start + cap) as usize
     }
 
+    /// Flat slot range of a whole level: its buckets' ranges back to back,
+    /// node 0 first.
+    pub(crate) fn level_slot_range(&self, level: u32) -> std::ops::Range<usize> {
+        let offsets = &self.level_slot_offsets;
+        offsets[level as usize] as usize..offsets[level as usize + 1] as usize
+    }
+
     /// Deepest level at which the paths to `a` and `b` still share a node.
     ///
     /// Identical leaves share the whole path (`leaf_level`); leaves whose

@@ -75,8 +75,8 @@ pub use hash::{IdHashBuilder, IdHasher};
 pub use path::{encode_slot, PathScratch, SLOT_HEADER_BYTES};
 pub use sealing::{BlockSealer, NONCE_BYTES};
 pub use snapshot::{ClientLevelState, SnapshotBlock, StateSnapshot};
-pub use storage::{PathSnapshot, TreeStorage};
-pub use store::{BucketStore, Candidate, DynBucketStore, PathCandidates};
+pub use storage::TreeStorage;
+pub use store::{BucketStore, Candidate, DynBucketStore, PathCandidates, PathSnapshot};
 pub use telemetry::StoreTelemetry;
 
 /// Convenience alias for results produced by this crate.

@@ -5,7 +5,9 @@
 //! configurations of the paper within a laptop's memory when run
 //! metadata-only.
 
-use crate::store::{plan_greedy_write_back, plan_place_for_init, PlanScratch};
+use std::ops::Range;
+
+use crate::store::{plan_greedy_write_back, PlanScratch};
 use crate::{
     Block, BlockId, BucketStore, LeafId, PathCandidates, PathScratch, TreeError, TreeGeometry,
 };
@@ -23,47 +25,6 @@ impl SlotMeta {
 
     fn is_empty(self) -> bool {
         self.id == BlockId::EMPTY_RAW
-    }
-}
-
-/// Non-destructive view of the real blocks currently stored on one path.
-///
-/// Produced by [`TreeStorage::snapshot_path`] (and any other
-/// [`BucketStore`]); used by tests, the security audit, and debugging
-/// tools.
-///
-/// # Example
-/// ```
-/// use oram_tree::{Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry,
-///                 TreeStorage};
-///
-/// let geometry = TreeGeometry::with_levels(3, BucketProfile::Uniform { capacity: 4 })?;
-/// let mut storage = TreeStorage::new(geometry);
-/// let mut blocks = vec![Block::metadata_only(BlockId::new(9), LeafId::new(5))];
-/// storage.write_path(LeafId::new(5), &mut blocks);
-///
-/// let snapshot = storage.snapshot_path(LeafId::new(5))?;
-/// assert_eq!(snapshot.real_count(), 1);
-/// assert_eq!(snapshot.blocks[0], (BlockId::new(9), LeafId::new(5)));
-/// assert_eq!(snapshot.slot_count, 4 * 4); // four levels of Z = 4 buckets
-/// # Ok::<(), oram_tree::TreeError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct PathSnapshot {
-    /// The inspected path.
-    pub leaf: LeafId,
-    /// `(block, assigned leaf)` for every real block on the path, ordered
-    /// root to leaf.
-    pub blocks: Vec<(BlockId, LeafId)>,
-    /// Total slots along the path (real + dummy).
-    pub slot_count: u64,
-}
-
-impl PathSnapshot {
-    /// Number of real blocks on the path.
-    #[must_use]
-    pub fn real_count(&self) -> usize {
-        self.blocks.len()
     }
 }
 
@@ -161,24 +122,6 @@ impl TreeStorage {
         }
     }
 
-    /// The geometry this storage was built with.
-    #[must_use]
-    pub fn geometry(&self) -> &TreeGeometry {
-        &self.geometry
-    }
-
-    /// Whether blocks in this tree may carry payload bytes.
-    #[must_use]
-    pub fn payloads_enabled(&self) -> bool {
-        self.payloads_enabled
-    }
-
-    /// Number of real blocks currently stored in the tree.
-    #[must_use]
-    pub fn occupancy(&self) -> u64 {
-        self.occupied
-    }
-
     /// Flat slot indices of the path to `leaf`, root first.
     fn path_slot_indices(&self, leaf: LeafId) -> impl Iterator<Item = usize> + '_ {
         self.geometry.path_levels().flat_map(move |level| {
@@ -201,167 +144,17 @@ impl TreeStorage {
         }
         self.occupied += 1;
     }
-
-    /// Removes and returns every real block in one bucket, in slot order.
-    pub fn read_bucket(&mut self, level: u32, node_in_level: u64) -> Vec<Block> {
-        let mut out = Vec::new();
-        for slot in self.geometry.bucket_slot_range(level, node_in_level) {
-            let m = self.meta[slot];
-            if m.is_empty() {
-                continue;
-            }
-            self.meta[slot] = SlotMeta::EMPTY;
-            self.occupied -= 1;
-            let data = if self.payloads_enabled { self.data[slot].take() } else { None };
-            let id = BlockId::new(m.id);
-            let assigned = LeafId::new(m.leaf);
-            out.push(match data {
-                Some(d) => Block::with_data(id, assigned, d),
-                None => Block::metadata_only(id, assigned),
-            });
-        }
-        out
-    }
-
-    /// Places `blocks` into one bucket's empty slots in order, returning
-    /// the blocks that did not fit.
-    ///
-    /// # Panics
-    /// Panics if a payload-carrying block is written into a metadata-only
-    /// tree.
-    pub fn write_bucket(
-        &mut self,
-        level: u32,
-        node_in_level: u64,
-        blocks: Vec<Block>,
-    ) -> Vec<Block> {
-        let mut blocks = blocks.into_iter();
-        for slot in self.geometry.bucket_slot_range(level, node_in_level) {
-            if !self.meta[slot].is_empty() {
-                continue;
-            }
-            let Some(block) = blocks.next() else { return Vec::new() };
-            self.fill_slot(slot, block.id(), block.leaf(), block.into_data());
-        }
-        blocks.collect()
-    }
-
-    /// Places one block anywhere on the path to *its own* assigned leaf,
-    /// deepest empty slot first. Used by look-ahead (warm-start)
-    /// initialisation. Returns the block if the whole path is full.
-    ///
-    /// # Errors
-    /// Returns [`TreeError::LeafOutOfRange`] if the block's leaf is invalid.
-    pub fn place_for_init(&mut self, block: Block) -> Result<Option<Block>, TreeError> {
-        self.geometry.check_leaf(block.leaf())?;
-        let meta = &self.meta;
-        match plan_place_for_init(&self.geometry, block.leaf(), |slot| meta[slot].is_empty()) {
-            Some(slot) => {
-                self.fill_slot(slot, block.id(), block.leaf(), block.into_data());
-                Ok(None)
-            }
-            None => Ok(Some(block)),
-        }
-    }
-
-    /// Non-destructively lists the real blocks on a path.
-    ///
-    /// # Errors
-    /// Returns [`TreeError::LeafOutOfRange`] for invalid leaves.
-    pub fn snapshot_path(&self, leaf: LeafId) -> Result<PathSnapshot, TreeError> {
-        self.geometry.check_leaf(leaf)?;
-        let blocks = self
-            .path_slot_indices(leaf)
-            .map(|slot| self.meta[slot])
-            .filter(|m| !m.is_empty())
-            .map(|m| (BlockId::new(m.id), LeafId::new(m.leaf)))
-            .collect();
-        Ok(PathSnapshot { leaf, blocks, slot_count: self.geometry.path_slots() })
-    }
-
-    /// Occupied and total slot counts per level, root to leaf. Used by the
-    /// fat-tree utilisation analysis.
-    #[must_use]
-    pub fn occupancy_by_level(&self) -> Vec<(u32, u64, u64)> {
-        let mut out = Vec::new();
-        for level in 0..=self.geometry.leaf_level() {
-            let cap = u64::from(self.geometry.bucket_capacity(level));
-            let nodes = 1u64 << level;
-            let start = self.geometry.bucket_slot_range(level, 0).start;
-            let end = self.geometry.bucket_slot_range(level, nodes - 1).end;
-            let used = self.meta[start..end].iter().filter(|m| !m.is_empty()).count() as u64;
-            out.push((level, used, cap * nodes));
-        }
-        out
-    }
-
-    /// Verifies structural invariants: no duplicate block ids, every stored
-    /// block id below `num_blocks`, and every block stored on a bucket that
-    /// lies on the path to its assigned leaf.
-    ///
-    /// # Errors
-    /// Returns a human-readable description of the first violation.
-    pub fn verify_consistency(&self, num_blocks: u64) -> Result<(), String> {
-        let mut seen = vec![false; num_blocks as usize];
-        for level in 0..=self.geometry.leaf_level() {
-            for node in 0..(1u64 << level) {
-                for slot in self.geometry.bucket_slot_range(level, node) {
-                    let m = self.meta[slot];
-                    if m.is_empty() {
-                        continue;
-                    }
-                    if u64::from(m.id) >= num_blocks {
-                        return Err(format!("slot {slot} holds out-of-range block {}", m.id));
-                    }
-                    if seen[m.id as usize] {
-                        return Err(format!("block {} stored twice", m.id));
-                    }
-                    seen[m.id as usize] = true;
-                    let leaf = LeafId::new(m.leaf);
-                    if self.geometry.check_leaf(leaf).is_err() {
-                        return Err(format!("block {} assigned invalid leaf {}", m.id, m.leaf));
-                    }
-                    if self.geometry.path_node_in_level(leaf, level) != node {
-                        return Err(format!(
-                            "block {} at level {level} node {node} not on path to leaf {}",
-                            m.id, m.leaf
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Removes every block from the tree.
-    pub fn clear(&mut self) {
-        self.meta.fill(SlotMeta::EMPTY);
-        for d in &mut self.data {
-            *d = None;
-        }
-        self.occupied = 0;
-    }
-
-    /// Every stored block as `(id, assigned leaf)` pairs, in level order.
-    #[must_use]
-    pub fn collect_blocks(&self) -> Vec<(BlockId, LeafId)> {
-        self.meta
-            .iter()
-            .filter(|m| !m.is_empty())
-            .map(|m| (BlockId::new(m.id), LeafId::new(m.leaf)))
-            .collect()
-    }
 }
 
 impl BucketStore for TreeStorage {
     fn geometry(&self) -> &TreeGeometry {
-        TreeStorage::geometry(self)
+        &self.geometry
     }
     fn payloads_enabled(&self) -> bool {
-        TreeStorage::payloads_enabled(self)
+        self.payloads_enabled
     }
     fn occupancy(&self) -> u64 {
-        TreeStorage::occupancy(self)
+        self.occupied
     }
     fn read_path_into(&mut self, leaf: LeafId, out: &mut PathScratch) {
         debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
@@ -415,28 +208,53 @@ impl BucketStore for TreeStorage {
         self.plan = plan;
     }
     fn read_bucket(&mut self, level: u32, node_in_level: u64) -> Vec<Block> {
-        TreeStorage::read_bucket(self, level, node_in_level)
+        let mut out = Vec::new();
+        for slot in self.geometry.bucket_slot_range(level, node_in_level) {
+            let m = self.meta[slot];
+            if m.is_empty() {
+                continue;
+            }
+            self.meta[slot] = SlotMeta::EMPTY;
+            self.occupied -= 1;
+            let data = if self.payloads_enabled { self.data[slot].take() } else { None };
+            let id = BlockId::new(m.id);
+            let assigned = LeafId::new(m.leaf);
+            out.push(match data {
+                Some(d) => Block::with_data(id, assigned, d),
+                None => Block::metadata_only(id, assigned),
+            });
+        }
+        out
     }
     fn write_bucket(&mut self, level: u32, node_in_level: u64, blocks: Vec<Block>) -> Vec<Block> {
-        TreeStorage::write_bucket(self, level, node_in_level, blocks)
+        let mut blocks = blocks.into_iter();
+        for slot in self.geometry.bucket_slot_range(level, node_in_level) {
+            if !self.meta[slot].is_empty() {
+                continue;
+            }
+            let Some(block) = blocks.next() else { return Vec::new() };
+            self.fill_slot(slot, block.id(), block.leaf(), block.into_data());
+        }
+        blocks.collect()
     }
-    fn place_for_init(&mut self, block: Block) -> Result<Option<Block>, TreeError> {
-        TreeStorage::place_for_init(self, block)
-    }
-    fn snapshot_path(&self, leaf: LeafId) -> Result<PathSnapshot, TreeError> {
-        TreeStorage::snapshot_path(self, leaf)
-    }
-    fn collect_blocks(&self) -> Vec<(BlockId, LeafId)> {
-        TreeStorage::collect_blocks(self)
-    }
-    fn occupancy_by_level(&self) -> Vec<(u32, u64, u64)> {
-        TreeStorage::occupancy_by_level(self)
-    }
-    fn verify_consistency(&self, num_blocks: u64) -> Result<(), String> {
-        TreeStorage::verify_consistency(self, num_blocks)
+    fn scan_slots(
+        &self,
+        slots: Range<usize>,
+        visit: &mut dyn FnMut(usize, BlockId, LeafId),
+    ) -> Result<(), TreeError> {
+        for (slot, m) in slots.clone().zip(&self.meta[slots]) {
+            if !m.is_empty() {
+                visit(slot, BlockId::new(m.id), LeafId::new(m.leaf));
+            }
+        }
+        Ok(())
     }
     fn clear(&mut self) {
-        TreeStorage::clear(self);
+        self.meta.fill(SlotMeta::EMPTY);
+        for d in &mut self.data {
+            *d = None;
+        }
+        self.occupied = 0;
     }
 }
 
@@ -550,56 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn place_for_init_fills_leaf_first() {
-        let mut t = uniform_tree(2, 1);
-        let leaf = LeafId::new(1);
-        assert!(t.place_for_init(Block::metadata_only(BlockId::new(0), leaf)).unwrap().is_none());
-        assert!(t.place_for_init(Block::metadata_only(BlockId::new(1), leaf)).unwrap().is_none());
-        assert!(t.place_for_init(Block::metadata_only(BlockId::new(2), leaf)).unwrap().is_none());
-        // Path now full (leaf, level1, root each hold one).
-        let overflow = t.place_for_init(Block::metadata_only(BlockId::new(3), leaf)).unwrap();
-        assert!(overflow.is_some());
-        let by_level = t.occupancy_by_level();
-        assert_eq!(by_level.iter().map(|(_, used, _)| used).sum::<u64>(), 3);
-        t.verify_consistency(4).unwrap();
-    }
-
-    #[test]
-    fn place_for_init_rejects_bad_leaf() {
-        let mut t = uniform_tree(2, 1);
-        let err = t.place_for_init(Block::metadata_only(BlockId::new(0), LeafId::new(99)));
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn verify_consistency_detects_duplicates() {
-        let mut t = uniform_tree(2, 2);
-        let leaf = LeafId::new(0);
-        let mut blocks = vec![Block::metadata_only(BlockId::new(1), leaf)];
-        t.write_path(leaf, &mut blocks);
-        // Write the same id again via another path — inconsistent state that
-        // the protocol layer would never create.
-        let mut dup = vec![Block::metadata_only(BlockId::new(1), LeafId::new(3))];
-        t.write_path(LeafId::new(3), &mut dup);
-        assert!(t.verify_consistency(4).unwrap_err().contains("twice"));
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut t = uniform_tree(3, 2);
-        let mut blocks: Vec<Block> =
-            (0..4).map(|i| Block::metadata_only(BlockId::new(i), LeafId::new(i))).collect();
-        for leaf in 0..4u32 {
-            let mut one = vec![blocks.remove(0)];
-            t.write_path(LeafId::new(leaf), &mut one);
-        }
-        assert!(t.occupancy() > 0);
-        t.clear();
-        assert_eq!(t.occupancy(), 0);
-        t.verify_consistency(4).unwrap();
-    }
-
-    #[test]
     fn fat_tree_write_back_uses_wide_root() {
         let g =
             TreeGeometry::with_levels(2, BucketProfile::FatLinear { leaf_capacity: 1 }).unwrap();
@@ -613,12 +381,6 @@ mod tests {
         ];
         t.write_path(LeafId::new(0), &mut blocks);
         assert!(blocks.is_empty(), "fat root should absorb both blocks");
-    }
-
-    #[test]
-    fn snapshot_rejects_invalid_leaf() {
-        let t = uniform_tree(2, 1);
-        assert!(t.snapshot_path(LeafId::new(100)).is_err());
     }
 
     /// Reference implementation of eligibility: a block may sit at `level`

@@ -23,6 +23,21 @@
 //! written once over that pair; no store overrides them, so a protocol
 //! client never needs to ask which store it got.
 //!
+//! # One copy of everything else
+//!
+//! Beyond the path pair a store implements only slot I/O: the bucket ops
+//! Ring needs, [`clear`](BucketStore::clear), and one non-destructive
+//! metadata visitor, [`scan_slots`](BucketStore::scan_slots). Warm-start
+//! placement ([`place_for_init`](BucketStore::place_for_init), over
+//! `write_bucket`) and the four audits (`snapshot_path`, `collect_blocks`,
+//! `occupancy_by_level`, `verify_consistency`, over `scan_slots`) are
+//! provided methods written once on the trait; no store overrides one.
+//! The audits lean on `scan_slots`' **ordering contract**: exactly the
+//! occupied slots of the requested flat-slot range, each once, in
+//! ascending slot order — the order [`TreeGeometry`] lays slots out in
+//! (level by level, buckets in node order), so "root first" and "level
+//! order" fall out of scanning ranges in ascending order.
+//!
 //! # Why the boundary sits here
 //!
 //! Everything *above* this trait is client state (stash, position map,
@@ -33,7 +48,49 @@
 //! whole-path reads and write-backs, bucket-granular reads for Ring-style
 //! protocols, and bulk initialisation — and nothing protocol-specific.
 
-use crate::{Block, BlockId, LeafId, PathScratch, PathSnapshot, TreeError, TreeGeometry};
+use std::ops::Range;
+
+use crate::{Block, BlockId, LeafId, PathScratch, TreeError, TreeGeometry};
+
+/// Non-destructive view of the real blocks currently stored on one path.
+///
+/// Produced by [`BucketStore::snapshot_path`]; used by tests, the security
+/// audit, and debugging tools.
+///
+/// # Example
+/// ```
+/// use oram_tree::{Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry,
+///                 TreeStorage};
+///
+/// let geometry = TreeGeometry::with_levels(3, BucketProfile::Uniform { capacity: 4 })?;
+/// let mut storage = TreeStorage::new(geometry);
+/// let mut blocks = vec![Block::metadata_only(BlockId::new(9), LeafId::new(5))];
+/// storage.write_path(LeafId::new(5), &mut blocks);
+///
+/// let snapshot = storage.snapshot_path(LeafId::new(5))?;
+/// assert_eq!(snapshot.real_count(), 1);
+/// assert_eq!(snapshot.blocks[0], (BlockId::new(9), LeafId::new(5)));
+/// assert_eq!(snapshot.slot_count, 4 * 4); // four levels of Z = 4 buckets
+/// # Ok::<(), oram_tree::TreeError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct PathSnapshot {
+    /// The inspected path.
+    pub leaf: LeafId,
+    /// `(block, assigned leaf)` for every real block on the path, ordered
+    /// root to leaf.
+    pub blocks: Vec<(BlockId, LeafId)>,
+    /// Total slots along the path (real + dummy).
+    pub slot_count: u64,
+}
+
+impl PathSnapshot {
+    /// Number of real blocks on the path.
+    #[must_use]
+    pub fn real_count(&self) -> usize {
+        self.blocks.len()
+    }
+}
 
 /// Server-side bucket storage for tree-based ORAM protocols.
 ///
@@ -70,16 +127,16 @@ use crate::{Block, BlockId, LeafId, PathScratch, PathSnapshot, TreeError, TreeGe
 /// # Contract
 ///
 /// Implementations model a complete binary tree of buckets whose shape is
-/// fixed at construction time by a [`TreeGeometry`]. Path I/O is the
-/// scratch pair — [`read_path_into`](Self::read_path_into) and
-/// [`write_path_with`](Self::write_path_with) are the only path methods a
-/// store implements; [`read_path`](Self::read_path),
-/// [`write_path`](Self::write_path) and
-/// [`write_path_from`](Self::write_path_from) are provided over them. All
-/// implementations must agree on the observable semantics below; the
-/// backend-equivalence property tests in the workspace assert that a trace
-/// produces **bit-identical responses and identical server-visible access
-/// sequences** on every backend.
+/// fixed at construction time by a [`TreeGeometry`]. A store implements
+/// slot I/O and nothing else — the path pair, the bucket pair,
+/// [`clear`](Self::clear), [`scan_slots`](Self::scan_slots) and three
+/// accessors; the `Vec<Block>` path conveniences, warm-start placement
+/// and every audit are provided over those. All implementations must
+/// agree on the observable semantics below; the backend-equivalence
+/// property tests in the workspace assert that a trace produces
+/// **bit-identical responses and identical server-visible access
+/// sequences** on every backend, and `crates/tree/tests/conformance.rs`
+/// drives every store against one model.
 ///
 /// ## Ordering
 ///
@@ -215,6 +272,21 @@ pub trait BucketStore {
     /// payload storage.
     fn write_bucket(&mut self, level: u32, node_in_level: u64, blocks: Vec<Block>) -> Vec<Block>;
 
+    /// Visits every **occupied** slot in the flat-slot range `slots`
+    /// ([`TreeGeometry::bucket_slot_range`]'s indices) as `(slot, block
+    /// id, assigned leaf)`, each exactly once, in ascending slot order,
+    /// without changing the store — the one read-only primitive the
+    /// provided audits are written over. Backends with a backing medium
+    /// batch the range into large reads rather than one per slot.
+    ///
+    /// # Errors
+    /// Propagates backing-medium failures ([`TreeError::Io`]).
+    fn scan_slots(
+        &self,
+        slots: Range<usize>,
+        visit: &mut dyn FnMut(usize, BlockId, LeafId),
+    ) -> Result<(), TreeError>;
+
     /// Places one block anywhere on the path to *its own* assigned leaf,
     /// deepest empty slot first (warm-start initialisation). Returns the
     /// block if the whole path is full.
@@ -222,29 +294,100 @@ pub trait BucketStore {
     /// # Errors
     /// Returns [`TreeError::LeafOutOfRange`] if the block's leaf is
     /// invalid.
-    fn place_for_init(&mut self, block: Block) -> Result<Option<Block>, TreeError>;
+    fn place_for_init(&mut self, block: Block) -> Result<Option<Block>, TreeError> {
+        let leaf = block.leaf();
+        self.geometry().check_leaf(leaf)?;
+        let mut unplaced = vec![block];
+        for level in (0..=self.geometry().leaf_level()).rev() {
+            let node = self.geometry().path_node_in_level(leaf, level);
+            unplaced = self.write_bucket(level, node, unplaced);
+            if unplaced.is_empty() {
+                break;
+            }
+        }
+        Ok(unplaced.pop())
+    }
 
     /// Non-destructively lists the real blocks on a path, root first.
     ///
     /// # Errors
-    /// Returns [`TreeError::LeafOutOfRange`] for invalid leaves.
-    fn snapshot_path(&self, leaf: LeafId) -> Result<PathSnapshot, TreeError>;
+    /// Returns [`TreeError::LeafOutOfRange`] for invalid leaves and
+    /// propagates [`scan_slots`](Self::scan_slots) failures.
+    fn snapshot_path(&self, leaf: LeafId) -> Result<PathSnapshot, TreeError> {
+        let geometry = self.geometry();
+        geometry.check_leaf(leaf)?;
+        let mut blocks = Vec::new();
+        for level in geometry.path_levels() {
+            let bucket =
+                geometry.bucket_slot_range(level, geometry.path_node_in_level(leaf, level));
+            self.scan_slots(bucket, &mut |_, id, assigned| blocks.push((id, assigned)))?;
+        }
+        Ok(PathSnapshot { leaf, blocks, slot_count: geometry.path_slots() })
+    }
 
     /// Every real block currently stored, as `(id, assigned leaf)` pairs
     /// in level order. Intended for audits, invariant checks, and
     /// backend-migration tooling — O(tree), not a serving-path operation.
-    fn collect_blocks(&self) -> Vec<(crate::BlockId, LeafId)>;
+    fn collect_blocks(&self) -> Vec<(BlockId, LeafId)> {
+        let mut out = Vec::new();
+        self.scan_slots(0..self.geometry().total_slots() as usize, &mut |_, id, leaf| {
+            out.push((id, leaf));
+        })
+        .expect("bucket-store read failed");
+        out
+    }
 
     /// Occupied and total slot counts per level, root to leaf.
-    fn occupancy_by_level(&self) -> Vec<(u32, u64, u64)>;
+    fn occupancy_by_level(&self) -> Vec<(u32, u64, u64)> {
+        let geometry = self.geometry();
+        let mut out = Vec::new();
+        for level in geometry.path_levels() {
+            let slots = geometry.level_slot_range(level);
+            let (total, mut used) = (slots.len() as u64, 0);
+            self.scan_slots(slots, &mut |_, _, _| used += 1).expect("bucket-store read failed");
+            out.push((level, used, total));
+        }
+        out
+    }
 
     /// Verifies structural invariants: no duplicate block ids, every
     /// stored id below `num_blocks`, and every block stored on a bucket
     /// that lies on the path to its assigned leaf.
     ///
     /// # Errors
-    /// Returns a human-readable description of the first violation.
-    fn verify_consistency(&self, num_blocks: u64) -> Result<(), String>;
+    /// Returns a human-readable description of the first violation (in
+    /// slot order), or of a [`scan_slots`](Self::scan_slots) failure.
+    fn verify_consistency(&self, num_blocks: u64) -> Result<(), String> {
+        let geometry = self.geometry();
+        let mut seen = vec![false; num_blocks as usize];
+        for level in geometry.path_levels() {
+            let slots = geometry.level_slot_range(level);
+            let (first, capacity) = (slots.start, geometry.bucket_capacity(level) as usize);
+            let mut violation = None;
+            self.scan_slots(slots, &mut |slot, id, leaf| {
+                let node = ((slot - first) / capacity) as u64;
+                let found = if violation.is_some() {
+                    return;
+                } else if u64::from(id.index()) >= num_blocks {
+                    format!("slot {slot} holds out-of-range block {id}")
+                } else if std::mem::replace(&mut seen[id.as_usize()], true) {
+                    format!("block {id} stored twice")
+                } else if geometry.check_leaf(leaf).is_err() {
+                    format!("block {id} assigned invalid leaf {leaf}")
+                } else if geometry.path_node_in_level(leaf, level) != node {
+                    format!("block {id} at level {level} node {node} not on path to leaf {leaf}")
+                } else {
+                    return;
+                };
+                violation = Some(found);
+            })
+            .map_err(|e| e.to_string())?;
+            if let Some(found) = violation {
+                return Err(found);
+            }
+        }
+        Ok(())
+    }
 
     /// Removes every block from the store.
     fn clear(&mut self);
@@ -386,20 +529,12 @@ impl<S: BucketStore + ?Sized> BucketStore for Box<S> {
     fn write_bucket(&mut self, level: u32, node_in_level: u64, blocks: Vec<Block>) -> Vec<Block> {
         (**self).write_bucket(level, node_in_level, blocks)
     }
-    fn place_for_init(&mut self, block: Block) -> Result<Option<Block>, TreeError> {
-        (**self).place_for_init(block)
-    }
-    fn snapshot_path(&self, leaf: LeafId) -> Result<PathSnapshot, TreeError> {
-        (**self).snapshot_path(leaf)
-    }
-    fn collect_blocks(&self) -> Vec<(crate::BlockId, LeafId)> {
-        (**self).collect_blocks()
-    }
-    fn occupancy_by_level(&self) -> Vec<(u32, u64, u64)> {
-        (**self).occupancy_by_level()
-    }
-    fn verify_consistency(&self, num_blocks: u64) -> Result<(), String> {
-        (**self).verify_consistency(num_blocks)
+    fn scan_slots(
+        &self,
+        slots: Range<usize>,
+        visit: &mut dyn FnMut(usize, BlockId, LeafId),
+    ) -> Result<(), TreeError> {
+        (**self).scan_slots(slots, visit)
     }
     fn clear(&mut self) {
         (**self).clear();
@@ -499,22 +634,4 @@ pub(crate) fn plan_greedy_write_back(
             placed[idx] = true;
         }
     }
-}
-
-/// Finds the deepest empty slot on the path to `leaf` (warm-start
-/// placement), shared by every backend's `place_for_init`.
-pub(crate) fn plan_place_for_init(
-    geometry: &TreeGeometry,
-    leaf: LeafId,
-    mut slot_is_empty: impl FnMut(usize) -> bool,
-) -> Option<usize> {
-    for level in (0..=geometry.leaf_level()).rev() {
-        let node = geometry.path_node_in_level(leaf, level);
-        for slot in geometry.bucket_slot_range(level, node) {
-            if slot_is_empty(slot) {
-                return Some(slot);
-            }
-        }
-    }
-    None
 }
