@@ -4,11 +4,13 @@
 //! [`TreeStorage`](crate::TreeStorage) keeps slot metadata in a flat
 //! array but boxes every payload individually, so a "path copy" there
 //! moves pointers. [`ArenaStore`] is the in-memory serving store: each
-//! level is a single `Box<[u8]>` arena of fixed-stride slots (12-byte
-//! header + a fixed payload capacity), and path I/O physically copies
-//! slot bytes between the arena and the caller's buffers — a row's bytes
-//! never keep their address across an access, which is the ORAM — with
-//! per-stride `memcpy`s and no per-block allocation.
+//! level is a single `Box<[u8]>` arena of slot images (the one image
+//! defined in `path.rs` — the bytes a [`DiskStore`](crate::DiskStore)
+//! file holds), and path I/O physically copies images between the arena
+//! and the caller's buffers — a row's bytes never keep their address
+//! across an access, which is the ORAM — with per-slot `memcpy`s and no
+//! per-block allocation. A zero id word is an empty slot, so a fresh
+//! arena is a zeroed allocation.
 //!
 //! The path read is **branchless and constant-shape**: every slot on the
 //! path is copied out and marked empty whether or not it holds a real
@@ -21,8 +23,7 @@
 //! sequences to be identical against `TreeStorage`. See ARCHITECTURE.md's
 //! "Data layout" section.
 
-use crate::path::encode_slot;
-use crate::path::{NO_PAYLOAD, SLOT_HEADER_BYTES};
+use crate::path::{decode_block, decode_slot, encode_slot, is_empty, mark_empty, slot_bytes};
 use std::ops::Range;
 
 use crate::store::{plan_greedy_write_back, PlanScratch};
@@ -30,8 +31,6 @@ use crate::{
     Block, BlockId, BucketStore, Candidate, LeafId, PathCandidates, PathScratch, TreeError,
     TreeGeometry,
 };
-
-const EMPTY_ID_BYTES: [u8; 4] = u32::MAX.to_le_bytes();
 
 /// Construction-time tuning for an [`ArenaStore`].
 ///
@@ -53,7 +52,7 @@ impl ArenaStoreConfig {
     }
 
     /// Fixed payload bytes reserved per slot. `0` (the default) builds a
-    /// metadata-only store whose stride is just the slot header — the
+    /// metadata-only store whose stride is the 8-byte id + leaf image — the
     /// mode the paper-scale simulations and the serving bench run in.
     /// Payload-carrying tables must size this to their (sealed) row
     /// width; writes larger than the capacity panic.
@@ -121,18 +120,28 @@ impl std::fmt::Debug for ArenaStore {
 }
 
 impl ArenaStore {
-    /// Creates an empty store: one zero-initialised (all-empty) arena per
-    /// level, sized `level slots × stride`.
+    /// Creates an empty store: one zero-filled (all-empty) arena per
+    /// level, sized `level slots × stride`, every page touched.
     #[must_use]
     pub fn new(geometry: TreeGeometry, config: ArenaStoreConfig) -> Self {
         let payload_capacity = config.payload_capacity as usize;
-        let stride = SLOT_HEADER_BYTES + payload_capacity;
+        let stride = slot_bytes(payload_capacity);
         let mut levels = Vec::new();
         let mut level_base = Vec::new();
         for level in geometry.path_levels() {
             let slots = geometry.level_slot_range(level);
-            // 0xFF fill: every id reads as the empty sentinel.
-            levels.push(vec![0xFF; slots.len() * stride].into_boxed_slice());
+            // `resize`, not `vec![0; n]`: a zeroed allocation is mapped
+            // lazily, which moves a 4 KiB-row table's ≈ 860 MiB of
+            // first-touch page faults out of this one sequential pass and
+            // into populate, where they cost about twice as much
+            // (`serve_4k_tcp` `setup_s` 0.65 s → 1.2 s, PR 15's A/B).
+            #[allow(clippy::slow_vector_initialization)]
+            let arena = {
+                let mut arena = Vec::with_capacity(slots.len() * stride);
+                arena.resize(slots.len() * stride, 0u8);
+                arena
+            };
+            levels.push(arena.into_boxed_slice());
             level_base.push(slots.start);
         }
         ArenaStore {
@@ -145,7 +154,7 @@ impl ArenaStore {
         }
     }
 
-    /// Creates a metadata-only store (stride = slot header only).
+    /// Creates a metadata-only store (8-byte slots).
     #[must_use]
     pub fn metadata_only(geometry: TreeGeometry) -> Self {
         ArenaStore::new(geometry, ArenaStoreConfig::new())
@@ -158,7 +167,7 @@ impl ArenaStore {
     }
 
     fn stride(&self) -> usize {
-        SLOT_HEADER_BYTES + self.payload_capacity
+        slot_bytes(self.payload_capacity)
     }
 
     /// (level, byte offset) of a flat slot index.
@@ -179,57 +188,13 @@ impl ArenaStore {
         &mut self.levels[level][off..off + stride]
     }
 
-    fn slot_is_empty(&self, flat: usize) -> bool {
-        self.slot(flat)[0..4] == EMPTY_ID_BYTES
-    }
-
-    fn header(slot: &[u8]) -> (u32, u32, u32) {
-        let word =
-            |at: usize| u32::from_le_bytes(slot[at..at + 4].try_into().expect("header word"));
-        (word(0), word(4), word(8))
-    }
-
     /// Removes and returns the slot's block, if real.
     fn take_block(&mut self, flat: usize) -> Option<Block> {
         let slot = self.slot_mut(flat);
-        let (id, leaf, len) = Self::header(slot);
-        if id == BlockId::EMPTY_RAW {
-            return None;
-        }
-        let block = if len == NO_PAYLOAD {
-            Block::metadata_only(BlockId::new(id), LeafId::new(leaf))
-        } else {
-            let payload = &slot[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + len as usize];
-            Block::with_data(BlockId::new(id), LeafId::new(leaf), payload.into())
-        };
-        slot[0..4].copy_from_slice(&EMPTY_ID_BYTES);
+        let block = decode_block(slot)?;
+        mark_empty(slot);
         self.occupied -= 1;
         Some(block)
-    }
-
-    /// Refuses payloads this store cannot hold.
-    ///
-    /// # Panics
-    /// Panics if a payload is handed to a metadata-only store, or exceeds
-    /// the slot capacity.
-    fn check_payload(payload_capacity: usize, payload: Option<&[u8]>) {
-        let Some(p) = payload else { return };
-        assert!(payload_capacity > 0, "payload block written into a metadata-only tree");
-        assert!(
-            p.len() <= payload_capacity,
-            "payload of {} bytes exceeds the arena slot capacity of {payload_capacity}",
-            p.len(),
-        );
-    }
-
-    /// Stores `block` into the (empty) slot.
-    ///
-    /// # Panics
-    /// As [`check_payload`](Self::check_payload).
-    fn put_block(&mut self, flat: usize, block: &Block) {
-        Self::check_payload(self.payload_capacity, block.data());
-        encode_slot(self.slot_mut(flat), block.id(), block.leaf(), block.data());
-        self.occupied += 1;
     }
 }
 
@@ -260,14 +225,14 @@ impl BucketStore for ArenaStore {
             let arena = &mut self.levels[level as usize];
             for local in (range.start - base)..(range.end - base) {
                 let slot = &mut arena[local * stride..(local + 1) * stride];
-                let occupied = usize::from(slot[0..4] != EMPTY_ID_BYTES);
+                let occupied = usize::from(!is_empty(slot));
                 // Constant shape: copy the slot to the scratch tail and
                 // mark it empty regardless of occupancy; the cursor only
                 // advances past real blocks, so a dummy's copy is
                 // overwritten by the next one. Same visit order (root
                 // first, slot order) and output as the scalar scan.
                 out.raw_slot_mut(cursor).copy_from_slice(slot);
-                slot[0..4].copy_from_slice(&EMPTY_ID_BYTES);
+                mark_empty(slot);
                 cursor += occupied;
             }
         }
@@ -290,7 +255,7 @@ impl BucketStore for ArenaStore {
             candidates,
             |flat| {
                 let (level, off) = Self::locate(level_base, stride, flat);
-                levels[level][off..off + 4] == EMPTY_ID_BYTES
+                is_empty(&levels[level][off..off + stride])
             },
             &mut self.plan,
             placed,
@@ -303,10 +268,7 @@ impl BucketStore for ArenaStore {
                     assert_eq!(raw.len(), stride, "scratch shaped for a different store");
                     dst.copy_from_slice(raw);
                 }
-                Candidate::Block(b) => {
-                    Self::check_payload(self.payload_capacity, b.data());
-                    encode_slot(dst, b.id(), b.leaf(), b.data());
-                }
+                Candidate::Block(b) => encode_slot(dst, b.id(), b.leaf(), b.data()),
             }
         }
         self.occupied += self.plan.placements.len() as u64;
@@ -325,11 +287,12 @@ impl BucketStore for ArenaStore {
     fn write_bucket(&mut self, level: u32, node_in_level: u64, blocks: Vec<Block>) -> Vec<Block> {
         let mut blocks = blocks.into_iter();
         for slot in self.geometry.bucket_slot_range(level, node_in_level) {
-            if !self.slot_is_empty(slot) {
+            if !is_empty(self.slot(slot)) {
                 continue;
             }
             let Some(block) = blocks.next() else { return Vec::new() };
-            self.put_block(slot, &block);
+            encode_slot(self.slot_mut(slot), block.id(), block.leaf(), block.data());
+            self.occupied += 1;
         }
         blocks.collect()
     }
@@ -340,9 +303,8 @@ impl BucketStore for ArenaStore {
         visit: &mut dyn FnMut(usize, BlockId, LeafId),
     ) -> Result<(), TreeError> {
         for flat in slots {
-            let (id, leaf, _) = Self::header(self.slot(flat));
-            if id != BlockId::EMPTY_RAW {
-                visit(flat, BlockId::new(id), LeafId::new(leaf));
+            if let Some((id, leaf, _)) = decode_slot(self.slot(flat)) {
+                visit(flat, id, leaf);
             }
         }
         Ok(())
@@ -350,7 +312,7 @@ impl BucketStore for ArenaStore {
 
     fn clear(&mut self) {
         for arena in &mut self.levels {
-            arena.fill(0xFF);
+            arena.fill(0);
         }
         self.occupied = 0;
     }
@@ -396,6 +358,106 @@ mod tests {
         assert_eq!(store.read_path(LeafId::new(0)).len(), 1);
     }
 
+    /// One image: after the same seeded trace (scratch-entry and stash-block
+    /// candidates, rows of every length, shorter rewrites, spills, readahead)
+    /// and a `sync`, the store file holds, slot for slot, the bytes the arena
+    /// holds — an empty slot wherever the arena's is empty (there only the
+    /// id word counts; an emptied arena slot keeps stale bytes), and the
+    /// identical image wherever it is occupied.
+    #[test]
+    fn disk_file_and_arena_hold_the_same_images() {
+        use crate::{DiskStore, DiskStoreConfig};
+        for capacity in [0u32, 6] {
+            let g = TreeGeometry::with_levels(4, BucketProfile::Uniform { capacity: 3 }).unwrap();
+            let file = std::env::temp_dir()
+                .join(format!("laoram-one-image-{}-{capacity}.oram", std::process::id()));
+            let config = DiskStoreConfig::new().payload_capacity(capacity).write_back_paths(1);
+            let mut disk = DiskStore::create(&file, g.clone(), config).unwrap();
+            let mut arena =
+                ArenaStore::new(g.clone(), ArenaStoreConfig::new().payload_capacity(capacity));
+
+            let mut state = 0x1234_5678u32;
+            let mut rand = move |n: u32| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                state % n
+            };
+            let leaves = g.num_leaves() as u32;
+            // A block with a `len`-byte row, or none for `len > capacity`.
+            let block = |id: BlockId, leaf: LeafId, len: u32| {
+                if capacity > 0 && len <= capacity {
+                    let row = vec![id.index() as u8 ^ len as u8; len as usize];
+                    Block::with_data(id, leaf, row.into())
+                } else {
+                    Block::metadata_only(id, leaf)
+                }
+            };
+            // The blocks no path had room for, as the client's stash would
+            // hold them; identical on both sides (one shared planner).
+            let mut stash: Vec<Block> = Vec::new();
+            let (mut from_disk, mut from_arena) = (PathScratch::new(), PathScratch::new());
+            for step in 0..400u32 {
+                let leaf = LeafId::new(rand(leaves));
+                disk.read_path_into(leaf, &mut from_disk);
+                arena.read_path_into(leaf, &mut from_arena);
+                assert_eq!(from_disk.len(), from_arena.len());
+                for i in 0..from_disk.len() {
+                    assert_eq!(from_disk.raw_slot(i), from_arena.raw_slot(i), "fetched image {i}");
+                    let remapped = LeafId::new(rand(leaves));
+                    from_disk.set_leaf(i, remapped);
+                    from_arena.set_leaf(i, remapped);
+                }
+                if step % 2 == 0 {
+                    // Scratch-entry route: whole images, one memcpy each.
+                    disk.write_path_from(leaf, &mut from_disk);
+                    arena.write_path_from(leaf, &mut from_arena);
+                    stash.extend((0..from_disk.len()).map(|i| from_disk.block_at(i)));
+                } else {
+                    // Stash-block route: rewrite every fetched row at a new
+                    // length (often shorter than what its slot last held),
+                    // and bring in a new block while ids last.
+                    for i in 0..from_disk.len() {
+                        let len = rand(capacity + 2);
+                        stash.push(block(from_disk.id(i), from_disk.leaf(i), len));
+                    }
+                    if step < 60 {
+                        stash.push(block(BlockId::new(step), leaf, rand(capacity + 2)));
+                    }
+                    let mut twin = stash.clone();
+                    disk.write_path(leaf, &mut stash);
+                    arena.write_path(leaf, &mut twin);
+                    assert_eq!(stash, twin);
+                }
+                if step % 7 == 0 {
+                    disk.prefetch_paths(&[LeafId::new(rand(leaves)), LeafId::new(rand(leaves))]);
+                }
+            }
+            disk.sync().unwrap();
+            assert_eq!(disk.occupancy(), arena.occupancy());
+            assert!(arena.occupancy() > 8, "the trace left the tree nearly empty");
+
+            let bytes = std::fs::read(&file).unwrap();
+            let stride = arena.stride();
+            let total = g.total_slots() as usize;
+            let slots = &bytes[bytes.len() - total * stride..];
+            for flat in 0..total {
+                let (on_disk, in_arena) = (&slots[flat * stride..][..stride], arena.slot(flat));
+                if is_empty(in_arena) {
+                    assert_eq!(
+                        on_disk,
+                        vec![0; stride],
+                        "emptied slot {flat} is all zeros on disk"
+                    );
+                } else {
+                    assert_eq!(on_disk, in_arena, "occupied slot {flat}");
+                }
+            }
+            drop(disk);
+            let _ = std::fs::remove_file(&file);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "metadata-only")]
     fn payload_block_into_metadata_store_panics() {
@@ -405,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the arena slot capacity")]
+    #[should_panic(expected = "exceeds the slot capacity")]
     fn oversized_payload_panics() {
         let mut store = ArenaStore::new(geometry(3), ArenaStoreConfig::new().payload_capacity(2));
         let mut blocks =

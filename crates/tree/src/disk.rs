@@ -2,9 +2,11 @@
 //!
 //! The store keeps the whole bucket array in one file with a fixed
 //! per-slot layout (an MLKV-style flat key-value region addressed by slot
-//! index), a small **write-back buffer** of dirty slots in memory, and a
-//! **generation header** rewritten at every [`sync`](DiskStore::sync)
-//! point so a reader can tell which durability point a file reflects.
+//! index), one in-memory **slot cache** holding the same slot images the
+//! file does — the dirty ones are the write-back buffer, the clean ones
+//! the read cache — and a **generation header** rewritten at every
+//! [`sync`](DiskStore::sync) point so a reader can tell which durability
+//! point a file reflects.
 //!
 //! # On-disk layout
 //!
@@ -21,10 +23,12 @@
 //!   per-level bucket capacities (so a file is self-describing and
 //!   [`DiskStore::open`] can rebuild the geometry and reject mismatched
 //!   callers).
-//! * **Slot**: `id + 1` (`u32`, so a zero — and therefore a sparse,
-//!   never-written file region — means *empty*), the assigned leaf
-//!   (`u32`), and, when the store carries payloads, `len + 1` (`u32`,
-//!   zero = no payload) followed by `payload_capacity` bytes.
+//! * **Slot**: the one slot image defined in `path.rs` — the same bytes
+//!   an arena level and a [`PathScratch`] entry hold, so a slot moves
+//!   between the file, the cache and the scratch by `memcpy`. A zero id
+//!   word, and therefore a sparse, never-written file region, is an
+//!   *empty* slot; an emptied slot is written back as all zeros and the
+//!   payload bytes past a row's length are zero.
 //!
 //! Slots are ordered exactly like [`TreeStorage`](crate::TreeStorage)'s
 //! flat array (level by level, buckets in node order), so the two
@@ -45,14 +49,14 @@
 //! [`prefetch_paths`](BucketStore::prefetch_paths) them into a bounded read cache, after which serving those paths costs
 //! no backing-file reads at all. The prefetch is a pure I/O-scheduling
 //! hint: responses and the protocol-visible access sequence are
-//! unchanged (the cache is consulted only for clean slots and
-//! invalidated on every write), and an OS-level observer merely sees the
+//! unchanged (a clean cache entry is exactly what the file holds, and a
+//! write replaces it in place), and an OS-level observer merely sees the
 //! same uniformly random paths slightly earlier.
 //!
 //! # Durability model
 //!
-//! Mutations land in the write-back buffer. The buffer is spilled to the
-//! file when it exceeds its budget ([`DiskStoreConfig::write_back_paths`]
+//! Mutations land in the cache as dirty slots. They are spilled to the
+//! file when their count exceeds its budget ([`DiskStoreConfig::write_back_paths`]
 //! paths' worth of slots) and at every [`sync`](DiskStore::sync). Only
 //! `sync` is a *durability point*: it writes all dirty slots, bumps the
 //! generation, rewrites the header **after** the data, and — with
@@ -69,6 +73,7 @@
 //! same sync boundaries to make the whole table restartable (see
 //! `docs/PERSISTENCE.md`).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -76,10 +81,11 @@ use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
+use crate::path::{check_image, decode_block, decode_slot, encode_slot, is_empty, slot_bytes};
 use crate::store::{plan_greedy_write_back, PlanScratch};
 use crate::{
-    Block, BlockId, BucketProfile, BucketStore, LeafId, PathCandidates, PathScratch, TreeError,
-    TreeGeometry,
+    Block, BlockId, BucketProfile, BucketStore, Candidate, LeafId, PathCandidates, PathScratch,
+    TreeError, TreeGeometry,
 };
 
 /// Fixed size of the self-describing header at the start of the file.
@@ -100,9 +106,9 @@ const SCAN_CHUNK_SLOTS: usize = 8192;
 /// this collapses a whole level into a single read.
 const READAHEAD_MERGE_BYTES: u64 = 4096;
 /// Byte gap under which two *write* runs are merged into one write.
-/// Gap slots are filled from the clean cache when their values are known
-/// (byte-identical re-encodes of file content) and read back from the
-/// file otherwise; either way one syscall replaces many scattered
+/// Gap slots are filled from the cache when their images are known
+/// (a clean image is the file's content) and read back from the file
+/// otherwise; either way one syscall replaces many scattered
 /// single-slot writes — ORAM write-backs scatter dirty slots across the
 /// tree, so without bridging most "runs" are a single slot.
 const WRITE_MERGE_BYTES: u64 = 1024;
@@ -124,8 +130,8 @@ pub struct DiskStoreConfig {
     /// semantics without paying device flushes.
     pub durable_sync: bool,
     /// Maximum paths honoured per [`prefetch_paths`](BucketStore::prefetch_paths)
-    /// hint. The clean read cache (readahead hints, flush recycling,
-    /// empties memoised on path reads) is bounded to `4 ×
+    /// hint. The clean part of the slot cache (readahead hints, flushed
+    /// slots, empties memoised on path reads) is bounded to `4 ×
     /// readahead_paths × path_slots` slots. `0` disables readahead and
     /// the cache entirely.
     pub readahead_paths: usize,
@@ -208,9 +214,8 @@ pub struct DiskIoStats {
     pub write_bytes: u64,
 }
 
-/// A trivial multiply-xorshift hasher for `u64` slot indices. The dirty
-/// buffer and clean cache are probed hundreds of times per path
-/// operation, and the default SipHash dominates the disk backend's CPU
+/// A trivial multiply-xorshift hasher for `u64` slot indices. The slot
+/// cache is probed hundreds of times per path operation, and the default SipHash dominates the disk backend's CPU
 /// profile; slot indices are not attacker-controlled, so a fast
 /// non-cryptographic mix is the right trade.
 #[derive(Default, Clone)]
@@ -234,26 +239,28 @@ impl std::hash::Hasher for SlotHasher {
     }
 }
 
-/// Slot-indexed map used for the write-back buffer and the clean cache.
-type SlotMap = HashMap<u64, SlotRecord, std::hash::BuildHasherDefault<SlotHasher>>;
-
-/// One slot's in-memory image while it sits in the write-back buffer.
-#[derive(Clone)]
-struct SlotRecord {
-    /// `0` marks an empty slot; otherwise the block id plus one.
-    id_plus1: u32,
-    leaf: u32,
-    data: Option<Box<[u8]>>,
+/// What the store knows about one slot without asking the file.
+struct CachedSlot {
+    /// The slot's image, or `None` for a slot known to be empty — most
+    /// of a tree is, so an empty owns no slot-sized allocation.
+    image: Option<Box<[u8]>>,
+    /// Whether the file does not hold this value yet. Dirty entries are
+    /// the write-back buffer; clean ones mirror the file and may be
+    /// evicted at any time.
+    dirty: bool,
 }
 
-impl SlotRecord {
-    const EMPTY: SlotRecord = SlotRecord { id_plus1: 0, leaf: 0, data: None };
+impl CachedSlot {
+    const CLEAN_EMPTY: CachedSlot = CachedSlot { image: None, dirty: false };
 }
+
+/// The slot cache, by flat slot index.
+type SlotCache = HashMap<u64, CachedSlot, std::hash::BuildHasherDefault<SlotHasher>>;
 
 /// A file-backed bucket store. See the `disk` module source docs above
 /// for the on-disk layout; the durability model is summarised here:
-/// mutations land in a write-back buffer, the buffer spills when it
-/// exceeds [`DiskStoreConfig::write_back_paths`] paths' worth of slots,
+/// mutations land in the slot cache as dirty slots, which spill when they
+/// exceed [`DiskStoreConfig::write_back_paths`] paths' worth of slots,
 /// and [`sync`](BucketStore::sync) is the only durability point (data
 /// first, then a generation-bumped header).
 ///
@@ -291,17 +298,18 @@ pub struct DiskStore {
     geometry: TreeGeometry,
     payload_capacity: u32,
     durable_sync: bool,
-    /// Write-back buffer: flat slot index → pending slot image.
-    dirty: SlotMap,
+    /// The one slot cache. Dirty entries are the write-back buffer;
+    /// clean ones come from [`BucketStore::prefetch_paths`] hints, from
+    /// flushes (a flushed slot stays, flag cleared) and from empties
+    /// memoised on path reads. A write replaces the entry in place, so
+    /// the cache never holds stale data.
+    cache: SlotCache,
+    /// The dirty entries' slots, each once: what a flush walks.
+    dirty: Vec<u64>,
     /// Dirty-slot budget before an automatic (non-durable) spill.
     dirty_limit: usize,
-    /// Clean read cache: filled by [`BucketStore::prefetch_paths`] hints
-    /// and by recycling just-flushed slots (whose values are known
-    /// without re-reading the file). Entries are dropped the moment the
-    /// slot is written, so the cache never holds stale data.
-    prefetch: SlotMap,
-    /// Upper bound on the clean-cache size, in slots.
-    prefetch_cap: usize,
+    /// Upper bound on the number of clean entries.
+    clean_cap: usize,
     /// Readahead budget, in paths (`0` = prefetch disabled).
     readahead_paths: usize,
     occupied: u64,
@@ -327,8 +335,8 @@ impl std::fmt::Debug for DiskStore {
             .field("payload_capacity", &self.payload_capacity)
             .field("occupied", &self.occupied)
             .field("generation", &self.generation)
-            .field("dirty_slots", &self.dirty.len())
-            .field("prefetched_slots", &self.prefetch.len())
+            .field("dirty_slots", &self.dirty_slots())
+            .field("prefetched_slots", &self.prefetched_slots())
             .finish()
     }
 }
@@ -338,17 +346,14 @@ fn io_err(context: &str, e: std::io::Error) -> TreeError {
 }
 
 impl DiskStore {
-    /// Bytes one slot occupies on disk for a given payload capacity:
-    /// 8 bytes of metadata, plus `4 + payload_capacity` when payloads are
-    /// stored. The single source of truth for footprint estimates (the
-    /// serving engine's spill decisions size against this).
+    /// Bytes one slot occupies on disk for a given payload capacity — the
+    /// size of the one slot image: 8 bytes of metadata, plus
+    /// `4 + payload_capacity` when payloads are stored. The single source
+    /// of truth for footprint estimates (the serving engine's spill
+    /// decisions size against this).
     #[must_use]
     pub fn slot_bytes_for(payload_capacity: u32) -> u64 {
-        if payload_capacity == 0 {
-            8
-        } else {
-            8 + 4 + u64::from(payload_capacity)
-        }
+        slot_bytes(payload_capacity as usize) as u64
     }
 
     fn slot_bytes(&self) -> u64 {
@@ -389,28 +394,47 @@ impl DiskStore {
             .map_err(|e| io_err("create bucket-store file", e))?;
         let total = Self::file_bytes_for(&geometry, config.payload_capacity);
         file.set_len(total).map_err(|e| io_err("size bucket-store file", e))?;
+        let mut store = Self::assemble(file, path, geometry, config, 0, 0);
+        store.write_header()?;
+        Ok(store)
+    }
+
+    /// A store over an open file: budgets from `config`, empty cache.
+    fn assemble(
+        file: File,
+        path: PathBuf,
+        geometry: TreeGeometry,
+        config: DiskStoreConfig,
+        occupied: u64,
+        generation: u64,
+    ) -> Self {
         let path_slots = geometry.path_slots().max(1) as usize;
-        let mut store = DiskStore {
+        let dirty_limit = config.write_back_paths.max(1) * path_slots;
+        let clean_cap = config.readahead_paths.saturating_mul(path_slots).saturating_mul(4);
+        // The cache's largest population is known here — both budgets
+        // plus the path in flight, or the whole tree if that is smaller —
+        // so the map is sized once and never rehashes as it fills.
+        let most = dirty_limit.saturating_add(path_slots).saturating_add(clean_cap);
+        let most = most.min(geometry.total_slots() as usize);
+        DiskStore {
             file,
             path,
             geometry,
             payload_capacity: config.payload_capacity,
             durable_sync: config.durable_sync,
-            dirty: SlotMap::default(),
-            dirty_limit: config.write_back_paths.max(1) * path_slots,
-            prefetch: SlotMap::default(),
-            prefetch_cap: config.readahead_paths.saturating_mul(path_slots).saturating_mul(4),
+            cache: SlotCache::with_capacity_and_hasher(most, Default::default()),
+            dirty: Vec::new(),
+            dirty_limit,
+            clean_cap,
             readahead_paths: config.readahead_paths,
-            occupied: 0,
-            generation: 0,
+            occupied,
+            generation,
             unsynced: false,
             io: std::cell::Cell::new(DiskIoStats::default()),
             pending_error: None,
             telemetry: config.telemetry,
             plan: PlanScratch::default(),
-        };
-        store.write_header()?;
-        Ok(store)
+        }
     }
 
     /// Opens an existing store file, rebuilding the geometry from its
@@ -478,26 +502,7 @@ impl DiskStore {
                 geometry.total_slots()
             )));
         }
-        let path_slots = geometry.path_slots().max(1) as usize;
-        Ok(DiskStore {
-            file,
-            path,
-            geometry,
-            payload_capacity,
-            durable_sync: config.durable_sync,
-            dirty: SlotMap::default(),
-            dirty_limit: config.write_back_paths.max(1) * path_slots,
-            prefetch: SlotMap::default(),
-            prefetch_cap: config.readahead_paths.saturating_mul(path_slots).saturating_mul(4),
-            readahead_paths: config.readahead_paths,
-            occupied,
-            generation,
-            unsynced: false,
-            io: std::cell::Cell::new(DiskIoStats::default()),
-            pending_error: None,
-            telemetry: config.telemetry,
-            plan: PlanScratch::default(),
-        })
+        Ok(Self::assemble(file, path, geometry, config, occupied, generation))
     }
 
     /// The backing file's path.
@@ -518,10 +523,10 @@ impl DiskStore {
         self.dirty.len()
     }
 
-    /// Slots currently held in the readahead cache.
+    /// Slots currently held in the clean (readahead) part of the cache.
     #[must_use]
     pub fn prefetched_slots(&self) -> usize {
-        self.prefetch.len()
+        self.cache.len() - self.dirty.len()
     }
 
     /// Maximum payload bytes one slot can hold (`0` = metadata-only).
@@ -562,32 +567,6 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Decodes one slot image's fields (`id + 1`, leaf, payload) from its
-    /// raw on-disk bytes, borrowing the payload.
-    fn decode_slot<'a>(
-        &self,
-        bytes: &'a [u8],
-        slot: u64,
-    ) -> Result<(u32, u32, Option<&'a [u8]>), TreeError> {
-        let id_plus1 = u32::from_le_bytes(bytes[0..4].try_into().expect("4"));
-        let leaf = u32::from_le_bytes(bytes[4..8].try_into().expect("4"));
-        if self.payload_capacity == 0 {
-            return Ok((id_plus1, leaf, None));
-        }
-        let len_plus1 = u32::from_le_bytes(bytes[8..12].try_into().expect("4"));
-        if len_plus1 == 0 {
-            return Ok((id_plus1, leaf, None));
-        }
-        let len = (len_plus1 - 1) as usize;
-        if len > self.payload_capacity as usize {
-            return Err(TreeError::CorruptStore(format!(
-                "slot {slot} claims a {len}-byte payload in a store with capacity {}",
-                self.payload_capacity
-            )));
-        }
-        Ok((id_plus1, leaf, Some(&bytes[12..12 + len])))
-    }
-
     /// Reads the raw bytes of `len` consecutive slots starting at
     /// `start` with a single positioned read.
     fn read_run_bytes(&self, start: u64, len: usize) -> Result<Vec<u8>, TreeError> {
@@ -602,50 +581,61 @@ impl DiskStore {
         Ok(buf)
     }
 
-    /// Visits `len` consecutive slots starting at `start` as
-    /// `(slot, id + 1, leaf, payload)`: write-back buffer first, then the
-    /// clean cache, then one batched file read for whatever is left
-    /// (skipped entirely when the caches cover the run). Payloads are
-    /// borrowed from wherever the slot image lives — nothing is cloned.
+    /// Visits `len` consecutive slots starting at `start` as `(slot,
+    /// image)`, `None` for an empty slot: the cache first, then one
+    /// batched file read for whatever it does not know (skipped entirely
+    /// when it covers the run). Images are borrowed from wherever they
+    /// live — nothing is decoded or cloned.
     fn visit_run(
         &self,
         start: u64,
         len: usize,
-        mut visit: impl FnMut(u64, u32, u32, Option<&[u8]>),
+        mut visit: impl FnMut(u64, Option<&[u8]>),
     ) -> Result<(), TreeError> {
         let slot_bytes = self.slot_bytes() as usize;
         let mut file_bytes = None;
         for i in 0..len {
             let slot = start + i as u64;
-            if let Some(rec) = self.dirty.get(&slot).or_else(|| self.prefetch.get(&slot)) {
-                visit(slot, rec.id_plus1, rec.leaf, rec.data.as_deref());
+            if let Some(cached) = self.cache.get(&slot) {
+                visit(slot, cached.image.as_deref());
                 continue;
             }
             if file_bytes.is_none() {
                 file_bytes = Some(self.read_run_bytes(start, len)?);
             }
             let bytes = file_bytes.as_deref().expect("read above");
-            let (id_plus1, leaf, payload) =
-                self.decode_slot(&bytes[i * slot_bytes..(i + 1) * slot_bytes], slot)?;
-            visit(slot, id_plus1, leaf, payload);
+            let image = &bytes[i * slot_bytes..(i + 1) * slot_bytes];
+            check_image(image, slot)?;
+            visit(slot, (!is_empty(image)).then_some(image));
         }
         Ok(())
     }
 
-    /// Queues one slot image in the write-back buffer, invalidating any
-    /// prefetched copy.
-    fn store_slot(&mut self, slot: u64, rec: SlotRecord) {
-        if let Some(data) = &rec.data {
-            assert!(self.payload_capacity > 0, "payload block written into a metadata-only tree");
-            assert!(
-                data.len() <= self.payload_capacity as usize,
-                "payload of {} bytes exceeds the store's slot capacity of {}",
-                data.len(),
-                self.payload_capacity
-            );
+    /// A write-back candidate as one of this store's slot images: a
+    /// scratch entry already is one, a stash block is encoded.
+    fn image_of(&self, candidate: Candidate<'_>) -> Box<[u8]> {
+        let slot_bytes = self.slot_bytes() as usize;
+        match candidate {
+            Candidate::Slot(raw) => {
+                assert_eq!(raw.len(), slot_bytes, "scratch shaped for a different store");
+                raw.into()
+            }
+            Candidate::Block(b) => {
+                let mut image = vec![0; slot_bytes].into_boxed_slice();
+                encode_slot(&mut image, b.id(), b.leaf(), b.data());
+                image
+            }
         }
-        self.prefetch.remove(&slot);
-        self.dirty.insert(slot, rec);
+    }
+
+    /// Records a slot's new value (`None` = emptied) as dirty, replacing
+    /// whatever the cache held for it.
+    fn store_slot(&mut self, slot: u64, image: Option<Box<[u8]>>) {
+        let cached = self.cache.entry(slot).or_insert(CachedSlot::CLEAN_EMPTY);
+        cached.image = image;
+        if !std::mem::replace(&mut cached.dirty, true) {
+            self.dirty.push(slot);
+        }
     }
 
     /// Spills the write-back buffer when it exceeds its budget. I/O
@@ -679,19 +669,15 @@ impl DiskStore {
         self.unsynced = true;
         self.write_header()?;
         self.write_dirty_runs()?;
-        // Recycle the flushed slots into the clean cache: their values
-        // are known without re-reading the file, and the hottest slots
-        // (upper tree levels, rewritten at every write-back) therefore
-        // stay memory-resident across flushes.
-        if self.prefetch_cap > 0 {
-            let flushed: Vec<u64> = self.dirty.keys().copied().collect();
-            for (slot, rec) in self.dirty.drain() {
-                self.prefetch.insert(slot, rec);
-            }
-            self.trim_prefetch(&flushed);
-        } else {
-            self.dirty.clear();
+        // The file now holds every flushed image, so the entries are
+        // clean as they stand: the hottest slots (upper tree levels,
+        // rewritten at every write-back) stay memory-resident across
+        // flushes without being re-read.
+        let flushed = std::mem::take(&mut self.dirty);
+        for slot in &flushed {
+            self.cache.get_mut(slot).expect("dirty slots are cached").dirty = false;
         }
+        self.trim_clean(&flushed);
         if let (Some((start_ns, before, slots)), Some(telemetry)) = (trace, self.telemetry.as_ref())
         {
             let after = self.io.get();
@@ -708,39 +694,23 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Evicts clean-cache entries (preferring ones *not* in `keep`)
-    /// until the cache fits its budget.
-    fn trim_prefetch(&mut self, keep: &[u64]) {
-        if self.prefetch.len() <= self.prefetch_cap {
+    /// Evicts clean entries — never dirty ones — until they fit their
+    /// budget, preferring ones *not* in `keep`; when `keep` alone exceeds
+    /// it, arbitrary ones go (correctness never depends on the cache).
+    fn trim_clean(&mut self, keep: &[u64]) {
+        let excess = self.prefetched_slots().saturating_sub(self.clean_cap);
+        if excess == 0 {
             return;
         }
         let keep: std::collections::HashSet<u64> = keep.iter().copied().collect();
-        let excess = self.prefetch.len() - self.prefetch_cap;
-        let evict: Vec<u64> =
-            self.prefetch.keys().filter(|s| !keep.contains(s)).take(excess).copied().collect();
+        let cache = &self.cache;
+        let clean = |kept: bool| {
+            let keep = &keep;
+            cache.iter().filter(move |(s, c)| !c.dirty && keep.contains(s) == kept).map(|(&s, _)| s)
+        };
+        let evict: Vec<u64> = clean(false).chain(clean(true)).take(excess).collect();
         for slot in evict {
-            self.prefetch.remove(&slot);
-        }
-        // Still over budget (keep itself exceeds the cap): drop arbitrary
-        // entries — correctness never depends on the cache.
-        while self.prefetch.len() > self.prefetch_cap {
-            let slot = *self.prefetch.keys().next().expect("nonempty");
-            self.prefetch.remove(&slot);
-        }
-    }
-
-    /// Encodes one slot record into `buf` at `at`.
-    fn encode_rec(&self, buf: &mut [u8], at: usize, rec: &SlotRecord) {
-        buf[at..at + 4].copy_from_slice(&rec.id_plus1.to_le_bytes());
-        buf[at + 4..at + 8].copy_from_slice(&rec.leaf.to_le_bytes());
-        if self.payload_capacity > 0 {
-            match &rec.data {
-                Some(d) => {
-                    buf[at + 8..at + 12].copy_from_slice(&(d.len() as u32 + 1).to_le_bytes());
-                    buf[at + 12..at + 12 + d.len()].copy_from_slice(d);
-                }
-                None => buf[at + 8..at + 12].copy_from_slice(&0u32.to_le_bytes()),
-            }
+            self.cache.remove(&slot);
         }
     }
 
@@ -754,40 +724,31 @@ impl DiskStore {
     fn write_dirty_runs(&mut self) -> Result<(), TreeError> {
         let slot_bytes = self.slot_bytes() as usize;
         let gap_slots = (WRITE_MERGE_BYTES / self.slot_bytes()).max(1);
-        let mut slots: Vec<u64> = self.dirty.keys().copied().collect();
-        slots.sort_unstable();
-        // Merge into spans ([start, end), dirty count) by pure index
-        // arithmetic.
-        let mut spans: Vec<(u64, u64, u64)> = Vec::new();
-        for &slot in &slots {
+        self.dirty.sort_unstable();
+        // Merge into spans [start, end) by pure index arithmetic.
+        let mut spans: Vec<(u64, u64)> = Vec::new();
+        for &slot in &self.dirty {
             match spans.last_mut() {
-                Some((_, end, count)) if slot < *end + gap_slots => {
-                    *end = slot + 1;
-                    *count += 1;
-                }
-                _ => spans.push((slot, slot + 1, 1)),
+                Some((_, end)) if slot < *end + gap_slots => *end = slot + 1,
+                _ => spans.push((slot, slot + 1)),
             }
         }
-        for (start, end, _) in spans {
+        for (start, end) in spans {
             let len = (end - start) as usize;
-            let mut buf = vec![0u8; len * slot_bytes];
-            // Fill each span slot from the dirty buffer or the clean
-            // cache (a cached clean record re-encodes to the exact bytes
-            // already in the file); slots known to neither are read back
-            // so they round-trip untouched.
-            let mut unknown: Vec<usize> = Vec::new();
-            for slot in start..end {
-                let i = (slot - start) as usize;
-                match self.dirty.get(&slot).or_else(|| self.prefetch.get(&slot)) {
-                    Some(rec) => self.encode_rec(&mut buf, i * slot_bytes, rec),
-                    None => unknown.push(i),
-                }
-            }
-            if !unknown.is_empty() {
-                let bytes = self.read_run_bytes(start, len)?;
-                for i in unknown {
-                    buf[i * slot_bytes..(i + 1) * slot_bytes]
-                        .copy_from_slice(&bytes[i * slot_bytes..(i + 1) * slot_bytes]);
+            // Gap slots the cache does not know are read back so they
+            // round-trip untouched; over that (or over zeros) go the
+            // cached images — a clean one is the exact bytes already in
+            // the file — and a known-empty slot is written as all zeros.
+            let mut buf = if (start..end).all(|slot| self.cache.contains_key(&slot)) {
+                vec![0u8; len * slot_bytes]
+            } else {
+                self.read_run_bytes(start, len)?
+            };
+            for (slot, dst) in (start..end).zip(buf.chunks_exact_mut(slot_bytes)) {
+                match self.cache.get(&slot).map(|cached| &cached.image) {
+                    Some(Some(image)) => dst.copy_from_slice(image),
+                    Some(None) => dst.fill(0),
+                    None => {}
                 }
             }
             self.file
@@ -821,14 +782,6 @@ impl DiskStore {
         }
         Ok(occupied)
     }
-
-    fn block_to_rec(block: Block) -> SlotRecord {
-        SlotRecord {
-            id_plus1: block.id().index() + 1,
-            leaf: block.leaf().index(),
-            data: block.into_data(),
-        }
-    }
 }
 
 impl BucketStore for DiskStore {
@@ -849,33 +802,38 @@ impl BucketStore for DiskStore {
         let trace = self.telemetry.as_ref().map(|t| (t.now_ns(), self.io.get()));
         out.ensure_shape(self.payload_capacity as usize);
         out.clear();
+        out.grow_slots(self.geometry.path_slots() as usize);
+        let mut fetched = 0;
         let mut touched = Vec::new();
         for level in 0..=self.geometry.leaf_level() {
             let node = self.geometry.path_node_in_level(leaf, level);
             let bounds = self.bucket_slot_bounds(level, node);
             let len = (bounds.end - bounds.start) as usize;
             touched.clear();
-            self.visit_run(bounds.start, len, |slot, id_plus1, assigned, payload| {
-                if id_plus1 != 0 {
-                    out.push(BlockId::new(id_plus1 - 1), LeafId::new(assigned), payload);
+            self.visit_run(bounds.start, len, |slot, image| {
+                if let Some(image) = image {
+                    out.raw_slot_mut(fetched).copy_from_slice(image);
+                    fetched += 1;
                 }
-                touched.push((slot, id_plus1 != 0));
+                touched.push((slot, image.is_some()));
             })
             .expect("bucket-store read failed");
             for &(slot, real) in &touched {
                 if real {
-                    self.store_slot(slot, SlotRecord::EMPTY);
+                    self.store_slot(slot, None);
                     self.occupied -= 1;
-                } else if self.prefetch.len() < self.prefetch_cap {
+                } else if self.prefetched_slots() < self.clean_cap {
                     // Remember the emptiness: the write-back that follows
                     // a path read probes exactly these slots, and a clean
-                    // cached EMPTY saves it the file round trip. Purely
-                    // opportunistic — never evict real cache content
-                    // (e.g. the current readahead window) for a memo.
-                    self.prefetch.insert(slot, SlotRecord::EMPTY);
+                    // known-empty entry saves it the file round trip.
+                    // Purely opportunistic — never evict real cache
+                    // content (e.g. the current readahead window) for a
+                    // memo.
+                    self.cache.entry(slot).or_insert(CachedSlot::CLEAN_EMPTY);
                 }
             }
         }
+        out.set_len(fetched);
         self.maybe_spill();
         if let (Some((start_ns, before)), Some(telemetry)) = (trace, self.telemetry.as_ref()) {
             let after = self.io.get();
@@ -915,13 +873,8 @@ impl BucketStore for DiskStore {
             placed,
         );
         for &(slot, idx) in &plan.placements {
-            let (id, assigned, payload) = candidates.get(idx).fields();
-            let rec = SlotRecord {
-                id_plus1: id.index() + 1,
-                leaf: assigned.index(),
-                data: payload.map(Box::from),
-            };
-            self.store_slot(slot as u64, rec);
+            let image = self.image_of(candidates.get(idx));
+            self.store_slot(slot as u64, Some(image));
             self.occupied += 1;
         }
         self.plan = plan;
@@ -932,19 +885,15 @@ impl BucketStore for DiskStore {
         let bounds = self.bucket_slot_bounds(level, node_in_level);
         let len = (bounds.end - bounds.start) as usize;
         let (mut slots, mut out) = (Vec::new(), Vec::new());
-        self.visit_run(bounds.start, len, |slot, id_plus1, leaf, payload| {
-            if id_plus1 != 0 {
-                let (id, leaf) = (BlockId::new(id_plus1 - 1), LeafId::new(leaf));
+        self.visit_run(bounds.start, len, |slot, image| {
+            if let Some(block) = image.and_then(decode_block) {
                 slots.push(slot);
-                out.push(match payload {
-                    Some(p) => Block::with_data(id, leaf, p.into()),
-                    None => Block::metadata_only(id, leaf),
-                });
+                out.push(block);
             }
         })
         .expect("bucket-store read failed");
         for slot in slots {
-            self.store_slot(slot, SlotRecord::EMPTY);
+            self.store_slot(slot, None);
             self.occupied -= 1;
         }
         self.maybe_spill();
@@ -963,7 +912,8 @@ impl BucketStore for DiskStore {
                 continue;
             }
             let Some(block) = blocks.next() else { break };
-            self.store_slot(slot as u64, Self::block_to_rec(block));
+            let image = self.image_of(Candidate::Block(&block));
+            self.store_slot(slot as u64, Some(image));
             self.occupied += 1;
         }
         self.maybe_spill();
@@ -978,9 +928,9 @@ impl BucketStore for DiskStore {
         // One batched run per chunk: at most one file read each.
         for start in slots.clone().step_by(SCAN_CHUNK_SLOTS) {
             let len = SCAN_CHUNK_SLOTS.min(slots.end - start);
-            self.visit_run(start as u64, len, |slot, id_plus1, leaf, _| {
-                if id_plus1 != 0 {
-                    visit(slot as usize, BlockId::new(id_plus1 - 1), LeafId::new(leaf));
+            self.visit_run(start as u64, len, |slot, image| {
+                if let Some((id, leaf, _)) = image.and_then(decode_slot) {
+                    visit(slot as usize, id, leaf);
                 }
             })?;
         }
@@ -988,8 +938,8 @@ impl BucketStore for DiskStore {
     }
 
     fn clear(&mut self) {
+        self.cache.clear();
         self.dirty.clear();
-        self.prefetch.clear();
         self.pending_error = None;
         self.occupied = 0;
         self.unsynced = false;
@@ -1065,20 +1015,21 @@ impl BucketStore for DiskStore {
             let Ok(bytes) = self.read_run_bytes(start, len) else { continue };
             for i in 0..len {
                 let slot = start + i as u64;
-                if self.dirty.contains_key(&slot) {
-                    continue;
+                let image = &bytes[i * slot_bytes..(i + 1) * slot_bytes];
+                // An entry already there is newer than the file (dirty)
+                // or mirrors these very bytes (clean): only absentees
+                // are filled in.
+                if let Entry::Vacant(vacant) = self.cache.entry(slot) {
+                    if check_image(image, slot).is_err() {
+                        continue;
+                    }
+                    let image = (!is_empty(image)).then(|| image.into());
+                    vacant.insert(CachedSlot { image, dirty: false });
                 }
-                let Ok((id_plus1, leaf, payload)) =
-                    self.decode_slot(&bytes[i * slot_bytes..(i + 1) * slot_bytes], slot)
-                else {
-                    continue;
-                };
-                self.prefetch
-                    .insert(slot, SlotRecord { id_plus1, leaf, data: payload.map(Box::from) });
                 hinted.push(slot);
             }
         }
-        self.trim_prefetch(&hinted);
+        self.trim_clean(&hinted);
         if let (Some((start_ns, before)), Some(telemetry)) = (trace, self.telemetry.as_ref()) {
             let after = self.io.get();
             telemetry.span(
@@ -1164,7 +1115,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the store's slot capacity")]
+    #[should_panic(expected = "exceeds the slot capacity")]
     fn oversized_payload_rejected() {
         let path = tmp("oversize");
         let cfg = DiskStoreConfig::new().payload_capacity(4);
@@ -1233,6 +1184,34 @@ mod tests {
         // Too-short files fail the header read; corrupt-but-long files
         // fail the magic check. Both must refuse to open.
         assert!(DiskStore::open(&path, DiskStoreConfig::new()).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// File bytes are outside input: a slot whose len word exceeds the
+    /// capacity is a typed `CorruptStore` wherever the file is read, not
+    /// an out-of-bounds payload slice.
+    #[test]
+    fn oversized_len_word_in_the_file_is_corrupt_store() {
+        let path = tmp("corrupt-len");
+        let cfg = DiskStoreConfig::new().payload_capacity(4);
+        let mut s = DiskStore::create(&path, uniform(2, 2), cfg.clone()).unwrap();
+        let block = Block::with_data(BlockId::new(1), LeafId::new(0), vec![7; 4].into());
+        s.place_for_init(block).unwrap();
+        s.sync().unwrap();
+        let mut occupied = Vec::new();
+        s.scan_slots(0..s.geometry().total_slots() as usize, &mut |slot, _, _| occupied.push(slot))
+            .unwrap();
+        let len_word_at = s.slot_offset(occupied[0] as u64) + 8;
+        drop(s);
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&(4u32 + 2).to_le_bytes(), len_word_at).unwrap();
+
+        let s = DiskStore::open(&path, cfg).unwrap();
+        let err = s.scan_slots(0..s.geometry().total_slots() as usize, &mut |_, _, _| {});
+        assert!(matches!(err, Err(TreeError::CorruptStore(_))), "got {err:?}");
+        let audit = s.verify_consistency(4).unwrap_err();
+        assert!(audit.contains("claims a 5-byte payload"), "got {audit}");
+        drop(s);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1353,6 +1332,35 @@ mod tests {
         // And after a flush (dirty buffer emptied), still nothing stale.
         s.sync().unwrap();
         assert!(s.read_path(leaf).is_empty());
+        drop(s);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// One cache, two budgets: readahead that overflows the clean budget
+    /// evicts clean entries only — the unflushed writes sharing the map
+    /// stay — and an entry for an empty slot holds no image.
+    #[test]
+    fn clean_trim_never_evicts_dirty_entries() {
+        let path = tmp("trim");
+        let cfg = DiskStoreConfig::new().readahead_paths(1).write_back_paths(1000);
+        let mut s = DiskStore::create(&path, uniform(5, 4), cfg).unwrap();
+        for leaf in 0..32u32 {
+            let mut blocks = vec![Block::metadata_only(BlockId::new(leaf), LeafId::new(leaf))];
+            s.write_path(LeafId::new(leaf), &mut blocks);
+        }
+        let dirty = s.dirty_slots();
+        assert_eq!(dirty, 32);
+        for leaf in 0..32u32 {
+            s.prefetch_paths(&[LeafId::new(leaf)]);
+        }
+        assert_eq!(s.dirty_slots(), dirty, "the clean trim evicted an unflushed write");
+        assert!(s.prefetched_slots() > 0 && s.prefetched_slots() <= s.clean_cap);
+        assert!(s.cache.values().all(|c| c.dirty == c.image.is_some()), "an empty owns an image");
+        assert_eq!(s.collect_blocks().len(), 32);
+        s.sync().unwrap();
+        assert_eq!(s.dirty_slots(), 0);
+        assert!(s.prefetched_slots() <= s.clean_cap);
+        s.verify_consistency(32).unwrap();
         drop(s);
         let _ = std::fs::remove_file(&path);
     }

@@ -1,4 +1,24 @@
-//! Reusable path scratch buffer in the arena stride format.
+//! The slot image, and the reusable path scratch buffer that carries it.
+//!
+//! **One image.** A bucket slot is the same bytes wherever it lives — in a
+//! [`DiskStore`](crate::DiskStore) file, in that store's cache, in an
+//! [`ArenaStore`](crate::ArenaStore) level and in a [`PathScratch`] entry:
+//!
+//! ```text
+//!  offset  0..4   id + 1       (u32 LE; 0 = empty slot)
+//!  offset  4..8   leaf         (u32 LE)
+//!  ── stores built with a payload capacity only ──
+//!  offset  8..12  len + 1      (u32 LE; 0 = no payload attached)
+//!  offset 12..    payload      (capacity bytes; `len` valid, the rest zero)
+//! ```
+//!
+//! A metadata-only slot is the 8-byte prefix; a payload-carrying one is
+//! [`SLOT_HEADER_BYTES`]` + capacity` bytes. Zero means empty, so a sparse,
+//! never-written file region and a freshly zeroed arena both read as empty
+//! slots, and moving a slot between any two holders is one `memcpy`. This
+//! module is the only code that reads or writes header words:
+//! [`encode_slot`] / `decode_slot` for memory, plus `check_image` for
+//! bytes that come from a file.
 //!
 //! [`PathScratch`] is the caller-owned carrier of the one path-I/O
 //! contract: every store's
@@ -7,56 +27,123 @@
 //! [`PathCandidates`](crate::PathCandidates) view, so
 //! [`BucketStore::write_path_from`](crate::BucketStore::write_path_from)
 //! can drain it — neither allocating once the buffer has warmed up to the
-//! path's slot count. Entries use the same fixed-stride encoding as
-//! [`ArenaStore`](crate::ArenaStore) levels — a 12-byte header (`id`,
-//! `leaf`, `len` as little-endian `u32`s) followed by `payload_capacity`
-//! payload bytes — so moving a slot from the arena into the scratch is a
-//! single `memcpy` of one stride. See ARCHITECTURE.md's "Data layout"
-//! section for the full encoding.
+//! path's slot count. See ARCHITECTURE.md's "Data layout" section.
 
-use crate::{Block, BlockId, LeafId};
+use crate::{Block, BlockId, LeafId, TreeError};
 
-/// Bytes of slot header preceding the payload region in the stride
-/// encoding: `id` (`u32` LE, `u32::MAX` = empty), `leaf` (`u32` LE),
-/// `len` (`u32` LE, `u32::MAX` = no payload attached).
+/// Header bytes of a payload-carrying slot image: `id + 1`, `leaf` and
+/// `len + 1` as little-endian `u32`s, followed by the payload region. A
+/// zero id word is an empty slot and a zero len word is "no payload
+/// attached". Metadata-only stores drop the len word and use 8-byte
+/// slots.
 pub const SLOT_HEADER_BYTES: usize = 12;
 
-/// `len` sentinel marking a block without an attached payload (distinct
-/// from a zero-length payload).
-pub(crate) const NO_PAYLOAD: u32 = u32::MAX;
+/// Bytes of a metadata-only slot image: the id and leaf words.
+const META_BYTES: usize = 8;
 
-/// Encodes one stride slot in place: the 12-byte header (`id`, `leaf`,
-/// payload `len`) followed by the payload bytes. Bytes beyond the payload
-/// are left untouched — readers bound the payload region by the `len`
-/// word, never by the stride. This is the single encoding shared by
-/// [`ArenaStore`](crate::ArenaStore) levels and [`PathScratch`] entries.
-///
-/// # Panics
-/// Panics if `dst` is shorter than [`SLOT_HEADER_BYTES`] plus the payload
-/// length.
-pub fn encode_slot(dst: &mut [u8], id: BlockId, leaf: LeafId, payload: Option<&[u8]>) {
-    dst[0..4].copy_from_slice(&id.index().to_le_bytes());
-    dst[4..8].copy_from_slice(&leaf.index().to_le_bytes());
-    match payload {
-        Some(p) => {
-            dst[8..12].copy_from_slice(&(p.len() as u32).to_le_bytes());
-            dst[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + p.len()].copy_from_slice(p);
-        }
-        None => dst[8..12].copy_from_slice(&NO_PAYLOAD.to_le_bytes()),
+/// Bytes of one slot image for a payload capacity — the stride of every
+/// scratch and arena and the slot size of every store file.
+pub(crate) fn slot_bytes(payload_capacity: usize) -> usize {
+    if payload_capacity == 0 {
+        META_BYTES
+    } else {
+        SLOT_HEADER_BYTES + payload_capacity
     }
 }
 
-/// Decodes the fields of one stride slot (see [`encode_slot`]): id,
-/// assigned leaf, and the payload bytes the `len` word bounds.
-pub(crate) fn decode_slot(slot: &[u8]) -> (BlockId, LeafId, Option<&[u8]>) {
-    let word = |at: usize| u32::from_le_bytes(slot[at..at + 4].try_into().expect("4 bytes"));
-    let len = word(8);
-    let payload =
-        (len != NO_PAYLOAD).then(|| &slot[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + len as usize]);
-    (BlockId::new(word(0)), LeafId::new(word(4)), payload)
+#[inline]
+fn word(image: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(image[at..at + 4].try_into().expect("4-byte header word"))
 }
 
-/// A reusable, fixed-stride buffer of path slots.
+#[inline]
+fn set_word(image: &mut [u8], at: usize, value: u32) {
+    image[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Whether the image is an empty slot (only the id word says so; the
+/// other bytes of an emptied in-memory slot are stale).
+#[inline]
+pub(crate) fn is_empty(image: &[u8]) -> bool {
+    word(image, 0) == 0
+}
+
+/// Empties an in-memory slot by zeroing its id word.
+#[inline]
+pub(crate) fn mark_empty(image: &mut [u8]) {
+    set_word(image, 0, 0);
+}
+
+/// The payload bytes an occupied image's len word bounds.
+#[inline]
+fn payload_of(image: &[u8]) -> Option<&[u8]> {
+    if image.len() == META_BYTES {
+        return None;
+    }
+    let len = word(image, 8).checked_sub(1)? as usize;
+    Some(&image[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + len])
+}
+
+/// Encodes one block into `dst`, which must be exactly one slot image
+/// (8 bytes metadata-only, [`SLOT_HEADER_BYTES`]` + capacity` otherwise).
+/// The whole image is written: payload bytes past `len` are zeroed, so an
+/// image never carries another row's tail into a file.
+///
+/// # Panics
+/// Panics if a payload is handed to a metadata-only image or exceeds the
+/// image's payload capacity.
+pub fn encode_slot(dst: &mut [u8], id: BlockId, leaf: LeafId, payload: Option<&[u8]>) {
+    set_word(dst, 0, id.index() + 1);
+    set_word(dst, 4, leaf.index());
+    if dst.len() == META_BYTES {
+        assert!(payload.is_none(), "payload block written into a metadata-only tree");
+        return;
+    }
+    let (len_word, body) = dst[8..].split_at_mut(4);
+    let p = payload.unwrap_or(&[]);
+    assert!(
+        p.len() <= body.len(),
+        "payload of {} bytes exceeds the slot capacity of {}",
+        p.len(),
+        body.len()
+    );
+    len_word.copy_from_slice(&payload.map_or(0, |p| p.len() as u32 + 1).to_le_bytes());
+    body[..p.len()].copy_from_slice(p);
+    body[p.len()..].fill(0);
+}
+
+/// Decodes one slot image (see [`encode_slot`]): `None` for an empty slot,
+/// otherwise id, assigned leaf and the payload bytes the len word bounds.
+pub(crate) fn decode_slot(image: &[u8]) -> Option<(BlockId, LeafId, Option<&[u8]>)> {
+    let id = word(image, 0).checked_sub(1)?;
+    Some((BlockId::new(id), LeafId::new(word(image, 4)), payload_of(image)))
+}
+
+/// [`decode_slot`] into an owned [`Block`] (allocates for the payload).
+pub(crate) fn decode_block(image: &[u8]) -> Option<Block> {
+    decode_slot(image).map(|(id, leaf, payload)| match payload {
+        Some(p) => Block::with_data(id, leaf, p.into()),
+        None => Block::metadata_only(id, leaf),
+    })
+}
+
+/// Validates an image read from a file before anything decodes it: file
+/// bytes are outside input, and a len word beyond the capacity would
+/// otherwise index past the image.
+pub(crate) fn check_image(image: &[u8], slot: u64) -> Result<(), TreeError> {
+    if image.len() > META_BYTES {
+        let capacity = image.len() - SLOT_HEADER_BYTES;
+        let len = word(image, 8).saturating_sub(1) as usize;
+        if len > capacity {
+            return Err(TreeError::CorruptStore(format!(
+                "slot {slot} claims a {len}-byte payload in a store with capacity {capacity}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// A reusable, fixed-stride buffer of slot images.
 ///
 /// Works like a `Vec<Block>` that never gives its allocation back: the
 /// protocol client keeps one per ORAM and threads it through every
@@ -86,8 +173,8 @@ pub struct PathScratch {
 }
 
 impl PathScratch {
-    /// Creates an empty scratch with no payload region (metadata-only
-    /// stride). Call [`ensure_shape`](Self::ensure_shape) before first
+    /// Creates an empty scratch with no payload region (the 8-byte
+    /// metadata-only stride). Call [`ensure_shape`](Self::ensure_shape) before first
     /// use against a payload-carrying store.
     #[must_use]
     pub fn new() -> Self {
@@ -100,10 +187,10 @@ impl PathScratch {
         self.payload_capacity
     }
 
-    /// Bytes per slot entry.
+    /// Bytes per slot entry: one slot image.
     #[must_use]
     pub fn stride(&self) -> usize {
-        SLOT_HEADER_BYTES + self.payload_capacity
+        slot_bytes(self.payload_capacity)
     }
 
     /// Number of entries currently held.
@@ -144,22 +231,16 @@ impl PathScratch {
         }
     }
 
-    /// Appends one entry. `payload` of `None` records the no-payload
-    /// sentinel; `Some` bytes are copied into the slot's payload region.
+    /// Appends one entry (see [`encode_slot`]). `None` records "no payload
+    /// attached", which is distinct from an empty payload.
     ///
     /// # Panics
-    /// Panics if the payload exceeds the configured stride capacity.
+    /// Panics if the payload exceeds the configured stride capacity, or
+    /// if any payload — `Some(&[])` included — is pushed into a
+    /// metadata-only shape, whose 8-byte image cannot represent it.
     pub fn push(&mut self, id: BlockId, leaf: LeafId, payload: Option<&[u8]>) {
-        assert!(
-            payload.is_none_or(|p| p.len() <= self.payload_capacity),
-            "payload of {} bytes exceeds the scratch stride capacity of {}",
-            payload.map_or(0, <[u8]>::len),
-            self.payload_capacity,
-        );
         self.grow_slots(self.len + 1);
-        let stride = self.stride();
-        let off = self.len * stride;
-        encode_slot(&mut self.buf[off..off + stride], id, leaf, payload);
+        encode_slot(self.raw_slot_mut(self.len), id, leaf, payload);
         self.len += 1;
     }
 
@@ -169,7 +250,7 @@ impl PathScratch {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn id(&self, i: usize) -> BlockId {
-        BlockId::new(self.header_word(i, 0))
+        BlockId::new(word(self.raw_slot(i), 0) - 1)
     }
 
     /// Assigned leaf of entry `i`.
@@ -178,7 +259,7 @@ impl PathScratch {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn leaf(&self, i: usize) -> LeafId {
-        LeafId::new(self.header_word(i, 4))
+        LeafId::new(word(self.raw_slot(i), 4))
     }
 
     /// Reassigns entry `i` to a new leaf (the scratch-mode counterpart of
@@ -188,8 +269,7 @@ impl PathScratch {
     /// Panics if `i` is out of range.
     pub fn set_leaf(&mut self, i: usize, leaf: LeafId) {
         assert!(i < self.len, "entry {i} out of range ({} held)", self.len);
-        let off = i * self.stride() + 4;
-        self.buf[off..off + 4].copy_from_slice(&leaf.index().to_le_bytes());
+        set_word(self.raw_slot_mut(i), 4, leaf.index());
     }
 
     /// Payload bytes of entry `i`, or `None` when the entry carries no
@@ -199,17 +279,12 @@ impl PathScratch {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn payload(&self, i: usize) -> Option<&[u8]> {
-        let len = self.header_word(i, 8);
-        if len == NO_PAYLOAD {
-            return None;
-        }
-        let off = i * self.stride() + SLOT_HEADER_BYTES;
-        Some(&self.buf[off..off + len as usize])
+        payload_of(self.raw_slot(i))
     }
 
-    /// Raw stride bytes of entry `i` (header + payload region) — what a
-    /// [`Candidate::Slot`](crate::Candidate::Slot) borrows, so a stride
-    /// store can take the entry with one `memcpy`.
+    /// The slot image of entry `i` — what a
+    /// [`Candidate::Slot`](crate::Candidate::Slot) borrows, so a store
+    /// whose slots are images takes the entry with one `memcpy`.
     ///
     /// # Panics
     /// Panics if `i` is out of range.
@@ -227,10 +302,7 @@ impl PathScratch {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn block_at(&self, i: usize) -> Block {
-        match self.payload(i) {
-            Some(p) => Block::with_data(self.id(i), self.leaf(i), p.into()),
-            None => Block::metadata_only(self.id(i), self.leaf(i)),
-        }
+        decode_block(self.raw_slot(i)).expect("scratch entries are occupied")
     }
 
     /// Stable in-place compaction mirroring the shared planner's
@@ -256,10 +328,11 @@ impl PathScratch {
         self.len = keep;
     }
 
-    /// Mutable raw stride bytes of backing slot `i`, which may lie at or
-    /// beyond `len` (within grown capacity): the branchless arena read
-    /// path writes the tail slot unconditionally and only then decides
-    /// whether the cursor advances.
+    /// Mutable image bytes of backing slot `i`, which may lie at or
+    /// beyond `len` (within grown capacity): stores copy whole images in
+    /// and then [`set_len`](Self::set_len), and the branchless arena read
+    /// writes the tail slot unconditionally before deciding whether the
+    /// cursor advances.
     pub(crate) fn raw_slot_mut(&mut self, i: usize) -> &mut [u8] {
         let stride = self.stride();
         &mut self.buf[i * stride..(i + 1) * stride]
@@ -277,12 +350,6 @@ impl PathScratch {
     #[must_use]
     pub fn reserved_bytes(&self) -> usize {
         self.buf.capacity()
-    }
-
-    fn header_word(&self, i: usize, at: usize) -> u32 {
-        assert!(i < self.len, "entry {i} out of range ({} held)", self.len);
-        let off = i * self.stride() + at;
-        u32::from_le_bytes(self.buf[off..off + 4].try_into().expect("4-byte header word"))
     }
 }
 
@@ -351,10 +418,87 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the scratch stride capacity")]
+    #[should_panic(expected = "exceeds the slot capacity")]
     fn oversized_payload_is_refused() {
         let mut s = PathScratch::new();
         s.ensure_shape(1);
         s.push(BlockId::new(1), LeafId::new(0), Some(&[1, 2]));
+    }
+
+    /// The 8-byte metadata image has no len word: even an empty payload
+    /// is refused, as on every store's `Block` route.
+    #[test]
+    #[should_panic(expected = "payload block written into a metadata-only tree")]
+    fn empty_payload_into_metadata_only_shape_is_refused() {
+        let mut s = PathScratch::new();
+        s.push(BlockId::new(1), LeafId::new(0), Some(&[]));
+    }
+
+    #[test]
+    fn one_stride_function_for_every_capacity() {
+        let mut s = PathScratch::new();
+        for capacity in [0usize, 1, 8, 272, 4096] {
+            s.ensure_shape(capacity);
+            assert_eq!(s.stride(), slot_bytes(capacity));
+            assert_eq!(
+                crate::DiskStore::slot_bytes_for(capacity as u32),
+                slot_bytes(capacity) as u64
+            );
+        }
+        assert_eq!(slot_bytes(0), 8, "metadata-only images are id + leaf");
+        assert_eq!(slot_bytes(272), SLOT_HEADER_BYTES + 272);
+    }
+
+    #[test]
+    fn check_image_refuses_a_len_word_beyond_the_capacity() {
+        let mut image = vec![0u8; slot_bytes(4)];
+        encode_slot(&mut image, BlockId::new(3), LeafId::new(1), Some(&[1, 2, 3, 4]));
+        check_image(&image, 9).unwrap();
+        set_word(&mut image, 8, 4 + 2);
+        let err = check_image(&image, 9).unwrap_err();
+        assert!(matches!(err, TreeError::CorruptStore(_)), "got {err}");
+        check_image(&[0xFF; 8], 0).expect("metadata-only images have no len word");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// `decode_slot ∘ encode_slot` is the identity for every
+            /// payload shape on both header widths, over a dirty buffer
+            /// (so the zeroed tail is the encoder's doing), and an
+            /// all-zero image is an empty slot.
+            #[test]
+            fn slot_image_roundtrips(
+                id in 0u32..u32::MAX - 1,
+                leaf in any::<u32>(),
+                capacity in 0usize..40,
+                bytes in proptest::collection::vec(any::<u8>(), 1..40),
+                shape in 0u8..4,
+            ) {
+                let (id, leaf) = (BlockId::new(id), LeafId::new(leaf));
+                let full: Vec<u8> = bytes.iter().copied().cycle().take(capacity).collect();
+                let payload: Option<&[u8]> = match shape {
+                    _ if capacity == 0 => None,
+                    0 => None,
+                    1 => Some(&[]),
+                    2 => Some(&full[..capacity / 2]),
+                    _ => Some(&full),
+                };
+                let mut image = vec![0xA5u8; slot_bytes(capacity)];
+                encode_slot(&mut image, id, leaf, payload);
+                check_image(&image, 0).unwrap();
+                prop_assert_eq!(decode_slot(&image), Some((id, leaf, payload)));
+                let tail = SLOT_HEADER_BYTES + payload.map_or(0, <[u8]>::len);
+                prop_assert!(image.iter().skip(tail.max(8)).all(|&b| b == 0), "stale tail");
+
+                let empty = vec![0u8; slot_bytes(capacity)];
+                prop_assert!(is_empty(&empty));
+                prop_assert_eq!(decode_slot(&empty), None);
+                mark_empty(&mut image);
+                prop_assert_eq!(decode_slot(&image), None);
+            }
+        }
     }
 }

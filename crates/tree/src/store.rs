@@ -439,7 +439,7 @@ pub trait BucketStore {
 /// arena copies a [`Slot`](Self::Slot) with one `memcpy`).
 #[derive(Debug, Clone, Copy)]
 pub enum Candidate<'a> {
-    /// A stride-format slot (a [`PathScratch`] entry, see
+    /// An occupied slot image (a [`PathScratch`] entry, see
     /// [`encode_slot`](crate::encode_slot)): header plus payload region.
     Slot(&'a [u8]),
     /// A boxed block (a stash resident).
@@ -451,7 +451,9 @@ impl<'a> Candidate<'a> {
     #[must_use]
     pub fn fields(self) -> (BlockId, LeafId, Option<&'a [u8]>) {
         match self {
-            Candidate::Slot(raw) => crate::path::decode_slot(raw),
+            Candidate::Slot(raw) => {
+                crate::path::decode_slot(raw).expect("candidates are occupied slots")
+            }
             Candidate::Block(b) => (b.id(), b.leaf(), b.data()),
         }
     }

@@ -5,8 +5,15 @@
 //! The guard swaps in a counting global allocator (test binary only — the
 //! library itself forbids unsafe code) and drives `ArenaStore` through the
 //! scratch I/O pair the protocol clients use on the serving path.
+//!
+//! Only the measuring thread is counted: libtest's harness thread
+//! allocates on its own schedule (it failed this guard about once in 200
+//! runs under load when every thread counted). The armed flag is a
+//! `const`-initialised `thread_local!` without a destructor, so reading it
+//! inside `alloc` neither allocates nor registers anything.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use oram_tree::{
@@ -23,18 +30,32 @@ static ALLOCATIONS: CountingAllocator = CountingAllocator { allocations: AtomicU
 #[global_allocator]
 static GLOBAL: &CountingAllocator = &ALLOCATIONS;
 
+thread_local! {
+    /// Set on the measuring thread for the span of the measured loop.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+impl CountingAllocator {
+    fn count_if_armed(&self) {
+        if ARMED.try_with(Cell::get).unwrap_or(false) {
+            self.allocations.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 // SAFETY: delegates every operation to the system allocator unchanged;
-// the only addition is a relaxed counter increment on alloc paths.
+// the only addition is a relaxed counter increment on the armed thread's
+// alloc paths.
 unsafe impl GlobalAlloc for &CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.count_if_armed();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.count_if_armed();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -94,9 +115,11 @@ fn run_guard(payload_capacity: u32) {
     }
 
     let before = allocation_count();
+    ARMED.set(true);
     for _ in 0..256 {
         access(&mut store, &mut scratch, rand() % num_leaves, &mut rand);
     }
+    ARMED.set(false);
     let after = allocation_count();
     assert_eq!(
         after - before,
@@ -106,8 +129,8 @@ fn run_guard(payload_capacity: u32) {
     );
 }
 
-/// One test (not two) so no concurrently running sibling can allocate
-/// while the steady-state window is being measured.
+/// Both payload shapes in one test; only this thread's allocations
+/// inside the measured loops are counted.
 #[test]
 fn steady_state_access_is_allocation_free() {
     run_guard(0); // metadata-only stride (the serving bench's mode)
