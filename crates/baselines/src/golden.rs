@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use oram_protocol::{
     AccessKind, AccessObserver, EvictionConfig, PathOramClient, PathOramConfig, ServerOp,
 };
-use oram_tree::{BlockId, BucketProfile, LeafId};
+use oram_tree::{ArenaStore, ArenaStoreConfig, BlockId, BucketProfile, LeafId, NONCE_BYTES};
 
 use crate::{PrOramDynamic, PrOramDynamicConfig, PrOramStatic, PrOramStaticConfig};
 
@@ -87,7 +87,13 @@ fn path_oram_trace(config: PathOramConfig) -> String {
         .with_levels(6)
         .with_profile(BucketProfile::Uniform { capacity: 2 })
         .with_eviction(EvictionConfig::with_thresholds(6, 3));
-    let mut c = PathOramClient::new(config).unwrap();
+    // The store owns the slot width: six-byte rows, the nonce on top when
+    // sealed, nothing for the metadata-only client.
+    let sealed = config.sealing_key.map_or(0, |_| NONCE_BYTES);
+    let width = if payloads { 6 + sealed } else { 0 };
+    let slots = ArenaStoreConfig::new().payload_capacity(width as u32);
+    let store = ArenaStore::new(config.geometry().unwrap(), slots);
+    let mut c = PathOramClient::with_store(config, store).unwrap();
     let mut print = Fingerprint::attach(&mut c);
     let mut explicit_dummies = 0;
     for step in 0..600u32 {

@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use oram_tree::{
-    Block, BlockId, BucketProfile, BucketStore, DiskStore, DiskStoreConfig, DynBucketStore, LeafId,
-    TreeGeometry, TreeStorage,
+    ArenaStore, Block, BlockId, BucketProfile, BucketStore, DiskStore, DiskStoreConfig,
+    DynBucketStore, LeafId, TreeGeometry,
 };
 
 /// One read-path + write-path cycle per iteration against any backend.
@@ -33,7 +33,7 @@ fn bench_tree_ops(c: &mut Criterion) {
         for backend in ["mem", "disk"] {
             group.bench_function(format!("read_write_path/{name}/{backend}"), |b| {
                 let mut storage: DynBucketStore = match backend {
-                    "mem" => Box::new(TreeStorage::metadata_only(geometry.clone())),
+                    "mem" => Box::new(ArenaStore::metadata_only(geometry.clone())),
                     _ => {
                         let path = std::env::temp_dir()
                             .join(format!("laoram-bench-tree-{}-{name}.oram", std::process::id()));

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 use oram_protocol::{AccessKind, AccessObserver, AccessStats, PathOramClient, PathOramConfig};
 use oram_tree::{
-    Block, BlockId, BucketStore, IdHashBuilder, LeafId, StateSnapshot, TreeGeometry, TreeStorage,
+    ArenaStore, Block, BlockId, BucketStore, IdHashBuilder, LeafId, StateSnapshot, TreeGeometry,
 };
 
 use crate::{LaOramConfig, LaOramError, OptimizerLayout, Result, RowUpdate, SuperblockPlan};
@@ -59,14 +59,18 @@ impl BatchOp {
 ///
 /// The client is generic over the server-side
 /// [`BucketStore`](oram_tree::BucketStore), defaulting to the in-memory
-/// [`TreeStorage`]. [`with_store`](Self::with_store) runs the identical
-/// protocol over any backend — e.g. a file-backed
-/// [`DiskStore`](oram_tree::DiskStore) for embedding tables larger than
-/// RAM. Superblock boundaries double as storage
+/// [`ArenaStore`]. The store owns the row width, so the default-store
+/// constructors ([`new`](LaOram::new),
+/// [`with_lookahead`](LaOram::with_lookahead)) build the metadata-only
+/// arena the paper-scale simulations run on, and a payload-carrying table
+/// is stood up through [`with_store`](Self::with_store) over a store
+/// sized for its rows — an `ArenaStore` with a payload capacity, or a
+/// file-backed [`DiskStore`](oram_tree::DiskStore) for embedding tables
+/// larger than RAM. Superblock boundaries double as storage
 /// [`sync`](oram_tree::BucketStore::sync) points: whenever the cache of
 /// a finished bin is flushed, the store's write-back buffer is flushed
 /// too, so a disk-backed table is durable per served superblock.
-pub struct LaOram<S: BucketStore = TreeStorage> {
+pub struct LaOram<S: BucketStore = ArenaStore> {
     inner: PathOramClient<S>,
     plan: SuperblockPlan,
     /// The next look-ahead window, staged by the preprocessor while the
@@ -129,7 +133,7 @@ fn proto_config(config: &LaOramConfig) -> PathOramConfig {
     proto_cfg
 }
 
-impl LaOram<TreeStorage> {
+impl LaOram<ArenaStore> {
     /// Builds a LAORAM client for the known `future` access stream.
     ///
     /// Preprocesses the stream (dataset scan + superblock path generation),
@@ -138,8 +142,8 @@ impl LaOram<TreeStorage> {
     /// system starts in its steady state.
     ///
     /// # Errors
-    /// Propagates configuration and tree-construction failures; rejects
-    /// stream indices outside `0..num_blocks`.
+    /// As [`new`](Self::new); also rejects stream indices outside
+    /// `0..num_blocks`.
     pub fn with_lookahead(config: LaOramConfig, future: &[u32]) -> Result<Self> {
         let mut client = Self::build(config)?;
         let plan = {
@@ -171,14 +175,17 @@ impl LaOram<TreeStorage> {
     /// blocks. Without `warm_start` the tree is populated uniformly here.
     ///
     /// # Errors
-    /// Propagates configuration and tree-construction failures.
+    /// Propagates configuration and tree-construction failures —
+    /// including the protocol layer's `InvalidConfig` for a
+    /// payload-carrying configuration: the row width is the store's to
+    /// name, so payload tables go through [`with_store`](Self::with_store).
     pub fn new(config: LaOramConfig) -> Result<Self> {
         Self::build(config)
     }
 
-    /// Shared constructor: protocol client + empty plan. A `warm_start`
-    /// configuration defers population to the first `advance_plan`, which
-    /// warm-places from that window's bins.
+    /// Shared constructor: metadata-only protocol client + empty plan. A
+    /// `warm_start` configuration defers population to the first
+    /// `advance_plan`, which warm-places from that window's bins.
     fn build(config: LaOramConfig) -> Result<Self> {
         let inner = PathOramClient::new(proto_config(&config))?;
         Self::from_parts(config, inner)
@@ -820,10 +827,47 @@ impl<S: BucketStore> LaOram<S> {
 mod tests {
     use super::*;
     use oram_protocol::EvictionConfig;
+    use oram_tree::ArenaStoreConfig;
     use proptest::prelude::*;
 
     fn cfg(n: u32) -> crate::LaOramConfigBuilder {
         LaOramConfig::builder(n).seed(42)
+    }
+
+    /// A payload table the way every one is stood up: over an arena whose
+    /// slots hold `row_bytes` of plaintext, plus the nonce when the
+    /// configuration seals.
+    fn payload_oram(config: &LaOramConfig, row_bytes: usize) -> LaOram {
+        let sealed = config.sealing_key.map_or(0, |_| oram_tree::NONCE_BYTES);
+        let width = ArenaStoreConfig::new().payload_capacity((row_bytes + sealed) as u32);
+        let store = ArenaStore::new(config.geometry().unwrap(), width);
+        LaOram::with_store(config.clone(), store).unwrap()
+    }
+
+    /// [`payload_oram`] with the whole of `stream` planned and installed —
+    /// what `with_lookahead` does over the metadata-only default store.
+    fn payload_lookahead(config: LaOramConfig, row_bytes: usize, stream: &[u32]) -> LaOram {
+        let mut oram = payload_oram(&config, row_bytes);
+        let mut planner =
+            crate::SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
+        oram.install_plan(planner.plan(stream)).unwrap();
+        oram
+    }
+
+    #[test]
+    fn default_store_constructors_refuse_payload_tables() {
+        let config = cfg(8).payloads(true).build().unwrap();
+        for refused in [LaOram::new(config.clone()), LaOram::with_lookahead(config, &[1])] {
+            let err = refused.unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    LaOramError::Protocol(oram_protocol::ProtocolError::InvalidConfig(why))
+                        if why.contains("with_store")
+                ),
+                "got {err}"
+            );
+        }
     }
 
     #[test]
@@ -926,7 +970,7 @@ mod tests {
     fn payload_roundtrip_through_superblocks() {
         let stream = vec![0u32, 1, 2, 3, 0, 1, 2, 3];
         let config = cfg(16).superblock_size(4).payloads(true).build().unwrap();
-        let mut oram = LaOram::with_lookahead(config, &stream).unwrap();
+        let mut oram = payload_lookahead(config, 3, &stream);
         for &i in &stream[..4] {
             oram.write(i, vec![i as u8 + 10; 3].into()).unwrap();
         }
@@ -1008,7 +1052,7 @@ mod tests {
     fn sealed_laoram_roundtrips() {
         let stream = vec![0u32, 1, 2, 3, 0, 1, 2, 3];
         let config = cfg(16).superblock_size(4).payloads(true).sealing_key(0xABCD).build().unwrap();
-        let mut oram = LaOram::with_lookahead(config, &stream).unwrap();
+        let mut oram = payload_lookahead(config, 8, &stream);
         for &i in &stream[..4] {
             oram.write(i, vec![i as u8; 8].into()).unwrap();
         }
@@ -1024,7 +1068,7 @@ mod tests {
     fn sealed_laoram_update_composes() {
         let stream = vec![5u32, 5, 5];
         let config = cfg(16).payloads(true).sealing_key(1).build().unwrap();
-        let mut oram = LaOram::with_lookahead(config, &stream).unwrap();
+        let mut oram = payload_lookahead(config, 1, &stream);
         oram.update(5, |old| {
             assert!(old.is_none());
             Box::new([1u8])
@@ -1049,8 +1093,8 @@ mod tests {
         use crate::{OptimizerLayout, RowUpdate};
         let stream = vec![5u32, 5, 5];
         let config = cfg(16).payloads(true).sealing_key(9).build().unwrap();
-        let mut oram = LaOram::with_lookahead(config, &stream).unwrap();
         let layout = OptimizerLayout::sgd(2);
+        let mut oram = payload_lookahead(config, layout.payload_bytes(), &stream);
         let step = RowUpdate::sgd(1.0, vec![1.0f32, -1.0]);
         let before = oram.fetch_update(5, &step, layout).unwrap();
         assert!(before.is_none(), "first touch sees an unwritten row");
@@ -1069,8 +1113,8 @@ mod tests {
     fn fetch_update_refuses_mismatched_shape() {
         use crate::{LaOramError, OptimizerLayout, RowUpdate};
         let config = cfg(16).payloads(true).build().unwrap();
-        let mut oram = LaOram::with_lookahead(config, &[5]).unwrap();
         let layout = OptimizerLayout::row_wise_adagrad(2);
+        let mut oram = payload_lookahead(config, layout.payload_bytes(), &[5]);
         let wrong_kind = RowUpdate::sgd(1.0, vec![0.0f32, 0.0]);
         assert!(matches!(
             oram.fetch_update(5, &wrong_kind, layout),
@@ -1203,7 +1247,7 @@ mod tests {
     fn serve_batch_mixed_ops_roundtrip() {
         let stream = vec![0u32, 1, 0, 1];
         let config = cfg(8).superblock_size(2).payloads(true).build().unwrap();
-        let mut oram = LaOram::new(config.clone()).unwrap();
+        let mut oram = payload_oram(&config, 1);
         let mut planner =
             crate::SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
         oram.install_plan(planner.plan(&stream)).unwrap();
@@ -1379,7 +1423,7 @@ mod tests {
                 .payloads(true)
                 .build()
                 .unwrap();
-            let mut oram = LaOram::with_lookahead(config, &stream).unwrap();
+            let mut oram = payload_lookahead(config, 1, &stream);
             // Write a distinct payload on first touch; verify on repeats.
             let mut model: std::collections::HashMap<u32, u8> = Default::default();
             for (i, &idx) in stream.iter().enumerate() {

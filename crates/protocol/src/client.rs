@@ -4,8 +4,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use oram_tree::{
-    Block, BlockId, BucketStore, Candidate, LeafId, PathCandidates, PathScratch, TreeGeometry,
-    TreeStorage,
+    ArenaStore, Block, BlockId, BucketStore, Candidate, LeafId, PathCandidates, PathScratch,
+    TreeGeometry,
 };
 
 use crate::{
@@ -38,15 +38,17 @@ use crate::{
 /// # Storage backends
 ///
 /// The client is generic over its server-side [`BucketStore`], defaulting
-/// to the in-memory [`TreeStorage`] ([`PathOramClient::new`]). Use
-/// [`with_store`](Self::with_store) to run the identical protocol over
-/// any other backend — e.g. a file-backed
-/// [`DiskStore`](oram_tree::DiskStore) for tables larger than RAM. Every
-/// store is driven through the same two calls
-/// ([`read_path_into`](BucketStore::read_path_into) a reusable scratch,
-/// [`write_path_with`](BucketStore::write_path_with) a borrowed view of
-/// `[stash..., fetched path...]`), so nothing here depends on which store
-/// it is. The protocol's obliviousness is backend-independent: the
+/// to the in-memory [`ArenaStore`]. The store owns the row width, so
+/// [`PathOramClient::new`] — which is handed none — builds the
+/// metadata-only arena the simulations run on, and a payload-carrying
+/// table is always stood up through [`with_store`](Self::with_store)
+/// over a store sized for its rows: an `ArenaStore` with a payload
+/// capacity, or a file-backed [`DiskStore`](oram_tree::DiskStore) for
+/// tables larger than RAM. Every store is driven through the same two
+/// calls ([`read_path_into`](BucketStore::read_path_into) a reusable
+/// scratch, [`write_path_with`](BucketStore::write_path_with) a borrowed
+/// view of `[stash..., fetched path...]`), so nothing here depends on
+/// which store it is. The protocol's obliviousness is backend-independent: the
 /// server-visible request sequence is generated above the storage
 /// boundary.
 ///
@@ -63,7 +65,7 @@ use crate::{
 /// serve they act on the stash proper. Misuse is guarded: blocks taken
 /// from the stash are tracked as *checked out* and the invariant checker
 /// accounts for them.
-pub struct PathOramClient<S: BucketStore = TreeStorage> {
+pub struct PathOramClient<S: BucketStore = ArenaStore> {
     storage: S,
     stash: Stash2,
     posmap: DensePositionMap,
@@ -196,22 +198,28 @@ impl<S: BucketStore> std::fmt::Debug for PathOramClient<S> {
     }
 }
 
-impl PathOramClient<TreeStorage> {
-    /// Builds a client (and its in-memory server tree) from `config`.
+impl PathOramClient<ArenaStore> {
+    /// Builds a metadata-only client (and its in-memory server tree) from
+    /// `config` — the form the paper-scale simulations use.
     ///
     /// When `config.populate` is set, all `num_blocks` blocks are created
     /// and placed on uniformly random paths — the standard oblivious setup.
     ///
     /// # Errors
     /// Returns [`ProtocolError::Tree`] for invalid geometry and
-    /// [`ProtocolError::InvalidConfig`] for a zero-block population.
+    /// [`ProtocolError::InvalidConfig`] for a zero-block population or a
+    /// payload-carrying configuration: the row width is the store's to
+    /// name, so payload tables go through [`with_store`](Self::with_store).
     pub fn new(config: PathOramConfig) -> Result<Self> {
-        let geometry = config.geometry()?;
-        let storage = if config.payloads {
-            TreeStorage::new(geometry)
-        } else {
-            TreeStorage::metadata_only(geometry)
-        };
+        if config.payloads {
+            return Err(ProtocolError::InvalidConfig(
+                "the default store is metadata-only; a payload-carrying table names its row \
+                 width through with_store(config, ArenaStore::new(geometry, \
+                 ArenaStoreConfig::new().payload_capacity(row_bytes)))"
+                    .into(),
+            ));
+        }
+        let storage = ArenaStore::metadata_only(config.geometry()?);
         Self::with_store(config, storage)
     }
 }
@@ -654,7 +662,7 @@ impl<S: BucketStore> PathOramClient<S> {
 
     /// Flushes the server store's write-back buffer to its backing
     /// medium (a durability point for disk-backed stores; a no-op for the
-    /// in-memory [`TreeStorage`]). The look-ahead layer calls this at
+    /// in-memory [`ArenaStore`]). The look-ahead layer calls this at
     /// superblock boundaries.
     ///
     /// # Errors
@@ -1023,11 +1031,30 @@ impl<S: BucketStore> PathOramClient<S> {
 mod tests {
     use super::*;
     use crate::RecordingObserver;
-    use oram_tree::BucketProfile;
+    use oram_tree::{ArenaStoreConfig, BucketProfile, NONCE_BYTES};
     use proptest::prelude::*;
 
+    /// A payload client the way every payload table is stood up: over an
+    /// arena whose slots hold `row_bytes` of plaintext, plus the nonce
+    /// when the configuration seals.
+    fn payload_client(config: PathOramConfig, row_bytes: usize) -> PathOramClient {
+        let sealed = config.sealing_key.map_or(0, |_| NONCE_BYTES);
+        let width = ArenaStoreConfig::new().payload_capacity((row_bytes + sealed) as u32);
+        let store = ArenaStore::new(config.geometry().unwrap(), width);
+        PathOramClient::with_store(config, store).unwrap()
+    }
+
     fn small_client(n: u32, seed: u64) -> PathOramClient {
-        PathOramClient::new(PathOramConfig::new(n).with_seed(seed).with_payloads(true)).unwrap()
+        payload_client(PathOramConfig::new(n).with_seed(seed).with_payloads(true), 8)
+    }
+
+    #[test]
+    fn default_store_constructor_refuses_payload_tables() {
+        let err = PathOramClient::new(PathOramConfig::new(8).with_payloads(true)).unwrap_err();
+        assert!(
+            matches!(&err, ProtocolError::InvalidConfig(why) if why.contains("with_store")),
+            "got {err}"
+        );
     }
 
     #[test]
@@ -1236,7 +1263,7 @@ mod tests {
             .with_seed(17)
             .with_profile(BucketProfile::FatLinear { leaf_capacity: 4 })
             .with_payloads(true);
-        let mut c = PathOramClient::new(cfg).unwrap();
+        let mut c = payload_client(cfg, 4);
         for i in 0..128u32 {
             c.write(BlockId::new(i), vec![i as u8; 4].into()).unwrap();
         }
@@ -1388,13 +1415,11 @@ mod tests {
     #[test]
     fn sealed_client_is_store_independent() {
         let geometry = PathOramConfig::new(48).geometry().unwrap();
-        let capacity = 8 + oram_tree::NONCE_BYTES as u32;
-        let reference = sealed_trace(TreeStorage::new(geometry.clone()));
-        let arena = sealed_trace(oram_tree::ArenaStore::new(
+        let capacity = 8 + NONCE_BYTES as u32;
+        let reference = sealed_trace(ArenaStore::new(
             geometry.clone(),
-            oram_tree::ArenaStoreConfig::new().payload_capacity(capacity),
+            ArenaStoreConfig::new().payload_capacity(capacity),
         ));
-        assert_eq!(arena, reference, "sealed arena client diverged from the reference");
         let path = std::env::temp_dir()
             .join(format!("laoram-protocol-sealed-{}.oram", std::process::id()));
         let disk = sealed_trace(
@@ -1406,7 +1431,7 @@ mod tests {
             .unwrap(),
         );
         let _ = std::fs::remove_file(&path);
-        assert_eq!(disk, reference, "sealed disk client diverged from the reference");
+        assert_eq!(disk, reference, "sealed disk client diverged from the arena one");
     }
 
     #[test]
@@ -1419,7 +1444,7 @@ mod tests {
             .with_payloads(true)
             .with_sealing_key(0xC0FFEE)
             .with_eviction(EvictionConfig::disabled());
-        let mut c = PathOramClient::new(cfg).unwrap();
+        let mut c = payload_client(cfg, 8);
         for i in 0..16u32 {
             c.access(BlockId::new(i), Some(vec![i as u8; 8].into()), Some(LeafId::new(0))).unwrap();
         }
@@ -1462,7 +1487,7 @@ mod tests {
             .with_payloads(true)
             .with_sealing_key(0xCA_221ED)
             .with_eviction(EvictionConfig::disabled());
-        let mut c = PathOramClient::new(cfg).unwrap();
+        let mut c = payload_client(cfg, 8);
         for i in 0..32u32 {
             c.write(BlockId::new(i), vec![i as u8; 8].into()).unwrap();
         }
@@ -1488,14 +1513,14 @@ mod tests {
     fn sealed_client_roundtrips_and_stores_ciphertext() {
         let cfg =
             PathOramConfig::new(32).with_seed(25).with_payloads(true).with_sealing_key(0x5EC2E7);
-        let mut c = PathOramClient::new(cfg).unwrap();
+        let mut c = payload_client(cfg, 32);
         let plain = vec![0xAA; 32];
         c.write(BlockId::new(3), plain.clone().into()).unwrap();
         // Server-side bytes (what a raw fetch hands over) must be
         // ciphertext: longer by the nonce and different in content.
         let stored = raw_fetch(&mut c, BlockId::new(3));
-        assert_eq!(stored.len(), plain.len() + oram_tree::NONCE_BYTES);
-        assert_ne!(&stored[oram_tree::NONCE_BYTES..], &plain[..]);
+        assert_eq!(stored.len(), plain.len() + NONCE_BYTES);
+        assert_ne!(&stored[NONCE_BYTES..], &plain[..]);
         // Read returns the plaintext.
         let got = c.read(BlockId::new(3)).unwrap();
         assert_eq!(got.as_deref(), Some(&plain[..]));
@@ -1508,7 +1533,7 @@ mod tests {
     #[test]
     fn sealed_update_composes() {
         let cfg = PathOramConfig::new(16).with_seed(26).with_payloads(true).with_sealing_key(9);
-        let mut c = PathOramClient::new(cfg).unwrap();
+        let mut c = payload_client(cfg, 1);
         c.update(BlockId::new(0), |old| {
             assert!(old.is_none());
             Box::new([5u8])
@@ -1532,7 +1557,7 @@ mod tests {
     fn resealing_changes_ciphertext_across_writebacks() {
         let cfg =
             PathOramConfig::new(32).with_seed(27).with_payloads(true).with_sealing_key(0xFEED);
-        let mut c = PathOramClient::new(cfg).unwrap();
+        let mut c = payload_client(cfg, 16);
         c.write(BlockId::new(7), vec![0x42; 16].into()).unwrap();
         let first = raw_fetch(&mut c, BlockId::new(7));
         let second = raw_fetch(&mut c, BlockId::new(7));
@@ -1546,7 +1571,7 @@ mod tests {
         // restored onto a copy of its store. From the snapshot point on,
         // both must behave identically (responses AND leaf draws).
         let config = PathOramConfig::new(32).with_seed(77).with_payloads(true);
-        let mut live = PathOramClient::new(config.clone()).unwrap();
+        let mut live = payload_client(config.clone(), 2);
         for i in 0..32u32 {
             live.write(BlockId::new(i), vec![i as u8; 2].into()).unwrap();
         }
@@ -1582,7 +1607,7 @@ mod tests {
     #[test]
     fn restore_rejects_stale_and_malformed_state() {
         let config = PathOramConfig::new(16).with_seed(79).with_payloads(true);
-        let mut c = PathOramClient::new(config.clone()).unwrap();
+        let mut c = payload_client(config.clone(), 1);
         let good = c.snapshot_state().unwrap();
         // Stale generation.
         let mut stale = good.clone();
@@ -1624,9 +1649,8 @@ mod tests {
             seed in any::<u64>(),
             script in proptest::collection::vec((0u32..32, proptest::option::of(0u8..255)), 1..120),
         ) {
-            let mut c = PathOramClient::new(
-                PathOramConfig::new(32).with_seed(seed).with_payloads(true)
-            ).unwrap();
+            let mut c =
+                payload_client(PathOramConfig::new(32).with_seed(seed).with_payloads(true), 1);
             let mut model: std::collections::HashMap<u32, u8> = Default::default();
             for (id, op) in script {
                 match op {

@@ -18,11 +18,14 @@
 //!
 //! Every client is generic over its server-side storage through the
 //! [`BucketStore`](oram_tree::BucketStore) trait, defaulting to the
-//! in-memory [`TreeStorage`](oram_tree::TreeStorage); pass a
-//! [`DiskStore`](oram_tree::DiskStore) to
-//! [`PathOramClient::with_store`] / [`RingOramClient::with_store`] to
-//! serve trees larger than RAM. Obliviousness is backend-independent —
-//! the adversary-visible path sequence is generated above the storage
+//! in-memory [`ArenaStore`](oram_tree::ArenaStore); `with_store`
+//! ([`PathOramClient::with_store`], [`RingOramClient::with_store`]) takes
+//! any other, e.g. a [`DiskStore`](oram_tree::DiskStore) to serve trees
+//! larger than RAM. The store owns the row width: `new`, which is handed
+//! none, builds the metadata-only arena the simulations run on, and a
+//! payload-carrying table always goes through `with_store` over a store
+//! sized for its rows. Obliviousness is backend-independent — the
+//! adversary-visible path sequence is generated above the storage
 //! boundary — and the workspace's backend-equivalence tests assert that
 //! responses and observer sequences are identical across backends.
 //!
@@ -40,10 +43,11 @@
 //!
 //! ```
 //! use oram_protocol::{PathOramClient, PathOramConfig};
+//! use oram_tree::{ArenaStore, ArenaStoreConfig};
 //!
-//! let mut oram = PathOramClient::new(
-//!     PathOramConfig::new(64).with_payloads(true).with_seed(1),
-//! )?;
+//! let config = PathOramConfig::new(64).with_payloads(true).with_seed(1);
+//! let rows = ArenaStore::new(config.geometry()?, ArenaStoreConfig::new().payload_capacity(8));
+//! let mut oram = PathOramClient::with_store(config, rows)?;
 //! oram.write(3.into(), vec![42u8; 8].into())?;
 //! let row = oram.read(3.into())?;
 //! assert_eq!(row.as_deref(), Some(&[42u8; 8][..]));

@@ -9,20 +9,24 @@
 //! access per recursion level, all of which remain uniformly random to
 //! the adversary.
 
-use oram_tree::{BlockId, BucketStore, LeafId, TreeStorage};
+use oram_tree::{ArenaStore, ArenaStoreConfig, BlockId, BucketStore, LeafId};
 
 use crate::{PathOramClient, PathOramConfig, ProtocolError, Result};
 
 /// Leaf labels packed per position-map block.
 const LABELS_PER_BLOCK: u32 = 64;
 
+/// Bytes of one packed label block — the slot width a level's store needs.
+const LABEL_BLOCK_BYTES: u32 = LABELS_PER_BLOCK * 4;
+
 /// A position map stored obliviously in a chain of smaller Path ORAMs.
 ///
 /// Generic over the inner ORAMs' [`BucketStore`], defaulting to the
-/// in-memory [`TreeStorage`] ([`RecursivePositionMap::new`]); use
+/// in-memory [`ArenaStore`] ([`RecursivePositionMap::new`], which sizes
+/// the slots for one packed label block); use
 /// [`with_store_factory`](Self::with_store_factory) to host the packed
 /// label blocks on another backend.
-pub struct RecursivePositionMap<S: BucketStore = TreeStorage> {
+pub struct RecursivePositionMap<S: BucketStore = ArenaStore> {
     /// Recursion levels, outermost first. Level `i` stores the packed
     /// leaf labels of level `i - 1`'s blocks (level 0 stores the
     /// application's labels).
@@ -42,7 +46,7 @@ impl<S: BucketStore> std::fmt::Debug for RecursivePositionMap<S> {
     }
 }
 
-impl RecursivePositionMap<TreeStorage> {
+impl RecursivePositionMap<ArenaStore> {
     /// Builds a recursive map for `num_blocks` labels, recursing until a
     /// level has at most `root_threshold` labels (which are then kept in
     /// plain client memory).
@@ -55,8 +59,8 @@ impl RecursivePositionMap<TreeStorage> {
     /// `num_blocks == 0` and `root_threshold == 0`.
     pub fn new(num_blocks: u32, root_threshold: u32, seed: u64) -> Result<Self> {
         Self::with_store_factory(num_blocks, root_threshold, seed, |config| {
-            let geometry = config.geometry()?;
-            Ok(TreeStorage::new(geometry))
+            let width = ArenaStoreConfig::new().payload_capacity(LABEL_BLOCK_BYTES);
+            Ok(ArenaStore::new(config.geometry()?, width))
         })
     }
 }
@@ -253,7 +257,7 @@ impl<S: BucketStore> RecursivePositionMap<S> {
         // Read-modify-write of the packed block in one oblivious access.
         self.levels[level].update(block, |old| {
             let mut bytes =
-                old.map_or_else(|| vec![0u8; LABELS_PER_BLOCK as usize * 4], <[u8]>::to_vec);
+                old.map_or_else(|| vec![0u8; LABEL_BLOCK_BYTES as usize], <[u8]>::to_vec);
             bytes[slot * 4..slot * 4 + 4].copy_from_slice(&label.to_le_bytes());
             bytes.into()
         })?;
@@ -396,7 +400,7 @@ mod tests {
         let tag = std::process::id();
         let path_for =
             |i: usize| std::env::temp_dir().join(format!("laoram-recursive-snap-{tag}-L{i}.oram"));
-        let disk_cfg = DiskStoreConfig::new().payload_capacity(LABELS_PER_BLOCK * 4);
+        let disk_cfg = DiskStoreConfig::new().payload_capacity(LABEL_BLOCK_BYTES);
         // Host every recursion level on its own DiskStore.
         let mut created = 0usize;
         let mut m = RecursivePositionMap::with_store_factory(10_000, 16, 9, |config| {
@@ -445,6 +449,10 @@ mod tests {
     fn restore_rejects_mismatched_chain_shape() {
         let mut m = RecursivePositionMap::new(10_000, 16, 10).unwrap();
         let (levels, root_map) = m.snapshot_state().unwrap();
+        let fresh_arena = |config: &PathOramConfig| {
+            let width = ArenaStoreConfig::new().payload_capacity(LABEL_BLOCK_BYTES);
+            Ok(ArenaStore::new(config.geometry()?, width))
+        };
         // Wrong root threshold implies a different chain.
         let err = RecursivePositionMap::restore_with_store_factory(
             10_000,
@@ -452,7 +460,7 @@ mod tests {
             10,
             &levels,
             root_map.clone(),
-            |config| Ok(oram_tree::TreeStorage::new(config.geometry()?)),
+            fresh_arena,
         );
         assert!(err.is_err(), "level-count mismatch must be rejected");
         // Truncated root map.
@@ -462,7 +470,7 @@ mod tests {
             10,
             &levels,
             root_map[..1].to_vec(),
-            |config| Ok(oram_tree::TreeStorage::new(config.geometry()?)),
+            fresh_arena,
         );
         assert!(err.is_err(), "root-map length mismatch must be rejected");
     }

@@ -27,7 +27,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use oram_tree::{Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry, TreeStorage};
+use oram_tree::{ArenaStore, Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry};
 
 use crate::{AccessStats, DensePositionMap, EvictionConfig, ProtocolError, Result, Stash};
 
@@ -91,8 +91,8 @@ impl RingOramConfig {
 }
 
 /// A Ring ORAM protocol client (metadata-only), generic over its bucket
-/// store (default: the in-memory [`TreeStorage`]).
-pub struct RingOramClient<S: BucketStore = TreeStorage> {
+/// store (default: the in-memory [`ArenaStore`]).
+pub struct RingOramClient<S: BucketStore = ArenaStore> {
     storage: S,
     /// Remaining dummy budget per flat bucket index — client metadata,
     /// not server state.
@@ -134,13 +134,13 @@ impl RingOramConfig {
     }
 }
 
-impl RingOramClient<TreeStorage> {
+impl RingOramClient<ArenaStore> {
     /// Builds and populates the Ring ORAM over an in-memory store.
     ///
     /// # Errors
     /// Rejects zero-block populations and geometry violations.
     pub fn new(config: RingOramConfig) -> Result<Self> {
-        let storage = TreeStorage::metadata_only(config.geometry()?);
+        let storage = ArenaStore::metadata_only(config.geometry()?);
         Self::with_store(config, storage)
     }
 }

@@ -1,12 +1,11 @@
 //! Arena-backed in-memory bucket storage: one contiguous allocation per
 //! tree level, fixed-stride slots, allocation-free path I/O.
 //!
-//! [`TreeStorage`](crate::TreeStorage) keeps slot metadata in a flat
-//! array but boxes every payload individually, so a "path copy" there
-//! moves pointers. [`ArenaStore`] is the in-memory serving store: each
-//! level is a single `Box<[u8]>` arena of slot images (the one image
-//! defined in `path.rs` — the bytes a [`DiskStore`](crate::DiskStore)
-//! file holds), and path I/O physically copies images between the arena
+//! [`ArenaStore`] is the in-memory store, and the default under every
+//! protocol client: each level is a single `Box<[u8]>` arena of slot
+//! images (the one image defined in `path.rs` — the bytes a
+//! [`DiskStore`](crate::DiskStore) file holds), and path I/O physically
+//! copies images between the arena
 //! and the caller's buffers — a row's bytes never keep their address
 //! across an access, which is the ORAM — with per-slot `memcpy`s and no
 //! per-block allocation. A zero id word is an empty slot, so a fresh
@@ -20,8 +19,8 @@
 //! sequence* sees — which paths are read and written is decided above
 //! the [`BucketStore`](crate::BucketStore) boundary either way, and the
 //! workspace's backend-equivalence proptests pin `RecordingObserver`
-//! sequences to be identical against `TreeStorage`. See ARCHITECTURE.md's
-//! "Data layout" section.
+//! sequences to be identical against `DiskStore`'s scalar scan. See
+//! ARCHITECTURE.md's "Data layout" section.
 
 use crate::path::{decode_block, decode_slot, encode_slot, is_empty, mark_empty, slot_bytes};
 use std::ops::Range;
@@ -53,7 +52,8 @@ impl ArenaStoreConfig {
 
     /// Fixed payload bytes reserved per slot. `0` (the default) builds a
     /// metadata-only store whose stride is the 8-byte id + leaf image — the
-    /// mode the paper-scale simulations and the serving bench run in.
+    /// mode the paper-scale simulations and the serving bench run in, and
+    /// what the protocol clients' default-store constructors build.
     /// Payload-carrying tables must size this to their (sealed) row
     /// width; writes larger than the capacity panic.
     #[must_use]
@@ -66,13 +66,13 @@ impl ArenaStoreConfig {
 /// In-memory bucket store with one fixed-stride arena per tree level.
 ///
 /// Implements the same [`BucketStore`] contract as
-/// [`TreeStorage`](crate::TreeStorage) — the backend-equivalence suite
-/// pins responses and observer sequences to be identical — while serving
+/// [`DiskStore`](crate::DiskStore) — the backend-equivalence suite pins
+/// responses and observer sequences to be identical — while serving
 /// the path-I/O pair ([`read_path_into`](BucketStore::read_path_into) /
 /// [`write_path_with`](BucketStore::write_path_with)) without allocating:
 /// reads are a constant-shape copy-out of the path's slots, write-backs
 /// plan with reusable pools and encode winners straight into the arena.
-/// Unlike `TreeStorage`, payload capacity is fixed per slot at
+/// The store owns the slot width: payload capacity is fixed per slot at
 /// construction, as on the disk backend.
 ///
 /// # Example
@@ -182,19 +182,13 @@ impl ArenaStore {
         &self.levels[level][off..off + stride]
     }
 
-    fn slot_mut(&mut self, flat: usize) -> &mut [u8] {
+    /// The slot images of one bucket: a bucket's slots are contiguous in
+    /// its level's arena, so the level is indexed directly.
+    fn bucket_mut(&mut self, level: u32, node_in_level: u64) -> &mut [u8] {
         let stride = self.stride();
-        let (level, off) = Self::locate(&self.level_base, stride, flat);
-        &mut self.levels[level][off..off + stride]
-    }
-
-    /// Removes and returns the slot's block, if real.
-    fn take_block(&mut self, flat: usize) -> Option<Block> {
-        let slot = self.slot_mut(flat);
-        let block = decode_block(slot)?;
-        mark_empty(slot);
-        self.occupied -= 1;
-        Some(block)
+        let range = self.geometry.bucket_slot_range(level, node_in_level);
+        let base = self.level_base[level as usize];
+        &mut self.levels[level as usize][(range.start - base) * stride..(range.end - base) * stride]
     }
 }
 
@@ -275,25 +269,29 @@ impl BucketStore for ArenaStore {
     }
 
     fn read_bucket(&mut self, level: u32, node_in_level: u64) -> Vec<Block> {
-        let mut out = Vec::new();
-        for slot in self.geometry.bucket_slot_range(level, node_in_level) {
-            if let Some(block) = self.take_block(slot) {
+        let (mut out, stride) = (Vec::new(), self.stride());
+        for slot in self.bucket_mut(level, node_in_level).chunks_exact_mut(stride) {
+            if let Some(block) = decode_block(slot) {
+                mark_empty(slot);
                 out.push(block);
             }
         }
+        self.occupied -= out.len() as u64;
         out
     }
 
     fn write_bucket(&mut self, level: u32, node_in_level: u64, blocks: Vec<Block>) -> Vec<Block> {
         let mut blocks = blocks.into_iter();
-        for slot in self.geometry.bucket_slot_range(level, node_in_level) {
-            if !is_empty(self.slot(slot)) {
+        let (mut written, stride) = (0, self.stride());
+        for slot in self.bucket_mut(level, node_in_level).chunks_exact_mut(stride) {
+            if !is_empty(slot) {
                 continue;
             }
-            let Some(block) = blocks.next() else { return Vec::new() };
-            encode_slot(self.slot_mut(slot), block.id(), block.leaf(), block.data());
-            self.occupied += 1;
+            let Some(block) = blocks.next() else { break };
+            encode_slot(slot, block.id(), block.leaf(), block.data());
+            written += 1;
         }
+        self.occupied += written;
         blocks.collect()
     }
 

@@ -30,8 +30,8 @@
 //!   *empty* slot; an emptied slot is written back as all zeros and the
 //!   payload bytes past a row's length are zero.
 //!
-//! Slots are ordered exactly like [`TreeStorage`](crate::TreeStorage)'s
-//! flat array (level by level, buckets in node order), so the two
+//! Slots are ordered exactly like [`ArenaStore`](crate::ArenaStore)'s
+//! level arenas (level by level, buckets in node order), so the two
 //! backends visit blocks in identical order — the property the
 //! backend-equivalence tests depend on.
 //!
@@ -200,7 +200,7 @@ impl Default for DiskStoreConfig {
 
 /// Cumulative backing-file I/O counters of a [`DiskStore`] — the
 /// observability behind the batched-I/O claims: syscalls and bytes, split
-/// by direction ([`DiskStore::io_stats`]).
+/// by direction, since the store was opened ([`BucketStore::io_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskIoStats {
     /// Positioned reads issued against the backing file.
@@ -511,12 +511,6 @@ impl DiskStore {
         &self.path
     }
 
-    /// The generation counter: the number of completed sync points.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Slots currently pending in the write-back buffer.
     #[must_use]
     pub fn dirty_slots(&self) -> usize {
@@ -533,13 +527,6 @@ impl DiskStore {
     #[must_use]
     pub fn payload_capacity(&self) -> u32 {
         self.payload_capacity
-    }
-
-    /// Cumulative backing-file I/O counters (syscalls and bytes by
-    /// direction) since this store was opened.
-    #[must_use]
-    pub fn io_stats(&self) -> DiskIoStats {
-        self.io.get()
     }
 
     fn write_header(&mut self) -> Result<(), TreeError> {

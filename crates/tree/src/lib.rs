@@ -17,24 +17,25 @@
 //! [`read_path_into`](BucketStore::read_path_into) (fill a caller-owned
 //! [`PathScratch`]) and [`write_path_with`](BucketStore::write_path_with)
 //! (place winners out of a borrowed [`PathCandidates`] view), and inherits
-//! the `Vec<Block>` conveniences used below. The boxed-slot
-//! [`TreeStorage`] is the default simulation store and the reference the
-//! equivalence tests compare against; the arena-based [`ArenaStore`]
-//! (contiguous fixed-stride level arenas, allocation-free path I/O — see
-//! ARCHITECTURE.md's "Data layout" section) is the in-memory serving
-//! store; and the file-backed [`DiskStore`] serves trees larger than RAM
-//! with a write-back buffer and explicit [`sync`](BucketStore::sync)
-//! durability points. Protocol clients are generic over the backend
-//! (defaulting to `TreeStorage`), and serving engines pick one at runtime
+//! the `Vec<Block>` conveniences used below. Two stores ship, both
+//! holding one fixed-stride slot image: the arena-based [`ArenaStore`]
+//! (contiguous level arenas, allocation-free path I/O — see
+//! ARCHITECTURE.md's "Data layout" section) is the in-memory store, and
+//! the file-backed [`DiskStore`] serves trees larger than RAM with a
+//! write-back buffer and explicit [`sync`](BucketStore::sync) durability
+//! points. The store owns the slot width — metadata-only (8 B per slot,
+//! the paper-scale simulation mode) or a fixed payload capacity chosen
+//! at construction. Protocol clients are generic over the backend
+//! (defaulting to `ArenaStore`), and serving engines pick one at runtime
 //! through [`DynBucketStore`].
 //!
 //! # Example
 //!
 //! ```
-//! use oram_tree::{Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry, TreeStorage};
+//! use oram_tree::{ArenaStore, Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry};
 //!
 //! let geometry = TreeGeometry::with_levels(4, BucketProfile::Uniform { capacity: 4 })?;
-//! let mut storage = TreeStorage::new(geometry.clone());
+//! let mut storage = ArenaStore::metadata_only(geometry);
 //!
 //! // Place a block on the path to leaf 3 and read that path back.
 //! let block = Block::metadata_only(BlockId::new(7), LeafId::new(3));
@@ -62,7 +63,6 @@ mod hash;
 mod path;
 mod sealing;
 mod snapshot;
-mod storage;
 mod store;
 mod telemetry;
 
@@ -75,7 +75,6 @@ pub use hash::{IdHashBuilder, IdHasher};
 pub use path::{encode_slot, PathScratch, SLOT_HEADER_BYTES};
 pub use sealing::{BlockSealer, NONCE_BYTES};
 pub use snapshot::{ClientLevelState, SnapshotBlock, StateSnapshot};
-pub use storage::TreeStorage;
 pub use store::{BucketStore, Candidate, DynBucketStore, PathCandidates, PathSnapshot};
 pub use telemetry::StoreTelemetry;
 

@@ -181,12 +181,6 @@ impl PathScratch {
         PathScratch::default()
     }
 
-    /// The per-slot payload capacity the stride is currently shaped for.
-    #[must_use]
-    pub fn payload_capacity(&self) -> usize {
-        self.payload_capacity
-    }
-
     /// Bytes per slot entry: one slot image.
     #[must_use]
     pub fn stride(&self) -> usize {

@@ -1,15 +1,16 @@
 //! The pluggable bucket-storage boundary.
 //!
 //! [`BucketStore`] is the server-side storage contract every ORAM protocol
-//! client in this workspace is written against. Three stores implement it:
-//! the boxed-slot [`TreeStorage`](crate::TreeStorage) (the default
-//! simulation store and the reference the equivalence tests compare
-//! against), the arena-backed [`ArenaStore`](crate::ArenaStore) (the
-//! in-memory serving store) and the file-backed
-//! [`DiskStore`](crate::DiskStore) (tables larger than RAM). Protocol
-//! clients take the store as a type parameter defaulting to `TreeStorage`,
-//! so single-machine simulations pay no dynamic dispatch while serving
-//! engines can select a backend at runtime through [`DynBucketStore`].
+//! client in this workspace is written against. Two stores implement it:
+//! the arena-backed [`ArenaStore`](crate::ArenaStore) in memory and the
+//! file-backed [`DiskStore`](crate::DiskStore) for tables larger than
+//! RAM, both holding the one fixed-stride slot image of `path.rs`. The
+//! store owns the slot width: it is fixed at construction (zero payload
+//! bytes for a metadata-only simulation tree) and nothing above the
+//! boundary carries a row-width setting. Protocol clients take the store
+//! as a type parameter defaulting to `ArenaStore`, so single-machine
+//! simulations pay no dynamic dispatch while serving engines can select
+//! a backend at runtime through [`DynBucketStore`].
 //!
 //! # One path-I/O contract
 //!
@@ -59,11 +60,11 @@ use crate::{Block, BlockId, LeafId, PathScratch, TreeError, TreeGeometry};
 ///
 /// # Example
 /// ```
-/// use oram_tree::{Block, BlockId, BucketProfile, BucketStore, LeafId, TreeGeometry,
-///                 TreeStorage};
+/// use oram_tree::{ArenaStore, Block, BlockId, BucketProfile, BucketStore, LeafId,
+///                 TreeGeometry};
 ///
 /// let geometry = TreeGeometry::with_levels(3, BucketProfile::Uniform { capacity: 4 })?;
-/// let mut storage = TreeStorage::new(geometry);
+/// let mut storage = ArenaStore::metadata_only(geometry);
 /// let mut blocks = vec![Block::metadata_only(BlockId::new(9), LeafId::new(5))];
 /// storage.write_path(LeafId::new(5), &mut blocks);
 ///

@@ -14,18 +14,21 @@
 //!    operation instead of 4 bytes of client RAM per block.
 
 use laoram::protocol::{PathOramClient, PathOramConfig, RecursivePositionMap};
-use laoram::tree::{BlockId, LeafId};
+use laoram::tree::{ArenaStore, ArenaStoreConfig, BlockId, LeafId, NONCE_BYTES};
 
 const TABLE_ROWS: u32 = 1 << 16;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Sealed Path ORAM: server stores only ciphertext. ----------
-    let mut oram = PathOramClient::new(
-        PathOramConfig::new(TABLE_ROWS)
-            .with_payloads(true)
-            .with_sealing_key(0x0BF5_C471_0A1B_2C3D) // any 64-bit key material
-            .with_seed(23),
-    )?;
+    let config = PathOramConfig::new(TABLE_ROWS)
+        .with_payloads(true)
+        .with_sealing_key(0x0BF5_C471_0A1B_2C3D) // any 64-bit key material
+        .with_seed(23);
+    // The store owns the slot width: 32 B of plaintext per row, plus the
+    // nonce every sealed row travels with.
+    let slots = ArenaStoreConfig::new().payload_capacity(32 + NONCE_BYTES as u32);
+    let mut oram =
+        PathOramClient::with_store(config.clone(), ArenaStore::new(config.geometry()?, slots))?;
     oram.write(BlockId::new(100), b"user clicked: sports".to_vec().into())?;
     oram.write(BlockId::new(200), b"user clicked: music".to_vec().into())?;
     let row = oram.read(BlockId::new(100))?;

@@ -22,8 +22,9 @@
 //! co-location, access accounting, leakage notes).
 
 use laoram::baselines::InsecureRam;
-use laoram::core::{LaOram, LaOramConfig, OptimizerLayout, RowUpdate};
+use laoram::core::{LaOram, LaOramConfig, OptimizerLayout, RowUpdate, SuperblockPlanner};
 use laoram::memsim::CostModel;
+use laoram::tree::{ArenaStore, ArenaStoreConfig};
 use laoram::workloads::{DlrmTraceConfig, Trace, TraceKind};
 
 /// Embedding dimension (floats per row).
@@ -82,7 +83,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .payloads(true)
         .seed(5)
         .build()?;
-    let mut oram = LaOram::with_lookahead(config, &plan_stream)?;
+    // The store owns the row width: an embedding row plus whatever
+    // optimizer state the layout co-locates with it.
+    let layout = OptimizerLayout::sgd(DIM as u32);
+    let rows = ArenaStoreConfig::new().payload_capacity(layout.payload_bytes() as u32);
+    let mut oram = LaOram::with_store(config.clone(), ArenaStore::new(config.geometry()?, rows))?;
+    let mut planner = SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
+    oram.install_plan(planner.plan(&plan_stream))?;
     println!(
         "preprocessor: {} superblocks over a {}-level fat tree",
         oram.plan().num_bins(),
@@ -94,7 +101,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    in a single ORAM access (a read-then-write pass would cost two).
     //    `RowUpdate::apply` is the same pure function on both sides, so
     //    the replica check is byte-exact.
-    let layout = OptimizerLayout::sgd(DIM as u32);
     let mut replica = InsecureRam::new(TABLE_ROWS, layout.payload_bytes() as u64);
     for (pos, &row_id) in train_stream.iter().enumerate() {
         let update = RowUpdate::sgd(0.01, gradient(pos / FEATURES_PER_SAMPLE));

@@ -8,15 +8,17 @@
 //! accesses, and compare the server traffic against a plain Path ORAM
 //! doing the same work.
 
-use laoram::core::{LaOram, LaOramConfig};
+use laoram::core::{LaOram, LaOramConfig, SuperblockPlanner};
 use laoram::memsim::CostModel;
 use laoram::protocol::{PathOramClient, PathOramConfig};
-use laoram::tree::BlockId;
+use laoram::tree::{ArenaStore, ArenaStoreConfig, BlockId};
 use laoram::workloads::{Trace, TraceKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const TABLE_ROWS: u32 = 4096;
     const ACCESSES: usize = 8192;
+    // The store owns the row width: every slot reserves this many bytes.
+    const ROW_BYTES: u32 = 128;
 
     // The training pipeline knows its future: two epochs of row accesses.
     let trace = Trace::generate(TraceKind::Permutation, TABLE_ROWS, ACCESSES, 42);
@@ -29,7 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .payloads(true)
         .seed(7)
         .build()?;
-    let mut laoram = LaOram::with_lookahead(config, trace.accesses())?;
+    let rows = ArenaStoreConfig::new().payload_capacity(ROW_BYTES);
+    let mut laoram =
+        LaOram::with_store(config.clone(), ArenaStore::new(config.geometry()?, rows.clone()))?;
+    let mut planner = SuperblockPlanner::for_config(&config, laoram.geometry().num_leaves());
+    laoram.install_plan(planner.plan(trace.accesses()))?;
     println!(
         "preprocessor formed {} superblocks over {} leaves",
         laoram.plan().num_bins(),
@@ -41,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // row, apply the (stand-in) gradient, store the result. The write
         // reaches the server when the superblock is flushed.
         laoram.update(idx, |row| {
-            let mut updated = row.map_or_else(|| vec![0u8; 128], <[u8]>::to_vec);
+            let mut updated = row.map_or_else(|| vec![0u8; ROW_BYTES as usize], <[u8]>::to_vec);
             updated[0] = updated[0].wrapping_add(1); // stand-in for SGD
             updated.into()
         })?;
@@ -50,11 +56,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let la_stats = laoram.stats().clone();
 
     // --- Path ORAM baseline doing identical work. -----------------------
-    let mut baseline =
-        PathOramClient::new(PathOramConfig::new(TABLE_ROWS).with_seed(7).with_payloads(true))?;
+    let base_config = PathOramConfig::new(TABLE_ROWS).with_seed(7).with_payloads(true);
+    let mut baseline = PathOramClient::with_store(
+        base_config.clone(),
+        ArenaStore::new(base_config.geometry()?, rows),
+    )?;
     for idx in trace.iter() {
         baseline.update(BlockId::new(idx), |row| {
-            let mut updated = row.map_or_else(|| vec![0u8; 128], <[u8]>::to_vec);
+            let mut updated = row.map_or_else(|| vec![0u8; ROW_BYTES as usize], <[u8]>::to_vec);
             updated[0] = updated[0].wrapping_add(1);
             updated.into()
         })?;
@@ -62,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base_stats = baseline.stats().clone();
 
     // --- Compare. --------------------------------------------------------
-    let model = CostModel::ddr4_pcie(128);
+    let model = CostModel::ddr4_pcie(u64::from(ROW_BYTES));
     println!("\n                      LAORAM      PathORAM");
     println!("path reads        {:>10}    {:>10}", la_stats.path_reads, base_stats.path_reads);
     println!(

@@ -14,7 +14,9 @@
 //!   binary protocol on a std-only non-blocking TCP event loop, with
 //!   admission control and deficit-round-robin tenant fairness (see
 //!   `docs/NETWORKING.md`).
-//! * [`tree`] — the server-side binary tree storage, including the fat tree.
+//! * [`tree`] — the server-side binary tree storage, including the fat
+//!   tree: the in-memory `ArenaStore` (the default under every client) and
+//!   the file-backed `DiskStore`, which own the slot width.
 //! * [`protocol`] — Path ORAM and Ring ORAM protocol clients.
 //! * [`baselines`] — PrORAM (static/dynamic superblocks) and an insecure RAM.
 //! * [`workloads`] — trace generators standing in for the paper's datasets.
@@ -23,7 +25,9 @@
 //!
 //! # Quickstart
 //!
-//! See `examples/quickstart.rs`; the one-paragraph version:
+//! See `examples/quickstart.rs`, which trains payload-carrying rows
+//! (`LaOram::with_store` over an `ArenaStore` sized for them); the
+//! one-paragraph, metadata-only version:
 //!
 //! ```
 //! use laoram::core::{LaOram, LaOramConfig};

@@ -1,6 +1,7 @@
-//! Backend equivalence: the same trace through the in-memory and
-//! disk-backed bucket stores must produce identical responses and an
-//! identical server-visible access sequence.
+//! Backend equivalence: the same trace through the two shipped bucket
+//! stores — the in-memory `ArenaStore` and the file-backed `DiskStore` —
+//! must produce identical responses and an identical server-visible
+//! access sequence.
 //!
 //! Obliviousness is argued at the protocol layer, above the
 //! `BucketStore` boundary — so it must be *backend-independent*. These
@@ -19,7 +20,6 @@ use laoram::protocol::{
 };
 use laoram::tree::{
     ArenaStore, ArenaStoreConfig, Block, BlockId, BucketStore, DiskStore, DiskStoreConfig, LeafId,
-    TreeStorage,
 };
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -52,7 +52,11 @@ impl Tap {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Path ORAM: random read/write scripts are backend-equivalent.
+    /// Path ORAM: random read/write scripts are backend-equivalent —
+    /// responses, full access statistics (including the stash high-water
+    /// mark and per-path fetch counts) and the server-visible access
+    /// sequence agree between the arena's constant-shape path copy and
+    /// the disk store's cached, spilling scalar scan.
     #[test]
     fn path_oram_backends_equivalent(
         seed in any::<u64>(),
@@ -61,7 +65,11 @@ proptest! {
     ) {
         let config = PathOramConfig::new(48).with_seed(seed).with_payloads(true);
 
-        let mut mem = PathOramClient::new(config.clone()).unwrap();
+        let arena_store = ArenaStore::new(
+            config.geometry().unwrap(),
+            ArenaStoreConfig::new().payload_capacity(1),
+        );
+        let mut mem = PathOramClient::with_store(config.clone(), arena_store).unwrap();
         let mem_tap = Tap::default();
         mem.set_observer(Box::new(mem_tap.clone()));
 
@@ -93,6 +101,7 @@ proptest! {
         }
         mem.verify_invariants().unwrap();
         disk.verify_invariants().unwrap();
+        prop_assert_eq!(mem.stats(), disk.stats(), "access statistics diverged");
         prop_assert_eq!(
             mem_tap.ops(),
             disk_tap.ops(),
@@ -102,119 +111,8 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Path ORAM: the arena data plane (contiguous stride format, scratch
-    /// path I/O, in-place write-back) is byte-equivalent to the legacy
-    /// boxed-slot layout — responses, full access statistics (including
-    /// the stash high-water mark and per-path fetch counts) and the
-    /// server-visible access sequence.
-    #[test]
-    fn path_oram_arena_equivalent(
-        seed in any::<u64>(),
-        script in proptest::collection::vec(
-            (0u32..48, proptest::option::of(0u8..255)), 1..120),
-    ) {
-        let config = PathOramConfig::new(48).with_seed(seed).with_payloads(true);
-
-        let mut legacy = PathOramClient::new(config.clone()).unwrap();
-        let legacy_tap = Tap::default();
-        legacy.set_observer(Box::new(legacy_tap.clone()));
-
-        let arena_store = ArenaStore::new(
-            config.geometry().unwrap(),
-            ArenaStoreConfig::new().payload_capacity(1),
-        );
-        let mut arena = PathOramClient::with_store(config, arena_store).unwrap();
-        let arena_tap = Tap::default();
-        arena.set_observer(Box::new(arena_tap.clone()));
-
-        for (id, op) in script {
-            let id = BlockId::new(id);
-            match op {
-                Some(v) => {
-                    let a = legacy.write(id, vec![v].into()).unwrap();
-                    let b = arena.write(id, vec![v].into()).unwrap();
-                    prop_assert_eq!(a, b, "write responses diverged");
-                }
-                None => {
-                    let a = legacy.read(id).unwrap();
-                    let b = arena.read(id).unwrap();
-                    prop_assert_eq!(a, b, "read responses diverged");
-                }
-            }
-        }
-        legacy.verify_invariants().unwrap();
-        arena.verify_invariants().unwrap();
-        prop_assert_eq!(legacy.stats(), arena.stats(), "access statistics diverged");
-        prop_assert_eq!(
-            legacy_tap.ops(),
-            arena_tap.ops(),
-            "server-visible access sequences diverged"
-        );
-    }
-
     /// LAORAM: planned superblock streams — fused serves, batched
-    /// eviction, cache checkouts and all — are equivalent across the
-    /// legacy and arena data planes.
-    #[test]
-    fn laoram_arena_equivalent(
-        seed in any::<u64>(),
-        s in 1u32..5,
-        stream in proptest::collection::vec(0u32..32, 1..100),
-    ) {
-        let config = LaOramConfig::builder(32)
-            .seed(seed)
-            .superblock_size(s)
-            .payloads(true)
-            .build()
-            .unwrap();
-
-        let mut legacy = LaOram::new(config.clone()).unwrap();
-        let legacy_tap = Tap::default();
-        legacy.set_observer(Box::new(legacy_tap.clone()));
-
-        let arena_store = ArenaStore::new(
-            config.geometry().unwrap(),
-            ArenaStoreConfig::new().payload_capacity(1),
-        );
-        let mut arena = LaOram::with_store(config.clone(), arena_store).unwrap();
-        let arena_tap = Tap::default();
-        arena.set_observer(Box::new(arena_tap.clone()));
-
-        let mut planner_a =
-            SuperblockPlanner::for_config(&config, legacy.geometry().num_leaves());
-        let mut planner_b =
-            SuperblockPlanner::for_config(&config, arena.geometry().num_leaves());
-        legacy.install_plan(planner_a.plan(&stream)).unwrap();
-        arena.install_plan(planner_b.plan(&stream)).unwrap();
-
-        let mut model: std::collections::HashMap<u32, u8> = Default::default();
-        for (i, &idx) in stream.iter().enumerate() {
-            if let Some(&v) = model.get(&idx) {
-                let a = legacy.read(idx).unwrap();
-                let b = arena.read(idx).unwrap();
-                prop_assert_eq!(a.as_deref(), Some(&[v][..]), "legacy read wrong");
-                prop_assert_eq!(a, b, "read responses diverged");
-            } else {
-                let v = (i % 251) as u8;
-                let a = legacy.write(idx, vec![v].into()).unwrap();
-                let b = arena.write(idx, vec![v].into()).unwrap();
-                prop_assert_eq!(a, b, "write responses diverged");
-                model.insert(idx, v);
-            }
-        }
-        legacy.finish().unwrap();
-        arena.finish().unwrap();
-        legacy.verify_invariants().unwrap();
-        arena.verify_invariants().unwrap();
-        prop_assert_eq!(legacy.stats(), arena.stats(), "access statistics diverged");
-        prop_assert_eq!(
-            legacy_tap.ops(),
-            arena_tap.ops(),
-            "server-visible access sequences diverged"
-        );
-    }
-
-    /// LAORAM: planned superblock streams are backend-equivalent,
+    /// eviction, cache checkouts and all — are backend-equivalent,
     /// including the superblock-boundary sync points the disk store adds.
     #[test]
     fn laoram_backends_equivalent(
@@ -229,7 +127,11 @@ proptest! {
             .build()
             .unwrap();
 
-        let mut mem = LaOram::new(config.clone()).unwrap();
+        let arena_store = ArenaStore::new(
+            config.geometry().unwrap(),
+            ArenaStoreConfig::new().payload_capacity(1),
+        );
+        let mut mem = LaOram::with_store(config.clone(), arena_store).unwrap();
         let mem_tap = Tap::default();
         mem.set_observer(Box::new(mem_tap.clone()));
 
@@ -326,19 +228,24 @@ fn disk_backend_reopens_across_sync() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A client-state snapshot captured against the legacy boxed-slot layout
-/// reopens against the arena layout: the tree content transfers through
-/// the `BucketStore` boundary (`collect_blocks` + `place_for_init`), the
+/// A client-state snapshot captured against the disk layout restores
+/// against the arena layout: the tree content transfers through the
+/// `BucketStore` boundary (`collect_blocks` + `place_for_init`), the
 /// snapshot restores onto the arena store, and the successor behaves
-/// identically to a successor restored onto a legacy store — same
-/// responses, stats and server-visible access sequence.
+/// identically to a successor restored onto a second disk store — same
+/// responses, stats and server-visible access sequence. (No sync point
+/// is taken: a snapshot is pinned to its store's generation, and an
+/// in-memory store is always at generation 0.)
 #[test]
-fn legacy_snapshot_reopens_on_arena_layout() {
+fn disk_snapshot_restores_on_arena_layout() {
     let config = PathOramConfig::new(48).with_seed(23).with_populate(true);
     let geometry = config.geometry().unwrap();
+    let (origin_file, successor_file) = (store_file("snap-origin"), store_file("snap-successor"));
+    let disk_cfg = DiskStoreConfig::new().write_back_paths(1);
 
-    // Age a legacy client past populate, then capture its client state.
-    let mut origin = PathOramClient::new(config.clone()).unwrap();
+    // Age a disk-backed client past populate, then capture its client state.
+    let origin_store = DiskStore::create(&origin_file, geometry.clone(), disk_cfg.clone()).unwrap();
+    let mut origin = PathOramClient::with_store(config.clone(), origin_store).unwrap();
     for i in 0..96u32 {
         origin.access(BlockId::new(i % 48), None, None).unwrap();
         if i % 7 == 0 {
@@ -350,12 +257,12 @@ fn legacy_snapshot_reopens_on_arena_layout() {
     // Transfer the tree content into a fresh store of each layout via the
     // same trait route, so both successors start from identical placement.
     let blocks: Vec<(BlockId, LeafId)> = origin.storage().collect_blocks();
-    let mut legacy_store = TreeStorage::metadata_only(geometry.clone());
+    let mut disk_store = DiskStore::create(&successor_file, geometry.clone(), disk_cfg).unwrap();
     let mut arena_store = ArenaStore::metadata_only(geometry);
     for &(id, leaf) in &blocks {
         assert!(
-            legacy_store.place_for_init(Block::metadata_only(id, leaf)).unwrap().is_none(),
-            "legacy re-placement overflowed"
+            disk_store.place_for_init(Block::metadata_only(id, leaf)).unwrap().is_none(),
+            "disk re-placement overflowed"
         );
         assert!(
             arena_store.place_for_init(Block::metadata_only(id, leaf)).unwrap().is_none(),
@@ -364,26 +271,30 @@ fn legacy_snapshot_reopens_on_arena_layout() {
     }
 
     let restore_config = config.with_populate(false);
-    let mut legacy = PathOramClient::restore(restore_config.clone(), legacy_store, &state)
-        .expect("legacy snapshot must restore on the legacy layout");
+    let mut disk = PathOramClient::restore(restore_config.clone(), disk_store, &state)
+        .expect("disk snapshot must restore on the disk layout");
     let mut arena = PathOramClient::restore(restore_config, arena_store, &state)
-        .expect("legacy snapshot must restore on the arena layout");
-    legacy.verify_invariants().unwrap();
+        .expect("disk snapshot must restore on the arena layout");
+    disk.verify_invariants().unwrap();
     arena.verify_invariants().unwrap();
 
-    let legacy_tap = Tap::default();
-    legacy.set_observer(Box::new(legacy_tap.clone()));
+    let disk_tap = Tap::default();
+    disk.set_observer(Box::new(disk_tap.clone()));
     let arena_tap = Tap::default();
     arena.set_observer(Box::new(arena_tap.clone()));
     for i in 0..144u32 {
-        let a = legacy.access(BlockId::new((i * 5) % 48), None, None).unwrap();
+        let a = disk.access(BlockId::new((i * 5) % 48), None, None).unwrap();
         let b = arena.access(BlockId::new((i * 5) % 48), None, None).unwrap();
         assert_eq!(a, b, "post-restore responses diverged at access {i}");
     }
-    legacy.verify_invariants().unwrap();
+    disk.verify_invariants().unwrap();
     arena.verify_invariants().unwrap();
-    assert_eq!(legacy.stats(), arena.stats(), "post-restore statistics diverged");
-    assert_eq!(legacy_tap.ops(), arena_tap.ops(), "post-restore access sequences diverged");
+    assert_eq!(disk.stats(), arena.stats(), "post-restore statistics diverged");
+    assert_eq!(disk_tap.ops(), arena_tap.ops(), "post-restore access sequences diverged");
+    drop((origin, disk));
+    for file in [origin_file, successor_file] {
+        let _ = std::fs::remove_file(file);
+    }
 }
 
 /// Ring ORAM accepts non-default backends through the same trait.
@@ -406,12 +317,12 @@ fn ring_oram_runs_on_disk_backend() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The in-memory default still satisfies the protocol type unchanged —
-/// a compile-time regression guard for the default type parameter.
+/// The in-memory default satisfies the protocol type unchanged — a
+/// compile-time regression guard for the default type parameter.
 #[test]
-fn default_type_parameter_is_tree_storage() {
+fn default_type_parameter_is_arena_store() {
     fn takes_default(_: &PathOramClient) {}
-    fn takes_explicit(c: &PathOramClient<TreeStorage>) {
+    fn takes_explicit(c: &PathOramClient<ArenaStore>) {
         takes_default(c);
     }
     let client = PathOramClient::new(PathOramConfig::new(8).with_seed(1)).unwrap();

@@ -2,7 +2,8 @@
 //! training → read-back verification, across datasets and configurations.
 
 use laoram::baselines::InsecureRam;
-use laoram::core::{LaOram, LaOramConfig};
+use laoram::core::{LaOram, LaOramConfig, SuperblockPlanner};
+use laoram::tree::{ArenaStore, ArenaStoreConfig};
 use laoram::workloads::{DlrmTraceConfig, GaussianTraceConfig, Trace, TraceKind, XnliTraceConfig};
 
 /// Runs a write-then-verify workload through LAORAM and mirrors it on an
@@ -16,7 +17,11 @@ fn verify_against_insecure(kind: TraceKind, num_blocks: u32, len: usize, s: u32,
         .seed(0xE2E)
         .build()
         .expect("config");
-    let mut oram = LaOram::with_lookahead(config, trace.accesses()).expect("construction");
+    let rows = ArenaStoreConfig::new().payload_capacity(8);
+    let store = ArenaStore::new(config.geometry().expect("geometry"), rows);
+    let mut oram = LaOram::with_store(config.clone(), store).expect("construction");
+    let mut planner = SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
+    oram.install_plan(planner.plan(trace.accesses())).expect("plan");
     let mut mirror = InsecureRam::new(num_blocks, 8);
 
     for (i, idx) in trace.iter().enumerate() {

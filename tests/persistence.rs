@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use laoram::core::{LaOram, LaOramConfig, SuperblockPlan};
-use laoram::tree::{DiskStore, DiskStoreConfig, StateSnapshot, TreeError};
+use laoram::tree::{BucketStore, DiskStore, DiskStoreConfig, StateSnapshot, TreeError};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 

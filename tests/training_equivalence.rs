@@ -30,7 +30,7 @@ use laoram::protocol::{AccessObserver, RecordingObserver, ServerOp};
 use laoram::service::{
     HotSetSpec, LaoramService, ReplicaPlacement, Request, ServiceConfig, TableSpec,
 };
-use laoram::tree::{DiskStore, DiskStoreConfig};
+use laoram::tree::{ArenaStore, ArenaStoreConfig, DiskStore, DiskStoreConfig};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -122,6 +122,11 @@ fn core_config(seed: u64, s: u32) -> LaOramConfig {
     LaOramConfig::builder(ENTRIES).seed(seed).superblock_size(s).payloads(true).build().unwrap()
 }
 
+fn mem_client(config: &LaOramConfig) -> LaOram {
+    let width = ArenaStoreConfig::new().payload_capacity(layout().payload_bytes() as u32);
+    LaOram::with_store(config.clone(), ArenaStore::new(config.geometry().unwrap(), width)).unwrap()
+}
+
 fn disk_client(config: &LaOramConfig, tag: &str) -> (LaOram<DiskStore>, std::path::PathBuf) {
     let path = store_file(tag);
     let store = DiskStore::create(
@@ -162,13 +167,13 @@ proptest! {
             .filter(|(_, op)| matches!(op, TrainOp::Update { .. }))
             .count() as u64;
 
-        let mut mem_fused = LaOram::new(config.clone()).unwrap();
+        let mut mem_fused = mem_client(&config);
         let mem_tap = Tap::default();
         mem_fused.set_observer(Box::new(mem_tap.clone()));
         let (mut disk_fused, disk_path) = disk_client(&config, "fused");
         let disk_tap = Tap::default();
         disk_fused.set_observer(Box::new(disk_tap.clone()));
-        let mut mem_ref = LaOram::new(config.clone()).unwrap();
+        let mut mem_ref = mem_client(&config);
         let (mut disk_ref, ref_path) = disk_client(&config, "ref");
 
         install_plan(&mut mem_fused, &config, &fused_stream);
@@ -247,7 +252,7 @@ proptest! {
         let mut clients = Vec::new();
         let mut taps = Vec::new();
         for _ in 0..3 {
-            let mut client = LaOram::new(config.clone()).unwrap();
+            let mut client = mem_client(&config);
             let tap = Tap::default();
             client.set_observer(Box::new(tap.clone()));
             install_plan(&mut client, &config, &stream);
