@@ -85,11 +85,11 @@ pub struct LaOram<S: BucketStore = ArenaStore> {
     /// defer population to the first installed window so first-occurrence
     /// placement can follow that window's bins.
     populated: bool,
-    /// The VRAM cache: bin members checked out of the protocol layer.
+    /// The VRAM cache: bin members checked out of the protocol layer —
+    /// in plaintext; a sealing configuration's key goes to the protocol
+    /// client, which opens rows at checkout and seals them on return, so
+    /// the stash and the server only ever hold ciphertext.
     cache: HashMap<BlockId, Block, IdHashBuilder>,
-    /// Simulated encryption-at-rest: rows are sealed before leaving the
-    /// cache, so the server only ever holds ciphertext.
-    sealer: Option<oram_tree::BlockSealer>,
     /// When set, a [`StateSnapshot`] of the client state is written
     /// atomically here at every storage sync boundary, making the table
     /// restartable via [`LaOram::reopen`].
@@ -129,6 +129,9 @@ fn proto_config(config: &LaOramConfig) -> PathOramConfig {
         .with_populate(!config.warm_start);
     if let Some(levels) = config.levels {
         proto_cfg = proto_cfg.with_levels(levels);
+    }
+    if let Some(key) = config.sealing_key {
+        proto_cfg = proto_cfg.with_sealing_key(key);
     }
     proto_cfg
 }
@@ -208,7 +211,6 @@ impl<S: BucketStore> LaOram<S> {
     }
 
     fn from_parts(config: LaOramConfig, inner: PathOramClient<S>) -> Result<Self> {
-        let sealer = config.sealing_key.map(oram_tree::BlockSealer::new);
         let populated = !config.warm_start;
         let plan = SuperblockPlan::empty(config.superblock_size);
         Ok(LaOram {
@@ -220,7 +222,6 @@ impl<S: BucketStore> LaOram<S> {
             active_bin: None,
             populated,
             cache: HashMap::default(),
-            sealer,
             snapshot_path: None,
             snapshot_durable: false,
             telemetry: None,
@@ -467,22 +468,6 @@ impl<S: BucketStore> LaOram<S> {
         Ok(outputs)
     }
 
-    /// Opens a stored payload when sealing is enabled.
-    fn open_payload(&self, stored: Option<Box<[u8]>>) -> Option<Box<[u8]>> {
-        match (&self.sealer, stored) {
-            (Some(s), Some(c)) => s.open(&c),
-            (_, stored) => stored,
-        }
-    }
-
-    /// Seals a payload when sealing is enabled.
-    fn seal_payload(&mut self, plain: Box<[u8]>) -> Box<[u8]> {
-        match &mut self.sealer {
-            Some(s) => s.seal(&plain),
-            None => plain,
-        }
-    }
-
     /// The preprocessed plan (inspection / tests).
     #[must_use]
     pub fn plan(&self) -> &SuperblockPlan {
@@ -544,9 +529,7 @@ impl<S: BucketStore> LaOram<S> {
     /// [`LaOramError::PlanDivergence`] if `idx` is not the next planned
     /// index; [`LaOramError::StreamExhausted`] past the end of the plan.
     pub fn read(&mut self, idx: u32) -> Result<Option<Box<[u8]>>> {
-        let block = self.serve(idx)?;
-        let stored = block.data().map(Box::from);
-        Ok(self.open_payload(stored))
+        Ok(self.serve(idx)?.data().map(Box::from))
     }
 
     /// Oblivious write of the next planned access.
@@ -557,10 +540,7 @@ impl<S: BucketStore> LaOram<S> {
         if !self.config.payloads {
             return Err(LaOramError::Protocol(oram_protocol::ProtocolError::PayloadsDisabled));
         }
-        let sealed = self.seal_payload(data);
-        let block = self.serve(idx)?;
-        let old = block.replace_data(Some(sealed));
-        Ok(self.open_payload(old))
+        Ok(self.serve(idx)?.replace_data(Some(data)))
     }
 
     /// Read-modify-write access following the plan. Returns the payload
@@ -630,21 +610,17 @@ impl<S: BucketStore> LaOram<S> {
         self.rewrite_served(idx, |old| update.apply(layout, old))
     }
 
-    /// Serves the next planned access and rewrites its row in the cache:
-    /// open the stored payload, let `apply` produce the replacement, seal
-    /// it, store it. Returns the pre-update plaintext.
+    /// Serves the next planned access and rewrites its row in the cache
+    /// with what `apply` makes of it. Returns the pre-update row.
     fn rewrite_served(
         &mut self,
         idx: u32,
         apply: impl FnOnce(Option<&[u8]>) -> Box<[u8]>,
     ) -> Result<Option<Box<[u8]>>> {
-        let stored = self.serve(idx)?.replace_data(None);
-        let plain_old = self.open_payload(stored);
-        let sealed = self.seal_payload(apply(plain_old.as_deref()));
-        // Re-borrow the cached block (the sealer needed `self` in between).
-        let block = self.cache.get_mut(&BlockId::new(idx)).expect("serve keeps the block cached");
-        block.replace_data(Some(sealed));
-        Ok(plain_old)
+        let block = self.serve(idx)?;
+        let old = block.replace_data(None);
+        block.replace_data(Some(apply(old.as_deref())));
+        Ok(old)
     }
 
     /// Advances the plan by one access and returns the cached block
@@ -1081,6 +1057,78 @@ mod tests {
         .unwrap();
         assert_eq!(oram.read(5).unwrap().as_deref(), Some(&[2u8][..]));
         oram.finish().unwrap();
+    }
+
+    /// The bytes the server's tree holds for each written row.
+    fn stored_rows(oram: &LaOram) -> HashMap<BlockId, Vec<u8>> {
+        let mut store = oram.storage().clone();
+        (0..oram.geometry().num_leaves() as u32)
+            .flat_map(|leaf| store.read_path(LeafId::new(leaf)))
+            .filter_map(|b| b.data().map(|d| (b.id(), d.to_vec())))
+            .collect()
+    }
+
+    #[test]
+    fn sealed_laoram_reseals_carried_and_read_only_rows() {
+        // Write every row once, then only read: from here on no row's
+        // plaintext changes, so any ciphertext that stays put is a row the
+        // server can follow from bucket to bucket.
+        let rows = 32u32;
+        let stream: Vec<u32> = (0..rows).chain(0..rows).collect();
+        let config =
+            cfg(rows).superblock_size(2).payloads(true).sealing_key(0x5EA1ED).build().unwrap();
+        let mut oram = payload_lookahead(config, 8, &stream);
+        for i in 0..rows {
+            oram.write(i, vec![i as u8; 8].into()).unwrap();
+        }
+        let written = stored_rows(&oram);
+        // Ciphertexts each carried row went back under, write-back after
+        // write-back.
+        let mut carried: HashMap<BlockId, Vec<Vec<u8>>> = HashMap::new();
+        for (pos, i) in (rows..2 * rows).zip(0..rows) {
+            let bin = oram.plan().bin_of_position(pos as usize);
+            let path = oram.inner.position_of(BlockId::new(i)).unwrap();
+            let on_path = oram.storage().clone().read_path(path);
+            let before = stored_rows(&oram);
+            let fetches = oram.stats().path_reads;
+            assert_eq!(oram.read(i).unwrap().as_deref(), Some(&[i as u8; 8][..]), "row {i}");
+            if oram.stats().path_reads == fetches {
+                continue; // served from the cache: nothing crossed the boundary
+            }
+            let after = stored_rows(&oram);
+            // Path passengers that are not this bin's members were never
+            // checked out; the ones the write-back placed straight back
+            // are what the server could compare.
+            for id in on_path.iter().map(Block::id) {
+                if oram.plan().bin_members(bin).contains(&id) {
+                    continue;
+                }
+                if let (Some(old), Some(new)) = (before.get(&id), after.get(&id)) {
+                    assert_ne!(old, new, "row {id} was carried back under the same ciphertext");
+                    let seen = carried.entry(id).or_insert_with(|| vec![old.clone()]);
+                    assert!(!seen.contains(new), "row {id} reused a ciphertext");
+                    seen.push(new.clone());
+                }
+            }
+        }
+        assert!(
+            carried.values().any(|seen| seen.len() >= 3),
+            "no row was carried by two write-backs: the trace does not exercise the property"
+        );
+        oram.finish().unwrap();
+        oram.verify_invariants().unwrap();
+        // Every row has been read — checked out and returned, never
+        // rewritten — since `written`: wherever the server holds it now,
+        // it is under a different ciphertext.
+        let read_back = stored_rows(&oram);
+        let compared = read_back.iter().filter(|(id, _)| written.contains_key(id)).count();
+        assert!(compared > 0, "no row is in the tree at both points");
+        for (id, now) in &read_back {
+            if let Some(then) = written.get(id) {
+                assert_eq!(now.len(), 8 + oram_tree::NONCE_BYTES);
+                assert_ne!(now, then, "row {id} was only read, and kept its ciphertext");
+            }
+        }
     }
 
     #[test]

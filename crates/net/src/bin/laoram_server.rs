@@ -5,8 +5,7 @@
 //!               [--shards 2] [--superblock 8] [--payload-bytes 64]
 //!               [--reactors 2] [--max-inflight 4096] [--tenant-cap 1024]
 //!               [--quantum 32] [--max-batch 1024] [--max-delay-us 500]
-//!               [--fixed-cadence] [--p99-target-us N] [--no-telemetry]
-//!               [--duration-secs N]
+//!               [--fixed-cadence] [--no-telemetry] [--duration-secs N]
 //! ```
 //!
 //! Binds, prints the listening address (and `READY` once serving), then
@@ -33,7 +32,6 @@ struct Args {
     max_batch: usize,
     max_delay_us: u64,
     fixed_cadence: bool,
-    p99_target_us: Option<u64>,
     telemetry: bool,
     duration_secs: Option<u64>,
 }
@@ -54,7 +52,6 @@ impl Default for Args {
             max_batch: 1024,
             max_delay_us: 500,
             fixed_cadence: false,
-            p99_target_us: None,
             telemetry: true,
             duration_secs: None,
         }
@@ -80,7 +77,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-batch" => args.max_batch = parse(&value("--max-batch")?)?,
             "--max-delay-us" => args.max_delay_us = parse(&value("--max-delay-us")?)?,
             "--fixed-cadence" => args.fixed_cadence = true,
-            "--p99-target-us" => args.p99_target_us = Some(parse(&value("--p99-target-us")?)?),
             "--no-telemetry" => args.telemetry = false,
             "--duration-secs" => args.duration_secs = Some(parse(&value("--duration-secs")?)?),
             "--help" | "-h" => {
@@ -103,14 +99,11 @@ where
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args().map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
 
-    let mut policy = BatchPolicy::new()
+    let policy = BatchPolicy::new()
         .max_batch(args.max_batch)
         .max_delay(Duration::from_micros(args.max_delay_us))
         .align_to_superblock(true)
         .fixed_cadence(args.fixed_cadence);
-    if let Some(us) = args.p99_target_us {
-        policy = policy.p99_target(Duration::from_micros(us));
-    }
     let mut config = ServiceConfig::new().queue_depth(4).batch_policy(policy);
     for t in 0..args.tables {
         config = config.table(

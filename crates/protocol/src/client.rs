@@ -395,22 +395,6 @@ impl<S: BucketStore> PathOramClient<S> {
         }
     }
 
-    /// Seals plaintext if sealing is enabled, else passes it through.
-    fn seal_payload(&mut self, plain: Box<[u8]>) -> Box<[u8]> {
-        match &mut self.sealer {
-            Some(s) => s.seal(&plain),
-            None => plain,
-        }
-    }
-
-    /// Opens sealed payload if sealing is enabled, else passes it through.
-    fn open_payload(&self, stored: Option<Box<[u8]>>) -> Option<Box<[u8]>> {
-        match (&self.sealer, stored) {
-            (Some(s), Some(c)) => s.open(&c),
-            (_, stored) => stored,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Classic Path ORAM interface
     // ------------------------------------------------------------------
@@ -467,11 +451,10 @@ impl<S: BucketStore> PathOramClient<S> {
         if !self.payloads {
             return Err(ProtocolError::PayloadsDisabled);
         }
-        self.access_with(id, None, |client, block| {
-            let plain_old = client.open_payload(block.replace_data(None));
-            let sealed = client.seal_payload(f(plain_old.as_deref()));
-            block.replace_data(Some(sealed));
-            plain_old
+        self.access_with(id, None, |block| {
+            let old = block.replace_data(None);
+            block.replace_data(Some(f(old.as_deref())));
+            old
         })
     }
 
@@ -493,27 +476,22 @@ impl<S: BucketStore> PathOramClient<S> {
         if new_data.is_some() && !self.payloads {
             return Err(ProtocolError::PayloadsDisabled);
         }
-        self.access_with(id, leaf_hint, |client, block| {
-            let stored = match new_data {
-                Some(d) => {
-                    let sealed = client.seal_payload(d);
-                    block.replace_data(Some(sealed))
-                }
-                None => block.data().map(Box::from),
-            };
-            client.open_payload(stored)
+        self.access_with(id, leaf_hint, |block| match new_data {
+            Some(d) => block.replace_data(Some(d)),
+            None => block.data().map(Box::from),
         })
     }
 
     /// The one access skeleton every logical operation runs: open a serve
-    /// on the block's path, check the block out, remap it, let `rewrite`
-    /// touch its payload (it returns what the caller gets back), hand the
-    /// block in as the last write-back candidate, close the serve.
+    /// on the block's path, check the block out (in plaintext), remap it,
+    /// let `rewrite` touch its payload (it returns what the caller gets
+    /// back), hand the block in as the last write-back candidate, close
+    /// the serve.
     fn access_with(
         &mut self,
         id: BlockId,
         leaf_hint: Option<LeafId>,
-        rewrite: impl FnOnce(&mut Self, &mut Block) -> Option<Box<[u8]>>,
+        rewrite: impl FnOnce(&mut Block) -> Option<Box<[u8]>>,
     ) -> Result<Option<Box<[u8]>>> {
         self.check_block(id)?;
         if let Some(hint) = leaf_hint {
@@ -531,7 +509,7 @@ impl<S: BucketStore> PathOramClient<S> {
         };
         block.set_leaf(new_leaf);
         self.posmap.set(id, new_leaf);
-        let answer = rewrite(self, &mut block);
+        let answer = rewrite(&mut block);
         self.return_to_stash(block)?;
         self.writeback_path(path);
         self.maybe_background_evict()?;
@@ -804,14 +782,24 @@ impl<S: BucketStore> PathOramClient<S> {
     /// write-backs until returned. During an open serve the pending
     /// fetched path counts as stash holdings.
     ///
+    /// Checkout is the sealing boundary: a sealed client opens the payload
+    /// here and [`return_to_stash`](Self::return_to_stash) seals it again,
+    /// so a checked-out block — trusted client memory — is plaintext, and
+    /// everything the stash or the server holds is ciphertext.
+    ///
     /// # Errors
     /// [`ProtocolError::CheckoutViolation`] if the block is not in the
     /// stash (e.g. still in the tree) or already checked out.
     pub fn take_from_stash(&mut self, id: BlockId) -> Result<Block> {
         let block = if self.scratch.pending { self.take_pending(id) } else { self.stash.take(id) };
-        let block = block.ok_or(ProtocolError::CheckoutViolation { block: id })?;
+        let mut block = block.ok_or(ProtocolError::CheckoutViolation { block: id })?;
         let inserted = self.checked_out.insert(id);
         debug_assert!(inserted);
+        if let Some(sealer) = &self.sealer {
+            if let Some(cipher) = block.replace_data(None) {
+                block.replace_data(sealer.open(&cipher));
+            }
+        }
         Ok(block)
     }
 
@@ -864,14 +852,20 @@ impl<S: BucketStore> PathOramClient<S> {
     }
 
     /// Returns a checked-out block to the stash — during an open serve,
-    /// also to the end of the serve's candidate order.
+    /// also to the end of the serve's candidate order. A sealed client
+    /// seals the payload under a fresh nonce on the way in.
     ///
     /// # Errors
     /// [`ProtocolError::CheckoutViolation`] if the block was not checked
     /// out.
-    pub fn return_to_stash(&mut self, block: Block) -> Result<()> {
+    pub fn return_to_stash(&mut self, mut block: Block) -> Result<()> {
         if !self.checked_out.remove(&block.id()) {
             return Err(ProtocolError::CheckoutViolation { block: block.id() });
+        }
+        if let Some(sealer) = &mut self.sealer {
+            if let Some(plain) = block.replace_data(None) {
+                block.replace_data(Some(sealer.seal(&plain)));
+            }
         }
         let mut holdings = self.stash.len() + 1;
         if self.scratch.pending {
@@ -1468,16 +1462,16 @@ mod tests {
         assert_eq!(c.read(id).unwrap().as_deref(), Some(&[id.index() as u8; 8][..]));
     }
 
-    /// The bytes the server holds for `id`, through the raw primitives:
-    /// fetch its path, look at the block, put everything back.
+    /// The bytes held for `id` outside a checkout — on its path in the
+    /// server's tree, or in the stash — after one more serve of that path
+    /// that never names it.
     fn raw_fetch(c: &mut PathOramClient, id: BlockId) -> Vec<u8> {
         let path = c.position_of(id).unwrap();
         c.fetch_path_pending(path, AccessKind::Real);
-        let block = c.take_from_stash(id).unwrap();
-        let stored = block.data().expect("written").to_vec();
-        c.return_to_stash(block).unwrap();
         c.writeback_path(path);
-        stored
+        let on_path = c.storage.clone().read_path(path);
+        let held = on_path.iter().chain(c.stash.iter()).find(|b| b.id() == id);
+        held.expect("not checked out").data().expect("written").to_vec()
     }
 
     #[test]
@@ -1507,6 +1501,24 @@ mod tests {
         assert_eq!(after.len(), before.len());
         assert_ne!(after, before, "a carried block went back under the same ciphertext");
         assert_eq!(c.read(id).unwrap().as_deref(), Some(&[id.index() as u8; 8][..]));
+    }
+
+    #[test]
+    fn checkout_is_the_sealing_boundary() {
+        let cfg = PathOramConfig::new(32).with_seed(29).with_payloads(true).with_sealing_key(0xB0);
+        let mut c = payload_client(cfg, 8);
+        let id = BlockId::new(5);
+        c.write(id, vec![7u8; 8].into()).unwrap();
+        let path = c.position_of(id).unwrap();
+        c.fetch_path_pending(path, AccessKind::Real);
+        let block = c.take_from_stash(id).unwrap();
+        assert_eq!(block.data(), Some(&[7u8; 8][..]), "a checked-out block is plaintext");
+        c.return_to_stash(block).unwrap();
+        let held = c.stash.iter().find(|b| b.id() == id).unwrap().data().unwrap();
+        assert_eq!(held.len(), 8 + NONCE_BYTES, "a returned block is sealed");
+        assert_ne!(&held[NONCE_BYTES..], &[7u8; 8][..]);
+        c.writeback_path(path);
+        c.verify_invariants().unwrap();
     }
 
     #[test]

@@ -1,44 +1,28 @@
 //! The poll-based completion queue.
 //!
-//! The collector thread emits one [`GroupDone`] per pipeline group, in
-//! group order, over an unbounded channel. This module owns the consumer
-//! side: groups are expanded into per-request [`Completion`]s which are
-//! claimed exactly once — FIFO via `try_complete`/`complete_blocking`,
-//! or by ticket via `wait`.
-//!
-//! # The pump protocol
-//!
-//! All methods take `&self`, so several threads can poll and wait at
-//! once. At most one thread at a time is the *pumper*: it takes the
-//! channel receiver out of the shared state, blocks on `recv()` with the
-//! lock released, then reinstalls the receiver, ingests the message, and
-//! wakes every waiter. A thread that finds the receiver absent parks on
-//! the condvar instead of blocking on the channel. Because the pipeline
-//! answers every submitted group (degraded shards answer with empty
-//! outputs) and a dead pipeline closes the channel, every `wait` either
-//! gets its completion or observes the disconnect — a blocked `wait` can
-//! never deadlock against concurrent `try_complete` polling.
+//! The collector publishes each finished group, in group order
+//! ([`CompletionShared::publish`]). Claims — FIFO or by ticket, each
+//! completion exactly once — wait on the condvar while theirs is not in.
+//! When the collector exits, however it exits, the queue is disconnected
+//! and every waiter wakes with [`ServiceError::Disconnected`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::mpsc::{Receiver, TryRecvError};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use crate::ingress::RequestMeta;
 use crate::{Completion, RequestTicket, RequestTiming, ServiceError};
 
 /// One finished pipeline group, emitted by the collector in group order.
 pub(crate) struct GroupDone {
-    /// The batch ticket id, for groups submitted through the batch API.
-    pub batch: Option<u64>,
     /// One output per request, in group order.
     pub outputs: Vec<Option<Box<[u8]>>>,
     /// Per-request submission metadata, parallel to `outputs`.
     pub requests: Vec<RequestMeta>,
     /// When the group was coalesced and handed to the pipeline.
     pub coalesce_ns: u64,
-    /// Earliest shard began serving the group (0 for an empty group).
+    /// Earliest shard began serving the group.
     pub serve_start_ns: u64,
-    /// Latest shard finished serving the group (0 for an empty group).
+    /// Latest shard finished serving the group.
     pub serve_end_ns: u64,
     /// When the collector finished reassembling the group.
     pub done_ns: u64,
@@ -82,126 +66,71 @@ pub(crate) struct CompletionCounters {
     pub voided: u64,
 }
 
+#[derive(Default)]
 struct CompletionState {
-    /// Taken (`None`) while a pumper blocks on the channel.
-    rx: Option<Receiver<GroupDone>>,
     /// Completed, unclaimed requests by ticket id.
     ready: HashMap<u64, Completion>,
     /// Completion order for FIFO claims; may hold stale ids whose
     /// completion was claimed by ticket (skipped on pop). Invariant:
     /// every `ready` key has exactly one live entry here.
     fifo: VecDeque<u64>,
-    /// Batch ids of completed *empty* batches (no tickets to wait on).
-    batch_done: HashSet<u64>,
     ledger: TicketLedger,
     /// Tickets dropped unserved because the pipeline died before their
     /// group could be sent (populated only on failure, so it stays tiny);
     /// `wait` reports these as `Disconnected`, not `TicketClaimed`.
     voided_tickets: HashSet<u64>,
     counters: CompletionCounters,
+    /// The collector is gone: nothing more will be published.
     disconnected: bool,
 }
 
 /// Everything left unclaimed when the engine shut down.
 pub(crate) struct CompletionDrain {
     pub ready: HashMap<u64, Completion>,
-    pub batch_done: HashSet<u64>,
     pub counters: CompletionCounters,
 }
 
-/// The shared consumer side of the completion channel.
+/// The completion queue: the collector publishes into it, every claiming
+/// method waits on it.
+#[derive(Default)]
 pub(crate) struct CompletionShared {
     state: Mutex<CompletionState>,
     cond: Condvar,
 }
 
 impl CompletionShared {
-    pub fn new(rx: Receiver<GroupDone>) -> Self {
-        CompletionShared {
-            state: Mutex::new(CompletionState {
-                rx: Some(rx),
-                ready: HashMap::new(),
-                fifo: VecDeque::new(),
-                batch_done: HashSet::new(),
-                ledger: TicketLedger::default(),
-                voided_tickets: HashSet::new(),
-                counters: CompletionCounters::default(),
-                disconnected: false,
-            }),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Expands one finished group into per-request completions.
-    fn ingest(state: &mut CompletionState, msg: GroupDone) {
-        if msg.requests.is_empty() {
-            if let Some(batch) = msg.batch {
-                state.batch_done.insert(batch);
-            }
-            return;
-        }
-        state.counters.expanded += msg.requests.len() as u64;
-        for (meta, output) in msg.requests.into_iter().zip(msg.outputs) {
+    /// Expands one finished group into per-request completions and wakes
+    /// every waiter. Called by the collector, in group order.
+    pub fn publish(&self, group: GroupDone) {
+        let mut state = self.state.lock().expect("completion lock");
+        state.counters.expanded += group.requests.len() as u64;
+        for (meta, output) in group.requests.into_iter().zip(group.outputs) {
             let completion = Completion {
                 ticket: RequestTicket(meta.ticket),
                 session: meta.session,
                 output,
                 timing: RequestTiming {
                     enqueue_ns: meta.enqueue_ns,
-                    coalesce_ns: msg.coalesce_ns,
-                    serve_start_ns: msg.serve_start_ns,
-                    serve_end_ns: msg.serve_end_ns,
-                    complete_ns: msg.done_ns,
+                    coalesce_ns: group.coalesce_ns,
+                    serve_start_ns: group.serve_start_ns,
+                    serve_end_ns: group.serve_end_ns,
+                    complete_ns: group.done_ns,
                 },
             };
             state.fifo.push_back(meta.ticket);
             state.ready.insert(meta.ticket, completion);
         }
+        self.cond.notify_all();
     }
 
-    /// Ingests every already-delivered message without blocking; wakes
-    /// waiters if anything arrived.
-    fn drain_channel(&self, state: &mut CompletionState) {
-        let mut ingested = false;
-        while let Some(rx) = state.rx.as_ref() {
-            match rx.try_recv() {
-                Ok(msg) => {
-                    Self::ingest(state, msg);
-                    ingested = true;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    state.disconnected = true;
-                    ingested = true;
-                    break;
-                }
-            }
-        }
-        if ingested {
-            self.cond.notify_all();
-        }
-    }
-
-    /// Blocks until one more message arrives (becoming the pumper) or
-    /// until the current pumper delivers one.
-    fn block_pump<'a>(
-        &'a self,
-        mut state: MutexGuard<'a, CompletionState>,
-    ) -> MutexGuard<'a, CompletionState> {
-        if let Some(rx) = state.rx.take() {
-            drop(state);
-            let msg = rx.recv();
-            let mut state = self.state.lock().expect("completion lock");
-            state.rx = Some(rx);
-            match msg {
-                Ok(msg) => Self::ingest(&mut state, msg),
-                Err(_) => state.disconnected = true,
-            }
-            self.cond.notify_all();
-            state
-        } else {
-            self.cond.wait(state).expect("completion wait")
-        }
+    /// Marks the queue disconnected and wakes every waiter: the collector
+    /// has exited, so an unanswered ticket will stay unanswered. Runs from
+    /// the collector's drop guard, possibly mid-panic, so a poisoned lock
+    /// is entered rather than unwrapped (setting the flag is valid in any
+    /// state).
+    pub fn disconnect(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).disconnected = true;
+        self.cond.notify_all();
     }
 
     fn claim_fifo(state: &mut CompletionState) -> Option<Completion> {
@@ -218,9 +147,7 @@ impl CompletionShared {
 
     /// The oldest unclaimed completion, without blocking.
     pub fn try_complete(&self) -> Option<Completion> {
-        let mut state = self.state.lock().expect("completion lock");
-        self.drain_channel(&mut state);
-        Self::claim_fifo(&mut state)
+        Self::claim_fifo(&mut self.state.lock().expect("completion lock"))
     }
 
     /// The oldest unclaimed completion, blocking while requests are
@@ -229,7 +156,6 @@ impl CompletionShared {
     pub fn complete_blocking(&self, issued: impl Fn() -> u64) -> Result<Completion, ServiceError> {
         let mut state = self.state.lock().expect("completion lock");
         loop {
-            self.drain_channel(&mut state);
             if let Some(completion) = Self::claim_fifo(&mut state) {
                 return Ok(completion);
             }
@@ -240,7 +166,7 @@ impl CompletionShared {
             if state.disconnected {
                 return Err(ServiceError::Disconnected);
             }
-            state = self.block_pump(state);
+            state = self.cond.wait(state).expect("completion wait");
         }
     }
 
@@ -249,7 +175,6 @@ impl CompletionShared {
     pub fn wait(&self, ticket: u64, issued: u64) -> Result<Completion, ServiceError> {
         let mut state = self.state.lock().expect("completion lock");
         loop {
-            self.drain_channel(&mut state);
             if let Some(completion) = state.ready.remove(&ticket) {
                 state.ledger.claim(ticket);
                 state.counters.claimed += 1;
@@ -267,22 +192,7 @@ impl CompletionShared {
             if state.disconnected {
                 return Err(ServiceError::Disconnected);
             }
-            state = self.block_pump(state);
-        }
-    }
-
-    /// Blocks until the (empty) batch `batch` completes.
-    pub fn wait_batch(&self, batch: u64) -> Result<(), ServiceError> {
-        let mut state = self.state.lock().expect("completion lock");
-        loop {
-            self.drain_channel(&mut state);
-            if state.batch_done.remove(&batch) {
-                return Ok(());
-            }
-            if state.disconnected {
-                return Err(ServiceError::Disconnected);
-            }
-            state = self.block_pump(state);
+            state = self.cond.wait(state).expect("completion wait");
         }
     }
 
@@ -306,24 +216,12 @@ impl CompletionShared {
         issued - state.counters.claimed - state.counters.voided
     }
 
-    /// Shutdown path: ingest everything still buffered in the channel
-    /// (the pipeline threads have exited, so nothing more is coming) and
-    /// hand the leftovers to the caller.
+    /// Shutdown path: the pipeline threads have been joined, so everything
+    /// that completed has been published; hand the leftovers to the caller.
     pub fn drain_for_shutdown(&self) -> CompletionDrain {
         let mut state = self.state.lock().expect("completion lock");
-        if let Some(rx) = state.rx.take() {
-            while let Ok(msg) = rx.try_recv() {
-                Self::ingest(&mut state, msg);
-            }
-            state.rx = Some(rx);
-        }
-        state.disconnected = true;
         state.fifo.clear();
-        CompletionDrain {
-            ready: std::mem::take(&mut state.ready),
-            batch_done: std::mem::take(&mut state.batch_done),
-            counters: state.counters,
-        }
+        CompletionDrain { ready: std::mem::take(&mut state.ready), counters: state.counters }
     }
 }
 

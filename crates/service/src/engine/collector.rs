@@ -2,7 +2,7 @@
 //! emission — all of the engine's counting.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::mpsc::{self, Receiver};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use laoram_telemetry::SpanRecord;
@@ -10,7 +10,7 @@ use oram_protocol::AccessStats;
 use oram_tree::DiskIoStats;
 
 use super::{CollectorMsg, PrepCounts, ServeCounts, Shared, SharedInner, PAD_SLOT, TIMING_WINDOW};
-use crate::completion::GroupDone;
+use crate::completion::{CompletionShared, GroupDone};
 use crate::ingress::GroupMeta;
 use crate::stats::lifetime_totals;
 use crate::telemetry::Instruments;
@@ -31,12 +31,10 @@ type Reassembled = (GroupDone, PrepCounts, Vec<ServeCounts>);
 impl PendingGroup {
     fn finish(self, done_ns: u64) -> Reassembled {
         let done = GroupDone {
-            batch: self.meta.batch,
             outputs: self.outputs,
             requests: self.meta.requests,
             coalesce_ns: self.meta.coalesce_ns,
-            // Earliest start and latest end over the group's shard parts
-            // (0 for an empty group).
+            // Earliest start and latest end over the group's shard parts.
             serve_start_ns: self.served.iter().map(|s| s.serve_start_ns).min().unwrap_or(0),
             serve_end_ns: self.served.iter().map(|s| s.serve_end_ns).max().unwrap_or(0),
             done_ns,
@@ -146,16 +144,27 @@ fn count_group(
     }
 }
 
+/// Disconnects the completion queue when the collector — its only
+/// publisher — returns or unwinds, so no waiter outlives it.
+struct Disconnect<'a>(&'a CompletionShared);
+
+impl Drop for Disconnect<'_> {
+    fn drop(&mut self) {
+        self.0.disconnect();
+    }
+}
+
 /// The collector: reassembles shard parts into whole-group completions
-/// and emits the groups in group order, counting each group as it is
-/// emitted — emission order is group order, which is what lets a stats
-/// reset act as a clean barrier (`Baseline`) between pre- and post-reset
-/// traffic.
+/// and emits the groups in group order, counting each group and then
+/// publishing it to the completion queue — emission order is group order,
+/// which is what lets a stats reset act as a clean barrier (`Baseline`)
+/// between pre- and post-reset traffic.
 pub(super) fn run_collector(
     rx: Receiver<CollectorMsg>,
-    completions: mpsc::Sender<GroupDone>,
+    completions: Arc<CompletionShared>,
     shared: Arc<Shared>,
 ) {
+    let _disconnect = Disconnect(&completions);
     let mut pending: HashMap<u64, PendingGroup> = HashMap::new();
     let mut done: BTreeMap<u64, Reassembled> = BTreeMap::new();
     let mut next_emit = 0u64;
@@ -181,9 +190,7 @@ pub(super) fn run_collector(
                 // Counted before the completions become claimable: whoever
                 // claims one finds its group in `stats()`.
                 count_group(&shared, *next_emit, &group, prep, served);
-                if completions.send(group).is_err() {
-                    return;
-                }
+                completions.publish(group);
                 *next_emit += 1;
             }
             apply_reset(reset_at, *next_emit, &shared);
@@ -191,6 +198,10 @@ pub(super) fn run_collector(
     while let Ok(msg) = rx.recv() {
         match msg {
             CollectorMsg::Manifest { group, parts, len, meta, prep } => {
+                // Every group holds at least one request (an empty batch
+                // completes where it is submitted), so at least one part
+                // follows and finishes it.
+                debug_assert!(parts > 0, "a group with no shard parts would never be emitted");
                 let entry = PendingGroup {
                     outputs: vec![None; len],
                     remaining: parts,
@@ -198,12 +209,7 @@ pub(super) fn run_collector(
                     prep,
                     served: Vec::with_capacity(parts),
                 };
-                if parts == 0 {
-                    done.insert(group, entry.finish(shared.now_ns()));
-                } else {
-                    pending.insert(group, entry);
-                }
-                emit(&mut done, &mut next_emit, &mut reset_at);
+                pending.insert(group, entry);
             }
             CollectorMsg::Part { group, outputs, slots, served } => {
                 let entry = pending.get_mut(&group).expect("part before manifest");
@@ -232,5 +238,80 @@ pub(super) fn run_collector(
     let mut inner = shared.inner.lock().expect("collector lock");
     for (worker, stats, disk_io) in retired {
         publish_worker(&shared.instruments, &mut inner, worker, stats, disk_io);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::sync::{mpsc, Mutex};
+    use std::time::Instant;
+
+    use super::*;
+    use crate::ServiceError;
+
+    fn idle_engine() -> Arc<Shared> {
+        Arc::new(Shared {
+            start: Instant::now(),
+            worker_homes: Vec::new(),
+            inner: Mutex::new(SharedInner {
+                worker_stats: Vec::new(),
+                worker_errors: Vec::new(),
+                worker_disk_io: Vec::new(),
+                worst_imbalance: 0.0,
+                batch_timing: VecDeque::new(),
+                baseline: None,
+            }),
+            instruments: Instruments::new(0),
+            flight: None,
+        })
+    }
+
+    /// Two waiters on tickets that were issued but will never be answered,
+    /// then a collector that ends the way `end` makes it end. Whether a
+    /// waiter parks before or after the collector is gone, it must come
+    /// back with `Disconnected` — never hang.
+    fn waiters_see_disconnect(end: impl FnOnce(mpsc::Sender<CollectorMsg>) + Send) {
+        let completions = Arc::new(CompletionShared::default());
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let by_ticket = s.spawn(|| completions.wait(0, 2));
+            let oldest = s.spawn(|| completions.complete_blocking(|| 2));
+            let collector = s.spawn(|| run_collector(rx, Arc::clone(&completions), idle_engine()));
+            end(tx);
+            let _ = collector.join();
+            assert!(matches!(by_ticket.join().unwrap(), Err(ServiceError::Disconnected)));
+            assert!(matches!(oldest.join().unwrap(), Err(ServiceError::Disconnected)));
+        });
+        assert!(completions.try_complete().is_none());
+    }
+
+    #[test]
+    fn collector_exit_wakes_parked_waiters_with_disconnected() {
+        // Every upstream sender gone: the collector's loop ends.
+        waiters_see_disconnect(drop);
+    }
+
+    #[test]
+    fn collector_panic_wakes_parked_waiters_with_disconnected() {
+        // A part for a group no manifest announced is a broken pipeline
+        // invariant: the collector panics, and its guard still runs.
+        waiters_see_disconnect(|tx| {
+            let served = ServeCounts {
+                worker: 0,
+                serve_start_ns: 0,
+                serve_end_ns: 0,
+                stats: AccessStats::new(),
+                disk_io: None,
+                stash_len: 0,
+            };
+            tx.send(CollectorMsg::Part {
+                group: 7,
+                outputs: Vec::new(),
+                slots: Vec::new(),
+                served,
+            })
+            .unwrap();
+        });
     }
 }

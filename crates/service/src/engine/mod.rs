@@ -324,21 +324,6 @@ impl LaoramService {
         self.completions.unclaimed(self.ingress.issued())
     }
 
-    /// The batching policy the micro-batcher is *currently* running
-    /// with: the configured [`BatchPolicy`](crate::BatchPolicy), with
-    /// `max_batch`/`max_delay` replaced by the adaptive controller's
-    /// effective values when
-    /// [`p99_target`](crate::BatchPolicy::p99_target) is set (they equal
-    /// the configured values otherwise).
-    #[must_use]
-    pub fn effective_batch_policy(&self) -> crate::BatchPolicy {
-        let (max_batch, delay_ns) = self.ingress.effective_policy();
-        let mut policy = self.ingress.policy().clone();
-        policy.max_batch = max_batch;
-        policy.max_delay = std::time::Duration::from_nanos(delay_ns);
-        policy
-    }
-
     // ------------------------------------------------------------------
     // Batch API (a pre-coalesced group sharing a ticket range)
     // ------------------------------------------------------------------
@@ -354,7 +339,7 @@ impl LaoramService {
     /// [`ServiceError::Disconnected`] if the pipeline died.
     pub fn submit(&mut self, batch: Vec<Request>) -> Result<BatchTicket, ServiceError> {
         let id = self.next_batch;
-        let (first_request, len) = self.ingress.submit_batch(batch, id)?;
+        let (first_request, len) = self.ingress.submit_batch(batch)?;
         self.next_batch += 1;
         let ticket = BatchTicket { id, first_request, len };
         self.pending_batches.push_back(ticket);
@@ -369,7 +354,7 @@ impl LaoramService {
     /// As [`submit`](Self::submit), plus [`ServiceError::Backpressure`].
     pub fn try_submit(&mut self, batch: Vec<Request>) -> Result<BatchTicket, ServiceError> {
         let id = self.next_batch;
-        let (first_request, len) = self.ingress.try_submit_batch(batch, id)?;
+        let (first_request, len) = self.ingress.try_submit_batch(batch)?;
         self.next_batch += 1;
         let ticket = BatchTicket { id, first_request, len };
         self.pending_batches.push_back(ticket);
@@ -392,10 +377,6 @@ impl LaoramService {
     /// [`ServiceError::Disconnected`] if the pipeline died.
     pub fn next_response(&mut self) -> Result<BatchResponse, ServiceError> {
         let ticket = self.pending_batches.pop_front().ok_or(ServiceError::NoPendingBatches)?;
-        if ticket.len == 0 {
-            self.completions.wait_batch(ticket.id)?;
-            return Ok(BatchResponse { ticket, outputs: Vec::new() });
-        }
         let issued = self.ingress.issued();
         let mut outputs = Vec::with_capacity(ticket.len as usize);
         for request in ticket.request_tickets() {
@@ -577,21 +558,13 @@ impl LaoramService {
         // Workers (and their stores) are gone: drop auto-spill files so a
         // start/stop cycle cannot accumulate dead table footprints.
         self.cleanup_spill();
-        // 3. Everything that completed is now buffered in the completion
-        //    channel; ingest it all and account for what is missing.
+        // 3. Everything that completed has been published to the
+        //    completion queue; account for what is missing.
         let drain = self.completions.drain_for_shutdown();
         let mut ready = drain.ready;
         let mut responses = Vec::new();
         let mut truncated_batches = 0u64;
         for ticket in std::mem::take(&mut self.pending_batches) {
-            if ticket.len == 0 {
-                if drain.batch_done.contains(&ticket.id) {
-                    responses.push(BatchResponse { ticket, outputs: Vec::new() });
-                } else {
-                    truncated_batches += 1;
-                }
-                continue;
-            }
             if ticket.request_tickets().all(|t| ready.contains_key(&t)) {
                 let outputs = ticket
                     .request_tickets()

@@ -17,7 +17,7 @@ use super::collector::run_collector;
 use super::preprocessor::run_preprocessor;
 use super::worker::run_worker;
 use super::{CollectorMsg, LaoramService, ShardClient, Shared, SharedInner, WorkerMsg};
-use crate::completion::{CompletionShared, GroupDone};
+use crate::completion::CompletionShared;
 use crate::ingress::{run_batcher, EngineMsg, Ingress};
 use crate::telemetry::{Flight, Instruments};
 use crate::{
@@ -47,19 +47,6 @@ impl LaoramService {
         if config.batch_policy.fixed_cadence && config.batch_policy.max_delay.is_zero() {
             return Err(ServiceError::InvalidConfig(
                 "BatchPolicy::fixed_cadence needs a nonzero max_delay (the cadence period)".into(),
-            ));
-        }
-        if config.batch_policy.p99_target.is_some_and(|t| t.is_zero()) {
-            return Err(ServiceError::InvalidConfig(
-                "BatchPolicy::p99_target must be nonzero".into(),
-            ));
-        }
-        if config.batch_policy.fixed_cadence && config.batch_policy.p99_target.is_some() {
-            return Err(ServiceError::InvalidConfig(
-                "BatchPolicy::fixed_cadence cannot combine with p99_target: adapting the \
-                 cadence to observed latency would make the flush schedule load-dependent \
-                 again, which is the channel fixed cadence exists to close"
-                    .into(),
             ));
         }
         // Auto-spill tables are scratch-only: their client state is never
@@ -363,8 +350,7 @@ impl LaoramService {
 
         let (ingress_tx, ingress_rx) = sync_channel::<EngineMsg>(config.queue_depth);
         let (collector_tx, collector_rx) = mpsc::channel::<CollectorMsg>();
-        let (done_tx, done_rx) = mpsc::channel::<GroupDone>();
-        let completions = Arc::new(CompletionShared::new(done_rx));
+        let completions = Arc::new(CompletionShared::default());
 
         // Alignment quantum for the micro-batcher: one full superblock
         // window per shard worker, in expectation, when a group of this
@@ -376,7 +362,7 @@ impl LaoramService {
             Arc::clone(&router),
             Arc::clone(&shared),
             Arc::clone(&completions),
-            config.batch_policy.clone(),
+            &config.batch_policy,
             quantum,
             ingress_tx,
         ));
@@ -417,10 +403,13 @@ impl LaoramService {
                 .expect("spawn preprocessor"),
         );
         let shared_for_collector = Arc::clone(&shared);
+        let completions_for_collector = Arc::clone(&completions);
         handles.push(
             std::thread::Builder::new()
                 .name("laoram-collector".into())
-                .spawn(move || run_collector(collector_rx, done_tx, shared_for_collector))
+                .spawn(move || {
+                    run_collector(collector_rx, completions_for_collector, shared_for_collector)
+                })
                 .expect("spawn collector"),
         );
 

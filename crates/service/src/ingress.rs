@@ -11,16 +11,14 @@
 //! a group enters the bounded pipeline channel, so the collector —
 //! which emits completions in group-id order — never sees a gap.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use laoram_telemetry::{Histogram, SpanRecord};
+use laoram_telemetry::SpanRecord;
 
 use crate::completion::CompletionShared;
 use crate::engine::Shared;
-use crate::spec::AdaptiveController;
 use crate::{BatchPolicy, Request, RequestTicket, ServiceError, ShardRouter};
 
 /// Submission metadata of one request, carried through the pipeline so
@@ -42,8 +40,6 @@ pub(crate) struct RequestMeta {
 /// reads whose outputs the preprocessor discards (they route with
 /// `PAD_SLOT` positions and issue no tickets).
 pub(crate) struct GroupMeta {
-    /// The batch ticket id for pre-coalesced (batch API) groups.
-    pub batch: Option<u64>,
     /// When the group was coalesced (ns since engine start).
     pub coalesce_ns: u64,
     /// One entry per *genuine* request, in group order.
@@ -75,6 +71,102 @@ struct PendingQueue {
     shutdown: bool,
 }
 
+/// What the close rule may know about the batcher's state.
+#[derive(Debug, Clone, Copy)]
+struct QueueView {
+    /// Requests pending.
+    len: usize,
+    /// `(enqueue_ns, ticket)` of the oldest pending request.
+    oldest: Option<(u64, u64)>,
+    flush_horizon: u64,
+    shutdown: bool,
+    /// When the previous group finished entering the pipeline (0 before
+    /// the first).
+    last_close_ns: u64,
+}
+
+/// The close rule's verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Close {
+    /// Close a group now: the `n` oldest pending requests, then `pads`
+    /// cadence-padding reads.
+    Take { n: usize, pads: usize },
+    /// Nothing to close before this time (ns since engine start); `None`
+    /// waits for a submission, a `flush()` or shutdown.
+    Wait(Option<u64>),
+    /// Shut down and drained.
+    Exit,
+}
+
+/// When the micro-batcher closes a group — the single place a timer or a
+/// queue length decides a group boundary. Derived once from the
+/// [`BatchPolicy`] and the superblock quantum; see `BatchPolicy` for the
+/// two arms as callers see them.
+#[derive(Debug, Clone, Copy)]
+struct CloseRule {
+    /// The size of a size-triggered (or cadence) group: `max_batch`,
+    /// rounded down to the superblock quantum when alignment is on and
+    /// fits.
+    flush_len: usize,
+    /// `max_delay`: the coalescing deadline, or the cadence period.
+    delay_ns: u64,
+    fixed_cadence: bool,
+}
+
+impl CloseRule {
+    fn new(policy: &BatchPolicy, quantum: usize) -> Self {
+        let max_batch = policy.max_batch.max(1);
+        let flush_len = if policy.align_to_superblock && max_batch >= quantum {
+            max_batch - max_batch % quantum
+        } else {
+            max_batch
+        };
+        let delay_ns = policy.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64;
+        CloseRule { flush_len, delay_ns, fixed_cadence: policy.fixed_cadence }
+    }
+
+    /// Pure: no clock, lock or channel — the batcher loop supplies `now_ns`
+    /// and acts on the verdict.
+    fn decide(&self, queue: &QueueView, now_ns: u64) -> Close {
+        if self.fixed_cadence {
+            // Groups close on an absolute tick grid anchored at engine
+            // start, always `flush_len` long (an idle tick is all pads), so
+            // neither boundaries nor sizes follow the load. `flush()` is
+            // ignored: an on-demand boundary would be load-dependent again.
+            let n = queue.len.min(self.flush_len);
+            if queue.shutdown {
+                // The schedule is over: drain unpadded, tick-free.
+                return if n == 0 { Close::Exit } else { Close::Take { n, pads: 0 } };
+            }
+            // The first grid point strictly after the previous group went
+            // in: ticks that passed while it blocked on backpressure (or
+            // the thread overslept) are skipped, never bursted.
+            let period = self.delay_ns.max(1);
+            let tick = (queue.last_close_ns / period).saturating_add(1).saturating_mul(period);
+            return if now_ns < tick {
+                Close::Wait(Some(tick))
+            } else {
+                Close::Take { n, pads: self.flush_len - n }
+            };
+        }
+        // Coalescing: the size trigger takes an aligned `flush_len`; every
+        // other trigger takes all that is pending (fewer than `flush_len`,
+        // so within `max_batch`), unaligned — bounding latency wins.
+        if queue.len >= self.flush_len {
+            return Close::Take { n: self.flush_len, pads: 0 };
+        }
+        let Some((enqueue_ns, ticket)) = queue.oldest else {
+            return if queue.shutdown { Close::Exit } else { Close::Wait(None) };
+        };
+        let deadline = enqueue_ns.saturating_add(self.delay_ns);
+        if queue.shutdown || ticket < queue.flush_horizon || now_ns >= deadline {
+            Close::Take { n: queue.len, pads: 0 }
+        } else {
+            Close::Wait(Some(deadline))
+        }
+    }
+}
+
 /// The pipeline channel plus the group-id counter it orders.
 struct GroupSender {
     /// `None` once shutdown closed the pipeline.
@@ -88,39 +180,28 @@ pub(crate) struct Ingress {
     router: Arc<ShardRouter>,
     shared: Arc<Shared>,
     completions: Arc<CompletionShared>,
-    policy: BatchPolicy,
-    /// Superblock alignment quantum:
-    /// `max(table superblock size) × total workers`.
-    quantum: usize,
+    rule: CloseRule,
     pending: Mutex<PendingQueue>,
     batcher_wake: Condvar,
     sender: Mutex<GroupSender>,
-    /// Effective size trigger: equals `policy.max_batch` unless an
-    /// adaptive controller ([`BatchPolicy::p99_target`]) is tuning it.
-    effective_batch: AtomicUsize,
-    /// Effective deadline, in ns: equals `policy.max_delay` unless
-    /// adaptively tuned.
-    effective_delay_ns: AtomicU64,
 }
 
 impl Ingress {
+    /// `quantum` is the superblock alignment quantum:
+    /// `max(table superblock size) × total workers`.
     pub fn new(
         router: Arc<ShardRouter>,
         shared: Arc<Shared>,
         completions: Arc<CompletionShared>,
-        policy: BatchPolicy,
+        policy: &BatchPolicy,
         quantum: usize,
         tx: SyncSender<EngineMsg>,
     ) -> Self {
-        let effective_batch = AtomicUsize::new(policy.max_batch.max(1));
-        let effective_delay_ns =
-            AtomicU64::new(policy.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64);
         Ingress {
             router,
             shared,
             completions,
-            policy,
-            quantum: quantum.max(1),
+            rule: CloseRule::new(policy, quantum.max(1)),
             pending: Mutex::new(PendingQueue {
                 entries: Vec::new(),
                 next_ticket: 0,
@@ -129,35 +210,6 @@ impl Ingress {
             }),
             batcher_wake: Condvar::new(),
             sender: Mutex::new(GroupSender { tx: Some(tx), next_group: 0 }),
-            effective_batch,
-            effective_delay_ns,
-        }
-    }
-
-    /// The configured batching policy.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
-
-    /// The effective `(max_batch, max_delay_ns)` the batcher is running
-    /// with right now — the configured values, unless an adaptive
-    /// controller has tuned them down.
-    pub fn effective_policy(&self) -> (usize, u64) {
-        (
-            self.effective_batch.load(Ordering::Relaxed),
-            self.effective_delay_ns.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The size a size-triggered flush takes: the effective `max_batch`,
-    /// rounded down to the superblock quantum when alignment is on and
-    /// fits.
-    fn flush_len(&self) -> usize {
-        let max_batch = self.effective_batch.load(Ordering::Relaxed).max(1);
-        if self.policy.align_to_superblock && max_batch >= self.quantum {
-            max_batch - max_batch % self.quantum
-        } else {
-            max_batch
         }
     }
 
@@ -174,7 +226,6 @@ impl Ingress {
     ) -> Result<RequestTicket, ServiceError> {
         self.router.validate(&request)?;
         let enqueue_ns = self.shared.now_ns();
-        let flush_len = self.flush_len();
         let mut pending = self.pending.lock().expect("ingress lock");
         if pending.shutdown {
             return Err(ServiceError::ShuttingDown);
@@ -186,7 +237,7 @@ impl Ingress {
         // Wake the batcher when the first entry arms a deadline or the
         // queue crosses the flush threshold; in between it is already
         // sleeping on the right timeout.
-        if pending.entries.len() == 1 || pending.entries.len() >= flush_len {
+        if pending.entries.len() == 1 || pending.entries.len() >= self.rule.flush_len {
             self.batcher_wake.notify_one();
         }
         drop(pending);
@@ -208,12 +259,9 @@ impl Ingress {
     }
 
     /// Sends one pre-coalesced batch as a group, blocking on
-    /// backpressure. Returns the batch's request-ticket range.
-    pub fn submit_batch(
-        &self,
-        requests: Vec<Request>,
-        batch: u64,
-    ) -> Result<(u64, u64), ServiceError> {
+    /// backpressure. Returns the batch's request-ticket range. An empty
+    /// batch is complete as submitted: nothing is sent.
+    pub fn submit_batch(&self, requests: Vec<Request>) -> Result<(u64, u64), ServiceError> {
         for request in &requests {
             self.router.validate(request)?;
         }
@@ -228,6 +276,9 @@ impl Ingress {
             pending.next_ticket += len;
             first
         };
+        if len == 0 {
+            return Ok((first, 0));
+        }
         let entries: Vec<(Request, RequestMeta)> = requests
             .into_iter()
             .enumerate()
@@ -235,7 +286,7 @@ impl Ingress {
                 (request, RequestMeta { ticket: first + i as u64, session: 0, enqueue_ns: now })
             })
             .collect();
-        if !self.send_group(entries, Some(batch), Vec::new()) {
+        if !self.send_group(entries, Vec::new()) {
             return Err(ServiceError::Disconnected);
         }
         self.shared.instruments.ingress_submitted.add(len);
@@ -246,11 +297,7 @@ impl Ingress {
     /// of blocking when the pipeline queue is full; the batch is handed
     /// back inside [`ServiceError::Backpressure`]. The ticket counter is
     /// only advanced on success, so a rejected batch leaves no gap.
-    pub fn try_submit_batch(
-        &self,
-        requests: Vec<Request>,
-        batch: u64,
-    ) -> Result<(u64, u64), ServiceError> {
+    pub fn try_submit_batch(&self, requests: Vec<Request>) -> Result<(u64, u64), ServiceError> {
         for request in &requests {
             self.router.validate(request)?;
         }
@@ -264,6 +311,9 @@ impl Ingress {
             return Err(ServiceError::ShuttingDown);
         }
         let first = pending.next_ticket;
+        if len == 0 {
+            return Ok((first, 0));
+        }
         let metas: Vec<RequestMeta> = (0..len)
             .map(|i| RequestMeta { ticket: first + i, session: 0, enqueue_ns: now })
             .collect();
@@ -283,25 +333,16 @@ impl Ingress {
         let Some(tx) = sender.tx.as_ref() else {
             return Err(ServiceError::Disconnected);
         };
+        let group = sender.next_group;
         let msg = EngineMsg::Group {
-            group: sender.next_group,
+            group,
             requests,
-            meta: GroupMeta { batch: Some(batch), coalesce_ns: now, requests: metas },
+            meta: GroupMeta { coalesce_ns: now, requests: metas },
         };
         match tx.try_send(msg) {
             Ok(()) => {
-                self.shared.instruments.groups.inc();
+                self.note_group_sent(group, now, now, len as usize, 0);
                 self.shared.instruments.ingress_submitted.add(len);
-                if let Some(flight) = self.shared.flight.as_deref() {
-                    flight.recorder.record(SpanRecord {
-                        start_ns: now,
-                        end_ns: now,
-                        stage: "ingress.coalesce",
-                        group: Some(sender.next_group),
-                        worker: None,
-                        detail: Some(format!("requests={len} pre-coalesced")),
-                    });
-                }
                 sender.next_group += 1;
                 pending.next_ticket += len;
                 Ok((first, len))
@@ -335,18 +376,40 @@ impl Ingress {
         self.sender.lock().expect("sender lock").tx.take();
     }
 
+    /// Bookkeeping for a group the pipeline accepted: the `groups` counter
+    /// and the coalesce span (oldest queued request → group formation).
+    fn note_group_sent(
+        &self,
+        group: u64,
+        oldest_ns: u64,
+        coalesce_ns: u64,
+        len: usize,
+        pads: usize,
+    ) {
+        self.shared.instruments.groups.inc();
+        if let Some(flight) = self.shared.flight.as_deref() {
+            flight.recorder.record(SpanRecord {
+                start_ns: oldest_ns,
+                end_ns: coalesce_ns,
+                stage: "ingress.coalesce",
+                group: Some(group),
+                worker: None,
+                detail: Some(if pads > 0 {
+                    format!("requests={len} cadence_pads={pads}")
+                } else {
+                    format!("requests={len}")
+                }),
+            });
+        }
+    }
+
     /// Assigns the next group id and sends, blocking on backpressure.
     /// On failure the group's tickets are voided so they stop counting
     /// as outstanding. `pads` are cadence-padding reads appended after
     /// the genuine requests: they carry no metadata (no tickets) and the
     /// preprocessor discards their outputs. Returns whether the pipeline
     /// accepted the group.
-    fn send_group(
-        &self,
-        entries: Vec<(Request, RequestMeta)>,
-        batch: Option<u64>,
-        pads: Vec<Request>,
-    ) -> bool {
+    fn send_group(&self, entries: Vec<(Request, RequestMeta)>, pads: Vec<Request>) -> bool {
         let coalesce_ns = self.shared.now_ns();
         let mut requests = Vec::with_capacity(entries.len() + pads.len());
         let mut metas = Vec::with_capacity(entries.len());
@@ -356,7 +419,6 @@ impl Ingress {
         }
         let pad_tail = pads.len();
         requests.extend(pads);
-        // Coalesce span: oldest queued request → group formation.
         let len = metas.len();
         let oldest_ns = metas.iter().map(|m| m.enqueue_ns).min().unwrap_or(coalesce_ns);
         let mut sender = self.sender.lock().expect("sender lock");
@@ -365,28 +427,11 @@ impl Ingress {
             return false;
         };
         let group = sender.next_group;
-        let msg = EngineMsg::Group {
-            group,
-            requests,
-            meta: GroupMeta { batch, coalesce_ns, requests: metas },
-        };
+        let msg =
+            EngineMsg::Group { group, requests, meta: GroupMeta { coalesce_ns, requests: metas } };
         match tx.send(msg) {
             Ok(()) => {
-                self.shared.instruments.groups.inc();
-                if let Some(flight) = self.shared.flight.as_deref() {
-                    flight.recorder.record(SpanRecord {
-                        start_ns: oldest_ns,
-                        end_ns: coalesce_ns,
-                        stage: "ingress.coalesce",
-                        group: Some(group),
-                        worker: None,
-                        detail: Some(if pad_tail > 0 {
-                            format!("requests={len} cadence_pads={pad_tail}")
-                        } else {
-                            format!("requests={len}")
-                        }),
-                    });
-                }
+                self.note_group_sent(group, oldest_ns, coalesce_ns, len, pad_tail);
                 sender.next_group += 1;
                 true
             }
@@ -396,28 +441,6 @@ impl Ingress {
                 false
             }
         }
-    }
-}
-
-/// Completed-request samples required before the adaptive controller
-/// takes one observation (one adaptation epoch).
-const ADAPT_EPOCH_SAMPLES: u64 = 64;
-
-impl Ingress {
-    /// One adaptation step: when an epoch's worth of requests has
-    /// completed since `epoch_start` (the `service.request.total_ns`
-    /// histogram as of the previous step), feed the p99 of the difference
-    /// to the controller and publish the new effective policy.
-    fn maybe_adapt(&self, controller: &mut AdaptiveController, epoch_start: &mut Histogram) {
-        let instruments = &self.shared.instruments;
-        if instruments.requests_completed.total() < epoch_start.count() + ADAPT_EPOCH_SAMPLES {
-            return;
-        }
-        let now = instruments.latency_total.snapshot();
-        let (batch, delay_ns) = controller.observe(now.since(epoch_start).p99());
-        *epoch_start = now;
-        self.effective_batch.store(batch.max(1), Ordering::Relaxed);
-        self.effective_delay_ns.store(delay_ns.max(1), Ordering::Relaxed);
     }
 
     /// `count` cadence-padding reads: rotating row picks over the hosted
@@ -437,144 +460,175 @@ impl Ingress {
     }
 }
 
-/// The micro-batcher thread. In the default (coalescing) mode it sleeps
-/// until the pending queue crosses the size threshold or its oldest
-/// request hits the deadline, then flushes one group and goes around
-/// again; with [`BatchPolicy::p99_target`] set it additionally runs the
-/// [`AdaptiveController`] between groups. With
-/// [`BatchPolicy::fixed_cadence`] it instead ticks on an absolute
-/// schedule ([`run_cadence_batcher`]). Shutdown flushes the remainder
-/// (deadline-style, unaligned) and exits.
+/// The micro-batcher thread: asks the [`CloseRule`] what to do with the
+/// pending queue, sleeps as long as it says, and sends each group it
+/// closes — until the rule says the shutdown drain is over (or the
+/// pipeline is gone).
 pub(crate) fn run_batcher(ingress: Arc<Ingress>) {
-    if ingress.policy.fixed_cadence {
-        run_cadence_batcher(&ingress);
-        return;
-    }
-    let mut controller = AdaptiveController::new(&ingress.policy);
-    let mut epoch_start = Histogram::new();
+    let mut pad_cursor = 0u64;
+    let mut last_close_ns = 0u64;
     loop {
-        let chunk: Option<Vec<(Request, RequestMeta)>> = {
+        let (chunk, pads) = {
             let mut pending = ingress.pending.lock().expect("batcher lock");
-            let chunk = loop {
-                let flush_len = ingress.flush_len();
-                let (max_batch, delay_ns) = ingress.effective_policy();
-                let max_batch = max_batch.max(1);
-                if pending.entries.len() >= flush_len {
-                    break Some(pending.entries.drain(..flush_len).collect());
-                }
-                if pending.shutdown {
-                    if pending.entries.is_empty() {
-                        break None;
+            loop {
+                let view = QueueView {
+                    len: pending.entries.len(),
+                    oldest: pending.entries.first().map(|(_, m)| (m.enqueue_ns, m.ticket)),
+                    flush_horizon: pending.flush_horizon,
+                    shutdown: pending.shutdown,
+                    last_close_ns,
+                };
+                let now_ns = ingress.shared.now_ns();
+                match ingress.rule.decide(&view, now_ns) {
+                    Close::Exit => return,
+                    Close::Take { n, pads } => {
+                        let chunk: Vec<(Request, RequestMeta)> =
+                            pending.entries.drain(..n).collect();
+                        ingress.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
+                        break (chunk, pads);
                     }
-                    let take = pending.entries.len().min(max_batch);
-                    break Some(pending.entries.drain(..take).collect());
-                }
-                if pending.entries.is_empty() {
-                    pending = ingress.batcher_wake.wait(pending).expect("batcher wait");
-                    continue;
-                }
-                // An explicit flush() covers the queued tickets: release
-                // them immediately, deadline-style.
-                if pending.entries[0].1.ticket < pending.flush_horizon {
-                    let take = pending.entries.len().min(max_batch);
-                    break Some(pending.entries.drain(..take).collect());
-                }
-                let deadline = pending.entries[0].1.enqueue_ns.saturating_add(delay_ns);
-                let now = ingress.shared.now_ns();
-                if now >= deadline {
-                    let take = pending.entries.len().min(max_batch);
-                    break Some(pending.entries.drain(..take).collect());
-                }
-                let timeout = Duration::from_nanos(deadline - now);
-                let (guard, _) =
-                    ingress.batcher_wake.wait_timeout(pending, timeout).expect("batcher wait");
-                pending = guard;
-            };
-            ingress.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
-            chunk
-        };
-        match chunk {
-            None => return,
-            Some(chunk) => {
-                if !ingress.send_group(chunk, None, Vec::new()) {
-                    return;
-                }
-                if let Some(c) = controller.as_mut() {
-                    ingress.maybe_adapt(c, &mut epoch_start);
+                    Close::Wait(None) => {
+                        pending = ingress.batcher_wake.wait(pending).expect("batcher wait");
+                    }
+                    Close::Wait(Some(until)) => {
+                        let timeout = Duration::from_nanos(until.saturating_sub(now_ns));
+                        pending = ingress
+                            .batcher_wake
+                            .wait_timeout(pending, timeout)
+                            .expect("batcher wait")
+                            .0;
+                    }
                 }
             }
+        };
+        let pads = ingress.cadence_pads(pads, &mut pad_cursor);
+        if !ingress.send_group(chunk, pads) {
+            return;
         }
+        last_close_ns = ingress.shared.now_ns();
     }
 }
 
-/// The fixed-cadence micro-batcher: emits one group every `max_delay`
-/// on an **absolute** tick schedule anchored at engine start, padding
-/// each group up to the flush length with rotating dummy reads — the
-/// flush times and group sizes are therefore independent of the offered
-/// load (the batch-timing channel the coalescing mode concedes). A tick
-/// that would fire while the previous group is still blocking on
-/// pipeline backpressure is skipped, never queued, so a saturated
-/// pipeline degrades to "every k-th tick" rather than drifting the
-/// schedule. Shutdown flushes the remainder unpadded and exits.
-fn run_cadence_batcher(ingress: &Arc<Ingress>) {
-    let period_ns = (ingress.policy.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64).max(1);
-    let flush_len = ingress.flush_len();
-    let mut pad_cursor = 0u64;
-    let mut tick = 1u64;
-    loop {
-        let chunk: Option<Vec<(Request, RequestMeta)>> = {
-            let mut pending = ingress.pending.lock().expect("batcher lock");
-            loop {
-                if pending.shutdown {
-                    break;
-                }
-                let deadline = tick.saturating_mul(period_ns);
-                let now = ingress.shared.now_ns();
-                if now >= deadline {
-                    break;
-                }
-                let timeout = Duration::from_nanos(deadline - now);
-                let (guard, _) =
-                    ingress.batcher_wake.wait_timeout(pending, timeout).expect("batcher wait");
-                pending = guard;
-            }
-            if pending.shutdown {
-                if pending.entries.is_empty() {
-                    None
-                } else {
-                    let take = pending.entries.len().min(flush_len);
-                    Some(pending.entries.drain(..take).collect())
-                }
-            } else {
-                let take = pending.entries.len().min(flush_len);
-                let chunk = Some(pending.entries.drain(..take).collect());
-                ingress.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
-                chunk
-            }
-        };
-        match chunk {
-            None => return,
-            Some(chunk) => {
-                let shutting_down = ingress.pending.lock().expect("batcher lock").shutdown;
-                // Shutdown drains unpadded: the schedule is over, and
-                // burning a padded group per remaining tick would stall
-                // teardown for no leakage benefit.
-                let pads = if shutting_down {
-                    Vec::new()
-                } else {
-                    ingress.cadence_pads(flush_len - chunk.len(), &mut pad_cursor)
-                };
-                if !ingress.send_group(chunk, None, pads) {
-                    return;
-                }
-                if shutting_down {
-                    // Keep draining the backlog tick-free.
-                    continue;
-                }
-                // Next tick strictly in the future: missed ticks are
-                // skipped, not bursted.
-                tick = (ingress.shared.now_ns() / period_ns) + 1;
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MS: u64 = 1_000_000;
+
+    /// `max_batch` 10 over a quantum of 4: size-triggered groups are 8 long.
+    fn rule(fixed_cadence: bool) -> CloseRule {
+        let policy = BatchPolicy::new()
+            .max_batch(10)
+            .max_delay(Duration::from_millis(2))
+            .fixed_cadence(fixed_cadence);
+        CloseRule::new(&policy, 4)
+    }
+
+    /// `len` pending requests, tickets from 100, the oldest enqueued at
+    /// `oldest_ns`.
+    fn queue(len: usize, oldest_ns: u64) -> QueueView {
+        QueueView {
+            len,
+            oldest: (len > 0).then_some((oldest_ns, 100)),
+            flush_horizon: 0,
+            shutdown: false,
+            last_close_ns: 0,
         }
+    }
+
+    #[test]
+    fn flush_len_aligns_only_when_it_fits() {
+        assert_eq!(rule(false).flush_len, 8);
+        let policy = BatchPolicy::new().max_batch(10);
+        assert_eq!(CloseRule::new(&policy, 16).flush_len, 10, "quantum above max_batch");
+        assert_eq!(CloseRule::new(&policy.align_to_superblock(false), 4).flush_len, 10);
+    }
+
+    #[test]
+    fn coalescing_waits_for_the_oldest_requests_deadline() {
+        let rule = rule(false);
+        assert_eq!(rule.decide(&queue(0, 0), 5 * MS), Close::Wait(None), "nothing pending");
+        assert_eq!(rule.decide(&queue(3, 5 * MS), 6 * MS), Close::Wait(Some(7 * MS)));
+        assert_eq!(rule.decide(&queue(7, 5 * MS), 7 * MS - 1), Close::Wait(Some(7 * MS)));
+    }
+
+    #[test]
+    fn coalescing_size_trigger_takes_an_aligned_group() {
+        let rule = rule(false);
+        assert_eq!(rule.decide(&queue(8, 5 * MS), 5 * MS), Close::Take { n: 8, pads: 0 });
+        // A backlog past max_batch still closes one aligned group at a
+        // time, deadline or not.
+        assert_eq!(rule.decide(&queue(23, 0), 9 * MS), Close::Take { n: 8, pads: 0 });
+    }
+
+    #[test]
+    fn coalescing_deadline_and_flush_take_everything_unaligned() {
+        let rule = rule(false);
+        assert_eq!(rule.decide(&queue(7, 5 * MS), 7 * MS), Close::Take { n: 7, pads: 0 });
+        assert_eq!(rule.decide(&queue(1, 5 * MS), 60 * MS), Close::Take { n: 1, pads: 0 });
+        // flush() recorded a horizon past the oldest ticket: no waiting.
+        let flushed = QueueView { flush_horizon: 101, ..queue(3, 5 * MS) };
+        assert_eq!(rule.decide(&flushed, 5 * MS), Close::Take { n: 3, pads: 0 });
+        // A horizon from before these requests were submitted is spent.
+        let stale = QueueView { flush_horizon: 100, ..queue(3, 5 * MS) };
+        assert_eq!(rule.decide(&stale, 5 * MS), Close::Wait(Some(7 * MS)));
+    }
+
+    #[test]
+    fn coalescing_shutdown_drains_then_exits() {
+        let rule = rule(false);
+        let closing = |len| QueueView { shutdown: true, ..queue(len, 5 * MS) };
+        assert_eq!(rule.decide(&closing(11), 5 * MS), Close::Take { n: 8, pads: 0 });
+        assert_eq!(rule.decide(&closing(3), 5 * MS), Close::Take { n: 3, pads: 0 });
+        assert_eq!(rule.decide(&closing(0), 5 * MS), Close::Exit);
+    }
+
+    #[test]
+    fn cadence_closes_on_the_tick_grid_whatever_the_load() {
+        let rule = rule(true);
+        // Before the first tick nothing closes — a full queue included.
+        assert_eq!(rule.decide(&queue(0, 0), 0), Close::Wait(Some(2 * MS)));
+        assert_eq!(rule.decide(&queue(30, 0), 2 * MS - 1), Close::Wait(Some(2 * MS)));
+        // On the tick every group is flush_len long: padded, all pads, or
+        // cut from the backlog.
+        assert_eq!(rule.decide(&queue(3, MS), 2 * MS), Close::Take { n: 3, pads: 5 });
+        assert_eq!(rule.decide(&queue(0, 0), 2 * MS), Close::Take { n: 0, pads: 8 });
+        assert_eq!(rule.decide(&queue(30, 0), 2 * MS), Close::Take { n: 8, pads: 0 });
+    }
+
+    #[test]
+    fn cadence_ignores_flush_and_request_age() {
+        let rule = rule(true);
+        let flushed = QueueView { flush_horizon: 200, ..queue(3, 0) };
+        assert_eq!(rule.decide(&flushed, MS), Close::Wait(Some(2 * MS)));
+        let aged = QueueView { last_close_ns: 40 * MS, ..queue(3, 0) };
+        assert_eq!(rule.decide(&aged, 41 * MS), Close::Wait(Some(42 * MS)));
+    }
+
+    #[test]
+    fn cadence_skips_missed_ticks() {
+        let rule = rule(true);
+        // The previous group went in at 3.7 periods: the next tick is the
+        // 4th, and waking late for it (5.3 periods) still closes one group.
+        let after = |last_close_ns| QueueView { last_close_ns, ..queue(2, 0) };
+        assert_eq!(rule.decide(&after(7_400_000), 7_500_000), Close::Wait(Some(8 * MS)));
+        assert_eq!(rule.decide(&after(7_400_000), 10_600_000), Close::Take { n: 2, pads: 6 });
+        // Once that group is in, the 5th tick — already past — is skipped,
+        // not bursted: the next close is the 6th.
+        assert_eq!(rule.decide(&after(10_600_000), 10_600_000), Close::Wait(Some(12 * MS)));
+        // A send that blocked across several ticks skips them all.
+        assert_eq!(rule.decide(&after(19 * MS), 19 * MS), Close::Wait(Some(20 * MS)));
+        // Landing exactly on a grid point waits for the next one.
+        assert_eq!(rule.decide(&after(20 * MS), 20 * MS), Close::Wait(Some(22 * MS)));
+    }
+
+    #[test]
+    fn cadence_shutdown_drains_unpadded_then_exits() {
+        let rule = rule(true);
+        let closing = |len| QueueView { shutdown: true, ..queue(len, 0) };
+        // No waiting for a tick, no pads.
+        assert_eq!(rule.decide(&closing(11), MS), Close::Take { n: 8, pads: 0 });
+        assert_eq!(rule.decide(&closing(3), MS), Close::Take { n: 3, pads: 0 });
+        assert_eq!(rule.decide(&closing(0), MS), Close::Exit);
     }
 }

@@ -148,10 +148,11 @@
 //!   constant-size group every `max_delay` on an absolute schedule,
 //!   padding short (or empty) groups with dummy reads, so group
 //!   boundaries and sizes stop tracking offered load entirely — at the
-//!   cost of a constant background workload while idle. (The adaptive
-//!   mode, [`BatchPolicy::p99_target`], moves the other way — batch
-//!   boundaries then track tail latency, i.e. load — and is refused in
-//!   combination with fixed cadence.)
+//!   cost of a constant background workload while idle. The
+//!   micro-batcher's close rule (the two arms documented on
+//!   [`BatchPolicy`]) is the single place where a timer or a queue
+//!   length decides a group boundary, so it is the only code to audit
+//!   for this channel.
 //! * **Cache trade-offs.** Each shard's client cache models the paper's
 //!   trainer VRAM: accesses to it are invisible to the adversary, and its
 //!   contents are *planned* (the current superblock's members), so hits
@@ -242,9 +243,8 @@ pub use error::ServiceError;
 pub use request::{Completion, RequestTicket, RequestTiming, Session, SessionId};
 pub use router::{GroupRouting, RowPlacement, ShardRouter, TablePartition};
 pub use spec::{
-    AdaptiveController, BatchPolicy, DiskBackendSpec, HotSetSpec, PartitionStrategy,
-    ReplicaPlacement, ResolvedBackend, ServiceConfig, StorageBackend, TableRecovery, TableSpec,
-    TableStatus, TelemetrySpec,
+    BatchPolicy, DiskBackendSpec, HotSetSpec, PartitionStrategy, ReplicaPlacement, ResolvedBackend,
+    ServiceConfig, StorageBackend, TableRecovery, TableSpec, TableStatus, TelemetrySpec,
 };
 pub use stats::{
     BatchTiming, LatencyHistogram, PipelineStats, RequestLatencyStats, ServiceStats, ShardStats,
@@ -289,6 +289,19 @@ mod tests {
             LaoramService::start(ServiceConfig::new().table(TableSpec::new("t", 8).shards(16)))
                 .is_err(),
             "more shards than entries"
+        );
+        let with_policy = |policy: BatchPolicy| {
+            LaoramService::start(
+                ServiceConfig::new().table(TableSpec::new("t", 8)).batch_policy(policy),
+            )
+        };
+        assert!(with_policy(BatchPolicy::new().max_batch(0)).is_err(), "zero max_batch");
+        assert!(
+            with_policy(
+                BatchPolicy::new().fixed_cadence(true).max_delay(std::time::Duration::ZERO)
+            )
+            .is_err(),
+            "a cadence needs a period"
         );
     }
 
@@ -498,28 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_batching_reads_the_request_latency_histogram() {
-        // An unreachable target: every epoch's p99 overshoots, so the
-        // controller must halve the batch size as soon as it has seen an
-        // epoch's worth of completed requests.
-        let policy = BatchPolicy::new()
-            .max_batch(64)
-            .max_delay(std::time::Duration::from_millis(1))
-            .p99_target(std::time::Duration::from_nanos(1));
-        let service = LaoramService::start(two_shard_config().batch_policy(policy)).unwrap();
-        assert_eq!(service.effective_batch_policy().max_batch, 64);
-        for _ in 0..2 {
-            let tickets: Vec<_> =
-                (0..128).map(|i| service.submit_request(Request::read(0, i)).unwrap()).collect();
-            for ticket in tickets {
-                service.wait(ticket).unwrap();
-            }
-        }
-        assert!(service.effective_batch_policy().max_batch < 64, "the controller never adapted");
-        service.shutdown().unwrap();
-    }
-
-    #[test]
     fn micro_batcher_deadline_flushes_without_explicit_flush() {
         let service = LaoramService::start(
             ServiceConfig::new()
@@ -540,6 +531,49 @@ mod tests {
             "a deadline-flushed request waited in the micro-batcher"
         );
         service.shutdown().unwrap();
+    }
+
+    #[test]
+    fn fixed_cadence_emits_equal_groups_whatever_the_load() {
+        // Quantum 8 (superblock 4 × 2 shards), so max_batch 64 is the
+        // length of every cadence group.
+        const FLUSH_LEN: u64 = 64;
+        let policy = BatchPolicy::new()
+            .max_batch(FLUSH_LEN as usize)
+            .max_delay(std::time::Duration::from_millis(1))
+            .fixed_cadence(true);
+        let mut service = LaoramService::start(two_shard_config().batch_policy(policy)).unwrap();
+        // One pre-coalesced group of the same length fills the rows.
+        service
+            .submit(
+                (0..FLUSH_LEN as u32)
+                    .map(|i| Request::write(0, i, vec![i as u8; 4].into()))
+                    .collect(),
+            )
+            .unwrap();
+        service.drain().unwrap();
+        // A trickle, then a backlog several groups deep; flush() must not
+        // cut a boundary of its own.
+        for burst in [5u32, 300] {
+            let tickets: Vec<_> = (0..burst)
+                .map(|i| (i % 64, service.submit_request(Request::read(0, i % 64)).unwrap()))
+                .collect();
+            service.flush().unwrap();
+            for (row, ticket) in tickets {
+                let done = service.wait(ticket).unwrap();
+                assert_eq!(done.output.as_deref(), Some(&[row as u8; 4][..]), "row {row}");
+            }
+        }
+        let stats = service.stats();
+        assert!(stats.pad_accesses > 0, "the 5-read group went out unpadded");
+        assert_eq!(
+            stats.merged.real_accesses,
+            stats.pipeline.batches * FLUSH_LEN,
+            "a group's size followed the load"
+        );
+        let report = service.shutdown().unwrap();
+        assert_eq!(report.truncated_requests, 0);
+        assert!(report.worker_errors.is_empty());
     }
 
     #[test]

@@ -477,45 +477,35 @@ pub(crate) fn disk_slot_bytes(spec: &TableSpec) -> u64 {
     oram_tree::DiskStore::slot_bytes_for(if spec.payloads { spec.row_bytes } else { 0 })
 }
 
-/// How the micro-batcher coalesces individually submitted requests
-/// ([`submit_request`](crate::LaoramService::submit_request), [`Session`])
-/// into pipeline groups.
+/// How the micro-batcher closes pipeline groups over individually submitted
+/// requests ([`submit_request`](crate::LaoramService::submit_request),
+/// [`Session`]). One rule decides every group boundary; it has two arms.
 ///
-/// A group is flushed as soon as `max_batch` requests are pending, or when
-/// the *oldest* pending request has waited `max_delay` (the deadline
-/// flush), whichever comes first. With `align_to_superblock` set, the
-/// size-triggered flush is rounded down to the service's superblock
-/// quantum (`max(table superblock size) × total shard workers`) so the
-/// lookahead preprocessor keeps seeing full superblock windows per shard;
-/// deadline flushes always take everything pending — bounding latency
-/// wins over alignment.
+/// **Coalescing** (the default). A group closes as soon as `max_batch`
+/// requests are pending, or when the *oldest* pending request has waited
+/// `max_delay`, or when [`flush`](crate::LaoramService::flush) covers the
+/// oldest pending request, or at shutdown — whichever comes first. With
+/// `align_to_superblock` set, the size-triggered group is rounded down to
+/// the service's superblock quantum (`max(table superblock size) × total
+/// shard workers`) so the lookahead preprocessor keeps seeing full
+/// superblock windows per shard; every other trigger takes everything
+/// pending, unaligned — bounding latency wins over alignment. *When* a
+/// deadline group closes depends on when requests arrived, so boundaries
+/// and sizes in this arm are input-dependent (the same class of leakage as
+/// per-shard volumes — see the crate-level security model).
 ///
-/// Note the timing side channel coalescing creates: *when* a deadline
-/// flush fires depends on when requests arrived, so group boundaries
-/// under `max_delay` coalescing are input-dependent (the same class of
-/// leakage as per-shard volumes — see the crate-level security model).
-/// [`fixed_cadence`](Self::fixed_cadence) closes exactly this channel:
-/// the batcher then flushes a group every `max_delay` **regardless of
-/// offered load**, padding short (or empty) groups up to `max_batch`
-/// with dummy reads of rotating rows, so both the flush schedule and the
-/// group size are load-independent. The cost is a constant background
+/// **Fixed cadence** ([`fixed_cadence`](Self::fixed_cadence)) closes exactly
+/// that channel. A group closes every `max_delay` on an absolute tick grid
+/// anchored at engine start, **regardless of offered load**, and is always
+/// one size-triggered group long: short (or empty) groups are padded with
+/// dummy reads of rotating rows, a backlog waits for the next tick. A tick
+/// that passes while the previous group is still blocked on pipeline
+/// backpressure is skipped, not queued, so size `max_delay` to fit one
+/// group's service time. [`flush`](crate::LaoramService::flush) is ignored
+/// — an on-demand boundary would be load-dependent again — and shutdown
+/// drains what is pending unpadded. The cost is a constant background
 /// workload of `max_batch / max_delay` accesses per second even when the
-/// service is idle; size `max_delay` so one group's service time fits in
-/// a period (a tick that finds the pipeline still busy is skipped, not
-/// queued). [`flush`](crate::LaoramService::flush) is a no-op under
-/// fixed cadence — an on-demand flush would be a load-dependent boundary
-/// again.
-///
-/// [`p99_target`](Self::p99_target) instead makes the policy
-/// **adaptive**: the batcher continuously tunes its effective
-/// `max_batch`/`max_delay` (downward from the configured values, which
-/// act as ceilings) against the tail latency measured in
-/// [`ServiceStats::request_latency`](crate::ServiceStats::request_latency),
-/// shrinking both when the observed p99 overshoots the target and
-/// growing them back while there is headroom (see
-/// [`AdaptiveController`] for the exact schedule). Adaptive mode makes
-/// batch boundaries *more* load-dependent, so it cannot be combined
-/// with `fixed_cadence` (refused at startup).
+/// service is idle.
 ///
 /// [`Session`]: crate::Session
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -526,21 +516,16 @@ pub struct BatchPolicy {
     pub max_delay: Duration,
     /// Round size-triggered flushes down to the superblock quantum.
     pub align_to_superblock: bool,
-    /// Flush every `max_delay` on an absolute schedule, padding each
-    /// group up to `max_batch` with dummy reads, so group boundaries and
-    /// sizes stop tracking offered load (the batch-timing side channel).
-    /// Off by default.
+    /// Close a group every `max_delay` on an absolute schedule, padding
+    /// each up to the size-triggered length with dummy reads, so group
+    /// boundaries and sizes stop tracking offered load (the batch-timing
+    /// side channel). Off by default.
     pub fixed_cadence: bool,
-    /// Tail-latency target for adaptive batching: when set, the batcher
-    /// tunes its effective `max_batch`/`max_delay` against the measured
-    /// request-latency p99 ([`AdaptiveController`]). `None` (default)
-    /// keeps the configured values fixed.
-    pub p99_target: Option<Duration>,
 }
 
 impl BatchPolicy {
     /// The default policy: up to 1024 requests or 2 ms, aligned, with
-    /// load-dependent flushes and no adaptation.
+    /// load-dependent flushes.
     #[must_use]
     pub fn new() -> Self {
         BatchPolicy {
@@ -548,7 +533,6 @@ impl BatchPolicy {
             max_delay: Duration::from_millis(2),
             align_to_superblock: true,
             fixed_cadence: false,
-            p99_target: None,
         }
     }
 
@@ -579,93 +563,6 @@ impl BatchPolicy {
     pub fn fixed_cadence(mut self, fixed: bool) -> Self {
         self.fixed_cadence = fixed;
         self
-    }
-
-    /// Sets the adaptive tail-latency target (see the type docs). The
-    /// target must be nonzero.
-    #[must_use]
-    pub fn p99_target(mut self, target: Duration) -> Self {
-        self.p99_target = Some(target);
-        self
-    }
-}
-
-/// The adaptive-batching control loop behind
-/// [`BatchPolicy::p99_target`]: a deterministic multiplicative-decrease
-/// / geometric-increase schedule over the effective
-/// (`max_batch`, `max_delay`) pair.
-///
-/// The micro-batcher feeds it one observation per adaptation epoch — the
-/// p99 of the request latencies completed since the previous epoch — and
-/// applies whatever effective values [`observe`](Self::observe) returns:
-///
-/// * **Overshoot** (`p99 > target`): halve both knobs. Smaller groups
-///   coalesce and serve faster; a shorter deadline stops sparse traffic
-///   from sitting in the queue.
-/// * **Headroom** (`p99 < 0.7 × target`): grow both by 25%, back toward
-///   the configured ceilings. Bigger groups recover per-access
-///   throughput when the tail allows it.
-/// * **In band** (between the two): hold.
-///
-/// Both knobs are clamped to `[floor, configured value]`, where the
-/// floors are 16 requests and 50 µs — far enough down to matter, high
-/// enough that the pipeline never degenerates to single-request groups.
-/// The controller is pure (no clock, no I/O), so its convergence is
-/// pinned by deterministic unit tests.
-#[derive(Debug, Clone)]
-pub struct AdaptiveController {
-    target_ns: u64,
-    batch_ceiling: usize,
-    delay_ceiling_ns: u64,
-    batch_floor: usize,
-    delay_floor_ns: u64,
-    batch: usize,
-    delay_ns: u64,
-}
-
-/// Lower clamp of the adaptive effective `max_batch`.
-const ADAPT_BATCH_FLOOR: usize = 16;
-/// Lower clamp of the adaptive effective `max_delay`, in nanoseconds.
-const ADAPT_DELAY_FLOOR_NS: u64 = 50_000;
-
-impl AdaptiveController {
-    /// A controller for `policy`, or `None` when the policy has no
-    /// [`p99_target`](BatchPolicy::p99_target). Starts at the configured
-    /// (ceiling) values.
-    #[must_use]
-    pub fn new(policy: &BatchPolicy) -> Option<Self> {
-        let target = policy.p99_target?;
-        let target_ns = target.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let batch_ceiling = policy.max_batch.max(1);
-        let delay_ceiling_ns = policy.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64;
-        Some(AdaptiveController {
-            target_ns,
-            batch_ceiling,
-            delay_ceiling_ns,
-            batch_floor: ADAPT_BATCH_FLOOR.min(batch_ceiling),
-            delay_floor_ns: ADAPT_DELAY_FLOOR_NS.min(delay_ceiling_ns.max(1)),
-            batch: batch_ceiling,
-            delay_ns: delay_ceiling_ns,
-        })
-    }
-
-    /// Feeds one epoch's observed p99 and returns the new effective
-    /// `(max_batch, max_delay_ns)`.
-    pub fn observe(&mut self, p99_ns: u64) -> (usize, u64) {
-        if p99_ns > self.target_ns {
-            self.batch = (self.batch / 2).max(self.batch_floor);
-            self.delay_ns = (self.delay_ns / 2).max(self.delay_floor_ns);
-        } else if u128::from(p99_ns) * 10 < u128::from(self.target_ns) * 7 {
-            self.batch = (self.batch + (self.batch / 4).max(1)).min(self.batch_ceiling);
-            self.delay_ns = (self.delay_ns + (self.delay_ns / 4).max(1)).min(self.delay_ceiling_ns);
-        }
-        (self.batch, self.delay_ns)
-    }
-
-    /// The current effective `(max_batch, max_delay_ns)`.
-    #[must_use]
-    pub fn current(&self) -> (usize, u64) {
-        (self.batch, self.delay_ns)
     }
 }
 
@@ -923,60 +820,7 @@ mod tests {
         assert_eq!(p.max_delay, Duration::from_micros(500));
         assert!(!p.align_to_superblock);
         assert!(!p.fixed_cadence);
-        assert_eq!(p.p99_target, None);
         let p = p.fixed_cadence(true);
         assert!(p.fixed_cadence);
-        let p = BatchPolicy::new().p99_target(Duration::from_millis(1));
-        assert_eq!(p.p99_target, Some(Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn adaptive_controller_needs_target() {
-        assert!(AdaptiveController::new(&BatchPolicy::new()).is_none());
-    }
-
-    /// Pinned convergence schedule of the adaptive controller: sustained
-    /// overshoot walks both knobs down to their floors in a fixed number
-    /// of halvings, sustained headroom walks them back to the configured
-    /// ceilings, and an in-band p99 holds exactly.
-    #[test]
-    fn adaptive_controller_convergence() {
-        let policy = BatchPolicy::new()
-            .max_batch(1024)
-            .max_delay(Duration::from_millis(2))
-            .p99_target(Duration::from_micros(500));
-        let mut c = AdaptiveController::new(&policy).expect("target set");
-        assert_eq!(c.current(), (1024, 2_000_000));
-
-        // Overshoot (p99 = 2 ms > 500 µs): exact halving sequence.
-        let overshoot = 2_000_000;
-        let expect_batch = [512, 256, 128, 64, 32, 16, 16];
-        let mut batches = Vec::new();
-        let mut last = (0, 0);
-        for _ in 0..7 {
-            last = c.observe(overshoot);
-            batches.push(last.0);
-        }
-        assert_eq!(batches, expect_batch, "halves to the floor, then holds");
-        assert_eq!(last, (16, 50_000), "floors: 16 requests / 50 µs");
-
-        // Headroom (p99 = 100 µs < 0.7 × 500 µs): geometric recovery that
-        // reaches — and then holds at — the configured ceilings.
-        let mut prev = c.current();
-        for step in 0..64 {
-            let next = c.observe(100_000);
-            assert!(next.0 >= prev.0 && next.1 >= prev.1, "monotone recovery");
-            prev = next;
-            if next == (1024, 2_000_000) {
-                assert!(step < 40, "recovers within a bounded number of epochs");
-                break;
-            }
-        }
-        assert_eq!(c.current(), (1024, 2_000_000), "recovers to the ceilings");
-        assert_eq!(c.observe(100_000), (1024, 2_000_000), "ceilings clamp");
-
-        // In band (350 µs ≤ p99 ≤ 500 µs): hold exactly.
-        assert_eq!(c.observe(400_000), (1024, 2_000_000));
-        assert_eq!(c.observe(500_000), (1024, 2_000_000));
     }
 }
