@@ -13,16 +13,21 @@
 //!   in the generator (no coordinated omission).
 //!
 //! By default the binary **self-hosts**: it starts an engine plus
-//! [`NetServer`] on an ephemeral loopback port, drives it, and — unless
-//! `--no-compare` — replays the *identical* closed-loop shape against
-//! the engine in-process, reporting the net/in-process throughput ratio
-//! CI gates on. Point `--connect HOST:PORT` at an external
+//! [`NetServer`] on an ephemeral loopback port, drives it once and
+//! shuts it down. Point `--connect HOST:PORT` at an external
 //! `laoram-server` to skip self-hosting.
+//!
+//! The exit code is the check: non-zero when any request ended in an
+//! error other than an admission refusal, was truncated at shutdown, or
+//! was never settled (see [`NetRun::failure`]). The throughput and
+//! latency it prints are for a person at a terminal; the repo's tracked
+//! numbers come from the perf ledger (`bench/`), which reports the
+//! wire's cost as `net.tax_frac`.
 //!
 //! Usage: `laoram_loadgen [--connect ADDR] [--tenants 2] [--requests 20000]
 //! [--mode closed|open] [--window 64] [--rate 50000] [--arrival uniform|poisson]
-//! [--entries 65536] [--shards 4] [--s 8] [--seed 2024] [--no-compare]
-//! [--json PATH]`
+//! [--entries 65536] [--tables 2] [--shards 4] [--s 8] [--payload-bytes 64]
+//! [--max-batch N] [--max-delay-us N] [--reactors 1] [--seed 2024] [--json PATH]`
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -34,8 +39,7 @@ use laoram_net::{NetClient, NetEvent, NetServer, NetServerConfig};
 use laoram_service::{BatchPolicy, LaoramService, ServiceConfig, TableSpec};
 use oram_workloads::{ArrivalProcess, ArrivalSchedule, Trace, TraceKind, ZipfTraceConfig};
 
-/// Engine shape shared by the self-hosted server and the in-process
-/// comparison arm.
+/// Shape of the self-hosted engine; the traces are generated from it too.
 #[derive(Clone, Copy)]
 struct EngineShape {
     entries: u32,
@@ -52,8 +56,7 @@ fn engine_config(shape: EngineShape) -> ServiceConfig {
     let mut config = ServiceConfig::new().queue_depth(4).batch_policy(
         BatchPolicy::new()
             .max_batch(shape.max_batch)
-            .max_delay(Duration::from_micros(shape.max_delay_us))
-            .align_to_superblock(true),
+            .max_delay(Duration::from_micros(shape.max_delay_us)),
     );
     for t in 0..shape.tables as u64 {
         config = config.table(
@@ -190,55 +193,6 @@ fn drive_open(
     outcome
 }
 
-/// The in-process comparison arm: the same tenants, traces, and
-/// closed-loop windows driven straight through engine sessions — the
-/// net path's throughput is gated as a fraction of this.
-fn drive_inprocess(shape: EngineShape, tenants: u64, requests: usize, window: usize) -> (u64, f64) {
-    let service = LaoramService::start(engine_config(shape)).expect("service start");
-    let traces: Vec<Vec<(u32, u32)>> =
-        (0..tenants).map(|t| tenant_trace(t, shape, requests)).collect();
-    let sessions: Vec<_> = (0..tenants).map(|_| service.session()).collect();
-    let by_session: HashMap<u64, usize> =
-        sessions.iter().enumerate().map(|(i, s)| (s.id(), i)).collect();
-
-    let start = Instant::now();
-    let mut next = vec![0usize; tenants as usize];
-    let mut inflight = vec![0usize; tenants as usize];
-    let mut settled = 0usize;
-    let total = requests * tenants as usize;
-    while settled < total {
-        let mut submitted = false;
-        for t in 0..tenants as usize {
-            while next[t] < requests && inflight[t] < window {
-                let (table, index) = traces[t][next[t]];
-                sessions[t].read(table as usize, index).expect("submit");
-                next[t] += 1;
-                inflight[t] += 1;
-                submitted = true;
-            }
-        }
-        if !submitted && next.iter().all(|&n| n == requests) {
-            // Everything submitted: force the tail group out.
-            service.flush().expect("flush");
-        }
-        // Drain at least one completion so the windows refill.
-        let completion = service.complete_blocking().expect("complete");
-        if let Some(&t) = by_session.get(&completion.session) {
-            inflight[t] -= 1;
-        }
-        settled += 1;
-        while let Some(completion) = service.try_complete() {
-            if let Some(&t) = by_session.get(&completion.session) {
-                inflight[t] -= 1;
-            }
-            settled += 1;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    service.shutdown().expect("shutdown");
-    (total as u64, total as f64 / elapsed)
-}
-
 fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -259,6 +213,24 @@ struct NetRun {
     throttled: u64,
     other: u64,
     truncated: u64,
+}
+
+impl NetRun {
+    /// Why this run fails the exit code, if it does: every one of the
+    /// `expected` requests must have settled as a response or an
+    /// admission refusal (refusals are the server doing its job), none
+    /// with any other error and none truncated at shutdown.
+    fn failure(&self, expected: u64) -> Option<String> {
+        let settled = self.responses + self.overloaded + self.throttled;
+        if self.other == 0 && self.truncated == 0 && settled == expected {
+            return None;
+        }
+        Some(format!(
+            "{} other error(s), {} truncated, {settled} of {expected} request(s) settled \
+             ({} response(s) + {} overloaded + {} throttled)",
+            self.other, self.truncated, self.responses, self.overloaded, self.throttled
+        ))
+    }
 }
 
 /// Drives every tenant against `addr` once and merges the outcomes.
@@ -285,25 +257,6 @@ fn run_net_once(
         handles.into_iter().map(|h| h.join().expect("tenant thread")).collect()
     });
     (outcomes, start.elapsed().as_secs_f64())
-}
-
-/// Self-hosts a server, drives it once, and shuts it down.
-fn run_net_selfhosted(
-    shape: EngineShape,
-    traces: &[Vec<(u32, u32)>],
-    schedule: &ArrivalSchedule,
-    mode: &str,
-    window: usize,
-    reactors: usize,
-) -> NetRun {
-    let service = LaoramService::start(engine_config(shape)).expect("service start");
-    let server =
-        NetServer::start(service, NetServerConfig::default().reactors(reactors).drr_quantum(32))
-            .expect("server start");
-    let addr = server.local_addr();
-    let (outcomes, elapsed) = run_net_once(addr, traces, schedule, mode, window);
-    let report = server.shutdown().expect("server shutdown");
-    summarize(&outcomes, elapsed, report.service.truncated_requests)
 }
 
 fn summarize(outcomes: &[TenantOutcome], elapsed: f64, truncated: u64) -> NetRun {
@@ -342,83 +295,45 @@ fn main() {
         "poisson" => ArrivalProcess::Poisson,
         other => panic!("unknown arrival process '{other}'"),
     };
+    let policy = BatchPolicy::new();
     let shape = EngineShape {
         entries: args.get_or("entries", 1 << 16),
         tables: args.get_or("tables", 2),
         shards: args.get_or("shards", 4),
         superblock: args.get_or("s", 8),
         seed: args.get_or("seed", 2024),
-        // Half the default window: groups form by *size*, not by the
-        // coalescing timer, so timer-edge jitter (a request that just
-        // misses its group waits a whole extra max_delay) cancels out
-        // of the net/in-process comparison.
-        max_batch: args.get_or("max-batch", 32),
-        max_delay_us: args.get_or("max-delay-us", 2000),
-        // Payload-carrying rows by default: the comparison is honest
-        // only when the engine does the memcpy work a real embedding
-        // service does per access.
+        max_batch: args.get_or("max-batch", policy.max_batch),
+        max_delay_us: args.get_or("max-delay-us", policy.max_delay.as_micros() as u64),
+        // Payload-carrying rows by default: the engine does the memcpy
+        // work a real embedding service does per access.
         payload_bytes: args.get_or("payload-bytes", 64),
     };
     let json_path: Option<String> = args.get("json").map(str::to_owned);
-    let compare = !args.flag("no-compare") && args.get("connect").is_none();
-    let repeats: usize = args.get_or("repeats", if compare { 3 } else { 1 });
-    // One reactor by default: the loadgen's self-hosted comparison runs
-    // client and server on the same machine, where extra reactor
-    // threads only add scheduler pressure.
-    let reactors: usize = args.get_or("reactors", 1);
 
-    println!(
-        "# laoram-loadgen: {tenants} tenant(s) x {requests} request(s), mode {mode}, \
-         {repeats} repeat(s)"
-    );
+    println!("# laoram-loadgen: {tenants} tenant(s) x {requests} request(s), mode {mode}");
     let traces: Vec<Vec<(u32, u32)>> =
         (0..tenants).map(|t| tenant_trace(t, shape, requests)).collect();
     let schedule = ArrivalSchedule::generate(arrival, rate, requests, shape.seed);
 
-    let mut best: Option<NetRun> = None;
-    let mut inproc_throughput = 0f64;
-    let mut ratio = 0f64;
-    if let Some(target) = args.get("connect") {
-        // External server: a single pass, no comparison arm.
-        let addr: std::net::SocketAddr = target.parse().expect("--connect HOST:PORT");
-        let (outcomes, elapsed) = run_net_once(addr, &traces, &schedule, &mode, window);
-        best = Some(summarize(&outcomes, elapsed, 0));
-    } else if !compare {
-        let run = run_net_selfhosted(shape, &traces, &schedule, &mode, window, reactors);
-        best = Some(run);
-    } else {
-        // Paired, order-alternating repeats. Machine-load drift hits
-        // both arms of a pair roughly equally (and alternating which
-        // arm goes first cancels warm-up bias), so the per-pair ratio
-        // is far more stable than either arm's absolute number on a
-        // busy box. The gate takes the best pair: transient stalls can
-        // only depress a ratio, never inflate it.
-        for pair in 0..repeats {
-            let net_first = pair % 2 == 0;
-            let (run, per_sec) = if net_first {
-                let run = run_net_selfhosted(shape, &traces, &schedule, &mode, window, reactors);
-                let (_, per_sec) = drive_inprocess(shape, tenants, requests, window);
-                (run, per_sec)
-            } else {
-                let (_, per_sec) = drive_inprocess(shape, tenants, requests, window);
-                let run = run_net_selfhosted(shape, &traces, &schedule, &mode, window, reactors);
-                (run, per_sec)
-            };
-            let pair_ratio = run.throughput / per_sec.max(1.0);
-            println!(
-                "# pair {pair}: net {:.0} acc/s, in-process {per_sec:.0} acc/s, \
-                 ratio {pair_ratio:.3}",
-                run.throughput
-            );
-            if pair_ratio > ratio {
-                ratio = pair_ratio;
-                inproc_throughput = per_sec;
-                best = Some(run);
-            }
+    let (addr, server) = match args.get("connect") {
+        Some(target) => (target.parse().expect("--connect HOST:PORT"), None),
+        None => {
+            let service = LaoramService::start(engine_config(shape)).expect("service start");
+            // One reactor by default: client and server share this
+            // machine, where extra reactor threads only add scheduler
+            // pressure.
+            let config =
+                NetServerConfig::default().reactors(args.get_or("reactors", 1)).drr_quantum(32);
+            let server = NetServer::start(service, config).expect("server start");
+            (server.local_addr(), Some(server))
         }
-    }
+    };
+    let (outcomes, elapsed) = run_net_once(addr, &traces, &schedule, &mode, window);
+    // An external server's shutdown report is not ours to read.
+    let truncated = server
+        .map_or(0, |server| server.shutdown().expect("server shutdown").service.truncated_requests);
+    let run = summarize(&outcomes, elapsed, truncated);
 
-    let run = best.expect("at least one measured pass");
     let NetRun { responses, throughput, p50, p95, p99, overloaded, throttled, other, truncated } =
         run;
     println!(
@@ -429,12 +344,6 @@ fn main() {
         p95 as f64 / 1e3,
         p99 as f64 / 1e3,
     );
-    if compare {
-        println!(
-            "in-process path: {inproc_throughput:.0} acc/s; \
-             net/in-process ratio {ratio:.3} (best of {repeats})"
-        );
-    }
 
     if let Some(path) = json_path {
         let mut json = String::from("{\n  \"bench\": \"net_service\",\n");
@@ -452,11 +361,53 @@ fn main() {
         let _ = writeln!(json, "  \"p99_ns\": {p99},");
         let _ = writeln!(json, "  \"overloaded\": {overloaded},");
         let _ = writeln!(json, "  \"throttled\": {throttled},");
-        let _ = writeln!(json, "  \"other_errors\": {other},");
-        let _ = writeln!(json, "  \"inprocess_accesses_per_sec\": {inproc_throughput:.0},");
-        let _ = writeln!(json, "  \"net_ratio\": {ratio:.4}");
+        let _ = writeln!(json, "  \"other_errors\": {other}");
         json.push_str("}\n");
         std::fs::write(&path, json).expect("write json");
         println!("# wrote {path}");
+    }
+
+    if let Some(why) = run.failure(tenants * requests as u64) {
+        eprintln!("laoram-loadgen: FAILED: {why}");
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_of(
+        responses: u64,
+        overloaded: u64,
+        throttled: u64,
+        other: u64,
+        truncated: u64,
+    ) -> NetRun {
+        let outcome = TenantOutcome {
+            responses,
+            overloaded,
+            throttled,
+            other_errors: other,
+            ..Default::default()
+        };
+        summarize(&[outcome], 1.0, truncated)
+    }
+
+    #[test]
+    fn exit_code_predicate_accepts_refusals_and_rejects_losses() {
+        // Every request answered, or refused by admission: success.
+        assert!(run_of(8000, 0, 0, 0, 0).failure(8000).is_none());
+        assert!(run_of(7000, 900, 100, 0, 0).failure(8000).is_none());
+        // A lost response, a double count, any other error, a truncation.
+        for bad in [
+            run_of(7999, 0, 0, 0, 0),
+            run_of(8001, 0, 0, 0, 0),
+            run_of(7999, 0, 0, 1, 0),
+            run_of(8000, 0, 0, 0, 1),
+        ] {
+            let why = bad.failure(8000).expect("must fail the exit code");
+            assert!(why.contains("of 8000 request(s) settled"), "{why}");
+        }
     }
 }

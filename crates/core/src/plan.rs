@@ -90,16 +90,11 @@ impl SuperblockPlan {
         assert!(num_leaves > 0, "tree must have at least one leaf");
         assert!(window_len > 0, "window length must be nonzero");
         // Windows are independent by construction (bins never span a
-        // boundary), so scan them in parallel and concatenate in window
-        // order — byte-identical to the sequential scan. Leaves are
-        // drawn afterwards, sequentially in bin order, so the RNG stream
-        // is untouched by the parallelism.
-        let bounds = window_bounds(stream.len(), window_len);
-        let workers = std::thread::available_parallelism().map_or(1, usize::from).min(bounds.len());
-        let windows = scan_windows(stream, superblock_size, &bounds, workers);
+        // boundary): scan each on its own and concatenate in window order.
         let mut bins: Vec<Bin> = Vec::new();
         let mut bin_of_position: Vec<u32> = Vec::with_capacity(stream.len());
-        for window in &windows {
+        for (start, end) in window_bounds(stream.len(), window_len) {
+            let window = SuperblockBinning::scan(&stream[start..end], superblock_size);
             let base = bins.len() as u32;
             for pos in 0..window.stream_len() {
                 bin_of_position.push(base + window.bin_of_position(pos));
@@ -212,38 +207,6 @@ fn window_bounds(stream_len: usize, window_len: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// Scans every window of `stream` into its own [`SuperblockBinning`],
-/// fanning contiguous runs of windows out over `workers` threads.
-/// Results come back in window order regardless of scheduling, so the
-/// output is identical for any worker count (pinned by a test below).
-fn scan_windows(
-    stream: &[u32],
-    superblock_size: u32,
-    bounds: &[(usize, usize)],
-    workers: usize,
-) -> Vec<SuperblockBinning> {
-    if workers <= 1 || bounds.len() <= 1 {
-        return bounds
-            .iter()
-            .map(|&(start, end)| SuperblockBinning::scan(&stream[start..end], superblock_size))
-            .collect();
-    }
-    let mut results: Vec<Option<SuperblockBinning>> = Vec::new();
-    results.resize_with(bounds.len(), || None);
-    let per_worker = bounds.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (bound_run, result_run) in bounds.chunks(per_worker).zip(results.chunks_mut(per_worker))
-        {
-            scope.spawn(move || {
-                for (&(start, end), slot) in bound_run.iter().zip(result_run.iter_mut()) {
-                    *slot = Some(SuperblockBinning::scan(&stream[start..end], superblock_size));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|window| window.expect("every window scanned")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,27 +279,6 @@ mod tests {
         }
         for (leaf, &c) in counts.iter().enumerate() {
             assert!((150..400).contains(&c), "leaf {leaf} got {c} bins");
-        }
-    }
-
-    #[test]
-    fn parallel_window_scan_matches_sequential() {
-        // Repeating stream with cross-window reuse; windows of 17 give a
-        // ragged tail. Force several workers (the machine may report 1).
-        let stream: Vec<u32> = (0..600u32).map(|i| i % 37).collect();
-        let bounds = window_bounds(stream.len(), 17);
-        assert!(bounds.len() > 4);
-        let sequential = scan_windows(&stream, 3, &bounds, 1);
-        for workers in [2usize, 4, 16] {
-            let parallel = scan_windows(&stream, 3, &bounds, workers);
-            assert_eq!(parallel.len(), sequential.len());
-            for (par, seq) in parallel.iter().zip(&sequential) {
-                assert_eq!(par.bins(), seq.bins(), "{workers} workers");
-                assert_eq!(par.stream_len(), seq.stream_len());
-                for pos in 0..seq.stream_len() {
-                    assert_eq!(par.bin_of_position(pos), seq.bin_of_position(pos));
-                }
-            }
         }
     }
 

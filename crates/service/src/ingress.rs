@@ -57,7 +57,7 @@ pub(crate) enum EngineMsg {
         /// Parallel submission metadata.
         meta: GroupMeta,
     },
-    /// Zero every counter downstream of the ingress.
+    /// Orders the collector's stats baseline after every group sent before it; zeroes nothing.
     ResetStats,
 }
 
