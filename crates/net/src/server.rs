@@ -45,10 +45,10 @@ use crate::{NetError, Result};
 /// How long the dispatcher waits on the fair queue before re-checking
 /// shutdown state.
 const DISPATCH_WAIT: Duration = Duration::from_millis(20);
-/// Reactor / pump parked sleep when no bytes or completions moved.
-/// Short enough that it never dominates a round trip: the micro-batcher
-/// coalescing delay in front of the engine is an order of magnitude
-/// larger.
+/// Reactor / pump parked sleep when no bytes or completions moved: the
+/// price of polling non-blocking sockets without `poll(2)`. An idle round
+/// trip pays up to one sleep on each side; a busy reactor or pump never
+/// sleeps.
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 /// Hard ceiling on waiting for in-flight requests during shutdown.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
@@ -68,16 +68,6 @@ pub struct NetServerConfig {
     pub max_inflight_per_tenant: u64,
     /// DRR quantum: requests one tenant may submit per fair-queue visit.
     pub drr_quantum: u64,
-    /// Requests the dispatcher may keep inside the engine at once
-    /// (clamped to ≥ 1). The engine's micro-batcher accepts submissions
-    /// without blocking, so this window is what keeps a backlog *in the
-    /// fair queue* where DRR can arbitrate it — unbounded forwarding
-    /// would drain one saturating tenant's entire backlog into the
-    /// engine's FIFO before a light tenant's first request arrived,
-    /// making the quantum decorative. Smaller is fairer (a late tenant
-    /// waits behind at most a window of already-forwarded requests);
-    /// larger keeps deep micro-batches fed.
-    pub dispatch_window: u64,
 }
 
 impl Default for NetServerConfig {
@@ -89,7 +79,6 @@ impl Default for NetServerConfig {
             max_inflight: 4096,
             max_inflight_per_tenant: 1024,
             drr_quantum: 32,
-            dispatch_window: 256,
         }
     }
 }
@@ -134,13 +123,6 @@ impl NetServerConfig {
     #[must_use]
     pub fn drr_quantum(mut self, quantum: u64) -> Self {
         self.drr_quantum = quantum;
-        self
-    }
-
-    /// Sets the dispatcher's in-engine window.
-    #[must_use]
-    pub fn dispatch_window(mut self, window: u64) -> Self {
-        self.dispatch_window = window;
         self
     }
 }
@@ -214,13 +196,16 @@ impl ConnShared {
 /// One reactor's handoff slot for freshly accepted connections.
 type IntakeSlot = Mutex<Vec<(TcpStream, Arc<ConnShared>)>>;
 
-/// The dispatcher's bounded in-engine window: the engine's
+/// The dispatcher's bounded in-engine credit: the engine's
 /// micro-batcher accepts submissions without blocking, so the
 /// dispatcher throttles itself — it parks here once `cap` of its
 /// submissions are still uncompleted, and the pump frees slots as it
 /// claims completions. This is what keeps a saturating tenant's backlog
 /// sitting in the [`FairQueue`] (where DRR arbitrates it) instead of
-/// draining wholesale into the engine's FIFO.
+/// draining wholesale into the engine's FIFO. `cap` is what the engine's
+/// in-flight groups can hold ([`LaoramService::pipeline_capacity`]):
+/// enough to keep every pipeline slot busy, and no more, so a late
+/// tenant waits behind at most that many forwarded requests.
 struct DispatchWindow {
     cap: u64,
     in_engine: Mutex<u64>,
@@ -297,6 +282,7 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let reactors = config.reactors.max(1);
+        let credit = service.pipeline_capacity();
         let state = Arc::new(NetState {
             service,
             admission: AdmissionController::new(
@@ -304,11 +290,7 @@ impl NetServer {
                 config.max_inflight_per_tenant,
             ),
             queue: FairQueue::new(config.drr_quantum),
-            window: DispatchWindow {
-                cap: config.dispatch_window.max(1),
-                in_engine: Mutex::new(0),
-                freed: Condvar::new(),
-            },
+            window: DispatchWindow { cap: credit, in_engine: Mutex::new(0), freed: Condvar::new() },
             pending: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),

@@ -158,11 +158,13 @@ impl Drop for Disconnect<'_> {
 /// and emits the groups in group order, counting each group and then
 /// publishing it to the completion queue — emission order is group order,
 /// which is what lets a stats reset act as a clean barrier (`Baseline`)
-/// between pre- and post-reset traffic.
+/// between pre- and post-reset traffic. `published` runs after each
+/// publish: it frees the group's pipeline slot in the ingress.
 pub(super) fn run_collector(
     rx: Receiver<CollectorMsg>,
     completions: Arc<CompletionShared>,
     shared: Arc<Shared>,
+    published: impl Fn(),
 ) {
     let _disconnect = Disconnect(&completions);
     let mut pending: HashMap<u64, PendingGroup> = HashMap::new();
@@ -191,6 +193,7 @@ pub(super) fn run_collector(
                 // claims one finds its group in `stats()`.
                 count_group(&shared, *next_emit, &group, prep, served);
                 completions.publish(group);
+                published();
                 *next_emit += 1;
             }
             apply_reset(reset_at, *next_emit, &shared);
@@ -277,7 +280,8 @@ mod tests {
         std::thread::scope(|s| {
             let by_ticket = s.spawn(|| completions.wait(0, 2));
             let oldest = s.spawn(|| completions.complete_blocking(|| 2));
-            let collector = s.spawn(|| run_collector(rx, Arc::clone(&completions), idle_engine()));
+            let collector =
+                s.spawn(|| run_collector(rx, Arc::clone(&completions), idle_engine(), || {}));
             end(tx);
             let _ = collector.join();
             assert!(matches!(by_ticket.join().unwrap(), Err(ServiceError::Disconnected)));

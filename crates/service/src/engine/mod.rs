@@ -283,6 +283,18 @@ impl LaoramService {
         self.ingress.flush()
     }
 
+    /// The requests this engine's in-flight groups can hold: two groups
+    /// (one serving, one being planned) of the
+    /// [`BatchPolicy`](crate::BatchPolicy)'s size-triggered length — 2 048
+    /// under the default policy. The micro-batcher closes a group early
+    /// only while fewer than two are in flight, so more requests
+    /// outstanding than this only wait in its queue. The TCP tier
+    /// (`laoram-net`) sizes its dispatch credit from it.
+    #[must_use]
+    pub fn pipeline_capacity(&self) -> u64 {
+        self.ingress.pipeline_capacity() as u64
+    }
+
     /// Claims the oldest unclaimed completion without blocking.
     /// Completions surface in *completion order* (group order, request
     /// order within a group), which matches submission order per session

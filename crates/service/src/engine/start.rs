@@ -404,11 +404,17 @@ impl LaoramService {
         );
         let shared_for_collector = Arc::clone(&shared);
         let completions_for_collector = Arc::clone(&completions);
+        let ingress_for_collector = Arc::clone(&ingress);
         handles.push(
             std::thread::Builder::new()
                 .name("laoram-collector".into())
                 .spawn(move || {
-                    run_collector(collector_rx, completions_for_collector, shared_for_collector)
+                    run_collector(
+                        collector_rx,
+                        completions_for_collector,
+                        shared_for_collector,
+                        || ingress_for_collector.group_published(),
+                    )
                 })
                 .expect("spawn collector"),
         );

@@ -11,6 +11,7 @@
 //! a group enters the bounded pipeline channel, so the collector —
 //! which emits completions in group-id order — never sees a gap.
 
+use std::fmt::Write as _;
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -61,10 +62,18 @@ pub(crate) enum EngineMsg {
     ResetStats,
 }
 
+/// Groups the pipeline holds before the coalescing arm stops closing
+/// groups for work and waits for a trigger: one group serving and one
+/// being planned — the preprocessor's one-group hold-back.
+pub(crate) const PIPELINE_DEPTH: usize = 2;
+
 /// Requests waiting to be coalesced, plus the ticket high-water mark.
 struct PendingQueue {
     entries: Vec<(Request, RequestMeta)>,
     next_ticket: u64,
+    /// Groups sent into the pipeline (by the batcher or as a pre-coalesced
+    /// batch) and not yet published by the collector.
+    in_flight: usize,
     /// Tickets below this must flush without waiting for a trigger
     /// ([`Ingress::flush`]).
     flush_horizon: u64,
@@ -83,6 +92,39 @@ struct QueueView {
     /// When the previous group finished entering the pipeline (0 before
     /// the first).
     last_close_ns: u64,
+    /// Groups in the pipeline, not yet published.
+    in_flight: usize,
+}
+
+/// Why the close rule closed a group: the `trigger=` of the
+/// `ingress.coalesce` span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trigger {
+    /// `flush_len` requests were pending.
+    Size,
+    /// A pipeline slot was free and at least one quantum was pending.
+    Work,
+    /// The oldest pending request reached `max_delay`.
+    Deadline,
+    /// `flush()` covered the oldest pending request.
+    Flush,
+    /// The shutdown drain.
+    Shutdown,
+    /// A fixed-cadence grid point.
+    Tick,
+}
+
+impl Trigger {
+    fn as_str(self) -> &'static str {
+        match self {
+            Trigger::Size => "size",
+            Trigger::Work => "work",
+            Trigger::Deadline => "deadline",
+            Trigger::Flush => "flush",
+            Trigger::Shutdown => "shutdown",
+            Trigger::Tick => "tick",
+        }
+    }
 }
 
 /// The close rule's verdict.
@@ -90,7 +132,7 @@ struct QueueView {
 enum Close {
     /// Close a group now: the `n` oldest pending requests, then `pads`
     /// cadence-padding reads.
-    Take { n: usize, pads: usize },
+    Take { n: usize, pads: usize, trigger: Trigger },
     /// Nothing to close before this time (ns since engine start); `None`
     /// waits for a submission, a `flush()` or shutdown.
     Wait(Option<u64>),
@@ -111,6 +153,8 @@ struct CloseRule {
     /// `max_delay`: the coalescing deadline, or the cadence period.
     delay_ns: u64,
     fixed_cadence: bool,
+    /// The superblock quantum: the smallest group the work trigger closes.
+    quantum: usize,
 }
 
 impl CloseRule {
@@ -122,7 +166,7 @@ impl CloseRule {
             max_batch
         };
         let delay_ns = policy.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64;
-        CloseRule { flush_len, delay_ns, fixed_cadence: policy.fixed_cadence }
+        CloseRule { flush_len, delay_ns, fixed_cadence: policy.fixed_cadence, quantum }
     }
 
     /// Pure: no clock, lock or channel — the batcher loop supplies `now_ns`
@@ -136,7 +180,11 @@ impl CloseRule {
             let n = queue.len.min(self.flush_len);
             if queue.shutdown {
                 // The schedule is over: drain unpadded, tick-free.
-                return if n == 0 { Close::Exit } else { Close::Take { n, pads: 0 } };
+                return if n == 0 {
+                    Close::Exit
+                } else {
+                    Close::Take { n, pads: 0, trigger: Trigger::Shutdown }
+                };
             }
             // The first grid point strictly after the previous group went
             // in: ticks that passed while it blocked on backpressure (or
@@ -146,24 +194,44 @@ impl CloseRule {
             return if now_ns < tick {
                 Close::Wait(Some(tick))
             } else {
-                Close::Take { n, pads: self.flush_len - n }
+                Close::Take { n, pads: self.flush_len - n, trigger: Trigger::Tick }
             };
         }
-        // Coalescing: the size trigger takes an aligned `flush_len`; every
-        // other trigger takes all that is pending (fewer than `flush_len`,
-        // so within `max_batch`), unaligned — bounding latency wins.
+        // Coalescing: the size trigger takes an aligned `flush_len`.
         if queue.len >= self.flush_len {
-            return Close::Take { n: self.flush_len, pads: 0 };
+            return Close::Take { n: self.flush_len, pads: 0, trigger: Trigger::Size };
         }
         let Some((enqueue_ns, ticket)) = queue.oldest else {
             return if queue.shutdown { Close::Exit } else { Close::Wait(None) };
         };
+        // Shutdown, flush and the deadline take all that is pending (fewer
+        // than `flush_len`, so within `max_batch`), unaligned — bounding
+        // latency wins.
         let deadline = enqueue_ns.saturating_add(self.delay_ns);
-        if queue.shutdown || ticket < queue.flush_horizon || now_ns >= deadline {
-            Close::Take { n: queue.len, pads: 0 }
+        let take_all = if queue.shutdown {
+            Some(Trigger::Shutdown)
+        } else if ticket < queue.flush_horizon {
+            Some(Trigger::Flush)
+        } else if now_ns >= deadline {
+            Some(Trigger::Deadline)
         } else {
-            Close::Wait(Some(deadline))
+            None
+        };
+        if let Some(trigger) = take_all {
+            return Close::Take { n: queue.len, pads: 0, trigger };
         }
+        // Work: while the pipeline has a free slot, idle shards are worth
+        // more than a fuller group — take the aligned part of the queue
+        // now. Below one quantum the group waits for its deadline, so no
+        // shard window is planned from a handful of requests.
+        if queue.in_flight < PIPELINE_DEPTH && queue.len >= self.quantum {
+            return Close::Take {
+                n: queue.len - queue.len % self.quantum,
+                pads: 0,
+                trigger: Trigger::Work,
+            };
+        }
+        Close::Wait(Some(deadline))
     }
 }
 
@@ -205,11 +273,40 @@ impl Ingress {
             pending: Mutex::new(PendingQueue {
                 entries: Vec::new(),
                 next_ticket: 0,
+                in_flight: 0,
                 flush_horizon: 0,
                 shutdown: false,
             }),
             batcher_wake: Condvar::new(),
             sender: Mutex::new(GroupSender { tx: Some(tx), next_group: 0 }),
+        }
+    }
+
+    /// The requests the pipeline's in-flight groups can hold:
+    /// [`PIPELINE_DEPTH`] groups of the size-triggered length.
+    pub fn pipeline_capacity(&self) -> usize {
+        PIPELINE_DEPTH * self.rule.flush_len
+    }
+
+    /// One more group entered the pipeline. Called under the `pending`
+    /// lock, which the batcher decides under.
+    fn group_entered(&self, pending: &mut PendingQueue) {
+        pending.in_flight += 1;
+        self.shared.instruments.ingress_in_flight.set(pending.in_flight as u64);
+    }
+
+    /// The collector published a group: one pipeline slot is free. The
+    /// count drops under the `pending` lock and the batcher is woken, so
+    /// a batcher that saw the pipeline full cannot sleep through it —
+    /// unless less than one quantum is pending, when the free slot changes
+    /// no verdict and a wake-up per group would only cost the batch path
+    /// a context switch.
+    pub fn group_published(&self) {
+        let mut pending = self.pending.lock().expect("ingress lock");
+        pending.in_flight = pending.in_flight.saturating_sub(1);
+        self.shared.instruments.ingress_in_flight.set(pending.in_flight as u64);
+        if pending.entries.len() >= self.rule.quantum {
+            self.batcher_wake.notify_one();
         }
     }
 
@@ -234,10 +331,12 @@ impl Ingress {
         pending.next_ticket += 1;
         pending.entries.push((request, RequestMeta { ticket, session, enqueue_ns }));
         self.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
-        // Wake the batcher when the first entry arms a deadline or the
-        // queue crosses the flush threshold; in between it is already
-        // sleeping on the right timeout.
-        if pending.entries.len() == 1 || pending.entries.len() >= self.rule.flush_len {
+        // Wake the batcher when the first entry arms a deadline, when the
+        // queue reaches one quantum (the work trigger may now close it) or
+        // when it crosses the flush threshold; in between it is already
+        // sleeping on the right timeout, or on a publish.
+        let len = pending.entries.len();
+        if len == 1 || len == self.rule.quantum || len >= self.rule.flush_len {
             self.batcher_wake.notify_one();
         }
         drop(pending);
@@ -274,6 +373,9 @@ impl Ingress {
             }
             let first = pending.next_ticket;
             pending.next_ticket += len;
+            if len > 0 {
+                self.group_entered(&mut pending);
+            }
             first
         };
         if len == 0 {
@@ -286,7 +388,7 @@ impl Ingress {
                 (request, RequestMeta { ticket: first + i as u64, session: 0, enqueue_ns: now })
             })
             .collect();
-        if !self.send_group(entries, Vec::new()) {
+        if !self.send_group(entries, Vec::new(), None) {
             return Err(ServiceError::Disconnected);
         }
         self.shared.instruments.ingress_submitted.add(len);
@@ -341,10 +443,11 @@ impl Ingress {
         };
         match tx.try_send(msg) {
             Ok(()) => {
-                self.note_group_sent(group, now, now, len as usize, 0);
+                self.note_group_sent(group, now, now, len as usize, 0, None);
                 self.shared.instruments.ingress_submitted.add(len);
                 sender.next_group += 1;
                 pending.next_ticket += len;
+                self.group_entered(&mut pending);
                 Ok((first, len))
             }
             Err(TrySendError::Full(EngineMsg::Group { requests, .. })) => {
@@ -377,7 +480,8 @@ impl Ingress {
     }
 
     /// Bookkeeping for a group the pipeline accepted: the `groups` counter
-    /// and the coalesce span (oldest queued request → group formation).
+    /// and the coalesce span (oldest queued request → group formation),
+    /// naming the close rule's trigger (none for a pre-coalesced batch).
     fn note_group_sent(
         &self,
         group: u64,
@@ -385,20 +489,24 @@ impl Ingress {
         coalesce_ns: u64,
         len: usize,
         pads: usize,
+        trigger: Option<Trigger>,
     ) {
         self.shared.instruments.groups.inc();
         if let Some(flight) = self.shared.flight.as_deref() {
+            let mut detail = format!("requests={len}");
+            if pads > 0 {
+                let _ = write!(detail, " cadence_pads={pads}");
+            }
+            if let Some(trigger) = trigger {
+                let _ = write!(detail, " trigger={}", trigger.as_str());
+            }
             flight.recorder.record(SpanRecord {
                 start_ns: oldest_ns,
                 end_ns: coalesce_ns,
                 stage: "ingress.coalesce",
                 group: Some(group),
                 worker: None,
-                detail: Some(if pads > 0 {
-                    format!("requests={len} cadence_pads={pads}")
-                } else {
-                    format!("requests={len}")
-                }),
+                detail: Some(detail),
             });
         }
     }
@@ -407,9 +515,14 @@ impl Ingress {
     /// On failure the group's tickets are voided so they stop counting
     /// as outstanding. `pads` are cadence-padding reads appended after
     /// the genuine requests: they carry no metadata (no tickets) and the
-    /// preprocessor discards their outputs. Returns whether the pipeline
-    /// accepted the group.
-    fn send_group(&self, entries: Vec<(Request, RequestMeta)>, pads: Vec<Request>) -> bool {
+    /// preprocessor discards their outputs. `trigger` is the close rule's,
+    /// for the span. Returns whether the pipeline accepted the group.
+    fn send_group(
+        &self,
+        entries: Vec<(Request, RequestMeta)>,
+        pads: Vec<Request>,
+        trigger: Option<Trigger>,
+    ) -> bool {
         let coalesce_ns = self.shared.now_ns();
         let mut requests = Vec::with_capacity(entries.len() + pads.len());
         let mut metas = Vec::with_capacity(entries.len());
@@ -431,7 +544,7 @@ impl Ingress {
             EngineMsg::Group { group, requests, meta: GroupMeta { coalesce_ns, requests: metas } };
         match tx.send(msg) {
             Ok(()) => {
-                self.note_group_sent(group, oldest_ns, coalesce_ns, len, pad_tail);
+                self.note_group_sent(group, oldest_ns, coalesce_ns, len, pad_tail, trigger);
                 sender.next_group += 1;
                 true
             }
@@ -468,7 +581,7 @@ pub(crate) fn run_batcher(ingress: Arc<Ingress>) {
     let mut pad_cursor = 0u64;
     let mut last_close_ns = 0u64;
     loop {
-        let (chunk, pads) = {
+        let (chunk, pads, trigger) = {
             let mut pending = ingress.pending.lock().expect("batcher lock");
             loop {
                 let view = QueueView {
@@ -477,15 +590,17 @@ pub(crate) fn run_batcher(ingress: Arc<Ingress>) {
                     flush_horizon: pending.flush_horizon,
                     shutdown: pending.shutdown,
                     last_close_ns,
+                    in_flight: pending.in_flight,
                 };
                 let now_ns = ingress.shared.now_ns();
                 match ingress.rule.decide(&view, now_ns) {
                     Close::Exit => return,
-                    Close::Take { n, pads } => {
+                    Close::Take { n, pads, trigger } => {
                         let chunk: Vec<(Request, RequestMeta)> =
                             pending.entries.drain(..n).collect();
                         ingress.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
-                        break (chunk, pads);
+                        ingress.group_entered(&mut pending);
+                        break (chunk, pads, trigger);
                     }
                     Close::Wait(None) => {
                         pending = ingress.batcher_wake.wait(pending).expect("batcher wait");
@@ -502,7 +617,7 @@ pub(crate) fn run_batcher(ingress: Arc<Ingress>) {
             }
         };
         let pads = ingress.cadence_pads(pads, &mut pad_cursor);
-        if !ingress.send_group(chunk, pads) {
+        if !ingress.send_group(chunk, pads, Some(trigger)) {
             return;
         }
         last_close_ns = ingress.shared.now_ns();
@@ -525,7 +640,7 @@ mod tests {
     }
 
     /// `len` pending requests, tickets from 100, the oldest enqueued at
-    /// `oldest_ns`.
+    /// `oldest_ns`, with the pipeline full.
     fn queue(len: usize, oldest_ns: u64) -> QueueView {
         QueueView {
             len,
@@ -533,7 +648,12 @@ mod tests {
             flush_horizon: 0,
             shutdown: false,
             last_close_ns: 0,
+            in_flight: PIPELINE_DEPTH,
         }
+    }
+
+    fn take(n: usize, pads: usize, trigger: Trigger) -> Close {
+        Close::Take { n, pads, trigger }
     }
 
     #[test]
@@ -555,20 +675,20 @@ mod tests {
     #[test]
     fn coalescing_size_trigger_takes_an_aligned_group() {
         let rule = rule(false);
-        assert_eq!(rule.decide(&queue(8, 5 * MS), 5 * MS), Close::Take { n: 8, pads: 0 });
+        assert_eq!(rule.decide(&queue(8, 5 * MS), 5 * MS), take(8, 0, Trigger::Size));
         // A backlog past max_batch still closes one aligned group at a
         // time, deadline or not.
-        assert_eq!(rule.decide(&queue(23, 0), 9 * MS), Close::Take { n: 8, pads: 0 });
+        assert_eq!(rule.decide(&queue(23, 0), 9 * MS), take(8, 0, Trigger::Size));
     }
 
     #[test]
     fn coalescing_deadline_and_flush_take_everything_unaligned() {
         let rule = rule(false);
-        assert_eq!(rule.decide(&queue(7, 5 * MS), 7 * MS), Close::Take { n: 7, pads: 0 });
-        assert_eq!(rule.decide(&queue(1, 5 * MS), 60 * MS), Close::Take { n: 1, pads: 0 });
+        assert_eq!(rule.decide(&queue(7, 5 * MS), 7 * MS), take(7, 0, Trigger::Deadline));
+        assert_eq!(rule.decide(&queue(1, 5 * MS), 60 * MS), take(1, 0, Trigger::Deadline));
         // flush() recorded a horizon past the oldest ticket: no waiting.
         let flushed = QueueView { flush_horizon: 101, ..queue(3, 5 * MS) };
-        assert_eq!(rule.decide(&flushed, 5 * MS), Close::Take { n: 3, pads: 0 });
+        assert_eq!(rule.decide(&flushed, 5 * MS), take(3, 0, Trigger::Flush));
         // A horizon from before these requests were submitted is spent.
         let stale = QueueView { flush_horizon: 100, ..queue(3, 5 * MS) };
         assert_eq!(rule.decide(&stale, 5 * MS), Close::Wait(Some(7 * MS)));
@@ -578,8 +698,8 @@ mod tests {
     fn coalescing_shutdown_drains_then_exits() {
         let rule = rule(false);
         let closing = |len| QueueView { shutdown: true, ..queue(len, 5 * MS) };
-        assert_eq!(rule.decide(&closing(11), 5 * MS), Close::Take { n: 8, pads: 0 });
-        assert_eq!(rule.decide(&closing(3), 5 * MS), Close::Take { n: 3, pads: 0 });
+        assert_eq!(rule.decide(&closing(11), 5 * MS), take(8, 0, Trigger::Size));
+        assert_eq!(rule.decide(&closing(3), 5 * MS), take(3, 0, Trigger::Shutdown));
         assert_eq!(rule.decide(&closing(0), 5 * MS), Close::Exit);
     }
 
@@ -591,9 +711,9 @@ mod tests {
         assert_eq!(rule.decide(&queue(30, 0), 2 * MS - 1), Close::Wait(Some(2 * MS)));
         // On the tick every group is flush_len long: padded, all pads, or
         // cut from the backlog.
-        assert_eq!(rule.decide(&queue(3, MS), 2 * MS), Close::Take { n: 3, pads: 5 });
-        assert_eq!(rule.decide(&queue(0, 0), 2 * MS), Close::Take { n: 0, pads: 8 });
-        assert_eq!(rule.decide(&queue(30, 0), 2 * MS), Close::Take { n: 8, pads: 0 });
+        assert_eq!(rule.decide(&queue(3, MS), 2 * MS), take(3, 5, Trigger::Tick));
+        assert_eq!(rule.decide(&queue(0, 0), 2 * MS), take(0, 8, Trigger::Tick));
+        assert_eq!(rule.decide(&queue(30, 0), 2 * MS), take(8, 0, Trigger::Tick));
     }
 
     #[test]
@@ -612,7 +732,7 @@ mod tests {
         // 4th, and waking late for it (5.3 periods) still closes one group.
         let after = |last_close_ns| QueueView { last_close_ns, ..queue(2, 0) };
         assert_eq!(rule.decide(&after(7_400_000), 7_500_000), Close::Wait(Some(8 * MS)));
-        assert_eq!(rule.decide(&after(7_400_000), 10_600_000), Close::Take { n: 2, pads: 6 });
+        assert_eq!(rule.decide(&after(7_400_000), 10_600_000), take(2, 6, Trigger::Tick));
         // Once that group is in, the 5th tick — already past — is skipped,
         // not bursted: the next close is the 6th.
         assert_eq!(rule.decide(&after(10_600_000), 10_600_000), Close::Wait(Some(12 * MS)));
@@ -627,8 +747,48 @@ mod tests {
         let rule = rule(true);
         let closing = |len| QueueView { shutdown: true, ..queue(len, 0) };
         // No waiting for a tick, no pads.
-        assert_eq!(rule.decide(&closing(11), MS), Close::Take { n: 8, pads: 0 });
-        assert_eq!(rule.decide(&closing(3), MS), Close::Take { n: 3, pads: 0 });
+        assert_eq!(rule.decide(&closing(11), MS), take(8, 0, Trigger::Shutdown));
+        assert_eq!(rule.decide(&closing(3), MS), take(3, 0, Trigger::Shutdown));
         assert_eq!(rule.decide(&closing(0), MS), Close::Exit);
+    }
+
+    #[test]
+    fn coalescing_work_trigger_takes_aligned_groups_while_a_slot_is_free() {
+        let rule = rule(false);
+        let view = |len, in_flight| QueueView { in_flight, ..queue(len, 5 * MS) };
+        // Below PIPELINE_DEPTH a quantum or more closes at once, cut down
+        // to whole quanta, long before the deadline.
+        for in_flight in 0..PIPELINE_DEPTH {
+            assert_eq!(rule.decide(&view(4, in_flight), 5 * MS), take(4, 0, Trigger::Work));
+            assert_eq!(rule.decide(&view(7, in_flight), 5 * MS), take(4, 0, Trigger::Work));
+        }
+        // Below one quantum, or with the pipeline full, the deadline rules.
+        assert_eq!(rule.decide(&view(3, 0), 5 * MS), Close::Wait(Some(7 * MS)));
+        assert_eq!(rule.decide(&view(7, PIPELINE_DEPTH), 5 * MS), Close::Wait(Some(7 * MS)));
+        assert_eq!(rule.decide(&view(7, PIPELINE_DEPTH), 7 * MS), take(7, 0, Trigger::Deadline));
+    }
+
+    #[test]
+    fn coalescing_size_trigger_fires_whatever_is_in_flight() {
+        let rule = rule(false);
+        for in_flight in 0..=PIPELINE_DEPTH + 3 {
+            let view = QueueView { in_flight, ..queue(9, 5 * MS) };
+            assert_eq!(rule.decide(&view, 5 * MS), take(8, 0, Trigger::Size));
+        }
+    }
+
+    #[test]
+    fn cadence_verdicts_ignore_in_flight() {
+        let rule = rule(true);
+        let views =
+            [queue(0, 0), queue(3, MS), queue(30, 0), QueueView { shutdown: true, ..queue(3, 0) }];
+        for now in [MS, 2 * MS, 5 * MS] {
+            for view in views {
+                let full = rule.decide(&view, now);
+                for in_flight in 0..=PIPELINE_DEPTH {
+                    assert_eq!(rule.decide(&QueueView { in_flight, ..view }, now), full);
+                }
+            }
+        }
     }
 }

@@ -139,20 +139,22 @@
 //!   like every other payload byte. See `docs/TRAINING.md`.
 //! * **Batch timing.** Micro-batch *boundaries* leak arrival timing:
 //!   a group flushed by `max_delay` reveals that fewer than `max_batch`
-//!   requests arrived in that window, and group sizes under deadline
-//!   coalescing track the offered load. This is the same class of
-//!   leakage as per-shard volumes — metadata about *how much* traffic
-//!   arrived *when*, never about which rows it touched. Deployments that
-//!   cannot accept it should enable
+//!   requests arrived in that window, and group sizes under coalescing
+//!   track the offered load. Coalescing boundaries also follow engine
+//!   progress: a group closes early when a pipeline slot frees up, so a
+//!   boundary can reveal when an earlier group finished serving. This is
+//!   the same class of leakage as per-shard volumes — metadata about
+//!   *how much* traffic arrived *when*, never about which rows it
+//!   touched. Deployments that cannot accept it should enable
 //!   [`BatchPolicy::fixed_cadence`]: the batcher then flushes a
 //!   constant-size group every `max_delay` on an absolute schedule,
 //!   padding short (or empty) groups with dummy reads, so group
-//!   boundaries and sizes stop tracking offered load entirely — at the
-//!   cost of a constant background workload while idle. The
-//!   micro-batcher's close rule (the two arms documented on
-//!   [`BatchPolicy`]) is the single place where a timer or a queue
-//!   length decides a group boundary, so it is the only code to audit
-//!   for this channel.
+//!   boundaries and sizes follow neither offered load nor engine
+//!   progress — at the cost of a constant background workload while
+//!   idle. The micro-batcher's close rule (the two arms documented on
+//!   [`BatchPolicy`]) is the single place where a timer, a queue length
+//!   or the pipeline's occupancy decides a group boundary, so it is the
+//!   only code to audit for this channel.
 //! * **Cache trade-offs.** Each shard's client cache models the paper's
 //!   trainer VRAM: accesses to it are invisible to the adversary, and its
 //!   contents are *planned* (the current superblock's members), so hits

@@ -482,15 +482,21 @@ pub(crate) fn disk_slot_bytes(spec: &TableSpec) -> u64 {
 /// [`Session`]). One rule decides every group boundary; it has two arms.
 ///
 /// **Coalescing** (the default). A group closes as soon as `max_batch`
-/// requests are pending, or when the *oldest* pending request has waited
-/// `max_delay`, or when [`flush`](crate::LaoramService::flush) covers the
-/// oldest pending request, or at shutdown — whichever comes first. With
+/// requests are pending, or when [`flush`](crate::LaoramService::flush)
+/// covers the oldest pending request, or at shutdown, or when the *oldest*
+/// pending request has waited `max_delay` — whichever comes first. With
 /// `align_to_superblock` set, the size-triggered group is rounded down to
 /// the service's superblock quantum (`max(table superblock size) × total
 /// shard workers`) so the lookahead preprocessor keeps seeing full
-/// superblock windows per shard; every other trigger takes everything
-/// pending, unaligned — bounding latency wins over alignment. *When* a
-/// deadline group closes depends on when requests arrived, so boundaries
+/// superblock windows per shard; flush, shutdown and the deadline take
+/// everything pending, unaligned — bounding latency wins over alignment.
+/// One more trigger keeps the shards busy: while fewer than two groups are
+/// in the pipeline (one serving, one being planned) and at least one
+/// quantum is pending, the batcher closes the pending requests cut down to
+/// whole quanta at once. So `max_delay` is only an upper bound, reached
+/// when the pipeline is full or less than one quantum is waiting; a group
+/// never closes early below one quantum. *When* a group closes depends on
+/// when requests arrived and on how fast the engine serves, so boundaries
 /// and sizes in this arm are input-dependent (the same class of leakage as
 /// per-shard volumes — see the crate-level security model).
 ///
@@ -512,7 +518,8 @@ pub(crate) fn disk_slot_bytes(spec: &TableSpec) -> u64 {
 pub struct BatchPolicy {
     /// Flush as soon as this many requests are pending. Must be nonzero.
     pub max_batch: usize,
-    /// Flush when the oldest pending request has waited this long.
+    /// Flush when the oldest pending request has waited this long (an
+    /// upper bound: a free pipeline slot closes a quantum sooner).
     pub max_delay: Duration,
     /// Round size-triggered flushes down to the superblock quantum.
     pub align_to_superblock: bool,
@@ -581,8 +588,9 @@ impl Default for BatchPolicy {
 /// service without a spec records no span, starts no thread, and exports
 /// nothing: the telemetry accessors return `None` and the TCP tier
 /// refuses a metrics request. With a spec attached, spans cost one short
-/// mutex each; the CI gate holds the measured throughput cost of what
-/// the spec adds, on the in-memory backend, to ≤ 3%.
+/// mutex each; what the spec adds to the cost of a served access is the
+/// perf ledger's `telemetry.overhead_frac` (budget ≤ 3 %; see
+/// `docs/OBSERVABILITY.md`).
 ///
 /// The sampler cadence is **fixed** at [`sample_interval`](Self::sample_interval)
 /// — it never adapts to load, so the sampling schedule itself carries no

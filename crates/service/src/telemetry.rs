@@ -58,6 +58,7 @@ pub(crate) struct Instruments {
     pub registry: Registry,
     // Ingress / batcher.
     pub ingress_queued: Gauge,
+    pub ingress_in_flight: Gauge,
     pub ingress_submitted: Counter,
     pub groups: Counter,
     // Completion side.
@@ -97,6 +98,7 @@ impl Instruments {
             .collect();
         Instruments {
             ingress_queued: registry.gauge("service.ingress.queued"),
+            ingress_in_flight: registry.gauge("service.ingress.in_flight_groups"),
             ingress_submitted: registry.counter("service.ingress.submitted"),
             groups: registry.counter("service.ingress.groups"),
             requests_completed: registry.counter("service.requests.completed"),

@@ -418,11 +418,7 @@ fn saturating_tenant_does_not_starve_light_tenant() {
         NetServerConfig::default()
             .max_inflight(16_384)
             .max_inflight_per_tenant(8_192)
-            .drr_quantum(8)
-            // The fairness lever: the backlog must wait in the DRR queue,
-            // not inside the engine. A late-arriving tenant then waits
-            // behind at most a window of already-forwarded requests.
-            .dispatch_window(64),
+            .drr_quantum(8),
     );
     let addr = server.local_addr();
     // Complete both handshakes up front: the light tenant's requests must

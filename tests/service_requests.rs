@@ -221,3 +221,29 @@ fn oversized_write_is_refused_at_submit() {
     let report = service.shutdown().expect("shutdown");
     assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
 }
+
+/// The micro-batcher closes groups by work, not by the clock: with a
+/// 30-second `max_delay` and a size trigger far away, four quanta of
+/// session reads all complete as soon as the pipeline has room for them.
+/// A batcher that waited out the deadline would hold every group 30 s.
+#[test]
+fn groups_close_by_work_long_before_the_deadline() {
+    // Quantum = superblock size 4 x 2 shard workers = 8 requests.
+    const QUANTUM: u32 = 8;
+    let service = LaoramService::start(
+        ServiceConfig::new()
+            .table(TableSpec::new("t", 256).shards(2).superblock_size(4).seed(5))
+            .batch_policy(BatchPolicy::new().max_delay(Duration::from_secs(30))),
+    )
+    .expect("start");
+    let session = service.session();
+    let tickets: Vec<_> =
+        (0..4 * QUANTUM).map(|i| session.read(0, i * 7 % 256).expect("session read")).collect();
+    for ticket in tickets {
+        service.wait(ticket).expect("wait");
+    }
+    let queue_wait_p99 = service.stats().request_latency.queue_wait.p99();
+    assert!(queue_wait_p99 < 1_000_000_000, "queue wait p99 {queue_wait_p99} ns");
+    let report = service.shutdown().expect("shutdown");
+    assert_eq!(report.truncated_requests, 0);
+}
