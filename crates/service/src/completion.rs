@@ -1,10 +1,12 @@
 //! The poll-based completion queue.
 //!
-//! The collector publishes each finished group, in group order
+//! The shard worker that completes a group publishes it, and every
+//! consecutive complete group, in group order
 //! ([`CompletionShared::publish`]). Claims — FIFO or by ticket, each
 //! completion exactly once — wait on the condvar while theirs is not in.
-//! When the collector exits, however it exits, the queue is disconnected
-//! and every waiter wakes with [`ServiceError::Disconnected`].
+//! When the last shard worker exits, or any worker unwinds, the queue is
+//! disconnected and every waiter wakes with
+//! [`ServiceError::Disconnected`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -12,7 +14,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use crate::ingress::RequestMeta;
 use crate::{Completion, RequestTicket, RequestTiming, ServiceError};
 
-/// One finished pipeline group, emitted by the collector in group order.
+/// One finished pipeline group, emitted in group order.
 pub(crate) struct GroupDone {
     /// One output per request, in group order.
     pub outputs: Vec<Option<Box<[u8]>>>,
@@ -24,7 +26,7 @@ pub(crate) struct GroupDone {
     pub serve_start_ns: u64,
     /// Latest shard finished serving the group.
     pub serve_end_ns: u64,
-    /// When the collector finished reassembling the group.
+    /// When the group's last shard part came in.
     pub done_ns: u64,
 }
 
@@ -61,9 +63,6 @@ pub(crate) struct CompletionCounters {
     pub expanded: u64,
     /// Completions claimed by callers.
     pub claimed: u64,
-    /// Tickets voided because their group could not be handed to a dead
-    /// pipeline.
-    pub voided: u64,
 }
 
 #[derive(Default)]
@@ -75,12 +74,8 @@ struct CompletionState {
     /// every `ready` key has exactly one live entry here.
     fifo: VecDeque<u64>,
     ledger: TicketLedger,
-    /// Tickets dropped unserved because the pipeline died before their
-    /// group could be sent (populated only on failure, so it stays tiny);
-    /// `wait` reports these as `Disconnected`, not `TicketClaimed`.
-    voided_tickets: HashSet<u64>,
     counters: CompletionCounters,
-    /// The collector is gone: nothing more will be published.
+    /// The shard workers are gone: nothing more will be published.
     disconnected: bool,
 }
 
@@ -90,7 +85,7 @@ pub(crate) struct CompletionDrain {
     pub counters: CompletionCounters,
 }
 
-/// The completion queue: the collector publishes into it, every claiming
+/// The completion queue: shard workers publish into it, every claiming
 /// method waits on it.
 #[derive(Default)]
 pub(crate) struct CompletionShared {
@@ -100,7 +95,7 @@ pub(crate) struct CompletionShared {
 
 impl CompletionShared {
     /// Expands one finished group into per-request completions and wakes
-    /// every waiter. Called by the collector, in group order.
+    /// every waiter. Called in group order, under the reassembly lock.
     pub fn publish(&self, group: GroupDone) {
         let mut state = self.state.lock().expect("completion lock");
         state.counters.expanded += group.requests.len() as u64;
@@ -123,11 +118,11 @@ impl CompletionShared {
         self.cond.notify_all();
     }
 
-    /// Marks the queue disconnected and wakes every waiter: the collector
-    /// has exited, so an unanswered ticket will stay unanswered. Runs from
-    /// the collector's drop guard, possibly mid-panic, so a poisoned lock
-    /// is entered rather than unwrapped (setting the flag is valid in any
-    /// state).
+    /// Marks the queue disconnected and wakes every waiter: the shard
+    /// workers are gone, so an unanswered ticket will stay unanswered.
+    /// Runs from a worker's drop guard, possibly mid-panic, so a poisoned
+    /// lock is entered rather than unwrapped (setting the flag is valid in
+    /// any state).
     pub fn disconnect(&self) {
         self.state.lock().unwrap_or_else(PoisonError::into_inner).disconnected = true;
         self.cond.notify_all();
@@ -160,7 +155,7 @@ impl CompletionShared {
                 return Ok(completion);
             }
             let c = state.counters;
-            if issued() == c.claimed + c.voided {
+            if issued() == c.claimed {
                 return Err(ServiceError::NoPendingRequests);
             }
             if state.disconnected {
@@ -180,9 +175,6 @@ impl CompletionShared {
                 state.counters.claimed += 1;
                 return Ok(completion);
             }
-            if state.voided_tickets.contains(&ticket) {
-                return Err(ServiceError::Disconnected);
-            }
             if state.ledger.is_claimed(ticket) {
                 return Err(ServiceError::TicketClaimed { ticket });
             }
@@ -196,24 +188,10 @@ impl CompletionShared {
         }
     }
 
-    /// Records tickets whose group never reached the pipeline (the send
-    /// failed); they will never complete and no longer count as
-    /// outstanding.
-    pub fn void(&self, metas: &[RequestMeta]) {
-        let mut state = self.state.lock().expect("completion lock");
-        for meta in metas {
-            state.ledger.claim(meta.ticket);
-            state.voided_tickets.insert(meta.ticket);
-        }
-        state.counters.voided += metas.len() as u64;
-        self.cond.notify_all();
-    }
-
-    /// Requests issued but not yet claimed or voided, given the ticket
-    /// high-water mark.
+    /// Requests issued but not yet claimed, given the ticket high-water
+    /// mark.
     pub fn unclaimed(&self, issued: u64) -> u64 {
-        let state = self.state.lock().expect("completion lock");
-        issued - state.counters.claimed - state.counters.voided
+        issued - self.state.lock().expect("completion lock").counters.claimed
     }
 
     /// Shutdown path: the pipeline threads have been joined, so everything

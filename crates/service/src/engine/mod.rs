@@ -1,36 +1,46 @@
-//! The serving engine: micro-batcher → preprocessor → shard workers →
-//! collector → completion queue.
+//! The serving engine: preprocessor (which closes its own groups) →
+//! shard workers → completion queue.
 //!
 //! # Pipeline
 //!
 //! ```text
-//!  submit_request()/Session ─▶[pending]─▶ micro-batcher ─┐   (coalesces under BatchPolicy)
-//!                                                        ▼
-//!  submit() batch ──────────────────────────▶ [ingress queue] ──▶ preprocessor ──▶ shard workers
-//!   (pre-coalesced group,                      (bounded,          bins + assigns     one LaOram each,
-//!    backpressure)                              groups)           paths for group    serve group N
-//!                                                                 N+1 while shards       │
-//!                                                                 serve group N           ▼
-//!  try_complete()/wait()◀── completion queue ◀────────────── collector ◀── per-group parts
+//!  submit_request()/Session ──▶ [pending] ──┐ close rule (BatchPolicy)
+//!                                           ├─▶ preprocessor ─────────▶ shard workers
+//!  submit() batch, reset_stats() ─▶ [ready] ┘   takes group N+1, bins   one LaOram each,
+//!   (bounded by queue_depth:                    it and draws its paths  serve group N
+//!    backpressure)                              while shards serve N          │
+//!                                                                             ▼
+//!  try_complete()/wait() ◀── completion queue ◀── reassembly ◀──────── per-group parts
+//!                              (published by the worker that completes the group)
 //! ```
 //!
-//! The preprocessor is the paper's dataset-scan + path-generation stage
-//! (§IV-B): while shard workers serve group `N`, it bins group `N+1` and
-//! draws its superblock paths, then stages the resulting
-//! [`SuperblockPlan`] into each worker's double-buffered queue. Workers
-//! opportunistically stage the next window *before* serving the current
-//! one, so block flushes exit toward their next-window paths and the
-//! steady state survives group boundaries. Per-stage timestamps are
-//! recorded so the overlap is observable, not just asserted.
+//! Two kinds of thread: one preprocessor and one worker per shard. The
+//! preprocessor is the paper's dataset-scan + path-generation stage
+//! (§IV-B): whenever it is free for a group it asks the micro-batcher's
+//! close rule (or takes the oldest queued batch), then, while shard
+//! workers serve group `N`, it bins group `N+1` and draws its superblock
+//! paths, and stages the resulting [`SuperblockPlan`] into each worker's
+//! double-buffered queue. Workers opportunistically stage the next window
+//! *before* serving the current one, so block flushes exit toward their
+//! next-window paths and the steady state survives group boundaries.
+//! Per-stage timestamps are recorded so the overlap is observable, not
+//! just asserted.
 //!
 //! # Statistics
 //!
 //! The preprocessor and the workers only *measure*; their measurements
-//! ride the group's manifest and parts to the collector, which is the
-//! one stage that counts — into the always-present registry
-//! ([`Instruments`]), when it emits the group. [`ServiceStats`] is a
-//! view: registry totals minus the baseline the collector stores at a
+//! ride the group's manifest and parts into the reassembly. A group is
+//! counted once — into the always-present registry ([`Instruments`]) —
+//! when it is emitted, by the worker whose part completed it, under the
+//! reassembly lock and in group order. [`ServiceStats`] is a view:
+//! registry totals minus the baseline stored at a
 //! [`reset_stats`](LaoramService::reset_stats) barrier.
+//!
+//! # Lock order
+//!
+//! reassembly → `Shared::inner` → completion queue → ingress `pending`.
+//! The preprocessor never takes the reassembly lock while it holds
+//! `pending`.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -45,7 +55,7 @@ use oram_protocol::AccessStats;
 use oram_tree::{DiskIoStats, DynBucketStore};
 
 use crate::completion::CompletionShared;
-use crate::ingress::{GroupMeta, Ingress};
+use crate::ingress::Ingress;
 use crate::stats::build_stats;
 use crate::telemetry::{Flight, Instruments, TelemetryReport};
 use crate::{
@@ -53,8 +63,8 @@ use crate::{
     ServiceError, ServiceStats, Session, ShardRouter, TableStatus,
 };
 
-mod collector;
 mod preprocessor;
+mod reassembly;
 mod start;
 mod worker;
 
@@ -74,7 +84,7 @@ enum WorkerMsg {
 }
 
 /// What the preprocessor measured about one group. Rides the manifest
-/// and is counted by the collector when the group is emitted.
+/// and is counted when the group is emitted.
 struct PrepCounts {
     prep_start_ns: u64,
     prep_end_ns: u64,
@@ -89,7 +99,7 @@ struct PrepCounts {
 }
 
 /// What one shard worker measured serving its part of a group. Rides
-/// the part and is counted by the collector when the group is emitted.
+/// the part and is counted when the group is emitted.
 struct ServeCounts {
     worker: usize,
     serve_start_ns: u64,
@@ -101,24 +111,6 @@ struct ServeCounts {
     stash_len: u64,
 }
 
-/// Messages into the collector.
-enum CollectorMsg {
-    /// Announces a group: how many shard parts it splits into, its
-    /// request count, the submission metadata the completion queue
-    /// needs, and the preprocessor's measurements.
-    Manifest { group: u64, parts: usize, len: usize, meta: GroupMeta, prep: PrepCounts },
-    /// One shard's outputs, with the group positions they belong at and
-    /// the worker's measurements.
-    Part { group: u64, outputs: Vec<Option<Box<[u8]>>>, slots: Vec<u32>, served: ServeCounts },
-    /// A worker's final counters, after its shutdown flush.
-    Retired { worker: usize, stats: AccessStats, disk_io: Option<DiskIoStats> },
-    /// The `reset_stats()` barrier: once every group below `before_group`
-    /// has been emitted, the registry totals become the baseline
-    /// `stats()` subtracts — in-flight pre-reset groups land before it,
-    /// post-reset groups after.
-    Baseline { before_group: u64 },
-}
-
 /// State shared between the engine handle and the pipeline threads.
 pub(crate) struct Shared {
     start: Instant,
@@ -126,7 +118,7 @@ pub(crate) struct Shared {
     pub(crate) worker_homes: Vec<(usize, u32)>,
     pub(crate) inner: Mutex<SharedInner>,
     /// The always-present instrument set: the one place the engine
-    /// counts. Written by the collector (and the ingress, for
+    /// counts. Written as each group is emitted (and by the ingress, for
     /// `service.ingress.*`) whether or not anyone can read it.
     pub(crate) instruments: Instruments,
     /// The flight recorder and dump policy; `None` without a
@@ -140,8 +132,8 @@ pub(crate) struct Shared {
 /// limit).
 const TIMING_WINDOW: usize = 4096;
 
-/// The state the registry cannot hold, written by the collector under
-/// one lock per emitted group (and by a failing worker, for its error).
+/// The state the registry cannot hold, written under one lock per
+/// emitted group (and by a failing worker, for its error).
 pub(crate) struct SharedInner {
     /// Each worker's cumulative LAORAM counters as of its last emitted
     /// batch (its shutdown flush included, once retired).
@@ -182,7 +174,7 @@ pub struct LaoramService {
     /// The spill directory, when this service generated it (also removed
     /// at shutdown).
     generated_spill_dir: Option<PathBuf>,
-    batcher: Option<JoinHandle<()>>,
+    /// The shard workers and the preprocessor.
     handles: Vec<JoinHandle<()>>,
     /// The periodic telemetry sampler, when one was configured.
     sampler: Option<Sampler>,
@@ -271,9 +263,10 @@ impl LaoramService {
     /// Releases every pending micro-batcher request into the pipeline
     /// now instead of waiting for the
     /// [`BatchPolicy`](crate::BatchPolicy) size or deadline trigger.
-    /// Asynchronous: the micro-batcher thread performs the flush (it is
-    /// the only sender of coalesced groups, which is what keeps request
-    /// order total), so completions become observable through
+    /// Asynchronous: the preprocessor takes the flushed group when it is
+    /// next free for one (it is the only taker of coalesced groups, which
+    /// is what keeps request order total), so completions become
+    /// observable through
     /// [`wait`](Self::wait) / [`try_complete`](Self::try_complete)
     /// shortly after, not necessarily before this returns.
     ///
@@ -341,7 +334,8 @@ impl LaoramService {
     // ------------------------------------------------------------------
 
     /// Validates and enqueues a pre-coalesced batch as one pipeline
-    /// group, blocking while the ingress queue is full (backpressure).
+    /// group, blocking while [`queue_depth`](crate::ServiceConfig::queue_depth)
+    /// batches are already queued (backpressure).
     /// Returns the ticket its response will carry; the ticket also names
     /// the batch's per-request ticket range
     /// ([`BatchTicket::request_tickets`]).
@@ -350,12 +344,7 @@ impl LaoramService {
     /// Rejects requests naming unknown tables or out-of-range indices;
     /// [`ServiceError::Disconnected`] if the pipeline died.
     pub fn submit(&mut self, batch: Vec<Request>) -> Result<BatchTicket, ServiceError> {
-        let id = self.next_batch;
-        let (first_request, len) = self.ingress.submit_batch(batch)?;
-        self.next_batch += 1;
-        let ticket = BatchTicket { id, first_request, len };
-        self.pending_batches.push_back(ticket);
-        Ok(ticket)
+        self.queue_batch(batch, true)
     }
 
     /// As [`submit`](Self::submit), but failing fast instead of blocking
@@ -365,10 +354,17 @@ impl LaoramService {
     /// # Errors
     /// As [`submit`](Self::submit), plus [`ServiceError::Backpressure`].
     pub fn try_submit(&mut self, batch: Vec<Request>) -> Result<BatchTicket, ServiceError> {
-        let id = self.next_batch;
-        let (first_request, len) = self.ingress.try_submit_batch(batch)?;
+        self.queue_batch(batch, false)
+    }
+
+    fn queue_batch(
+        &mut self,
+        batch: Vec<Request>,
+        block: bool,
+    ) -> Result<BatchTicket, ServiceError> {
+        let (first_request, len) = self.ingress.submit_batch(batch, block)?;
+        let ticket = BatchTicket { id: self.next_batch, first_request, len };
         self.next_batch += 1;
-        let ticket = BatchTicket { id, first_request, len };
         self.pending_batches.push_back(ticket);
         Ok(ticket)
     }
@@ -416,13 +412,15 @@ impl LaoramService {
 
     /// Starts a new measurement window: [`stats`](Self::stats) then
     /// reports only what was counted after this call. Nothing is zeroed —
-    /// the engine's counters are monotonic — the collector instead takes
-    /// the registry totals as a baseline once every previously
-    /// *coalesced* group has been emitted, and `stats()` subtracts it.
-    /// Without a [`drain`](Self::drain) first, groups already in flight
-    /// therefore land entirely *before* the boundary (and until they have
-    /// all been emitted `stats()` still shows the old window); requests
-    /// still pending in the micro-batcher land after it. The three
+    /// the engine's counters are monotonic — a reset marker is queued
+    /// behind the batches already submitted, and the registry totals
+    /// become a baseline once every group taken before the marker has
+    /// been emitted; `stats()` subtracts it. Without a
+    /// [`drain`](Self::drain) first, groups already in flight and batches
+    /// already queued therefore land entirely *before* the boundary (and
+    /// until they have all been emitted `stats()` still shows the old
+    /// window); requests still pending in the micro-batcher land after
+    /// it. The three
     /// maxima that are not differences follow a stated rule each:
     /// [`AccessStats::stash_peak`] stays a lifetime peak, a latency
     /// histogram's maximum is the lifetime maximum clamped to the top
@@ -527,10 +525,17 @@ impl LaoramService {
         self.shared.flight.as_ref().map(|f| f.recorder.dump(reason))
     }
 
-    /// Removes auto-spill shard files (and the spill directory, when this
-    /// service generated it). Idempotent; runs at shutdown and, as a
-    /// backstop, on drop.
-    fn cleanup_spill(&mut self) {
+    /// Stops accepting, lets the preprocessor drain what is queued and
+    /// every shard flush, joins the pipeline threads, then removes
+    /// auto-spill shard files (and the spill directory, when this service
+    /// generated it). Idempotent; runs at shutdown and on drop.
+    fn stop_pipeline(&mut self) {
+        self.ingress.begin_shutdown();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+        // Workers (and their stores) are gone: drop auto-spill files so a
+        // start/stop cycle cannot accumulate dead table footprints.
         for file in self.spill_cleanup.drain(..) {
             let _ = std::fs::remove_file(file);
         }
@@ -539,7 +544,7 @@ impl LaoramService {
         }
     }
 
-    /// Stops the pipeline: flushes the micro-batcher and every shard,
+    /// Stops the pipeline: drains the micro-batcher and every shard,
     /// joins all threads, and returns the final statistics plus
     /// everything that was still unclaimed. Shard files created by
     /// [`StorageBackend::Auto`](crate::StorageBackend::Auto) spill are
@@ -557,21 +562,9 @@ impl LaoramService {
     /// Infallible today; the `Result` reserves room for teardown
     /// failures.
     pub fn shutdown(mut self) -> Result<ServiceReport, ServiceError> {
-        // 1. Stop accepting; the micro-batcher flushes its pending tail.
-        self.ingress.begin_shutdown();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
-        // 2. Close the pipeline end to end and let every stage drain.
-        self.ingress.close_channel();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        // Workers (and their stores) are gone: drop auto-spill files so a
-        // start/stop cycle cannot accumulate dead table footprints.
-        self.cleanup_spill();
-        // 3. Everything that completed has been published to the
-        //    completion queue; account for what is missing.
+        self.stop_pipeline();
+        // Everything that completed has been published to the completion
+        // queue; account for what is missing.
         let drain = self.completions.drain_for_shutdown();
         let mut ready = drain.ready;
         let mut responses = Vec::new();
@@ -594,7 +587,7 @@ impl LaoramService {
 
         let issued = self.ingress.issued();
         let counters = drain.counters;
-        let truncated_requests = issued.saturating_sub(counters.voided + counters.expanded);
+        let truncated_requests = issued.saturating_sub(counters.expanded);
 
         let mut stats = self.stats();
         let table_status = self.table_status();
@@ -636,9 +629,8 @@ impl LaoramService {
 
 impl Drop for LaoramService {
     fn drop(&mut self) {
-        // A service dropped without shutdown() must not leak its spill
-        // files; on unix, unlinking under still-running workers is safe
-        // (their file handles stay valid until they exit).
-        self.cleanup_spill();
+        // A service dropped without shutdown() must not leak its threads
+        // or its spill files; after shutdown() this is a no-op.
+        self.stop_pipeline();
     }
 }

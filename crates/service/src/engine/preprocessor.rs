@@ -1,43 +1,55 @@
-//! The preprocessor stage: routing, padding, and look-ahead planning.
+//! The preprocessor stage: closing groups, routing, padding, and
+//! look-ahead planning.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 use laoram_core::{BatchOp, SuperblockPlanner};
 use laoram_telemetry::SpanRecord;
 
-use super::{CollectorMsg, PrepCounts, Shared, WorkerMsg, PAD_SLOT};
-use crate::ingress::EngineMsg;
+use super::reassembly::Reassembly;
+use super::{PrepCounts, Shared, WorkerMsg, PAD_SLOT};
+use crate::ingress::{Ingress, Taken};
 use crate::{Request, RequestOp, ShardRouter};
 
 /// Per-worker routing product: shard-local index stream, operations, and
 /// each operation's position in the original group.
 type RoutedPart = (Vec<u32>, Vec<BatchOp>, Vec<u32>);
 
-/// The preprocessor stage: routes each group to shards, optionally pads
-/// per-shard sub-batches to equal length, bins each shard's sub-stream
-/// and assigns its superblock paths, then dispatches `Plan(N+1)` +
-/// `Ops(N+1)` while the workers serve group `N`.
+/// Closes the ingress when the preprocessor returns or unwinds, so no
+/// submitter queues work nobody will take.
+struct CloseIngress<'a>(&'a Ingress);
+
+impl Drop for CloseIngress<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The preprocessor stage: takes each group from the ingress (whose close
+/// rule it runs whenever it is free for one), routes it to shards,
+/// optionally pads per-shard sub-batches to equal length, bins each
+/// shard's sub-stream and assigns its superblock paths, then dispatches
+/// `Plan(N+1)` + `Ops(N+1)` while the workers serve group `N`.
 pub(super) fn run_preprocessor(
-    ingress: Receiver<EngineMsg>,
+    ingress: Arc<Ingress>,
     router: Arc<ShardRouter>,
     mut planners: Vec<SuperblockPlanner>,
     workers: Vec<SyncSender<WorkerMsg>>,
-    collector: mpsc::Sender<CollectorMsg>,
+    reassembly: Arc<Reassembly>,
     shared: Arc<Shared>,
     pad_shard_batches: bool,
 ) {
+    let _close = CloseIngress(&ingress);
     // The one-group dispatch delay that makes the pipeline deterministic:
     // group N's operations are held back until group N+1's plans have been
     // dispatched, so every worker has window N+1 staged *before* it starts
-    // serving window N (warm exits at every boundary). When the ingress is
-    // idle there is no N+1 to wait for, and the pending operations flush
-    // immediately — no added latency for an unloaded service.
+    // serving window N (warm exits at every boundary). When the ingress
+    // has nothing to take there is no N+1 to wait for, and the pending
+    // operations flush immediately — no added latency for an unloaded
+    // service.
     let mut pending: Option<Vec<(usize, WorkerMsg)>> = None;
-    // Group id the next group will carry: where a stats reset's barrier
-    // is anchored.
-    let mut next_group_hint = 0u64;
     // Rotating per-worker cursor choosing padding rows.
     let mut pad_cursor: Vec<u32> = vec![0; workers.len()];
     // Load-aware routing state: per-group worker loads (LeastLoaded
@@ -57,39 +69,18 @@ pub(super) fn run_preprocessor(
         true
     };
     loop {
-        let msg = if pending.is_some() {
-            match ingress.try_recv() {
-                Ok(m) => m,
-                Err(TryRecvError::Empty) => {
-                    if !flush(&mut pending) {
-                        return;
-                    }
-                    match ingress.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    }
-                }
-                Err(TryRecvError::Disconnected) => break,
-            }
-        } else {
-            match ingress.recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            }
-        };
-        match msg {
-            EngineMsg::ResetStats => {
-                // Nothing is counted here, so there is nothing to zero:
-                // the collector, which counts a group when it emits it,
-                // takes its baseline once every already-coalesced group
-                // has been emitted.
-                if collector.send(CollectorMsg::Baseline { before_group: next_group_hint }).is_err()
-                {
+        match ingress.take(pending.is_some()) {
+            Taken::Idle => {
+                if !flush(&mut pending) {
                     return;
                 }
             }
-            EngineMsg::Group { group, requests, meta } => {
-                next_group_hint = group + 1;
+            Taken::Exit => break,
+            // Nothing is counted here, so there is nothing to zero: the
+            // reassembly, which counts a group when it emits it, takes its
+            // baseline once every already-taken group has been emitted.
+            Taken::Reset { before_group } => reassembly.reset(before_group),
+            Taken::Group { group, requests, meta } => {
                 let prep_start_ns = shared.now_ns();
                 // Route: split the group into per-worker index streams and
                 // operation lists, remembering each op's group position.
@@ -210,18 +201,14 @@ pub(super) fn run_preprocessor(
                         )),
                     });
                 }
-                if collector
-                    .send(CollectorMsg::Manifest {
-                        group,
-                        parts: dispatch.len(),
-                        len: meta.requests.len(),
-                        meta,
-                        prep: PrepCounts { prep_start_ns, prep_end_ns, routed, pads, max_subbatch },
-                    })
-                    .is_err()
-                {
-                    return;
-                }
+                // Registered before any of the group's operations are
+                // sent, so no part can arrive ahead of its manifest.
+                reassembly.manifest(
+                    group,
+                    dispatch.len(),
+                    meta,
+                    PrepCounts { prep_start_ns, prep_end_ns, routed, pads, max_subbatch },
+                );
                 // Dispatch this group's plan windows now, then release the
                 // *previous* group's held-back operations.
                 let mut ops_parts = Vec::with_capacity(dispatch.len());
@@ -239,6 +226,6 @@ pub(super) fn run_preprocessor(
         }
     }
     let _ = flush(&mut pending);
-    // Ingress closed: dropping the worker senders ends the workers, whose
-    // dropped collector senders then end the collector.
+    // Shut down and drained: dropping the worker senders ends the
+    // workers, the last of which disconnects the completion queue.
 }

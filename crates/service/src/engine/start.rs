@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use laoram_core::{LaOram, LaOramConfig, SuperblockPlanner};
@@ -13,12 +13,12 @@ use laoram_telemetry::{Sampler, SpanRecord};
 use oram_protocol::AccessStats;
 use oram_tree::{DiskStore, DiskStoreConfig, DynBucketStore, StateSnapshot, StoreTelemetry};
 
-use super::collector::run_collector;
 use super::preprocessor::run_preprocessor;
+use super::reassembly::Reassembly;
 use super::worker::run_worker;
-use super::{CollectorMsg, LaoramService, ShardClient, Shared, SharedInner, WorkerMsg};
+use super::{LaoramService, ShardClient, Shared, SharedInner, WorkerMsg};
 use crate::completion::CompletionShared;
-use crate::ingress::{run_batcher, EngineMsg, Ingress};
+use crate::ingress::Ingress;
 use crate::telemetry::{Flight, Instruments};
 use crate::{
     DiskBackendSpec, ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend,
@@ -348,8 +348,6 @@ impl LaoramService {
             })
         });
 
-        let (ingress_tx, ingress_rx) = sync_channel::<EngineMsg>(config.queue_depth);
-        let (collector_tx, collector_rx) = mpsc::channel::<CollectorMsg>();
         let completions = Arc::new(CompletionShared::default());
 
         // Alignment quantum for the micro-batcher: one full superblock
@@ -361,28 +359,34 @@ impl LaoramService {
         let ingress = Arc::new(Ingress::new(
             Arc::clone(&router),
             Arc::clone(&shared),
-            Arc::clone(&completions),
             &config.batch_policy,
             quantum,
-            ingress_tx,
+            config.queue_depth,
+        ));
+        let reassembly = Arc::new(Reassembly::new(
+            Arc::clone(&shared),
+            Arc::clone(&completions),
+            Arc::clone(&ingress),
+            num_workers,
         ));
 
         let mut worker_txs = Vec::with_capacity(num_workers);
-        let mut handles = Vec::with_capacity(num_workers + 2);
+        let mut handles = Vec::with_capacity(num_workers + 1);
         for (worker, client) in clients.into_iter().enumerate() {
             // Depth 4 fits a full double-buffered step (Plan+Ops twice).
             let (tx, rx) = sync_channel::<WorkerMsg>(4);
             worker_txs.push(tx);
-            let collector = collector_tx.clone();
+            let reassembly = Arc::clone(&reassembly);
             let shared = Arc::clone(&shared);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("laoram-shard-{worker}"))
-                    .spawn(move || run_worker(worker, client, rx, collector, shared))
+                    .spawn(move || run_worker(worker, client, rx, reassembly, shared))
                     .expect("spawn shard worker"),
             );
         }
 
+        let ingress_for_prep = Arc::clone(&ingress);
         let router_for_prep = Arc::clone(&router);
         let shared_for_prep = Arc::clone(&shared);
         let pad_shard_batches = config.pad_shard_batches;
@@ -391,41 +395,17 @@ impl LaoramService {
                 .name("laoram-preprocessor".into())
                 .spawn(move || {
                     run_preprocessor(
-                        ingress_rx,
+                        ingress_for_prep,
                         router_for_prep,
                         planners,
                         worker_txs,
-                        collector_tx,
+                        reassembly,
                         shared_for_prep,
                         pad_shard_batches,
                     )
                 })
                 .expect("spawn preprocessor"),
         );
-        let shared_for_collector = Arc::clone(&shared);
-        let completions_for_collector = Arc::clone(&completions);
-        let ingress_for_collector = Arc::clone(&ingress);
-        handles.push(
-            std::thread::Builder::new()
-                .name("laoram-collector".into())
-                .spawn(move || {
-                    run_collector(
-                        collector_rx,
-                        completions_for_collector,
-                        shared_for_collector,
-                        || ingress_for_collector.group_published(),
-                    )
-                })
-                .expect("spawn collector"),
-        );
-
-        let batcher = std::thread::Builder::new()
-            .name("laoram-batcher".into())
-            .spawn({
-                let ingress = Arc::clone(&ingress);
-                move || run_batcher(ingress)
-            })
-            .expect("spawn micro-batcher");
 
         Ok(LaoramService {
             ingress,
@@ -436,7 +416,6 @@ impl LaoramService {
             table_status,
             spill_cleanup,
             generated_spill_dir,
-            batcher: Some(batcher),
             handles,
             sampler,
             next_batch: 0,

@@ -1,25 +1,31 @@
 //! The shard worker stage: one LAORAM client serving its sub-batches.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, Receiver};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use laoram_telemetry::SpanRecord;
 use oram_tree::BucketStore;
 
-use super::{CollectorMsg, ServeCounts, ShardClient, Shared, WorkerMsg};
+use super::reassembly::Reassembly;
+use super::{ServeCounts, ShardClient, Shared, WorkerMsg};
 
 /// One shard worker: owns a LAORAM instance, installs plan windows, and
 /// serves operation groups. Before serving, it opportunistically stages
 /// the *next* window if the preprocessor already delivered it, so cache
 /// flushes exit toward next-window paths (the warm cross-batch pipeline).
+/// Each served part goes to the reassembly, and a part that completes a
+/// group has this worker publish it.
 pub(super) fn run_worker(
     worker: usize,
     mut client: ShardClient,
     rx: Receiver<WorkerMsg>,
-    collector: mpsc::Sender<CollectorMsg>,
+    reassembly: Arc<Reassembly>,
     shared: Arc<Shared>,
 ) {
+    // Leaves on return or unwind: the last worker out (or any that
+    // panics) disconnects the completion queue.
+    let _seat = reassembly.seat();
     // Local FIFO mirror of the channel. Messages are only ever appended in
     // channel order; the one out-of-order operation is `stage_next_plan`,
     // which removes the *first* Plan in the queue — plans are staged
@@ -82,7 +88,7 @@ pub(super) fn run_worker(
                 }
                 // A stage failure is recorded, not fatal: the window's ops
                 // will fail below and be answered with empty outputs, so
-                // the collector never starves.
+                // the group still completes.
                 if let Err(e) = client.stage_plan(plan) {
                     fail(&shared, &e);
                 }
@@ -123,9 +129,9 @@ pub(super) fn run_worker(
                         detail: None,
                     });
                 }
-                // The measurements ride the part: the collector counts
-                // them when the group is emitted. The client's counters
-                // are cumulative and never reset — `stats()` subtracts.
+                // The measurements ride the part and are counted when the
+                // group is emitted. The client's counters are cumulative
+                // and never reset — `stats()` subtracts.
                 let served = ServeCounts {
                     worker,
                     serve_start_ns,
@@ -134,20 +140,14 @@ pub(super) fn run_worker(
                     disk_io: client.storage().io_stats(),
                     stash_len: client.stash_len() as u64,
                 };
-                if collector.send(CollectorMsg::Part { group, outputs, slots, served }).is_err() {
-                    break;
-                }
+                reassembly.part(group, outputs, slots, served);
             }
         }
     }
-    // Channel closed: flush the shard and hand the collector the final
-    // counters (including the final flush's disk I/O).
+    // Channel closed: flush the shard and retire its final counters
+    // (including the final flush's disk I/O).
     if let Err(e) = client.finish() {
         fail(&shared, &e);
     }
-    let _ = collector.send(CollectorMsg::Retired {
-        worker,
-        stats: client.stats().clone(),
-        disk_io: client.storage().io_stats(),
-    });
+    reassembly.retire(worker, client.stats().clone(), client.storage().io_stats());
 }

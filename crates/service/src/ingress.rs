@@ -1,29 +1,30 @@
-//! Ingress: ticket issuance, the micro-batcher, and ordered group
-//! handoff into the pipeline.
+//! Ingress: ticket issuance, the micro-batcher's close rule, and ordered
+//! group handoff into the pipeline.
 //!
 //! Two submission paths converge here. Individually submitted requests
 //! ([`Ingress::submit_request`], via the engine handle or a
-//! [`Session`](crate::Session)) accumulate in a pending queue that a
-//! dedicated micro-batcher thread coalesces into groups under the
-//! service's [`BatchPolicy`]; pre-coalesced batches
-//! ([`Ingress::submit_batch`]) skip the queue and become a group
-//! directly. Group ids are assigned under the sender lock at the moment
-//! a group enters the bounded pipeline channel, so the collector —
-//! which emits completions in group-id order — never sees a gap.
+//! [`Session`](crate::Session)) accumulate in a pending queue that the
+//! preprocessor coalesces into groups under the service's
+//! [`BatchPolicy`], asking the [`CloseRule`] each time it is free for a
+//! group; pre-coalesced batches ([`Ingress::submit_batch`]) and
+//! `reset_stats()` markers wait in a bounded queue beside it and become a
+//! group (or a stats barrier) as they are. Both queues sit under one
+//! lock, and group ids are assigned under it at the moment the
+//! preprocessor takes a group ([`Ingress::take`]), so emission — in
+//! group-id order — never sees a gap.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::mpsc::{SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use laoram_telemetry::SpanRecord;
 
-use crate::completion::CompletionShared;
 use crate::engine::Shared;
 use crate::{BatchPolicy, Request, RequestTicket, ServiceError, ShardRouter};
 
 /// Submission metadata of one request, carried through the pipeline so
-/// the collector can compute per-request latency.
+/// the publishing worker can compute per-request latency.
 #[derive(Debug, Clone)]
 pub(crate) struct RequestMeta {
     /// The request's ticket id.
@@ -47,37 +48,59 @@ pub(crate) struct GroupMeta {
     pub requests: Vec<RequestMeta>,
 }
 
-/// Messages from the ingress into the preprocessor.
-pub(crate) enum EngineMsg {
-    /// One coalesced group of requests.
-    Group {
-        /// Monotonic group id; the collector emits in this order.
-        group: u64,
-        /// The group's requests.
-        requests: Vec<Request>,
-        /// Parallel submission metadata.
-        meta: GroupMeta,
-    },
-    /// Orders the collector's stats baseline after every group sent before it; zeroes nothing.
-    ResetStats,
-}
-
 /// Groups the pipeline holds before the coalescing arm stops closing
 /// groups for work and waits for a trigger: one group serving and one
 /// being planned — the preprocessor's one-group hold-back.
 pub(crate) const PIPELINE_DEPTH: usize = 2;
 
-/// Requests waiting to be coalesced, plus the ticket high-water mark.
+/// What waits beside the pending requests, in submission order.
+enum Ready {
+    /// A pre-coalesced batch: tickets from `first`, every request
+    /// enqueued at `enqueue_ns`.
+    Batch { requests: Vec<Request>, first: u64, enqueue_ns: u64 },
+    /// A `reset_stats()` marker: the stats barrier falls after every
+    /// group taken before it.
+    Reset,
+}
+
+/// What the preprocessor took from the ingress ([`Ingress::take`]).
+pub(crate) enum Taken {
+    /// One group to plan; cadence pads, if any, trail the genuine
+    /// requests (past `meta.requests.len()`).
+    Group { group: u64, requests: Vec<Request>, meta: GroupMeta },
+    /// The `reset_stats()` barrier: due once every group below
+    /// `before_group` has been emitted.
+    Reset { before_group: u64 },
+    /// Nothing to take yet; only returned to a caller holding work back.
+    Idle,
+    /// Shut down and drained.
+    Exit,
+}
+
+/// Requests waiting to be coalesced, the bounded queue of batches and
+/// markers beside them, and the counters both are ordered by.
 struct PendingQueue {
     entries: Vec<(Request, RequestMeta)>,
+    /// Pre-coalesced batches and reset markers, oldest first; at most
+    /// `queue_depth` of them.
+    ready: VecDeque<Ready>,
     next_ticket: u64,
-    /// Groups sent into the pipeline (by the batcher or as a pre-coalesced
-    /// batch) and not yet published by the collector.
+    /// The id the next group taken will carry.
+    next_group: u64,
+    /// Groups taken into the pipeline (micro-batched or pre-coalesced)
+    /// and not yet published.
     in_flight: usize,
     /// Tickets below this must flush without waiting for a trigger
     /// ([`Ingress::flush`]).
     flush_horizon: u64,
+    /// When the previous micro-batched group was taken (0 before the
+    /// first): the cadence grid's anchor.
+    last_close_ns: u64,
+    /// Rotating cursor choosing cadence-padding rows.
+    pad_cursor: u64,
     shutdown: bool,
+    /// The preprocessor is gone: nothing queued will ever be taken.
+    closed: bool,
 }
 
 /// What the close rule may know about the batcher's state.
@@ -235,50 +258,52 @@ impl CloseRule {
     }
 }
 
-/// The pipeline channel plus the group-id counter it orders.
-struct GroupSender {
-    /// `None` once shutdown closed the pipeline.
-    tx: Option<SyncSender<EngineMsg>>,
-    next_group: u64,
-}
-
-/// Shared submission state: sessions, the engine handle, and the
-/// micro-batcher thread all hold an `Arc` of this.
+/// Shared submission state: sessions, the engine handle, the
+/// preprocessor and the shard workers all hold an `Arc` of this.
 pub(crate) struct Ingress {
     router: Arc<ShardRouter>,
     shared: Arc<Shared>,
-    completions: Arc<CompletionShared>,
     rule: CloseRule,
+    /// The bound on `ready`.
+    queue_depth: usize,
     pending: Mutex<PendingQueue>,
+    /// Wakes the preprocessor: a submission, a flush, a freed pipeline
+    /// slot or shutdown may change what it can take.
     batcher_wake: Condvar,
-    sender: Mutex<GroupSender>,
+    /// Wakes a batch submitter blocked on a full `ready` queue.
+    ready_space: Condvar,
 }
 
 impl Ingress {
     /// `quantum` is the superblock alignment quantum:
-    /// `max(table superblock size) × total workers`.
+    /// `max(table superblock size) × total workers`; `queue_depth` bounds
+    /// the queued batches and reset markers.
     pub fn new(
         router: Arc<ShardRouter>,
         shared: Arc<Shared>,
-        completions: Arc<CompletionShared>,
         policy: &BatchPolicy,
         quantum: usize,
-        tx: SyncSender<EngineMsg>,
+        queue_depth: usize,
     ) -> Self {
         Ingress {
             router,
             shared,
-            completions,
             rule: CloseRule::new(policy, quantum.max(1)),
+            queue_depth,
             pending: Mutex::new(PendingQueue {
                 entries: Vec::new(),
+                ready: VecDeque::new(),
                 next_ticket: 0,
+                next_group: 0,
                 in_flight: 0,
                 flush_horizon: 0,
+                last_close_ns: 0,
+                pad_cursor: 0,
                 shutdown: false,
+                closed: false,
             }),
             batcher_wake: Condvar::new(),
-            sender: Mutex::new(GroupSender { tx: Some(tx), next_group: 0 }),
+            ready_space: Condvar::new(),
         }
     }
 
@@ -288,19 +313,21 @@ impl Ingress {
         PIPELINE_DEPTH * self.rule.flush_len
     }
 
-    /// One more group entered the pipeline. Called under the `pending`
-    /// lock, which the batcher decides under.
-    fn group_entered(&self, pending: &mut PendingQueue) {
+    /// One more group entered the pipeline: assigns its id. Called under
+    /// the `pending` lock, which the close rule decides under.
+    fn group_entered(&self, pending: &mut PendingQueue) -> u64 {
+        let group = pending.next_group;
+        pending.next_group += 1;
         pending.in_flight += 1;
         self.shared.instruments.ingress_in_flight.set(pending.in_flight as u64);
+        group
     }
 
-    /// The collector published a group: one pipeline slot is free. The
-    /// count drops under the `pending` lock and the batcher is woken, so
-    /// a batcher that saw the pipeline full cannot sleep through it —
-    /// unless less than one quantum is pending, when the free slot changes
-    /// no verdict and a wake-up per group would only cost the batch path
-    /// a context switch.
+    /// A group was published: one pipeline slot is free. The count drops
+    /// under the `pending` lock and the preprocessor is woken, so one that
+    /// saw the pipeline full cannot sleep through it — unless less than
+    /// one quantum is pending, when the free slot changes no verdict and a
+    /// wake-up per group would only cost the batch path a context switch.
     pub fn group_published(&self) {
         let mut pending = self.pending.lock().expect("ingress lock");
         pending.in_flight = pending.in_flight.saturating_sub(1);
@@ -315,6 +342,17 @@ impl Ingress {
         self.pending.lock().expect("ingress lock").next_ticket
     }
 
+    /// Whether submissions are still accepted.
+    fn check_open(pending: &PendingQueue) -> Result<(), ServiceError> {
+        if pending.shutdown {
+            Err(ServiceError::ShuttingDown)
+        } else if pending.closed {
+            Err(ServiceError::Disconnected)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Validates and enqueues one request into the micro-batcher.
     pub fn submit_request(
         &self,
@@ -324,17 +362,15 @@ impl Ingress {
         self.router.validate(&request)?;
         let enqueue_ns = self.shared.now_ns();
         let mut pending = self.pending.lock().expect("ingress lock");
-        if pending.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
+        Self::check_open(&pending)?;
         let ticket = pending.next_ticket;
         pending.next_ticket += 1;
         pending.entries.push((request, RequestMeta { ticket, session, enqueue_ns }));
         self.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
-        // Wake the batcher when the first entry arms a deadline, when the
-        // queue reaches one quantum (the work trigger may now close it) or
-        // when it crosses the flush threshold; in between it is already
-        // sleeping on the right timeout, or on a publish.
+        // Wake the preprocessor when the first entry arms a deadline, when
+        // the queue reaches one quantum (the work trigger may now close
+        // it) or when it crosses the flush threshold; in between it is
+        // already sleeping on the right timeout, or on a publish.
         let len = pending.entries.len();
         if len == 1 || len == self.rule.quantum || len >= self.rule.flush_len {
             self.batcher_wake.notify_one();
@@ -346,9 +382,9 @@ impl Ingress {
 
     /// Asks the micro-batcher to coalesce everything currently pending
     /// now, without waiting for the policy's size or deadline trigger.
-    /// The batcher thread remains the only sender of micro-batched
-    /// groups, so flushing never reorders requests; this returns as soon
-    /// as the horizon is recorded (the flush itself is asynchronous — a
+    /// The preprocessor remains the only taker of micro-batched groups,
+    /// so flushing never reorders requests; this returns as soon as the
+    /// horizon is recorded (the flush itself is asynchronous — a
     /// subsequent `wait` observes it).
     pub fn flush(&self) -> Result<(), ServiceError> {
         let mut pending = self.pending.lock().expect("ingress lock");
@@ -357,145 +393,163 @@ impl Ingress {
         Ok(())
     }
 
-    /// Sends one pre-coalesced batch as a group, blocking on
-    /// backpressure. Returns the batch's request-ticket range. An empty
-    /// batch is complete as submitted: nothing is sent.
-    pub fn submit_batch(&self, requests: Vec<Request>) -> Result<(u64, u64), ServiceError> {
+    /// Queues one pre-coalesced batch as a group. While `queue_depth`
+    /// batches are already queued it blocks, or — without `block` — fails
+    /// fast, handing the batch back inside [`ServiceError::Backpressure`].
+    /// Tickets are issued and the batch is queued under one lock, so a
+    /// rejected batch leaves no gap. Returns the batch's request-ticket
+    /// range; an empty batch is complete as submitted: nothing is queued.
+    pub fn submit_batch(
+        &self,
+        requests: Vec<Request>,
+        block: bool,
+    ) -> Result<(u64, u64), ServiceError> {
         for request in &requests {
             self.router.validate(request)?;
         }
-        let now = self.shared.now_ns();
+        let enqueue_ns = self.shared.now_ns();
+        let mut pending = self.pending.lock().expect("ingress lock");
+        loop {
+            Self::check_open(&pending)?;
+            if requests.is_empty() {
+                return Ok((pending.next_ticket, 0));
+            }
+            if pending.ready.len() < self.queue_depth {
+                break;
+            }
+            if !block {
+                return Err(ServiceError::Backpressure(requests));
+            }
+            pending = self.ready_space.wait(pending).expect("ingress wait");
+        }
+        let first = pending.next_ticket;
         let len = requests.len() as u64;
-        let first = {
-            let mut pending = self.pending.lock().expect("ingress lock");
-            if pending.shutdown {
-                return Err(ServiceError::ShuttingDown);
-            }
-            let first = pending.next_ticket;
-            pending.next_ticket += len;
-            if len > 0 {
-                self.group_entered(&mut pending);
-            }
-            first
-        };
-        if len == 0 {
-            return Ok((first, 0));
-        }
-        let entries: Vec<(Request, RequestMeta)> = requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, request)| {
-                (request, RequestMeta { ticket: first + i as u64, session: 0, enqueue_ns: now })
-            })
-            .collect();
-        if !self.send_group(entries, Vec::new(), None) {
-            return Err(ServiceError::Disconnected);
-        }
+        pending.next_ticket += len;
+        pending.ready.push_back(Ready::Batch { requests, first, enqueue_ns });
+        self.batcher_wake.notify_one();
+        drop(pending);
         self.shared.instruments.ingress_submitted.add(len);
         Ok((first, len))
     }
 
-    /// As [`submit_batch`](Self::submit_batch), but failing fast instead
-    /// of blocking when the pipeline queue is full; the batch is handed
-    /// back inside [`ServiceError::Backpressure`]. The ticket counter is
-    /// only advanced on success, so a rejected batch leaves no gap.
-    pub fn try_submit_batch(&self, requests: Vec<Request>) -> Result<(u64, u64), ServiceError> {
-        for request in &requests {
-            self.router.validate(request)?;
-        }
-        let now = self.shared.now_ns();
-        let len = requests.len() as u64;
-        // Lock order everywhere is pending → sender; holding `pending`
-        // across the non-blocking try_send lets a rejected batch roll the
-        // ticket counter back without racing other submitters.
-        let mut pending = self.pending.lock().expect("ingress lock");
-        if pending.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
-        let first = pending.next_ticket;
-        if len == 0 {
-            return Ok((first, 0));
-        }
-        let metas: Vec<RequestMeta> = (0..len)
-            .map(|i| RequestMeta { ticket: first + i, session: 0, enqueue_ns: now })
-            .collect();
-        // try_lock, not lock: the micro-batcher holds the sender mutex
-        // across its own *blocking* send when the pipeline queue is full,
-        // and fail-fast semantics must not wait that out (nor stall every
-        // submit_request behind the `pending` lock held here).
-        let mut sender = match self.sender.try_lock() {
-            Ok(sender) => sender,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                return Err(ServiceError::Backpressure(requests));
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => {
-                return Err(ServiceError::Disconnected);
-            }
-        };
-        let Some(tx) = sender.tx.as_ref() else {
-            return Err(ServiceError::Disconnected);
-        };
-        let group = sender.next_group;
-        let msg = EngineMsg::Group {
-            group,
-            requests,
-            meta: GroupMeta { coalesce_ns: now, requests: metas },
-        };
-        match tx.try_send(msg) {
-            Ok(()) => {
-                self.note_group_sent(group, now, now, len as usize, 0, None);
-                self.shared.instruments.ingress_submitted.add(len);
-                sender.next_group += 1;
-                pending.next_ticket += len;
-                self.group_entered(&mut pending);
-                Ok((first, len))
-            }
-            Err(TrySendError::Full(EngineMsg::Group { requests, .. })) => {
-                Err(ServiceError::Backpressure(requests))
-            }
-            Err(_) => Err(ServiceError::Disconnected),
-        }
-    }
-
-    /// Orders a stats reset behind every group already sent.
+    /// Orders a stats reset behind every group already queued, blocking
+    /// while the queue is full.
     pub fn send_reset(&self) -> Result<(), ServiceError> {
-        let sender = self.sender.lock().expect("sender lock");
-        let Some(tx) = sender.tx.as_ref() else {
+        let mut pending = self.pending.lock().expect("ingress lock");
+        while pending.ready.len() >= self.queue_depth && !pending.closed {
+            pending = self.ready_space.wait(pending).expect("ingress wait");
+        }
+        if pending.closed {
             return Err(ServiceError::Disconnected);
-        };
-        tx.send(EngineMsg::ResetStats).map_err(|_| ServiceError::Disconnected)
+        }
+        pending.ready.push_back(Ready::Reset);
+        self.batcher_wake.notify_one();
+        Ok(())
     }
 
-    /// Stops accepting new requests and tells the batcher to flush and
-    /// exit.
+    /// Stops accepting new requests and tells the preprocessor to drain
+    /// what is queued and exit.
     pub fn begin_shutdown(&self) {
         self.pending.lock().expect("ingress lock").shutdown = true;
         self.batcher_wake.notify_all();
+        self.ready_space.notify_all();
     }
 
-    /// Drops the pipeline sender, closing the engine end to end. Called
-    /// after the batcher has exited.
-    pub fn close_channel(&self) {
-        self.sender.lock().expect("sender lock").tx.take();
+    /// The preprocessor has exited, however it exited: submissions fail
+    /// with [`ServiceError::Disconnected`] from now on instead of queueing
+    /// work nobody will take. Runs from the preprocessor's drop guard,
+    /// possibly mid-panic, so a poisoned lock is entered.
+    pub fn close(&self) {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.ready_space.notify_all();
     }
 
-    /// Bookkeeping for a group the pipeline accepted: the `groups` counter
-    /// and the coalesce span (oldest queued request → group formation),
-    /// naming the close rule's trigger (none for a pre-coalesced batch).
-    fn note_group_sent(
+    /// The preprocessor's side: the next group, or reset barrier, to
+    /// handle. The close rule is asked first, so a request past its
+    /// deadline is never starved by a stream of batches; when it says
+    /// wait, the oldest queued batch or marker is taken instead. While a
+    /// reset marker is queued, everything up to and including it goes
+    /// first, so requests still pending at `reset_stats()` land after the
+    /// barrier. With nothing to take, returns [`Taken::Idle`] when `hold`
+    /// is set (the caller holds work back that it must release first), and
+    /// otherwise sleeps as long as the rule says.
+    pub fn take(&self, hold: bool) -> Taken {
+        let mut pending = self.pending.lock().expect("ingress lock");
+        loop {
+            let now_ns = self.shared.now_ns();
+            let verdict = if pending.ready.iter().any(|r| matches!(r, Ready::Reset)) {
+                None
+            } else {
+                let view = QueueView {
+                    len: pending.entries.len(),
+                    oldest: pending.entries.first().map(|(_, m)| (m.enqueue_ns, m.ticket)),
+                    flush_horizon: pending.flush_horizon,
+                    shutdown: pending.shutdown,
+                    last_close_ns: pending.last_close_ns,
+                    in_flight: pending.in_flight,
+                };
+                Some(self.rule.decide(&view, now_ns))
+            };
+            if let Some(Close::Take { n, pads, trigger }) = verdict {
+                let (requests, metas): (Vec<Request>, Vec<RequestMeta>) =
+                    pending.entries.drain(..n).unzip();
+                self.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
+                pending.last_close_ns = now_ns;
+                let mut pad_cursor = pending.pad_cursor;
+                pending.pad_cursor = pad_cursor.wrapping_add(pads as u64);
+                let group = self.group_entered(&mut pending);
+                drop(pending);
+                let pads = self.cadence_pads(pads, &mut pad_cursor);
+                return self.group(group, requests, metas, pads, Some(trigger), now_ns);
+            }
+            if let Some(ready) = pending.ready.pop_front() {
+                self.ready_space.notify_one();
+                let Ready::Batch { requests, first, enqueue_ns } = ready else {
+                    return Taken::Reset { before_group: pending.next_group };
+                };
+                let group = self.group_entered(&mut pending);
+                drop(pending);
+                let metas = (first..first + requests.len() as u64)
+                    .map(|ticket| RequestMeta { ticket, session: 0, enqueue_ns })
+                    .collect();
+                return self.group(group, requests, metas, Vec::new(), None, now_ns);
+            }
+            pending = match verdict {
+                Some(Close::Exit) => return Taken::Exit,
+                _ if hold => return Taken::Idle,
+                Some(Close::Wait(Some(until))) => {
+                    let timeout = Duration::from_nanos(until.saturating_sub(now_ns));
+                    self.batcher_wake.wait_timeout(pending, timeout).expect("ingress wait").0
+                }
+                _ => self.batcher_wake.wait(pending).expect("ingress wait"),
+            };
+        }
+    }
+
+    /// Assembles a taken group: `pads` are cadence-padding reads appended
+    /// after the genuine requests — they carry no metadata (no tickets)
+    /// and the preprocessor discards their outputs. Records the coalesce
+    /// span (oldest queued request → group formation), naming the close
+    /// rule's trigger (none for a pre-coalesced batch), and counts the
+    /// group.
+    fn group(
         &self,
         group: u64,
-        oldest_ns: u64,
-        coalesce_ns: u64,
-        len: usize,
-        pads: usize,
+        mut requests: Vec<Request>,
+        metas: Vec<RequestMeta>,
+        pads: Vec<Request>,
         trigger: Option<Trigger>,
-    ) {
+        coalesce_ns: u64,
+    ) -> Taken {
+        let len = metas.len();
+        let pad_tail = pads.len();
+        requests.extend(pads);
         self.shared.instruments.groups.inc();
         if let Some(flight) = self.shared.flight.as_deref() {
+            let oldest_ns = metas.iter().map(|m| m.enqueue_ns).min().unwrap_or(coalesce_ns);
             let mut detail = format!("requests={len}");
-            if pads > 0 {
-                let _ = write!(detail, " cadence_pads={pads}");
+            if pad_tail > 0 {
+                let _ = write!(detail, " cadence_pads={pad_tail}");
             }
             if let Some(trigger) = trigger {
                 let _ = write!(detail, " trigger={}", trigger.as_str());
@@ -509,51 +563,7 @@ impl Ingress {
                 detail: Some(detail),
             });
         }
-    }
-
-    /// Assigns the next group id and sends, blocking on backpressure.
-    /// On failure the group's tickets are voided so they stop counting
-    /// as outstanding. `pads` are cadence-padding reads appended after
-    /// the genuine requests: they carry no metadata (no tickets) and the
-    /// preprocessor discards their outputs. `trigger` is the close rule's,
-    /// for the span. Returns whether the pipeline accepted the group.
-    fn send_group(
-        &self,
-        entries: Vec<(Request, RequestMeta)>,
-        pads: Vec<Request>,
-        trigger: Option<Trigger>,
-    ) -> bool {
-        let coalesce_ns = self.shared.now_ns();
-        let mut requests = Vec::with_capacity(entries.len() + pads.len());
-        let mut metas = Vec::with_capacity(entries.len());
-        for (request, meta) in entries {
-            requests.push(request);
-            metas.push(meta);
-        }
-        let pad_tail = pads.len();
-        requests.extend(pads);
-        let len = metas.len();
-        let oldest_ns = metas.iter().map(|m| m.enqueue_ns).min().unwrap_or(coalesce_ns);
-        let mut sender = self.sender.lock().expect("sender lock");
-        let Some(tx) = sender.tx.as_ref() else {
-            self.completions.void(&metas);
-            return false;
-        };
-        let group = sender.next_group;
-        let msg =
-            EngineMsg::Group { group, requests, meta: GroupMeta { coalesce_ns, requests: metas } };
-        match tx.send(msg) {
-            Ok(()) => {
-                self.note_group_sent(group, oldest_ns, coalesce_ns, len, pad_tail, trigger);
-                sender.next_group += 1;
-                true
-            }
-            Err(err) => {
-                let EngineMsg::Group { meta, .. } = err.0 else { unreachable!("sent a Group") };
-                self.completions.void(&meta.requests);
-                false
-            }
-        }
+        Taken::Group { group, requests, meta: GroupMeta { coalesce_ns, requests: metas } }
     }
 
     /// `count` cadence-padding reads: rotating row picks over the hosted
@@ -570,57 +580,6 @@ impl Ingress {
                 Request::read(table, index)
             })
             .collect()
-    }
-}
-
-/// The micro-batcher thread: asks the [`CloseRule`] what to do with the
-/// pending queue, sleeps as long as it says, and sends each group it
-/// closes — until the rule says the shutdown drain is over (or the
-/// pipeline is gone).
-pub(crate) fn run_batcher(ingress: Arc<Ingress>) {
-    let mut pad_cursor = 0u64;
-    let mut last_close_ns = 0u64;
-    loop {
-        let (chunk, pads, trigger) = {
-            let mut pending = ingress.pending.lock().expect("batcher lock");
-            loop {
-                let view = QueueView {
-                    len: pending.entries.len(),
-                    oldest: pending.entries.first().map(|(_, m)| (m.enqueue_ns, m.ticket)),
-                    flush_horizon: pending.flush_horizon,
-                    shutdown: pending.shutdown,
-                    last_close_ns,
-                    in_flight: pending.in_flight,
-                };
-                let now_ns = ingress.shared.now_ns();
-                match ingress.rule.decide(&view, now_ns) {
-                    Close::Exit => return,
-                    Close::Take { n, pads, trigger } => {
-                        let chunk: Vec<(Request, RequestMeta)> =
-                            pending.entries.drain(..n).collect();
-                        ingress.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
-                        ingress.group_entered(&mut pending);
-                        break (chunk, pads, trigger);
-                    }
-                    Close::Wait(None) => {
-                        pending = ingress.batcher_wake.wait(pending).expect("batcher wait");
-                    }
-                    Close::Wait(Some(until)) => {
-                        let timeout = Duration::from_nanos(until.saturating_sub(now_ns));
-                        pending = ingress
-                            .batcher_wake
-                            .wait_timeout(pending, timeout)
-                            .expect("batcher wait")
-                            .0;
-                    }
-                }
-            }
-        };
-        let pads = ingress.cadence_pads(pads, &mut pad_cursor);
-        if !ingress.send_group(chunk, pads, Some(trigger)) {
-            return;
-        }
-        last_close_ns = ingress.shared.now_ns();
     }
 }
 

@@ -25,7 +25,7 @@
 //!   ([`RequestTiming`]); p50/p95/p99 latency histograms are folded into
 //!   [`ServiceStats::request_latency`].
 //! * **Counted once** — every statistic lives in one metrics registry,
-//!   written by one pipeline stage (the collector, as it emits a group);
+//!   written once per group, as it is emitted in group order;
 //!   [`ServiceStats`] is a view over it and
 //!   [`reset_stats`](LaoramService::reset_stats) takes a baseline instead
 //!   of zeroing anything. A [`TelemetrySpec`] adds spans, a sampler and
@@ -73,17 +73,19 @@
 //!   [`table_status`](LaoramService::table_status) /
 //!   [`ServiceReport::table_status`] report recovered-vs-fresh per
 //!   table. See `docs/PERSISTENCE.md` for the crash-recovery matrix.
-//! * **Pipelined** — a dedicated preprocessor thread bins and
-//!   path-assigns group `N+1` (via the resumable
+//! * **Pipelined** — one preprocessor thread closes each group and bins
+//!   and path-assigns group `N+1` (via the resumable
 //!   [`SuperblockPlanner`](laoram_core::SuperblockPlanner)) while the
 //!   shard workers serve group `N`, handing each worker double-buffered
 //!   [`SuperblockPlan`](laoram_core::SuperblockPlan) windows over
-//!   channels. Per-stage timestamps ([`PipelineStats`], [`BatchTiming`])
-//!   make the overlap observable.
-//! * **Backpressured** — the pipeline queue is bounded;
-//!   [`submit`](LaoramService::submit) blocks,
-//!   [`try_submit`](LaoramService::try_submit) rejects, and the
-//!   micro-batcher stalls its flushes when serving falls behind.
+//!   channels; the worker that completes a group publishes it.
+//!   Per-stage timestamps ([`PipelineStats`], [`BatchTiming`]) make the
+//!   overlap observable.
+//! * **Backpressured** — the queue of pre-coalesced batches is bounded
+//!   ([`ServiceConfig::queue_depth`]): [`submit`](LaoramService::submit)
+//!   blocks and [`try_submit`](LaoramService::try_submit) rejects. The
+//!   micro-batcher closes a group early only while the pipeline has a
+//!   free slot, so when serving falls behind requests wait in its queue.
 //!
 //! # Security model & leakage notes
 //!
@@ -165,8 +167,8 @@
 //!   of that shape must document its leakage budget before it ships; the
 //!   ROADMAP tracks this as an explicit trade-off study.
 //! * **Telemetry output.** The engine always counts into one metrics
-//!   registry ([`ServiceStats`] is a view over it, written by the
-//!   collector as it emits each group), but counting without export adds
+//!   registry ([`ServiceStats`] is a view over it, written as each group
+//!   is emitted), but counting without export adds
 //!   no observer: without a [`TelemetrySpec`] the registry can only be
 //!   read through [`LaoramService::stats`]. Enabling [`TelemetrySpec`]
 //!   creates a new
@@ -650,6 +652,59 @@ mod tests {
         assert_eq!(stats.merged.real_accesses, 32);
         assert_eq!(stats.pad_accesses, 0);
         assert_eq!(stats.shards.iter().map(|s| s.routed).sum::<u64>(), 32);
+        service.shutdown().unwrap();
+    }
+
+    #[test]
+    fn requests_pending_at_reset_land_after_the_barrier() {
+        // A 30 s deadline holds the three requests (under one quantum) in
+        // the micro-batcher until flush(), which comes after the reset:
+        // the batch queued ahead of the marker lands before the barrier,
+        // the pending requests after it, whatever the preprocessor's
+        // timing.
+        let policy = BatchPolicy::new().max_delay(std::time::Duration::from_secs(30));
+        let mut service = LaoramService::start(two_shard_config().batch_policy(policy)).unwrap();
+        let tickets: Vec<_> =
+            (0..3).map(|i| service.submit_request(Request::read(0, i)).unwrap()).collect();
+        service.submit((0..64).map(|i| Request::read(0, i)).collect()).unwrap();
+        service.reset_stats().unwrap();
+        service.flush().unwrap();
+        for ticket in tickets {
+            service.wait(ticket).unwrap();
+        }
+        service.drain().unwrap();
+        assert_eq!(service.stats().requests_completed, 3);
+        service.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_batch_stream_does_not_starve_a_pending_request() {
+        // 200 batches back to back keep the queue of depth 2 full for far
+        // longer than the 5 ms deadline of one session read, which must
+        // still be served in between; a second read submitted once the
+        // loop is over stamps its end on the engine's clock.
+        let policy = BatchPolicy::new().max_delay(std::time::Duration::from_millis(5));
+        let mut service = LaoramService::start(
+            ServiceConfig::new()
+                .table(TableSpec::new("t0", 4096).shards(2).superblock_size(4).seed(7))
+                .queue_depth(2)
+                .batch_policy(policy),
+        )
+        .unwrap();
+        let batches: Vec<Vec<Request>> = (0..200u32)
+            .map(|b| (0..128).map(|i| Request::read(0, (b * 61 + i) % 4096)).collect())
+            .collect();
+        let session = service.session();
+        let read = session.read(0, 1).unwrap();
+        for batch in batches {
+            service.submit(batch).unwrap();
+        }
+        let loop_end = session.read(0, 2).unwrap();
+        service.flush().unwrap();
+        let read_done = service.wait(read).unwrap().timing.complete_ns;
+        let loop_end_ns = service.wait(loop_end).unwrap().timing.enqueue_ns;
+        assert!(read_done < loop_end_ns, "the read waited out the whole batch stream");
+        service.drain().unwrap();
         service.shutdown().unwrap();
     }
 

@@ -664,10 +664,13 @@ impl Default for TelemetrySpec {
 pub struct ServiceConfig {
     /// The hosted tables; request `table` fields index into this list.
     pub tables: Vec<TableSpec>,
-    /// Capacity of the bounded ingress queue, in groups. Submitting past
-    /// it blocks ([`submit`](crate::LaoramService::submit)) or rejects
+    /// Capacity of the bounded queue of pre-coalesced batches (and
+    /// [`reset_stats`](crate::LaoramService::reset_stats) markers) waiting
+    /// for the preprocessor. Submitting past it blocks
+    /// ([`submit`](crate::LaoramService::submit)) or rejects
     /// ([`try_submit`](crate::LaoramService::try_submit)) — the service's
-    /// backpressure.
+    /// backpressure. Individually submitted requests wait in the
+    /// micro-batcher instead, under its [`BatchPolicy`].
     pub queue_depth: usize,
     /// Micro-batching policy for individually submitted requests.
     pub batch_policy: BatchPolicy,
@@ -737,7 +740,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the ingress queue depth (in groups).
+    /// Sets the ingress queue depth (in queued batches).
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;

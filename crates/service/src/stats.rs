@@ -216,7 +216,7 @@ impl ServiceStats {
 
 /// The engine's lifetime totals as a [`ServiceStats`]: every counter is
 /// read straight from the registry (the shards' [`AccessStats`] from the
-/// cumulative copies the collector publishes beside it). The window
+/// cumulative copies published beside it as groups are emitted). The window
 /// fields — `batches`, the overlap figures, `worker_errors`,
 /// `worst_imbalance` — are left empty for [`build_stats`] to fill.
 pub(crate) fn lifetime_totals(shared: &Shared, inner: &SharedInner) -> ServiceStats {
@@ -334,7 +334,7 @@ fn window_overlap(window: &[BatchTiming]) -> (u64, u64) {
 }
 
 /// The statistics since the last reset barrier: registry totals minus
-/// the baseline the collector stored there.
+/// the baseline stored there.
 pub(crate) fn build_stats(shared: &Shared) -> ServiceStats {
     let mut stats = {
         let inner = shared.inner.lock().expect("stats lock");

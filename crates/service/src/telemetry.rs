@@ -51,7 +51,7 @@ pub(crate) struct WorkerInstruments {
 
 /// The engine's instrument set — always present, and the only place the
 /// engine counts anything. The ingress writes `service.ingress.*`; every
-/// other instrument is written by the collector when a group is emitted.
+/// other instrument is written when a group is emitted.
 /// Whether an operator can *read* the registry is a separate matter,
 /// gated on [`TelemetrySpec`] (see [`Flight`]).
 pub(crate) struct Instruments {

@@ -247,3 +247,17 @@ fn groups_close_by_work_long_before_the_deadline() {
     let report = service.shutdown().expect("shutdown");
     assert_eq!(report.truncated_requests, 0);
 }
+
+/// Dropping the engine handle without `shutdown()` stops its pipeline: a
+/// session that outlives the handle is refused instead of feeding threads
+/// nobody will ever join.
+#[test]
+fn dropping_the_handle_shuts_the_engine_down() {
+    let service = LaoramService::start(
+        ServiceConfig::new().table(TableSpec::new("t", 64).shards(2).superblock_size(4)),
+    )
+    .expect("start");
+    let session = service.session();
+    drop(service);
+    assert!(matches!(session.read(0, 1), Err(ServiceError::ShuttingDown)));
+}
