@@ -17,12 +17,13 @@
 //! Two kinds of thread: one preprocessor and one worker per shard. The
 //! preprocessor is the paper's dataset-scan + path-generation stage
 //! (§IV-B): whenever it is free for a group it asks the micro-batcher's
-//! close rule (or takes the oldest queued batch), then, while shard
-//! workers serve group `N`, it bins group `N+1` and draws its superblock
-//! paths, and stages the resulting [`SuperblockPlan`] into each worker's
-//! double-buffered queue. Workers opportunistically stage the next window
-//! *before* serving the current one, so block flushes exit toward their
-//! next-window paths and the steady state survives group boundaries.
+//! close rule or takes the oldest queued batch — the two take turns —
+//! then, while shard workers serve group `N`, it bins group `N+1` and
+//! draws its superblock paths, and stages the resulting
+//! [`SuperblockPlan`] into each worker's double-buffered queue. Workers
+//! opportunistically stage the next window *before* serving the current
+//! one, so block flushes exit toward their next-window paths and the
+//! steady state survives group boundaries.
 //! Per-stage timestamps are recorded so the overlap is observable, not
 //! just asserted.
 //!
@@ -151,6 +152,30 @@ pub(crate) struct SharedInner {
 }
 
 impl Shared {
+    /// The state of an engine with one worker per `worker_homes` entry,
+    /// its clock started at `start`, nothing counted yet.
+    pub(crate) fn new(
+        start: Instant,
+        worker_homes: Vec<(usize, u32)>,
+        flight: Option<Arc<Flight>>,
+    ) -> Self {
+        let workers = worker_homes.len();
+        Shared {
+            start,
+            worker_homes,
+            inner: Mutex::new(SharedInner {
+                worker_stats: vec![AccessStats::new(); workers],
+                worker_errors: vec![None; workers],
+                worker_disk_io: vec![None; workers],
+                worst_imbalance: 0.0,
+                batch_timing: VecDeque::new(),
+                baseline: None,
+            }),
+            instruments: Instruments::new(workers),
+            flight,
+        }
+    }
+
     pub(crate) fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }

@@ -318,7 +318,6 @@ impl Drop for Seat<'_> {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::VecDeque;
     use std::time::Instant;
 
     use super::*;
@@ -328,20 +327,7 @@ mod tests {
     /// An engine with `workers` shard workers and no threads: the
     /// reassembly is driven by hand.
     fn engine(completions: &Arc<CompletionShared>, workers: usize) -> (Arc<Shared>, Reassembly) {
-        let shared = Arc::new(Shared {
-            start: Instant::now(),
-            worker_homes: vec![(0, 0); workers],
-            inner: Mutex::new(SharedInner {
-                worker_stats: vec![AccessStats::new(); workers],
-                worker_errors: vec![None; workers],
-                worker_disk_io: vec![None; workers],
-                worst_imbalance: 0.0,
-                batch_timing: VecDeque::new(),
-                baseline: None,
-            }),
-            instruments: Instruments::new(workers),
-            flight: None,
-        });
+        let shared = Arc::new(Shared::new(Instant::now(), vec![(0, 0); workers], None));
         let router = Arc::new(ShardRouter::new(&[TableSpec::new("t", 8)]).expect("router"));
         let ingress =
             Arc::new(Ingress::new(router, Arc::clone(&shared), &BatchPolicy::new(), 1, 1));

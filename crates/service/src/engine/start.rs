@@ -5,21 +5,20 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use laoram_core::{LaOram, LaOramConfig, SuperblockPlanner};
 use laoram_telemetry::{Sampler, SpanRecord};
-use oram_protocol::AccessStats;
 use oram_tree::{DiskStore, DiskStoreConfig, DynBucketStore, StateSnapshot, StoreTelemetry};
 
 use super::preprocessor::run_preprocessor;
 use super::reassembly::Reassembly;
 use super::worker::run_worker;
-use super::{LaoramService, ShardClient, Shared, SharedInner, WorkerMsg};
+use super::{LaoramService, ShardClient, Shared, WorkerMsg};
 use crate::completion::CompletionShared;
 use crate::ingress::Ingress;
-use crate::telemetry::{Flight, Instruments};
+use crate::telemetry::Flight;
 use crate::{
     DiskBackendSpec, ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend,
     TableRecovery, TableSpec, TableStatus,
@@ -324,20 +323,7 @@ impl LaoramService {
             })
             .collect();
 
-        let shared = Arc::new(Shared {
-            start,
-            worker_homes,
-            inner: Mutex::new(SharedInner {
-                worker_stats: vec![AccessStats::new(); num_workers],
-                worker_errors: vec![None; num_workers],
-                worker_disk_io: vec![None; num_workers],
-                worst_imbalance: 0.0,
-                batch_timing: VecDeque::new(),
-                baseline: None,
-            }),
-            instruments: Instruments::new(num_workers),
-            flight,
-        });
+        let shared = Arc::new(Shared::new(start, worker_homes, flight));
 
         // The periodic sampler, when a cadence was configured: a fixed
         // interval by design — never load-adaptive — so the sampling

@@ -93,9 +93,13 @@ struct PendingQueue {
     /// Tickets below this must flush without waiting for a trigger
     /// ([`Ingress::flush`]).
     flush_horizon: u64,
-    /// When the previous micro-batched group was taken (0 before the
-    /// first): the cadence grid's anchor.
+    /// When the preprocessor last came back for work (0 before the
+    /// first take): the cadence grid's anchor.
     last_close_ns: u64,
+    /// The last group taken was closed by the rule: the oldest `ready`
+    /// entry, if any, goes before the rule is asked again, so neither
+    /// queue can starve the other.
+    ready_turn: bool,
     /// Rotating cursor choosing cadence-padding rows.
     pad_cursor: u64,
     shutdown: bool,
@@ -112,8 +116,8 @@ struct QueueView {
     oldest: Option<(u64, u64)>,
     flush_horizon: u64,
     shutdown: bool,
-    /// When the previous group finished entering the pipeline (0 before
-    /// the first).
+    /// When the preprocessor last came back for work, having finished
+    /// dispatching the previous group (0 before the first).
     last_close_ns: u64,
     /// Groups in the pipeline, not yet published.
     in_flight: usize,
@@ -298,6 +302,7 @@ impl Ingress {
                 in_flight: 0,
                 flush_horizon: 0,
                 last_close_ns: 0,
+                ready_turn: false,
                 pad_cursor: 0,
                 shutdown: false,
                 closed: false,
@@ -465,19 +470,25 @@ impl Ingress {
     }
 
     /// The preprocessor's side: the next group, or reset barrier, to
-    /// handle. The close rule is asked first, so a request past its
-    /// deadline is never starved by a stream of batches; when it says
-    /// wait, the oldest queued batch or marker is taken instead. While a
-    /// reset marker is queued, everything up to and including it goes
-    /// first, so requests still pending at `reset_stats()` land after the
-    /// barrier. With nothing to take, returns [`Taken::Idle`] when `hold`
-    /// is set (the caller holds work back that it must release first), and
-    /// otherwise sleeps as long as the rule says.
+    /// handle. The close rule and the queued batches and markers take
+    /// turns — the rule first, a queued entry when it says wait or right
+    /// after a rule-closed group — so neither side waits for more than
+    /// one group of the other. While a reset marker is queued, everything
+    /// up to and including it goes first, so requests still pending at
+    /// `reset_stats()` land after the barrier. With nothing to take,
+    /// returns [`Taken::Idle`] when `hold` is set (the caller holds work
+    /// back that it must release first), and otherwise sleeps as long as
+    /// the rule says. The cadence grid restarts from each call: a tick
+    /// that passed while the preprocessor was blocked dispatching is
+    /// skipped, never closed late, off the grid.
     pub fn take(&self, hold: bool) -> Taken {
         let mut pending = self.pending.lock().expect("ingress lock");
+        pending.last_close_ns = self.shared.now_ns();
         loop {
             let now_ns = self.shared.now_ns();
-            let verdict = if pending.ready.iter().any(|r| matches!(r, Ready::Reset)) {
+            let ready_first = !pending.ready.is_empty()
+                && (pending.ready_turn || pending.ready.iter().any(|r| matches!(r, Ready::Reset)));
+            let verdict = if ready_first {
                 None
             } else {
                 let view = QueueView {
@@ -494,7 +505,7 @@ impl Ingress {
                 let (requests, metas): (Vec<Request>, Vec<RequestMeta>) =
                     pending.entries.drain(..n).unzip();
                 self.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
-                pending.last_close_ns = now_ns;
+                pending.ready_turn = true;
                 let mut pad_cursor = pending.pad_cursor;
                 pending.pad_cursor = pad_cursor.wrapping_add(pads as u64);
                 let group = self.group_entered(&mut pending);
@@ -504,6 +515,7 @@ impl Ingress {
             }
             if let Some(ready) = pending.ready.pop_front() {
                 self.ready_space.notify_one();
+                pending.ready_turn = false;
                 let Ready::Batch { requests, first, enqueue_ns } = ready else {
                     return Taken::Reset { before_group: pending.next_group };
                 };
@@ -588,6 +600,20 @@ mod tests {
     use super::*;
 
     const MS: u64 = 1_000_000;
+
+    /// An ingress over one 64-row table with no pipeline behind it: the
+    /// test plays the preprocessor.
+    fn ingress(policy: &BatchPolicy, quantum: usize) -> Ingress {
+        let router = Arc::new(ShardRouter::new(&[crate::TableSpec::new("t", 64)]).expect("router"));
+        let shared = Arc::new(Shared::new(std::time::Instant::now(), vec![(0, 0)], None));
+        Ingress::new(router, shared, policy, quantum, 1)
+    }
+
+    /// The group a take returned, as its coalesce time and tickets.
+    fn taken(taken: Taken) -> (u64, Vec<u64>) {
+        let Taken::Group { meta, .. } = taken else { panic!("expected a group") };
+        (meta.coalesce_ns, meta.requests.iter().map(|m| m.ticket).collect())
+    }
 
     /// `max_batch` 10 over a quantum of 4: size-triggered groups are 8 long.
     fn rule(fixed_cadence: bool) -> CloseRule {
@@ -734,6 +760,47 @@ mod tests {
             let view = QueueView { in_flight, ..queue(9, 5 * MS) };
             assert_eq!(rule.decide(&view, 5 * MS), take(8, 0, Trigger::Size));
         }
+    }
+
+    #[test]
+    fn cadence_grid_restarts_when_the_preprocessor_comes_back() {
+        // A 10 ms grid. However late the preprocessor comes back from a
+        // dispatch — here a sleep past one or more ticks — the next group
+        // closes on the first grid point after its return: the ticks it
+        // missed are skipped, never closed late, off the grid.
+        const PERIOD: u64 = 10 * MS;
+        let policy = BatchPolicy::new()
+            .max_batch(4)
+            .max_delay(Duration::from_nanos(PERIOD))
+            .fixed_cadence(true);
+        let ingress = ingress(&policy, 1);
+        let next_tick = |ns: u64| (ns / PERIOD + 1) * PERIOD;
+        assert!(taken(ingress.take(false)).0 >= PERIOD);
+        std::thread::sleep(Duration::from_nanos(5 * PERIOD / 2));
+        let back = ingress.shared.now_ns();
+        assert!(taken(ingress.take(false)).0 >= next_tick(back), "closed off the grid");
+        // Releasing held-back operations may block across ticks too.
+        assert!(matches!(ingress.take(true), Taken::Idle));
+        std::thread::sleep(Duration::from_nanos(3 * PERIOD / 2));
+        let back = ingress.shared.now_ns();
+        assert!(taken(ingress.take(false)).0 >= next_tick(back), "closed off the grid");
+    }
+
+    #[test]
+    fn the_close_rule_and_queued_batches_take_turns() {
+        // 40 pending requests keep the size trigger (groups of 8) firing
+        // five times over: a batch queued behind them goes right after
+        // the first group, and the rule goes right after the batch.
+        let policy = BatchPolicy::new().max_batch(8).max_delay(Duration::from_secs(30));
+        let ingress = ingress(&policy, 4);
+        for i in 0..40 {
+            ingress.submit_request(1, Request::read(0, i)).unwrap();
+        }
+        let (first, len) = ingress.submit_batch(vec![Request::read(0, 0); 3], false).unwrap();
+        assert_eq!((first, len), (40, 3));
+        assert_eq!(taken(ingress.take(false)).1, (0..8).collect::<Vec<_>>());
+        assert_eq!(taken(ingress.take(false)).1, vec![40, 41, 42]);
+        assert_eq!(taken(ingress.take(false)).1, (8..16).collect::<Vec<_>>());
     }
 
     #[test]

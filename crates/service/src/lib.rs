@@ -709,6 +709,63 @@ mod tests {
     }
 
     #[test]
+    fn a_request_stream_does_not_starve_a_queued_batch() {
+        // 8192 session reads keep the size trigger (groups of 64) firing
+        // for over a hundred groups. Two batches queue behind them on a
+        // queue of depth 1 — the second submit blocks until the first is
+        // taken — and the second must still be taken while at least one
+        // full group of reads is pending. The coalesce spans, in group
+        // order, count the reads taken ahead of it.
+        const STREAM: usize = 8192;
+        let policy =
+            BatchPolicy::new().max_batch(64).max_delay(std::time::Duration::from_millis(5));
+        let mut service = LaoramService::start(
+            ServiceConfig::new()
+                .table(TableSpec::new("t0", 4096).shards(2).superblock_size(4).seed(7))
+                .queue_depth(1)
+                .batch_policy(policy)
+                .telemetry(TelemetrySpec::new()),
+        )
+        .unwrap();
+        let session = service.session();
+        for i in 0..STREAM as u32 {
+            session.read(0, i * 61 % 4096).unwrap();
+        }
+        for _ in 0..2 {
+            service.submit((0..16).map(|i| Request::read(0, i)).collect()).unwrap();
+        }
+        service.drain().unwrap();
+        let dump = service.dump_flight_recorder("probe").unwrap();
+        let mut coalesced: Vec<_> =
+            dump.spans.iter().filter(|s| s.stage == "ingress.coalesce").collect();
+        coalesced.sort_by_key(|s| s.group);
+        let (mut reads_ahead, mut batches) = (0, 0);
+        for span in coalesced {
+            let detail = span.detail.as_deref().unwrap();
+            let requests: usize = detail
+                .strip_prefix("requests=")
+                .and_then(|rest| rest.split(' ').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap();
+            // A pre-coalesced batch's span names no trigger.
+            if detail.contains("trigger=") {
+                reads_ahead += requests;
+            } else {
+                batches += 1;
+                if batches == 2 {
+                    break;
+                }
+            }
+        }
+        assert_eq!(batches, 2);
+        assert!(
+            reads_ahead + 64 <= STREAM,
+            "the second batch waited out the request backlog ({reads_ahead} reads went first)"
+        );
+        service.shutdown().unwrap();
+    }
+
+    #[test]
     fn fetch_update_trains_in_one_access_per_row() {
         let layout = OptimizerLayout::sgd(2);
         let mut service = LaoramService::start(

@@ -505,9 +505,10 @@ pub(crate) fn disk_slot_bytes(spec: &TableSpec) -> u64 {
 /// anchored at engine start, **regardless of offered load**, and is always
 /// one size-triggered group long: short (or empty) groups are padded with
 /// dummy reads of rotating rows, a backlog waits for the next tick. A tick
-/// that passes while the previous group is still blocked on pipeline
-/// backpressure is skipped, not queued, so size `max_delay` to fit one
-/// group's service time. [`flush`](crate::LaoramService::flush) is ignored
+/// that passes while the preprocessor is still dispatching the previous
+/// group (or a queued batch), blocked on pipeline backpressure, is
+/// skipped, not queued, so size `max_delay` to fit one group's service
+/// time. [`flush`](crate::LaoramService::flush) is ignored
 /// — an on-demand boundary would be load-dependent again — and shutdown
 /// drains what is pending unpadded. The cost is a constant background
 /// workload of `max_batch / max_delay` accesses per second even when the
