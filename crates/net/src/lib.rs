@@ -12,19 +12,22 @@
 //! ```text
 //! clients ──TCP──▶ listener ─▶ reactor pool ─▶ admission ─▶ DRR fair queue
 //!                                 │  ▲                          │
-//!                                 │  └── response frames ◀──────┤ dispatcher
-//!                                 ▼                             ▼
-//!                            per-conn buffers          Session::submit →
-//!                                 ▲                      LAORAM pipeline
-//!                                 └──── completion pump ◀─── completions
+//!                 HelloAck, errors│  └── WouldBlock leftovers   │ dispatcher:
+//!                                 ▼                             ▼ submit + route
+//!                              sockets ◀── completion pump ◀── LAORAM pipeline
 //! ```
 //!
 //! Everything is `std::net` + threads — the workspace vendors no async
-//! runtime. Sockets run non-blocking; each **reactor** thread owns a
-//! set of connections and alternates short read/write passes with a
-//! parked sleep, the **dispatcher** drains the fair queue into the
-//! engine, and the **completion pump** claims engine completions and
-//! routes each back to its owning connection's write buffer.
+//! runtime. The listener blocks in `accept`. Each **reactor** thread
+//! owns the read side of a set of non-blocking sockets and polls them,
+//! parking briefly when nothing moves — the one polling loop, since std
+//! has no `poll(2)`. The **dispatcher** drains the fair queue into the
+//! engine and records each ticket's route in the same critical section
+//! as its submit. The **completion pump** parks while that route table
+//! is empty, blocks on the engine's completion queue otherwise, and
+//! writes each claimed batch of responses to the sockets itself.
+//! Whoever queues a frame writes it; a reactor only flushes what a
+//! `WouldBlock` left behind.
 //!
 //! Each connection handshakes to a per-tenant engine
 //! [`Session`](laoram_service::Session); the tenant id it declares is

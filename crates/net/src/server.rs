@@ -1,17 +1,20 @@
 //! The TCP serving tier: listener, reactor pool, fair-queue dispatcher,
 //! and completion pump.
 //!
-//! Everything here is `std::net` + threads — sockets run non-blocking
-//! and each **reactor** thread owns a disjoint set of connections,
-//! alternating read/parse/write passes with a short parked sleep when
-//! nothing moves. Parsed requests pass admission control and land in
-//! the per-tenant DRR [`FairQueue`]; one **dispatcher** thread drains
-//! the queue into the engine via each connection's
-//! [`Session`](laoram_service::Session); one **completion pump** thread
-//! polls the engine's completion queue and routes each completion back
-//! to its owning connection's write buffer — or, when that connection
-//! has dropped mid-flight, claims and discards it so the ticket ledger
-//! never leaks.
+//! Everything here is `std::net` + threads. The **listener** blocks in
+//! `accept`. Each **reactor** owns a disjoint set of non-blocking sockets
+//! and polls them for reads, parking briefly when nothing moves: the one
+//! polling loop left, since std has no `poll(2)`. Parsed requests pass
+//! admission control and land in the per-tenant DRR [`FairQueue`]; one
+//! **dispatcher** drains it into the engine via each connection's
+//! [`Session`](laoram_service::Session), inserting every ticket's route
+//! in the same critical section as its submit. One **completion pump**
+//! parks while that route table is empty, blocks on the engine's
+//! completion queue otherwise, and writes each claimed batch to the
+//! sockets itself — or, when a connection dropped mid-flight, claims and
+//! discards its responses so the ticket ledger never leaks. Whoever
+//! queues a frame writes it; a reactor only flushes what a `WouldBlock`
+//! left behind.
 //!
 //! ## Shutdown
 //!
@@ -22,17 +25,18 @@
 //! routes every remaining in-flight completion before the sockets
 //! close. Responses whose connection disappeared are counted in
 //! [`NetReport::discarded_responses`] and folded into the service
-//! report's `truncated_requests`.
+//! report's `truncated_requests`. Dropping a running [`NetServer`] runs
+//! the same drain and joins every thread, the engine's included.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use laoram_service::{LaoramService, Request, ServiceError, ServiceReport, Session};
+use laoram_service::{Completion, LaoramService, Request, ServiceError, ServiceReport, Session};
 
 use crate::admission::{AdmissionController, AdmissionVerdict};
 use crate::fairness::FairQueue;
@@ -45,13 +49,14 @@ use crate::{NetError, Result};
 /// How long the dispatcher waits on the fair queue before re-checking
 /// shutdown state.
 const DISPATCH_WAIT: Duration = Duration::from_millis(20);
-/// Reactor / pump parked sleep when no bytes or completions moved: the
-/// price of polling non-blocking sockets without `poll(2)`. An idle round
-/// trip pays up to one sleep on each side; a busy reactor or pump never
-/// sleeps.
+/// Reactor parked sleep when no bytes moved: the price of polling
+/// non-blocking sockets for reads without `poll(2)`. An idle request pays
+/// up to one sleep before its frame is parsed; a busy reactor never sleeps.
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 /// Hard ceiling on waiting for in-flight requests during shutdown.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
+/// Most completions the pump claims, and writes, per round.
+const PUMP_BATCH: usize = 256;
 
 /// Tuning knobs for [`NetServer::start`].
 #[derive(Debug, Clone)]
@@ -167,10 +172,31 @@ struct PendingRoute {
     tenant: u64,
 }
 
+/// Engine ticket id → response route. Under one lock and condvar the
+/// table is also the dispatch credit (the dispatcher waits while it holds
+/// [`LaoramService::pipeline_capacity`] routes), the pump's wake-up (it
+/// parks while the table is empty) and shutdown's drain condition.
+///
+/// The credit keeps a saturating tenant's backlog in the [`FairQueue`],
+/// where DRR arbitrates it, instead of draining wholesale into the
+/// engine's FIFO. It is what the engine's in-flight groups can hold:
+/// every pipeline slot stays busy, and a late tenant waits behind at most
+/// that many forwarded requests.
+#[derive(Default)]
+struct Routes {
+    map: HashMap<u64, PendingRoute>,
+    /// Nothing more will be routed: shutdown's drain ended, or the engine
+    /// disconnected. No wait on the table outlasts this.
+    closed: bool,
+}
+
 /// Connection state shared between its reactor and the dispatcher/pump
 /// threads (which hold it via queue items and pending routes).
 struct ConnShared {
     session: Session,
+    /// Read only by the owning reactor; written by whichever thread
+    /// queues a frame, under `outbound`.
+    stream: TcpStream,
     tenant: AtomicU64,
     hello_done: AtomicBool,
     /// Protocol version negotiated at Hello (0 until the handshake):
@@ -178,77 +204,89 @@ struct ConnShared {
     /// version-1 connection.
     version: AtomicU64,
     open: AtomicBool,
+    /// Encoded frames the socket has not taken yet. Writers encode and
+    /// write under this lock, so frames never interleave.
     outbound: Mutex<Vec<u8>>,
 }
 
 impl ConnShared {
-    /// Queues a frame on the connection's write buffer (no-op once the
-    /// connection is closed — its reactor will never flush again).
-    fn enqueue(&self, frame: &Frame, state: &NetState) {
+    /// Queues one frame and writes what the socket takes now.
+    fn send(&self, frame: &Frame, state: &NetState) {
+        if self.queue(frame, state) {
+            self.flush();
+        }
+    }
+
+    /// Encodes a frame onto the outbound buffer without writing it.
+    /// Returns `false` (a no-op) once the connection is closed.
+    fn queue(&self, frame: &Frame, state: &NetState) -> bool {
         if !self.open.load(Ordering::Acquire) {
-            return;
+            return false;
         }
         frame.encode_into(&mut self.outbound.lock().expect("outbound lock"));
         state.frames_out.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Writes queued bytes until the socket would block, keeping the rest
+    /// for the reactor. A failed write closes the connection. Returns
+    /// whether any byte moved.
+    fn flush(&self) -> bool {
+        let mut outbound = self.outbound.lock().expect("outbound lock");
+        let mut written = 0;
+        while written < outbound.len() {
+            match (&self.stream).write(&outbound[written..]) {
+                Ok(n) if n > 0 => written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                _ => {
+                    // Peer gone: nothing queued can be delivered.
+                    outbound.clear();
+                    self.open.store(false, Ordering::Release);
+                    return written > 0;
+                }
+            }
+        }
+        outbound.drain(..written);
+        written > 0
+    }
+
+    /// Sends a typed error frame: `id` names the refused request, or is
+    /// [`CONNECTION_ERROR_ID`] for the connection.
+    fn refuse(&self, id: u64, code: ErrorCode, message: &str, state: &NetState) {
+        self.send(&Frame::Error { id, code, message: message.to_owned() }, state);
+    }
+
+    fn has_outbound(&self) -> bool {
+        !self.outbound.lock().expect("outbound lock").is_empty()
+    }
+
+    /// Closes the connection for good. In-flight routes and queued
+    /// requests still hold this `ConnShared`, and with it the socket, so
+    /// dropping the reactor's handle would not close it: shut it down.
+    fn retire(&self) {
+        self.open.store(false, Ordering::Release);
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
 /// One reactor's handoff slot for freshly accepted connections.
-type IntakeSlot = Mutex<Vec<(TcpStream, Arc<ConnShared>)>>;
-
-/// The dispatcher's bounded in-engine credit: the engine's
-/// micro-batcher accepts submissions without blocking, so the
-/// dispatcher throttles itself — it parks here once `cap` of its
-/// submissions are still uncompleted, and the pump frees slots as it
-/// claims completions. This is what keeps a saturating tenant's backlog
-/// sitting in the [`FairQueue`] (where DRR arbitrates it) instead of
-/// draining wholesale into the engine's FIFO. `cap` is what the engine's
-/// in-flight groups can hold ([`LaoramService::pipeline_capacity`]):
-/// enough to keep every pipeline slot busy, and no more, so a late
-/// tenant waits behind at most that many forwarded requests.
-struct DispatchWindow {
-    cap: u64,
-    in_engine: Mutex<u64>,
-    freed: Condvar,
-}
-
-impl DispatchWindow {
-    /// Blocks until a slot is free (or the server is stopping, so the
-    /// drain can finish) and takes it.
-    fn acquire(&self, state: &NetState) {
-        let mut in_engine = self.in_engine.lock().expect("dispatch window lock");
-        while *in_engine >= self.cap && !state.stop.load(Ordering::Acquire) {
-            let (guard, _) =
-                self.freed.wait_timeout(in_engine, DISPATCH_WAIT).expect("dispatch window wait");
-            in_engine = guard;
-        }
-        *in_engine += 1;
-    }
-
-    /// Returns `n` slots and wakes the dispatcher.
-    fn release(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let mut in_engine = self.in_engine.lock().expect("dispatch window lock");
-        *in_engine = in_engine.saturating_sub(n);
-        drop(in_engine);
-        self.freed.notify_one();
-    }
-}
+type IntakeSlot = Mutex<Vec<Arc<ConnShared>>>;
 
 /// State shared by every serving-tier thread.
 struct NetState {
     service: LaoramService,
     admission: AdmissionController,
     queue: FairQueue<QueuedRequest>,
-    window: DispatchWindow,
-    /// Engine ticket id → response route.
-    pending: Mutex<HashMap<u64, PendingRoute>>,
+    routes: Mutex<Routes>,
+    /// Signalled when the route table fills from empty, frees credit,
+    /// empties, or closes.
+    routes_changed: Condvar,
+    /// The dispatch credit, [`LaoramService::pipeline_capacity`].
+    credit: usize,
     /// Shutdown has begun: stop accepting connections and new requests.
     draining: AtomicBool,
-    /// Drain is complete: reactors flush once more and exit, the pump
-    /// exits when the completion queue is empty.
+    /// Drain is complete: reactors flush once more and exit.
     stop: AtomicBool,
     max_frame_bytes: usize,
     /// Per-reactor handoff of freshly accepted connections.
@@ -260,7 +298,9 @@ struct NetState {
     frames_out: AtomicU64,
 }
 
-/// A running serving tier over one [`LaoramService`].
+/// A running serving tier over one [`LaoramService`]. Dropping it without
+/// [`shutdown`](Self::shutdown) drains and joins the same way, then drops
+/// the engine.
 pub struct NetServer {
     state: Arc<NetState>,
     local_addr: SocketAddr,
@@ -279,10 +319,9 @@ impl NetServer {
     /// [`NetError::Io`] when the bind fails.
     pub fn start(service: LaoramService, config: NetServerConfig) -> Result<NetServer> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let reactors = config.reactors.max(1);
-        let credit = service.pipeline_capacity();
+        let credit = service.pipeline_capacity() as usize;
         let state = Arc::new(NetState {
             service,
             admission: AdmissionController::new(
@@ -290,8 +329,9 @@ impl NetServer {
                 config.max_inflight_per_tenant,
             ),
             queue: FairQueue::new(config.drr_quantum),
-            window: DispatchWindow { cap: credit, in_engine: Mutex::new(0), freed: Condvar::new() },
-            pending: Mutex::new(HashMap::new()),
+            routes: Mutex::new(Routes::default()),
+            routes_changed: Condvar::new(),
+            credit,
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             max_frame_bytes: config.max_frame_bytes,
@@ -302,46 +342,36 @@ impl NetServer {
             frames_in: AtomicU64::new(0),
             frames_out: AtomicU64::new(0),
         });
-
-        let listener_handle = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("laoram-net-listener".to_owned())
-                .spawn(move || run_listener(&listener, &state))
-                .map_err(NetError::Io)?
-        };
-        let reactor_handles = (0..reactors)
-            .map(|idx| {
-                let state = Arc::clone(&state);
-                std::thread::Builder::new()
-                    .name(format!("laoram-net-reactor-{idx}"))
-                    .spawn(move || run_reactor(idx, &state))
-                    .map_err(NetError::Io)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let dispatcher_handle = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("laoram-net-dispatch".to_owned())
-                .spawn(move || run_dispatcher(&state))
-                .map_err(NetError::Io)?
-        };
-        let pump_handle = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("laoram-net-pump".to_owned())
-                .spawn(move || run_pump(&state))
-                .map_err(NetError::Io)?
-        };
-
-        Ok(NetServer {
+        // Built before the first spawn, so a failed spawn drops it and
+        // `Drop` joins the threads already running.
+        let mut server = NetServer {
             state,
             local_addr,
-            listener: Some(listener_handle),
-            reactors: reactor_handles,
-            dispatcher: Some(dispatcher_handle),
-            pump: Some(pump_handle),
-        })
+            listener: None,
+            reactors: Vec::with_capacity(reactors),
+            dispatcher: None,
+            pump: None,
+        };
+        server.pump = Some(server.spawn("laoram-net-pump".to_owned(), run_pump)?);
+        server.dispatcher = Some(server.spawn("laoram-net-dispatch".to_owned(), run_dispatcher)?);
+        for idx in 0..reactors {
+            let reactor = server
+                .spawn(format!("laoram-net-reactor-{idx}"), move |state| run_reactor(idx, state))?;
+            server.reactors.push(reactor);
+        }
+        server.listener = Some(server.spawn("laoram-net-listener".to_owned(), move |state| {
+            run_listener(&listener, state);
+        })?);
+        Ok(server)
+    }
+
+    fn spawn(
+        &self,
+        name: String,
+        body: impl FnOnce(&NetState) + Send + 'static,
+    ) -> Result<JoinHandle<()>> {
+        let state = Arc::clone(&self.state);
+        std::thread::Builder::new().name(name).spawn(move || body(&state)).map_err(NetError::Io)
     }
 
     /// The bound address (resolves the port when binding to `:0`).
@@ -360,36 +390,11 @@ impl NetServer {
     ///
     /// # Errors
     /// [`NetError::Service`] when the engine's own shutdown fails.
-    pub fn shutdown(mut self) -> Result<NetReport> {
-        // 1. Stop accepting connections and new requests.
-        self.state.draining.store(true, Ordering::Release);
-        // 2. Let the dispatcher drain the fair queue into the engine.
-        self.state.queue.close();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-        // 3. Flush the micro-batcher so queued requests form a group,
-        //    then wait for the pump to route every in-flight completion.
-        let _ = self.state.service.flush();
-        let deadline = Instant::now() + DRAIN_DEADLINE;
-        while !self.state.pending.lock().expect("pending lock").is_empty()
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // 4. Stop the pump and reactors (one final write flush each).
-        self.state.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.pump.take() {
-            let _ = handle.join();
-        }
-        for handle in self.reactors.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.listener.take() {
-            let _ = handle.join();
-        }
-
-        let state = Arc::try_unwrap(self.state)
+    pub fn shutdown(self) -> Result<NetReport> {
+        let state = Arc::clone(&self.state);
+        // Drains and joins every serving thread (see `stop`).
+        drop(self);
+        let state = Arc::try_unwrap(state)
             .map_err(|_| NetError::Handshake("serving threads leaked state".to_owned()))?;
         let (overloaded_refusals, throttled_refusals) = state.admission.refusals();
         let tenants_seen = state.admission.tenants_seen();
@@ -412,6 +417,74 @@ impl NetServer {
             frames_out: state.frames_out.load(Ordering::Relaxed),
         })
     }
+
+    /// Drains and joins every serving thread; a no-op once it has run.
+    fn stop(&mut self) {
+        let state = &self.state;
+        if state.stop.load(Ordering::Acquire) {
+            return;
+        }
+        // 1. Stop accepting connections and new requests. The listener is
+        //    blocked in `accept`, so hand it one connection to return with;
+        //    if even that fails, leave it detached rather than wait forever.
+        state.draining.store(true, Ordering::Release);
+        let mut wake_addr = self.local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Some(handle) = self.listener.take() {
+            if let Ok(_wake) = TcpStream::connect(wake_addr) {
+                let _ = handle.join();
+            }
+        }
+        // 2. Let the dispatcher drain the fair queue into the engine.
+        state.queue.close();
+        if let Some(handle) = self.dispatcher.take() {
+            let _ = handle.join();
+        }
+        // 3. Flush the micro-batcher so queued requests form a group,
+        //    then wait for the pump to route every in-flight completion.
+        let _ = state.service.flush();
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        // `Drop` runs this too, so a lock poisoned by a panicked serving
+        // thread is entered, not unwrapped: every update leaves the table
+        // valid.
+        let mut routes = state.routes.lock().unwrap_or_else(PoisonError::into_inner);
+        while !routes.map.is_empty() && !routes.closed {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
+            routes = match state.routes_changed.wait_timeout(routes, left) {
+                Ok((routes, _)) => routes,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+        }
+        // 4. Close the table: the pump ends once it has written the batch
+        //    in hand, and what it never routed is counted as discarded.
+        routes.closed = true;
+        state.routes_changed.notify_all();
+        drop(routes);
+        if let Some(handle) = self.pump.take() {
+            let _ = handle.join();
+        }
+        let orphaned =
+            std::mem::take(&mut state.routes.lock().unwrap_or_else(PoisonError::into_inner).map);
+        state.discarded_responses.fetch_add(orphaned.len() as u64, Ordering::Relaxed);
+        // 5. Reactors flush once more and retire every connection.
+        state.stop.store(true, Ordering::Release);
+        for handle in self.reactors.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for NetServer {
+    fn drop(&mut self) {
+        // A server dropped without shutdown() must not leak its threads
+        // or keep its port open; after shutdown() this is a no-op.
+        self.stop();
+    }
 }
 
 impl std::fmt::Debug for NetServer {
@@ -420,79 +493,69 @@ impl std::fmt::Debug for NetServer {
     }
 }
 
-/// Accept loop: hands fresh connections to reactors round-robin.
-fn run_listener(listener: &TcpListener, state: &Arc<NetState>) {
+/// Accept loop: blocks in `accept` and hands fresh connections to
+/// reactors round-robin. Returns on the first connection after shutdown
+/// begins — shutdown's own wake-up connect, which is not counted.
+fn run_listener(listener: &TcpListener, state: &NetState) {
     let mut next_reactor = 0usize;
-    while !state.draining.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let conn = Arc::new(ConnShared {
-                    session: state.service.session(),
-                    tenant: AtomicU64::new(0),
-                    hello_done: AtomicBool::new(false),
-                    version: AtomicU64::new(0),
-                    open: AtomicBool::new(true),
-                    outbound: Mutex::new(Vec::new()),
-                });
-                state.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                let slot = next_reactor % state.intake.len();
-                next_reactor = next_reactor.wrapping_add(1);
-                state.intake[slot].lock().expect("intake lock").push((stream, conn));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+    loop {
+        let accepted = listener.accept();
+        if state.draining.load(Ordering::Acquire) {
+            return;
         }
+        let Ok((stream, _peer)) = accepted else { continue };
+        if stream.set_nonblocking(true).is_err() {
+            continue;
+        }
+        let _ = stream.set_nodelay(true);
+        let conn = Arc::new(ConnShared {
+            session: state.service.session(),
+            stream,
+            tenant: AtomicU64::new(0),
+            hello_done: AtomicBool::new(false),
+            version: AtomicU64::new(0),
+            open: AtomicBool::new(true),
+            outbound: Mutex::new(Vec::new()),
+        });
+        state.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        let slot = next_reactor % state.intake.len();
+        next_reactor = next_reactor.wrapping_add(1);
+        state.intake[slot].lock().expect("intake lock").push(conn);
     }
 }
 
 /// One connection as seen by its owning reactor.
 struct ConnIo {
-    stream: TcpStream,
     shared: Arc<ConnShared>,
     rbuf: Vec<u8>,
-    /// Bytes swapped out of `shared.outbound`, partially written.
-    wbuf: Vec<u8>,
-    written: usize,
-    /// Peer sent Goodbye: close once the write buffer drains.
+    /// Peer sent Goodbye: close once the outbound buffer drains.
     closing: bool,
 }
 
-/// Reactor loop: intake, then read/parse/write passes over owned
-/// connections, parking briefly when nothing moves.
-fn run_reactor(idx: usize, state: &Arc<NetState>) {
+/// Reactor loop: intake, then read/parse passes over owned connections
+/// plus a flush of whatever a writer's `WouldBlock` left behind, parking
+/// briefly when nothing moves.
+fn run_reactor(idx: usize, state: &NetState) {
     let mut conns: Vec<ConnIo> = Vec::new();
     let mut chunk = vec![0u8; 64 * 1024];
     loop {
-        for (stream, shared) in state.intake[idx].lock().expect("intake lock").drain(..) {
-            conns.push(ConnIo {
-                stream,
-                shared,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                written: 0,
-                closing: false,
-            });
+        for shared in state.intake[idx].lock().expect("intake lock").drain(..) {
+            conns.push(ConnIo { shared, rbuf: Vec::new(), closing: false });
         }
         let stopping = state.stop.load(Ordering::Acquire);
         let mut progress = false;
         conns.retain_mut(|conn| {
-            let alive = step_conn(conn, state, &mut chunk, &mut progress);
-            if !alive || stopping {
-                // Final best-effort flush for a stopping server; a dead
-                // connection's flush already happened inside step_conn.
-                if stopping && alive {
-                    let _ = flush_writes(conn, &mut false);
-                }
-                conn.shared.open.store(false, Ordering::Release);
-                return false;
+            let alive = if stopping {
+                // Final best-effort flush for a stopping server.
+                conn.shared.flush();
+                false
+            } else {
+                step_conn(conn, state, &mut chunk, &mut progress)
+            };
+            if !alive {
+                conn.shared.retire();
             }
-            true
+            alive
         });
         if stopping {
             break;
@@ -503,27 +566,24 @@ fn run_reactor(idx: usize, state: &Arc<NetState>) {
     }
 }
 
-/// One read/parse/write pass. Returns `false` when the connection is
-/// done (peer closed, protocol violation, or Goodbye drained).
-fn step_conn(
-    conn: &mut ConnIo,
-    state: &Arc<NetState>,
-    chunk: &mut [u8],
-    progress: &mut bool,
-) -> bool {
-    if flush_writes(conn, progress).is_err() {
+/// One flush/read/parse pass. Returns `false` when the connection is
+/// done (peer closed, write failed, protocol violation, or Goodbye
+/// drained).
+fn step_conn(conn: &mut ConnIo, state: &NetState, chunk: &mut [u8], progress: &mut bool) -> bool {
+    *progress |= conn.shared.flush();
+    if !conn.shared.open.load(Ordering::Acquire) {
         return false;
     }
     if conn.closing {
         // Goodbye received: no more reads, close once drained.
-        return !write_buffers_empty(conn);
+        return conn.shared.has_outbound();
     }
 
     // Read pass: pull everything available. EOF is remembered, not
     // acted on yet — frames that arrived ahead of the FIN still count.
     let mut eof = false;
     loop {
-        match conn.stream.read(chunk) {
+        match (&conn.shared.stream).read(chunk) {
             Ok(0) => {
                 eof = true;
                 break;
@@ -538,7 +598,8 @@ fn step_conn(
         }
     }
 
-    // Parse pass: handle every complete frame buffered so far.
+    // Parse pass: handle every complete frame buffered so far. Each
+    // answer is written as it is queued.
     let mut consumed = 0usize;
     let mut alive = true;
     while alive {
@@ -556,82 +617,48 @@ fn step_conn(
                     FrameError::Oversized { .. } => ErrorCode::Oversized,
                     FrameError::Malformed(_) => ErrorCode::Malformed,
                 };
-                conn.shared.enqueue(
-                    &Frame::Error { id: CONNECTION_ERROR_ID, code, message: err.to_string() },
-                    state,
-                );
+                conn.shared.refuse(CONNECTION_ERROR_ID, code, &err.to_string(), state);
                 alive = false;
             }
         }
     }
     conn.rbuf.drain(..consumed);
     if !alive {
-        // Best-effort flush of the farewell error frame.
-        let _ = flush_writes(conn, progress);
         return false;
     }
     if eof {
         // The peer finished writing without a Goodbye: an implicit
         // farewell. The frames that did arrive were handled above and
         // flow through the normal truncation accounting (dispatcher
-        // drops, pump discards) once the connection closes below.
+        // drops, pump discards) once the connection closes.
         conn.closing = true;
-        let _ = flush_writes(conn, progress);
-        return !write_buffers_empty(conn);
+        return conn.shared.has_outbound();
     }
     true
 }
 
-/// Moves queued outbound bytes onto the socket without blocking.
-fn flush_writes(conn: &mut ConnIo, progress: &mut bool) -> std::io::Result<()> {
-    loop {
-        if conn.written == conn.wbuf.len() {
-            conn.wbuf.clear();
-            conn.written = 0;
-            let mut shared = conn.shared.outbound.lock().expect("outbound lock");
-            std::mem::swap(&mut *shared, &mut conn.wbuf);
-            if conn.wbuf.is_empty() {
-                return Ok(());
-            }
-        }
-        match conn.stream.write(&conn.wbuf[conn.written..]) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                conn.written += n;
-                *progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn write_buffers_empty(conn: &ConnIo) -> bool {
-    conn.written == conn.wbuf.len()
-        && conn.shared.outbound.lock().expect("outbound lock").is_empty()
-}
-
 /// Applies one parsed frame. Returns `false` to close the connection.
-fn handle_frame(conn: &mut ConnIo, state: &Arc<NetState>, parsed: Frame) -> bool {
+fn handle_frame(conn: &mut ConnIo, state: &NetState, parsed: Frame) -> bool {
     let hello_done = conn.shared.hello_done.load(Ordering::Acquire);
+    let refuse = |id, code, message: &str| conn.shared.refuse(id, code, message, state);
+    // Protocol violations are connection-fatal.
+    let fatal = |code, message: &str| {
+        refuse(CONNECTION_ERROR_ID, code, message);
+        false
+    };
     match parsed {
         Frame::Hello { version, tenant } => {
             if hello_done {
-                refuse_conn(conn, state, ErrorCode::Malformed, "duplicate Hello");
-                return false;
+                return fatal(ErrorCode::Malformed, "duplicate Hello");
             }
             if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                refuse_conn(
-                    conn,
-                    state,
+                return fatal(
                     ErrorCode::UnsupportedVersion,
                     &format!(
                         "server speaks versions {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
                          client sent {version}"
                     ),
                 );
-                return false;
             }
             conn.shared.tenant.store(tenant, Ordering::Release);
             conn.shared.version.store(u64::from(version), Ordering::Release);
@@ -639,48 +666,26 @@ fn handle_frame(conn: &mut ConnIo, state: &Arc<NetState>, parsed: Frame) -> bool
             // The negotiated version is the client's: a version-1 client
             // gets a version-1 conversation from a version-2 server.
             conn.shared
-                .enqueue(&Frame::HelloAck { version, session: conn.shared.session.id() }, state);
+                .send(&Frame::HelloAck { version, session: conn.shared.session.id() }, state);
             true
         }
         Frame::Request { id, table, index, op } => {
             if !hello_done {
-                refuse_conn(conn, state, ErrorCode::Malformed, "Request before Hello");
-                return false;
+                return fatal(ErrorCode::Malformed, "Request before Hello");
             }
             if state.draining.load(Ordering::Acquire) {
-                conn.shared.enqueue(
-                    &Frame::Error {
-                        id,
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is draining".to_owned(),
-                    },
-                    state,
-                );
+                refuse(id, ErrorCode::ShuttingDown, "server is draining");
                 return true;
             }
             let tenant = conn.shared.tenant.load(Ordering::Acquire);
             match state.admission.try_admit(tenant) {
                 AdmissionVerdict::Admitted => {}
                 AdmissionVerdict::Overloaded => {
-                    conn.shared.enqueue(
-                        &Frame::Error {
-                            id,
-                            code: ErrorCode::Overloaded,
-                            message: "global in-flight cap reached".to_owned(),
-                        },
-                        state,
-                    );
+                    refuse(id, ErrorCode::Overloaded, "global in-flight cap reached");
                     return true;
                 }
                 AdmissionVerdict::TenantThrottled => {
-                    conn.shared.enqueue(
-                        &Frame::Error {
-                            id,
-                            code: ErrorCode::TenantThrottled,
-                            message: "tenant in-flight cap reached".to_owned(),
-                        },
-                        state,
-                    );
+                    refuse(id, ErrorCode::TenantThrottled, "tenant in-flight cap reached");
                     return true;
                 }
             }
@@ -692,13 +697,10 @@ fn handle_frame(conn: &mut ConnIo, state: &Arc<NetState>, parsed: Frame) -> bool
                 WireOp::FetchUpdate(update) => {
                     if conn.shared.version.load(Ordering::Acquire) < 2 {
                         state.admission.release(tenant);
-                        conn.shared.enqueue(
-                            &Frame::Error {
-                                id,
-                                code: ErrorCode::UnsupportedVersion,
-                                message: "fetch_update requires protocol version 2".to_owned(),
-                            },
-                            state,
+                        refuse(
+                            id,
+                            ErrorCode::UnsupportedVersion,
+                            "fetch_update requires protocol version 2",
                         );
                         return true;
                     }
@@ -708,34 +710,23 @@ fn handle_frame(conn: &mut ConnIo, state: &Arc<NetState>, parsed: Frame) -> bool
             let queued = QueuedRequest { conn: Arc::clone(&conn.shared), req_id: id, request };
             if !state.queue.push(tenant, queued) {
                 state.admission.release(tenant);
-                conn.shared.enqueue(
-                    &Frame::Error {
-                        id,
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is draining".to_owned(),
-                    },
-                    state,
-                );
+                refuse(id, ErrorCode::ShuttingDown, "server is draining");
             }
             true
         }
         Frame::MetricsRequest => {
             if !hello_done {
-                refuse_conn(conn, state, ErrorCode::Malformed, "MetricsRequest before Hello");
-                return false;
+                return fatal(ErrorCode::Malformed, "MetricsRequest before Hello");
             }
             match state.service.telemetry_prometheus() {
                 Some(text) => {
-                    conn.shared.enqueue(&Frame::MetricsResponse { text }, state);
+                    conn.shared.send(&Frame::MetricsResponse { text }, state);
                 }
                 None => {
-                    conn.shared.enqueue(
-                        &Frame::Error {
-                            id: CONNECTION_ERROR_ID,
-                            code: ErrorCode::Internal,
-                            message: "telemetry is disabled on this engine".to_owned(),
-                        },
-                        state,
+                    refuse(
+                        CONNECTION_ERROR_ID,
+                        ErrorCode::Internal,
+                        "telemetry is disabled on this engine",
                     );
                 }
             }
@@ -751,32 +742,21 @@ fn handle_frame(conn: &mut ConnIo, state: &Arc<NetState>, parsed: Frame) -> bool
         | Frame::Response { .. }
         | Frame::Error { .. }
         | Frame::MetricsResponse { .. } => {
-            refuse_conn(conn, state, ErrorCode::Malformed, "client sent a server-only frame");
-            false
+            fatal(ErrorCode::Malformed, "client sent a server-only frame")
         }
     }
 }
 
-/// Queues a connection-level error frame ahead of closing.
-fn refuse_conn(conn: &mut ConnIo, state: &Arc<NetState>, code: ErrorCode, message: &str) {
-    conn.shared.enqueue(
-        &Frame::Error { id: CONNECTION_ERROR_ID, code, message: message.to_owned() },
-        state,
-    );
-}
-
 /// Dispatcher loop: DRR visits over the fair queue, submitting each
 /// served request through its connection's engine session.
-fn run_dispatcher(state: &Arc<NetState>) {
-    loop {
-        let Some(batch) = state.queue.pop_visit(DISPATCH_WAIT) else {
-            // Closed and drained: shutdown path.
-            return;
-        };
-        // Collect the visit's routes and insert them under one lock:
-        // `pending` is contended with the completion pump, and a lock
-        // round-trip per request costs real throughput on small hosts.
-        let mut routes: Vec<(u64, PendingRoute)> = Vec::new();
+fn run_dispatcher(state: &NetState) {
+    while let Some(batch) = state.queue.pop_visit(DISPATCH_WAIT) {
+        let mut refused = Vec::new();
+        // One lock per visit: each route is inserted in the same critical
+        // section as its submit (which only takes the engine's ingress
+        // lock and never blocks), so the pump can never claim a ticket
+        // whose route does not exist yet.
+        let mut routes = state.routes.lock().expect("routes lock");
         for (tenant, item) in batch {
             if !item.conn.open.load(Ordering::Acquire) {
                 // The connection died while the request sat in the
@@ -785,33 +765,28 @@ fn run_dispatcher(state: &Arc<NetState>) {
                 state.dropped_requests.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            state.window.acquire(state);
+            while routes.map.len() >= state.credit && !routes.closed {
+                routes = state.routes_changed.wait(routes).expect("routes wait");
+            }
             match item.conn.session.submit(item.request) {
                 Ok(ticket) => {
-                    routes.push((
-                        ticket.id(),
-                        PendingRoute { conn: item.conn, req_id: item.req_id, tenant },
-                    ));
+                    if routes.map.is_empty() {
+                        // The pump parks on an empty table.
+                        state.routes_changed.notify_all();
+                    }
+                    let route = PendingRoute { conn: item.conn, req_id: item.req_id, tenant };
+                    routes.map.insert(ticket.id(), route);
                 }
-                Err(err) => {
-                    state.window.release(1);
-                    state.admission.release(tenant);
-                    item.conn.enqueue(
-                        &Frame::Error {
-                            id: item.req_id,
-                            code: error_code_of(&err),
-                            message: err.to_string(),
-                        },
-                        state,
-                    );
-                }
+                Err(err) => refused.push((tenant, item.conn, item.req_id, err)),
             }
         }
-        if !routes.is_empty() {
-            let mut pending = state.pending.lock().expect("pending lock");
-            for (id, route) in routes {
-                pending.insert(id, route);
-            }
+        drop(routes);
+        for (tenant, conn, id, err) in refused {
+            state.admission.release(tenant);
+            conn.send(
+                &Frame::Error { id, code: error_code_of(&err), message: err.to_string() },
+                state,
+            );
         }
     }
 }
@@ -830,76 +805,72 @@ fn error_code_of(err: &ServiceError) -> ErrorCode {
     }
 }
 
-/// Completion pump: claims engine completions and routes each to its
-/// connection — or discards it (counted) when the connection dropped.
-fn run_pump(state: &Arc<NetState>) {
-    // Completions claimed before their route landed in `pending`: the
-    // dispatcher inserts routes *after* `submit` returns (batched per
-    // DRR visit), and a fast engine plus an unlucky preemption can
-    // complete a request inside that gap. Stash and retry — the insert
-    // is always coming.
-    let mut unrouted: Vec<laoram_service::Completion> = Vec::new();
-    let mut claimed: Vec<laoram_service::Completion> = Vec::new();
+/// Completion pump: parks while no request is in flight, otherwise blocks
+/// on the engine's completion queue, then writes each claimed batch to
+/// its connections — once per connection — or discards a response
+/// (counted) whose connection dropped.
+fn run_pump(state: &NetState) {
+    let mut claimed: Vec<Completion> = Vec::with_capacity(PUMP_BATCH);
     loop {
-        while claimed.len() < 256 {
+        {
+            let mut routes = state.routes.lock().expect("routes lock");
+            while routes.map.is_empty() && !routes.closed {
+                routes = state.routes_changed.wait(routes).expect("routes wait");
+            }
+            if routes.closed {
+                return;
+            }
+        }
+        // A route in the table is a ticket issued and not yet claimed, so
+        // this blocks until the engine publishes one.
+        match state.service.complete_blocking() {
+            Ok(completion) => claimed.push(completion),
+            Err(_) => {
+                // The engine's pipeline is gone: nothing in the table will
+                // complete. Shutdown counts what is left.
+                state.routes.lock().expect("routes lock").closed = true;
+                state.routes_changed.notify_all();
+                return;
+            }
+        }
+        while claimed.len() < PUMP_BATCH {
             match state.service.try_complete() {
                 Some(completion) => claimed.push(completion),
                 None => break,
             }
         }
-        // Every claimed completion is one dispatcher submission done
-        // with the engine: free its window slot before routing, so the
-        // dispatcher can overlap its next submit with the frame I/O.
-        state.window.release(claimed.len() as u64);
-        if claimed.is_empty() {
-            if state.stop.load(Ordering::Acquire) {
-                // The dispatcher joined before `stop` was set, so a
-                // still-missing route can never arrive.
-                let orphaned = unrouted.len() as u64;
-                if orphaned > 0 {
-                    state.discarded_responses.fetch_add(orphaned, Ordering::Relaxed);
-                }
-                return;
-            }
-            if unrouted.is_empty() {
-                std::thread::sleep(IDLE_SLEEP);
-                continue;
-            }
-        }
-        // Split routed from not-yet-routed under ONE `pending` lock —
-        // it is contended with the dispatcher, and a lock round-trip
-        // per completion costs real throughput on small hosts. Frame
-        // encoding (the payload memcpy) happens after release.
-        let mut routed: Vec<(PendingRoute, laoram_service::Completion)> = Vec::new();
-        let mut still: Vec<laoram_service::Completion> = Vec::new();
+        let mut routed = Vec::with_capacity(claimed.len());
         {
-            let mut pending = state.pending.lock().expect("pending lock");
-            for completion in unrouted.drain(..).chain(claimed.drain(..)) {
-                match pending.remove(&completion.ticket.id()) {
-                    Some(route) => routed.push((route, completion)),
-                    None => still.push(completion),
-                }
+            let mut routes = state.routes.lock().expect("routes lock");
+            let was_full = routes.map.len() >= state.credit;
+            for completion in claimed.drain(..) {
+                let route =
+                    routes.map.remove(&completion.ticket.id()).expect("routed with its submit");
+                routed.push((route, completion));
+            }
+            if was_full || routes.map.is_empty() {
+                // Credit freed for the dispatcher, or the table drained
+                // for shutdown.
+                state.routes_changed.notify_all();
             }
         }
-        unrouted = still;
-        let progressed = !routed.is_empty();
+        let mut touched: Vec<Arc<ConnShared>> = Vec::new();
         for (route, completion) in routed {
             state.admission.release(route.tenant);
-            if route.conn.open.load(Ordering::Acquire) {
-                route.conn.enqueue(
-                    &Frame::Response { id: route.req_id, output: completion.output.map(Vec::from) },
-                    state,
-                );
-            } else {
+            // `Box<[u8]>` → `Vec<u8>` reuses the allocation; the one copy
+            // of the payload is the encode into the outbound buffer.
+            let response =
+                Frame::Response { id: route.req_id, output: completion.output.map(Vec::from) };
+            if !route.conn.queue(&response, state) {
                 // Claimed and discarded: the ticket ledger stays clean
                 // even though the client vanished mid-flight.
                 state.discarded_responses.fetch_add(1, Ordering::Relaxed);
+            } else if !touched.iter().any(|conn| Arc::ptr_eq(conn, &route.conn)) {
+                touched.push(route.conn);
             }
         }
-        if !progressed {
-            // Only unrouted stragglers in hand: give the dispatcher a
-            // beat to land their routes rather than spinning the lock.
-            std::thread::sleep(IDLE_SLEEP);
+        for conn in touched {
+            conn.flush();
         }
     }
 }

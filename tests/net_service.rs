@@ -643,3 +643,80 @@ fn metrics_request_is_refused_without_a_telemetry_spec() {
     client.goodbye().expect("goodbye");
     server.shutdown().expect("shutdown");
 }
+
+/// A client that stops reading: one connection pipelines 8 MiB of 4 KiB
+/// row reads and reads nothing until every response has been queued,
+/// well past what the kernel's socket buffers hold. Writers then leave
+/// bytes behind on `WouldBlock` and the reactor flushes them as the
+/// client catches up: every response must arrive exactly once,
+/// byte-exact and in submission order.
+#[test]
+fn slow_reader_receives_every_response_in_order() {
+    const ROWS: u32 = 256;
+    const ROW_BYTES: usize = 4096;
+    const READS: u64 = 2048;
+    let row = |index: u32| -> Vec<u8> {
+        (0..ROW_BYTES).map(|b| (index as usize * 31 + b * 7) as u8).collect()
+    };
+    let config = ServiceConfig::new()
+        .table(
+            TableSpec::new("wide", ROWS)
+                .row_bytes(ROW_BYTES as u32)
+                .shards(2)
+                .superblock_size(4)
+                .seed(22),
+        )
+        .batch_policy(BatchPolicy::new().max_batch(64).max_delay(Duration::from_millis(1)))
+        .queue_depth(4);
+    let server = start_server(config, NetServerConfig::default().max_inflight_per_tenant(READS));
+    let mut client = NetClient::connect(server.local_addr(), 6).expect("connect");
+    for index in 0..ROWS {
+        client.queue_frame(&frame::Frame::Request {
+            id: u64::from(index),
+            table: 0,
+            index,
+            op: frame::WireOp::Write(row(index)),
+        });
+    }
+    client.flush().expect("send writes");
+    for _ in 0..ROWS {
+        assert!(matches!(client.recv().expect("recv write"), NetEvent::Response { .. }));
+    }
+
+    for id in 0..READS {
+        client.queue_frame(&frame::Frame::Request {
+            id,
+            table: 0,
+            index: (id % u64::from(ROWS)) as u32,
+            op: frame::WireOp::Read,
+        });
+    }
+    client.flush().expect("send reads");
+    // Read nothing until every response is queued: the in-flight count
+    // rises as the reactor admits the burst and falls back to zero as the
+    // last response is queued to the socket. (Should the whole burst come
+    // and go between two polls, the wait below ends at once and the test
+    // only loses strength.)
+    let admitted_by = std::time::Instant::now() + Duration::from_secs(1);
+    while server.inflight() == 0 && std::time::Instant::now() < admitted_by {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    while server.inflight() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for expected in 0..READS {
+        let event = client.recv_timeout(Duration::from_secs(10)).expect("recv read");
+        match event.unwrap_or_else(|| panic!("response {expected} never arrived")) {
+            NetEvent::Response { id, output } => {
+                assert_eq!(id, expected, "responses out of submission order");
+                let index = (id % u64::from(ROWS)) as u32;
+                assert!(output == Some(row(index)), "read {id} of row {index} is not the row");
+            }
+            other => panic!("read {expected} refused: {other:?}"),
+        }
+    }
+    assert_eq!(client.try_recv().expect("drain"), None, "a response arrived twice");
+    client.goodbye().expect("goodbye");
+    let report = server.shutdown().expect("shutdown");
+    assert_eq!(report.discarded_responses, 0);
+}
