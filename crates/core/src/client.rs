@@ -5,7 +5,8 @@ use std::path::{Path, PathBuf};
 
 use oram_protocol::{AccessKind, AccessObserver, AccessStats, PathOramClient, PathOramConfig};
 use oram_tree::{
-    ArenaStore, Block, BlockId, BucketStore, IdHashBuilder, LeafId, StateSnapshot, TreeGeometry,
+    ArenaStore, Block, BlockId, BucketStore, IdHashBuilder, LeafId, SnapshotFile, StateSnapshot,
+    TreeGeometry,
 };
 
 use crate::{LaOramConfig, LaOramError, OptimizerLayout, Result, RowUpdate, SuperblockPlan};
@@ -90,14 +91,15 @@ pub struct LaOram<S: BucketStore = ArenaStore> {
     /// client, which opens rows at checkout and seals them on return, so
     /// the stash and the server only ever hold ciphertext.
     cache: HashMap<BlockId, Block, IdHashBuilder>,
-    /// When set, a [`StateSnapshot`] of the client state is written
-    /// atomically here at every storage sync boundary, making the table
-    /// restartable via [`LaOram::reopen`].
-    snapshot_path: Option<PathBuf>,
-    /// Whether snapshot writes fsync before publishing.
-    snapshot_durable: bool,
+    /// When set, a [`StateSnapshot`] of the client state is rewritten in
+    /// place in this file at every storage sync boundary, making the
+    /// table restartable via [`LaOram::reopen`]. The file stays open
+    /// between syncs; each rewrite replaces a snapshot the sync before it
+    /// has already made stale.
+    snapshot: Option<SnapshotFile>,
     /// Optional flight-recorder hook: records a `core.sync` span around
-    /// each superblock-boundary storage sync + snapshot checkpoint.
+    /// each superblock-boundary storage sync + snapshot checkpoint, and a
+    /// `core.snapshot` span around the checkpoint inside it.
     telemetry: Option<oram_tree::StoreTelemetry>,
     /// Reusable id buffer for the per-bin fetch and flush loops, so the
     /// steady-state serving path stops allocating a fresh `Vec` per
@@ -222,8 +224,7 @@ impl<S: BucketStore> LaOram<S> {
             active_bin: None,
             populated,
             cache: HashMap::default(),
-            snapshot_path: None,
-            snapshot_durable: false,
+            snapshot: None,
             telemetry: None,
             scratch_ids: Vec::new(),
         })
@@ -275,19 +276,24 @@ impl<S: BucketStore> LaOram<S> {
 
     /// Enables client-state persistence: from now on, every storage sync
     /// boundary (superblock flushes and [`finish`](Self::finish)) also
-    /// writes a checksummed [`StateSnapshot`] atomically to `path`, and
+    /// rewrites a checksummed [`StateSnapshot`] in place at `path`, and
     /// the client RNG is reseeded at each capture so a restored client
-    /// ([`reopen`](Self::reopen)) continues the exact leaf sequence.
-    /// With `durable`, snapshot writes fsync before publishing.
+    /// ([`reopen`](Self::reopen)) continues the exact leaf sequence. The
+    /// file is opened (created if missing, never truncated on open) at
+    /// the first write and kept open. Each automatic rewrite follows a
+    /// store sync, so it only replaces a snapshot that is already stale;
+    /// a rewrite torn by a crash is refused at reopen as corrupt. With
+    /// `durable`, each write fsyncs the file's data before returning.
     pub fn persist_client_state(&mut self, path: impl Into<PathBuf>, durable: bool) {
-        self.snapshot_path = Some(path.into());
-        self.snapshot_durable = durable;
+        self.snapshot = Some(SnapshotFile::new(path, durable));
     }
 
     /// Attaches a flight-recorder hook. From now on each
     /// superblock-boundary storage sync (cache flushes and
     /// [`finish`](Self::finish)) records a `core.sync` span on the
-    /// hook's timeline, annotated with the stash depth it left behind.
+    /// hook's timeline, annotated with the stash depth it left behind,
+    /// and, with persistence enabled, a `core.snapshot` span inside it
+    /// around the snapshot write.
     pub fn set_telemetry(&mut self, telemetry: oram_tree::StoreTelemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -295,7 +301,7 @@ impl<S: BucketStore> LaOram<S> {
     /// Where client-state snapshots are being written, if enabled.
     #[must_use]
     pub fn snapshot_path(&self) -> Option<&Path> {
-        self.snapshot_path.as_deref()
+        self.snapshot.as_ref().map(SnapshotFile::path)
     }
 
     /// The backing store's durability generation (0 for in-memory).
@@ -304,18 +310,21 @@ impl<S: BucketStore> LaOram<S> {
         self.inner.storage_generation()
     }
 
-    /// Writes a [`StateSnapshot`] of the current client state to the
-    /// configured path (no-op when persistence is disabled). Called
-    /// automatically at sync boundaries; public so callers can force an
-    /// extra checkpoint. The client cache must be empty (snapshots
-    /// happen *between* superblocks, where every block is in the stash
-    /// or the tree).
+    /// Rewrites the configured snapshot file in place with a
+    /// [`StateSnapshot`] of the current client state (no-op when
+    /// persistence is disabled). Called automatically at sync boundaries,
+    /// right after the store sync that makes the previous snapshot
+    /// stale; public so callers can force an extra checkpoint. A forced
+    /// write at an unchanged generation overwrites a snapshot that still
+    /// matches the store, so a crash inside it leaves no valid snapshot.
+    /// The client cache must be empty (snapshots happen *between*
+    /// superblocks, where every block is in the stash or the tree).
     ///
     /// # Errors
     /// Propagates capture failures (blocks checked out) and snapshot
     /// I/O failures.
     pub fn write_snapshot(&mut self) -> Result<()> {
-        let Some(path) = self.snapshot_path.clone() else {
+        let Some(file) = self.snapshot.as_mut() else {
             return Ok(());
         };
         let state = self.inner.snapshot_state()?;
@@ -325,7 +334,7 @@ impl<S: BucketStore> LaOram<S> {
             levels: vec![state],
             root_map: Vec::new(),
         };
-        snapshot.write_atomic(&path, self.snapshot_durable)?;
+        file.publish(&snapshot)?;
         Ok(())
     }
 
@@ -739,11 +748,18 @@ impl<S: BucketStore> LaOram<S> {
     /// A durability point: flushes the store's write-back buffer (no-op
     /// for in-memory trees), then checkpoints the client state against
     /// the new generation when persistence is enabled — one `core.sync`
-    /// span around both.
+    /// span around both, and a `core.snapshot` span around the
+    /// checkpoint.
     fn sync_point(&mut self) -> Result<()> {
         let sync_start = self.telemetry.as_ref().map(|t| t.now_ns());
         self.inner.sync_storage()?;
-        self.write_snapshot()?;
+        if self.snapshot.is_some() {
+            let snapshot_start = self.telemetry.as_ref().map(|t| t.now_ns());
+            self.write_snapshot()?;
+            if let (Some(start_ns), Some(telemetry)) = (snapshot_start, self.telemetry.as_ref()) {
+                telemetry.span("core.snapshot", start_ns, None);
+            }
+        }
         if let (Some(start_ns), Some(telemetry)) = (sync_start, self.telemetry.as_ref()) {
             telemetry.span("core.sync", start_ns, Some(format!("stash={}", self.stash_len())));
         }

@@ -67,9 +67,11 @@
 //!   chosen is reported by [`LaoramService::table_backends`].
 //! * **Restartable** — a disk table with
 //!   [`DiskBackendSpec::snapshots`] checkpoints its client state
-//!   (position map, stash, RNG resume point) atomically at every
-//!   superblock sync; [`LaoramService::start`] recovers existing
-//!   store + snapshot pairs instead of recreating them, and
+//!   (position map, stash, RNG resume point) at every superblock sync,
+//!   rewriting its one snapshot file in place right after the sync that
+//!   made the previous snapshot stale; [`LaoramService::start`]
+//!   recovers existing store + snapshot pairs instead of recreating
+//!   them, and
 //!   [`table_status`](LaoramService::table_status) /
 //!   [`ServiceReport::table_status`] report recovered-vs-fresh per
 //!   table. See `docs/PERSISTENCE.md` for the crash-recovery matrix.

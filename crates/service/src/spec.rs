@@ -44,7 +44,7 @@ pub struct DiskBackendSpec {
     pub write_back_paths: usize,
     /// Whether superblock-boundary sync points fsync (durability at the
     /// cost of device flushes), and — with [`snapshots`](Self::snapshots)
-    /// — whether snapshot writes fsync before publishing.
+    /// — whether each in-place snapshot rewrite fsyncs its data.
     pub durable_sync: bool,
     /// Readahead budget per shard, in paths: the look-ahead preprocessor
     /// hints each window's superblock paths to the store, which

@@ -3,10 +3,10 @@
 //! Spans mark the lifecycle stages of a request group as it moves
 //! through the engine (`ingress.coalesce` → `prep.plan` → `shard.serve`
 //! → `group.complete`) plus backend activity (`disk.read`, `disk.flush`,
-//! `disk.prefetch`, `core.sync`) and startup (`recover.table`). They are
-//! appended to a fixed-capacity ring; when the engine hits a worker
-//! error or a startup refusal it dumps the ring as JSON, turning a
-//! post-mortem from guesswork into a timeline.
+//! `disk.prefetch`, `core.sync`, `core.snapshot`) and startup
+//! (`recover.table`). They are appended to a fixed-capacity ring; when
+//! the engine hits a worker error or a startup refusal it dumps the ring
+//! as JSON, turning a post-mortem from guesswork into a timeline.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -74,7 +74,7 @@ pub use geometry::{BucketProfile, TreeGeometry};
 pub use hash::{IdHashBuilder, IdHasher};
 pub use path::{encode_slot, PathScratch, SLOT_HEADER_BYTES};
 pub use sealing::{BlockSealer, NONCE_BYTES};
-pub use snapshot::{ClientLevelState, SnapshotBlock, StateSnapshot};
+pub use snapshot::{ClientLevelState, SnapshotBlock, SnapshotFile, StateSnapshot};
 pub use store::{BucketStore, Candidate, DynBucketStore, PathCandidates, PathSnapshot};
 pub use telemetry::StoreTelemetry;
 

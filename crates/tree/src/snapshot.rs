@@ -6,8 +6,8 @@
 //! without the *client* half: the position map (which path each block
 //! lives on), the stash (blocks currently held client-side), and a
 //! resume point for the client's RNG. [`StateSnapshot`] is the versioned,
-//! checksummed container for exactly that state, written **atomically**
-//! (temp file + rename) alongside the store at every
+//! checksummed container for exactly that state, published through a
+//! [`SnapshotFile`] alongside the store at every
 //! [`sync`](crate::BucketStore::sync) superblock boundary.
 //!
 //! # Wire format
@@ -20,9 +20,22 @@
 //! ```
 //!
 //! The payload is length-prefixed and checksummed so a torn or truncated
-//! write is detected at decode time, and the temp-file + rename protocol
-//! means the snapshot path only ever names a complete snapshot (old or
-//! new) — never a partial one.
+//! write is detected at decode time.
+//!
+//! # Publishing in place
+//!
+//! A [`SnapshotFile`] keeps its one `.snap` file open and rewrites it in
+//! place, with no temp file. A rewrite only ever replaces a snapshot the
+//! store's generation has already made stale, because a client syncs its
+//! store (bumping the generation) immediately before each automatic
+//! publish — the snapshot being overwritten could only have been
+//! refused with [`TreeError::StaleSnapshot`]. A rewrite torn by a crash
+//! leaves new bytes over old ones, which the length prefix or the
+//! checksum refuses with [`TreeError::CorruptStore`]. The one exception
+//! is a forced publish at an unchanged generation (an extra
+//! `LaOram::write_snapshot` with no sync in between, which only the
+//! benchmark's snapshot probe makes): it overwrites a snapshot that
+//! still matches the store, so a crash inside it loses that snapshot.
 //!
 //! # Crash-consistency contract
 //!
@@ -34,7 +47,8 @@
 //! [`TreeError::StaleSnapshot`] refusal exists for exactly this case;
 //! see `docs/PERSISTENCE.md` for the full crash-recovery matrix.
 
-use std::io::Write as _;
+use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::TreeError;
@@ -186,44 +200,51 @@ impl StateSnapshot {
     /// version, length prefix, payload, checksum).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, self.generation);
-        put_u64(&mut payload, self.accesses);
-        put_u32(&mut payload, self.levels.len() as u32);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// The one encoder: replaces `out`'s contents with the framed
+    /// snapshot, reusing its allocation.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(SNAP_MAGIC);
+        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        // Length prefix, patched once the payload is in place.
+        put_u64(out, 0);
+        put_u64(out, self.generation);
+        put_u64(out, self.accesses);
+        put_u32(out, self.levels.len() as u32);
         for level in &self.levels {
-            put_u64(&mut payload, level.generation);
-            put_u64(&mut payload, level.reseed);
-            put_u32(&mut payload, level.position_map.len() as u32);
+            put_u64(out, level.generation);
+            put_u64(out, level.reseed);
+            put_u32(out, level.position_map.len() as u32);
             for &leaf in &level.position_map {
-                put_u32(&mut payload, leaf);
+                put_u32(out, leaf);
             }
-            put_u32(&mut payload, level.stash.len() as u32);
+            put_u32(out, level.stash.len() as u32);
             for block in &level.stash {
-                put_u32(&mut payload, block.id);
-                put_u32(&mut payload, block.leaf);
+                put_u32(out, block.id);
+                put_u32(out, block.leaf);
                 match &block.data {
                     Some(data) => {
-                        payload.push(1);
-                        put_u32(&mut payload, data.len() as u32);
-                        payload.extend_from_slice(data);
+                        out.push(1);
+                        put_u32(out, data.len() as u32);
+                        out.extend_from_slice(data);
                     }
-                    None => payload.push(0),
+                    None => out.push(0),
                 }
             }
         }
-        put_u32(&mut payload, self.root_map.len() as u32);
+        put_u32(out, self.root_map.len() as u32);
         for &label in &self.root_map {
-            put_u32(&mut payload, label);
+            put_u32(out, label);
         }
-
-        let mut out = Vec::with_capacity(payload.len() + 28);
-        out.extend_from_slice(SNAP_MAGIC);
-        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-        put_u64(&mut out, payload.len() as u64);
-        let sum = fnv1a64(&payload);
-        out.extend_from_slice(&payload);
-        put_u64(&mut out, sum);
-        out
+        let payload_len = (out.len() - 20) as u64;
+        out[12..20].copy_from_slice(&payload_len.to_le_bytes());
+        let sum = fnv1a64(&out[20..]);
+        put_u64(out, sum);
     }
 
     /// Decodes a framed snapshot, verifying magic, version, length
@@ -313,31 +334,6 @@ impl StateSnapshot {
         Ok(StateSnapshot { generation, accesses, levels, root_map })
     }
 
-    /// Writes the snapshot atomically: the framed bytes go to a sibling
-    /// temp file which is then renamed over `path`, so `path` only ever
-    /// names a complete snapshot. With `durable`, the temp file is
-    /// fsynced before the rename.
-    ///
-    /// # Errors
-    /// [`TreeError::Io`] on file-system failures.
-    pub fn write_atomic(&self, path: &Path, durable: bool) -> Result<(), TreeError> {
-        let io_err = |context: &str, e: std::io::Error| {
-            TreeError::Io(format!("{context} {}: {e}", path.display()))
-        };
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let bytes = self.encode();
-        let mut file =
-            std::fs::File::create(&tmp).map_err(|e| io_err("create snapshot temp for", e))?;
-        file.write_all(&bytes).map_err(|e| io_err("write snapshot temp for", e))?;
-        if durable {
-            file.sync_data().map_err(|e| io_err("fsync snapshot temp for", e))?;
-        }
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(|e| io_err("publish snapshot", e))
-    }
-
     /// Reads and decodes a snapshot from `path`.
     ///
     /// # Errors
@@ -347,6 +343,103 @@ impl StateSnapshot {
         let bytes = std::fs::read(path)
             .map_err(|e| TreeError::Io(format!("read snapshot {}: {e}", path.display())))?;
         Self::decode(&bytes)
+    }
+}
+
+/// The one `.snap` file a client publishes its [`StateSnapshot`]s into,
+/// kept open and rewritten in place at each publish (see the module
+/// docs for why that is safe).
+///
+/// The file is opened on the first publish, created if missing and never
+/// truncated on open, and each publish reuses one encode buffer.
+///
+/// # Examples
+///
+/// ```
+/// use oram_tree::{SnapshotFile, StateSnapshot};
+///
+/// let path = std::env::temp_dir().join(format!("doc-{}.oram.snap", std::process::id()));
+/// let mut file = SnapshotFile::new(&path, false);
+/// let mut snapshot =
+///     StateSnapshot { generation: 1, accesses: 0, levels: Vec::new(), root_map: vec![4, 2] };
+/// file.publish(&snapshot)?;
+/// snapshot.generation = 2;
+/// snapshot.root_map.clear();
+/// file.publish(&snapshot)?;
+/// assert_eq!(StateSnapshot::read_from(file.path())?, snapshot);
+/// # std::fs::remove_file(&path).unwrap();
+/// # Ok::<(), oram_tree::TreeError>(())
+/// ```
+#[derive(Debug)]
+pub struct SnapshotFile {
+    path: PathBuf,
+    durable: bool,
+    /// The open handle and the file length last published through it.
+    file: Option<(File, u64)>,
+    /// Encode buffer, reused between publishes.
+    buf: Vec<u8>,
+}
+
+impl SnapshotFile {
+    /// A snapshot file at `path`, opened on the first
+    /// [`publish`](Self::publish). With `durable`, each publish fsyncs
+    /// the file's data before returning.
+    #[must_use]
+    pub fn new(path: impl Into<PathBuf>, durable: bool) -> Self {
+        Self { path: path.into(), durable, file: None, buf: Vec::new() }
+    }
+
+    /// Where the snapshot is published.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Rewrites the file in place with `snapshot`: the framed bytes go to
+    /// offset 0, the file is cut to their length when that changed, and
+    /// with `durable` the data is fsynced.
+    ///
+    /// # Errors
+    /// [`TreeError::Io`] on file-system failures. The handle is then
+    /// dropped, so the next publish reopens the file and re-reads its
+    /// length.
+    pub fn publish(&mut self, snapshot: &StateSnapshot) -> Result<(), TreeError> {
+        snapshot.encode_into(&mut self.buf);
+        let path = &self.path;
+        let io_err = |context: &str, e: std::io::Error| {
+            TreeError::Io(format!("{context} {}: {e}", path.display()))
+        };
+        let (file, len) = match &mut self.file {
+            Some(open) => open,
+            None => {
+                let file = OpenOptions::new()
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(path)
+                    .map_err(|e| io_err("open snapshot", e))?;
+                let len = file.metadata().map_err(|e| io_err("stat snapshot", e))?.len();
+                self.file.insert((file, len))
+            }
+        };
+        let new_len = self.buf.len() as u64;
+        let written = file
+            .write_all_at(&self.buf, 0)
+            .map_err(|e| io_err("write snapshot", e))
+            .and_then(|()| {
+                if *len != new_len {
+                    file.set_len(new_len).map_err(|e| io_err("resize snapshot", e))?;
+                    *len = new_len;
+                }
+                if self.durable {
+                    file.sync_data().map_err(|e| io_err("fsync snapshot", e))?;
+                }
+                Ok(())
+            });
+        if written.is_err() {
+            self.file = None;
+        }
+        written
     }
 }
 
@@ -426,17 +519,71 @@ mod tests {
 
     #[test]
     fn atomic_write_read_roundtrip() {
-        let path =
-            std::env::temp_dir().join(format!("laoram-snap-test-{}.oram.snap", std::process::id()));
-        let snap = sample();
-        snap.write_atomic(&path, false).unwrap();
-        assert_eq!(StateSnapshot::read_from(&path).unwrap(), snap);
-        // Overwrite atomically with different content.
-        let mut next = snap.clone();
+        for durable in [false, true] {
+            let path = std::env::temp_dir()
+                .join(format!("laoram-snap-test-{}-{durable}.oram.snap", std::process::id()));
+            let mut file = SnapshotFile::new(&path, durable);
+            let snap = sample();
+            file.publish(&snap).unwrap();
+            assert_eq!(StateSnapshot::read_from(&path).unwrap(), snap);
+            // Rewrite in place with different content: shorter, then longer.
+            let mut shorter = snap.clone();
+            shorter.generation = 12;
+            shorter.levels.truncate(1);
+            shorter.levels[0].stash.clear();
+            file.publish(&shorter).unwrap();
+            assert_eq!(StateSnapshot::read_from(&path).unwrap(), shorter);
+            let mut longer = snap.clone();
+            longer.generation = 13;
+            longer.root_map.extend(0..32);
+            file.publish(&longer).unwrap();
+            assert_eq!(StateSnapshot::read_from(&path).unwrap(), longer);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), longer.encode().len() as u64);
+            // A new handle on an existing file opens it without truncating
+            // and still cuts it to a shorter snapshot's length.
+            drop(file);
+            SnapshotFile::new(&path, durable).publish(&shorter).unwrap();
+            assert_eq!(StateSnapshot::read_from(&path).unwrap(), shorter);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn shorter_rewrite_torn_before_set_len_is_refused() {
+        let old = sample().encode();
+        let mut next = sample();
         next.generation = 12;
-        next.write_atomic(&path, true).unwrap();
-        assert_eq!(StateSnapshot::read_from(&path).unwrap().generation, 12);
-        let _ = std::fs::remove_file(&path);
+        next.levels.truncate(1);
+        let new = next.encode();
+        assert!(new.len() < old.len(), "test setup: the rewrite must be shorter");
+        // The crash image: the new bytes, then the old tail the file was
+        // never cut back from.
+        let mut image = new.clone();
+        image.extend_from_slice(&old[new.len()..]);
+        assert!(matches!(StateSnapshot::decode(&image), Err(TreeError::CorruptStore(_))));
+    }
+
+    #[test]
+    fn same_length_rewrite_torn_midway_is_refused() {
+        let old = sample().encode();
+        let mut next = sample();
+        next.generation = 12;
+        next.levels[0].reseed = 0xBEEF;
+        next.levels[0].position_map.reverse();
+        let new = next.encode();
+        assert_eq!(new.len(), old.len(), "test setup: the rewrite must keep the length");
+        // The crash image: a prefix of the new bytes over the old suffix.
+        for cut in (1..new.len()).step_by(3) {
+            let mut image = new[..cut].to_vec();
+            image.extend_from_slice(&old[cut..]);
+            if image == old || image == new {
+                continue;
+            }
+            assert!(
+                matches!(StateSnapshot::decode(&image), Err(TreeError::CorruptStore(_))),
+                "torn at byte {cut}: a mixed image must not decode"
+            );
+        }
     }
 
     #[test]

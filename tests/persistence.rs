@@ -304,3 +304,95 @@ fn store_and_snapshot_bytes_are_pinned() {
         "store / snapshot file bytes moved: {store_fnv:#018x} / {snapshot_fnv:#018x}"
     );
 }
+
+/// Publishing a snapshot rewrites the one `.snap` file in place: across
+/// many superblock syncs it keeps the inode it got at the first publish,
+/// and no temp file is left next to it.
+#[cfg(unix)]
+#[test]
+fn snapshot_publish_rewrites_one_file_in_place() {
+    use std::os::unix::fs::MetadataExt;
+
+    let dir = unique("in-place");
+    std::fs::create_dir_all(&dir).unwrap();
+    let store_path = dir.join("table.oram");
+    let snap_path = StateSnapshot::default_path(&store_path);
+    let cfg = config(2, 7);
+    let store = DiskStore::create(&store_path, cfg.geometry().unwrap(), disk_config()).unwrap();
+    let mut oram = LaOram::with_store(cfg, store).unwrap();
+    oram.persist_client_state(&snap_path, false);
+    let leaves = oram.geometry().num_leaves();
+
+    let stream: Vec<u32> = (0..48).map(|i| (i * 7) % 24).collect();
+    oram.install_plan(SuperblockPlan::build(&stream, 2, leaves, 1)).unwrap();
+    let mut inode = None;
+    for (i, &idx) in stream.iter().enumerate() {
+        oram.write(idx, row(i, &[4; 48]).into()).unwrap();
+        if let Ok(meta) = std::fs::metadata(&snap_path) {
+            let first = *inode.get_or_insert(meta.ino());
+            assert_eq!(meta.ino(), first, "access {i}: the snapshot was replaced by a new file");
+        }
+    }
+    oram.finish().unwrap();
+    let syncs = oram.storage_generation();
+    drop(oram);
+    assert!(syncs >= 20, "test setup: only {syncs} superblock syncs");
+    assert_eq!(std::fs::metadata(&snap_path).unwrap().ino(), inode.unwrap());
+    assert_eq!(StateSnapshot::read_from(&snap_path).unwrap().generation, syncs);
+
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert!(!names.iter().any(|n| n.ends_with(".tmp")), "temp file left behind: {names:?}");
+    assert_eq!(names, ["table.oram", "table.oram.snap"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With a flight recorder attached, every superblock sync of a
+/// snapshotting client records one `core.snapshot` span inside its
+/// `core.sync` span; a client without persistence records none.
+#[test]
+fn sync_spans_time_the_snapshot_publish() {
+    use std::sync::Arc;
+
+    use laoram::tree::StoreTelemetry;
+    use laoram_telemetry::FlightRecorder;
+
+    for persist in [true, false] {
+        let store_path = unique("spans");
+        let snap_path = StateSnapshot::default_path(&store_path);
+        let cfg = config(2, 11);
+        let store = DiskStore::create(&store_path, cfg.geometry().unwrap(), disk_config()).unwrap();
+        let mut oram = LaOram::with_store(cfg, store).unwrap();
+        if persist {
+            oram.persist_client_state(&snap_path, false);
+        }
+        let recorder = Arc::new(FlightRecorder::new(1024));
+        oram.set_telemetry(StoreTelemetry::new(recorder.clone(), std::time::Instant::now(), None));
+        let leaves = oram.geometry().num_leaves();
+        let stream: Vec<u32> = (0..24).collect();
+        oram.install_plan(SuperblockPlan::build(&stream, 2, leaves, 1)).unwrap();
+        for &i in &stream {
+            oram.write(i, vec![i as u8; 4].into()).unwrap();
+        }
+        oram.finish().unwrap();
+        drop(oram);
+
+        let spans = recorder.dump("test").spans;
+        let syncs: Vec<_> = spans.iter().filter(|s| s.stage == "core.sync").collect();
+        let publishes: Vec<_> = spans.iter().filter(|s| s.stage == "core.snapshot").collect();
+        assert!(syncs.len() >= 12, "only {} core.sync spans", syncs.len());
+        if persist {
+            assert_eq!(publishes.len(), syncs.len(), "one core.snapshot per core.sync");
+            for (publish, sync) in publishes.iter().zip(&syncs) {
+                assert!(sync.start_ns <= publish.start_ns && publish.end_ns <= sync.end_ns);
+            }
+        } else {
+            assert!(publishes.is_empty(), "no snapshot, no core.snapshot span");
+        }
+        let _ = std::fs::remove_file(&store_path);
+        let _ = std::fs::remove_file(&snap_path);
+    }
+}
