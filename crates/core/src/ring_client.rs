@@ -3,8 +3,9 @@
 //! The paper argues the look-ahead superblock scheme is orthogonal to the
 //! underlying tree protocol: on Ring ORAM, a bin of `S` blocks sharing a
 //! path costs `levels + S` slot reads instead of `S · levels`. This module
-//! implements that composition so the `ring_comparison` bench can check
-//! the claim empirically.
+//! implements that composition so
+//! `tests/paper_claims.rs::claim_ring_oram_benefits_from_superblocks` can
+//! check the claim empirically.
 
 use oram_protocol::{AccessStats, EvictionConfig, RingOramClient, RingOramConfig};
 use oram_tree::{BlockId, LeafId};

@@ -1,38 +1,26 @@
-//! Deficit-round-robin fair queueing between connections and the
-//! engine's `submit_request`.
+//! Deficit-round-robin fair queueing across tenants: a lock and a
+//! condvar around the engine's own [`DrrLanes`], the scheduler its
+//! micro-batcher fills each group from.
 //!
-//! Every admitted request lands in its tenant's FIFO; the dispatcher
-//! visits active tenants in round-robin order, and each visit grants the
-//! tenant `quantum` units of *deficit* to spend (one unit per request).
-//! A tenant that empties its queue forfeits its remaining deficit, so
-//! an idle tenant accumulates no credit; a backlogged tenant gets
-//! exactly one quantum per round regardless of how deep its backlog is
-//! — which is what stops one saturating tenant from starving the rest.
+//! The serving tier does not queue here — each connection submits
+//! straight into its engine session's lane. `FairQueue` keeps the same
+//! DRR algorithm usable, and timeable, as a standalone blocking queue:
+//! every visit grants the head tenant `quantum` items, a backlogged
+//! tenant gets exactly one quantum per round, and a tenant that empties
+//! its lane forfeits what is left of its deficit.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// One tenant's FIFO plus its DRR state.
-struct TenantLane<T> {
-    items: VecDeque<T>,
-    deficit: u64,
-}
-
-struct FairInner<T> {
-    lanes: HashMap<u64, TenantLane<T>>,
-    /// Round-robin order over tenants with queued items.
-    active: VecDeque<u64>,
-    closed: bool,
-    len: usize,
-}
+use laoram_service::DrrLanes;
 
 /// A multi-tenant DRR queue: producers [`push`](FairQueue::push) into
 /// per-tenant lanes, one consumer drains via
 /// [`pop_visit`](FairQueue::pop_visit).
 pub struct FairQueue<T> {
     quantum: u64,
-    inner: Mutex<FairInner<T>>,
+    /// The lanes, and whether the queue is closed.
+    inner: Mutex<(DrrLanes<T>, bool)>,
     wake: Condvar,
 }
 
@@ -43,12 +31,7 @@ impl<T> FairQueue<T> {
     pub fn new(quantum: u64) -> Self {
         FairQueue {
             quantum: quantum.max(1),
-            inner: Mutex::new(FairInner {
-                lanes: HashMap::new(),
-                active: VecDeque::new(),
-                closed: false,
-                len: 0,
-            }),
+            inner: Mutex::new((DrrLanes::default(), false)),
             wake: Condvar::new(),
         }
     }
@@ -57,19 +40,10 @@ impl<T> FairQueue<T> {
     /// item) once the queue is [`close`](Self::close)d.
     pub fn push(&self, tenant: u64, item: T) -> bool {
         let mut inner = self.inner.lock().expect("fair queue lock");
-        if inner.closed {
+        if inner.1 {
             return false;
         }
-        let lane = inner
-            .lanes
-            .entry(tenant)
-            .or_insert_with(|| TenantLane { items: VecDeque::new(), deficit: 0 });
-        let was_empty = lane.items.is_empty();
-        lane.items.push_back(item);
-        inner.len += 1;
-        if was_empty {
-            inner.active.push_back(tenant);
-        }
+        inner.0.push(tenant, self.quantum, item);
         self.wake.notify_one();
         true
     }
@@ -80,53 +54,30 @@ impl<T> FairQueue<T> {
     /// timeout with nothing queued, and `None` once the queue is closed
     /// *and* drained.
     pub fn pop_visit(&self, timeout: Duration) -> Option<Vec<(u64, T)>> {
-        let mut inner = self.inner.lock().expect("fair queue lock");
-        while inner.active.is_empty() {
-            if inner.closed {
-                return None;
-            }
-            let (guard, wait) = self.wake.wait_timeout(inner, timeout).expect("fair queue wait");
-            inner = guard;
-            if wait.timed_out() && inner.active.is_empty() {
-                return if inner.closed { None } else { Some(Vec::new()) };
-            }
+        let inner = self.inner.lock().expect("fair queue lock");
+        let (mut inner, _) = self
+            .wake
+            .wait_timeout_while(inner, timeout, |(lanes, closed)| lanes.is_empty() && !*closed)
+            .expect("fair queue wait");
+        let (lanes, closed) = &mut *inner;
+        if lanes.is_empty() && *closed {
+            return None;
         }
-        let tenant = inner.active.pop_front().expect("nonempty active round");
-        let lane = inner.lanes.get_mut(&tenant).expect("active tenant has a lane");
-        lane.deficit += self.quantum;
         let mut served = Vec::new();
-        while lane.deficit > 0 {
-            let Some(item) = lane.items.pop_front() else { break };
-            lane.deficit -= 1;
-            served.push((tenant, item));
-        }
-        if lane.items.is_empty() {
-            // Forfeit unused credit: deficit never accumulates across
-            // idle periods.
-            lane.deficit = 0;
-        } else {
-            inner.active.push_back(tenant);
-        }
-        inner.len -= served.len();
+        lanes.visit(usize::MAX, &mut served);
         Some(served)
-    }
-
-    /// Queued items across all tenants.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("fair queue lock").len
     }
 
     /// Whether nothing is queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.inner.lock().expect("fair queue lock").0.is_empty()
     }
 
     /// Stops accepting pushes and wakes the consumer; already-queued
     /// items still drain through [`pop_visit`](Self::pop_visit).
     pub fn close(&self) {
-        self.inner.lock().expect("fair queue lock").closed = true;
+        self.inner.lock().expect("fair queue lock").1 = true;
         self.wake.notify_all();
     }
 }

@@ -152,7 +152,7 @@ pub enum Frame {
     Hello {
         /// Protocol version the client speaks.
         version: u16,
-        /// Tenant identity (admission control and fair queueing key).
+        /// Tenant identity (the admission-control key).
         tenant: u64,
     },
     /// Server → client handshake answer: the accepted version and the

@@ -3,35 +3,38 @@
 //! A wire boundary in front of the [`laoram-service`](laoram_service)
 //! engine: a length-prefixed binary protocol ([`frame`]) served by a
 //! std-only non-blocking TCP event loop ([`NetServer`]), with admission
-//! control ([`AdmissionController`]), per-tenant deficit-round-robin
-//! fair queueing ([`FairQueue`]), and a blocking client ([`NetClient`])
-//! for load generation and tests.
+//! control ([`AdmissionController`]), a standalone deficit-round-robin
+//! queue over the engine's own scheduler ([`FairQueue`]), and a blocking
+//! client ([`NetClient`]) for load generation and tests.
 //!
 //! ## Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ listener ─▶ reactor pool ─▶ admission ─▶ DRR fair queue
-//!                                 │  ▲                          │
-//!                 HelloAck, errors│  └── WouldBlock leftovers   │ dispatcher:
-//!                                 ▼                             ▼ submit + route
+//! clients ──TCP──▶ listener ─▶ reactor pool ─▶ admission ─▶ session submit + route
+//!                                 │  ▲                                   │
+//!                 HelloAck, errors│  └── WouldBlock leftovers            ▼ DRR over
+//!                                 ▼                               session lanes
 //!                              sockets ◀── completion pump ◀── LAORAM pipeline
 //! ```
 //!
 //! Everything is `std::net` + threads — the workspace vendors no async
-//! runtime. The listener blocks in `accept`. Each **reactor** thread
-//! owns the read side of a set of non-blocking sockets and polls them,
-//! parking briefly when nothing moves — the one polling loop, since std
-//! has no `poll(2)`. The **dispatcher** drains the fair queue into the
-//! engine and records each ticket's route in the same critical section
-//! as its submit. The **completion pump** parks while that route table
-//! is empty, blocks on the engine's completion queue otherwise, and
-//! writes each claimed batch of responses to the sockets itself.
-//! Whoever queues a frame writes it; a reactor only flushes what a
-//! `WouldBlock` left behind.
+//! runtime — and the tier runs 2 + `reactors` of them. The listener
+//! blocks in `accept`. Each **reactor** thread owns the read side of a
+//! set of non-blocking sockets and polls them, parking briefly when
+//! nothing moves — the one polling loop, since std has no `poll(2)`. A
+//! reactor submits each admitted request through its connection's engine
+//! session and records the ticket's route in the same critical section.
+//! The **completion pump** parks while that route table is empty, blocks
+//! on the engine's completion queue otherwise, and writes each claimed
+//! batch of responses to the sockets itself. Whoever queues a frame
+//! writes it; a reactor only flushes what a `WouldBlock` left behind.
 //!
-//! Each connection handshakes to a per-tenant engine
-//! [`Session`](laoram_service::Session); the tenant id it declares is
-//! the admission-control and fair-queueing key. A `/metrics`-style
+//! Each connection handshakes to its own engine
+//! [`Session`](laoram_service::Session), opened with
+//! [`NetServerConfig::drr_quantum`]: the engine's micro-batcher fills each
+//! group from per-session lanes by deficit round-robin, so connections
+//! are scheduled fairly where groups are formed. The tenant id a
+//! connection declares is the admission-control key. A `/metrics`-style
 //! frame returns the engine's Prometheus exposition over the same
 //! socket.
 //!

@@ -1,29 +1,28 @@
-//! The TCP serving tier: listener, reactor pool, fair-queue dispatcher,
-//! and completion pump.
+//! The TCP serving tier: listener, reactor pool and completion pump.
 //!
 //! Everything here is `std::net` + threads. The **listener** blocks in
 //! `accept`. Each **reactor** owns a disjoint set of non-blocking sockets
 //! and polls them for reads, parking briefly when nothing moves: the one
-//! polling loop left, since std has no `poll(2)`. Parsed requests pass
-//! admission control and land in the per-tenant DRR [`FairQueue`]; one
-//! **dispatcher** drains it into the engine via each connection's
-//! [`Session`](laoram_service::Session), inserting every ticket's route
-//! in the same critical section as its submit. One **completion pump**
-//! parks while that route table is empty, blocks on the engine's
-//! completion queue otherwise, and writes each claimed batch to the
-//! sockets itself — or, when a connection dropped mid-flight, claims and
-//! discards its responses so the ticket ledger never leaks. Whoever
-//! queues a frame writes it; a reactor only flushes what a `WouldBlock`
-//! left behind.
+//! polling loop left, since std has no `poll(2)`. A parsed request passes
+//! admission control and the reactor submits it straight through its
+//! connection's [`Session`](laoram_service::Session), inserting the
+//! ticket's route in the same critical section as the submit; the
+//! engine's micro-batcher keeps one deficit-round-robin lane per session,
+//! so per-connection fairness is decided where each group is formed. One
+//! **completion pump** parks while that route table is empty, blocks on
+//! the engine's completion queue otherwise, and writes each claimed batch
+//! to the sockets itself — or, when a connection dropped mid-flight,
+//! claims and discards its responses so the ticket ledger never leaks.
+//! Whoever queues a frame writes it; a reactor only flushes what a
+//! `WouldBlock` left behind.
 //!
 //! ## Shutdown
 //!
 //! [`NetServer::shutdown`] drains rather than aborts: the listener
 //! stops accepting, new request frames are refused with
-//! [`ErrorCode::ShuttingDown`], the fair queue drains through the
-//! dispatcher, the engine flushes its micro-batcher, and the pump
-//! routes every remaining in-flight completion before the sockets
-//! close. Responses whose connection disappeared are counted in
+//! [`ErrorCode::ShuttingDown`], the engine flushes its micro-batcher, and
+//! the pump routes every remaining in-flight completion before the
+//! sockets close. Responses whose connection disappeared are counted in
 //! [`NetReport::discarded_responses`] and folded into the service
 //! report's `truncated_requests`. Dropping a running [`NetServer`] runs
 //! the same drain and joins every thread, the engine's included.
@@ -39,16 +38,12 @@ use std::time::{Duration, Instant};
 use laoram_service::{Completion, LaoramService, Request, ServiceError, ServiceReport, Session};
 
 use crate::admission::{AdmissionController, AdmissionVerdict};
-use crate::fairness::FairQueue;
 use crate::frame::{
     self, ErrorCode, Frame, FrameError, WireOp, CONNECTION_ERROR_ID, DEFAULT_MAX_FRAME_BYTES,
     MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::{NetError, Result};
 
-/// How long the dispatcher waits on the fair queue before re-checking
-/// shutdown state.
-const DISPATCH_WAIT: Duration = Duration::from_millis(20);
 /// Reactor parked sleep when no bytes moved: the price of polling
 /// non-blocking sockets for reads without `poll(2)`. An idle request pays
 /// up to one sleep before its frame is parsed; a busy reactor never sleeps.
@@ -71,7 +66,8 @@ pub struct NetServerConfig {
     pub max_inflight: u64,
     /// Per-tenant in-flight cap ([`ErrorCode::TenantThrottled`] beyond).
     pub max_inflight_per_tenant: u64,
-    /// DRR quantum: requests one tenant may submit per fair-queue visit.
+    /// DRR quantum: requests one connection's engine session yields per
+    /// round-robin visit of the micro-batcher.
     pub drr_quantum: u64,
 }
 
@@ -142,7 +138,7 @@ pub struct NetReport {
     /// the engine did the work, nobody received the answer.
     pub discarded_responses: u64,
     /// Admitted requests dropped before engine submission because their
-    /// connection died while they sat in the fair queue.
+    /// connection had already failed.
     pub dropped_requests: u64,
     /// Requests refused because the global in-flight cap was full.
     pub overloaded_refusals: u64,
@@ -158,13 +154,6 @@ pub struct NetReport {
     pub frames_out: u64,
 }
 
-/// One admitted request waiting in the fair queue.
-struct QueuedRequest {
-    conn: Arc<ConnShared>,
-    req_id: u64,
-    request: Request,
-}
-
 /// Where an in-flight engine ticket's completion must be routed.
 struct PendingRoute {
     conn: Arc<ConnShared>,
@@ -172,26 +161,20 @@ struct PendingRoute {
     tenant: u64,
 }
 
-/// Engine ticket id → response route. Under one lock and condvar the
-/// table is also the dispatch credit (the dispatcher waits while it holds
-/// [`LaoramService::pipeline_capacity`] routes), the pump's wake-up (it
-/// parks while the table is empty) and shutdown's drain condition.
-///
-/// The credit keeps a saturating tenant's backlog in the [`FairQueue`],
-/// where DRR arbitrates it, instead of draining wholesale into the
-/// engine's FIFO. It is what the engine's in-flight groups can hold:
-/// every pipeline slot stays busy, and a late tenant waits behind at most
-/// that many forwarded requests.
+/// Engine ticket id → response route: under one lock and condvar, the
+/// pump's map from each claimed ticket to its connection (it parks while
+/// the table is empty) and shutdown's drain condition.
 #[derive(Default)]
 struct Routes {
     map: HashMap<u64, PendingRoute>,
     /// Nothing more will be routed: shutdown's drain ended, or the engine
-    /// disconnected. No wait on the table outlasts this.
+    /// disconnected. Reactors refuse requests from then on, and no wait on
+    /// the table outlasts this.
     closed: bool,
 }
 
-/// Connection state shared between its reactor and the dispatcher/pump
-/// threads (which hold it via queue items and pending routes).
+/// Connection state shared between its reactor and the pump (which holds
+/// it via pending routes).
 struct ConnShared {
     session: Session,
     /// Read only by the owning reactor; written by whichever thread
@@ -261,9 +244,9 @@ impl ConnShared {
         !self.outbound.lock().expect("outbound lock").is_empty()
     }
 
-    /// Closes the connection for good. In-flight routes and queued
-    /// requests still hold this `ConnShared`, and with it the socket, so
-    /// dropping the reactor's handle would not close it: shut it down.
+    /// Closes the connection for good. In-flight routes still hold this
+    /// `ConnShared`, and with it the socket, so dropping the reactor's
+    /// handle would not close it: shut it down.
     fn retire(&self) {
         self.open.store(false, Ordering::Release);
         let _ = self.stream.shutdown(Shutdown::Both);
@@ -277,13 +260,12 @@ type IntakeSlot = Mutex<Vec<Arc<ConnShared>>>;
 struct NetState {
     service: LaoramService,
     admission: AdmissionController,
-    queue: FairQueue<QueuedRequest>,
     routes: Mutex<Routes>,
-    /// Signalled when the route table fills from empty, frees credit,
-    /// empties, or closes.
+    /// Signalled when the route table fills from empty, empties, or
+    /// closes.
     routes_changed: Condvar,
-    /// The dispatch credit, [`LaoramService::pipeline_capacity`].
-    credit: usize,
+    /// The lane quantum of every session the server opens.
+    drr_quantum: u64,
     /// Shutdown has begun: stop accepting connections and new requests.
     draining: AtomicBool,
     /// Drain is complete: reactors flush once more and exit.
@@ -306,7 +288,6 @@ pub struct NetServer {
     local_addr: SocketAddr,
     listener: Option<JoinHandle<()>>,
     reactors: Vec<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
     pump: Option<JoinHandle<()>>,
 }
 
@@ -321,17 +302,15 @@ impl NetServer {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let reactors = config.reactors.max(1);
-        let credit = service.pipeline_capacity() as usize;
         let state = Arc::new(NetState {
             service,
             admission: AdmissionController::new(
                 config.max_inflight,
                 config.max_inflight_per_tenant,
             ),
-            queue: FairQueue::new(config.drr_quantum),
             routes: Mutex::new(Routes::default()),
             routes_changed: Condvar::new(),
-            credit,
+            drr_quantum: config.drr_quantum,
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             max_frame_bytes: config.max_frame_bytes,
@@ -349,11 +328,9 @@ impl NetServer {
             local_addr,
             listener: None,
             reactors: Vec::with_capacity(reactors),
-            dispatcher: None,
             pump: None,
         };
         server.pump = Some(server.spawn("laoram-net-pump".to_owned(), run_pump)?);
-        server.dispatcher = Some(server.spawn("laoram-net-dispatch".to_owned(), run_dispatcher)?);
         for idx in 0..reactors {
             let reactor = server
                 .spawn(format!("laoram-net-reactor-{idx}"), move |state| run_reactor(idx, state))?;
@@ -440,12 +417,7 @@ impl NetServer {
                 let _ = handle.join();
             }
         }
-        // 2. Let the dispatcher drain the fair queue into the engine.
-        state.queue.close();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-        // 3. Flush the micro-batcher so queued requests form a group,
+        // 2. Flush the micro-batcher so queued requests form a group,
         //    then wait for the pump to route every in-flight completion.
         let _ = state.service.flush();
         let deadline = Instant::now() + DRAIN_DEADLINE;
@@ -460,8 +432,9 @@ impl NetServer {
                 Err(poisoned) => poisoned.into_inner().0,
             };
         }
-        // 4. Close the table: the pump ends once it has written the batch
-        //    in hand, and what it never routed is counted as discarded.
+        // 3. Close the table: reactors refuse what they parse from now
+        //    on, the pump ends once it has written the batch in hand, and
+        //    what it never routed is counted as discarded.
         routes.closed = true;
         state.routes_changed.notify_all();
         drop(routes);
@@ -471,7 +444,7 @@ impl NetServer {
         let orphaned =
             std::mem::take(&mut state.routes.lock().unwrap_or_else(PoisonError::into_inner).map);
         state.discarded_responses.fetch_add(orphaned.len() as u64, Ordering::Relaxed);
-        // 5. Reactors flush once more and retire every connection.
+        // 4. Reactors flush once more and retire every connection.
         state.stop.store(true, Ordering::Release);
         for handle in self.reactors.drain(..) {
             let _ = handle.join();
@@ -509,7 +482,7 @@ fn run_listener(listener: &TcpListener, state: &NetState) {
         }
         let _ = stream.set_nodelay(true);
         let conn = Arc::new(ConnShared {
-            session: state.service.session(),
+            session: state.service.session_with_quantum(state.drr_quantum),
             stream,
             tenant: AtomicU64::new(0),
             hello_done: AtomicBool::new(false),
@@ -629,8 +602,8 @@ fn step_conn(conn: &mut ConnIo, state: &NetState, chunk: &mut [u8], progress: &m
     if eof {
         // The peer finished writing without a Goodbye: an implicit
         // farewell. The frames that did arrive were handled above and
-        // flow through the normal truncation accounting (dispatcher
-        // drops, pump discards) once the connection closes.
+        // flow through the normal truncation accounting (pump discards)
+        // once the connection closes.
         conn.closing = true;
         return conn.shared.has_outbound();
     }
@@ -707,11 +680,7 @@ fn handle_frame(conn: &mut ConnIo, state: &NetState, parsed: Frame) -> bool {
                     Request::fetch_update(table as usize, index, update)
                 }
             };
-            let queued = QueuedRequest { conn: Arc::clone(&conn.shared), req_id: id, request };
-            if !state.queue.push(tenant, queued) {
-                state.admission.release(tenant);
-                refuse(id, ErrorCode::ShuttingDown, "server is draining");
-            }
+            submit(&conn.shared, state, tenant, id, request);
             true
         }
         Frame::MetricsRequest => {
@@ -747,48 +716,42 @@ fn handle_frame(conn: &mut ConnIo, state: &NetState, parsed: Frame) -> bool {
     }
 }
 
-/// Dispatcher loop: DRR visits over the fair queue, submitting each
-/// served request through its connection's engine session.
-fn run_dispatcher(state: &NetState) {
-    while let Some(batch) = state.queue.pop_visit(DISPATCH_WAIT) {
-        let mut refused = Vec::new();
-        // One lock per visit: each route is inserted in the same critical
-        // section as its submit (which only takes the engine's ingress
-        // lock and never blocks), so the pump can never claim a ticket
-        // whose route does not exist yet.
-        let mut routes = state.routes.lock().expect("routes lock");
-        for (tenant, item) in batch {
-            if !item.conn.open.load(Ordering::Acquire) {
-                // The connection died while the request sat in the
-                // queue; nobody is left to answer.
-                state.admission.release(tenant);
-                state.dropped_requests.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            while routes.map.len() >= state.credit && !routes.closed {
-                routes = state.routes_changed.wait(routes).expect("routes wait");
-            }
-            match item.conn.session.submit(item.request) {
-                Ok(ticket) => {
-                    if routes.map.is_empty() {
-                        // The pump parks on an empty table.
-                        state.routes_changed.notify_all();
-                    }
-                    let route = PendingRoute { conn: item.conn, req_id: item.req_id, tenant };
-                    routes.map.insert(ticket.id(), route);
-                }
-                Err(err) => refused.push((tenant, item.conn, item.req_id, err)),
-            }
-        }
-        drop(routes);
-        for (tenant, conn, id, err) in refused {
-            state.admission.release(tenant);
-            conn.send(
-                &Frame::Error { id, code: error_code_of(&err), message: err.to_string() },
-                state,
-            );
-        }
+/// Submits one admitted request through its connection's engine session.
+/// The route is inserted in the same critical section as the submit
+/// (which only takes the engine's ingress lock and never blocks), so the
+/// pump can never claim a ticket whose route does not exist yet. A
+/// request whose connection already failed is dropped, and one parsed
+/// after the route table closed is refused; either releases its
+/// admission slot.
+fn submit(conn: &Arc<ConnShared>, state: &NetState, tenant: u64, id: u64, request: Request) {
+    if !conn.open.load(Ordering::Acquire) {
+        // Nobody is left to answer.
+        state.admission.release(tenant);
+        state.dropped_requests.fetch_add(1, Ordering::Relaxed);
+        return;
     }
+    let mut routes = state.routes.lock().expect("routes lock");
+    let submitted =
+        if routes.closed { Err(ServiceError::ShuttingDown) } else { conn.session.submit(request) };
+    let refused = match submitted {
+        Ok(ticket) => {
+            if routes.map.is_empty() {
+                // The pump parks on an empty table.
+                state.routes_changed.notify_all();
+            }
+            routes
+                .map
+                .insert(ticket.id(), PendingRoute { conn: Arc::clone(conn), req_id: id, tenant });
+            return;
+        }
+        Err(err) => err,
+    };
+    drop(routes);
+    state.admission.release(tenant);
+    conn.send(
+        &Frame::Error { id, code: error_code_of(&refused), message: refused.to_string() },
+        state,
+    );
 }
 
 /// Maps an engine refusal to its wire error code.
@@ -842,15 +805,13 @@ fn run_pump(state: &NetState) {
         let mut routed = Vec::with_capacity(claimed.len());
         {
             let mut routes = state.routes.lock().expect("routes lock");
-            let was_full = routes.map.len() >= state.credit;
             for completion in claimed.drain(..) {
                 let route =
                     routes.map.remove(&completion.ticket.id()).expect("routed with its submit");
                 routed.push((route, completion));
             }
-            if was_full || routes.map.is_empty() {
-                // Credit freed for the dispatcher, or the table drained
-                // for shutdown.
+            if routes.map.is_empty() {
+                // The table drained, for shutdown.
                 state.routes_changed.notify_all();
             }
         }

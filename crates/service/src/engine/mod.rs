@@ -4,7 +4,8 @@
 //! # Pipeline
 //!
 //! ```text
-//!  submit_request()/Session ──▶ [pending] ──┐ close rule (BatchPolicy)
+//!  submit_request()/Session ──▶ [pending] ──┐ close rule (BatchPolicy),
+//!   (one lane per session)                  │ group filled by DRR over lanes
 //!                                           ├─▶ preprocessor ─────────▶ shard workers
 //!  submit() batch, reset_stats() ─▶ [ready] ┘   takes group N+1, bins   one LaOram each,
 //!   (bounded by queue_depth:                    it and draws its paths  serve group N
@@ -17,7 +18,8 @@
 //! Two kinds of thread: one preprocessor and one worker per shard. The
 //! preprocessor is the paper's dataset-scan + path-generation stage
 //! (§IV-B): whenever it is free for a group it asks the micro-batcher's
-//! close rule or takes the oldest queued batch — the two take turns —
+//! close rule — which fills the group from the sessions' lanes by deficit
+//! round-robin — or takes the oldest queued batch — the two take turns —
 //! then, while shard workers serve group `N`, it bins group `N+1` and
 //! draws its superblock paths, and stages the resulting
 //! [`SuperblockPlan`] into each worker's double-buffered queue. Workers
@@ -274,14 +276,24 @@ impl LaoramService {
     }
 
     /// A new per-tenant submission handle. Sessions share this engine's
-    /// micro-batcher and pipeline; their completions carry the session's
-    /// id for fan-out. Sessions may outlive the handle and be used from
-    /// any thread.
+    /// micro-batcher and pipeline, each in a lane of its own that yields
+    /// the superblock alignment quantum (largest superblock × shard
+    /// workers) per round-robin visit; their completions carry the
+    /// session's id for fan-out. Sessions may outlive the handle and be
+    /// used from any thread.
     #[must_use]
     pub fn session(&self) -> Session {
+        self.session_with_quantum(self.ingress.session_quantum())
+    }
+
+    /// A new session whose lane yields `quantum` requests (clamped to
+    /// ≥ 1) per round-robin visit, as [`session`](Self::session) otherwise.
+    #[must_use]
+    pub fn session_with_quantum(&self, quantum: u64) -> Session {
         Session {
             ingress: Arc::clone(&self.ingress),
             id: self.next_session.fetch_add(1, Ordering::Relaxed),
+            quantum,
         }
     }
 
@@ -299,18 +311,6 @@ impl LaoramService {
     /// Infallible today; the `Result` reserves room for shutdown races.
     pub fn flush(&self) -> Result<(), ServiceError> {
         self.ingress.flush()
-    }
-
-    /// The requests this engine's in-flight groups can hold: two groups
-    /// (one serving, one being planned) of the
-    /// [`BatchPolicy`](crate::BatchPolicy)'s size-triggered length — 2 048
-    /// under the default policy. The micro-batcher closes a group early
-    /// only while fewer than two are in flight, so more requests
-    /// outstanding than this only wait in its queue. The TCP tier
-    /// (`laoram-net`) sizes its dispatch credit from it.
-    #[must_use]
-    pub fn pipeline_capacity(&self) -> u64 {
-        self.ingress.pipeline_capacity() as u64
     }
 
     /// Claims the oldest unclaimed completion without blocking.

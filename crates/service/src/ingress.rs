@@ -3,17 +3,19 @@
 //!
 //! Two submission paths converge here. Individually submitted requests
 //! ([`Ingress::submit_request`], via the engine handle or a
-//! [`Session`](crate::Session)) accumulate in a pending queue that the
+//! [`Session`](crate::Session)) queue in per-session lanes that the
 //! preprocessor coalesces into groups under the service's
 //! [`BatchPolicy`], asking the [`CloseRule`] each time it is free for a
-//! group; pre-coalesced batches ([`Ingress::submit_batch`]) and
-//! `reset_stats()` markers wait in a bounded queue beside it and become a
-//! group (or a stats barrier) as they are. Both queues sit under one
+//! group and filling the group from the lanes by deficit round-robin
+//! ([`DrrLanes`]), so one session's backlog cannot starve another's
+//! requests; pre-coalesced batches ([`Ingress::submit_batch`]) and
+//! `reset_stats()` markers wait in a bounded queue beside them and become
+//! a group (or a stats barrier) as they are. Both queues sit under one
 //! lock, and group ids are assigned under it at the moment the
 //! preprocessor takes a group ([`Ingress::take`]), so emission — in
 //! group-id order — never sees a gap.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -77,10 +79,108 @@ pub(crate) enum Taken {
     Exit,
 }
 
+/// One lane of [`DrrLanes`]: a FIFO and its round-robin state.
+struct Lane<T> {
+    items: VecDeque<T>,
+    /// Items the visit under way may still serve.
+    deficit: usize,
+    /// Items one visit grants.
+    quantum: usize,
+}
+
+/// Deficit round-robin over keyed FIFO lanes: the scheduler the
+/// micro-batcher fills each group from, one lane per session.
+///
+/// Lanes with queued items are visited in round-robin order. A visit
+/// grants the lane its quantum, one unit per item served, and the lane
+/// rotates to the back of the round once it has spent it, so a lane with a
+/// deep backlog gets exactly one quantum per round. A visit cut short by
+/// the caller's limit (a group boundary) keeps its remaining deficit and
+/// resumes at the next [`visit`](Self::visit). A lane that empties is
+/// removed and forfeits what is left of its deficit: an idle lane holds no
+/// credit, and the map holds only lanes with work.
+pub struct DrrLanes<T> {
+    lanes: HashMap<u64, Lane<T>>,
+    /// Round-robin order over `lanes`; the visit under way is at the front.
+    round: VecDeque<u64>,
+    len: usize,
+}
+
+impl<T> Default for DrrLanes<T> {
+    fn default() -> Self {
+        DrrLanes { lanes: HashMap::new(), round: VecDeque::new(), len: 0 }
+    }
+}
+
+impl<T> DrrLanes<T> {
+    /// Appends `item` to `lane`. A lane not queued yet joins the back of
+    /// the round, granting `quantum` items per visit (clamped to ≥ 1).
+    pub fn push(&mut self, lane: u64, quantum: u64, item: T) {
+        let round = &mut self.round;
+        let entry = self.lanes.entry(lane).or_insert_with(|| {
+            round.push_back(lane);
+            let quantum = usize::try_from(quantum).unwrap_or(usize::MAX).max(1);
+            Lane { items: VecDeque::new(), deficit: 0, quantum }
+        });
+        entry.items.push_back(item);
+        self.len += 1;
+    }
+
+    /// Serves the lane at the front of the round, appending at most `max`
+    /// of its items — no more than its deficit — to `out`, each with its
+    /// lane.
+    pub fn visit(&mut self, max: usize, out: &mut Vec<(u64, T)>) {
+        let Some(&key) = self.round.front() else { return };
+        let lane = self.lanes.get_mut(&key).expect("every lane in the round exists");
+        if lane.deficit == 0 {
+            lane.deficit = lane.quantum;
+        }
+        let served = lane.items.len().min(max).min(lane.deficit);
+        out.extend(lane.items.drain(..served).map(|item| (key, item)));
+        lane.deficit -= served;
+        self.len -= served;
+        if lane.items.is_empty() {
+            self.lanes.remove(&key);
+            self.round.pop_front();
+        } else if lane.deficit == 0 {
+            self.round.rotate_left(1);
+        }
+    }
+
+    /// Whether no lane holds an item.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Items queued across all lanes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The next `n` items (fewer if fewer are queued) in round-robin
+    /// order, visit after visit.
+    fn take(&mut self, n: usize) -> Vec<(u64, T)> {
+        let mut out = Vec::with_capacity(n.min(self.len));
+        while out.len() < n && !self.is_empty() {
+            self.visit(n - out.len(), &mut out);
+        }
+        out
+    }
+
+    /// The head of every lane.
+    fn heads(&self) -> impl Iterator<Item = &T> {
+        self.round
+            .iter()
+            .map(|key| self.lanes[key].items.front().expect("queued lanes are nonempty"))
+    }
+}
+
 /// Requests waiting to be coalesced, the bounded queue of batches and
 /// markers beside them, and the counters both are ordered by.
 struct PendingQueue {
-    entries: Vec<(Request, RequestMeta)>,
+    /// Submitted requests, one lane per session.
+    entries: DrrLanes<(Request, RequestMeta)>,
     /// Pre-coalesced batches and reset markers, oldest first; at most
     /// `queue_depth` of them.
     ready: VecDeque<Ready>,
@@ -107,12 +207,31 @@ struct PendingQueue {
     closed: bool,
 }
 
+impl PendingQueue {
+    /// What the close rule sees of this queue.
+    fn view(&self) -> QueueView {
+        QueueView {
+            len: self.entries.len(),
+            oldest: self
+                .entries
+                .heads()
+                .map(|(_, m)| (m.enqueue_ns, m.ticket))
+                .min_by_key(|&(_, ticket)| ticket),
+            flush_horizon: self.flush_horizon,
+            shutdown: self.shutdown,
+            last_close_ns: self.last_close_ns,
+            in_flight: self.in_flight,
+        }
+    }
+}
+
 /// What the close rule may know about the batcher's state.
 #[derive(Debug, Clone, Copy)]
 struct QueueView {
     /// Requests pending.
     len: usize,
-    /// `(enqueue_ns, ticket)` of the oldest pending request.
+    /// `(enqueue_ns, ticket)` of the oldest pending request: the
+    /// lowest-ticket lane head.
     oldest: Option<(u64, u64)>,
     flush_horizon: u64,
     shutdown: bool,
@@ -157,8 +276,8 @@ impl Trigger {
 /// The close rule's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Close {
-    /// Close a group now: the `n` oldest pending requests, then `pads`
-    /// cadence-padding reads.
+    /// Close a group now: `n` pending requests, drawn from the session
+    /// lanes by deficit round-robin, then `pads` cadence-padding reads.
     Take { n: usize, pads: usize, trigger: Trigger },
     /// Nothing to close before this time (ns since engine start); `None`
     /// waits for a submission, a `flush()` or shutdown.
@@ -295,7 +414,7 @@ impl Ingress {
             rule: CloseRule::new(policy, quantum.max(1)),
             queue_depth,
             pending: Mutex::new(PendingQueue {
-                entries: Vec::new(),
+                entries: DrrLanes::default(),
                 ready: VecDeque::new(),
                 next_ticket: 0,
                 next_group: 0,
@@ -312,10 +431,11 @@ impl Ingress {
         }
     }
 
-    /// The requests the pipeline's in-flight groups can hold:
-    /// [`PIPELINE_DEPTH`] groups of the size-triggered length.
-    pub fn pipeline_capacity(&self) -> usize {
-        PIPELINE_DEPTH * self.rule.flush_len
+    /// The lane quantum of in-process sessions: the superblock alignment
+    /// quantum, so each visit yields one superblock per shard worker in
+    /// expectation.
+    pub fn session_quantum(&self) -> u64 {
+        self.rule.quantum as u64
     }
 
     /// One more group entered the pipeline: assigns its id. Called under
@@ -358,10 +478,22 @@ impl Ingress {
         }
     }
 
-    /// Validates and enqueues one request into the micro-batcher.
+    /// Validates and enqueues one request into `session`'s lane at the
+    /// in-process [`session_quantum`](Self::session_quantum).
     pub fn submit_request(
         &self,
         session: u64,
+        request: Request,
+    ) -> Result<RequestTicket, ServiceError> {
+        self.submit_to_lane(session, self.session_quantum(), request)
+    }
+
+    /// Validates and enqueues one request into `session`'s lane, which
+    /// grants `quantum` requests per round-robin visit.
+    pub fn submit_to_lane(
+        &self,
+        session: u64,
+        quantum: u64,
         request: Request,
     ) -> Result<RequestTicket, ServiceError> {
         self.router.validate(&request)?;
@@ -370,7 +502,11 @@ impl Ingress {
         Self::check_open(&pending)?;
         let ticket = pending.next_ticket;
         pending.next_ticket += 1;
-        pending.entries.push((request, RequestMeta { ticket, session, enqueue_ns }));
+        pending.entries.push(
+            session,
+            quantum,
+            (request, RequestMeta { ticket, session, enqueue_ns }),
+        );
         self.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
         // Wake the preprocessor when the first entry arms a deadline, when
         // the queue reaches one quantum (the work trigger may now close
@@ -488,22 +624,11 @@ impl Ingress {
             let now_ns = self.shared.now_ns();
             let ready_first = !pending.ready.is_empty()
                 && (pending.ready_turn || pending.ready.iter().any(|r| matches!(r, Ready::Reset)));
-            let verdict = if ready_first {
-                None
-            } else {
-                let view = QueueView {
-                    len: pending.entries.len(),
-                    oldest: pending.entries.first().map(|(_, m)| (m.enqueue_ns, m.ticket)),
-                    flush_horizon: pending.flush_horizon,
-                    shutdown: pending.shutdown,
-                    last_close_ns: pending.last_close_ns,
-                    in_flight: pending.in_flight,
-                };
-                Some(self.rule.decide(&view, now_ns))
-            };
+            let verdict =
+                if ready_first { None } else { Some(self.rule.decide(&pending.view(), now_ns)) };
             if let Some(Close::Take { n, pads, trigger }) = verdict {
                 let (requests, metas): (Vec<Request>, Vec<RequestMeta>) =
-                    pending.entries.drain(..n).unzip();
+                    pending.entries.take(n).into_iter().map(|(_, entry)| entry).unzip();
                 self.shared.instruments.ingress_queued.set(pending.entries.len() as u64);
                 pending.ready_turn = true;
                 let mut pad_cursor = pending.pad_cursor;
@@ -816,5 +941,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The tickets of what a [`DrrLanes::take`] returned.
+    fn lane_items<T: Copy>(taken: Vec<(u64, T)>) -> Vec<T> {
+        taken.into_iter().map(|(_, item)| item).collect()
+    }
+
+    #[test]
+    fn one_lane_is_the_fifo() {
+        // Whatever its quantum, a single session's requests leave in
+        // submission order, in the groups the old FIFO closed: two
+        // size-triggered groups of 8, then the flushed rest.
+        let policy = BatchPolicy::new().max_batch(8).max_delay(Duration::from_secs(30));
+        for quantum in [1, 3, 4, 100] {
+            let ingress = ingress(&policy, 4);
+            for i in 0..23 {
+                ingress.submit_to_lane(1, quantum, Request::read(0, i)).unwrap();
+            }
+            ingress.flush().unwrap();
+            let groups: Vec<Vec<u64>> = (0..3).map(|_| taken(ingress.take(false)).1).collect();
+            assert_eq!(groups, [(0..8).collect(), (8..16).collect(), (16..23).collect::<Vec<_>>()]);
+        }
+        // Any cut of one lane is a cut of its FIFO.
+        let mut lanes = DrrLanes::default();
+        (0..50u32).for_each(|i| lanes.push(7, 3, i));
+        let cuts: Vec<Vec<u32>> = [1, 5, 2, 30, 40].map(|n| lane_items(lanes.take(n))).into();
+        assert_eq!(cuts.concat(), (0..50).collect::<Vec<_>>());
+        assert_eq!(cuts.iter().map(Vec::len).collect::<Vec<_>>(), [1, 5, 2, 30, 12]);
+    }
+
+    #[test]
+    fn a_visit_cut_short_keeps_its_deficit() {
+        let mut lanes = DrrLanes::default();
+        for i in 0..10 {
+            lanes.push(1, 4, i);
+            lanes.push(2, 4, 100 + i);
+        }
+        // A group boundary after 3 of lane 1's quantum of 4: the next
+        // group finishes that visit with the 1 left, not a fresh 4.
+        assert_eq!(lane_items(lanes.take(3)), [0, 1, 2]);
+        assert_eq!(lane_items(lanes.take(6)), [3, 100, 101, 102, 103, 4]);
+    }
+
+    #[test]
+    fn an_emptied_lane_is_removed() {
+        // Sessions come and go with connections; the map holds only lanes
+        // with work.
+        let mut lanes = DrrLanes::default();
+        for lane in 0..1000u64 {
+            lanes.push(lane, 8, lane);
+            lanes.push(lane, 8, lane);
+            assert_eq!(lanes.lanes.len(), 1);
+            assert_eq!(lanes.take(2).len(), 2);
+        }
+        assert!(lanes.is_empty() && lanes.lanes.is_empty() && lanes.round.is_empty());
+        // An emptied lane forfeits its deficit: pushed again, it joins the
+        // back of the round for a fresh visit.
+        lanes.push(1, 4, 10);
+        lanes.push(2, 4, 20);
+        lanes.push(2, 4, 21);
+        assert_eq!(lanes.take(1), [(1, 10)]);
+        assert_eq!(lanes.lanes.len(), 1);
+        lanes.push(1, 4, 11);
+        assert_eq!(lanes.take(3), [(2, 20), (2, 21), (1, 11)]);
+    }
+
+    #[test]
+    fn the_oldest_head_across_lanes_drives_deadline_and_flush() {
+        let policy = BatchPolicy::new().max_batch(8).max_delay(Duration::from_millis(2));
+        let ingress = ingress(&policy, 4);
+        let mut pending = ingress.pending.lock().unwrap();
+        let entry = |ticket, session, enqueue_ns| {
+            (Request::read(0, 0), RequestMeta { ticket, session, enqueue_ns })
+        };
+        // Lane 1 holds tickets 0 and 2, lane 2 ticket 1. A visit cut short
+        // after ticket 0 leaves lane 1 at the front of the round with a
+        // younger head (ticket 2, 3 ms) than lane 2's (ticket 1, 2 ms).
+        pending.entries.push(1, 4, entry(0, 1, MS));
+        pending.entries.push(2, 4, entry(1, 2, 2 * MS));
+        pending.entries.push(1, 4, entry(2, 1, 3 * MS));
+        assert_eq!(pending.entries.take(1)[0].1 .1.ticket, 0);
+        let view = pending.view();
+        assert_eq!(view.oldest, Some((2 * MS, 1)));
+        // Ticket 1's deadline, not ticket 2's, closes the group.
+        assert_eq!(ingress.rule.decide(&view, 3 * MS), Close::Wait(Some(4 * MS)));
+        assert_eq!(ingress.rule.decide(&view, 4 * MS), take(2, 0, Trigger::Deadline));
+        // A flush horizon that covers ticket 1 but not ticket 2 flushes.
+        pending.flush_horizon = 2;
+        assert_eq!(ingress.rule.decide(&pending.view(), 3 * MS), take(2, 0, Trigger::Flush));
     }
 }

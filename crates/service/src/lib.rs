@@ -246,6 +246,7 @@ mod telemetry;
 pub use batch::{BatchResponse, BatchTicket, Request, RequestOp};
 pub use engine::{LaoramService, ServiceReport};
 pub use error::ServiceError;
+pub use ingress::DrrLanes;
 pub use request::{Completion, RequestTicket, RequestTiming, Session, SessionId};
 pub use router::{GroupRouting, RowPlacement, ShardRouter, TablePartition};
 pub use spec::{

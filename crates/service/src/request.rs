@@ -89,8 +89,10 @@ impl Completion {
 
 /// A per-tenant request stream.
 ///
-/// Sessions share the service's micro-batcher and pipeline; what they add
-/// is attribution — every [`Completion`] carries the [`SessionId`] of the
+/// Sessions share the service's micro-batcher and pipeline. Each has its
+/// own lane in it: groups are filled from the lanes by deficit
+/// round-robin, so one session's backlog cannot starve another's
+/// requests. Every [`Completion`] carries the [`SessionId`] of the
 /// session that submitted it, so a caller multiplexing tenants over one
 /// engine can fan completions back out. Sessions are cheap, cloneable,
 /// and usable from any thread; they stay valid for the engine's lifetime
@@ -100,6 +102,8 @@ impl Completion {
 pub struct Session {
     pub(crate) ingress: Arc<Ingress>,
     pub(crate) id: SessionId,
+    /// Requests this session's lane yields per round-robin visit.
+    pub(crate) quantum: u64,
 }
 
 impl std::fmt::Debug for Session {
@@ -122,7 +126,7 @@ impl Session {
     /// Rejects unknown tables and out-of-range indices;
     /// [`ServiceError::ShuttingDown`] after engine shutdown.
     pub fn submit(&self, request: Request) -> Result<RequestTicket, ServiceError> {
-        self.ingress.submit_request(self.id, request)
+        self.ingress.submit_to_lane(self.id, self.quantum, request)
     }
 
     /// Submits a read of `table[index]`.

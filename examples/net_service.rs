@@ -5,8 +5,9 @@
 //! Starts the sharded engine, wraps it in a [`NetServer`] on an
 //! ephemeral loopback port, and drives it the way a deployment would:
 //! two tenants on their own TCP connections, each replaying a Zipf
-//! stream through the length-prefixed binary protocol while the
-//! deficit-round-robin dispatcher interleaves them fairly. One tenant
+//! stream through the length-prefixed binary protocol while the engine's
+//! micro-batcher interleaves their sessions fairly, filling each group
+//! by deficit round-robin over per-session lanes. One tenant
 //! also pulls the Prometheus exposition over its data socket — the
 //! `/metrics`-style frame — before both say Goodbye and the server
 //! drains gracefully (see `docs/NETWORKING.md`).

@@ -1,8 +1,9 @@
 //! Lifecycle of a `NetServer`, read off the kernel's view of this
-//! process's threads: an idle server parks its completion pump and its
-//! listener instead of polling, and dropping a running server (without
-//! `shutdown()`) joins every serving and engine thread and closes the
-//! port.
+//! process's threads: the serving tier runs exactly a listener, one
+//! thread per reactor and a completion pump, an idle server parks its
+//! pump and its listener instead of polling, and dropping a running
+//! server (without `shutdown()`) joins every serving and engine thread
+//! and closes the port.
 //!
 //! Linux only (`/proc/self/task`). The test counts every thread in the
 //! process, so it is the only test in this file.
@@ -48,11 +49,25 @@ fn idle_server_parks_and_drop_joins_every_thread() {
         ServiceConfig::new().table(TableSpec::new("t", 64).shards(2).superblock_size(4).seed(1)),
     )
     .expect("service start");
-    let server = NetServer::start(service, NetServerConfig::default()).expect("server start");
+    let config = NetServerConfig::default();
+    let reactors = config.reactors;
+    let server = NetServer::start(service, config).expect("server start");
     let addr = server.local_addr();
 
     std::thread::sleep(Duration::from_millis(500));
     let idle = threads();
+    // 2 + reactors threads, no more: the kernel cuts every
+    // `laoram-net-reactor-{i}` to the same 15 bytes.
+    let mut net: Vec<&str> = idle
+        .iter()
+        .map(|(comm, _)| comm.as_str())
+        .filter(|comm| comm.starts_with("laoram-net-"))
+        .collect();
+    net.sort_unstable();
+    let mut expected = vec!["laoram-net-list", "laoram-net-pump"];
+    expected.extend(std::iter::repeat_n("laoram-net-reac", reactors));
+    expected.sort_unstable();
+    assert_eq!(net, expected, "the serving tier's threads");
     for comm in ["laoram-net-pump", "laoram-net-list"] {
         let switches = switches_of(&idle, comm);
         assert!(switches < 50, "{comm} woke {switches} times in 500 ms of idling");

@@ -161,6 +161,52 @@ fn concurrent_sessions_fan_back_out_by_id() {
     service.shutdown().expect("shutdown");
 }
 
+/// Fairness without the TCP tier: each session queues in a lane of its
+/// own, and the micro-batcher fills every group from the lanes by deficit
+/// round-robin, so a light session's reads do not wait behind a heavy
+/// session's backlog. Counts completion order, not time: a fixed cadence
+/// (one 128-request group per 10 ms tick) keeps the heavy backlog queued
+/// while the light session submits. A single FIFO would complete all
+/// 4 000 heavy reads first.
+#[test]
+fn session_backlog_does_not_starve_another_session() {
+    let service = LaoramService::start(
+        ServiceConfig::new()
+            .table(TableSpec::new("t", 64).shards(2).superblock_size(4).seed(5))
+            .batch_policy(
+                BatchPolicy::new()
+                    .max_batch(128)
+                    .max_delay(Duration::from_millis(10))
+                    .fixed_cadence(true),
+            ),
+    )
+    .expect("start");
+    let (heavy, light) = (service.session(), service.session());
+    for i in 0..4000u32 {
+        heavy.read(0, i % 64).expect("heavy read");
+    }
+    for i in 0..50u32 {
+        light.read(0, i % 64).expect("light read");
+    }
+    let (mut heavy_done, mut light_done) = (0u32, 0u32);
+    while light_done < 50 {
+        let completion = service.complete_blocking().expect("complete");
+        if completion.session == light.id() {
+            light_done += 1;
+        } else {
+            heavy_done += 1;
+        }
+    }
+    assert!(
+        heavy_done < 2000,
+        "the light session finished after {heavy_done}/4000 heavy reads: that is FIFO"
+    );
+    for _ in heavy_done..4000 {
+        assert_eq!(service.complete_blocking().expect("complete").session, heavy.id());
+    }
+    assert_eq!(service.shutdown().expect("shutdown").truncated_requests, 0);
+}
+
 /// The batch API and the request API share one pipeline: interleaving
 /// them preserves both claim paths and read-your-write across them.
 #[test]
