@@ -1,15 +1,13 @@
-//! The poll-based completion queue.
+//! The completion store: plain data behind the reassembly's lock.
 //!
-//! The shard worker that completes a group publishes it, and every
-//! consecutive complete group, in group order
-//! ([`CompletionShared::publish`]). Claims — FIFO or by ticket, each
-//! completion exactly once — wait on the condvar while theirs is not in.
-//! When the last shard worker exits, or any worker unwinds, the queue is
-//! disconnected and every waiter wakes with
+//! It holds each published, unclaimed completion once, keyed by ticket.
+//! An oldest-first claim takes the lowest ready ticket — submission order
+//! within a session, whose completions are published in ticket order — and
+//! a by-ticket claim removes its own. Once disconnected (the shard workers
+//! are gone), a claim that would wait fails with
 //! [`ServiceError::Disconnected`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::collections::{BTreeMap, HashSet};
 
 use crate::ingress::RequestMeta;
 use crate::{Completion, RequestTicket, RequestTiming, ServiceError};
@@ -56,49 +54,25 @@ impl TicketLedger {
     }
 }
 
-/// Counters describing everything the completion queue accounted for.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CompletionCounters {
-    /// Completions expanded from finished groups.
-    pub expanded: u64,
-    /// Completions claimed by callers.
-    pub claimed: u64,
-}
+/// One claim attempt: the completion, `Ok(None)` to wait for it, or why it
+/// will never come.
+pub(crate) type Claim = Result<Option<Completion>, ServiceError>;
 
+/// Every completion published and not yet claimed, and what was claimed.
 #[derive(Default)]
-struct CompletionState {
+pub(crate) struct CompletionStore {
     /// Completed, unclaimed requests by ticket id.
-    ready: HashMap<u64, Completion>,
-    /// Completion order for FIFO claims; may hold stale ids whose
-    /// completion was claimed by ticket (skipped on pop). Invariant:
-    /// every `ready` key has exactly one live entry here.
-    fifo: VecDeque<u64>,
+    ready: BTreeMap<u64, Completion>,
     ledger: TicketLedger,
-    counters: CompletionCounters,
+    /// Completions claimed by callers.
+    claimed: u64,
     /// The shard workers are gone: nothing more will be published.
     disconnected: bool,
 }
 
-/// Everything left unclaimed when the engine shut down.
-pub(crate) struct CompletionDrain {
-    pub ready: HashMap<u64, Completion>,
-    pub counters: CompletionCounters,
-}
-
-/// The completion queue: shard workers publish into it, every claiming
-/// method waits on it.
-#[derive(Default)]
-pub(crate) struct CompletionShared {
-    state: Mutex<CompletionState>,
-    cond: Condvar,
-}
-
-impl CompletionShared {
-    /// Expands one finished group into per-request completions and wakes
-    /// every waiter. Called in group order, under the reassembly lock.
-    pub fn publish(&self, group: GroupDone) {
-        let mut state = self.state.lock().expect("completion lock");
-        state.counters.expanded += group.requests.len() as u64;
+impl CompletionStore {
+    /// Expands one finished group into per-request completions.
+    pub fn publish(&mut self, group: GroupDone) {
         for (meta, output) in group.requests.into_iter().zip(group.outputs) {
             let completion = Completion {
                 ticket: RequestTicket(meta.ticket),
@@ -112,99 +86,81 @@ impl CompletionShared {
                     complete_ns: group.done_ns,
                 },
             };
-            state.fifo.push_back(meta.ticket);
-            state.ready.insert(meta.ticket, completion);
-        }
-        self.cond.notify_all();
-    }
-
-    /// Marks the queue disconnected and wakes every waiter: the shard
-    /// workers are gone, so an unanswered ticket will stay unanswered.
-    /// Runs from a worker's drop guard, possibly mid-panic, so a poisoned
-    /// lock is entered rather than unwrapped (setting the flag is valid in
-    /// any state).
-    pub fn disconnect(&self) {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).disconnected = true;
-        self.cond.notify_all();
-    }
-
-    fn claim_fifo(state: &mut CompletionState) -> Option<Completion> {
-        while let Some(ticket) = state.fifo.pop_front() {
-            if let Some(completion) = state.ready.remove(&ticket) {
-                state.ledger.claim(ticket);
-                state.counters.claimed += 1;
-                return Some(completion);
-            }
-            // Stale entry: this completion was claimed by ticket.
-        }
-        None
-    }
-
-    /// The oldest unclaimed completion, without blocking.
-    pub fn try_complete(&self) -> Option<Completion> {
-        Self::claim_fifo(&mut self.state.lock().expect("completion lock"))
-    }
-
-    /// The oldest unclaimed completion, blocking while requests are
-    /// outstanding. `issued` re-reads the ticket high-water mark so
-    /// requests submitted concurrently keep the wait alive.
-    pub fn complete_blocking(&self, issued: impl Fn() -> u64) -> Result<Completion, ServiceError> {
-        let mut state = self.state.lock().expect("completion lock");
-        loop {
-            if let Some(completion) = Self::claim_fifo(&mut state) {
-                return Ok(completion);
-            }
-            let c = state.counters;
-            if issued() == c.claimed {
-                return Err(ServiceError::NoPendingRequests);
-            }
-            if state.disconnected {
-                return Err(ServiceError::Disconnected);
-            }
-            state = self.cond.wait(state).expect("completion wait");
+            self.ready.insert(meta.ticket, completion);
         }
     }
 
-    /// The completion of one specific ticket, blocking until its group
-    /// finishes.
-    pub fn wait(&self, ticket: u64, issued: u64) -> Result<Completion, ServiceError> {
-        let mut state = self.state.lock().expect("completion lock");
-        loop {
-            if let Some(completion) = state.ready.remove(&ticket) {
-                state.ledger.claim(ticket);
-                state.counters.claimed += 1;
-                return Ok(completion);
-            }
-            if state.ledger.is_claimed(ticket) {
-                return Err(ServiceError::TicketClaimed { ticket });
-            }
-            if ticket >= issued {
-                return Err(ServiceError::UnknownTicket { ticket });
-            }
-            if state.disconnected {
-                return Err(ServiceError::Disconnected);
-            }
-            state = self.cond.wait(state).expect("completion wait");
+    /// The shard workers are gone, so an unanswered ticket will stay
+    /// unanswered.
+    pub fn disconnect(&mut self) {
+        self.disconnected = true;
+    }
+
+    fn take(&mut self, ticket: u64) -> Option<Completion> {
+        let completion = self.ready.remove(&ticket)?;
+        self.ledger.claim(ticket);
+        self.claimed += 1;
+        Some(completion)
+    }
+
+    /// Claims the completion with the lowest ready ticket.
+    pub fn claim_oldest(&mut self) -> Option<Completion> {
+        let ticket = *self.ready.keys().next()?;
+        self.take(ticket)
+    }
+
+    /// [`claim_oldest`](Self::claim_oldest) for a caller that waits while
+    /// a request below the ticket high-water mark `issued` is unanswered.
+    pub fn poll_oldest(&mut self, issued: impl FnOnce() -> u64) -> Claim {
+        if let Some(completion) = self.claim_oldest() {
+            return Ok(Some(completion));
         }
+        if issued() == self.claimed {
+            return Err(ServiceError::NoPendingRequests);
+        }
+        if self.disconnected {
+            return Err(ServiceError::Disconnected);
+        }
+        Ok(None)
+    }
+
+    /// Claims `ticket`, for a caller that waits while it was issued (it is
+    /// below `issued`) and is not answered yet.
+    pub fn poll_ticket(&mut self, ticket: u64, issued: u64) -> Claim {
+        if let Some(completion) = self.take(ticket) {
+            return Ok(Some(completion));
+        }
+        if self.ledger.is_claimed(ticket) {
+            return Err(ServiceError::TicketClaimed { ticket });
+        }
+        if ticket >= issued {
+            return Err(ServiceError::UnknownTicket { ticket });
+        }
+        if self.disconnected {
+            return Err(ServiceError::Disconnected);
+        }
+        Ok(None)
     }
 
     /// Requests issued but not yet claimed, given the ticket high-water
     /// mark.
     pub fn unclaimed(&self, issued: u64) -> u64 {
-        issued - self.state.lock().expect("completion lock").counters.claimed
+        issued - self.claimed
     }
 
-    /// Shutdown path: the pipeline threads have been joined, so everything
-    /// that completed has been published; hand the leftovers to the caller.
-    pub fn drain_for_shutdown(&self) -> CompletionDrain {
-        let mut state = self.state.lock().expect("completion lock");
-        state.fifo.clear();
-        CompletionDrain { ready: std::mem::take(&mut state.ready), counters: state.counters }
+    /// Shutdown path: everything left unclaimed, in ticket order.
+    pub fn take_leftovers(&mut self) -> BTreeMap<u64, Completion> {
+        std::mem::take(&mut self.ready)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -222,5 +178,144 @@ mod tests {
         assert_eq!(ledger.watermark, 4, "out-of-order claims fold into the watermark");
         assert!(ledger.ahead.is_empty());
         assert!(!ledger.is_claimed(4));
+    }
+
+    /// One step against the store.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Publish the next group, if any is left.
+        Publish,
+        ClaimOldest,
+        /// Claim `raw % (issued + 2)`: issued tickets and a few beyond.
+        ClaimTicket(u64),
+        Disconnect,
+    }
+
+    /// Forms groups the way the micro-batcher does: each session's
+    /// tickets queue in a lane of their own, and a group of `len` takes
+    /// from the lanes in turn, starting at `lane`. Tickets are distinct,
+    /// in ticket order within a session, and out of ticket order across
+    /// sessions.
+    fn form_groups(sessions: &[u64], shapes: &[(usize, usize)]) -> Vec<Vec<RequestMeta>> {
+        let mut lanes: Vec<VecDeque<RequestMeta>> = vec![VecDeque::new(); 3];
+        for (ticket, &session) in sessions.iter().enumerate() {
+            let meta = RequestMeta { ticket: ticket as u64, session, enqueue_ns: 0 };
+            lanes[session as usize].push_back(meta);
+        }
+        let mut groups = Vec::new();
+        for &(start, len) in shapes {
+            let mut group = Vec::new();
+            for lane in (start..).take(3 * len).map(|l| l % 3) {
+                if group.len() == len {
+                    break;
+                }
+                group.extend(lanes[lane].pop_front());
+            }
+            if !group.is_empty() {
+                groups.push(group);
+            }
+        }
+        groups
+    }
+
+    fn group_done(requests: Vec<RequestMeta>) -> GroupDone {
+        let outputs = vec![None; requests.len()];
+        GroupDone {
+            outputs,
+            requests,
+            coalesce_ns: 0,
+            serve_start_ns: 0,
+            serve_end_ns: 0,
+            done_ns: 0,
+        }
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            Just(Step::Publish),
+            Just(Step::Publish),
+            Just(Step::ClaimOldest),
+            any::<u64>().prop_map(Step::ClaimTicket),
+            (0u8..8).prop_map(|roll| if roll == 0 { Step::Disconnect } else { Step::ClaimOldest }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The store against a model: published-and-unclaimed tickets, the
+        /// claimed set, the disconnect flag. Every claim answers as the
+        /// model says, each ticket is claimed at most once, oldest-first
+        /// claims see each session in ticket order, and after every step
+        /// the store holds exactly the unclaimed published completions —
+        /// a by-ticket claim leaves nothing behind.
+        #[test]
+        fn store_holds_each_unclaimed_completion_once(
+            sessions in vec(0u64..3, 1..48),
+            shapes in vec((0usize..3, 1usize..8), 1..16),
+            steps in vec(step(), 1..96),
+        ) {
+            let issued = sessions.len() as u64;
+            let mut groups = form_groups(&sessions, &shapes).into_iter();
+            let mut store = CompletionStore::default();
+            let mut published: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut claimed: HashSet<u64> = HashSet::new();
+            let mut last_oldest: HashMap<u64, u64> = HashMap::new();
+            let mut disconnected = false;
+            for step in steps {
+                match step {
+                    Step::Publish => {
+                        if let Some(group) = groups.next() {
+                            for meta in &group {
+                                published.insert(meta.ticket, meta.session);
+                            }
+                            store.publish(group_done(group));
+                        }
+                    }
+                    Step::ClaimOldest => {
+                        let got = store.poll_oldest(|| issued);
+                        match published.pop_first() {
+                            Some((ticket, session)) => {
+                                let completion = got.expect("ready").expect("claimed");
+                                prop_assert_eq!(completion.ticket.id(), ticket);
+                                prop_assert_eq!(completion.session, session);
+                                prop_assert!(claimed.insert(ticket), "ticket {} claimed twice", ticket);
+                                let last = last_oldest.insert(session, ticket);
+                                prop_assert!(last.is_none_or(|last| last < ticket), "session order");
+                            }
+                            None if claimed.len() as u64 == issued => {
+                                prop_assert!(matches!(got, Err(ServiceError::NoPendingRequests)));
+                            }
+                            None if disconnected => {
+                                prop_assert!(matches!(got, Err(ServiceError::Disconnected)));
+                            }
+                            None => prop_assert!(matches!(got, Ok(None))),
+                        }
+                    }
+                    Step::ClaimTicket(raw) => {
+                        let ticket = raw % (issued + 2);
+                        let got = store.poll_ticket(ticket, issued);
+                        if published.remove(&ticket).is_some() {
+                            let completion = got.expect("ready").expect("claimed");
+                            prop_assert_eq!(completion.ticket.id(), ticket);
+                            prop_assert!(claimed.insert(ticket), "ticket {} claimed twice", ticket);
+                        } else if claimed.contains(&ticket) {
+                            prop_assert!(matches!(got, Err(ServiceError::TicketClaimed { .. })));
+                        } else if ticket >= issued {
+                            prop_assert!(matches!(got, Err(ServiceError::UnknownTicket { .. })));
+                        } else if disconnected {
+                            prop_assert!(matches!(got, Err(ServiceError::Disconnected)));
+                        } else {
+                            prop_assert!(matches!(got, Ok(None)));
+                        }
+                    }
+                    Step::Disconnect => {
+                        store.disconnect();
+                        disconnected = true;
+                    }
+                }
+                prop_assert!(store.ready.keys().eq(published.keys()), "store != model");
+                prop_assert_eq!(store.unclaimed(issued), issued - claimed.len() as u64);
+            }
+        }
     }
 }

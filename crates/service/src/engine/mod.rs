@@ -1,5 +1,5 @@
 //! The serving engine: preprocessor (which closes its own groups) →
-//! shard workers → completion queue.
+//! shard workers → reassembly, which holds the completions.
 //!
 //! # Pipeline
 //!
@@ -11,8 +11,8 @@
 //!   (bounded by queue_depth:                    it and draws its paths  serve group N
 //!    backpressure)                              while shards serve N          │
 //!                                                                             ▼
-//!  try_complete()/wait() ◀── completion queue ◀── reassembly ◀──────── per-group parts
-//!                              (published by the worker that completes the group)
+//!  try_complete()/wait() ◀── reassembly (one lock: group order, ◀──── per-group parts
+//!                            counters, completions; emitted by the worker that completes the group)
 //! ```
 //!
 //! Two kinds of thread: one preprocessor and one worker per shard. The
@@ -33,22 +33,22 @@
 //!
 //! The preprocessor and the workers only *measure*; their measurements
 //! ride the group's manifest and parts into the reassembly. A group is
-//! counted once — into the always-present registry ([`Instruments`]) —
-//! when it is emitted, by the worker whose part completed it, under the
-//! reassembly lock and in group order. [`ServiceStats`] is a view:
-//! registry totals minus the baseline stored at a
+//! counted once — into the always-present registry ([`Instruments`]) and
+//! [`Counters`] — when it is emitted, by the worker whose part completed
+//! it, under the reassembly lock and in group order. [`ServiceStats`] is a
+//! view: registry totals minus the baseline stored at a
 //! [`reset_stats`](LaoramService::reset_stats) barrier.
 //!
 //! # Lock order
 //!
-//! reassembly → `Shared::inner` → completion queue → ingress `pending`.
-//! The preprocessor never takes the reassembly lock while it holds
-//! `pending`.
+//! Two levels: reassembly (group order, counters, completions; its condvar
+//! parks every claimer) → ingress `pending`. The preprocessor never takes
+//! the reassembly lock while it holds `pending`.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -57,9 +57,9 @@ use laoram_telemetry::{FlightDump, Sampler, TelemetrySnapshot};
 use oram_protocol::AccessStats;
 use oram_tree::{DiskIoStats, DynBucketStore};
 
-use crate::completion::CompletionShared;
+use crate::completion::CompletionStore;
 use crate::ingress::Ingress;
-use crate::stats::build_stats;
+use crate::stats::{build_stats, window_stats};
 use crate::telemetry::{Flight, Instruments, TelemetryReport};
 use crate::{
     BatchResponse, BatchTicket, BatchTiming, Completion, Request, RequestTicket, ResolvedBackend,
@@ -70,6 +70,8 @@ mod preprocessor;
 mod reassembly;
 mod start;
 mod worker;
+
+use reassembly::Reassembly;
 
 /// A shard worker's LAORAM client: backend chosen at runtime, so the
 /// store is a boxed trait object behind the `BucketStore` boundary.
@@ -119,7 +121,6 @@ pub(crate) struct Shared {
     start: Instant,
     /// `(table, shard)` per flattened worker id.
     pub(crate) worker_homes: Vec<(usize, u32)>,
-    pub(crate) inner: Mutex<SharedInner>,
     /// The always-present instrument set: the one place the engine
     /// counts. Written as each group is emitted (and by the ingress, for
     /// `service.ingress.*`) whether or not anyone can read it.
@@ -135,9 +136,10 @@ pub(crate) struct Shared {
 /// limit).
 const TIMING_WINDOW: usize = 4096;
 
-/// The state the registry cannot hold, written under one lock per
-/// emitted group (and by a failing worker, for its error).
-pub(crate) struct SharedInner {
+/// The counts the registry cannot hold, written under the reassembly lock
+/// as each group is emitted (and by a failing worker, for its error).
+#[derive(Default)]
+pub(crate) struct Counters {
     /// Each worker's cumulative LAORAM counters as of its last emitted
     /// batch (its shutdown flush included, once retired).
     pub(crate) worker_stats: Vec<AccessStats>,
@@ -161,21 +163,8 @@ impl Shared {
         worker_homes: Vec<(usize, u32)>,
         flight: Option<Arc<Flight>>,
     ) -> Self {
-        let workers = worker_homes.len();
-        Shared {
-            start,
-            worker_homes,
-            inner: Mutex::new(SharedInner {
-                worker_stats: vec![AccessStats::new(); workers],
-                worker_errors: vec![None; workers],
-                worker_disk_io: vec![None; workers],
-                worst_imbalance: 0.0,
-                batch_timing: VecDeque::new(),
-                baseline: None,
-            }),
-            instruments: Instruments::new(workers),
-            flight,
-        }
+        let instruments = Instruments::new(worker_homes.len());
+        Shared { start, worker_homes, instruments, flight }
     }
 
     pub(crate) fn now_ns(&self) -> u64 {
@@ -189,7 +178,7 @@ impl Shared {
 /// between the request-level and batch-level APIs.
 pub struct LaoramService {
     ingress: Arc<Ingress>,
-    completions: Arc<CompletionShared>,
+    reassembly: Arc<Reassembly>,
     shared: Arc<Shared>,
     router: Arc<ShardRouter>,
     /// The storage backend chosen for each table at startup.
@@ -313,24 +302,24 @@ impl LaoramService {
         self.ingress.flush()
     }
 
-    /// Claims the oldest unclaimed completion without blocking.
-    /// Completions surface in *completion order* (group order, request
-    /// order within a group), which matches submission order per session
-    /// but may interleave across sessions and deadline flushes.
+    /// Claims the oldest ready completion without blocking: lowest ready
+    /// ticket first; submission order within a session. Sessions may
+    /// interleave.
     #[must_use]
     pub fn try_complete(&self) -> Option<Completion> {
-        self.completions.try_complete()
+        self.reassembly.store(CompletionStore::claim_oldest)
     }
 
-    /// Claims the oldest unclaimed completion, blocking while requests
-    /// are outstanding (a pending micro-batch counts: the deadline flush
-    /// will release it).
+    /// Claims the oldest ready completion — lowest ready ticket first;
+    /// submission order within a session — blocking while requests are
+    /// outstanding (a pending micro-batch counts: the deadline flush will
+    /// release it).
     ///
     /// # Errors
     /// [`ServiceError::NoPendingRequests`] with nothing outstanding;
     /// [`ServiceError::Disconnected`] if the pipeline died.
     pub fn complete_blocking(&self) -> Result<Completion, ServiceError> {
-        self.completions.complete_blocking(|| self.ingress.issued())
+        self.reassembly.claim(|store| store.poll_oldest(|| self.ingress.issued()))
     }
 
     /// Blocks until `ticket`'s request completes and claims it. Safe to
@@ -343,7 +332,8 @@ impl LaoramService {
     /// [`ServiceError::TicketClaimed`] if already claimed;
     /// [`ServiceError::Disconnected`] if the pipeline died.
     pub fn wait(&self, ticket: RequestTicket) -> Result<Completion, ServiceError> {
-        self.completions.wait(ticket.0, self.ingress.issued())
+        let issued = self.ingress.issued();
+        self.reassembly.claim(|store| store.poll_ticket(ticket.0, issued))
     }
 
     /// Requests submitted (through every path) whose completions have not
@@ -351,7 +341,8 @@ impl LaoramService {
     /// micro-batcher.
     #[must_use]
     pub fn outstanding_requests(&self) -> u64 {
-        self.completions.unclaimed(self.ingress.issued())
+        let issued = self.ingress.issued();
+        self.reassembly.store(|store| store.unclaimed(issued))
     }
 
     // ------------------------------------------------------------------
@@ -395,7 +386,7 @@ impl LaoramService {
     }
 
     /// Receives the next completed batch, in submission order (blocking).
-    /// Implemented on the completion queue: the batch's request
+    /// Implemented on the completion store: the batch's request
     /// completions are claimed in ticket order and reassembled.
     ///
     /// A degraded shard answers its part of a group with empty outputs
@@ -413,7 +404,7 @@ impl LaoramService {
         let issued = self.ingress.issued();
         let mut outputs = Vec::with_capacity(ticket.len as usize);
         for request in ticket.request_tickets() {
-            outputs.push(self.completions.wait(request, issued)?.output);
+            outputs.push(self.reassembly.claim(|store| store.poll_ticket(request, issued))?.output);
         }
         Ok(BatchResponse { ticket, outputs })
     }
@@ -470,7 +461,7 @@ impl LaoramService {
     /// boundaries, [`drain`](Self::drain) first.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        build_stats(&self.shared)
+        build_stats(&self.shared, self.reassembly.counters(|c| window_stats(&self.shared, c)))
     }
 
     /// Number of batches submitted but not yet returned.
@@ -509,10 +500,10 @@ impl LaoramService {
     /// [`ServiceReport`].
     #[must_use]
     pub fn table_status(&self) -> Vec<TableStatus> {
-        let inner = self.shared.inner.lock().expect("status lock");
+        let disk_io = self.reassembly.counters(|counters| counters.worker_disk_io.clone());
         let mut status = self.table_status.clone();
         for (worker, &(table, _)) in self.shared.worker_homes.iter().enumerate() {
-            if let Some(io) = inner.worker_disk_io[worker] {
+            if let Some(io) = disk_io[worker] {
                 let entry = status[table].disk_io.get_or_insert_with(DiskIoStats::default);
                 entry.reads += io.reads;
                 entry.read_bytes += io.read_bytes;
@@ -589,9 +580,10 @@ impl LaoramService {
     pub fn shutdown(mut self) -> Result<ServiceReport, ServiceError> {
         self.stop_pipeline();
         // Everything that completed has been published to the completion
-        // queue; account for what is missing.
-        let drain = self.completions.drain_for_shutdown();
-        let mut ready = drain.ready;
+        // store; account for what is missing.
+        let unclaimed = self.outstanding_requests();
+        let mut ready = self.reassembly.store(CompletionStore::take_leftovers);
+        let truncated_requests = unclaimed.saturating_sub(ready.len() as u64);
         let mut responses = Vec::new();
         let mut truncated_batches = 0u64;
         for ticket in std::mem::take(&mut self.pending_batches) {
@@ -607,12 +599,7 @@ impl LaoramService {
                 truncated_batches += 1;
             }
         }
-        let mut completions: Vec<Completion> = ready.into_values().collect();
-        completions.sort_by_key(|c| c.ticket.id());
-
-        let issued = self.ingress.issued();
-        let counters = drain.counters;
-        let truncated_requests = issued.saturating_sub(counters.expanded);
+        let completions: Vec<Completion> = ready.into_values().collect();
 
         let mut stats = self.stats();
         let table_status = self.table_status();

@@ -227,5 +227,5 @@ pub(super) fn run_preprocessor(
     }
     let _ = flush(&mut pending);
     // Shut down and drained: dropping the worker senders ends the
-    // workers, the last of which disconnects the completion queue.
+    // workers, the last of which disconnects the completion store.
 }

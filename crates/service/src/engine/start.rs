@@ -16,7 +16,6 @@ use super::preprocessor::run_preprocessor;
 use super::reassembly::Reassembly;
 use super::worker::run_worker;
 use super::{LaoramService, ShardClient, Shared, WorkerMsg};
-use crate::completion::CompletionShared;
 use crate::ingress::Ingress;
 use crate::telemetry::Flight;
 use crate::{
@@ -334,8 +333,6 @@ impl LaoramService {
             })
         });
 
-        let completions = Arc::new(CompletionShared::default());
-
         // Alignment quantum for the micro-batcher: one full superblock
         // window per shard worker, in expectation, when a group of this
         // size hash-splits across the shards.
@@ -349,12 +346,8 @@ impl LaoramService {
             quantum,
             config.queue_depth,
         ));
-        let reassembly = Arc::new(Reassembly::new(
-            Arc::clone(&shared),
-            Arc::clone(&completions),
-            Arc::clone(&ingress),
-            num_workers,
-        ));
+        let reassembly =
+            Arc::new(Reassembly::new(Arc::clone(&shared), Arc::clone(&ingress), num_workers));
 
         let mut worker_txs = Vec::with_capacity(num_workers);
         let mut handles = Vec::with_capacity(num_workers + 1);
@@ -375,6 +368,7 @@ impl LaoramService {
         let ingress_for_prep = Arc::clone(&ingress);
         let router_for_prep = Arc::clone(&router);
         let shared_for_prep = Arc::clone(&shared);
+        let reassembly_for_prep = Arc::clone(&reassembly);
         let pad_shard_batches = config.pad_shard_batches;
         handles.push(
             std::thread::Builder::new()
@@ -385,7 +379,7 @@ impl LaoramService {
                         router_for_prep,
                         planners,
                         worker_txs,
-                        reassembly,
+                        reassembly_for_prep,
                         shared_for_prep,
                         pad_shard_batches,
                     )
@@ -395,7 +389,7 @@ impl LaoramService {
 
         Ok(LaoramService {
             ingress,
-            completions,
+            reassembly,
             shared,
             router,
             table_backends,

@@ -24,28 +24,13 @@ pub(super) fn run_worker(
     shared: Arc<Shared>,
 ) {
     // Leaves on return or unwind: the last worker out (or any that
-    // panics) disconnects the completion queue.
+    // panics) disconnects the completion store.
     let _seat = reassembly.seat();
     // Local FIFO mirror of the channel. Messages are only ever appended in
     // channel order; the one out-of-order operation is `stage_next_plan`,
     // which removes the *first* Plan in the queue — plans are staged
     // strictly in arrival order.
     let mut queue: VecDeque<WorkerMsg> = VecDeque::new();
-    // Keep the *first* failure: later PlanIncomplete/PlanBacklog errors
-    // are cascades of the root cause and would otherwise mask it.
-    // A failure also triggers the one-shot flight-recorder dump, so the
-    // spans leading up to the first error are preserved.
-    let fail = |shared: &Shared, e: &dyn std::fmt::Display| {
-        {
-            let slot = &mut shared.inner.lock().expect("worker lock").worker_errors[worker];
-            if slot.is_none() {
-                *slot = Some(e.to_string());
-            }
-        }
-        if let Some(flight) = &shared.flight {
-            flight.dump_on_failure(&format!("worker {worker} error: {e}"));
-        }
-    };
     /// Pumps every already-delivered message into the local queue.
     fn pump(rx: &Receiver<WorkerMsg>, queue: &mut VecDeque<WorkerMsg>) {
         while let Ok(m) = rx.try_recv() {
@@ -83,21 +68,21 @@ pub(super) fn run_worker(
                 // reaches here only when it arrived with no ops pending.
                 if client.has_staged_plan() && client.plan_remaining() == 0 {
                     if let Err(e) = client.advance_plan() {
-                        fail(&shared, &e);
+                        reassembly.fail(worker, &e);
                     }
                 }
                 // A stage failure is recorded, not fatal: the window's ops
                 // will fail below and be answered with empty outputs, so
                 // the group still completes.
                 if let Err(e) = client.stage_plan(plan) {
-                    fail(&shared, &e);
+                    reassembly.fail(worker, &e);
                 }
             }
             WorkerMsg::Ops { group, ops, slots } => {
                 // Activate the window these ops belong to.
                 if client.plan_remaining() == 0 && client.has_staged_plan() {
                     if let Err(e) = client.advance_plan() {
-                        fail(&shared, &e);
+                        reassembly.fail(worker, &e);
                     }
                 }
                 // Pipeline lookahead: if the *next* window is already
@@ -105,7 +90,7 @@ pub(super) fn run_worker(
                 // flushes exit toward next-window paths.
                 pump(&rx, &mut queue);
                 if let Err(e) = stage_next_plan(&mut client, &mut queue) {
-                    fail(&shared, &e);
+                    reassembly.fail(worker, &e);
                 }
                 let serve_start_ns = shared.now_ns();
                 let outputs = match client.serve_batch(ops) {
@@ -114,7 +99,7 @@ pub(super) fn run_worker(
                         // Degrade instead of deadlocking: record the error
                         // and answer with empty outputs so every submitted
                         // group still completes.
-                        fail(&shared, &e);
+                        reassembly.fail(worker, &e);
                         vec![None; slots.len()]
                     }
                 };
@@ -147,7 +132,7 @@ pub(super) fn run_worker(
     // Channel closed: flush the shard and retire its final counters
     // (including the final flush's disk I/O).
     if let Err(e) = client.finish() {
-        fail(&shared, &e);
+        reassembly.fail(worker, &e);
     }
     reassembly.retire(worker, client.stats().clone(), client.storage().io_stats());
 }

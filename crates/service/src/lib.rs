@@ -17,8 +17,9 @@
 //!   preprocessing still sees full windows, but callers never assemble
 //!   batches by hand.
 //! * **Poll-based completion** — results are claimed from a completion
-//!   queue: [`try_complete`](LaoramService::try_complete) (non-blocking,
-//!   FIFO), [`complete_blocking`](LaoramService::complete_blocking), or
+//!   queue: [`try_complete`](LaoramService::try_complete) (non-blocking) or
+//!   [`complete_blocking`](LaoramService::complete_blocking) (lowest ready
+//!   ticket first; submission order within a session), or
 //!   [`wait`](LaoramService::wait) for one specific ticket. Each
 //!   [`Completion`] carries the request's output and its
 //!   enqueue → coalesce → serve → complete timestamps

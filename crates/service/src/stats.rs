@@ -3,7 +3,7 @@
 
 use oram_protocol::AccessStats;
 
-use crate::engine::{Shared, SharedInner};
+use crate::engine::{Counters, Shared};
 
 /// The service's latency histogram: the log-linear
 /// [`Histogram`](laoram_telemetry::Histogram) from `laoram-telemetry`.
@@ -218,23 +218,23 @@ impl ServiceStats {
 /// read straight from the registry (the shards' [`AccessStats`] from the
 /// cumulative copies published beside it as groups are emitted). The window
 /// fields — `batches`, the overlap figures, `worker_errors`,
-/// `worst_imbalance` — are left empty for [`build_stats`] to fill.
-pub(crate) fn lifetime_totals(shared: &Shared, inner: &SharedInner) -> ServiceStats {
+/// `worst_imbalance` — are left empty for [`window_stats`] to fill.
+pub(crate) fn lifetime_totals(shared: &Shared, counters: &Counters) -> ServiceStats {
     let instruments = &shared.instruments;
     let mut merged = AccessStats::new();
     let mut shards = Vec::with_capacity(shared.worker_homes.len());
     for (worker, &(table, shard)) in shared.worker_homes.iter().enumerate() {
-        let stats = inner.worker_stats[worker].clone();
+        let stats = counters.worker_stats[worker].clone();
         merged.merge(&stats);
-        let counters = &instruments.workers[worker];
+        let registered = &instruments.workers[worker];
         shards.push(ShardStats {
             table,
             shard,
             stats,
-            serve_ns: counters.serve_ns.total(),
-            batches: counters.batches.total(),
-            routed: counters.routed.total(),
-            pads: counters.pads.total(),
+            serve_ns: registered.serve_ns.total(),
+            batches: registered.batches.total(),
+            routed: registered.routed.total(),
+            pads: registered.pads.total(),
         });
     }
     ServiceStats {
@@ -333,27 +333,29 @@ fn window_overlap(window: &[BatchTiming]) -> (u64, u64) {
     (window_preprocess_ns, overlap_ns)
 }
 
-/// The statistics since the last reset barrier: registry totals minus
-/// the baseline stored there.
-pub(crate) fn build_stats(shared: &Shared) -> ServiceStats {
-    let mut stats = {
-        let inner = shared.inner.lock().expect("stats lock");
-        let totals = lifetime_totals(shared, &inner);
-        let mut stats = match &inner.baseline {
-            Some(baseline) => totals.since(baseline),
-            None => totals,
-        };
-        stats.worker_errors = inner
-            .worker_errors
-            .iter()
-            .enumerate()
-            .filter_map(|(worker, e)| e.as_ref().map(|m| (worker, m.clone())))
-            .collect();
-        stats.skew.worst_imbalance = inner.worst_imbalance;
-        stats.batches = inner.batch_timing.iter().cloned().collect();
-        stats
+/// The statistics since the last reset barrier, as read under the
+/// reassembly lock: registry totals minus the baseline stored there, and
+/// the window fields from `counters`.
+pub(crate) fn window_stats(shared: &Shared, counters: &Counters) -> ServiceStats {
+    let totals = lifetime_totals(shared, counters);
+    let mut stats = match &counters.baseline {
+        Some(baseline) => totals.since(baseline),
+        None => totals,
     };
-    // The overlap fold runs on the cloned window, after the lock is gone.
+    stats.worker_errors = counters
+        .worker_errors
+        .iter()
+        .enumerate()
+        .filter_map(|(worker, e)| e.as_ref().map(|m| (worker, m.clone())))
+        .collect();
+    stats.skew.worst_imbalance = counters.worst_imbalance;
+    stats.batches = counters.batch_timing.iter().cloned().collect();
+    stats
+}
+
+/// Completes [`window_stats`]' view with the overlap fold, which runs on
+/// the cloned window after the lock is gone, and the wall clock.
+pub(crate) fn build_stats(shared: &Shared, mut stats: ServiceStats) -> ServiceStats {
     (stats.pipeline.window_preprocess_ns, stats.pipeline.overlap_ns) =
         window_overlap(&stats.batches);
     stats.pipeline.wall_ns = shared.now_ns();
