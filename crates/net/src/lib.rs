@@ -10,24 +10,23 @@
 //! ## Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ listener ─▶ reactor pool ─▶ admission ─▶ session submit + route
-//!                                 │  ▲                                   │
-//!                 HelloAck, errors│  └── WouldBlock leftovers            ▼ DRR over
-//!                                 ▼                               session lanes
-//!                              sockets ◀── completion pump ◀── LAORAM pipeline
+//! clients ──TCP──▶ listener ─▶ reactor pool ─▶ admission ─▶ session submit ─▶ DRR over
+//!                                 ▲   │                                      session lanes
+//!                                 │   └── responses, errors, HelloAck            │
+//!                                 │                                              ▼
+//!                                 └──── session claim (own completions) ◀── LAORAM pipeline
 //! ```
 //!
 //! Everything is `std::net` + threads — the workspace vendors no async
-//! runtime — and the tier runs 2 + `reactors` of them. The listener
-//! blocks in `accept`. Each **reactor** thread owns the read side of a
-//! set of non-blocking sockets and polls them, parking briefly when
-//! nothing moves — the one polling loop, since std has no `poll(2)`. A
-//! reactor submits each admitted request through its connection's engine
-//! session and records the ticket's route in the same critical section.
-//! The **completion pump** parks while that route table is empty, blocks
-//! on the engine's completion queue otherwise, and writes each claimed
-//! batch of responses to the sockets itself. Whoever queues a frame
-//! writes it; a reactor only flushes what a `WouldBlock` left behind.
+//! runtime — and the tier runs 1 + `reactors` of them. The listener
+//! blocks in `accept`. Each **reactor** thread is the only reader and the
+//! only writer of a set of non-blocking sockets and polls them, parking
+//! briefly when nothing moves — the one polling loop, since std has no
+//! `poll(2)`. A reactor submits each admitted request through its
+//! connection's engine session and notes the `(ticket, wire id)` pair in
+//! the connection's FIFO; on each pass it claims the session's ready
+//! completions, which come back in submission order, pairs them off the
+//! FIFO and writes the responses itself.
 //!
 //! Each connection handshakes to its own engine
 //! [`Session`](laoram_service::Session), opened with

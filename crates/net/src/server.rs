@@ -1,37 +1,42 @@
-//! The TCP serving tier: listener, reactor pool and completion pump.
+//! The TCP serving tier: a listener and a pool of reactors.
 //!
 //! Everything here is `std::net` + threads. The **listener** blocks in
-//! `accept`. Each **reactor** owns a disjoint set of non-blocking sockets
-//! and polls them for reads, parking briefly when nothing moves: the one
-//! polling loop left, since std has no `poll(2)`. A parsed request passes
-//! admission control and the reactor submits it straight through its
-//! connection's [`Session`](laoram_service::Session), inserting the
-//! ticket's route in the same critical section as the submit; the
-//! engine's micro-batcher keeps one deficit-round-robin lane per session,
-//! so per-connection fairness is decided where each group is formed. One
-//! **completion pump** parks while that route table is empty, blocks on
-//! the engine's completion queue otherwise, and writes each claimed batch
-//! to the sockets itself — or, when a connection dropped mid-flight,
-//! claims and discards its responses so the ticket ledger never leaks.
-//! Whoever queues a frame writes it; a reactor only flushes what a
-//! `WouldBlock` left behind.
+//! `accept` and hands each connection, with an engine [`Session`] of its
+//! own, to a reactor. Each **reactor** is the only reader and the only
+//! writer of the non-blocking sockets it owns, and polls them, parking
+//! briefly when nothing moves: the one polling loop left, since std has no
+//! `poll(2)`. A parsed request passes admission control and the reactor
+//! submits it through its connection's session, noting the
+//! `(ticket, wire id)` pair in the connection's FIFO; the engine's
+//! micro-batcher keeps one deficit-round-robin lane per session, so
+//! per-connection fairness is decided where each group is formed. On each
+//! pass, a connection with requests in flight claims its session's ready
+//! completions ([`Session::try_claim`]). They come back in submission
+//! order, so each pops its wire id off the FIFO; the reactor releases its
+//! admission slot and writes the response. Which connection an answer
+//! belongs to is decided in the engine: it goes to the session that asked.
+//! A connection that closed stays with its reactor until its FIFO drains:
+//! its responses are claimed and discarded, so the ticket ledger never
+//! leaks.
 //!
 //! ## Shutdown
 //!
 //! [`NetServer::shutdown`] drains rather than aborts: the listener
 //! stops accepting, new request frames are refused with
 //! [`ErrorCode::ShuttingDown`], the engine flushes its micro-batcher, and
-//! the pump routes every remaining in-flight completion before the
-//! sockets close. Responses whose connection disappeared are counted in
-//! [`NetReport::discarded_responses`] and folded into the service
-//! report's `truncated_requests`. Dropping a running [`NetServer`] runs
-//! the same drain and joins every thread, the engine's included.
+//! each reactor answers its connections' in-flight requests — for at most
+//! `DRAIN_DEADLINE`, which its polling loop checks on every pass — before
+//! it closes their sockets and exits. Responses whose connection
+//! disappeared are counted in [`NetReport::discarded_responses`] and
+//! folded into the service report's `truncated_requests`. Dropping a
+//! running [`NetServer`] runs the same drain and joins every thread, the
+//! engine's included.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,14 +49,13 @@ use crate::frame::{
 };
 use crate::{NetError, Result};
 
-/// Reactor parked sleep when no bytes moved: the price of polling
-/// non-blocking sockets for reads without `poll(2)`. An idle request pays
-/// up to one sleep before its frame is parsed; a busy reactor never sleeps.
+/// Reactor parked sleep when nothing moved: the price of polling
+/// non-blocking sockets without `poll(2)`. An idle request pays up to one
+/// sleep before its frame is parsed and up to one more before its
+/// completion is claimed; a busy reactor never sleeps.
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 /// Hard ceiling on waiting for in-flight requests during shutdown.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
-/// Most completions the pump claims, and writes, per round.
-const PUMP_BATCH: usize = 256;
 
 /// Tuning knobs for [`NetServer::start`].
 #[derive(Debug, Clone)]
@@ -134,11 +138,12 @@ pub struct NetReport {
     /// The engine's own report; its `truncated_requests` additionally
     /// folds in [`discarded_responses`](Self::discarded_responses).
     pub service: ServiceReport,
-    /// Completions claimed for connections that had already dropped —
-    /// the engine did the work, nobody received the answer.
+    /// Completions claimed for connections that had already closed — the
+    /// engine did the work, nobody received the answer — plus requests
+    /// still in flight when the drain deadline passed.
     pub discarded_responses: u64,
-    /// Admitted requests dropped before engine submission because their
-    /// connection had already failed.
+    /// Request frames dropped unsubmitted because they arrived behind
+    /// their connection's Goodbye.
     pub dropped_requests: u64,
     /// Requests refused because the global in-flight cap was full.
     pub overloaded_refusals: u64,
@@ -154,130 +159,38 @@ pub struct NetReport {
     pub frames_out: u64,
 }
 
-/// Where an in-flight engine ticket's completion must be routed.
-struct PendingRoute {
-    conn: Arc<ConnShared>,
-    req_id: u64,
-    tenant: u64,
-}
-
-/// Engine ticket id → response route: under one lock and condvar, the
-/// pump's map from each claimed ticket to its connection (it parks while
-/// the table is empty) and shutdown's drain condition.
-#[derive(Default)]
-struct Routes {
-    map: HashMap<u64, PendingRoute>,
-    /// Nothing more will be routed: shutdown's drain ended, or the engine
-    /// disconnected. Reactors refuse requests from then on, and no wait on
-    /// the table outlasts this.
-    closed: bool,
-}
-
-/// Connection state shared between its reactor and the pump (which holds
-/// it via pending routes).
-struct ConnShared {
-    session: Session,
-    /// Read only by the owning reactor; written by whichever thread
-    /// queues a frame, under `outbound`.
-    stream: TcpStream,
-    tenant: AtomicU64,
-    hello_done: AtomicBool,
-    /// Protocol version negotiated at Hello (0 until the handshake):
-    /// version-2 frames such as fused updates are refused on a
-    /// version-1 connection.
-    version: AtomicU64,
-    open: AtomicBool,
-    /// Encoded frames the socket has not taken yet. Writers encode and
-    /// write under this lock, so frames never interleave.
-    outbound: Mutex<Vec<u8>>,
-}
-
-impl ConnShared {
-    /// Queues one frame and writes what the socket takes now.
-    fn send(&self, frame: &Frame, state: &NetState) {
-        if self.queue(frame, state) {
-            self.flush();
-        }
-    }
-
-    /// Encodes a frame onto the outbound buffer without writing it.
-    /// Returns `false` (a no-op) once the connection is closed.
-    fn queue(&self, frame: &Frame, state: &NetState) -> bool {
-        if !self.open.load(Ordering::Acquire) {
-            return false;
-        }
-        frame.encode_into(&mut self.outbound.lock().expect("outbound lock"));
-        state.frames_out.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Writes queued bytes until the socket would block, keeping the rest
-    /// for the reactor. A failed write closes the connection. Returns
-    /// whether any byte moved.
-    fn flush(&self) -> bool {
-        let mut outbound = self.outbound.lock().expect("outbound lock");
-        let mut written = 0;
-        while written < outbound.len() {
-            match (&self.stream).write(&outbound[written..]) {
-                Ok(n) if n > 0 => written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                _ => {
-                    // Peer gone: nothing queued can be delivered.
-                    outbound.clear();
-                    self.open.store(false, Ordering::Release);
-                    return written > 0;
-                }
-            }
-        }
-        outbound.drain(..written);
-        written > 0
-    }
-
-    /// Sends a typed error frame: `id` names the refused request, or is
-    /// [`CONNECTION_ERROR_ID`] for the connection.
-    fn refuse(&self, id: u64, code: ErrorCode, message: &str, state: &NetState) {
-        self.send(&Frame::Error { id, code, message: message.to_owned() }, state);
-    }
-
-    fn has_outbound(&self) -> bool {
-        !self.outbound.lock().expect("outbound lock").is_empty()
-    }
-
-    /// Closes the connection for good. In-flight routes still hold this
-    /// `ConnShared`, and with it the socket, so dropping the reactor's
-    /// handle would not close it: shut it down.
-    fn retire(&self) {
-        self.open.store(false, Ordering::Release);
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// One reactor's handoff slot for freshly accepted connections.
-type IntakeSlot = Mutex<Vec<Arc<ConnShared>>>;
+/// Connections accepted for one reactor and not taken yet, each with its
+/// engine session.
+type Intake = Vec<(TcpStream, Session)>;
 
 /// State shared by every serving-tier thread.
 struct NetState {
     service: LaoramService,
     admission: AdmissionController,
-    routes: Mutex<Routes>,
-    /// Signalled when the route table fills from empty, empties, or
-    /// closes.
-    routes_changed: Condvar,
     /// The lane quantum of every session the server opens.
     drr_quantum: u64,
     /// Shutdown has begun: stop accepting connections and new requests.
     draining: AtomicBool,
-    /// Drain is complete: reactors flush once more and exit.
+    /// The listener is gone and the micro-batcher flushed: reactors answer
+    /// what is in flight, close their connections and exit.
     stop: AtomicBool,
     max_frame_bytes: usize,
     /// Per-reactor handoff of freshly accepted connections.
-    intake: Vec<IntakeSlot>,
+    intake: Vec<Mutex<Intake>>,
     connections_accepted: AtomicU64,
     discarded_responses: AtomicU64,
     dropped_requests: AtomicU64,
     frames_in: AtomicU64,
     frames_out: AtomicU64,
+}
+
+impl NetState {
+    /// Reactor `idx`'s intake. Every update leaves the list valid, so a
+    /// lock poisoned by a panicked serving thread is entered, not
+    /// unwrapped.
+    fn intake(&self, idx: usize) -> MutexGuard<'_, Intake> {
+        self.intake[idx].lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running serving tier over one [`LaoramService`]. Dropping it without
@@ -288,13 +201,12 @@ pub struct NetServer {
     local_addr: SocketAddr,
     listener: Option<JoinHandle<()>>,
     reactors: Vec<JoinHandle<()>>,
-    pump: Option<JoinHandle<()>>,
 }
 
 impl NetServer {
     /// Binds, spawns the serving threads, and takes ownership of the
-    /// engine (completions are claimed exclusively by the pump; use the
-    /// wire for everything).
+    /// engine (each connection's completions are claimed by its reactor
+    /// from the connection's own session; use the wire for everything).
     ///
     /// # Errors
     /// [`NetError::Io`] when the bind fails.
@@ -308,8 +220,6 @@ impl NetServer {
                 config.max_inflight,
                 config.max_inflight_per_tenant,
             ),
-            routes: Mutex::new(Routes::default()),
-            routes_changed: Condvar::new(),
             drr_quantum: config.drr_quantum,
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
@@ -323,14 +233,8 @@ impl NetServer {
         });
         // Built before the first spawn, so a failed spawn drops it and
         // `Drop` joins the threads already running.
-        let mut server = NetServer {
-            state,
-            local_addr,
-            listener: None,
-            reactors: Vec::with_capacity(reactors),
-            pump: None,
-        };
-        server.pump = Some(server.spawn("laoram-net-pump".to_owned(), run_pump)?);
+        let mut server =
+            NetServer { state, local_addr, listener: None, reactors: Vec::with_capacity(reactors) };
         for idx in 0..reactors {
             let reactor = server
                 .spawn(format!("laoram-net-reactor-{idx}"), move |state| run_reactor(idx, state))?;
@@ -417,34 +321,10 @@ impl NetServer {
                 let _ = handle.join();
             }
         }
-        // 2. Flush the micro-batcher so queued requests form a group,
-        //    then wait for the pump to route every in-flight completion.
+        // 2. Flush the micro-batcher so queued requests form a group, then
+        //    let each reactor answer its connections' in-flight requests
+        //    (within the drain deadline), close them and exit.
         let _ = state.service.flush();
-        let deadline = Instant::now() + DRAIN_DEADLINE;
-        // `Drop` runs this too, so a lock poisoned by a panicked serving
-        // thread is entered, not unwrapped: every update leaves the table
-        // valid.
-        let mut routes = state.routes.lock().unwrap_or_else(PoisonError::into_inner);
-        while !routes.map.is_empty() && !routes.closed {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
-            routes = match state.routes_changed.wait_timeout(routes, left) {
-                Ok((routes, _)) => routes,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-        // 3. Close the table: reactors refuse what they parse from now
-        //    on, the pump ends once it has written the batch in hand, and
-        //    what it never routed is counted as discarded.
-        routes.closed = true;
-        state.routes_changed.notify_all();
-        drop(routes);
-        if let Some(handle) = self.pump.take() {
-            let _ = handle.join();
-        }
-        let orphaned =
-            std::mem::take(&mut state.routes.lock().unwrap_or_else(PoisonError::into_inner).map);
-        state.discarded_responses.fetch_add(orphaned.len() as u64, Ordering::Relaxed);
-        // 4. Reactors flush once more and retire every connection.
         state.stop.store(true, Ordering::Release);
         for handle in self.reactors.drain(..) {
             let _ = handle.join();
@@ -466,9 +346,10 @@ impl std::fmt::Debug for NetServer {
     }
 }
 
-/// Accept loop: blocks in `accept` and hands fresh connections to
-/// reactors round-robin. Returns on the first connection after shutdown
-/// begins — shutdown's own wake-up connect, which is not counted.
+/// Accept loop: blocks in `accept` and hands fresh connections, each with
+/// an engine session of its own, to reactors round-robin. Returns on the
+/// first connection after shutdown begins — shutdown's own wake-up
+/// connect, which is not counted.
 fn run_listener(listener: &TcpListener, state: &NetState) {
     let mut next_reactor = 0usize;
     loop {
@@ -481,277 +362,360 @@ fn run_listener(listener: &TcpListener, state: &NetState) {
             continue;
         }
         let _ = stream.set_nodelay(true);
-        let conn = Arc::new(ConnShared {
-            session: state.service.session_with_quantum(state.drr_quantum),
-            stream,
-            tenant: AtomicU64::new(0),
-            hello_done: AtomicBool::new(false),
-            version: AtomicU64::new(0),
-            open: AtomicBool::new(true),
-            outbound: Mutex::new(Vec::new()),
-        });
+        let session = state.service.session_with_quantum(state.drr_quantum);
         state.connections_accepted.fetch_add(1, Ordering::Relaxed);
         let slot = next_reactor % state.intake.len();
         next_reactor = next_reactor.wrapping_add(1);
-        state.intake[slot].lock().expect("intake lock").push(conn);
+        state.intake(slot).push((stream, session));
     }
 }
 
-/// One connection as seen by its owning reactor.
-struct ConnIo {
-    shared: Arc<ConnShared>,
-    rbuf: Vec<u8>,
-    /// Peer sent Goodbye: close once the outbound buffer drains.
-    closing: bool,
-}
-
-/// Reactor loop: intake, then read/parse passes over owned connections
-/// plus a flush of whatever a writer's `WouldBlock` left behind, parking
-/// briefly when nothing moves.
+/// Reactor loop: intake, then one pass over every owned connection —
+/// read and parse, claim and answer, flush — parking briefly when nothing
+/// moves. Once `stop` is set it keeps passing until no connection has a
+/// request in flight, or `DRAIN_DEADLINE` has passed, then retires them
+/// all.
 fn run_reactor(idx: usize, state: &NetState) {
     let mut conns: Vec<ConnIo> = Vec::new();
     let mut chunk = vec![0u8; 64 * 1024];
+    let mut claimed = Vec::new();
+    let mut drain_until = None;
     loop {
-        for shared in state.intake[idx].lock().expect("intake lock").drain(..) {
-            conns.push(ConnIo { shared, rbuf: Vec::new(), closing: false });
-        }
+        // Read before the intake: `stop` is set after the listener is
+        // joined, so the intake that follows it is the last.
         let stopping = state.stop.load(Ordering::Acquire);
+        conns.extend(
+            state.intake(idx).drain(..).map(|(stream, session)| ConnIo::new(stream, session)),
+        );
         let mut progress = false;
         conns.retain_mut(|conn| {
-            let alive = if stopping {
-                // Final best-effort flush for a stopping server.
-                conn.shared.flush();
-                false
-            } else {
-                step_conn(conn, state, &mut chunk, &mut progress)
-            };
-            if !alive {
-                conn.shared.retire();
+            progress |= conn.step(state, &mut chunk, &mut claimed);
+            let done = conn.closed && conn.inflight.is_empty() && conn.wbuf.is_empty();
+            if done {
+                conn.retire(state);
             }
-            alive
+            !done
         });
         if stopping {
-            break;
+            let until = *drain_until.get_or_insert_with(|| Instant::now() + DRAIN_DEADLINE);
+            if conns.iter().all(|conn| conn.inflight.is_empty()) || Instant::now() >= until {
+                break;
+            }
         }
         if !progress {
             std::thread::sleep(IDLE_SLEEP);
         }
     }
+    for conn in &mut conns {
+        conn.retire(state);
+    }
 }
 
-/// One flush/read/parse pass. Returns `false` when the connection is
-/// done (peer closed, write failed, protocol violation, or Goodbye
-/// drained).
-fn step_conn(conn: &mut ConnIo, state: &NetState, chunk: &mut [u8], progress: &mut bool) -> bool {
-    *progress |= conn.shared.flush();
-    if !conn.shared.open.load(Ordering::Acquire) {
-        return false;
-    }
-    if conn.closing {
-        // Goodbye received: no more reads, close once drained.
-        return conn.shared.has_outbound();
-    }
+/// One connection, owned by one reactor: its only reader and its only
+/// writer.
+struct ConnIo {
+    stream: TcpStream,
+    session: Session,
+    /// The tenant its Hello declared: the admission key.
+    tenant: u64,
+    /// Protocol version negotiated at Hello, 0 until the handshake:
+    /// version-2 frames such as fused updates are refused on a version-1
+    /// connection.
+    version: u16,
+    rbuf: Vec<u8>,
+    /// Encoded frames the socket has not taken yet.
+    wbuf: Vec<u8>,
+    /// `(ticket, wire id)` of every request submitted and not yet
+    /// answered, in submission order.
+    inflight: VecDeque<(u64, u64)>,
+    /// No more reads: the peer said Goodbye, hung up or broke the
+    /// protocol, or a write failed. Frames already queued are still
+    /// flushed; answers still owed are claimed and discarded.
+    closed: bool,
+}
 
-    // Read pass: pull everything available. EOF is remembered, not
-    // acted on yet — frames that arrived ahead of the FIN still count.
-    let mut eof = false;
-    loop {
-        match (&conn.shared.stream).read(chunk) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                *progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return false,
+impl ConnIo {
+    fn new(stream: TcpStream, session: Session) -> Self {
+        ConnIo {
+            stream,
+            session,
+            tenant: 0,
+            version: 0,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            inflight: VecDeque::new(),
+            closed: false,
         }
     }
 
-    // Parse pass: handle every complete frame buffered so far. Each
-    // answer is written as it is queued.
-    let mut consumed = 0usize;
-    let mut alive = true;
-    while alive {
-        match frame::decode(&conn.rbuf[consumed..], state.max_frame_bytes) {
-            Ok(Some((parsed, used))) => {
-                consumed += used;
-                state.frames_in.fetch_add(1, Ordering::Relaxed);
-                alive = handle_frame(conn, state, parsed);
-            }
-            Ok(None) => break,
-            Err(err) => {
-                // Protocol violations are connection-fatal; tell the
-                // peer why before hanging up.
-                let code = match err {
-                    FrameError::Oversized { .. } => ErrorCode::Oversized,
-                    FrameError::Malformed(_) => ErrorCode::Malformed,
-                };
-                conn.shared.refuse(CONNECTION_ERROR_ID, code, &err.to_string(), state);
-                alive = false;
+    /// One pass: read and parse what arrived, claim and answer what
+    /// completed, write what the socket takes. Returns whether anything
+    /// moved.
+    fn step(&mut self, state: &NetState, chunk: &mut [u8], claimed: &mut Vec<Completion>) -> bool {
+        let mut progress = false;
+        if !self.closed {
+            progress |= self.read(state, chunk);
+        }
+        if !self.inflight.is_empty() {
+            progress |= self.answer(state, claimed);
+        }
+        progress | self.flush()
+    }
+
+    /// Reads everything available and handles every complete frame.
+    /// Returns whether any byte arrived.
+    fn read(&mut self, state: &NetState, chunk: &mut [u8]) -> bool {
+        // EOF is remembered, not acted on yet: frames that arrived ahead
+        // of the FIN still count.
+        let (mut eof, mut progress) = (false, false);
+        loop {
+            match (&self.stream).read(chunk) {
+                Ok(0) => {
+                    eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    progress = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    eof = true;
+                    break;
+                }
             }
         }
-    }
-    conn.rbuf.drain(..consumed);
-    if !alive {
-        return false;
-    }
-    if eof {
-        // The peer finished writing without a Goodbye: an implicit
-        // farewell. The frames that did arrive were handled above and
-        // flow through the normal truncation accounting (pump discards)
-        // once the connection closes.
-        conn.closing = true;
-        return conn.shared.has_outbound();
-    }
-    true
-}
-
-/// Applies one parsed frame. Returns `false` to close the connection.
-fn handle_frame(conn: &mut ConnIo, state: &NetState, parsed: Frame) -> bool {
-    let hello_done = conn.shared.hello_done.load(Ordering::Acquire);
-    let refuse = |id, code, message: &str| conn.shared.refuse(id, code, message, state);
-    // Protocol violations are connection-fatal.
-    let fatal = |code, message: &str| {
-        refuse(CONNECTION_ERROR_ID, code, message);
-        false
-    };
-    match parsed {
-        Frame::Hello { version, tenant } => {
-            if hello_done {
-                return fatal(ErrorCode::Malformed, "duplicate Hello");
+        let mut consumed = 0usize;
+        loop {
+            match frame::decode(&self.rbuf[consumed..], state.max_frame_bytes) {
+                Ok(Some((parsed, used))) => {
+                    consumed += used;
+                    state.frames_in.fetch_add(1, Ordering::Relaxed);
+                    if !self.handle_frame(state, parsed) {
+                        self.closed = true;
+                        break;
+                    }
+                }
+                Ok(None) => break,
+                Err(err) => {
+                    // Protocol violations are connection-fatal; tell the
+                    // peer why before hanging up.
+                    let code = match err {
+                        FrameError::Oversized { .. } => ErrorCode::Oversized,
+                        FrameError::Malformed(_) => ErrorCode::Malformed,
+                    };
+                    self.refuse(CONNECTION_ERROR_ID, code, &err.to_string(), state);
+                    self.closed = true;
+                    break;
+                }
             }
-            if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                return fatal(
-                    ErrorCode::UnsupportedVersion,
-                    &format!(
+        }
+        self.rbuf.drain(..consumed);
+        // The peer finished writing without a Goodbye: an implicit one.
+        self.closed |= eof;
+        progress
+    }
+
+    /// Applies one parsed frame. Returns `false` on a protocol violation,
+    /// which closes the connection.
+    fn handle_frame(&mut self, state: &NetState, parsed: Frame) -> bool {
+        let hello_done = self.version != 0;
+        match parsed {
+            Frame::Hello { version, tenant } => {
+                if hello_done {
+                    return self.fatal(ErrorCode::Malformed, "duplicate Hello", state);
+                }
+                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+                    let message = format!(
                         "server speaks versions {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
                          client sent {version}"
-                    ),
-                );
+                    );
+                    return self.fatal(ErrorCode::UnsupportedVersion, &message, state);
+                }
+                self.tenant = tenant;
+                // The negotiated version is the client's: a version-1
+                // client gets a version-1 conversation from a version-2
+                // server.
+                self.version = version;
+                self.queue(&Frame::HelloAck { version, session: self.session.id() }, state);
             }
-            conn.shared.tenant.store(tenant, Ordering::Release);
-            conn.shared.version.store(u64::from(version), Ordering::Release);
-            conn.shared.hello_done.store(true, Ordering::Release);
-            // The negotiated version is the client's: a version-1 client
-            // gets a version-1 conversation from a version-2 server.
-            conn.shared
-                .send(&Frame::HelloAck { version, session: conn.shared.session.id() }, state);
-            true
-        }
-        Frame::Request { id, table, index, op } => {
-            if !hello_done {
-                return fatal(ErrorCode::Malformed, "Request before Hello");
-            }
-            if state.draining.load(Ordering::Acquire) {
-                refuse(id, ErrorCode::ShuttingDown, "server is draining");
-                return true;
-            }
-            let tenant = conn.shared.tenant.load(Ordering::Acquire);
-            match state.admission.try_admit(tenant) {
-                AdmissionVerdict::Admitted => {}
-                AdmissionVerdict::Overloaded => {
-                    refuse(id, ErrorCode::Overloaded, "global in-flight cap reached");
+            Frame::Request { id, table, index, op } => {
+                if !hello_done {
+                    return self.fatal(ErrorCode::Malformed, "Request before Hello", state);
+                }
+                if self.closed {
+                    // Behind a Goodbye: nobody is left to answer.
+                    state.dropped_requests.fetch_add(1, Ordering::Relaxed);
                     return true;
                 }
-                AdmissionVerdict::TenantThrottled => {
-                    refuse(id, ErrorCode::TenantThrottled, "tenant in-flight cap reached");
+                if state.draining.load(Ordering::Acquire) {
+                    self.refuse(id, ErrorCode::ShuttingDown, "server is draining", state);
                     return true;
                 }
-            }
-            let request = match op {
-                WireOp::Read => Request::read(table as usize, index),
-                WireOp::Write(payload) => {
-                    Request::write(table as usize, index, payload.into_boxed_slice())
-                }
-                WireOp::FetchUpdate(update) => {
-                    if conn.shared.version.load(Ordering::Acquire) < 2 {
-                        state.admission.release(tenant);
-                        refuse(
-                            id,
-                            ErrorCode::UnsupportedVersion,
-                            "fetch_update requires protocol version 2",
-                        );
+                let request = match op {
+                    WireOp::Read => Request::read(table as usize, index),
+                    WireOp::Write(payload) => {
+                        Request::write(table as usize, index, payload.into_boxed_slice())
+                    }
+                    WireOp::FetchUpdate(_) if self.version < 2 => {
+                        let message = "fetch_update requires protocol version 2";
+                        self.refuse(id, ErrorCode::UnsupportedVersion, message, state);
                         return true;
                     }
-                    Request::fetch_update(table as usize, index, update)
-                }
-            };
-            submit(&conn.shared, state, tenant, id, request);
-            true
-        }
-        Frame::MetricsRequest => {
-            if !hello_done {
-                return fatal(ErrorCode::Malformed, "MetricsRequest before Hello");
+                    WireOp::FetchUpdate(update) => {
+                        Request::fetch_update(table as usize, index, update)
+                    }
+                };
+                self.submit(state, id, request);
             }
-            match state.service.telemetry_prometheus() {
-                Some(text) => {
-                    conn.shared.send(&Frame::MetricsResponse { text }, state);
+            Frame::MetricsRequest => {
+                if !hello_done {
+                    return self.fatal(ErrorCode::Malformed, "MetricsRequest before Hello", state);
                 }
-                None => {
-                    refuse(
-                        CONNECTION_ERROR_ID,
-                        ErrorCode::Internal,
-                        "telemetry is disabled on this engine",
-                    );
+                match state.service.telemetry_prometheus() {
+                    Some(text) => {
+                        self.queue(&Frame::MetricsResponse { text }, state);
+                    }
+                    None => {
+                        let message = "telemetry is disabled on this engine";
+                        self.refuse(CONNECTION_ERROR_ID, ErrorCode::Internal, message, state);
+                    }
                 }
             }
-            true
+            // Clean close: what is queued is still flushed; answers still
+            // owed are discarded.
+            Frame::Goodbye => self.closed = true,
+            Frame::HelloAck { .. }
+            | Frame::Response { .. }
+            | Frame::Error { .. }
+            | Frame::MetricsResponse { .. } => {
+                return self.fatal(ErrorCode::Malformed, "client sent a server-only frame", state);
+            }
         }
-        Frame::Goodbye => {
-            // Clean close: flush what is queued, then drop. In-flight
-            // responses after a Goodbye are discarded by the pump.
-            conn.closing = true;
-            true
-        }
-        Frame::HelloAck { .. }
-        | Frame::Response { .. }
-        | Frame::Error { .. }
-        | Frame::MetricsResponse { .. } => {
-            fatal(ErrorCode::Malformed, "client sent a server-only frame")
-        }
+        true
     }
-}
 
-/// Submits one admitted request through its connection's engine session.
-/// The route is inserted in the same critical section as the submit
-/// (which only takes the engine's ingress lock and never blocks), so the
-/// pump can never claim a ticket whose route does not exist yet. A
-/// request whose connection already failed is dropped, and one parsed
-/// after the route table closed is refused; either releases its
-/// admission slot.
-fn submit(conn: &Arc<ConnShared>, state: &NetState, tenant: u64, id: u64, request: Request) {
-    if !conn.open.load(Ordering::Acquire) {
-        // Nobody is left to answer.
-        state.admission.release(tenant);
-        state.dropped_requests.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let mut routes = state.routes.lock().expect("routes lock");
-    let submitted =
-        if routes.closed { Err(ServiceError::ShuttingDown) } else { conn.session.submit(request) };
-    let refused = match submitted {
-        Ok(ticket) => {
-            if routes.map.is_empty() {
-                // The pump parks on an empty table.
-                state.routes_changed.notify_all();
+    /// Admits one request and submits it through the connection's engine
+    /// session, noting its ticket in the FIFO; a refusal is answered at
+    /// once.
+    fn submit(&mut self, state: &NetState, id: u64, request: Request) {
+        let (code, message) = match state.admission.try_admit(self.tenant) {
+            AdmissionVerdict::Admitted => match self.session.submit(request) {
+                Ok(ticket) => {
+                    self.inflight.push_back((ticket.id(), id));
+                    return;
+                }
+                Err(err) => {
+                    state.admission.release(self.tenant);
+                    (error_code_of(&err), err.to_string())
+                }
+            },
+            AdmissionVerdict::Overloaded => {
+                (ErrorCode::Overloaded, "global in-flight cap reached".to_owned())
             }
-            routes
-                .map
-                .insert(ticket.id(), PendingRoute { conn: Arc::clone(conn), req_id: id, tenant });
-            return;
+            AdmissionVerdict::TenantThrottled => {
+                (ErrorCode::TenantThrottled, "tenant in-flight cap reached".to_owned())
+            }
+        };
+        self.refuse(id, code, &message, state);
+    }
+
+    /// Claims the session's ready completions and answers the requests
+    /// they complete, oldest first. Returns whether any was answered.
+    fn answer(&mut self, state: &NetState, claimed: &mut Vec<Completion>) -> bool {
+        if self.session.try_claim(claimed).is_err() {
+            // The engine's pipeline is gone: nothing in flight will
+            // complete.
+            for (_, id) in std::mem::take(&mut self.inflight) {
+                state.admission.release(self.tenant);
+                let message = "the engine's pipeline is gone";
+                self.deliver(
+                    &Frame::Error { id, code: ErrorCode::Internal, message: message.to_owned() },
+                    state,
+                );
+            }
+            return true;
         }
-        Err(err) => err,
-    };
-    drop(routes);
-    state.admission.release(tenant);
-    conn.send(
-        &Frame::Error { id, code: error_code_of(&refused), message: refused.to_string() },
-        state,
-    );
+        let answered = !claimed.is_empty();
+        for completion in claimed.drain(..) {
+            let id = match self.inflight.pop_front() {
+                Some((ticket, id)) if ticket == completion.ticket.id() => id,
+                other => unreachable!(
+                    "ticket {} claimed against {other:?}: a session's completions come back \
+                     in submission order",
+                    completion.ticket.id()
+                ),
+            };
+            state.admission.release(self.tenant);
+            // `Box<[u8]>` → `Vec<u8>` reuses the allocation; the one copy
+            // of the payload is the encode into the outbound buffer.
+            self.deliver(&Frame::Response { id, output: completion.output.map(Vec::from) }, state);
+        }
+        answered
+    }
+
+    /// Queues the answer to an in-flight request, or counts it discarded
+    /// once the connection is closed.
+    fn deliver(&mut self, frame: &Frame, state: &NetState) {
+        if !self.queue(frame, state) {
+            state.discarded_responses.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Encodes a frame onto the outbound buffer, written at the end of the
+    /// pass. Returns `false` (a no-op) once the connection is closed.
+    fn queue(&mut self, frame: &Frame, state: &NetState) -> bool {
+        if self.closed {
+            return false;
+        }
+        frame.encode_into(&mut self.wbuf);
+        state.frames_out.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Queues a typed error frame: `id` names the refused request, or is
+    /// [`CONNECTION_ERROR_ID`] for the connection.
+    fn refuse(&mut self, id: u64, code: ErrorCode, message: &str, state: &NetState) {
+        self.queue(&Frame::Error { id, code, message: message.to_owned() }, state);
+    }
+
+    /// Refuses the connection for a protocol violation; returns `false`
+    /// so the caller closes it.
+    fn fatal(&mut self, code: ErrorCode, message: &str, state: &NetState) -> bool {
+        self.refuse(CONNECTION_ERROR_ID, code, message, state);
+        false
+    }
+
+    /// Writes queued bytes until the socket would block, keeping the rest
+    /// for the next pass. A failed write closes the connection and drops
+    /// what was queued. Returns whether any byte moved.
+    fn flush(&mut self) -> bool {
+        let mut written = 0;
+        while written < self.wbuf.len() {
+            match (&self.stream).write(&self.wbuf[written..]) {
+                Ok(n) if n > 0 => written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                _ => {
+                    // Peer gone: nothing queued can be delivered.
+                    self.wbuf.clear();
+                    self.closed = true;
+                    return written > 0;
+                }
+            }
+        }
+        self.wbuf.drain(..written);
+        written > 0
+    }
+
+    /// Closes the connection for good, after one last flush; a request
+    /// still in flight (the drain deadline passed) is counted discarded.
+    fn retire(&mut self, state: &NetState) {
+        self.flush();
+        state.discarded_responses.fetch_add(self.inflight.len() as u64, Ordering::Relaxed);
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
 }
 
 /// Maps an engine refusal to its wire error code.
@@ -765,73 +729,5 @@ fn error_code_of(err: &ServiceError) -> ErrorCode {
             ErrorCode::NoOptimizer
         }
         _ => ErrorCode::Internal,
-    }
-}
-
-/// Completion pump: parks while no request is in flight, otherwise blocks
-/// on the engine's completion queue, then writes each claimed batch to
-/// its connections — once per connection — or discards a response
-/// (counted) whose connection dropped.
-fn run_pump(state: &NetState) {
-    let mut claimed: Vec<Completion> = Vec::with_capacity(PUMP_BATCH);
-    loop {
-        {
-            let mut routes = state.routes.lock().expect("routes lock");
-            while routes.map.is_empty() && !routes.closed {
-                routes = state.routes_changed.wait(routes).expect("routes wait");
-            }
-            if routes.closed {
-                return;
-            }
-        }
-        // A route in the table is a ticket issued and not yet claimed, so
-        // this blocks until the engine publishes one.
-        match state.service.complete_blocking() {
-            Ok(completion) => claimed.push(completion),
-            Err(_) => {
-                // The engine's pipeline is gone: nothing in the table will
-                // complete. Shutdown counts what is left.
-                state.routes.lock().expect("routes lock").closed = true;
-                state.routes_changed.notify_all();
-                return;
-            }
-        }
-        while claimed.len() < PUMP_BATCH {
-            match state.service.try_complete() {
-                Some(completion) => claimed.push(completion),
-                None => break,
-            }
-        }
-        let mut routed = Vec::with_capacity(claimed.len());
-        {
-            let mut routes = state.routes.lock().expect("routes lock");
-            for completion in claimed.drain(..) {
-                let route =
-                    routes.map.remove(&completion.ticket.id()).expect("routed with its submit");
-                routed.push((route, completion));
-            }
-            if routes.map.is_empty() {
-                // The table drained, for shutdown.
-                state.routes_changed.notify_all();
-            }
-        }
-        let mut touched: Vec<Arc<ConnShared>> = Vec::new();
-        for (route, completion) in routed {
-            state.admission.release(route.tenant);
-            // `Box<[u8]>` → `Vec<u8>` reuses the allocation; the one copy
-            // of the payload is the encode into the outbound buffer.
-            let response =
-                Frame::Response { id: route.req_id, output: completion.output.map(Vec::from) };
-            if !route.conn.queue(&response, state) {
-                // Claimed and discarded: the ticket ledger stays clean
-                // even though the client vanished mid-flight.
-                state.discarded_responses.fetch_add(1, Ordering::Relaxed);
-            } else if !touched.iter().any(|conn| Arc::ptr_eq(conn, &route.conn)) {
-                touched.push(route.conn);
-            }
-        }
-        for conn in touched {
-            conn.flush();
-        }
     }
 }

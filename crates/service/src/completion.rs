@@ -1,16 +1,18 @@
 //! The completion store: plain data behind the reassembly's lock.
 //!
-//! It holds each published, unclaimed completion once, keyed by ticket.
-//! An oldest-first claim takes the lowest ready ticket — submission order
-//! within a session, whose completions are published in ticket order — and
-//! a by-ticket claim removes its own. Once disconnected (the shard workers
-//! are gone), a claim that would wait fails with
-//! [`ServiceError::Disconnected`].
+//! It holds each published, unclaimed completion once, keyed by ticket,
+//! and indexes the same tickets by session. An oldest-first claim takes
+//! the lowest ready ticket — submission order within a session, whose
+//! completions are published in ticket order — a by-ticket claim removes
+//! its own, and a by-session claim takes every ready ticket of one
+//! session, lowest first. Every claim keeps the index exact. Once
+//! disconnected (the shard workers are gone), a claim that would wait
+//! fails with [`ServiceError::Disconnected`].
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use crate::ingress::RequestMeta;
-use crate::{Completion, RequestTicket, RequestTiming, ServiceError};
+use crate::{Completion, RequestTicket, RequestTiming, ServiceError, SessionId};
 
 /// One finished pipeline group, emitted in group order.
 pub(crate) struct GroupDone {
@@ -63,6 +65,9 @@ pub(crate) type Claim = Result<Option<Completion>, ServiceError>;
 pub(crate) struct CompletionStore {
     /// Completed, unclaimed requests by ticket id.
     ready: BTreeMap<u64, Completion>,
+    /// The keys of `ready` as `(session, ticket)`: each session's ready
+    /// tickets in ticket order, and no entry for a session with none.
+    by_session: BTreeSet<(SessionId, u64)>,
     ledger: TicketLedger,
     /// Completions claimed by callers.
     claimed: u64,
@@ -86,6 +91,7 @@ impl CompletionStore {
                     complete_ns: group.done_ns,
                 },
             };
+            self.by_session.insert((meta.session, meta.ticket));
             self.ready.insert(meta.ticket, completion);
         }
     }
@@ -98,6 +104,7 @@ impl CompletionStore {
 
     fn take(&mut self, ticket: u64) -> Option<Completion> {
         let completion = self.ready.remove(&ticket)?;
+        self.by_session.remove(&(completion.session, ticket));
         self.ledger.claim(ticket);
         self.claimed += 1;
         Some(completion)
@@ -142,6 +149,26 @@ impl CompletionStore {
         Ok(None)
     }
 
+    /// Claims every ready completion of `session` into `into`, in ticket
+    /// order; returns how many. Fails only when none is ready and none
+    /// will be: the shard workers are gone.
+    pub fn poll_session(
+        &mut self,
+        session: SessionId,
+        into: &mut Vec<Completion>,
+    ) -> Result<usize, ServiceError> {
+        let first = into.len();
+        while let Some(&(_, ticket)) =
+            self.by_session.range((session, 0)..=(session, u64::MAX)).next()
+        {
+            into.push(self.take(ticket).expect("an indexed ticket is ready"));
+        }
+        if into.len() == first && self.disconnected {
+            return Err(ServiceError::Disconnected);
+        }
+        Ok(into.len() - first)
+    }
+
     /// Requests issued but not yet claimed, given the ticket high-water
     /// mark.
     pub fn unclaimed(&self, issued: u64) -> u64 {
@@ -150,13 +177,14 @@ impl CompletionStore {
 
     /// Shutdown path: everything left unclaimed, in ticket order.
     pub fn take_leftovers(&mut self) -> BTreeMap<u64, Completion> {
+        self.by_session.clear();
         std::mem::take(&mut self.ready)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+    use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -188,7 +216,11 @@ mod tests {
         ClaimOldest,
         /// Claim `raw % (issued + 2)`: issued tickets and a few beyond.
         ClaimTicket(u64),
+        /// Claim every ready completion of session `raw % 3`.
+        ClaimSession(u64),
         Disconnect,
+        /// Shutdown's sweep of everything unclaimed.
+        Leftovers,
     }
 
     /// Forms groups the way the micro-batcher does: each session's
@@ -236,7 +268,10 @@ mod tests {
             Just(Step::Publish),
             Just(Step::ClaimOldest),
             any::<u64>().prop_map(Step::ClaimTicket),
+            any::<u64>().prop_map(Step::ClaimSession),
+            any::<u64>().prop_map(Step::ClaimSession),
             (0u8..8).prop_map(|roll| if roll == 0 { Step::Disconnect } else { Step::ClaimOldest }),
+            (0u8..16).prop_map(|roll| if roll == 0 { Step::Leftovers } else { Step::Publish }),
         ]
     }
 
@@ -245,9 +280,11 @@ mod tests {
         /// The store against a model: published-and-unclaimed tickets, the
         /// claimed set, the disconnect flag. Every claim answers as the
         /// model says, each ticket is claimed at most once, oldest-first
-        /// claims see each session in ticket order, and after every step
-        /// the store holds exactly the unclaimed published completions —
-        /// a by-ticket claim leaves nothing behind.
+        /// and by-session claims see each session in ticket order, and
+        /// after every step the store holds exactly the unclaimed
+        /// published completions and its session index exactly their
+        /// `(session, ticket)` pairs — no claim path leaves an entry
+        /// behind.
         #[test]
         fn store_holds_each_unclaimed_completion_once(
             sessions in vec(0u64..3, 1..48),
@@ -259,7 +296,7 @@ mod tests {
             let mut store = CompletionStore::default();
             let mut published: BTreeMap<u64, u64> = BTreeMap::new();
             let mut claimed: HashSet<u64> = HashSet::new();
-            let mut last_oldest: HashMap<u64, u64> = HashMap::new();
+            let mut last_in_session: HashMap<u64, u64> = HashMap::new();
             let mut disconnected = false;
             for step in steps {
                 match step {
@@ -279,7 +316,7 @@ mod tests {
                                 prop_assert_eq!(completion.ticket.id(), ticket);
                                 prop_assert_eq!(completion.session, session);
                                 prop_assert!(claimed.insert(ticket), "ticket {} claimed twice", ticket);
-                                let last = last_oldest.insert(session, ticket);
+                                let last = last_in_session.insert(session, ticket);
                                 prop_assert!(last.is_none_or(|last| last < ticket), "session order");
                             }
                             None if claimed.len() as u64 == issued => {
@@ -308,12 +345,45 @@ mod tests {
                             prop_assert!(matches!(got, Ok(None)));
                         }
                     }
+                    Step::ClaimSession(raw) => {
+                        let session = raw % 3;
+                        let mut into = Vec::new();
+                        let got = store.poll_session(session, &mut into);
+                        let expected: Vec<u64> = published
+                            .iter()
+                            .filter(|&(_, &s)| s == session)
+                            .map(|(&ticket, _)| ticket)
+                            .collect();
+                        if expected.is_empty() && disconnected {
+                            prop_assert!(matches!(got, Err(ServiceError::Disconnected)));
+                        } else {
+                            prop_assert_eq!(got.expect("claimed"), expected.len());
+                        }
+                        let tickets: Vec<u64> = into.iter().map(|c| c.ticket.id()).collect();
+                        prop_assert_eq!(&tickets, &expected, "a session's ready tickets, in order");
+                        for completion in &into {
+                            let ticket = completion.ticket.id();
+                            prop_assert_eq!(completion.session, session);
+                            prop_assert!(claimed.insert(ticket), "ticket {} claimed twice", ticket);
+                            let last = last_in_session.insert(session, ticket);
+                            prop_assert!(last.is_none_or(|last| last < ticket), "session order");
+                            published.remove(&ticket);
+                        }
+                    }
                     Step::Disconnect => {
                         store.disconnect();
                         disconnected = true;
                     }
+                    Step::Leftovers => {
+                        let left = store.take_leftovers();
+                        prop_assert!(left.keys().eq(published.keys()), "leftovers != model");
+                        published.clear();
+                    }
                 }
                 prop_assert!(store.ready.keys().eq(published.keys()), "store != model");
+                let indexed: BTreeSet<(u64, u64)> =
+                    published.iter().map(|(&ticket, &session)| (session, ticket)).collect();
+                prop_assert!(store.by_session == indexed, "session index != model");
                 prop_assert_eq!(store.unclaimed(issued), issued - claimed.len() as u64);
             }
         }

@@ -71,7 +71,7 @@ mod reassembly;
 mod start;
 mod worker;
 
-use reassembly::Reassembly;
+pub(crate) use reassembly::Reassembly;
 
 /// A shard worker's LAORAM client: backend chosen at runtime, so the
 /// store is a boxed trait object behind the `BucketStore` boundary.
@@ -281,6 +281,7 @@ impl LaoramService {
     pub fn session_with_quantum(&self, quantum: u64) -> Session {
         Session {
             ingress: Arc::clone(&self.ingress),
+            reassembly: Arc::clone(&self.reassembly),
             id: self.next_session.fetch_add(1, Ordering::Relaxed),
             quantum,
         }

@@ -212,7 +212,7 @@ struct State {
 /// accepts a poisoned lock: claimers wait on the lock a panicking worker
 /// may hold, and such a panic leaves at worst one group never published,
 /// whose tickets the worker's seat answers with a disconnect.
-pub(super) struct Reassembly {
+pub(crate) struct Reassembly {
     state: Mutex<State>,
     /// Woken when a group is published and when the store disconnects.
     published: Condvar,
@@ -373,7 +373,7 @@ impl Reassembly {
     }
 
     /// Runs `f` on the completion store under the lock, without waiting.
-    pub(super) fn store<R>(&self, f: impl FnOnce(&mut CompletionStore) -> R) -> R {
+    pub(crate) fn store<R>(&self, f: impl FnOnce(&mut CompletionStore) -> R) -> R {
         f(&mut self.lock().completions)
     }
 

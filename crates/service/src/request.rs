@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use crate::engine::Reassembly;
 use crate::ingress::Ingress;
 use crate::{Request, ServiceError};
 
@@ -62,8 +63,9 @@ impl RequestTiming {
 
 /// The completed result of one request, claimed from the completion
 /// queue ([`try_complete`](crate::LaoramService::try_complete),
-/// [`complete_blocking`](crate::LaoramService::complete_blocking), or
-/// [`wait`](crate::LaoramService::wait)).
+/// [`complete_blocking`](crate::LaoramService::complete_blocking),
+/// [`wait`](crate::LaoramService::wait), or its session's
+/// [`try_claim`](Session::try_claim)).
 #[derive(Debug)]
 pub struct Completion {
     /// The request this completion answers.
@@ -93,14 +95,21 @@ impl Completion {
 /// own lane in it: groups are filled from the lanes by deficit
 /// round-robin, so one session's backlog cannot starve another's
 /// requests. Every [`Completion`] carries the [`SessionId`] of the
-/// session that submitted it, so a caller multiplexing tenants over one
-/// engine can fan completions back out. Sessions are cheap, cloneable,
-/// and usable from any thread; they stay valid for the engine's lifetime
-/// (submitting after [`shutdown`](crate::LaoramService::shutdown) returns
+/// session that submitted it, and a session claims its own completions
+/// with [`try_claim`](Self::try_claim), so callers sharing one engine
+/// never claim each other's answers. The engine-wide claims
+/// ([`try_complete`](crate::LaoramService::try_complete),
+/// [`complete_blocking`](crate::LaoramService::complete_blocking),
+/// [`wait`](crate::LaoramService::wait)) take any session's completions:
+/// a caller that mixes them with session claims can find a session's
+/// answer already taken. Sessions are cheap, cloneable, and usable from
+/// any thread; they stay valid for the engine's lifetime (submitting
+/// after [`shutdown`](crate::LaoramService::shutdown) returns
 /// [`ServiceError::ShuttingDown`]).
 #[derive(Clone)]
 pub struct Session {
     pub(crate) ingress: Arc<Ingress>,
+    pub(crate) reassembly: Arc<Reassembly>,
     pub(crate) id: SessionId,
     /// Requests this session's lane yields per round-robin visit.
     pub(crate) quantum: u64,
@@ -127,6 +136,18 @@ impl Session {
     /// [`ServiceError::ShuttingDown`] after engine shutdown.
     pub fn submit(&self, request: Request) -> Result<RequestTicket, ServiceError> {
         self.ingress.submit_to_lane(self.id, self.quantum, request)
+    }
+
+    /// Claims every ready completion of this session's requests without
+    /// blocking, appending them to `into` in ticket order — the order
+    /// they were submitted — and returns how many it claimed. One lock
+    /// acquisition however many it returns.
+    ///
+    /// # Errors
+    /// [`ServiceError::Disconnected`] when none is ready and the shard
+    /// workers are gone: nothing more will complete.
+    pub fn try_claim(&self, into: &mut Vec<Completion>) -> Result<usize, ServiceError> {
+        self.reassembly.store(|store| store.poll_session(self.id, into))
     }
 
     /// Submits a read of `table[index]`.

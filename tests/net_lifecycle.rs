@@ -1,9 +1,9 @@
 //! Lifecycle of a `NetServer`, read off the kernel's view of this
-//! process's threads: the serving tier runs exactly a listener, one
-//! thread per reactor and a completion pump, an idle server parks its
-//! pump and its listener instead of polling, and dropping a running
-//! server (without `shutdown()`) joins every serving and engine thread
-//! and closes the port.
+//! process's threads: the serving tier runs exactly a listener and one
+//! thread per reactor, an open connection adds none, an idle server parks
+//! its listener instead of polling, and dropping a running server
+//! (without `shutdown()`) joins every serving and engine thread and
+//! closes the port.
 //!
 //! Linux only (`/proc/self/task`). The test counts every thread in the
 //! process, so it is the only test in this file.
@@ -12,7 +12,7 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use laoram::net::{NetServer, NetServerConfig};
+use laoram::net::{NetClient, NetServer, NetServerConfig};
 use laoram::service::{LaoramService, ServiceConfig, TableSpec};
 
 /// `(comm, voluntary_ctxt_switches)` of every live thread in this
@@ -56,22 +56,30 @@ fn idle_server_parks_and_drop_joins_every_thread() {
 
     std::thread::sleep(Duration::from_millis(500));
     let idle = threads();
-    // 2 + reactors threads, no more: the kernel cuts every
+    // 1 + reactors threads, no more: the kernel cuts every
     // `laoram-net-reactor-{i}` to the same 15 bytes.
-    let mut net: Vec<&str> = idle
-        .iter()
-        .map(|(comm, _)| comm.as_str())
-        .filter(|comm| comm.starts_with("laoram-net-"))
-        .collect();
-    net.sort_unstable();
-    let mut expected = vec!["laoram-net-list", "laoram-net-pump"];
-    expected.extend(std::iter::repeat_n("laoram-net-reac", reactors));
+    let net_threads = |threads: &[(String, u64)]| {
+        let mut net: Vec<String> = threads
+            .iter()
+            .map(|(comm, _)| comm.clone())
+            .filter(|comm| comm.starts_with("laoram-net-"))
+            .collect();
+        net.sort_unstable();
+        net
+    };
+    let mut expected = vec!["laoram-net-list".to_owned()];
+    expected.extend(std::iter::repeat_n("laoram-net-reac".to_owned(), reactors));
     expected.sort_unstable();
-    assert_eq!(net, expected, "the serving tier's threads");
-    for comm in ["laoram-net-pump", "laoram-net-list"] {
-        let switches = switches_of(&idle, comm);
-        assert!(switches < 50, "{comm} woke {switches} times in 500 ms of idling");
-    }
+    assert_eq!(net_threads(&idle), expected, "the serving tier's threads");
+    let switches = switches_of(&idle, "laoram-net-list");
+    assert!(switches < 50, "laoram-net-list woke {switches} times in 500 ms of idling");
+
+    // An idle, Hello'd connection is served by a reactor that already
+    // runs: the thread set does not grow.
+    let client = NetClient::connect(addr, 1).expect("connect");
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(net_threads(&threads()), expected, "threads with one connection open");
+    drop(client);
 
     drop(server);
     // A joined thread can linger in /proc for a moment after its join

@@ -720,3 +720,94 @@ fn slow_reader_receives_every_response_in_order() {
     let report = server.shutdown().expect("shutdown");
     assert_eq!(report.discarded_responses, 0);
 }
+
+/// Each connection's answers are paired with its wire ids by its own
+/// engine session: 4 connections pipeline 200 requests each — 100 writes
+/// of connection-specific payloads, then reads of the same rows — under
+/// wire ids that run against ticket order, and a small lane quantum puts
+/// several sessions in each group. Every id is answered exactly once, and
+/// every read with its own connection's bytes. In the second case one
+/// connection hangs up with its requests in flight: the others are
+/// unaffected, the server's in-flight count returns to 0 while it still
+/// runs, and what it counts as discarded or dropped stays within what the
+/// dead connection sent.
+#[test]
+fn wire_ids_pair_with_their_responses_across_interleaved_sessions() {
+    const CONNS: u64 = 4;
+    const ROWS_PER_CONN: u64 = 100;
+    const REQUESTS: u64 = 2 * ROWS_PER_CONN;
+    let row_of = |conn: u64, k: u64| (conn * ROWS_PER_CONN + k % ROWS_PER_CONN) as u32;
+    let payload = |conn: u64, row: u32| vec![conn as u8, row as u8, (row >> 8) as u8, 0xA5];
+    // The k-th request's wire id: a permutation of 0..REQUESTS that runs
+    // against submission order, different on every connection.
+    let wire_id = |conn: u64, k: u64| (k * 77 + conn * 13) % REQUESTS;
+    for drop_one in [false, true] {
+        let config = ServiceConfig::new()
+            .table(TableSpec::new("t", 512).shards(2).superblock_size(4).seed(23))
+            .batch_policy(BatchPolicy::new().max_batch(32).max_delay(Duration::from_millis(2)))
+            .queue_depth(4);
+        let server = start_server(config, NetServerConfig::default().drr_quantum(4));
+        let addr = server.local_addr();
+        let mut clients: Vec<NetClient> =
+            (0..CONNS).map(|conn| NetClient::connect(addr, conn).expect("connect")).collect();
+        for (conn, client) in (0..CONNS).zip(&mut clients) {
+            for k in 0..REQUESTS {
+                let index = row_of(conn, k);
+                let op = if k < ROWS_PER_CONN {
+                    frame::WireOp::Write(payload(conn, index))
+                } else {
+                    frame::WireOp::Read
+                };
+                client.queue_frame(&frame::Frame::Request {
+                    id: wire_id(conn, k),
+                    table: 0,
+                    index,
+                    op,
+                });
+            }
+        }
+        for client in &mut clients {
+            client.flush().expect("flush");
+        }
+        if drop_one {
+            drop(clients.pop()); // No Goodbye: the socket just dies.
+        }
+        for (conn, client) in (0..CONNS).zip(&mut clients) {
+            let mut answered = vec![false; REQUESTS as usize];
+            for _ in 0..REQUESTS {
+                let event = client.recv_timeout(Duration::from_secs(10)).expect("recv");
+                let Some(NetEvent::Response { id, output }) = event else {
+                    panic!("connection {conn}: expected a response, got {event:?}");
+                };
+                assert!(id < REQUESTS, "connection {conn}: unknown wire id {id}");
+                assert!(!answered[id as usize], "connection {conn}: id {id} answered twice");
+                answered[id as usize] = true;
+                let k = (0..REQUESTS).find(|&k| wire_id(conn, k) == id).expect("a wire id");
+                if k >= ROWS_PER_CONN {
+                    let index = row_of(conn, k);
+                    assert_eq!(
+                        output,
+                        Some(payload(conn, index)),
+                        "connection {conn}: read {id} of row {index} is not its own write"
+                    );
+                }
+            }
+            assert_eq!(client.try_recv().expect("drain"), None, "connection {conn}: extra frame");
+        }
+        let settled_by = std::time::Instant::now() + Duration::from_secs(10);
+        while server.inflight() > 0 {
+            assert!(std::time::Instant::now() < settled_by, "in-flight count stuck above 0");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for client in clients {
+            let _ = client.goodbye();
+        }
+        let report = server.shutdown().expect("shutdown");
+        let lost = report.discarded_responses + report.dropped_requests;
+        if drop_one {
+            assert!(lost <= REQUESTS, "{lost} lost of the {REQUESTS} the dead connection sent");
+        } else {
+            assert_eq!(lost, 0, "nothing lost without a disconnect");
+        }
+    }
+}
