@@ -1,10 +1,12 @@
 //! Table I: embedding-table memory requirement for Insecure storage,
-//! PathORAM/LAORAM (same tree), and the fat tree.
+//! PathORAM/LAORAM (same tree), and the fat tree, plus the LAORAM
+//! client's bound on stash + parked rows.
 //!
 //! Usage: `table1_memory [--bucket 4]`
 
 use laoram_bench::runner::Args;
 use oram_analysis::Table;
+use oram_protocol::EvictionConfig;
 use oram_tree::{BucketProfile, TreeGeometry};
 use oram_workloads::{
     KAGGLE_ENTRY_BYTES, KAGGLE_TABLE_ENTRIES, XNLI_ENTRY_BYTES, XNLI_TABLE_ENTRIES,
@@ -54,4 +56,18 @@ fn main() {
         "# note: the paper's fat overhead (+25-50%) matches a grown leaf bucket (10-to-5 profile);"
     );
     println!("# the strict 8-to-4 profile adds only a few % because leaf-level slots dominate.");
+    // Client side: rows that leave a superblock while no next window is
+    // known park in client memory, and parking stops while stash + parked
+    // would reach the eviction high-water mark, so the client holds at
+    // most that many rows beyond its position map (per shard, in the
+    // serving engine).
+    let hi = EvictionConfig::paper_default().high_water() as u64;
+    let client: Vec<String> = rows
+        .iter()
+        .map(|&(name, _, entry_bytes)| format!("{name}: {} KiB", hi * entry_bytes / 1024))
+        .collect();
+    println!(
+        "# LAORAM client: stash + parked rows < {hi} (eviction high-water) | {}",
+        client.join(" | ")
+    );
 }

@@ -48,13 +48,45 @@ impl BatchOp {
 /// client cache, and the remaining accesses of the bin are served silently
 /// from the cache. When the stream leaves a bin, its cached blocks are
 /// flushed to the stash with their *next-occurrence* bin path assigned —
-/// uniform random if the plan holds no future occurrence — and drift back
-/// into the tree through ordinary write-backs.
+/// from the active window, else from the first bin of a staged next
+/// window, else a uniform random leaf — and drift back into the tree
+/// through ordinary write-backs.
 ///
 /// In steady state (or after warm-start initialisation) every member of a
 /// bin already resides on the bin's path, so a bin of size `S` costs one
 /// path read + one path write instead of `S` of each: the paper's
 /// bandwidth bound (§VIII-F).
+///
+/// # Whole streams and open streams
+///
+/// [`with_lookahead`](LaOram::with_lookahead) and
+/// [`install_plan`](LaOram::install_plan) hand the client a whole stream:
+/// what the window does not use next, nothing will, and such blocks exit
+/// to random leaves. [`stage_plan`](LaOram::stage_plan) +
+/// [`advance_plan`](LaOram::advance_plan) feed one window of an *open*
+/// stream, whose successor may not be known yet — a trainer cannot name
+/// its updates before its lookups have returned. In an open window,
+/// [`serve_batch`](LaOram::serve_batch) flushes the final bin (and syncs)
+/// as soon as the window's last access is served, so a window's writes
+/// are durable when the batch returns.
+///
+/// # Parking
+///
+/// When a block of an open window leaves its bin with no later use in
+/// the window and **no window staged**, it is *parked*: it stays checked
+/// out in client memory under a provisional leaf, drawn where a random
+/// exit would draw it. The next activation re-points every parked block
+/// the new window uses at that window's first bin for it, then returns
+/// all parked blocks to the stash; [`finish`](LaOram::finish) returns
+/// them under their provisional leaves. So a trainer's update window,
+/// which binds the rows its lookup window just returned, finds them on
+/// its bins' paths and pays one path read per superblock. The
+/// provisional leaf is never revealed — the block is not in the stash or
+/// the tree while it holds it — and its replacement is a bin leaf, itself
+/// a uniform draw. Parking stops short of the eviction policy's
+/// high-water mark (stash + parked stays below it, so parking never
+/// causes a dummy read), and every snapshot records parked blocks as
+/// stash entries under their provisional leaves.
 ///
 /// # Storage backends
 ///
@@ -86,6 +118,14 @@ pub struct LaOram<S: BucketStore = ArenaStore> {
     /// defer population to the first installed window so first-occurrence
     /// placement can follow that window's bins.
     populated: bool,
+    /// Whether the active window was activated by
+    /// [`advance_plan`](Self::advance_plan): one window of an open stream,
+    /// whose blocks may park.
+    open_window: bool,
+    /// Blocks that left their bin with no known next use while nothing
+    /// was staged: checked out, under a provisional leaf the position map
+    /// also names, until the next activation or [`finish`](Self::finish).
+    parked: Vec<Block>,
     /// The VRAM cache: bin members checked out of the protocol layer —
     /// in plaintext; a sealing configuration's key goes to the protocol
     /// client, which opens rows at checkout and seals them on return, so
@@ -115,6 +155,7 @@ impl<S: BucketStore> std::fmt::Debug for LaOram<S> {
             .field("cursor", &self.cursor)
             .field("active_bin", &self.active_bin)
             .field("cache_len", &self.cache.len())
+            .field("parked", &self.parked.len())
             .finish()
     }
 }
@@ -159,7 +200,7 @@ impl LaOram<ArenaStore> {
             planner.plan(future)
         };
         client.stage_plan(plan)?;
-        client.advance_plan()?;
+        client.activate(false)?;
         Ok(client)
     }
 
@@ -223,6 +264,8 @@ impl<S: BucketStore> LaOram<S> {
             cursor: 0,
             active_bin: None,
             populated,
+            open_window: false,
+            parked: Vec::new(),
             cache: HashMap::default(),
             snapshot: None,
             telemetry: None,
@@ -318,7 +361,9 @@ impl<S: BucketStore> LaOram<S> {
     /// write at an unchanged generation overwrites a snapshot that still
     /// matches the store, so a crash inside it leaves no valid snapshot.
     /// The client cache must be empty (snapshots happen *between*
-    /// superblocks, where every block is in the stash or the tree).
+    /// superblocks, where every block is in the stash, the tree, or
+    /// parked); parked blocks are recorded as stash entries under their
+    /// provisional leaves.
     ///
     /// # Errors
     /// Propagates capture failures (blocks checked out) and snapshot
@@ -327,7 +372,7 @@ impl<S: BucketStore> LaOram<S> {
         let Some(file) = self.snapshot.as_mut() else {
             return Ok(());
         };
-        let state = self.inner.snapshot_state()?;
+        let state = self.inner.snapshot_state_holding(&self.parked)?;
         let snapshot = StateSnapshot {
             generation: state.generation,
             accesses: self.inner.stats().real_accesses,
@@ -368,20 +413,28 @@ impl<S: BucketStore> LaOram<S> {
         Ok(())
     }
 
-    /// Promotes the staged window to the active plan.
+    /// Promotes the staged window to the active plan, as one window of an
+    /// open stream: until a successor is staged, blocks leaving its bins
+    /// with no later use in it park (see [Parking](LaOram#parking)).
     ///
     /// The current window must be fully served. Its remaining cached
     /// blocks are flushed toward the incoming window's first-occurrence
-    /// paths, and stash-resident blocks that the incoming window touches
-    /// are re-pointed at their first bins — the incremental analogue of
-    /// warm-start placement, keeping steady state across window
-    /// boundaries.
+    /// paths, parked blocks return to the stash, and stash-resident
+    /// blocks that the incoming window touches are re-pointed at their
+    /// first bins — the incremental analogue of warm-start placement,
+    /// keeping steady state across window boundaries.
     ///
     /// # Errors
     /// [`LaOramError::NoStagedPlan`] with nothing staged;
     /// [`LaOramError::PlanIncomplete`] if the current window has unserved
     /// accesses; protocol failures are propagated.
     pub fn advance_plan(&mut self) -> Result<()> {
+        self.activate(true)
+    }
+
+    /// Activates the staged window; `open` marks one window of an open
+    /// stream, whose blocks may park.
+    fn activate(&mut self, open: bool) -> Result<()> {
         if self.staged.is_none() {
             return Err(LaOramError::NoStagedPlan);
         }
@@ -408,9 +461,10 @@ impl<S: BucketStore> LaOram<S> {
             }
             self.populated = true;
         } else {
-            // Blocks still client-side (stash) re-enter the tree through
-            // ordinary write-backs; point the ones this window touches at
-            // their first bins so they arrive warm.
+            // Blocks still client-side (parked, then stash) re-enter the
+            // tree through ordinary write-backs; point the ones this
+            // window touches at their first bins so they arrive warm.
+            self.unpark()?;
             for id in self.inner.stash_block_ids() {
                 if let Some(bin) = plan.first_bin_of(id) {
                     self.inner.reassign_in_stash(id, plan.bin_leaf(bin))?;
@@ -419,6 +473,7 @@ impl<S: BucketStore> LaOram<S> {
         }
         self.plan = plan;
         self.cursor = 0;
+        self.open_window = open;
         // Readahead hook: the incoming window's bin paths are exactly
         // the paths this window's serving will read — hand them to the
         // backing store as a batch prefetch hint (no-op in memory,
@@ -433,15 +488,17 @@ impl<S: BucketStore> LaOram<S> {
         Ok(())
     }
 
-    /// Stages `plan` and immediately advances to it: the convenience form
-    /// for callers that do not pipeline.
+    /// Stages `plan` and immediately activates it as a whole stream: the
+    /// convenience form for callers that do not pipeline. Unlike
+    /// [`advance_plan`](Self::advance_plan), the window's blocks never
+    /// park — a block it does not use again exits to a random leaf.
     ///
     /// # Errors
     /// As [`stage_plan`](Self::stage_plan) and
     /// [`advance_plan`](Self::advance_plan).
     pub fn install_plan(&mut self, plan: SuperblockPlan) -> Result<()> {
         self.stage_plan(plan)?;
-        self.advance_plan()
+        self.activate(false)
     }
 
     /// Whether a staged window is pending activation.
@@ -458,7 +515,10 @@ impl<S: BucketStore> LaOram<S> {
 
     /// Serves one batch of planned operations in order, returning one
     /// output per operation: the pre-existing payload for writes, the
-    /// stored payload for reads.
+    /// stored payload for reads. When the batch serves the last planned
+    /// access of an [open window](Self::advance_plan), the final bin is
+    /// flushed (its blocks park or exit) and the store synced before this
+    /// returns, so every write of the window is durable.
     ///
     /// # Errors
     /// As [`read`](Self::read) / [`write`](Self::write); the batch stops
@@ -473,6 +533,10 @@ impl<S: BucketStore> LaOram<S> {
                     self.fetch_update(idx, &update, layout)?
                 }
             });
+        }
+        if self.open_window && self.plan_remaining() == 0 {
+            self.flush_cache()?;
+            self.active_bin = None;
         }
         Ok(outputs)
     }
@@ -714,12 +778,16 @@ impl<S: BucketStore> LaOram<S> {
     /// into the tree. When the current window holds no future occurrence,
     /// a staged next window's first occurrence is used; failing both, the
     /// leaf is uniform random (preserving obliviousness either way — bin
-    /// paths are themselves uniform draws).
+    /// paths are themselves uniform draws), and in an open window with
+    /// nothing staged the block parks under that leaf instead, while
+    /// stash + parked stays below the eviction high-water mark.
     fn flush_cache(&mut self) -> Result<()> {
         if self.cache.is_empty() {
             return Ok(());
         }
         let bin = self.active_bin.expect("cache non-empty implies an active bin");
+        let may_park = self.open_window && self.staged.is_none();
+        let high_water = self.config.eviction.high_water();
         let mut blocks = std::mem::take(&mut self.scratch_ids);
         blocks.clear();
         blocks.extend(self.cache.keys().copied());
@@ -736,13 +804,28 @@ impl<S: BucketStore> LaOram<S> {
             };
             block.set_leaf(leaf);
             self.inner.assign_leaf(id, leaf)?;
-            self.inner.return_to_stash(block)?;
+            if planned.is_none()
+                && may_park
+                && self.inner.stash_len() + self.parked.len() + 1 < high_water
+            {
+                self.parked.push(block);
+            } else {
+                self.inner.return_to_stash(block)?;
+            }
         }
         blocks.clear();
         self.scratch_ids = blocks;
         self.inner.maybe_background_evict()?;
         // Superblock boundary = storage durability point.
         self.sync_point()
+    }
+
+    /// Returns every parked block to the stash under the leaf it holds.
+    fn unpark(&mut self) -> Result<()> {
+        for block in self.parked.drain(..) {
+            self.inner.return_to_stash(block)?;
+        }
+        Ok(())
     }
 
     /// A durability point: flushes the store's write-back buffer (no-op
@@ -766,7 +849,8 @@ impl<S: BucketStore> LaOram<S> {
         Ok(())
     }
 
-    /// Completes the stream: flushes any cached blocks back to the
+    /// Completes the stream: returns parked blocks to the stash under
+    /// their provisional leaves, flushes any cached blocks back to the
     /// protocol layer and syncs the backing store, so a disk-backed
     /// table closes at a clean durability point (and, with persistence
     /// enabled, a final snapshot). Call once after the last planned
@@ -776,6 +860,8 @@ impl<S: BucketStore> LaOram<S> {
     /// # Errors
     /// Propagates protocol failures.
     pub fn finish(&mut self) -> Result<()> {
+        self.open_window = false;
+        self.unpark()?;
         self.flush_cache()?;
         self.active_bin = None;
         // flush_cache early-returns on an empty cache, so sync (and
@@ -806,12 +892,24 @@ impl<S: BucketStore> LaOram<S> {
     }
 
     /// Verifies cross-layer invariants (every block in exactly one place;
-    /// position map consistent). O(tree) — tests and audits only.
+    /// position map consistent, parked blocks included). O(tree) — tests
+    /// and audits only.
     ///
     /// # Errors
     /// Returns a description of the first violation.
     pub fn verify_invariants(&self) -> std::result::Result<(), String> {
-        self.inner.verify_invariants()
+        self.inner.verify_invariants()?;
+        for block in &self.parked {
+            let mapped = self.inner.position_of(block.id()).map_err(|e| e.to_string())?;
+            if mapped != block.leaf() {
+                return Err(format!(
+                    "parked block {} leaf {} disagrees with position map {mapped}",
+                    block.id(),
+                    block.leaf()
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1231,6 +1329,48 @@ mod tests {
             assert_eq!(s.cold_misses, 0, "window {window}");
         }
         oram.advance_plan().unwrap();
+        oram.finish().unwrap();
+        oram.verify_invariants().unwrap();
+    }
+
+    #[test]
+    fn open_windows_park_below_the_high_water_mark() {
+        // An advance_plan window served with nothing staged: its exits
+        // park (never reaching hi = 12 together with the stash), the
+        // final bin is flushed when serve_batch returns, and finish
+        // returns every parked block.
+        let stream: Vec<u32> = (0..64).collect();
+        let eviction = EvictionConfig::with_thresholds(12, 4);
+        let config = cfg(64).superblock_size(4).eviction(eviction).build().unwrap();
+        let mut oram = LaOram::new(config.clone()).unwrap();
+        let mut planner =
+            crate::SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
+        oram.stage_plan(planner.plan(&stream)).unwrap();
+        oram.advance_plan().unwrap();
+        oram.serve_batch(stream.iter().map(|&i| BatchOp::Read(i)).collect()).unwrap();
+        assert_eq!(oram.cache_len(), 0, "the final bin was flushed");
+        assert!(!oram.parked.is_empty(), "nothing staged: exits park");
+        assert!(oram.parked.len() < 12, "{} parked", oram.parked.len());
+        oram.verify_invariants().unwrap();
+        oram.finish().unwrap();
+        assert!(oram.parked.is_empty());
+        oram.verify_invariants().unwrap();
+    }
+
+    #[test]
+    fn whole_stream_windows_never_park() {
+        // install_plan hands over the whole stream: exits go to random
+        // leaves as they always did, and the final bin stays cached
+        // until the next activation or finish.
+        let stream: Vec<u32> = (0..64).collect();
+        let config = cfg(64).superblock_size(4).build().unwrap();
+        let mut oram = LaOram::new(config.clone()).unwrap();
+        let mut planner =
+            crate::SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
+        oram.install_plan(planner.plan(&stream)).unwrap();
+        oram.serve_batch(stream.iter().map(|&i| BatchOp::Read(i)).collect()).unwrap();
+        assert!(oram.parked.is_empty());
+        assert_eq!(oram.cache_len(), 4, "the final bin is still cached");
         oram.finish().unwrap();
         oram.verify_invariants().unwrap();
     }

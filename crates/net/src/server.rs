@@ -13,7 +13,9 @@
 //! pass, a connection with requests in flight claims its session's ready
 //! completions ([`Session::try_claim`]). They come back in submission
 //! order, so each pops its wire id off the FIFO; the reactor releases its
-//! admission slot and writes the response. Which connection an answer
+//! admission slot and writes the response. A connection with more than
+//! `MAX_QUEUED_BYTES` of answers its client has not taken is not read
+//! until it takes them. Which connection an answer
 //! belongs to is decided in the engine: it goes to the session that asked.
 //! A connection that closed stays with its reactor until its FIFO drains:
 //! its responses are claimed and discarded, so the ticket ledger never
@@ -56,6 +58,12 @@ use crate::{NetError, Result};
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 /// Hard ceiling on waiting for in-flight requests during shutdown.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
+/// Outbound bytes past which a connection is neither read nor parsed
+/// until its client takes them: admission is released when an answer is
+/// queued, so this, not the in-flight caps, is what stops a client that
+/// pipelines without reading, and TCP pushes back on it. Four times one
+/// 256-request window of 4 KiB rows.
+const MAX_QUEUED_BYTES: usize = 4 << 20;
 
 /// Tuning knobs for [`NetServer::start`].
 #[derive(Debug, Clone)]
@@ -448,12 +456,13 @@ impl ConnIo {
         }
     }
 
-    /// One pass: read and parse what arrived, claim and answer what
+    /// One pass: read and parse what arrived (unless more than
+    /// `MAX_QUEUED_BYTES` wait to be written), claim and answer what
     /// completed, write what the socket takes. Returns whether anything
     /// moved.
     fn step(&mut self, state: &NetState, chunk: &mut [u8], claimed: &mut Vec<Completion>) -> bool {
         let mut progress = false;
-        if !self.closed {
+        if !self.closed && self.wbuf.len() <= MAX_QUEUED_BYTES {
             progress |= self.read(state, chunk);
         }
         if !self.inflight.is_empty() {

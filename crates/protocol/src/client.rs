@@ -681,8 +681,60 @@ impl<S: BucketStore> PathOramClient<S> {
     /// tree, so the captured state would lose it. (The LAORAM layer
     /// flushes its cache before snapshotting.)
     pub fn snapshot_state(&mut self) -> Result<oram_tree::ClientLevelState> {
-        if let Some(&block) = self.checked_out.iter().next() {
+        self.snapshot_state_holding(&[])
+    }
+
+    /// [`snapshot_state`](Self::snapshot_state) for a caller that keeps
+    /// blocks checked out across the capture: `held` must be exactly the
+    /// checked-out blocks, each under the leaf the position map names.
+    /// They are recorded as stash entries after the stash's own (sealed
+    /// first on a sealing client, as the stash would hold them), so a
+    /// restored client finds them in its stash.
+    ///
+    /// # Errors
+    /// [`ProtocolError::CheckoutViolation`] naming a block that is held
+    /// but not checked out, or checked out but not held;
+    /// [`ProtocolError::InvalidConfig`] when `held` repeats a block or a
+    /// held block's leaf disagrees with the position map.
+    pub fn snapshot_state_holding(
+        &mut self,
+        held: &[Block],
+    ) -> Result<oram_tree::ClientLevelState> {
+        let ids: std::collections::HashSet<BlockId, oram_tree::IdHashBuilder> =
+            held.iter().map(Block::id).collect();
+        if let Some(&block) = self.checked_out.symmetric_difference(&ids).next() {
             return Err(ProtocolError::CheckoutViolation { block });
+        }
+        if ids.len() != held.len() {
+            return Err(ProtocolError::InvalidConfig("held blocks repeat an id".into()));
+        }
+        if let Some(b) = held.iter().find(|b| self.posmap.get(b.id()) != b.leaf()) {
+            return Err(ProtocolError::InvalidConfig(format!(
+                "held block {} names leaf {} but the position map says {}",
+                b.id(),
+                b.leaf(),
+                self.posmap.get(b.id())
+            )));
+        }
+        let mut stash: Vec<oram_tree::SnapshotBlock> = self
+            .stash
+            .iter()
+            .map(|b| oram_tree::SnapshotBlock {
+                id: b.id().index(),
+                leaf: b.leaf().index(),
+                data: b.data().map(Box::from),
+            })
+            .collect();
+        for b in held {
+            let data = match (&mut self.sealer, b.data()) {
+                (Some(sealer), Some(plain)) => Some(sealer.seal(plain)),
+                (_, data) => data.map(Box::from),
+            };
+            stash.push(oram_tree::SnapshotBlock {
+                id: b.id().index(),
+                leaf: b.leaf().index(),
+                data,
+            });
         }
         let reseed: u64 = self.rng.random();
         self.rng = StdRng::seed_from_u64(reseed);
@@ -690,15 +742,7 @@ impl<S: BucketStore> PathOramClient<S> {
             generation: self.storage.generation(),
             reseed,
             position_map: self.posmap.iter().map(|(_, leaf)| leaf.index()).collect(),
-            stash: self
-                .stash
-                .iter()
-                .map(|b| oram_tree::SnapshotBlock {
-                    id: b.id().index(),
-                    leaf: b.leaf().index(),
-                    data: b.data().map(Box::from),
-                })
-                .collect(),
+            stash,
         })
     }
 
@@ -1601,6 +1645,41 @@ mod tests {
                 "leaf draws diverged at block {i}"
             );
         }
+    }
+
+    #[test]
+    fn snapshot_holding_records_held_blocks_as_stash_entries() {
+        // A block kept checked out across the capture (LAORAM's parked
+        // rows) is recorded as a stash entry, sealed like the stash's
+        // own, so the restored client finds it under its new leaf.
+        let config = PathOramConfig::new(16).with_seed(81).with_payloads(true).with_sealing_key(5);
+        let mut c = payload_client(config.clone(), 4);
+        let id = BlockId::new(3);
+        c.write(id, vec![7u8; 4].into()).unwrap();
+        let path = c.position_of(id).unwrap();
+        c.fetch_path_pending(path, AccessKind::Real);
+        let mut held = c.take_from_stash(id).unwrap();
+        c.writeback_path(path);
+        let leaf = LeafId::new((path.index() + 1) % c.geometry().num_leaves() as u32);
+        held.set_leaf(leaf);
+        assert!(matches!(
+            c.snapshot_state_holding(&[held.clone()]),
+            Err(ProtocolError::InvalidConfig(_))
+        ));
+        c.assign_leaf(id, leaf).unwrap();
+        assert!(matches!(c.snapshot_state(), Err(ProtocolError::CheckoutViolation { .. })));
+        assert!(matches!(
+            c.snapshot_state_holding(&[held.clone(), held.clone()]),
+            Err(ProtocolError::InvalidConfig(_))
+        ));
+        let state = c.snapshot_state_holding(&[held.clone()]).unwrap();
+        assert!(state.stash.iter().any(|b| b.id == 3 && b.leaf == leaf.index()));
+        let mut restored = PathOramClient::restore(config, c.storage.clone(), &state).unwrap();
+        restored.verify_invariants().unwrap();
+        assert_eq!(restored.position_of(id).unwrap(), leaf);
+        assert_eq!(restored.read(id).unwrap().as_deref(), Some(&[7u8; 4][..]));
+        c.return_to_stash(held).unwrap();
+        c.verify_invariants().unwrap();
     }
 
     #[test]

@@ -169,6 +169,22 @@
 //!   timing) would depend on the private access history. Any future cache
 //!   of that shape must document its leakage budget before it ships; the
 //!   ROADMAP tracks this as an explicit trade-off study.
+//! * **Parked rows.** A row that leaves its superblock while the shard
+//!   knows no next window stays *parked* in the shard's client memory
+//!   until the next window activates (see `LaOram`'s rustdoc). Parking
+//!   adds **no server-visible operation**: no path is read, written or
+//!   skipped because of it, and the shard worker is unchanged. A parked
+//!   row holds a provisional leaf, drawn where a random exit would be;
+//!   when the next window uses the row, that leaf is replaced by the
+//!   window's bin leaf — itself a fresh uniform draw — *before it was
+//!   ever revealed*, because a parked row is in neither the stash nor
+//!   the tree and so never rides a write-back under it. What parking
+//!   changes is which rows the next window finds on its paths: fewer
+//!   cold path reads, whose count was already a function of the public
+//!   plan and the window timing. The price is client memory: up to the
+//!   eviction high-water mark of rows per shard (stash + parked stays
+//!   below it), and parked rows are written to `.snap` files as stash
+//!   entries.
 //! * **Telemetry output.** The engine always counts into one metrics
 //!   registry ([`ServiceStats`] is a view over it, written as each group
 //!   is emitted), but counting without export adds

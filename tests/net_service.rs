@@ -721,6 +721,75 @@ fn slow_reader_receives_every_response_in_order() {
     assert_eq!(report.discarded_responses, 0);
 }
 
+/// A client that pipelines without reading is pushed back on: once more
+/// than a bounded number of answer bytes wait in its connection's
+/// outbound buffer, the server stops reading its requests, so the buffer
+/// cannot grow without bound. 4 096 reads of 4 KiB rows (16 MiB of
+/// answers, more than the kernel's socket buffers hold) go unread; the
+/// 16 requests sent after them are never parsed.
+#[test]
+fn unread_answers_stop_the_server_reading() {
+    const ROWS: u32 = 256;
+    const ROW_BYTES: usize = 4096;
+    const READS: u64 = 4096;
+    const LATE: u64 = 16;
+    let config = ServiceConfig::new()
+        .table(
+            TableSpec::new("wide", ROWS)
+                .row_bytes(ROW_BYTES as u32)
+                .shards(2)
+                .superblock_size(4)
+                .seed(23),
+        )
+        .batch_policy(BatchPolicy::new().max_batch(256).max_delay(Duration::from_millis(1)))
+        .queue_depth(4);
+    let caps = NetServerConfig::default().max_inflight(2 * READS).max_inflight_per_tenant(READS);
+    let server = start_server(config, caps);
+    let mut client = NetClient::connect(server.local_addr(), 7).expect("connect");
+    for index in 0..ROWS {
+        client.queue_frame(&frame::Frame::Request {
+            id: u64::from(index),
+            table: 0,
+            index,
+            op: frame::WireOp::Write(vec![index as u8; ROW_BYTES]),
+        });
+    }
+    client.flush().expect("send writes");
+    for _ in 0..ROWS {
+        assert!(matches!(client.recv().expect("recv write"), NetEvent::Response { .. }));
+    }
+    let read = |id: u64| frame::Frame::Request {
+        id,
+        table: 0,
+        index: (id % u64::from(ROWS)) as u32,
+        op: frame::WireOp::Read,
+    };
+    for id in 0..READS {
+        client.queue_frame(&read(id));
+    }
+    client.flush().expect("send reads");
+    let admitted_by = std::time::Instant::now() + Duration::from_secs(1);
+    while server.inflight() == 0 && std::time::Instant::now() < admitted_by {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    while server.inflight() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for id in READS..READS + LATE {
+        client.queue_frame(&read(id));
+    }
+    client.flush().expect("send late reads");
+    std::thread::sleep(Duration::from_millis(200));
+    let report = server.shutdown().expect("shutdown");
+    // Hello + the writes + every read, had the server kept reading.
+    let sent = 1 + u64::from(ROWS) + READS + LATE;
+    assert!(
+        report.frames_in <= sent - LATE,
+        "the server parsed {} of {sent} frames from a client that read none of its answers",
+        report.frames_in
+    );
+}
+
 /// Each connection's answers are paired with its wire ids by its own
 /// engine session: 4 connections pipeline 200 requests each — 100 writes
 /// of connection-specific payloads, then reads of the same rows — under

@@ -5,9 +5,9 @@
 use std::sync::{Arc, Mutex};
 
 use laoram::analysis::UniformityAudit;
-use laoram::core::{LaOram, LaOramConfig};
+use laoram::core::{BatchOp, LaOram, LaOramConfig, SuperblockBinning, SuperblockPlanner};
 use laoram::protocol::{AccessObserver, PathOramClient, PathOramConfig, ServerOp};
-use laoram::tree::{BlockId, LeafId};
+use laoram::tree::{ArenaStore, ArenaStoreConfig, BlockId, LeafId};
 use laoram::workloads::{DlrmTraceConfig, Trace, TraceKind};
 
 const N: u32 = 1 << 13;
@@ -159,4 +159,69 @@ fn every_read_is_paired_with_a_writeback_of_the_same_path() {
     for (r, w) in reads.iter().zip(writes.iter()) {
         assert_eq!(r, w, "write-back must target the path just read");
     }
+}
+
+#[test]
+fn parking_client_requests_are_uniform() {
+    // An incremental client fed a trainer's windows one at a time —
+    // lookups L(k), then updates U(k) of the same rows — with nothing
+    // ever staged, so every block that leaves a bin parks. The
+    // server-visible leaves must stay uniform, the client consistent at
+    // every window boundary, and every read must see the last write.
+    const S: u32 = 4;
+    let trace = Trace::generate(TraceKind::Dlrm(DlrmTraceConfig::default()), N, LEN / 2, 8);
+    let config = LaOramConfig::builder(N)
+        .superblock_size(S)
+        .payloads(true)
+        .seed(500)
+        .build()
+        .expect("config");
+    let store = ArenaStore::new(
+        config.geometry().expect("geometry"),
+        ArenaStoreConfig::new().payload_capacity(4),
+    );
+    let mut oram = LaOram::with_store(config.clone(), store).expect("construction");
+    let probe = Probe::default();
+    oram.set_observer(Box::new(probe.clone()));
+    let mut planner = SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
+    let mut model: std::collections::HashMap<u32, Box<[u8]>> = Default::default();
+    let (mut update_bins, mut update_reads) = (0u64, 0u64);
+    for (k, chunk) in trace.accesses().chunks(128).enumerate() {
+        oram.stage_plan(planner.plan(chunk)).expect("stage L(k)");
+        oram.advance_plan().expect("advance to L(k)");
+        let lookups = oram.serve_batch(chunk.iter().map(|&r| BatchOp::Read(r)).collect());
+        for (&row, got) in chunk.iter().zip(lookups.expect("serve L(k)")) {
+            assert_eq!(got.as_deref(), model.get(&row).map(|v| &v[..]), "L({k}) row {row}");
+        }
+        oram.verify_invariants().expect("after L(k)");
+
+        oram.stage_plan(planner.plan(chunk)).expect("stage U(k)");
+        oram.advance_plan().expect("advance to U(k)");
+        let reads_before = oram.stats().path_reads;
+        let written: Vec<Box<[u8]>> = (0..chunk.len())
+            .map(|j| [k as u16, j as u16].map(u16::to_le_bytes).concat().into())
+            .collect();
+        let ops =
+            chunk.iter().zip(&written).map(|(&row, v)| BatchOp::Write(row, v.clone())).collect();
+        let previous = oram.serve_batch(ops).expect("serve U(k)");
+        for ((&row, old), new) in chunk.iter().zip(previous).zip(written) {
+            assert_eq!(old.as_deref(), model.get(&row).map(|v| &v[..]), "U({k}) row {row}");
+            model.insert(row, new);
+        }
+        update_reads += oram.stats().path_reads - reads_before;
+        update_bins += SuperblockBinning::scan(chunk, S).num_bins() as u64;
+        oram.verify_invariants().expect("after U(k)");
+    }
+    oram.finish().expect("finish");
+    oram.verify_invariants().expect("after finish");
+    assert_eq!(update_reads, update_bins, "updates must find their rows parked");
+
+    let reads = probe.reads.lock().expect("probe lock").clone();
+    let audit = UniformityAudit::over(oram.geometry().num_leaves(), reads);
+    assert!(
+        audit.passes(ALPHA),
+        "frequency p = {}, serial p = {:?}",
+        audit.frequency().p_value,
+        audit.serial().map(|x| x.p_value)
+    );
 }

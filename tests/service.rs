@@ -4,7 +4,11 @@
 //! and the request-level path (sessions + micro-batcher + completion
 //! queue) riding the same pipeline.
 
-use laoram::service::{BatchPolicy, LaoramService, Request, ServiceConfig, TableSpec};
+use laoram::core::SuperblockBinning;
+use laoram::service::{
+    BatchPolicy, LaoramService, OptimizerLayout, Request, RowUpdate, ServiceConfig, TablePartition,
+    TableSpec,
+};
 use laoram::workloads::{DlrmTraceConfig, MultiTenantMix, TenantSpec, TraceKind, ZipfTraceConfig};
 
 const ZIPF_ENTRIES: u32 = 1024;
@@ -289,4 +293,60 @@ fn service_survives_interleaved_write_read_traffic() {
         assert_eq!(got, Some(&row.to_le_bytes()[..]), "row {row}");
     }
     service.shutdown().expect("shutdown");
+}
+
+#[test]
+fn training_updates_reuse_their_lookups_superblock_paths() {
+    // A trainer's step: the lookups L(k) are claimed before the updates
+    // U(k) — the same rows, in the same order — can be submitted. Nothing
+    // names U(k) while L(k) is served, so L(k)'s rows wait in each
+    // shard's client memory and U(k)'s activation points them at its own
+    // bins: U(k) costs one path read per superblock and no cold miss.
+    const S: u32 = 4;
+    let layout = OptimizerLayout::row_wise_adagrad(2);
+    let spec = TableSpec::new("trained", 512)
+        .shards(2)
+        .superblock_size(S)
+        .seed(9)
+        .row_bytes(layout.payload_bytes() as u32)
+        .optimizer(layout);
+    let partition = TablePartition::for_spec(&spec).unwrap();
+    let mut service = LaoramService::start(ServiceConfig::new().table(spec)).unwrap();
+    for step in 0..4u32 {
+        let rows: Vec<u32> = (0..96u32).map(|i| (i * 7 + step * 13) % 512).collect();
+        service.submit(rows.iter().map(|&r| Request::read(0, r)).collect()).unwrap();
+        service.next_response().unwrap();
+        let before = service.stats();
+        let updates = rows
+            .iter()
+            .map(|&r| {
+                let gradient = vec![r as f32 / 512.0, step as f32];
+                Request::fetch_update(0, r, RowUpdate::row_wise_adagrad(0.1, 1e-8, gradient))
+            })
+            .collect();
+        service.submit(updates).unwrap();
+        service.next_response().unwrap();
+        let after = service.stats();
+        for (was, now) in before.shards.iter().zip(&after.shards) {
+            let shard = now.shard;
+            let local: Vec<u32> = rows
+                .iter()
+                .filter_map(|&r| partition.locate(r))
+                .filter(|&(s, _)| s == shard)
+                .map(|(_, local)| local)
+                .collect();
+            let bins = SuperblockBinning::scan(&local, S).num_bins() as u64;
+            let path_reads = now.stats.path_reads - was.stats.path_reads;
+            let cold_misses = now.stats.cold_misses - was.stats.cold_misses;
+            assert!(bins > 0, "step {step}: shard {shard} got no rows");
+            assert_eq!(
+                (path_reads, cold_misses),
+                (bins, 0),
+                "step {step}, shard {shard}: U(k) read {path_reads} paths with {cold_misses} \
+                 cold misses for {bins} superblocks"
+            );
+        }
+    }
+    let report = service.shutdown().unwrap();
+    assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
 }

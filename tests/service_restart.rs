@@ -262,3 +262,55 @@ fn store_without_snapshot_is_refused() {
     assert!(err.is_err(), "a store without its snapshot must be refused");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Acknowledged ⇒ durable: once the engine has answered a write, the
+/// table's files on disk hold it, with no shutdown in between. The
+/// store and snapshot are copied while the engine sits idle (a crash
+/// image taken right after the acknowledgement), and a second engine
+/// started on the copy must read back every acknowledged row — the
+/// window's final superblock included, whose rows the worker keeps in
+/// client memory for the next window and records in the snapshot.
+#[test]
+fn acknowledged_writes_are_in_the_crash_image() {
+    let dir = unique_dir("ack-live");
+    let image = unique_dir("ack-image");
+    let spec = |dir: &std::path::Path| {
+        TableSpec::new("acked", 256).shards(1).superblock_size(4).seed(11).row_bytes(8).backend(
+            StorageBackend::Disk(DiskBackendSpec::new(dir).snapshots(true).write_back_paths(4)),
+        )
+    };
+    let rows: Vec<u32> = (0..64u32).map(|i| i * 5 % 256).collect();
+    let value = |row: u32| -> Box<[u8]> { vec![row as u8, 0xAC, 0x4B, row as u8].into() };
+
+    let mut live = LaoramService::start(ServiceConfig::new().table(spec(&dir))).unwrap();
+    live.submit(rows.iter().map(|&r| Request::write(0, r, value(r))).collect()).unwrap();
+    live.next_response().unwrap();
+    assert_eq!(live.outstanding(), 0, "the writes were acknowledged");
+    std::fs::create_dir_all(&image).unwrap();
+    let mut copied = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, image.join(path.file_name().unwrap())).unwrap();
+        copied += 1;
+    }
+    assert!(copied >= 2, "expected a store and its snapshot, found {copied} files");
+
+    let mut restarted = LaoramService::start(ServiceConfig::new().table(spec(&image))).unwrap();
+    assert_eq!(restarted.table_status()[0].recovery, TableRecovery::Recovered { shards: 1 });
+    restarted.submit(rows.iter().map(|&r| Request::read(0, r)).collect()).unwrap();
+    let outputs = restarted.next_response().unwrap().outputs;
+    let missing: Vec<u32> = rows
+        .iter()
+        .zip(&outputs)
+        .filter(|(&r, got)| got.as_deref() != Some(&*value(r)))
+        .map(|(&r, _)| r)
+        .collect();
+    assert!(missing.is_empty(), "{} of 64 acknowledged writes missing: {missing:?}", missing.len());
+    let report = restarted.shutdown().unwrap();
+    assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
+    let report = live.shutdown().unwrap();
+    assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&image);
+}
