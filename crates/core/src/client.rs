@@ -572,10 +572,12 @@ impl<S: BucketStore> LaOram<S> {
         self.inner.reset_stats();
     }
 
-    /// Current stash occupancy, *excluding* the client cache.
+    /// Blocks held client-side outside the client cache: the stash plus
+    /// the parked blocks — the set every snapshot records as stash
+    /// entries.
     #[must_use]
     pub fn stash_len(&self) -> usize {
-        self.inner.stash_len()
+        self.inner.stash_len() + self.parked.len()
     }
 
     /// Number of blocks currently in the client cache.
@@ -804,10 +806,7 @@ impl<S: BucketStore> LaOram<S> {
             };
             block.set_leaf(leaf);
             self.inner.assign_leaf(id, leaf)?;
-            if planned.is_none()
-                && may_park
-                && self.inner.stash_len() + self.parked.len() + 1 < high_water
-            {
+            if planned.is_none() && may_park && self.stash_len() + 1 < high_water {
                 self.parked.push(block);
             } else {
                 self.inner.return_to_stash(block)?;

@@ -665,8 +665,8 @@ impl<S: BucketStore> PathOramClient<S> {
     }
 
     /// Captures this client's restorable state — dense position map,
-    /// stash contents, the store generation it pairs with — and reseeds
-    /// the client RNG, recording the new seed.
+    /// stash contents, the store generation it pairs with, the sealer's
+    /// nonce counter — and reseeds the client RNG, recording the new seed.
     ///
     /// The reseed is what makes restore RNG-free: a client restored from
     /// the captured state draws exactly the same leaves as this client
@@ -689,7 +689,9 @@ impl<S: BucketStore> PathOramClient<S> {
     /// checked-out blocks, each under the leaf the position map names.
     /// They are recorded as stash entries after the stash's own (sealed
     /// first on a sealing client, as the stash would hold them), so a
-    /// restored client finds them in its stash.
+    /// restored client finds them in its stash. The nonce counter is read
+    /// after that sealing, so a restored client never reissues the nonces
+    /// the held blocks were sealed under.
     ///
     /// # Errors
     /// [`ProtocolError::CheckoutViolation`] naming a block that is held
@@ -741,7 +743,10 @@ impl<S: BucketStore> PathOramClient<S> {
         Ok(oram_tree::ClientLevelState {
             generation: self.storage.generation(),
             reseed,
-            position_map: self.posmap.iter().map(|(_, leaf)| leaf.index()).collect(),
+            nonce_counter: Some(
+                self.sealer.as_ref().map_or(0, oram_tree::BlockSealer::nonce_counter),
+            ),
+            position_map: self.posmap.leaves().to_vec(),
             stash,
         })
     }
@@ -750,12 +755,17 @@ impl<S: BucketStore> PathOramClient<S> {
     /// [`ClientLevelState`](oram_tree::ClientLevelState) — the restart
     /// path for disk-backed tables. The store must be the same one (or a
     /// byte-identical copy of the one) the state was captured against.
+    /// A sealing client resumes its nonce sequence from the state's
+    /// counter.
     ///
     /// # Errors
     /// [`ProtocolError::Tree`] with [`oram_tree::TreeError::StaleSnapshot`] when the
     /// state's recorded generation disagrees with the store's — the pair
     /// describes two different durability points and restoring would
-    /// corrupt placement; [`ProtocolError::InvalidConfig`] for
+    /// corrupt placement; [`ProtocolError::Tree`] with
+    /// [`oram_tree::TreeError::SnapshotLacksNonce`] when this client seals
+    /// and the state records no nonce counter (a format-v1 snapshot);
+    /// [`ProtocolError::InvalidConfig`] for
     /// shape mismatches (wrong position-map length, stash/tree block
     /// conservation violated, duplicate or out-of-range stash blocks).
     pub fn restore(
@@ -776,7 +786,16 @@ impl<S: BucketStore> PathOramClient<S> {
                 state.position_map.len()
             )));
         }
+        let sealer = match (config.sealing_key, state.nonce_counter) {
+            (Some(_), None) => {
+                return Err(ProtocolError::Tree(oram_tree::TreeError::SnapshotLacksNonce))
+            }
+            (key, counter) => {
+                key.map(|key| oram_tree::BlockSealer::resume(key, counter.unwrap_or(0)))
+            }
+        };
         let mut client = Self::with_store(config.with_populate(false), storage)?;
+        client.sealer = sealer;
         if client.storage.occupancy() + state.stash.len() as u64 != u64::from(num_blocks) {
             return Err(ProtocolError::InvalidConfig(format!(
                 "block conservation violated on restore: tree {} + snapshot stash {} != {}",
@@ -1680,6 +1699,32 @@ mod tests {
         assert_eq!(restored.read(id).unwrap().as_deref(), Some(&[7u8; 4][..]));
         c.return_to_stash(held).unwrap();
         c.verify_invariants().unwrap();
+    }
+
+    #[test]
+    fn sealed_restore_resumes_the_nonce_sequence() {
+        let config = PathOramConfig::new(16).with_seed(83).with_payloads(true).with_sealing_key(6);
+        let mut c = payload_client(config.clone(), 4);
+        for i in 0..16 {
+            c.write(BlockId::new(i), vec![i as u8; 4].into()).unwrap();
+        }
+        let state = c.snapshot_state().unwrap();
+        let counter = c.sealer.as_ref().unwrap().nonce_counter();
+        assert_ne!(counter, 0);
+        assert_eq!(state.nonce_counter, Some(counter));
+        let restored = PathOramClient::restore(config.clone(), c.storage.clone(), &state).unwrap();
+        assert_eq!(restored.sealer.as_ref().unwrap().nonce_counter(), counter);
+        // A state that does not record the counter (format v1) is refused
+        // by a sealing client and accepted by an unsealed one.
+        let v1 = oram_tree::ClientLevelState { nonce_counter: None, ..state };
+        let err = PathOramClient::restore(config, c.storage.clone(), &v1).unwrap_err();
+        assert!(matches!(err, ProtocolError::Tree(oram_tree::TreeError::SnapshotLacksNonce)));
+        let plain = PathOramConfig::new(16).with_seed(84).with_payloads(true);
+        let mut p = payload_client(plain.clone(), 4);
+        let state = p.snapshot_state().unwrap();
+        assert_eq!(state.nonce_counter, Some(0));
+        let v1 = oram_tree::ClientLevelState { nonce_counter: None, ..state };
+        assert!(PathOramClient::restore(plain, p.storage.clone(), &v1).is_ok());
     }
 
     #[test]

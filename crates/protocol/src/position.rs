@@ -50,6 +50,12 @@ impl DensePositionMap {
         LeafId::new(old)
     }
 
+    /// Every block's leaf index, in id order.
+    #[must_use]
+    pub fn leaves(&self) -> &[u32] {
+        &self.leaves
+    }
+
     /// Iterates `(block, leaf)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, LeafId)> + '_ {
         self.leaves.iter().enumerate().map(|(i, &l)| (BlockId::new(i as u32), LeafId::new(l)))

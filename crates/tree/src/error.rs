@@ -59,6 +59,11 @@ pub enum TreeError {
         /// Generation of the last completed sync in the store's header.
         generation: u64,
     },
+    /// A sealing client was handed a snapshot that does not record its
+    /// sealer's nonce counter (format v1): resuming from it would restart
+    /// the nonce sequence at 0 and reissue nonces that payloads in the
+    /// store already carry.
+    SnapshotLacksNonce,
 }
 
 impl fmt::Display for TreeError {
@@ -88,6 +93,11 @@ impl fmt::Display for TreeError {
                 f,
                 "store holds slot writes spilled after its last sync (generation {generation}): \
                  refusing to reopen mid-superblock state"
+            ),
+            TreeError::SnapshotLacksNonce => write!(
+                f,
+                "snapshot does not record the sealer's nonce counter (format v1): a sealing \
+                 client resuming from it would reuse nonces already in the store"
             ),
         }
     }

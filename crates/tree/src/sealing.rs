@@ -30,7 +30,25 @@ impl BlockSealer {
     /// Creates a sealer with the given key material.
     #[must_use]
     pub fn new(key: u64) -> Self {
-        BlockSealer { key, nonce_counter: 0 }
+        Self::resume(key, 0)
+    }
+
+    /// A sealer that continues the nonce sequence of one whose
+    /// [`nonce_counter`](Self::nonce_counter) read `nonce_counter`: its
+    /// next seal uses the nonce that one would have used next. A client
+    /// restored from a snapshot resumes this way, so it never reissues a
+    /// nonce that a payload in the store already carries.
+    #[must_use]
+    pub fn resume(key: u64, nonce_counter: u64) -> Self {
+        BlockSealer { key, nonce_counter }
+    }
+
+    /// Where the nonce sequence stands: the nonce of the latest seal, 0
+    /// before the first. Every sealed payload carries its nonce in
+    /// plaintext, so recording this value reveals nothing new.
+    #[must_use]
+    pub fn nonce_counter(&self) -> u64 {
+        self.nonce_counter
     }
 
     /// Seals a plaintext: output is `NONCE_BYTES + plaintext.len()` bytes
@@ -134,6 +152,15 @@ mod tests {
         let other = BlockSealer::new(4);
         let opened = other.open(&sealed).unwrap();
         assert_ne!(&opened[..], b"secret");
+    }
+
+    #[test]
+    fn resumed_sealer_continues_the_nonce_sequence() {
+        let mut live = BlockSealer::new(7);
+        let _ = live.seal(b"a");
+        let mut resumed = BlockSealer::resume(7, live.nonce_counter());
+        assert_eq!(live.seal(b"b"), resumed.seal(b"b"));
+        assert_eq!(BlockSealer::new(7).nonce_counter(), 0);
     }
 
     #[test]

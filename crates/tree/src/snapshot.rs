@@ -13,14 +13,33 @@
 //! # Wire format
 //!
 //! ```text
-//! ┌─────────┬─────────┬─────────────┬───────────────┬──────────────┐
-//! │ magic 8 │ version │ payload len │ payload bytes │ FNV-1a64 sum │
-//! │"LAOSNAP1"│  u32   │    u64      │     ...       │     u64      │
-//! └─────────┴─────────┴─────────────┴───────────────┴──────────────┘
+//! ┌──────────┬─────────┬─────────────┬───────────────┬──────────────┐
+//! │ magic 8  │ version │ payload len │ payload bytes │ checksum     │
+//! │"LAOSNAP1"│ u32 = 2 │    u64      │     ...       │ u64, v2 sum  │
+//! └──────────┴─────────┴─────────────┴───────────────┴──────────────┘
 //! ```
 //!
 //! The payload is length-prefixed and checksummed so a torn or truncated
-//! write is detected at decode time.
+//! write is detected at decode time. It holds the generation and the
+//! access counter, then per client level its generation, RNG reseed,
+//! sealer nonce counter (0 for an unsealed client), position map and
+//! stash, then the root map; every integer is little-endian.
+//!
+//! The v2 checksum reads the payload as 8-byte little-endian words in
+//! 32-byte stripes, one word per lane for four independent lanes, with
+//! the last stripe zero-padded; the lanes are then merged with the
+//! payload length and avalanched (see `lane_sum64`). It has no
+//! dependency from one byte to the next, so it runs at memory speed
+//! where the byte-serial FNV-1a64 of format v1 cost one dependent
+//! multiply per byte.
+//!
+//! **v1 read, v2 written.** The encoder writes only version 2. The
+//! decoder also reads version 1 — the same frame with an FNV-1a64
+//! checksum and no nonce counter per level, decoded as
+//! [`nonce_counter`](ClientLevelState::nonce_counter) `None` — so a
+//! table written by an earlier build reopens. A sealing client refuses a
+//! v1 snapshot ([`TreeError::SnapshotLacksNonce`]): it cannot tell which
+//! nonces the store already holds.
 //!
 //! # Publishing in place
 //!
@@ -53,10 +72,11 @@ use std::path::{Path, PathBuf};
 
 use crate::TreeError;
 
-/// Magic bytes identifying a LAORAM client-state snapshot (format v1).
+/// Magic bytes identifying a LAORAM client-state snapshot (every
+/// version; the version word follows).
 const SNAP_MAGIC: &[u8; 8] = b"LAOSNAP1";
-/// Snapshot wire-format version.
-const SNAP_VERSION: u32 = 1;
+/// The snapshot wire-format version the encoder writes.
+const SNAP_VERSION: u32 = 2;
 
 /// One stash-resident block as captured in a snapshot: the block id, its
 /// assigned leaf, and the payload bytes exactly as the client held them
@@ -88,6 +108,11 @@ pub struct ClientLevelState {
     pub generation: u64,
     /// Seed the client's RNG was re-seeded from at capture time.
     pub reseed: u64,
+    /// The client's sealer nonce counter at capture time, read after the
+    /// capture sealed any held blocks: `Some(0)` for an unsealed client,
+    /// `None` when decoded from a format-v1 file, which did not record
+    /// it. The encoder writes `None` as 0.
+    pub nonce_counter: Option<u64>,
     /// Dense position map: leaf index per block id.
     pub position_map: Vec<u32>,
     /// Stash-resident blocks at capture time.
@@ -114,6 +139,7 @@ pub struct ClientLevelState {
 ///     levels: vec![ClientLevelState {
 ///         generation: 7,
 ///         reseed: 42,
+///         nonce_counter: Some(0),
 ///         position_map: vec![3, 1, 0, 2],
 ///         stash: vec![SnapshotBlock { id: 1, leaf: 1, data: Some(vec![9, 9].into()) }],
 ///     }],
@@ -141,8 +167,7 @@ pub struct StateSnapshot {
     pub root_map: Vec<u32>,
 }
 
-/// FNV-1a 64-bit checksum (dependency-free; detects torn/truncated
-/// snapshot payloads, not adversarial tampering — sealing handles that).
+/// FNV-1a 64-bit checksum: the format-v1 sum, kept to read v1 files.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -152,8 +177,63 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+// Odd 64-bit multipliers with well-spread bits (xxHash64's primes); the
+// v2 format is defined by them.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// The format-v2 checksum (dependency-free; detects torn/truncated
+/// snapshot payloads, not adversarial tampering — sealing handles that).
+///
+/// Four lanes each fold every fourth 8-byte little-endian word, so a
+/// 32-byte stripe costs four independent multiply chains; the last
+/// stripe is zero-padded, and the length folded into the merge tells a
+/// payload from its zero-padded extension.
+fn lane_sum64(bytes: &[u8]) -> u64 {
+    const STRIPE: usize = 32;
+    fn round(lane: u64, word: u64) -> u64 {
+        lane.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+    }
+    fn fold(lanes: &mut [u64; 4], stripe: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+    }
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut stripes = bytes.chunks_exact(STRIPE);
+    for stripe in &mut stripes {
+        fold(&mut lanes, stripe);
+    }
+    let tail = stripes.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; STRIPE];
+        padded[..tail.len()].copy_from_slice(tail);
+        fold(&mut lanes, &padded);
+    }
+    let mut hash = (bytes.len() as u64).wrapping_mul(P3);
+    for lane in lanes {
+        hash = (hash ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P3);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Writes `values` little-endian in one pass over one resize of `out`.
+fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    put_u32(out, values.len() as u32);
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -182,6 +262,16 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self) -> Result<u64, TreeError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// A `u32` count, then that many `u32`s, as [`put_u32s`] writes them.
+    fn u32s(&mut self) -> Result<Vec<u32>, TreeError> {
+        let len = self.u32()? as usize;
+        let bytes = self.take(len.saturating_mul(4))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+            .collect())
     }
 }
 
@@ -219,10 +309,8 @@ impl StateSnapshot {
         for level in &self.levels {
             put_u64(out, level.generation);
             put_u64(out, level.reseed);
-            put_u32(out, level.position_map.len() as u32);
-            for &leaf in &level.position_map {
-                put_u32(out, leaf);
-            }
+            put_u64(out, level.nonce_counter.unwrap_or(0));
+            put_u32s(out, &level.position_map);
             put_u32(out, level.stash.len() as u32);
             for block in &level.stash {
                 put_u32(out, block.id);
@@ -237,18 +325,16 @@ impl StateSnapshot {
                 }
             }
         }
-        put_u32(out, self.root_map.len() as u32);
-        for &label in &self.root_map {
-            put_u32(out, label);
-        }
+        put_u32s(out, &self.root_map);
         let payload_len = (out.len() - 20) as u64;
         out[12..20].copy_from_slice(&payload_len.to_le_bytes());
-        let sum = fnv1a64(&out[20..]);
+        let sum = lane_sum64(&out[20..]);
         put_u64(out, sum);
     }
 
     /// Decodes a framed snapshot, verifying magic, version, length
-    /// prefix, and checksum.
+    /// prefix, and checksum. Reads format v2 and format v1 (whose levels
+    /// decode with no [`nonce_counter`](ClientLevelState::nonce_counter)).
     ///
     /// # Errors
     /// [`TreeError::CorruptStore`] for bad magic, an unsupported version,
@@ -261,9 +347,15 @@ impl StateSnapshot {
             return Err(TreeError::CorruptStore("snapshot has bad magic".into()));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != SNAP_VERSION {
-            return Err(TreeError::CorruptStore(format!("unsupported snapshot version {version}")));
-        }
+        let checksum: fn(&[u8]) -> u64 = match version {
+            1 => fnv1a64,
+            SNAP_VERSION => lane_sum64,
+            _ => {
+                return Err(TreeError::CorruptStore(format!(
+                    "unsupported snapshot version {version}"
+                )))
+            }
+        };
         let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
         let Some(expected_total) = payload_len.checked_add(28) else {
             return Err(TreeError::CorruptStore("snapshot length prefix overflows".into()));
@@ -277,7 +369,7 @@ impl StateSnapshot {
         }
         let payload = &bytes[20..20 + payload_len];
         let stored_sum = u64::from_le_bytes(bytes[20 + payload_len..].try_into().expect("8 bytes"));
-        if fnv1a64(payload) != stored_sum {
+        if checksum(payload) != stored_sum {
             return Err(TreeError::CorruptStore("snapshot checksum mismatch".into()));
         }
 
@@ -289,11 +381,8 @@ impl StateSnapshot {
         for _ in 0..num_levels {
             let level_generation = r.u64()?;
             let reseed = r.u64()?;
-            let map_len = r.u32()? as usize;
-            let mut position_map = Vec::with_capacity(map_len.min(1 << 20));
-            for _ in 0..map_len {
-                position_map.push(r.u32()?);
-            }
+            let nonce_counter = if version == 1 { None } else { Some(r.u64()?) };
+            let position_map = r.u32s()?;
             let stash_len = r.u32()? as usize;
             let mut stash = Vec::with_capacity(stash_len.min(1 << 16));
             for _ in 0..stash_len {
@@ -316,15 +405,12 @@ impl StateSnapshot {
             levels.push(ClientLevelState {
                 generation: level_generation,
                 reseed,
+                nonce_counter,
                 position_map,
                 stash,
             });
         }
-        let root_len = r.u32()? as usize;
-        let mut root_map = Vec::with_capacity(root_len.min(1 << 20));
-        for _ in 0..root_len {
-            root_map.push(r.u32()?);
-        }
+        let root_map = r.u32s()?;
         if r.at != payload.len() {
             return Err(TreeError::CorruptStore(format!(
                 "snapshot payload has {} trailing bytes",
@@ -455,6 +541,7 @@ mod tests {
                 ClientLevelState {
                     generation: 11,
                     reseed: 0xDEAD,
+                    nonce_counter: Some(0x9E37_79B9_7F4A_7C15),
                     position_map: vec![5, 4, 3, 2, 1, 0],
                     stash: vec![
                         SnapshotBlock { id: 2, leaf: 3, data: Some(vec![1, 2, 3].into()) },
@@ -465,6 +552,7 @@ mod tests {
                 ClientLevelState {
                     generation: 0,
                     reseed: 7,
+                    nonce_counter: Some(0),
                     position_map: vec![1],
                     stash: Vec::new(),
                 },
@@ -515,6 +603,110 @@ mod tests {
         bytes[8] = 99;
         let err = StateSnapshot::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    /// Pinned values of the v2 checksum over `n` bytes of a fixed
+    /// pattern: empty, one byte, a stripe less one, one stripe, a stripe
+    /// plus one, and a page. A change to `lane_sum64` changes the format.
+    #[test]
+    fn lane_sum64_known_answers() {
+        let input = |n: usize| -> Vec<u8> { (0..n).map(|i| (i * 31 + 7) as u8).collect() };
+        let got: Vec<(usize, u64)> =
+            [0, 1, 31, 32, 33, 4096].into_iter().map(|n| (n, lane_sum64(&input(n)))).collect();
+        assert_eq!(got, KNOWN_ANSWERS);
+    }
+
+    const KNOWN_ANSWERS: [(usize, u64); 6] = [
+        (0, 0xaaab_01a2_7b76_b77c),
+        (1, 0x1653_e169_bd0c_9b77),
+        (31, 0xa6df_1bda_ab6f_01f1),
+        (32, 0x23a5_7391_40a8_ab6e),
+        (33, 0xd3ff_d57e_e448_4d5f),
+        (4096, 0x178e_0b47_539b_3e6f),
+    ];
+
+    #[test]
+    fn lane_sum64_tells_a_payload_from_its_zero_padding() {
+        let mut bytes = vec![5u8; 9];
+        let short = lane_sum64(&bytes);
+        bytes.push(0);
+        assert_ne!(short, lane_sum64(&bytes));
+    }
+
+    /// The format-v1 encoding of `snapshot`, written the way earlier
+    /// builds wrote it: no nonce counter per level, FNV-1a64 checksum.
+    fn encode_v1(snapshot: &StateSnapshot) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, snapshot.generation);
+        put_u64(&mut payload, snapshot.accesses);
+        put_u32(&mut payload, snapshot.levels.len() as u32);
+        for level in &snapshot.levels {
+            put_u64(&mut payload, level.generation);
+            put_u64(&mut payload, level.reseed);
+            put_u32(&mut payload, level.position_map.len() as u32);
+            for &leaf in &level.position_map {
+                put_u32(&mut payload, leaf);
+            }
+            put_u32(&mut payload, level.stash.len() as u32);
+            for block in &level.stash {
+                put_u32(&mut payload, block.id);
+                put_u32(&mut payload, block.leaf);
+                match &block.data {
+                    Some(data) => {
+                        payload.push(1);
+                        put_u32(&mut payload, data.len() as u32);
+                        payload.extend_from_slice(data);
+                    }
+                    None => payload.push(0),
+                }
+            }
+        }
+        put_u32(&mut payload, snapshot.root_map.len() as u32);
+        for &label in &snapshot.root_map {
+            put_u32(&mut payload, label);
+        }
+        let mut out = SNAP_MAGIC.to_vec();
+        put_u32(&mut out, 1);
+        put_u64(&mut out, payload.len() as u64);
+        out.extend_from_slice(&payload);
+        put_u64(&mut out, fnv1a64(&payload));
+        out
+    }
+
+    #[test]
+    fn v1_file_decodes_without_nonce_counters() {
+        let mut snap = sample();
+        for level in &mut snap.levels {
+            level.nonce_counter = None;
+        }
+        let v1 = encode_v1(&snap);
+        assert_eq!(StateSnapshot::decode(&v1).unwrap(), snap);
+        // The same content written today is v2, 8 bytes longer per level.
+        let v2 = snap.encode();
+        assert_eq!(v2[8..12], 2u32.to_le_bytes());
+        assert_eq!(v2.len(), v1.len() + 8 * snap.levels.len());
+        // A v1 file is still checked: one flipped payload bit is refused.
+        let mut torn = v1.clone();
+        torn[40] ^= 1;
+        assert!(matches!(StateSnapshot::decode(&torn), Err(TreeError::CorruptStore(_))));
+    }
+
+    #[test]
+    fn unknown_version_and_flipped_checksum_bit_are_refused() {
+        let bytes = sample().encode();
+        let mut v3 = bytes.clone();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(StateSnapshot::decode(&v3), Err(TreeError::CorruptStore(_))));
+        let last = bytes.len() - 1;
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[last - bit] ^= 1 << bit;
+            assert!(
+                matches!(StateSnapshot::decode(&flipped), Err(TreeError::CorruptStore(_))),
+                "checksum byte {} bit {bit} flipped",
+                last - bit
+            );
+        }
     }
 
     #[test]

@@ -252,10 +252,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// store and snapshot files recorded when the disk cache still held
 /// decoded records. A data-plane refactor that lets a stale payload tail
 /// or a non-zero emptied slot reach the file moves these fingerprints.
+/// The snapshot file's fingerprint is that of format v2; the decoded
+/// snapshot's content (generation, access counter, reseed point,
+/// position map, stash ids, leaves and payloads) is pinned separately,
+/// at the value format v1 decoded to, so a format change moves only the
+/// framing.
 #[test]
 fn store_and_snapshot_bytes_are_pinned() {
     const STORE_FNV: u64 = 0xf957_5ce2_7244_4791;
-    const SNAPSHOT_FNV: u64 = 0xbaa6_8501_5771_7323;
+    const SNAPSHOT_FNV: u64 = 0x4369_3d2c_4a1e_e30a;
+    const CONTENT_FNV: u64 = 0xb799_7d23_8e99_7fe5;
 
     let store_path = unique("pinned");
     let snap_path = StateSnapshot::default_path(&store_path);
@@ -296,13 +302,94 @@ fn store_and_snapshot_bytes_are_pinned() {
 
     let store_fnv = fnv1a64(&std::fs::read(&store_path).unwrap());
     let snapshot_fnv = fnv1a64(&std::fs::read(&snap_path).unwrap());
+    let snapshot = StateSnapshot::read_from(&snap_path).unwrap();
+    let mut content = Vec::new();
+    for word in [snapshot.generation, snapshot.accesses] {
+        content.extend_from_slice(&word.to_le_bytes());
+    }
+    for level in &snapshot.levels {
+        content.extend_from_slice(&level.reseed.to_le_bytes());
+        content.extend(level.position_map.iter().flat_map(|leaf| leaf.to_le_bytes()));
+        for block in &level.stash {
+            content.extend_from_slice(&block.id.to_le_bytes());
+            content.extend_from_slice(&block.leaf.to_le_bytes());
+            let data = block.data.as_deref().expect("a payload table's stash holds payloads");
+            content.extend_from_slice(&(data.len() as u32).to_le_bytes());
+            content.extend_from_slice(data);
+        }
+    }
+    let content_fnv = fnv1a64(&content);
     let _ = std::fs::remove_file(&store_path);
     let _ = std::fs::remove_file(&snap_path);
     assert_eq!(
-        (store_fnv, snapshot_fnv),
-        (STORE_FNV, SNAPSHOT_FNV),
-        "store / snapshot file bytes moved: {store_fnv:#018x} / {snapshot_fnv:#018x}"
+        (store_fnv, snapshot_fnv, content_fnv),
+        (STORE_FNV, SNAPSHOT_FNV, CONTENT_FNV),
+        "store / snapshot file / snapshot content moved: \
+         {store_fnv:#018x} / {snapshot_fnv:#018x} / {content_fnv:#018x}"
     );
+}
+
+/// A sealing table's nonces survive a restart: the snapshot records the
+/// sealer's nonce counter and the reopened client resumes from it, so a
+/// write after the reopen never reissues a nonce of the first session.
+/// Every payload in the store file carries its nonce in its first 8
+/// bytes; a client that restarted its sequence at 0 puts the sequence's
+/// first nonces back into the file.
+#[test]
+fn sealed_nonces_survive_a_reopen() {
+    use laoram::core::SuperblockPlanner;
+    use laoram::tree::{BlockSealer, NONCE_BYTES};
+
+    const KEY: u64 = 0x5EA1_ED00;
+    let store_path = unique("sealed-reopen");
+    let snap_path = StateSnapshot::default_path(&store_path);
+    let cfg = LaOramConfig::builder(64)
+        .seed(3)
+        .superblock_size(4)
+        .payloads(true)
+        .sealing_key(KEY)
+        .build()
+        .unwrap();
+    let disk = DiskStoreConfig::new().payload_capacity(8 + NONCE_BYTES as u32);
+    let store = DiskStore::create(&store_path, cfg.geometry().unwrap(), disk.clone()).unwrap();
+    let mut oram = LaOram::with_store(cfg.clone(), store).unwrap();
+    oram.persist_client_state(&snap_path, false);
+    let mut planner = SuperblockPlanner::for_config(&cfg, oram.geometry().num_leaves());
+    for window in 0..4u32 {
+        let rows: Vec<u32> = (0..64).map(|i| (i * 37 + window * 11) % 64).collect();
+        oram.stage_plan(planner.plan(&rows)).unwrap();
+        oram.advance_plan().unwrap();
+        for &i in &rows {
+            oram.write(i, vec![window as u8; 8].into()).unwrap();
+        }
+    }
+    oram.finish().unwrap();
+    drop(oram);
+
+    let store = DiskStore::open(&store_path, disk).unwrap();
+    let snapshot = StateSnapshot::read_from(&snap_path).unwrap();
+    assert!(snapshot.levels[0].nonce_counter.is_some_and(|n| n != 0));
+    let mut oram = LaOram::reopen(cfg.clone(), store, &snapshot).unwrap();
+    oram.persist_client_state(&snap_path, false);
+    let rows: Vec<u32> = (0..8).collect();
+    oram.stage_plan(planner.plan(&rows)).unwrap();
+    oram.advance_plan().unwrap();
+    for &i in &rows {
+        oram.write(i, vec![9; 8].into()).unwrap();
+    }
+    oram.finish().unwrap();
+    oram.verify_invariants().unwrap();
+    drop(oram);
+
+    let mut sealer = BlockSealer::new(KEY);
+    let first: Vec<[u8; NONCE_BYTES]> =
+        (0..64).map(|_| sealer.seal(&[])[..].try_into().unwrap()).collect();
+    let bytes = std::fs::read(&store_path).unwrap();
+    let reissued =
+        first.iter().filter(|nonce| bytes.windows(NONCE_BYTES).any(|w| w == &nonce[..])).count();
+    let _ = std::fs::remove_file(&store_path);
+    let _ = std::fs::remove_file(&snap_path);
+    assert_eq!(reissued, 0, "{reissued} of the sealer's first 64 nonces are in the store again");
 }
 
 /// Publishing a snapshot rewrites the one `.snap` file in place: across

@@ -126,6 +126,22 @@ fn snapshot_counters_match_service_stats_on_a_fixed_trace() {
     service.shutdown().unwrap();
 }
 
+/// `shard.N.stash_occupancy` counts the rows an open window parked: a
+/// window served with nothing staged behind it parks each row it does
+/// not use again, and a snapshot would record every one of them as a
+/// stash entry, so the gauge reads at least the window's distinct rows.
+#[test]
+fn stash_gauge_counts_parked_rows() {
+    const ROWS: u32 = 8;
+    let mut service = LaoramService::start(mem_config(1).telemetry(TelemetrySpec::new())).unwrap();
+    service.submit((0..ROWS).map(|i| Request::read(0, i * 61 % ENTRIES)).collect()).unwrap();
+    service.drain().unwrap();
+    let snapshot = service.telemetry_snapshot().expect("telemetry is on");
+    let gauge = snapshot.gauge("shard.0.stash_occupancy").expect("gauge registered");
+    assert!(gauge >= u64::from(ROWS), "stash gauge reads {gauge} after {ROWS} rows parked");
+    service.shutdown().unwrap();
+}
+
 /// The engine has one counting path whether or not a `TelemetrySpec` is
 /// set: the same trace yields the same `ServiceStats` counters.
 #[test]
