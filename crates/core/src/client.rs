@@ -65,10 +65,24 @@ impl BatchOp {
 /// to random leaves. [`stage_plan`](LaOram::stage_plan) +
 /// [`advance_plan`](LaOram::advance_plan) feed one window of an *open*
 /// stream, whose successor may not be known yet — a trainer cannot name
-/// its updates before its lookups have returned. In an open window,
-/// [`serve_batch`](LaOram::serve_batch) flushes the final bin (and syncs)
-/// as soon as the window's last access is served, so a window's writes
-/// are durable when the batch returns.
+/// its updates before its lookups have returned.
+///
+/// The two differ in where they sync. A whole stream has no
+/// acknowledgement boundary, so each of its superblock flushes is a
+/// durability point. An open window has one, its end: its bin flushes
+/// only buffer their write-backs, and
+/// [`serve_batch`](LaOram::serve_batch) flushes the final bin, syncs the
+/// store and rewrites the snapshot as soon as the window's last access is
+/// served, so a window's writes are durable when the batch returns (a
+/// window served access by access syncs when the next window activates,
+/// or at [`finish`](LaOram::finish)). A crash inside an open window
+/// recovers to the end of the window before it; slots that several bins
+/// rewrite (the upper tree levels) reach the file once per window. A
+/// window too large for the store's write-back buffer also syncs at the
+/// bin flush where the buffer is half full
+/// ([`sync_due`](oram_tree::BucketStore::sync_due)), before it could
+/// spill into the file between durability points, so a crash inside
+/// such a window recovers to that bin.
 ///
 /// # Parking
 ///
@@ -99,10 +113,11 @@ impl BatchOp {
 /// is stood up through [`with_store`](Self::with_store) over a store
 /// sized for its rows — an `ArenaStore` with a payload capacity, or a
 /// file-backed [`DiskStore`](oram_tree::DiskStore) for embedding tables
-/// larger than RAM. Superblock boundaries double as storage
-/// [`sync`](oram_tree::BucketStore::sync) points: whenever the cache of
-/// a finished bin is flushed, the store's write-back buffer is flushed
-/// too, so a disk-backed table is durable per served superblock.
+/// larger than RAM. Window and superblock boundaries double as storage
+/// [`sync`](oram_tree::BucketStore::sync) points: an open window syncs
+/// once at its end, a whole stream whenever the cache of a finished bin
+/// is flushed, so a disk-backed table is durable per served window or
+/// per served superblock (see [above](LaOram#whole-streams-and-open-streams)).
 pub struct LaOram<S: BucketStore = ArenaStore> {
     inner: PathOramClient<S>,
     plan: SuperblockPlan,
@@ -132,13 +147,13 @@ pub struct LaOram<S: BucketStore = ArenaStore> {
     /// the stash and the server only ever hold ciphertext.
     cache: HashMap<BlockId, Block, IdHashBuilder>,
     /// When set, a [`StateSnapshot`] of the client state is rewritten in
-    /// place in this file at every storage sync boundary, making the
+    /// place in this file at every storage sync point, making the
     /// table restartable via [`LaOram::reopen`]. The file stays open
     /// between syncs; each rewrite replaces a snapshot the sync before it
     /// has already made stale.
     snapshot: Option<SnapshotFile>,
     /// Optional flight-recorder hook: records a `core.sync` span around
-    /// each superblock-boundary storage sync + snapshot checkpoint, and a
+    /// each storage sync + snapshot checkpoint, and a
     /// `core.snapshot` span around the checkpoint inside it.
     telemetry: Option<oram_tree::StoreTelemetry>,
     /// Reusable id buffer for the per-bin fetch and flush loops, so the
@@ -318,7 +333,8 @@ impl<S: BucketStore> LaOram<S> {
     }
 
     /// Enables client-state persistence: from now on, every storage sync
-    /// boundary (superblock flushes and [`finish`](Self::finish)) also
+    /// point (an open window's end, a whole stream's superblock flushes
+    /// and [`finish`](Self::finish)) also
     /// rewrites a checksummed [`StateSnapshot`] in place at `path`, and
     /// the client RNG is reseeded at each capture so a restored client
     /// ([`reopen`](Self::reopen)) continues the exact leaf sequence. The
@@ -331,8 +347,8 @@ impl<S: BucketStore> LaOram<S> {
         self.snapshot = Some(SnapshotFile::new(path, durable));
     }
 
-    /// Attaches a flight-recorder hook. From now on each
-    /// superblock-boundary storage sync (cache flushes and
+    /// Attaches a flight-recorder hook. From now on each storage sync
+    /// point (an open window's end, a whole stream's cache flushes and
     /// [`finish`](Self::finish)) records a `core.sync` span on the
     /// hook's timeline, annotated with the stash depth it left behind,
     /// and, with persistence enabled, a `core.snapshot` span inside it
@@ -419,7 +435,8 @@ impl<S: BucketStore> LaOram<S> {
     ///
     /// The current window must be fully served. Its remaining cached
     /// blocks are flushed toward the incoming window's first-occurrence
-    /// paths, parked blocks return to the stash, and stash-resident
+    /// paths (an open window that still held them syncs here, at its
+    /// end), parked blocks return to the stash, and stash-resident
     /// blocks that the incoming window touches are re-pointed at their
     /// first bins — the incremental analogue of warm-start placement,
     /// keeping steady state across window boundaries.
@@ -444,8 +461,7 @@ impl<S: BucketStore> LaOram<S> {
                 planned: self.plan.stream().len(),
             });
         }
-        self.flush_cache()?;
-        self.active_bin = None;
+        self.end_window()?;
         let plan = self.staged.take().expect("checked above");
         if !self.populated {
             // Deferred look-ahead initialisation: place every block on the
@@ -517,8 +533,9 @@ impl<S: BucketStore> LaOram<S> {
     /// output per operation: the pre-existing payload for writes, the
     /// stored payload for reads. When the batch serves the last planned
     /// access of an [open window](Self::advance_plan), the final bin is
-    /// flushed (its blocks park or exit) and the store synced before this
-    /// returns, so every write of the window is durable.
+    /// flushed (its blocks park or exit), the store synced and the
+    /// snapshot rewritten before this returns — the window's one
+    /// durability point — so every write of the window is durable.
     ///
     /// # Errors
     /// As [`read`](Self::read) / [`write`](Self::write); the batch stops
@@ -535,8 +552,7 @@ impl<S: BucketStore> LaOram<S> {
             });
         }
         if self.open_window && self.plan_remaining() == 0 {
-            self.flush_cache()?;
-            self.active_bin = None;
+            self.end_window()?;
         }
         Ok(outputs)
     }
@@ -717,7 +733,7 @@ impl<S: BucketStore> LaOram<S> {
         let block = BlockId::new(idx);
         let bin = self.plan.bin_of_position(pos);
         if self.active_bin != Some(bin) {
-            self.flush_cache()?;
+            self.flush_cache(false)?;
             self.active_bin = Some(bin);
         }
 
@@ -782,8 +798,12 @@ impl<S: BucketStore> LaOram<S> {
     /// leaf is uniform random (preserving obliviousness either way — bin
     /// paths are themselves uniform draws), and in an open window with
     /// nothing staged the block parks under that leaf instead, while
-    /// stash + parked stays below the eviction high-water mark.
-    fn flush_cache(&mut self) -> Result<()> {
+    /// stash + parked stays below the eviction high-water mark. A whole
+    /// stream syncs after each flush; an open window leaves its
+    /// write-backs in the store's buffer until its end (`window_end`), or
+    /// until the buffer is half full
+    /// ([`sync_due`](oram_tree::BucketStore::sync_due)).
+    fn flush_cache(&mut self, window_end: bool) -> Result<()> {
         if self.cache.is_empty() {
             return Ok(());
         }
@@ -815,8 +835,24 @@ impl<S: BucketStore> LaOram<S> {
         blocks.clear();
         self.scratch_ids = blocks;
         self.inner.maybe_background_evict()?;
-        // Superblock boundary = storage durability point.
-        self.sync_point()
+        // A whole stream's superblock boundary is a durability point; an
+        // open window's is its end, unless the store's buffer fills first:
+        // a spill would leave the file between durability points, where a
+        // crash image is refused, until the window ends.
+        if window_end || !self.open_window || self.inner.storage().sync_due() {
+            self.sync_point()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Flushes the active window's final bin, ending an open window at its
+    /// durability point. A window whose end already synced holds no bin
+    /// and syncs nothing again.
+    fn end_window(&mut self) -> Result<()> {
+        self.flush_cache(true)?;
+        self.active_bin = None;
+        Ok(())
     }
 
     /// Returns every parked block to the stash under the leaf it holds.
@@ -861,7 +897,7 @@ impl<S: BucketStore> LaOram<S> {
     pub fn finish(&mut self) -> Result<()> {
         self.open_window = false;
         self.unpark()?;
-        self.flush_cache()?;
+        self.flush_cache(false)?;
         self.active_bin = None;
         // flush_cache early-returns on an empty cache, so sync (and
         // snapshot) here unconditionally: a finished client must leave
@@ -1372,6 +1408,50 @@ mod tests {
         assert_eq!(oram.cache_len(), 4, "the final bin is still cached");
         oram.finish().unwrap();
         oram.verify_invariants().unwrap();
+    }
+
+    #[test]
+    fn open_windows_sync_once_at_their_end() {
+        // On a disk store each sync bumps the generation. An open window
+        // of 16 bins served through serve_batch syncs once, when its last
+        // access is served; a whole stream syncs at every bin flush.
+        use oram_tree::{DiskStore, DiskStoreConfig};
+        let path = std::env::temp_dir()
+            .join(format!("laoram-core-window-sync-{}.oram", std::process::id()));
+        let config = cfg(64).superblock_size(4).payloads(true).build().unwrap();
+        let disk = DiskStoreConfig::new().payload_capacity(1);
+        let store = DiskStore::create(&path, config.geometry().unwrap(), disk).unwrap();
+        let mut oram = LaOram::with_store(config.clone(), store).unwrap();
+        let mut planner =
+            crate::SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
+        let stream: Vec<u32> = (0..64).collect();
+        let writes = |window: u8| -> Vec<BatchOp> {
+            stream.iter().map(|&i| BatchOp::Write(i, vec![window].into())).collect()
+        };
+        for window in 0..3u8 {
+            let before = oram.storage_generation();
+            oram.stage_plan(planner.plan(&stream)).unwrap();
+            oram.advance_plan().unwrap();
+            let mut ops = writes(window);
+            let tail = ops.split_off(40);
+            oram.serve_batch(ops).unwrap();
+            assert_eq!(oram.storage_generation(), before, "window {window}: synced mid-window");
+            oram.serve_batch(tail).unwrap();
+            assert_eq!(oram.storage_generation(), before + 1, "window {window}");
+        }
+        let before = oram.storage_generation();
+        let plan = planner.plan(&stream);
+        let bins = plan.num_bins() as u64;
+        oram.install_plan(plan).unwrap();
+        oram.serve_batch(writes(3)).unwrap();
+        // The final bin is flushed, and synced, by the next activation.
+        oram.install_plan(planner.plan(&stream)).unwrap();
+        assert_eq!(oram.storage_generation(), before + bins, "one sync per bin");
+        oram.serve_batch(stream.iter().map(|&i| BatchOp::Read(i)).collect()).unwrap();
+        oram.finish().unwrap();
+        oram.verify_invariants().unwrap();
+        drop(oram);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

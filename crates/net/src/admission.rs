@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Outcome of an admission check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,12 +51,14 @@ impl AdmissionController {
         }
     }
 
-    /// The tenant's counter cell, created on first use.
+    /// The tenant's counter cell, created on first use. A poisoned map
+    /// is taken as it stands: its one critical section is a single
+    /// insert, so a panic cannot leave it half-updated.
     fn tenant_cell(&self, tenant: u64) -> Arc<AtomicU64> {
         Arc::clone(
             self.tenants
                 .lock()
-                .expect("admission lock")
+                .unwrap_or_else(PoisonError::into_inner)
                 .entry(tenant)
                 .or_insert_with(|| Arc::new(AtomicU64::new(0))),
         )
@@ -106,7 +108,7 @@ impl AdmissionController {
     /// Tenants that have submitted at least one request.
     #[must_use]
     pub fn tenants_seen(&self) -> usize {
-        self.tenants.lock().expect("admission lock").len()
+        self.tenants.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 }
 
@@ -141,5 +143,27 @@ mod tests {
         assert_eq!(ctl.try_admit(9), AdmissionVerdict::Admitted);
         assert_eq!(ctl.refusals(), (1, 0));
         assert_eq!(ctl.tenants_seen(), 4);
+    }
+
+    #[test]
+    fn poisoned_tenant_map_still_admits_and_releases() {
+        let ctl = Arc::new(AdmissionController::new(10, 2));
+        assert_eq!(ctl.try_admit(1), AdmissionVerdict::Admitted);
+        let holder = Arc::clone(&ctl);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = holder.tenants.lock().unwrap();
+            panic!("a thread dies holding the tenant map");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(ctl.tenants.is_poisoned());
+        assert_eq!(ctl.try_admit(1), AdmissionVerdict::Admitted);
+        assert_eq!(ctl.try_admit(1), AdmissionVerdict::TenantThrottled);
+        assert_eq!(ctl.try_admit(2), AdmissionVerdict::Admitted);
+        assert_eq!(ctl.tenants_seen(), 2);
+        for tenant in [1, 1, 2] {
+            ctl.release(tenant);
+        }
+        assert_eq!(ctl.inflight(), 0);
+        assert_eq!(ctl.try_admit(1), AdmissionVerdict::Admitted);
     }
 }

@@ -68,9 +68,10 @@
 //!   chosen is reported by [`LaoramService::table_backends`].
 //! * **Restartable** — a disk table with
 //!   [`DiskBackendSpec::snapshots`] checkpoints its client state
-//!   (position map, stash, RNG resume point) at every superblock sync,
-//!   rewriting its one snapshot file in place right after the sync that
-//!   made the previous snapshot stale; [`LaoramService::start`]
+//!   (position map, stash, RNG resume point) at every sync (one per
+//!   served window), rewriting its one snapshot file in place right
+//!   after the sync that made the previous snapshot stale;
+//!   [`LaoramService::start`]
 //!   recovers existing store + snapshot pairs instead of recreating
 //!   them, and
 //!   [`table_status`](LaoramService::table_status) /

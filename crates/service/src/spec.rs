@@ -42,9 +42,13 @@ pub struct DiskBackendSpec {
     /// Write-back buffer budget per shard, in paths (see
     /// [`DiskStoreConfig::write_back_paths`](oram_tree::DiskStoreConfig::write_back_paths)).
     pub write_back_paths: usize,
-    /// Whether superblock-boundary sync points fsync (durability at the
-    /// cost of device flushes), and — with [`snapshots`](Self::snapshots)
-    /// — whether each in-place snapshot rewrite fsyncs its data.
+    /// Whether sync points fsync (durability at the cost of device
+    /// flushes), and — with [`snapshots`](Self::snapshots) — whether each
+    /// in-place snapshot rewrite fsyncs its data. A shard syncs once per
+    /// served window, at its end, not once per superblock: a window of
+    /// eight superblocks pays one round of fsyncs, not eight. (A window
+    /// too large for half the write-back budget also syncs where the
+    /// buffer fills.)
     pub durable_sync: bool,
     /// Readahead budget per shard, in paths: the look-ahead preprocessor
     /// hints each window's superblock paths to the store, which
@@ -55,8 +59,9 @@ pub struct DiskBackendSpec {
     /// Client-state persistence: when set, every shard writes a
     /// checksummed [`StateSnapshot`](oram_tree::StateSnapshot) (position
     /// map, stash, RNG resume point) next to its store file at each sync
-    /// boundary, and [`LaoramService::start`](crate::LaoramService::start)
-    /// **recovers** tables whose store + snapshot files already exist
+    /// point (each served window's end), and
+    /// [`LaoramService::start`](crate::LaoramService::start) **recovers**
+    /// tables whose store + snapshot files already exist
     /// instead of recreating them — the restart story. Recovery status is
     /// reported per table by
     /// [`table_status`](crate::LaoramService::table_status) and in the
@@ -85,7 +90,7 @@ impl DiskBackendSpec {
         self
     }
 
-    /// Enables or disables fsync at superblock sync points.
+    /// Enables or disables fsync at sync points (one per served window).
     #[must_use]
     pub fn durable_sync(mut self, durable: bool) -> Self {
         self.durable_sync = durable;

@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use laoram_telemetry::{
@@ -132,6 +132,8 @@ pub(crate) struct Flight {
     /// Guards the automatic (worker-error) dump: one per service run.
     auto_dumped: AtomicBool,
     dump_seq: AtomicU64,
+    /// Every dump file written. Its one critical section is a single
+    /// push, so a poisoned list is read as it stands.
     dumps_written: Mutex<Vec<PathBuf>>,
 }
 
@@ -164,7 +166,10 @@ impl Flight {
         ));
         match std::fs::write(&path, dump.to_json()) {
             Ok(()) => {
-                self.dumps_written.lock().expect("dump list poisoned").push(path.clone());
+                self.dumps_written
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(path.clone());
                 Some(path)
             }
             Err(_) => None,
@@ -181,6 +186,6 @@ impl Flight {
 
     /// Paths of every dump file written so far.
     pub(crate) fn dumps_written(&self) -> Vec<PathBuf> {
-        self.dumps_written.lock().expect("dump list poisoned").clone()
+        self.dumps_written.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }

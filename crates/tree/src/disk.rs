@@ -65,8 +65,15 @@
 //! submitted before it. State between sync points is undefined after a
 //! crash; the header's unsynced-spill flag records exactly that
 //! condition, and [`DiskStore::open`] refuses such files with the typed
-//! [`TreeError::UnsyncedStore`] instead of serving mid-superblock state.
-//! The look-ahead client calls `sync` at superblock boundaries.
+//! [`TreeError::UnsyncedStore`] instead of serving mid-window state.
+//! The look-ahead client calls `sync` once at the end of each window of
+//! an open stream (the engine's shard windows), and at every superblock
+//! boundary of a whole stream. Between two syncs a slot that several
+//! write-backs dirty stays one buffered image, so it reaches the file
+//! once per sync, however often the window rewrote it. A window too
+//! large for the budget does not spill: once the buffer is half full
+//! ([`sync_due`](BucketStore::sync_due)) the client syncs at the next
+//! superblock boundary instead.
 //!
 //! Client state (position map, stash) is **not** stored here; pair the
 //! store with a [`StateSnapshot`](crate::StateSnapshot) written at the
@@ -76,7 +83,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -641,8 +647,8 @@ impl DiskStore {
     /// Writes every buffered slot (and the current occupancy) to the
     /// file, without a durability barrier and without advancing the
     /// generation. The header's unsynced-spill flag is raised first, so
-    /// the file is marked as holding mid-superblock state until the next
-    /// [`sync`](Self::sync) clears it.
+    /// the file is marked as holding state between sync points until the
+    /// next [`sync`](Self::sync) clears it.
     ///
     /// # Errors
     /// [`TreeError::Io`]; the buffer is preserved on failure.
@@ -953,12 +959,15 @@ impl BucketStore for DiskStore {
         if self.durable_sync {
             self.file.sync_data().map_err(|e| io_err("fsync store header", e))?;
         }
-        let _ = self.file.flush();
         Ok(())
     }
 
     fn generation(&self) -> u64 {
         self.generation
+    }
+
+    fn sync_due(&self) -> bool {
+        self.dirty.len() * 2 >= self.dirty_limit
     }
 
     fn prefetch_paths(&mut self, leaves: &[LeafId]) {

@@ -8,7 +8,8 @@
 //! resume point for the client's RNG. [`StateSnapshot`] is the versioned,
 //! checksummed container for exactly that state, published through a
 //! [`SnapshotFile`] alongside the store at every
-//! [`sync`](crate::BucketStore::sync) superblock boundary.
+//! [`sync`](crate::BucketStore::sync) point (a window's end, or a
+//! superblock boundary of a whole stream).
 //!
 //! # Wire format
 //!

@@ -158,7 +158,7 @@ impl PathSnapshot {
 /// successful `sync`, a store reopened from its backing medium must
 /// reflect every operation issued before the `sync`. In-memory stores
 /// treat `sync` as a no-op. Callers that need crash consistency (the
-/// look-ahead client syncs at superblock boundaries) must not assume
+/// look-ahead client syncs at window ends) must not assume
 /// anything about state *between* sync points.
 ///
 /// ## Obliviousness
@@ -395,7 +395,9 @@ pub trait BucketStore {
 
     /// Durability point: flushes any write-back buffer to the backing
     /// medium and advances the store's generation. A no-op for in-memory
-    /// stores. The look-ahead client calls this at superblock boundaries.
+    /// stores. The look-ahead client calls this at the end of each window
+    /// it serves as part of an open stream, and at every superblock
+    /// boundary of a whole stream.
     ///
     /// # Errors
     /// Propagates backing-medium failures ([`TreeError::Io`]).
@@ -411,6 +413,15 @@ pub trait BucketStore {
     /// restore ([`TreeError::StaleSnapshot`] when they disagree).
     fn generation(&self) -> u64 {
         0
+    }
+
+    /// Whether the write-back buffer has filled to half its budget, so a
+    /// caller that batches many write-backs into one durability point
+    /// should [`sync`](Self::sync) now: a further write-back could spill
+    /// the buffer, leaving the medium between sync points until the next
+    /// one. In-memory stores have no buffer and report `false`.
+    fn sync_due(&self) -> bool {
+        false
     }
 
     /// Readahead hint: the caller (typically the look-ahead preprocessor,
@@ -547,6 +558,9 @@ impl<S: BucketStore + ?Sized> BucketStore for Box<S> {
     }
     fn generation(&self) -> u64 {
         (**self).generation()
+    }
+    fn sync_due(&self) -> bool {
+        (**self).sync_due()
     }
     fn prefetch_paths(&mut self, leaves: &[LeafId]) {
         (**self).prefetch_paths(leaves);

@@ -2,8 +2,9 @@
 //!
 //! The contract (see `docs/PERSISTENCE.md`): reopening a store + snapshot
 //! pair either **refuses** with a typed error, or **recovers exactly the
-//! state of the last synced superblock** — it never serves corrupt or
-//! mid-superblock state. These tests take "crash images" (file copies at
+//! state of the last sync point** (a superblock of a whole stream, the
+//! end of an open stream's window) — it never serves corrupt or
+//! in-between state. These tests take "crash images" (file copies at
 //! arbitrary operation boundaries, which is what a kill leaves behind
 //! when nothing fsyncs) and adversarially mismatched pairs, and check
 //! both arms of the contract.
@@ -235,6 +236,101 @@ fn unsynced_crash_image_is_refused_at_open() {
     client.sync_storage().unwrap();
     drop(client);
     assert!(DiskStore::open(&store_path, disk_config()).is_ok());
+    let _ = std::fs::remove_file(&store_path);
+    let _ = std::fs::remove_file(&crash_store);
+}
+
+/// An open window (`stage_plan` + `advance_plan`, as the engine's shard
+/// workers drive one) has one durability point, its end. A crash image
+/// taken halfway through the third window's bins therefore recovers to
+/// the end of the second: its snapshot counts the accesses served
+/// through window two, and every row reads its value as of then. The
+/// default write-back budget (64 paths) holds the half window's
+/// write-backs, so nothing spills into the file before the copy.
+#[test]
+fn open_window_crash_image_recovers_to_the_last_window_end() {
+    use laoram::core::{BatchOp, SuperblockPlanner};
+
+    let store_path = unique("window-live");
+    let snap_path = StateSnapshot::default_path(&store_path);
+    let crash_store = unique("window-image");
+    let crash_snap = StateSnapshot::default_path(&crash_store);
+    let cfg = LaOramConfig::builder(64).seed(5).superblock_size(4).payloads(true).build().unwrap();
+    let disk = DiskStoreConfig::new().payload_capacity(2);
+    let store = DiskStore::create(&store_path, cfg.geometry().unwrap(), disk.clone()).unwrap();
+    let mut oram = LaOram::with_store(cfg.clone(), store).unwrap();
+    oram.persist_client_state(&snap_path, false);
+    let mut planner = SuperblockPlanner::for_config(&cfg, oram.geometry().num_leaves());
+    let value = |window: u32, row: u32| -> Box<[u8]> { vec![window as u8, row as u8].into() };
+
+    // Every window writes every row once, in its own order.
+    for window in 0..3u32 {
+        let rows: Vec<u32> = (0..64).map(|i| (i * 37 + window * 11) % 64).collect();
+        let plan = planner.plan(&rows);
+        let half_bins = plan.num_bins() as u32 / 2;
+        let served = if window < 2 {
+            rows.len()
+        } else {
+            (0..rows.len()).take_while(|&pos| plan.bin_of_position(pos) < half_bins).count()
+        };
+        oram.stage_plan(plan).unwrap();
+        oram.advance_plan().unwrap();
+        let ops = rows[..served].iter().map(|&r| BatchOp::Write(r, value(window, r))).collect();
+        oram.serve_batch(ops).unwrap();
+    }
+    copy_if_exists(&store_path, &crash_store);
+    copy_if_exists(&snap_path, &crash_snap);
+    drop(oram);
+
+    let store = DiskStore::open(&crash_store, disk).unwrap();
+    let snapshot = StateSnapshot::read_from(&crash_snap).unwrap();
+    assert_eq!(snapshot.accesses, 128, "the crash image is not at window two's end");
+    let mut recovered = LaOram::reopen(cfg, store, &snapshot).unwrap();
+    recovered.verify_invariants().unwrap();
+    let keys: Vec<u32> = (0..64).collect();
+    recovered.install_plan(planner.plan(&keys)).unwrap();
+    for &k in &keys {
+        let got = recovered.read(k).unwrap();
+        assert_eq!(got, Some(value(1, k)), "row {k} is not at its value as of window two's end");
+    }
+    recovered.finish().unwrap();
+    drop(recovered);
+    for p in [&store_path, &snap_path, &crash_store, &crash_snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// An open window too large for the store's write-back buffer (a 1-path
+/// budget here) does not spill into the file between its durability
+/// points: it syncs at the bin flush where the buffer is half full. So a
+/// crash image taken at any access boundary of the second window opens
+/// (the first window's activation populates the table, which spills).
+#[test]
+fn oversized_open_window_syncs_before_it_spills() {
+    use laoram::core::SuperblockPlanner;
+
+    let store_path = unique("oversized-live");
+    let crash_store = unique("oversized-image");
+    let cfg = config(4, 8);
+    let store = DiskStore::create(&store_path, cfg.geometry().unwrap(), disk_config()).unwrap();
+    let mut oram = LaOram::with_store(cfg.clone(), store).unwrap();
+    let mut planner = SuperblockPlanner::for_config(&cfg, oram.geometry().num_leaves());
+    let rows: Vec<u32> = (0..96).map(|i| (i * 7) % 24).collect();
+    for window in 0..2u8 {
+        oram.stage_plan(planner.plan(&rows)).unwrap();
+        oram.advance_plan().unwrap();
+        for (i, &r) in rows.iter().enumerate() {
+            oram.write(r, vec![window; 4].into()).unwrap();
+            if window == 1 {
+                copy_if_exists(&store_path, &crash_store);
+                if let Err(e) = DiskStore::open(&crash_store, disk_config()) {
+                    panic!("access {i} of the second window left an unopenable image: {e}");
+                }
+            }
+        }
+    }
+    oram.finish().unwrap();
+    drop(oram);
     let _ = std::fs::remove_file(&store_path);
     let _ = std::fs::remove_file(&crash_store);
 }
