@@ -47,10 +47,11 @@ impl BatchOp {
 /// member found on that path (or already in the stash) moves into the
 /// client cache, and the remaining accesses of the bin are served silently
 /// from the cache. When the stream leaves a bin, its cached blocks are
-/// flushed to the stash with their *next-occurrence* bin path assigned —
-/// from the active window, else from the first bin of a staged next
-/// window, else a uniform random leaf — and drift back into the tree
-/// through ordinary write-backs.
+/// flushed to the stash with their *next-occurrence* bin path in the
+/// active window assigned, and drift back into the tree through ordinary
+/// write-backs. A block the window does not use again
+/// [parks](LaOram#parking) in an open window and otherwise exits to a
+/// uniform random leaf.
 ///
 /// In steady state (or after warm-start initialisation) every member of a
 /// bin already resides on the bin's path, so a bin of size `S` costs one
@@ -87,7 +88,7 @@ impl BatchOp {
 /// # Parking
 ///
 /// When a block of an open window leaves its bin with no later use in
-/// the window and **no window staged**, it is *parked*: it stays checked
+/// the window, it is *parked*: it stays checked
 /// out in client memory under a provisional leaf, drawn where a random
 /// exit would draw it. The next activation re-points every parked block
 /// the new window uses at that window's first bin for it, then returns
@@ -121,10 +122,8 @@ impl BatchOp {
 pub struct LaOram<S: BucketStore = ArenaStore> {
     inner: PathOramClient<S>,
     plan: SuperblockPlan,
-    /// The next look-ahead window, staged by the preprocessor while the
-    /// current window is still being served (double buffering). Exit
-    /// flushes fall back to its first-occurrence paths, giving blocks the
-    /// same cross-window locality a single concatenated plan would.
+    /// The window [`stage_plan`](Self::stage_plan) hands to the next
+    /// activation. It plays no part in serving the active window.
     staged: Option<SuperblockPlan>,
     config: LaOramConfig,
     cursor: usize,
@@ -137,9 +136,9 @@ pub struct LaOram<S: BucketStore = ArenaStore> {
     /// [`advance_plan`](Self::advance_plan): one window of an open stream,
     /// whose blocks may park.
     open_window: bool,
-    /// Blocks that left their bin with no known next use while nothing
-    /// was staged: checked out, under a provisional leaf the position map
-    /// also names, until the next activation or [`finish`](Self::finish).
+    /// Blocks of an open window that left their bin with no next use in
+    /// it: checked out, under a provisional leaf the position map also
+    /// names, until the next activation or [`finish`](Self::finish).
     parked: Vec<Block>,
     /// The VRAM cache: bin members checked out of the protocol layer —
     /// in plaintext; a sealing configuration's key goes to the protocol
@@ -399,10 +398,12 @@ impl<S: BucketStore> LaOram<S> {
         Ok(())
     }
 
-    /// Stages the next look-ahead window without activating it. While a
-    /// window is staged, cache flushes of the *current* window fall back
-    /// to the staged window's first-occurrence paths — the cross-batch
-    /// locality the paper's preprocessor pipelines ahead of training.
+    /// Stages the next look-ahead window without activating it: the
+    /// one-slot handoff to [`advance_plan`](Self::advance_plan) or
+    /// [`install_plan`](Self::install_plan). A staged window does not
+    /// change how the active one is served; blocks leaving the active
+    /// window reach the staged window's bins by parking, not by looking
+    /// ahead.
     ///
     /// # Errors
     /// [`LaOramError::PlanBacklog`] if a staged window is already pending;
@@ -430,16 +431,17 @@ impl<S: BucketStore> LaOram<S> {
     }
 
     /// Promotes the staged window to the active plan, as one window of an
-    /// open stream: until a successor is staged, blocks leaving its bins
-    /// with no later use in it park (see [Parking](LaOram#parking)).
+    /// open stream: blocks leaving its bins with no later use in it park
+    /// (see [Parking](LaOram#parking)).
     ///
     /// The current window must be fully served. Its remaining cached
-    /// blocks are flushed toward the incoming window's first-occurrence
-    /// paths (an open window that still held them syncs here, at its
-    /// end), parked blocks return to the stash, and stash-resident
-    /// blocks that the incoming window touches are re-pointed at their
-    /// first bins — the incremental analogue of warm-start placement,
-    /// keeping steady state across window boundaries.
+    /// blocks are flushed (an open window that still held them syncs
+    /// here, at its end), parked blocks return to the stash, and
+    /// stash-resident blocks that the incoming window touches are
+    /// re-pointed at their first bins — the incremental analogue of
+    /// warm-start placement, keeping steady state across window
+    /// boundaries. On a fresh warm-start table, the first activation
+    /// places every block and syncs the populated tree.
     ///
     /// # Errors
     /// [`LaOramError::NoStagedPlan`] with nothing staged;
@@ -476,6 +478,13 @@ impl<S: BucketStore> LaOram<S> {
                 self.inner.place_at(block, leaf)?;
             }
             self.populated = true;
+            // The populated tree is a fresh open stream's first
+            // durability point: without it, a crash before the first
+            // window ends leaves a store with population spilled but
+            // never synced. A whole stream syncs at its first bin flush.
+            if open {
+                self.sync_point()?;
+            }
         } else {
             // Blocks still client-side (parked, then stash) re-enter the
             // tree through ordinary write-backs; point the ones this
@@ -515,12 +524,6 @@ impl<S: BucketStore> LaOram<S> {
     pub fn install_plan(&mut self, plan: SuperblockPlan) -> Result<()> {
         self.stage_plan(plan)?;
         self.activate(false)
-    }
-
-    /// Whether a staged window is pending activation.
-    #[must_use]
-    pub fn has_staged_plan(&self) -> bool {
-        self.staged.is_some()
     }
 
     /// Accesses remaining in the current window.
@@ -792,14 +795,13 @@ impl<S: BucketStore> LaOram<S> {
     }
 
     /// Flushes the cache: each block is reassigned to its next bin's path
-    /// and returned to the stash, from where ordinary write-backs sink it
-    /// into the tree. When the current window holds no future occurrence,
-    /// a staged next window's first occurrence is used; failing both, the
-    /// leaf is uniform random (preserving obliviousness either way — bin
-    /// paths are themselves uniform draws), and in an open window with
-    /// nothing staged the block parks under that leaf instead, while
-    /// stash + parked stays below the eviction high-water mark. A whole
-    /// stream syncs after each flush; an open window leaves its
+    /// in the current window and returned to the stash, from where
+    /// ordinary write-backs sink it into the tree. A block the window
+    /// does not use again gets a uniform random leaf (preserving
+    /// obliviousness either way — bin paths are themselves uniform
+    /// draws), and in an open window it parks under that leaf instead,
+    /// while stash + parked stays below the eviction high-water mark. A
+    /// whole stream syncs after each flush; an open window leaves its
     /// write-backs in the store's buffer until its end (`window_end`), or
     /// until the buffer is half full
     /// ([`sync_due`](oram_tree::BucketStore::sync_due)).
@@ -808,25 +810,20 @@ impl<S: BucketStore> LaOram<S> {
             return Ok(());
         }
         let bin = self.active_bin.expect("cache non-empty implies an active bin");
-        let may_park = self.open_window && self.staged.is_none();
         let high_water = self.config.eviction.high_water();
         let mut blocks = std::mem::take(&mut self.scratch_ids);
         blocks.clear();
         blocks.extend(self.cache.keys().copied());
         for &id in &blocks {
             let mut block = self.cache.remove(&id).expect("key enumerated above");
-            let planned = self.plan.exit_leaf(id, bin).or_else(|| {
-                self.staged
-                    .as_ref()
-                    .and_then(|next| next.first_bin_of(id).map(|b| next.bin_leaf(b)))
-            });
+            let planned = self.plan.exit_leaf(id, bin);
             let leaf = match planned {
                 Some(l) => l,
                 None => self.inner.random_leaf(),
             };
             block.set_leaf(leaf);
             self.inner.assign_leaf(id, leaf)?;
-            if planned.is_none() && may_park && self.stash_len() + 1 < high_water {
+            if planned.is_none() && self.open_window && self.stash_len() + 1 < high_water {
                 self.parked.push(block);
             } else {
                 self.inner.return_to_stash(block)?;
@@ -1340,20 +1337,18 @@ mod tests {
 
     #[test]
     fn incremental_pipeline_reaches_steady_state() {
-        // LaOram::new + per-epoch plan windows, always staying one window
-        // ahead (the serving engine's double buffering): every window after
-        // install runs at one path read per bin with no cold misses.
+        // LaOram::new + per-epoch plan windows, each staged and activated
+        // only once the window before it is served (the serving engine's
+        // order): parked exits carry every window into the next at one
+        // path read per bin with no cold misses.
         let epoch: Vec<u32> = (0..64).collect();
         let config = cfg(64).superblock_size(4).build().unwrap();
         let mut oram = LaOram::new(config.clone()).unwrap();
         let mut planner =
             crate::SuperblockPlanner::for_config(&config, oram.geometry().num_leaves());
-        oram.install_plan(planner.plan(&epoch)).unwrap();
         for window in 0..4 {
-            if window > 0 {
-                oram.advance_plan().unwrap();
-            }
             oram.stage_plan(planner.plan(&epoch)).unwrap();
+            oram.advance_plan().unwrap();
             oram.reset_stats();
             for &i in &epoch {
                 oram.read(i).unwrap();
@@ -1363,17 +1358,15 @@ mod tests {
             assert_eq!(s.path_reads, 16, "window {window}: one fetch per bin");
             assert_eq!(s.cold_misses, 0, "window {window}");
         }
-        oram.advance_plan().unwrap();
         oram.finish().unwrap();
         oram.verify_invariants().unwrap();
     }
 
     #[test]
     fn open_windows_park_below_the_high_water_mark() {
-        // An advance_plan window served with nothing staged: its exits
-        // park (never reaching hi = 12 together with the stash), the
-        // final bin is flushed when serve_batch returns, and finish
-        // returns every parked block.
+        // An advance_plan window: its exits park (never reaching hi = 12
+        // together with the stash), the final bin is flushed when
+        // serve_batch returns, and finish returns every parked block.
         let stream: Vec<u32> = (0..64).collect();
         let eviction = EvictionConfig::with_thresholds(12, 4);
         let config = cfg(64).superblock_size(4).eviction(eviction).build().unwrap();
@@ -1384,7 +1377,7 @@ mod tests {
         oram.advance_plan().unwrap();
         oram.serve_batch(stream.iter().map(|&i| BatchOp::Read(i)).collect()).unwrap();
         assert_eq!(oram.cache_len(), 0, "the final bin was flushed");
-        assert!(!oram.parked.is_empty(), "nothing staged: exits park");
+        assert!(!oram.parked.is_empty(), "an open window's exits park");
         assert!(oram.parked.len() < 12, "{} parked", oram.parked.len());
         oram.verify_invariants().unwrap();
         oram.finish().unwrap();
@@ -1429,9 +1422,10 @@ mod tests {
             stream.iter().map(|&i| BatchOp::Write(i, vec![window].into())).collect()
         };
         for window in 0..3u8 {
-            let before = oram.storage_generation();
             oram.stage_plan(planner.plan(&stream)).unwrap();
             oram.advance_plan().unwrap();
+            // The first activation syncs the populated tree.
+            let before = oram.storage_generation();
             let mut ops = writes(window);
             let tail = ops.split_off(40);
             oram.serve_batch(ops).unwrap();
@@ -1496,7 +1490,6 @@ mod tests {
         let config = cfg(8).build().unwrap();
         let mut oram = LaOram::new(config).unwrap();
         oram.stage_plan(SuperblockPlan::build(&[0], 4, 8, 1)).unwrap();
-        assert!(oram.has_staged_plan());
         assert!(matches!(
             oram.stage_plan(SuperblockPlan::build(&[1], 4, 8, 2)),
             Err(LaOramError::PlanBacklog)

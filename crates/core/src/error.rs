@@ -34,7 +34,7 @@ pub enum LaOramError {
         planned: usize,
     },
     /// A plan window was staged while another staged window was pending —
-    /// the look-ahead pipeline is double-buffered, not arbitrarily deep.
+    /// staging is a one-slot handoff to the next activation.
     PlanBacklog,
     /// [`advance_plan`](crate::LaOram::advance_plan) was called with no
     /// staged window.

@@ -21,10 +21,12 @@
 //! close rule — which fills the group from the sessions' lanes by deficit
 //! round-robin — or takes the oldest queued batch — the two take turns —
 //! then, while shard workers serve group `N`, it bins group `N+1` and
-//! draws its superblock paths, and stages the resulting
-//! [`SuperblockPlan`] into each worker's double-buffered queue. Workers
-//! opportunistically stage the next window *before* serving the current
-//! one, so block flushes exit toward their next-window paths and the
+//! draws its superblock paths, and sends each worker its
+//! [`SuperblockPlan`] window with the window's operations, as soon as the
+//! window is planned. A worker activates a window only once the one
+//! before it is served, so what is planned behind a window never changes
+//! how it is served; rows a window leaves with no next use in it park in
+//! the worker's client memory and go to the next window's paths, so the
 //! steady state survives group boundaries.
 //! Per-stage timestamps are recorded so the overlap is observable, not
 //! just asserted.
@@ -80,12 +82,13 @@ type ShardClient = LaOram<DynBucketStore>;
 /// Slot sentinel marking a padding operation whose output is discarded.
 const PAD_SLOT: u32 = u32::MAX;
 
-/// Messages from the preprocessor into one shard worker.
-enum WorkerMsg {
-    /// The next look-ahead window for this shard.
-    Plan(SuperblockPlan),
-    /// The operations of one group under the most recently staged window.
-    Ops { group: u64, ops: Vec<BatchOp>, slots: Vec<u32> },
+/// One group's part for one shard worker: the shard's look-ahead window
+/// and the operations it plans, with each operation's group position.
+struct WorkerMsg {
+    group: u64,
+    plan: SuperblockPlan,
+    ops: Vec<BatchOp>,
+    slots: Vec<u32>,
 }
 
 /// What the preprocessor measured about one group. Rides the manifest

@@ -30,8 +30,9 @@ impl Drop for CloseIngress<'_> {
 /// The preprocessor stage: takes each group from the ingress (whose close
 /// rule it runs whenever it is free for one), routes it to shards,
 /// optionally pads per-shard sub-batches to equal length, bins each
-/// shard's sub-stream and assigns its superblock paths, then dispatches
-/// `Plan(N+1)` + `Ops(N+1)` while the workers serve group `N`.
+/// shard's sub-stream and assigns its superblock paths, then sends each
+/// shard its window of group `N+1` — plan and operations together — while
+/// the workers serve group `N`.
 pub(super) fn run_preprocessor(
     ingress: Arc<Ingress>,
     router: Arc<ShardRouter>,
@@ -42,14 +43,6 @@ pub(super) fn run_preprocessor(
     pad_shard_batches: bool,
 ) {
     let _close = CloseIngress(&ingress);
-    // The one-group dispatch delay that makes the pipeline deterministic:
-    // group N's operations are held back until group N+1's plans have been
-    // dispatched, so every worker has window N+1 staged *before* it starts
-    // serving window N (warm exits at every boundary). When the ingress
-    // has nothing to take there is no N+1 to wait for, and the pending
-    // operations flush immediately — no added latency for an unloaded
-    // service.
-    let mut pending: Option<Vec<(usize, WorkerMsg)>> = None;
     // Rotating per-worker cursor choosing padding rows.
     let mut pad_cursor: Vec<u32> = vec![0; workers.len()];
     // Load-aware routing state: per-group worker loads (LeastLoaded
@@ -58,23 +51,8 @@ pub(super) fn run_preprocessor(
     // Scratch buffer for one request's routed targets (a replicated
     // write fans out to several workers).
     let mut targets: Vec<(usize, u32, bool)> = Vec::new();
-    let flush = |pending: &mut Option<Vec<(usize, WorkerMsg)>>| -> bool {
-        if let Some(parts) = pending.take() {
-            for (worker, msg) in parts {
-                if workers[worker].send(msg).is_err() {
-                    return false;
-                }
-            }
-        }
-        true
-    };
     loop {
-        match ingress.take(pending.is_some()) {
-            Taken::Idle => {
-                if !flush(&mut pending) {
-                    return;
-                }
-            }
+        match ingress.take() {
             Taken::Exit => break,
             // Nothing is counted here, so there is nothing to zero: the
             // reassembly, which counts a group when it emits it, takes its
@@ -209,23 +187,14 @@ pub(super) fn run_preprocessor(
                     meta,
                     PrepCounts { prep_start_ns, prep_end_ns, routed, pads, max_subbatch },
                 );
-                // Dispatch this group's plan windows now, then release the
-                // *previous* group's held-back operations.
-                let mut ops_parts = Vec::with_capacity(dispatch.len());
                 for (worker, plan, ops, slots) in dispatch {
-                    if workers[worker].send(WorkerMsg::Plan(plan)).is_err() {
+                    if workers[worker].send(WorkerMsg { group, plan, ops, slots }).is_err() {
                         return;
                     }
-                    ops_parts.push((worker, WorkerMsg::Ops { group, ops, slots }));
                 }
-                if !flush(&mut pending) {
-                    return;
-                }
-                pending = Some(ops_parts);
             }
         }
     }
-    let _ = flush(&mut pending);
     // Shut down and drained: dropping the worker senders ends the
     // workers, the last of which disconnects the completion store.
 }

@@ -16,7 +16,7 @@ use super::preprocessor::run_preprocessor;
 use super::reassembly::Reassembly;
 use super::worker::run_worker;
 use super::{LaoramService, ShardClient, Shared, WorkerMsg};
-use crate::ingress::Ingress;
+use crate::ingress::{Ingress, PIPELINE_DEPTH};
 use crate::telemetry::Flight;
 use crate::{
     DiskBackendSpec, ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend,
@@ -352,8 +352,8 @@ impl LaoramService {
         let mut worker_txs = Vec::with_capacity(num_workers);
         let mut handles = Vec::with_capacity(num_workers + 1);
         for (worker, client) in clients.into_iter().enumerate() {
-            // Depth 4 fits a full double-buffered step (Plan+Ops twice).
-            let (tx, rx) = sync_channel::<WorkerMsg>(4);
+            // One window serving and one planned behind it.
+            let (tx, rx) = sync_channel::<WorkerMsg>(PIPELINE_DEPTH);
             worker_txs.push(tx);
             let reassembly = Arc::clone(&reassembly);
             let shared = Arc::clone(&shared);

@@ -52,7 +52,8 @@ pub(crate) struct GroupMeta {
 
 /// Groups the pipeline holds before the coalescing arm stops closing
 /// groups for work and waits for a trigger: one group serving and one
-/// being planned — the preprocessor's one-group hold-back.
+/// planned behind it. Also the depth of each shard worker's channel, in
+/// windows.
 pub(crate) const PIPELINE_DEPTH: usize = 2;
 
 /// What waits beside the pending requests, in submission order.
@@ -73,8 +74,6 @@ pub(crate) enum Taken {
     /// The `reset_stats()` barrier: due once every group below
     /// `before_group` has been emitted.
     Reset { before_group: u64 },
-    /// Nothing to take yet; only returned to a caller holding work back.
-    Idle,
     /// Shut down and drained.
     Exit,
 }
@@ -611,13 +610,11 @@ impl Ingress {
     /// after a rule-closed group — so neither side waits for more than
     /// one group of the other. While a reset marker is queued, everything
     /// up to and including it goes first, so requests still pending at
-    /// `reset_stats()` land after the barrier. With nothing to take,
-    /// returns [`Taken::Idle`] when `hold` is set (the caller holds work
-    /// back that it must release first), and otherwise sleeps as long as
-    /// the rule says. The cadence grid restarts from each call: a tick
-    /// that passed while the preprocessor was blocked dispatching is
-    /// skipped, never closed late, off the grid.
-    pub fn take(&self, hold: bool) -> Taken {
+    /// `reset_stats()` land after the barrier. With nothing to take, it
+    /// sleeps as long as the rule says. The cadence grid restarts from
+    /// each call: a tick that passed while the preprocessor was blocked
+    /// dispatching is skipped, never closed late, off the grid.
+    pub fn take(&self) -> Taken {
         let mut pending = self.pending.lock().expect("ingress lock");
         pending.last_close_ns = self.shared.now_ns();
         loop {
@@ -653,7 +650,6 @@ impl Ingress {
             }
             pending = match verdict {
                 Some(Close::Exit) => return Taken::Exit,
-                _ if hold => return Taken::Idle,
                 Some(Close::Wait(Some(until))) => {
                     let timeout = Duration::from_nanos(until.saturating_sub(now_ns));
                     self.batcher_wake.wait_timeout(pending, timeout).expect("ingress wait").0
@@ -900,15 +896,10 @@ mod tests {
             .fixed_cadence(true);
         let ingress = ingress(&policy, 1);
         let next_tick = |ns: u64| (ns / PERIOD + 1) * PERIOD;
-        assert!(taken(ingress.take(false)).0 >= PERIOD);
+        assert!(taken(ingress.take()).0 >= PERIOD);
         std::thread::sleep(Duration::from_nanos(5 * PERIOD / 2));
         let back = ingress.shared.now_ns();
-        assert!(taken(ingress.take(false)).0 >= next_tick(back), "closed off the grid");
-        // Releasing held-back operations may block across ticks too.
-        assert!(matches!(ingress.take(true), Taken::Idle));
-        std::thread::sleep(Duration::from_nanos(3 * PERIOD / 2));
-        let back = ingress.shared.now_ns();
-        assert!(taken(ingress.take(false)).0 >= next_tick(back), "closed off the grid");
+        assert!(taken(ingress.take()).0 >= next_tick(back), "closed off the grid");
     }
 
     #[test]
@@ -923,9 +914,9 @@ mod tests {
         }
         let (first, len) = ingress.submit_batch(vec![Request::read(0, 0); 3], false).unwrap();
         assert_eq!((first, len), (40, 3));
-        assert_eq!(taken(ingress.take(false)).1, (0..8).collect::<Vec<_>>());
-        assert_eq!(taken(ingress.take(false)).1, vec![40, 41, 42]);
-        assert_eq!(taken(ingress.take(false)).1, (8..16).collect::<Vec<_>>());
+        assert_eq!(taken(ingress.take()).1, (0..8).collect::<Vec<_>>());
+        assert_eq!(taken(ingress.take()).1, vec![40, 41, 42]);
+        assert_eq!(taken(ingress.take()).1, (8..16).collect::<Vec<_>>());
     }
 
     #[test]
@@ -960,7 +951,7 @@ mod tests {
                 ingress.submit_to_lane(1, quantum, Request::read(0, i)).unwrap();
             }
             ingress.flush().unwrap();
-            let groups: Vec<Vec<u64>> = (0..3).map(|_| taken(ingress.take(false)).1).collect();
+            let groups: Vec<Vec<u64>> = (0..3).map(|_| taken(ingress.take()).1).collect();
             assert_eq!(groups, [(0..8).collect(), (8..16).collect(), (16..23).collect::<Vec<_>>()]);
         }
         // Any cut of one lane is a cut of its FIFO.

@@ -80,9 +80,12 @@
 //! * **Pipelined** — one preprocessor thread closes each group and bins
 //!   and path-assigns group `N+1` (via the resumable
 //!   [`SuperblockPlanner`](laoram_core::SuperblockPlanner)) while the
-//!   shard workers serve group `N`, handing each worker double-buffered
-//!   [`SuperblockPlan`](laoram_core::SuperblockPlan) windows over
-//!   channels; the worker that completes a group publishes it.
+//!   shard workers serve group `N`, sending each worker its
+//!   [`SuperblockPlan`](laoram_core::SuperblockPlan) window and
+//!   operations in one message; a worker activates a window once the
+//!   one before it is served, and rows a window leaves with no next use
+//!   wait parked in its client memory for the next. The worker that
+//!   completes a group publishes it.
 //!   Per-stage timestamps ([`PipelineStats`], [`BatchTiming`]) make the
 //!   overlap observable.
 //! * **Backpressured** — the queue of pre-coalesced batches is bounded

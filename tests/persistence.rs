@@ -300,6 +300,53 @@ fn open_window_crash_image_recovers_to_the_last_window_end() {
     }
 }
 
+/// A fresh warm-start table's first activation places every row, far
+/// more write-backs than the default 64-path budget holds, and syncs the
+/// populated tree: a crash image taken right after it opens, and the
+/// recovered table holds every row unwritten.
+#[test]
+fn fresh_table_crash_image_recovers_before_its_first_window_ends() {
+    use laoram::core::SuperblockPlanner;
+
+    const ROWS: u32 = 8192;
+    let store_path = unique("fresh-live");
+    let snap_path = StateSnapshot::default_path(&store_path);
+    let crash_store = unique("fresh-image");
+    let crash_snap = StateSnapshot::default_path(&crash_store);
+    let cfg =
+        LaOramConfig::builder(ROWS).seed(6).superblock_size(4).payloads(true).build().unwrap();
+    let disk = DiskStoreConfig::new().payload_capacity(2);
+    let store = DiskStore::create(&store_path, cfg.geometry().unwrap(), disk.clone()).unwrap();
+    let mut oram = LaOram::with_store(cfg.clone(), store).unwrap();
+    oram.persist_client_state(&snap_path, false);
+    let mut planner = SuperblockPlanner::for_config(&cfg, oram.geometry().num_leaves());
+    let rows: Vec<u32> = (0..256).map(|i| (i * 37) % ROWS).collect();
+    oram.stage_plan(planner.plan(&rows)).unwrap();
+    oram.advance_plan().unwrap();
+    copy_if_exists(&store_path, &crash_store);
+    copy_if_exists(&snap_path, &crash_snap);
+    drop(oram);
+
+    let store = match DiskStore::open(&crash_store, disk) {
+        Ok(store) => store,
+        Err(e) => panic!("the populated table left an unopenable image: {e}"),
+    };
+    let snapshot = StateSnapshot::read_from(&crash_snap).unwrap();
+    assert_eq!(snapshot.accesses, 0);
+    let mut recovered = LaOram::reopen(cfg, store, &snapshot).unwrap();
+    recovered.verify_invariants().unwrap();
+    let keys: Vec<u32> = (0..ROWS).collect();
+    recovered.install_plan(planner.plan(&keys)).unwrap();
+    for &k in &keys {
+        assert_eq!(recovered.read(k).unwrap(), None, "row {k} was never written");
+    }
+    recovered.finish().unwrap();
+    drop(recovered);
+    for p in [&store_path, &snap_path, &crash_store, &crash_snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 /// An open window too large for the store's write-back buffer (a 1-path
 /// budget here) does not spill into the file between its durability
 /// points: it syncs at the bin flush where the buffer is half full. So a

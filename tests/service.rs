@@ -99,6 +99,41 @@ fn sharded_mixed_traffic_preserves_laoram_invariant_at_s8() {
 }
 
 #[test]
+fn shard_work_depends_on_its_windows_not_on_timing() {
+    // The same 24 groups, once drained one by one and once back to back,
+    // where the preprocessor plans the next group while the shards serve
+    // the last: a shard serves a window the same way whatever has been
+    // planned behind it, so every shard reads the same paths, misses the
+    // same rows and peaks at the same stash depth in both runs.
+    let batches: Vec<Vec<Request>> =
+        mixed_batches(2, 31).concat().chunks(512).take(24).map(<[Request]>::to_vec).collect();
+    let run = |drain_each: bool| {
+        let mut service = mixed_service(8);
+        for batch in &batches {
+            service.submit(batch.clone()).expect("submit");
+            if drain_each {
+                service.drain().expect("drain");
+            }
+        }
+        service.drain().expect("drain");
+        let stats = service.stats();
+        let report = service.shutdown().expect("shutdown");
+        assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
+        stats.shards
+    };
+    let drained = run(true);
+    let back_to_back = run(false);
+    assert_eq!(drained.len(), 4, "2 tables x 2 shards");
+    for (one, other) in drained.iter().zip(&back_to_back) {
+        assert_eq!(
+            one.stats, other.stats,
+            "table {} shard {}: drained after each group, then back to back",
+            one.table, one.shard
+        );
+    }
+}
+
+#[test]
 fn merged_stats_equal_sum_of_shard_stats() {
     let mut service = mixed_service(4);
     for batch in mixed_batches(4, 11) {
