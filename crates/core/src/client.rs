@@ -1422,16 +1422,18 @@ mod tests {
             stream.iter().map(|&i| BatchOp::Write(i, vec![window].into())).collect()
         };
         for window in 0..3u8 {
+            let before = oram.storage_generation();
             oram.stage_plan(planner.plan(&stream)).unwrap();
             oram.advance_plan().unwrap();
-            // The first activation syncs the populated tree.
-            let before = oram.storage_generation();
+            // Only the first activation syncs: it populates the tree.
+            let activated = before + u64::from(window == 0);
+            assert_eq!(oram.storage_generation(), activated, "window {window}: activation");
             let mut ops = writes(window);
             let tail = ops.split_off(40);
             oram.serve_batch(ops).unwrap();
-            assert_eq!(oram.storage_generation(), before, "window {window}: synced mid-window");
+            assert_eq!(oram.storage_generation(), activated, "window {window}: synced mid-window");
             oram.serve_batch(tail).unwrap();
-            assert_eq!(oram.storage_generation(), before + 1, "window {window}");
+            assert_eq!(oram.storage_generation(), activated + 1, "window {window}");
         }
         let before = oram.storage_generation();
         let plan = planner.plan(&stream);

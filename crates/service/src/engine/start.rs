@@ -352,7 +352,7 @@ impl LaoramService {
         let mut worker_txs = Vec::with_capacity(num_workers);
         let mut handles = Vec::with_capacity(num_workers + 1);
         for (worker, client) in clients.into_iter().enumerate() {
-            // One window serving and one planned behind it.
+            // Up to PIPELINE_DEPTH planned windows behind the one being served.
             let (tx, rx) = sync_channel::<WorkerMsg>(PIPELINE_DEPTH);
             worker_txs.push(tx);
             let reassembly = Arc::clone(&reassembly);

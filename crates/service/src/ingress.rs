@@ -52,8 +52,8 @@ pub(crate) struct GroupMeta {
 
 /// Groups the pipeline holds before the coalescing arm stops closing
 /// groups for work and waits for a trigger: one group serving and one
-/// planned behind it. Also the depth of each shard worker's channel, in
-/// windows.
+/// planned behind it. Also the number of planned windows each shard
+/// worker's channel buffers behind the one the worker is serving.
 pub(crate) const PIPELINE_DEPTH: usize = 2;
 
 /// What waits beside the pending requests, in submission order.
