@@ -164,15 +164,25 @@
 //!   [`BatchPolicy`]) is the single place where a timer, a queue length
 //!   or the pipeline's occupancy decides a group boundary, so it is the
 //!   only code to audit for this channel.
-//! * **Cache trade-offs.** Each shard's client cache models the paper's
-//!   trainer VRAM: accesses to it are invisible to the adversary, and its
-//!   contents are *planned* (the current superblock's members), so hits
-//!   and misses follow the public plan rather than the private stream —
-//!   no extra leakage. A **shared, capacity-bounded hot-row cache** across
-//!   batches or tenants would break this: hit/miss behaviour (and its
-//!   timing) would depend on the private access history. Any future cache
-//!   of that shape must document its leakage budget before it ships; the
-//!   ROADMAP tracks this as an explicit trade-off study.
+//! * **Cache trade-offs, and what the store counts.** Each shard's
+//!   client cache models the paper's trainer VRAM: accesses to it are
+//!   invisible to the adversary, and its contents are *planned* (the
+//!   current superblock's members). But the plan is computed from the
+//!   private indices, so hits and misses do not hide the stream. Which
+//!   leaves the store sees stays uniform; *how many* it sees does not:
+//!   a window's path reads are its bins plus its cold misses plus its
+//!   dummy reads, and cold misses measure the private stream's reuse (a
+//!   row already fetched with its superblock costs no read, a row seen
+//!   for the first time costs one). Padding
+//!   ([`ServiceConfig::pad_shard_batches`]) equalises the accesses each
+//!   shard serves, not the paths it reads: in `tests/security.rs` a
+//!   97-row loop and a permutation of equal length get equal padded
+//!   volumes and path-read counts several-fold apart. A **shared,
+//!   capacity-bounded hot-row cache** across batches or tenants would add
+//!   a further channel: hit/miss behaviour (and its timing) would depend
+//!   on the private access history. Any future cache of that shape must
+//!   document its leakage budget before it ships; the ROADMAP tracks
+//!   both as explicit trade-off studies.
 //! * **Parked rows.** A row that leaves its superblock while the shard
 //!   knows no next window stays *parked* in the shard's client memory
 //!   until the next window activates (see `LaOram`'s rustdoc). Parking
@@ -184,8 +194,9 @@
 //!   ever revealed*, because a parked row is in neither the stash nor
 //!   the tree and so never rides a write-back under it. What parking
 //!   changes is which rows the next window finds on its paths: fewer
-//!   cold path reads, whose count was already a function of the public
-//!   plan and the window timing. The price is client memory: up to the
+//!   cold path reads, a count that already follows the private stream's
+//!   reuse (see the cache trade-offs above); parking moves that count,
+//!   not what any read reveals. The price is client memory: up to the
 //!   eviction high-water mark of rows per shard (stash + parked stays
 //!   below it), and parked rows are written to `.snap` files as stash
 //!   entries.
@@ -211,8 +222,13 @@
 //!   backing file must live on storage inside the trust boundary being
 //!   defended (host-visible page-cache and block-layer traces are exactly
 //!   the server-side adversary's view), and `write_back_paths` buffering
-//!   means file-level observers see slot writes *batched at superblock
-//!   sync points*, not per access. Readahead
+//!   means file-level observers see slot writes *batched at the end of
+//!   each open window* (its one sync), not per access. The store's slot
+//!   cache decides which buckets it reads from the file and which it
+//!   writes back from the server-visible leaf sequence, the budgets
+//!   (`write_back_paths`, `readahead_paths`) and which slots hold a
+//!   block — which the file shows anyway, since only payloads are
+//!   sealed and an empty slot's id word is zero. Readahead
 //!   ([`DiskBackendSpec::readahead_paths`]) only moves reads of the
 //!   already-uniform planned paths earlier. **Snapshot files are client
 //!   state**: a `.snap` file holds the position map and stash, which the

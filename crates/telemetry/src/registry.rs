@@ -5,7 +5,7 @@
 //! startup and then records through the lock-free handle on its hot path.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::export::{MetricSample, MetricValue, TelemetrySnapshot};
@@ -45,7 +45,7 @@ enum Cell {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         f.debug_struct("Registry").field("metrics", &inner.metrics.len()).finish()
     }
 }
@@ -62,7 +62,7 @@ impl Registry {
     /// If `name` is already registered as a different instrument kind —
     /// that is a wiring bug, not a runtime condition.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&index) = inner.by_name.get(name) {
             match &inner.metrics[index].cell {
                 Cell::Counter(cell) => return Counter(cell.clone()),
@@ -79,7 +79,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different instrument kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&index) = inner.by_name.get(name) {
             match &inner.metrics[index].cell {
                 Cell::Gauge(cell) => return Gauge(cell.clone()),
@@ -96,7 +96,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different instrument kind.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&index) = inner.by_name.get(name) {
             match &inner.metrics[index].cell {
                 Cell::Histogram(cell) => return HistogramHandle(cell.clone()),
@@ -110,7 +110,7 @@ impl Registry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("registry poisoned").metrics.len()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).metrics.len()
     }
 
     /// True when no metrics are registered.
@@ -124,7 +124,7 @@ impl Registry {
     /// the snapshot walks the table may appear in some samples and not
     /// others. Each individual metric is a consistent relaxed read.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let unix_ms =
             SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0);
         let uptime_ns = inner.start.elapsed().as_nanos() as u64;

@@ -7,7 +7,7 @@
 //! leakage notes explicitly rule out (see `docs/OBSERVABILITY.md`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -63,12 +63,12 @@ impl Sampler {
     /// Snapshots captured so far (oldest first), including evicted ones
     /// in the count returned by [`samples_taken`](Self::samples_taken).
     pub fn samples(&self) -> Vec<TelemetrySnapshot> {
-        self.shared.window.lock().expect("sampler poisoned").samples.clone()
+        self.shared.window.lock().unwrap_or_else(PoisonError::into_inner).samples.clone()
     }
 
     /// Total snapshots captured over the sampler's lifetime.
     pub fn samples_taken(&self) -> u64 {
-        self.shared.window.lock().expect("sampler poisoned").taken
+        self.shared.window.lock().unwrap_or_else(PoisonError::into_inner).taken
     }
 
     /// Stops the thread and returns the retained window.
@@ -80,7 +80,7 @@ impl Sampler {
     fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         // The worker sleeps on the window mutex's condvar; nudge it.
-        let _guard = self.shared.window.lock().expect("sampler poisoned");
+        let _guard = self.shared.window.lock().unwrap_or_else(PoisonError::into_inner);
         self.shared.wake.notify_all();
         drop(_guard);
         if let Some(handle) = self.handle.take() {
@@ -98,19 +98,19 @@ impl Drop for Sampler {
 fn run_sampler(registry: Registry, interval: Duration, shared: Arc<SamplerShared>) {
     loop {
         {
-            let guard = shared.window.lock().expect("sampler poisoned");
+            let guard = shared.window.lock().unwrap_or_else(PoisonError::into_inner);
             // Fixed cadence: wait the full interval regardless of load.
             let (guard, _timeout) = shared
                 .wake
                 .wait_timeout_while(guard, interval, |_| !shared.stop.load(Ordering::SeqCst))
-                .expect("sampler poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             drop(guard);
         }
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
         let snapshot = registry.snapshot();
-        let mut window = shared.window.lock().expect("sampler poisoned");
+        let mut window = shared.window.lock().unwrap_or_else(PoisonError::into_inner);
         if window.samples.len() == window.capacity {
             window.samples.remove(0);
         }

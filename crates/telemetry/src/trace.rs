@@ -9,7 +9,7 @@
 //! as JSON, turning a post-mortem from guesswork into a timeline.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::export::json_escape;
 
@@ -74,7 +74,7 @@ struct RecorderInner {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().expect("flight recorder poisoned");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         f.debug_struct("FlightRecorder")
             .field("capacity", &self.capacity)
             .field("len", &inner.ring.len())
@@ -98,7 +98,7 @@ impl FlightRecorder {
 
     /// Appends a span, evicting the oldest when full.
     pub fn record(&self, span: SpanRecord) {
-        let mut inner = self.inner.lock().expect("flight recorder poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.ring.len() == self.capacity {
             inner.ring.pop_front();
             inner.dropped += 1;
@@ -108,7 +108,7 @@ impl FlightRecorder {
 
     /// Number of spans currently buffered.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("flight recorder poisoned").ring.len()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).ring.len()
     }
 
     /// True when no spans are buffered.
@@ -118,7 +118,7 @@ impl FlightRecorder {
 
     /// Spans evicted so far because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("flight recorder poisoned").dropped
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).dropped
     }
 
     /// Copies the buffered spans (oldest first) into a dump.
@@ -126,7 +126,7 @@ impl FlightRecorder {
     /// The ring is not cleared: a later dump sees the same history plus
     /// whatever arrived in between.
     pub fn dump(&self, reason: &str) -> FlightDump {
-        let inner = self.inner.lock().expect("flight recorder poisoned");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         FlightDump {
             reason: reason.to_string(),
             dropped: inner.dropped,
@@ -228,5 +228,34 @@ mod tests {
             "{\"stage\":\"disk.flush\",\"start_ns\":5,\"end_ns\":9,\"group\":7,\"worker\":2,\"detail\":\"bytes=4096\"}"
         ));
         assert!(json.ends_with("]}"));
+    }
+
+    /// A shard that panics mid-record must not take every other shard's
+    /// telemetry down with it: after a thread dies holding the flight
+    /// recorder's lock and the registry's, recording, the ring read-back
+    /// and counter registration all still work.
+    #[test]
+    fn a_panic_holding_the_recorder_and_registry_locks_poisons_nothing() {
+        let recorder = std::sync::Arc::new(FlightRecorder::new(4));
+        let registry = crate::Registry::new();
+        registry.counter("shard.0.served");
+        let (held_recorder, held_registry) = (recorder.clone(), registry.clone());
+        let died = std::thread::spawn(move || {
+            let _ring = held_recorder.inner.lock().expect("first lock of a fresh recorder");
+            // Registering a counter's name as a gauge panics inside the
+            // registry's critical section, with the ring's lock held too.
+            held_registry.gauge("shard.0.served");
+        })
+        .join();
+        assert!(died.is_err(), "the thread was meant to panic");
+        assert!(recorder.inner.is_poisoned());
+
+        recorder.record(span("shard.serve", 7));
+        assert_eq!(recorder.len(), 1);
+        assert_eq!(recorder.dropped(), 0);
+        assert_eq!(recorder.dump("after a panic").spans[0].start_ns, 7);
+        registry.counter("shard.1.served").inc();
+        assert_eq!(registry.len(), 2);
+        assert_eq!(registry.snapshot().counter("shard.1.served"), Some(1));
     }
 }

@@ -361,16 +361,27 @@ mod tests {
     /// and a `sync`, the store file holds, slot for slot, the bytes the arena
     /// holds — an empty slot wherever the arena's is empty (there only the
     /// id word counts; an emptied arena slot keeps stale bytes), and the
-    /// identical image wherever it is occupied.
+    /// identical image wherever it is occupied. The cache policy never
+    /// changes a file byte: every write-back budget (spilling at every
+    /// path, or never before the sync) and every clean budget (none, a
+    /// trimming one, one the trace never fills) ends in the same file.
     #[test]
     fn disk_file_and_arena_hold_the_same_images() {
         use crate::{DiskStore, DiskStoreConfig};
-        for capacity in [0u32, 6] {
+        let budgets = [1usize, 64].into_iter().flat_map(|w| [0usize, 1, 256].map(|r| (w, r)));
+        for (capacity, (write_back, readahead)) in
+            [0u32, 6].into_iter().flat_map(|c| budgets.clone().map(move |b| (c, b)))
+        {
             let g = TreeGeometry::with_levels(4, BucketProfile::Uniform { capacity: 3 }).unwrap();
-            let file = std::env::temp_dir()
-                .join(format!("laoram-one-image-{}-{capacity}.oram", std::process::id()));
-            let config = DiskStoreConfig::new().payload_capacity(capacity).write_back_paths(1);
-            let mut disk = DiskStore::create(&file, g.clone(), config).unwrap();
+            let file = std::env::temp_dir().join(format!(
+                "laoram-one-image-{}-{capacity}-{write_back}-{readahead}.oram",
+                std::process::id()
+            ));
+            let config = DiskStoreConfig::new()
+                .payload_capacity(capacity)
+                .write_back_paths(write_back)
+                .readahead_paths(readahead);
+            let mut disk = DiskStore::create(&file, g.clone(), config.clone()).unwrap();
             let mut arena =
                 ArenaStore::new(g.clone(), ArenaStoreConfig::new().payload_capacity(capacity));
 
@@ -445,10 +456,10 @@ mod tests {
                     assert_eq!(
                         on_disk,
                         vec![0; stride],
-                        "emptied slot {flat} is all zeros on disk"
+                        "emptied slot {flat} is all zeros on disk ({config:?})"
                     );
                 } else {
-                    assert_eq!(on_disk, in_arena, "occupied slot {flat}");
+                    assert_eq!(on_disk, in_arena, "occupied slot {flat} ({config:?})");
                 }
             }
             drop(disk);

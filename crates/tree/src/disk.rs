@@ -8,6 +8,26 @@
 //! [`sync`](DiskStore::sync) point so a reader can tell which durability
 //! point a file reflects.
 //!
+//! # Slot cache
+//!
+//! One dense **slot index**, 4 bytes per slot of the tree, says what the
+//! store knows of each slot without asking the file: *unknown* (read the
+//! file), *known empty*, or *an image* in a frame of the **image slab** —
+//! one growable run of `slot_bytes` frames plus a free list — and carries
+//! a dirty bit for a value the file does not hold yet. Every slot starts
+//! unknown, at [`create`](DiskStore::create) as at
+//! [`open`](DiskStore::open); path reads, write-backs and prefetches
+//! learn what they read. A known-empty slot owns no frame and counts
+//! against no budget, so the empties a path read meets cost their index
+//! entry alone and are never evicted. Clean images are bounded by the
+//! clean budget ([`DiskStoreConfig::readahead_paths`]): past it, a CLOCK
+//! hand over the frames evicts clean images back to unknown — never a
+//! dirty one, and the ones the latest prefetch hint named only when
+//! nothing else is clean. Resident bytes are 4 per slot of the index (a
+//! page of it no run touches is never faulted in) plus, per frame, the
+//! image and 16 bytes of bookkeeping; the slab grows as images arrive and
+//! never past the clean budget plus the dirty images plus one hint.
+//!
 //! # On-disk layout
 //!
 //! ```text
@@ -46,12 +66,14 @@
 //! audits) stream the requested range in large chunks. On top of that,
 //! callers that know which paths are coming (the look-ahead preprocessor
 //! knows batch `N+1`'s paths exactly) can
-//! [`prefetch_paths`](BucketStore::prefetch_paths) them into a bounded read cache, after which serving those paths costs
-//! no backing-file reads at all. The prefetch is a pure I/O-scheduling
-//! hint: responses and the protocol-visible access sequence are
-//! unchanged (a clean cache entry is exactly what the file holds, and a
-//! write replaces it in place), and an OS-level observer merely sees the
-//! same uniformly random paths slightly earlier.
+//! [`prefetch_paths`](BucketStore::prefetch_paths) them into the slot
+//! cache, after which serving those paths costs no backing-file reads at
+//! all; a prefetch reads only the buckets holding a slot the index does
+//! not know. The prefetch is a pure I/O-scheduling hint: responses and
+//! the protocol-visible access sequence are unchanged (a clean image is
+//! exactly what the file holds, and a write replaces it in place), and an
+//! OS-level observer merely sees the same uniformly random paths slightly
+//! earlier.
 //!
 //! # Durability model
 //!
@@ -80,8 +102,6 @@
 //! same sync boundaries to make the whole table restartable (see
 //! `docs/PERSISTENCE.md`).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
@@ -107,17 +127,57 @@ const UNSYNCED_FLAG_AT: usize = 36;
 const SCAN_CHUNK_SLOTS: usize = 8192;
 /// Byte gap under which two prefetch runs are merged into one read:
 /// reading a page of don't-care bytes is cheaper than a second syscall,
-/// and the gap slots are cached too (they are clean file data). At the
-/// upper tree levels, where a look-ahead window touches most buckets,
-/// this collapses a whole level into a single read.
+/// and the gap slots the index does not know yet are learnt too (they
+/// are clean file data). At the upper tree levels, where a look-ahead
+/// window touches most buckets, this collapses a whole level into a
+/// single read.
 const READAHEAD_MERGE_BYTES: u64 = 4096;
-/// Byte gap under which two *write* runs are merged into one write.
-/// Gap slots are filled from the cache when their images are known
-/// (a clean image is the file's content) and read back from the file
-/// otherwise; either way one syscall replaces many scattered
-/// single-slot writes — ORAM write-backs scatter dirty slots across the
-/// tree, so without bridging most "runs" are a single slot.
+/// Byte gap under which two *write* runs are merged into one write. A
+/// gap is bridged only when the index knows every gap slot's bytes (a
+/// clean image is the file's content, a known-empty slot is zeros), so a
+/// flush never reads back; either way one syscall replaces many
+/// scattered single-slot writes — ORAM write-backs scatter dirty slots
+/// across the tree, so without bridging most "runs" are a single slot.
 const WRITE_MERGE_BYTES: u64 = 1024;
+
+/// Slot-index entry: the file has not been asked about the slot.
+const UNKNOWN: u32 = 0;
+/// Slot-index entry: the slot is empty.
+const EMPTY: u32 = 1;
+/// Slot-index entries from here up name slab frame `entry - FRAME_BASE`.
+const FRAME_BASE: u32 = 2;
+/// Slot-index flag: the file does not hold this value yet.
+const DIRTY: u32 = 1 << 31;
+/// Frame owner of a frame on the free list.
+const FREE: u64 = u64::MAX;
+
+/// What the slot index says of one slot, dirty bit aside.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Known {
+    /// Ask the file.
+    Unknown,
+    /// Empty; owns no frame.
+    Empty,
+    /// Its image is this slab frame.
+    Image(usize),
+}
+
+fn known(entry: u32) -> Known {
+    match entry & !DIRTY {
+        UNKNOWN => Known::Unknown,
+        EMPTY => Known::Empty,
+        frame => Known::Image((frame - FRAME_BASE) as usize),
+    }
+}
+
+/// Bookkeeping of one slab frame.
+#[derive(Clone, Copy)]
+struct Frame {
+    /// The slot whose image the frame holds, or [`FREE`].
+    slot: u64,
+    /// The last prefetch hint that named the slot.
+    hint: u32,
+}
 
 /// Tuning and layout options for a [`DiskStore`].
 #[derive(Debug, Clone)]
@@ -136,10 +196,13 @@ pub struct DiskStoreConfig {
     /// semantics without paying device flushes.
     pub durable_sync: bool,
     /// Maximum paths honoured per [`prefetch_paths`](BucketStore::prefetch_paths)
-    /// hint. The clean part of the slot cache (readahead hints, flushed
-    /// slots, empties memoised on path reads) is bounded to `4 ×
-    /// readahead_paths × path_slots` slots. `0` disables readahead and
-    /// the cache entirely.
+    /// hint, and the clean budget: the slot cache holds at most `4 ×
+    /// readahead_paths × path_slots` clean slot images (prefetched or
+    /// flushed). Past it, a CLOCK hand evicts clean images in frame order,
+    /// sparing the latest hint's until nothing else is clean. A slot
+    /// known to be empty holds no image and counts against no budget.
+    /// `0` disables readahead and keeps no clean image; the slot index
+    /// still remembers empties.
     pub readahead_paths: usize,
     /// Optional flight-recorder hook: when set, the store records
     /// `disk.read` / `disk.flush` / `disk.prefetch` spans on the owning
@@ -220,55 +283,17 @@ pub struct DiskIoStats {
     pub write_bytes: u64,
 }
 
-/// A trivial multiply-xorshift hasher for `u64` slot indices. The slot
-/// cache is probed hundreds of times per path operation, and the default SipHash dominates the disk backend's CPU
-/// profile; slot indices are not attacker-controlled, so a fast
-/// non-cryptographic mix is the right trade.
-#[derive(Default, Clone)]
-struct SlotHasher(u64);
-
-impl std::hash::Hasher for SlotHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 29;
-        self.0 = h;
-    }
-}
-
-/// What the store knows about one slot without asking the file.
-struct CachedSlot {
-    /// The slot's image, or `None` for a slot known to be empty — most
-    /// of a tree is, so an empty owns no slot-sized allocation.
-    image: Option<Box<[u8]>>,
-    /// Whether the file does not hold this value yet. Dirty entries are
-    /// the write-back buffer; clean ones mirror the file and may be
-    /// evicted at any time.
-    dirty: bool,
-}
-
-impl CachedSlot {
-    const CLEAN_EMPTY: CachedSlot = CachedSlot { image: None, dirty: false };
-}
-
-/// The slot cache, by flat slot index.
-type SlotCache = HashMap<u64, CachedSlot, std::hash::BuildHasherDefault<SlotHasher>>;
-
 /// A file-backed bucket store. See the `disk` module source docs above
-/// for the on-disk layout; the durability model is summarised here:
-/// mutations land in the slot cache as dirty slots, which spill when they
-/// exceed [`DiskStoreConfig::write_back_paths`] paths' worth of slots,
-/// and [`sync`](BucketStore::sync) is the only durability point (data
-/// first, then a generation-bumped header).
+/// for the on-disk layout and the slot cache; the durability model is
+/// summarised here: mutations land in the slot cache as dirty slots,
+/// which spill when they exceed [`DiskStoreConfig::write_back_paths`]
+/// paths' worth of slots, and [`sync`](BucketStore::sync) is the only
+/// durability point (data first, then a generation-bumped header).
+///
+/// The cache is a dense slot index (4 bytes per slot: unknown, known
+/// empty, or an image frame, plus a dirty bit) over one slab of
+/// slot-sized image frames; a path operation reads the file only for
+/// the buckets holding a slot the index does not know.
 ///
 /// # Examples
 ///
@@ -304,20 +329,34 @@ pub struct DiskStore {
     geometry: TreeGeometry,
     payload_capacity: u32,
     durable_sync: bool,
-    /// The one slot cache. Dirty entries are the write-back buffer;
-    /// clean ones come from [`BucketStore::prefetch_paths`] hints, from
-    /// flushes (a flushed slot stays, flag cleared) and from empties
-    /// memoised on path reads. A write replaces the entry in place, so
-    /// the cache never holds stale data.
-    cache: SlotCache,
+    /// What the store knows of each slot, by flat slot index: `UNKNOWN`,
+    /// `EMPTY` or `FRAME_BASE + frame`, with the `DIRTY` bit for a value
+    /// the file does not hold yet. A write replaces the entry, so the
+    /// cache never holds stale data.
+    index: Vec<u32>,
+    /// The image slab: `frames.len()` frames of `slot_bytes` each.
+    slab: Vec<u8>,
+    frames: Vec<Frame>,
+    /// Frames no slot owns, reused before the slab grows.
+    free: Vec<u32>,
+    /// The CLOCK hand: the next frame the clean trim looks at.
+    hand: usize,
+    /// The current prefetch hint's stamp (never 0, which fresh frames carry).
+    hint: u32,
+    /// Frames holding a clean image: what the clean budget bounds.
+    clean_images: usize,
     /// The dirty entries' slots, each once: what a flush walks.
     dirty: Vec<u64>,
     /// Dirty-slot budget before an automatic (non-durable) spill.
     dirty_limit: usize,
-    /// Upper bound on the number of clean entries.
+    /// Upper bound on `clean_images`.
     clean_cap: usize,
     /// Readahead budget, in paths (`0` = prefetch disabled).
     readahead_paths: usize,
+    /// Reused file buffer of the path operations and flushes.
+    io_buf: Vec<u8>,
+    /// Reused bucket-run list of a prefetch.
+    runs: Vec<(u64, u64)>,
     occupied: u64,
     generation: u64,
     /// Whether the file holds slot writes from after the last sync point
@@ -400,12 +439,19 @@ impl DiskStore {
             .map_err(|e| io_err("create bucket-store file", e))?;
         let total = Self::file_bytes_for(&geometry, config.payload_capacity);
         file.set_len(total).map_err(|e| io_err("size bucket-store file", e))?;
-        let mut store = Self::assemble(file, path, geometry, config, 0, 0);
+        let mut store = Self::assemble(file, path, geometry, config, 0, 0)?;
         store.write_header()?;
         Ok(store)
     }
 
-    /// A store over an open file: budgets from `config`, empty cache.
+    /// A store over an open file: budgets from `config`, every slot
+    /// unknown, an empty slab.
+    ///
+    /// # Errors
+    /// [`TreeError::Io`] when the slot index cannot be allocated: an
+    /// opened file's header names the geometry, and a header is outside
+    /// input, so its size is refused rather than allowed to abort the
+    /// process.
     fn assemble(
         file: File,
         path: PathBuf,
@@ -413,26 +459,38 @@ impl DiskStore {
         config: DiskStoreConfig,
         occupied: u64,
         generation: u64,
-    ) -> Self {
+    ) -> Result<Self, TreeError> {
         let path_slots = geometry.path_slots().max(1) as usize;
         let dirty_limit = config.write_back_paths.max(1) * path_slots;
         let clean_cap = config.readahead_paths.saturating_mul(path_slots).saturating_mul(4);
-        // The cache's largest population is known here — both budgets
-        // plus the path in flight, or the whole tree if that is smaller —
-        // so the map is sized once and never rehashes as it fills.
-        let most = dirty_limit.saturating_add(path_slots).saturating_add(clean_cap);
-        let most = most.min(geometry.total_slots() as usize);
-        DiskStore {
+        // The index is allocated zeroed, so the pages of slots a run never
+        // touches are never faulted in; std has no fallible zeroed
+        // allocation, so a fallible one of the same size asks first.
+        let slots = geometry.total_slots();
+        let fits =
+            usize::try_from(slots).is_ok_and(|n| Vec::<u32>::new().try_reserve_exact(n).is_ok());
+        if !fits {
+            return Err(TreeError::Io(format!("no memory for the slot index of {slots} slots")));
+        }
+        Ok(DiskStore {
             file,
             path,
+            index: vec![UNKNOWN; slots as usize],
             geometry,
             payload_capacity: config.payload_capacity,
             durable_sync: config.durable_sync,
-            cache: SlotCache::with_capacity_and_hasher(most, Default::default()),
+            slab: Vec::new(),
+            frames: Vec::new(),
+            free: Vec::new(),
+            hand: 0,
+            hint: 1,
+            clean_images: 0,
             dirty: Vec::new(),
             dirty_limit,
             clean_cap,
             readahead_paths: config.readahead_paths,
+            io_buf: Vec::new(),
+            runs: Vec::new(),
             occupied,
             generation,
             unsynced: false,
@@ -440,7 +498,7 @@ impl DiskStore {
             pending_error: None,
             telemetry: config.telemetry,
             plan: PlanScratch::default(),
-        }
+        })
     }
 
     /// Opens an existing store file, rebuilding the geometry from its
@@ -508,7 +566,7 @@ impl DiskStore {
                 geometry.total_slots()
             )));
         }
-        Ok(Self::assemble(file, path, geometry, config, occupied, generation))
+        Self::assemble(file, path, geometry, config, occupied, generation)
     }
 
     /// The backing file's path.
@@ -523,10 +581,11 @@ impl DiskStore {
         self.dirty.len()
     }
 
-    /// Slots currently held in the clean (readahead) part of the cache.
+    /// Clean slot images currently held in the slot cache (known-empty
+    /// slots hold none).
     #[must_use]
     pub fn prefetched_slots(&self) -> usize {
-        self.cache.len() - self.dirty.len()
+        self.clean_images
     }
 
     /// Maximum payload bytes one slot can hold (`0` = metadata-only).
@@ -561,21 +620,38 @@ impl DiskStore {
     }
 
     /// Reads the raw bytes of `len` consecutive slots starting at
-    /// `start` with a single positioned read.
-    fn read_run_bytes(&self, start: u64, len: usize) -> Result<Vec<u8>, TreeError> {
-        let mut buf = vec![0u8; len * self.slot_bytes() as usize];
+    /// `start` into `buf` with a single positioned read.
+    fn read_run_bytes(&self, start: u64, len: usize, buf: &mut Vec<u8>) -> Result<(), TreeError> {
+        buf.clear();
+        buf.resize(len * self.slot_bytes() as usize, 0);
         self.file
-            .read_exact_at(&mut buf, self.slot_offset(start))
+            .read_exact_at(buf, self.slot_offset(start))
             .map_err(|e| io_err("read slot run", e))?;
         let mut io = self.io.get();
         io.reads += 1;
         io.read_bytes += buf.len() as u64;
         self.io.set(io);
-        Ok(buf)
+        Ok(())
+    }
+
+    fn entry(&self, slot: u64) -> Known {
+        known(self.index[slot as usize])
+    }
+
+    fn frame(&self, frame: usize) -> &[u8] {
+        let slot_bytes = self.slot_bytes() as usize;
+        &self.slab[frame * slot_bytes..][..slot_bytes]
+    }
+
+    /// Whether any slot of `slots` is unknown to the index.
+    fn any_unknown(&self, slots: Range<u64>) -> bool {
+        self.index[slots.start as usize..slots.end as usize]
+            .iter()
+            .any(|&e| known(e) == Known::Unknown)
     }
 
     /// Visits `len` consecutive slots starting at `start` as `(slot,
-    /// image)`, `None` for an empty slot: the cache first, then one
+    /// image)`, `None` for an empty slot: the index first, then one
     /// batched file read for whatever it does not know (skipped entirely
     /// when it covers the run). Images are borrowed from wherever they
     /// live — nothing is decoded or cloned.
@@ -586,48 +662,156 @@ impl DiskStore {
         mut visit: impl FnMut(u64, Option<&[u8]>),
     ) -> Result<(), TreeError> {
         let slot_bytes = self.slot_bytes() as usize;
-        let mut file_bytes = None;
+        let mut file_bytes = Vec::new();
         for i in 0..len {
             let slot = start + i as u64;
-            if let Some(cached) = self.cache.get(&slot) {
-                visit(slot, cached.image.as_deref());
-                continue;
+            match self.entry(slot) {
+                Known::Empty => visit(slot, None),
+                Known::Image(frame) => visit(slot, Some(self.frame(frame))),
+                Known::Unknown => {
+                    if file_bytes.is_empty() {
+                        self.read_run_bytes(start, len, &mut file_bytes)?;
+                    }
+                    let image = &file_bytes[i * slot_bytes..(i + 1) * slot_bytes];
+                    check_image(image, slot)?;
+                    visit(slot, (!is_empty(image)).then_some(image));
+                }
             }
-            if file_bytes.is_none() {
-                file_bytes = Some(self.read_run_bytes(start, len)?);
-            }
-            let bytes = file_bytes.as_deref().expect("read above");
-            let image = &bytes[i * slot_bytes..(i + 1) * slot_bytes];
-            check_image(image, slot)?;
-            visit(slot, (!is_empty(image)).then_some(image));
         }
         Ok(())
     }
 
-    /// A write-back candidate as one of this store's slot images: a
-    /// scratch entry already is one, a stash block is encoded.
-    fn image_of(&self, candidate: Candidate<'_>) -> Box<[u8]> {
+    /// Learns the unknown slots of the bucket run `slots` from the file —
+    /// the empty ones become known-empty, the real ones stay unknown (to
+    /// the planner: taken) — so the write-back that follows can plan
+    /// against the index. One read, skipped when the index knows the run.
+    fn learn_empties(&mut self, slots: Range<u64>) -> Result<(), TreeError> {
+        if !self.any_unknown(slots.clone()) {
+            return Ok(());
+        }
+        let mut buf = std::mem::take(&mut self.io_buf);
+        self.read_run_bytes(slots.start, (slots.end - slots.start) as usize, &mut buf)?;
         let slot_bytes = self.slot_bytes() as usize;
+        for (slot, image) in slots.zip(buf.chunks_exact(slot_bytes)) {
+            if self.entry(slot) == Known::Unknown {
+                check_image(image, slot)?;
+                if is_empty(image) {
+                    self.index[slot as usize] = EMPTY;
+                }
+            }
+        }
+        self.io_buf = buf;
+        Ok(())
+    }
+
+    /// Destructively reads the bucket run `slots`: hands every real
+    /// image to `take` in slot order and leaves its slot emptied (dirty);
+    /// the empties a file read shows become known-empty.
+    fn take_run(
+        &mut self,
+        slots: Range<u64>,
+        mut take: impl FnMut(&[u8]),
+    ) -> Result<(), TreeError> {
+        let mut buf = std::mem::take(&mut self.io_buf);
+        if self.any_unknown(slots.clone()) {
+            self.read_run_bytes(slots.start, (slots.end - slots.start) as usize, &mut buf)?;
+        }
+        let slot_bytes = self.slot_bytes() as usize;
+        for (i, slot) in slots.enumerate() {
+            match self.entry(slot) {
+                Known::Empty => continue,
+                Known::Image(frame) => take(self.frame(frame)),
+                Known::Unknown => {
+                    let image = &buf[i * slot_bytes..][..slot_bytes];
+                    check_image(image, slot)?;
+                    if is_empty(image) {
+                        self.index[slot as usize] = EMPTY;
+                        continue;
+                    }
+                    take(image);
+                }
+            }
+            self.set(slot, EMPTY);
+            self.occupied -= 1;
+        }
+        self.io_buf = buf;
+        Ok(())
+    }
+
+    /// Records a slot's new value as dirty — `EMPTY`, or a frame the
+    /// caller has just filled — releasing whatever frame it held.
+    fn set(&mut self, slot: u64, value: u32) {
+        let entry = self.index[slot as usize];
+        if let Known::Image(frame) = known(entry) {
+            if entry & DIRTY == 0 {
+                self.clean_images -= 1;
+            }
+            self.frames[frame].slot = FREE;
+            self.free.push(frame as u32);
+        }
+        if entry & DIRTY == 0 {
+            self.dirty.push(slot);
+        }
+        self.index[slot as usize] = value | DIRTY;
+    }
+
+    /// A frame for `slot`'s image: a free one, or a new one at the end
+    /// of the slab. Its bytes are whatever the last owner left.
+    fn new_frame(&mut self, slot: u64) -> usize {
+        let frame = match self.free.pop() {
+            Some(frame) => frame as usize,
+            None => {
+                let room = (DIRTY - FRAME_BASE) as usize;
+                assert!(self.frames.len() < room, "more slab frames than an index entry names");
+                self.frames.push(Frame { slot: FREE, hint: 0 });
+                self.slab.resize(self.slab.len() + self.slot_bytes() as usize, 0);
+                self.frames.len() - 1
+            }
+        };
+        self.frames[frame] = Frame { slot, hint: 0 };
+        frame
+    }
+
+    /// Places a write-back candidate into `slot` as a dirty image: a
+    /// scratch entry already is one, a stash block is encoded.
+    fn place(&mut self, slot: u64, candidate: Candidate<'_>) {
+        let slot_bytes = self.slot_bytes() as usize;
+        let frame = self.new_frame(slot);
+        let image = &mut self.slab[frame * slot_bytes..][..slot_bytes];
         match candidate {
             Candidate::Slot(raw) => {
                 assert_eq!(raw.len(), slot_bytes, "scratch shaped for a different store");
-                raw.into()
+                image.copy_from_slice(raw);
             }
-            Candidate::Block(b) => {
-                let mut image = vec![0; slot_bytes].into_boxed_slice();
-                encode_slot(&mut image, b.id(), b.leaf(), b.data());
-                image
-            }
+            Candidate::Block(b) => encode_slot(image, b.id(), b.leaf(), b.data()),
         }
+        self.set(slot, FRAME_BASE + frame as u32);
+        self.occupied += 1;
     }
 
-    /// Records a slot's new value (`None` = emptied) as dirty, replacing
-    /// whatever the cache held for it.
-    fn store_slot(&mut self, slot: u64, image: Option<Box<[u8]>>) {
-        let cached = self.cache.entry(slot).or_insert(CachedSlot::CLEAN_EMPTY);
-        cached.image = image;
-        if !std::mem::replace(&mut cached.dirty, true) {
-            self.dirty.push(slot);
+    /// Evicts clean images — never dirty ones — back to unknown until
+    /// they fit their budget. A CLOCK hand walks the frames; images the
+    /// current prefetch hint named are passed over for a whole round
+    /// first, then taken too (correctness never depends on the cache).
+    fn trim_clean(&mut self) {
+        let mut spared = 0;
+        while self.clean_images > self.clean_cap {
+            let frame = self.hand;
+            self.hand = (frame + 1) % self.frames.len();
+            let Frame { slot, hint } = self.frames[frame];
+            // A clean image: its slot's entry names this frame, no dirty bit.
+            let clean = FRAME_BASE + frame as u32;
+            if slot == FREE || self.index[slot as usize] != clean {
+                continue;
+            }
+            if hint == self.hint && spared < self.frames.len() {
+                spared += 1;
+                continue;
+            }
+            self.index[slot as usize] = UNKNOWN;
+            self.frames[frame].slot = FREE;
+            self.free.push(frame as u32);
+            self.clean_images -= 1;
         }
     }
 
@@ -666,11 +850,15 @@ impl DiskStore {
         // clean as they stand: the hottest slots (upper tree levels,
         // rewritten at every write-back) stay memory-resident across
         // flushes without being re-read.
-        let flushed = std::mem::take(&mut self.dirty);
-        for slot in &flushed {
-            self.cache.get_mut(slot).expect("dirty slots are cached").dirty = false;
+        for &slot in &self.dirty {
+            let entry = &mut self.index[slot as usize];
+            *entry &= !DIRTY;
+            if let Known::Image(_) = known(*entry) {
+                self.clean_images += 1;
+            }
         }
-        self.trim_clean(&flushed);
+        self.dirty.clear();
+        self.trim_clean();
         if let (Some((start_ns, before, slots)), Some(telemetry)) = (trace, self.telemetry.as_ref())
         {
             let after = self.io.get();
@@ -687,61 +875,37 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Evicts clean entries — never dirty ones — until they fit their
-    /// budget, preferring ones *not* in `keep`; when `keep` alone exceeds
-    /// it, arbitrary ones go (correctness never depends on the cache).
-    fn trim_clean(&mut self, keep: &[u64]) {
-        let excess = self.prefetched_slots().saturating_sub(self.clean_cap);
-        if excess == 0 {
-            return;
-        }
-        let keep: std::collections::HashSet<u64> = keep.iter().copied().collect();
-        let cache = &self.cache;
-        let clean = |kept: bool| {
-            let keep = &keep;
-            cache.iter().filter(move |(s, c)| !c.dirty && keep.contains(s) == kept).map(|(&s, _)| s)
-        };
-        let evict: Vec<u64> = clean(false).chain(clean(true)).take(excess).collect();
-        for slot in evict {
-            self.cache.remove(&slot);
-        }
-    }
-
     /// Writes the dirty slots as run-length-coalesced contiguous writes:
     /// slots are sorted and merged into maximal spans, where a gap of up
-    /// to one I/O quantum between two dirty slots is bridged by
-    /// read-modify-writing the span — rewriting a page of unchanged
-    /// bytes costs far less than a second syscall. ORAM write-backs
-    /// scatter slots across the tree, so without bridging most "runs"
-    /// are a single slot.
+    /// to one I/O quantum between two dirty slots is bridged when the
+    /// index knows every gap slot — rewriting a page of unchanged bytes
+    /// costs far less than a second syscall, and a known gap costs no
+    /// read. ORAM write-backs scatter slots across the tree, so without
+    /// bridging most "runs" are a single slot.
     fn write_dirty_runs(&mut self) -> Result<(), TreeError> {
         let slot_bytes = self.slot_bytes() as usize;
         let gap_slots = (WRITE_MERGE_BYTES / self.slot_bytes()).max(1);
         self.dirty.sort_unstable();
-        // Merge into spans [start, end) by pure index arithmetic.
-        let mut spans: Vec<(u64, u64)> = Vec::new();
-        for &slot in &self.dirty {
-            match spans.last_mut() {
-                Some((_, end)) if slot < *end + gap_slots => *end = slot + 1,
-                _ => spans.push((slot, slot + 1)),
+        let mut buf = std::mem::take(&mut self.io_buf);
+        let mut next = 0;
+        while next < self.dirty.len() {
+            let start = self.dirty[next];
+            let mut end = start + 1;
+            next += 1;
+            while let Some(&slot) = self.dirty.get(next) {
+                let bridgeable = slot < end + gap_slots && !self.any_unknown(end..slot);
+                if !bridgeable {
+                    break;
+                }
+                end = slot + 1;
+                next += 1;
             }
-        }
-        for (start, end) in spans {
-            let len = (end - start) as usize;
-            // Gap slots the cache does not know are read back so they
-            // round-trip untouched; over that (or over zeros) go the
-            // cached images — a clean one is the exact bytes already in
-            // the file — and a known-empty slot is written as all zeros.
-            let mut buf = if (start..end).all(|slot| self.cache.contains_key(&slot)) {
-                vec![0u8; len * slot_bytes]
-            } else {
-                self.read_run_bytes(start, len)?
-            };
+            // Known-empty slots are written as all zeros.
+            buf.clear();
+            buf.resize((end - start) as usize * slot_bytes, 0);
             for (slot, dst) in (start..end).zip(buf.chunks_exact_mut(slot_bytes)) {
-                match self.cache.get(&slot).map(|cached| &cached.image) {
-                    Some(Some(image)) => dst.copy_from_slice(image),
-                    Some(None) => dst.fill(0),
-                    None => {}
+                if let Known::Image(frame) = self.entry(slot) {
+                    dst.copy_from_slice(self.frame(frame));
                 }
             }
             self.file
@@ -752,28 +916,13 @@ impl DiskStore {
             io.write_bytes += buf.len() as u64;
             self.io.set(io);
         }
+        self.io_buf = buf;
         Ok(())
     }
 
-    fn bucket_slot_bounds(&self, level: u32, node_in_level: u64) -> std::ops::Range<u64> {
+    fn bucket_slot_bounds(&self, level: u32, node_in_level: u64) -> Range<u64> {
         let range = self.geometry.bucket_slot_range(level, node_in_level);
         range.start as u64..range.end as u64
-    }
-
-    /// The occupied slots on the path to `leaf`, by flat index: one
-    /// batched metadata scan per bucket, for the planner to run against.
-    fn occupied_path_slots(
-        &self,
-        leaf: LeafId,
-    ) -> Result<std::collections::HashSet<usize>, TreeError> {
-        let mut occupied = std::collections::HashSet::new();
-        for level in self.geometry.path_levels() {
-            let node = self.geometry.path_node_in_level(leaf, level);
-            self.scan_slots(self.geometry.bucket_slot_range(level, node), &mut |slot, _, _| {
-                occupied.insert(slot);
-            })?;
-        }
-        Ok(occupied)
     }
 }
 
@@ -797,34 +946,14 @@ impl BucketStore for DiskStore {
         out.clear();
         out.grow_slots(self.geometry.path_slots() as usize);
         let mut fetched = 0;
-        let mut touched = Vec::new();
         for level in 0..=self.geometry.leaf_level() {
             let node = self.geometry.path_node_in_level(leaf, level);
             let bounds = self.bucket_slot_bounds(level, node);
-            let len = (bounds.end - bounds.start) as usize;
-            touched.clear();
-            self.visit_run(bounds.start, len, |slot, image| {
-                if let Some(image) = image {
-                    out.raw_slot_mut(fetched).copy_from_slice(image);
-                    fetched += 1;
-                }
-                touched.push((slot, image.is_some()));
+            self.take_run(bounds, |image| {
+                out.raw_slot_mut(fetched).copy_from_slice(image);
+                fetched += 1;
             })
             .expect("bucket-store read failed");
-            for &(slot, real) in &touched {
-                if real {
-                    self.store_slot(slot, None);
-                    self.occupied -= 1;
-                } else if self.prefetched_slots() < self.clean_cap {
-                    // Remember the emptiness: the write-back that follows
-                    // a path read probes exactly these slots, and a clean
-                    // known-empty entry saves it the file round trip.
-                    // Purely opportunistic — never evict real cache
-                    // content (e.g. the current readahead window) for a
-                    // memo.
-                    self.cache.entry(slot).or_insert(CachedSlot::CLEAN_EMPTY);
-                }
-            }
         }
         out.set_len(fetched);
         self.maybe_spill();
@@ -853,22 +982,25 @@ impl BucketStore for DiskStore {
         if candidates.is_empty() {
             return;
         }
-        // Learn which path slots are taken, then run the shared greedy
-        // planner against that snapshot.
-        let occupied = self.occupied_path_slots(leaf).expect("bucket-store read failed");
+        // Learn which path slots are free, then run the shared greedy
+        // planner against the index.
+        for level in 0..=self.geometry.leaf_level() {
+            let node = self.geometry.path_node_in_level(leaf, level);
+            let bounds = self.bucket_slot_bounds(level, node);
+            self.learn_empties(bounds).expect("bucket-store read failed");
+        }
         let mut plan = std::mem::take(&mut self.plan);
+        let index = &self.index;
         plan_greedy_write_back(
             &self.geometry,
             leaf,
             candidates,
-            |slot| !occupied.contains(&slot),
+            |slot| known(index[slot]) == Known::Empty,
             &mut plan,
             placed,
         );
         for &(slot, idx) in &plan.placements {
-            let image = self.image_of(candidates.get(idx));
-            self.store_slot(slot as u64, Some(image));
-            self.occupied += 1;
+            self.place(slot as u64, candidates.get(idx));
         }
         self.plan = plan;
         self.maybe_spill();
@@ -876,38 +1008,23 @@ impl BucketStore for DiskStore {
 
     fn read_bucket(&mut self, level: u32, node_in_level: u64) -> Vec<Block> {
         let bounds = self.bucket_slot_bounds(level, node_in_level);
-        let len = (bounds.end - bounds.start) as usize;
-        let (mut slots, mut out) = (Vec::new(), Vec::new());
-        self.visit_run(bounds.start, len, |slot, image| {
-            if let Some(block) = image.and_then(decode_block) {
-                slots.push(slot);
-                out.push(block);
-            }
-        })
-        .expect("bucket-store read failed");
-        for slot in slots {
-            self.store_slot(slot, None);
-            self.occupied -= 1;
-        }
+        let mut out = Vec::new();
+        self.take_run(bounds, |image| out.extend(decode_block(image)))
+            .expect("bucket-store read failed");
         self.maybe_spill();
         out
     }
 
     fn write_bucket(&mut self, level: u32, node_in_level: u64, blocks: Vec<Block>) -> Vec<Block> {
-        let bucket = self.geometry.bucket_slot_range(level, node_in_level);
-        let mut occupied = Vec::new();
-        self.scan_slots(bucket.clone(), &mut |slot, _, _| occupied.push(slot))
-            .expect("bucket-store read failed");
-        let mut occupied = occupied.into_iter().peekable();
+        let bounds = self.bucket_slot_bounds(level, node_in_level);
+        self.learn_empties(bounds.clone()).expect("bucket-store read failed");
         let mut blocks = blocks.into_iter();
-        for slot in bucket {
-            if occupied.next_if_eq(&slot).is_some() {
+        for slot in bounds {
+            if self.entry(slot) != Known::Empty {
                 continue;
             }
             let Some(block) = blocks.next() else { break };
-            let image = self.image_of(Candidate::Block(&block));
-            self.store_slot(slot as u64, Some(image));
-            self.occupied += 1;
+            self.place(slot, Candidate::Block(&block));
         }
         self.maybe_spill();
         blocks.collect()
@@ -931,7 +1048,12 @@ impl BucketStore for DiskStore {
     }
 
     fn clear(&mut self) {
-        self.cache.clear();
+        self.index = vec![UNKNOWN; self.index.len()];
+        self.slab.clear();
+        self.frames.clear();
+        self.free.clear();
+        self.hand = 0;
+        self.clean_images = 0;
         self.dirty.clear();
         self.pending_error = None;
         self.occupied = 0;
@@ -975,9 +1097,11 @@ impl BucketStore for DiskStore {
             return;
         }
         let trace = self.telemetry.as_ref().map(|t| (t.now_ns(), self.io.get()));
+        self.hint = self.hint.checked_add(1).unwrap_or(1);
         // Dedupe bucket runs across the hinted paths (upper levels are
         // heavily shared), honouring the configured path budget.
-        let mut runs = std::collections::BTreeSet::new();
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.clear();
         for leaf in leaves.iter().take(self.readahead_paths) {
             if self.geometry.check_leaf(*leaf).is_err() {
                 continue;
@@ -985,56 +1109,76 @@ impl BucketStore for DiskStore {
             for level in 0..=self.geometry.leaf_level() {
                 let node = self.geometry.path_node_in_level(*leaf, level);
                 let bounds = self.bucket_slot_bounds(level, node);
-                runs.insert((bounds.start, bounds.end));
+                runs.push((bounds.start, bounds.end));
             }
         }
+        runs.sort_unstable();
+        runs.dedup();
+        // Every hinted bucket counts and has its images stamped, so the
+        // clean trim takes them last; only the buckets holding a slot the
+        // index does not know go to the file.
+        let mut hinted = 0;
+        for &(start, end) in &runs {
+            hinted += end - start;
+            for slot in start..end {
+                if let Known::Image(frame) = self.entry(slot) {
+                    self.frames[frame].hint = self.hint;
+                }
+            }
+        }
+        runs.retain(|&(start, end)| self.any_unknown(start..end));
         // Merge runs whose byte gap is under one I/O quantum: at the
         // upper levels a window touches most buckets, so whole levels
-        // collapse into single reads (the gap slots are cached too —
-        // they are clean file data on somebody's path).
+        // collapse into single reads.
         let gap_slots = (READAHEAD_MERGE_BYTES / self.slot_bytes()).max(1);
-        let mut spans: Vec<(u64, u64)> = Vec::new();
-        for (start, end) in runs {
-            match spans.last_mut() {
-                Some((_, last_end)) if start <= *last_end + gap_slots => {
-                    *last_end = (*last_end).max(end);
-                }
-                _ => spans.push((start, end)),
+        let mut spans = 0;
+        for i in 0..runs.len() {
+            let (start, end) = runs[i];
+            if spans > 0 && start <= runs[spans - 1].1 + gap_slots {
+                runs[spans - 1].1 = runs[spans - 1].1.max(end);
+            } else {
+                runs[spans] = (start, end);
+                spans += 1;
             }
         }
-        let mut hinted = Vec::new();
+        runs.truncate(spans);
+        let mut buf = std::mem::take(&mut self.io_buf);
         let slot_bytes = self.slot_bytes() as usize;
-        for (start, end) in spans {
-            let len = (end - start) as usize;
+        for &(start, end) in &runs {
             // Best-effort: a failed prefetch read just means the serving
             // read hits the file (and reports the error there).
-            let Ok(bytes) = self.read_run_bytes(start, len) else { continue };
-            for i in 0..len {
-                let slot = start + i as u64;
-                let image = &bytes[i * slot_bytes..(i + 1) * slot_bytes];
-                // An entry already there is newer than the file (dirty)
-                // or mirrors these very bytes (clean): only absentees
-                // are filled in.
-                if let Entry::Vacant(vacant) = self.cache.entry(slot) {
-                    if check_image(image, slot).is_err() {
-                        continue;
-                    }
-                    let image = (!is_empty(image)).then(|| image.into());
-                    vacant.insert(CachedSlot { image, dirty: false });
+            if self.read_run_bytes(start, (end - start) as usize, &mut buf).is_err() {
+                continue;
+            }
+            // An index entry already there is newer than the file (dirty)
+            // or mirrors these very bytes (clean): only unknown slots are
+            // filled in.
+            for (slot, image) in (start..end).zip(buf.chunks_exact(slot_bytes)) {
+                if self.entry(slot) != Known::Unknown || check_image(image, slot).is_err() {
+                    continue;
                 }
-                hinted.push(slot);
+                if is_empty(image) {
+                    self.index[slot as usize] = EMPTY;
+                    continue;
+                }
+                let frame = self.new_frame(slot);
+                self.frames[frame].hint = self.hint;
+                self.slab[frame * slot_bytes..][..slot_bytes].copy_from_slice(image);
+                self.index[slot as usize] = FRAME_BASE + frame as u32;
+                self.clean_images += 1;
             }
         }
-        self.trim_clean(&hinted);
+        self.io_buf = buf;
+        self.runs = runs;
+        self.trim_clean();
         if let (Some((start_ns, before)), Some(telemetry)) = (trace, self.telemetry.as_ref()) {
             let after = self.io.get();
             telemetry.span(
                 "disk.prefetch",
                 start_ns,
                 Some(format!(
-                    "paths={} slots={} reads={} bytes={}",
+                    "paths={} slots={hinted} reads={} bytes={}",
                     leaves.len().min(self.readahead_paths),
-                    hinted.len(),
                     after.reads - before.reads,
                     after.read_bytes - before.read_bytes
                 )),
@@ -1180,6 +1324,29 @@ mod tests {
         // Too-short files fail the header read; corrupt-but-long files
         // fail the magic check. Both must refuse to open.
         assert!(DiskStore::open(&path, DiskStoreConfig::new()).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A header is outside input: one naming a geometry whose slot index
+    /// cannot be allocated (here 2^34 slots, a 64 GiB index behind a
+    /// sparse 128 GiB file) opens lazily or is refused with a typed
+    /// error, depending on the host's overcommit policy, and never
+    /// aborts the process.
+    #[test]
+    fn open_survives_a_header_naming_an_unallocatable_index() {
+        let path = tmp("huge-header");
+        drop(DiskStore::create(&path, uniform(2, 2), DiskStoreConfig::new()).unwrap());
+        let huge = uniform(30, 8);
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&huge.leaf_level().to_le_bytes(), 32).unwrap();
+        for level in 0..=u64::from(huge.leaf_level()) {
+            file.write_all_at(&8u32.to_le_bytes(), 40 + 4 * level).unwrap();
+        }
+        file.set_len(DiskStore::file_bytes_for(&huge, 0)).unwrap();
+        match DiskStore::open(&path, DiskStoreConfig::new()) {
+            Ok(store) => assert_eq!(store.geometry(), &huge),
+            Err(err) => assert!(matches!(err, TreeError::Io(_)), "got {err}"),
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1333,15 +1500,24 @@ mod tests {
     }
 
     /// One cache, two budgets: readahead that overflows the clean budget
-    /// evicts clean entries only — the unflushed writes sharing the map
-    /// stay — and an entry for an empty slot holds no image.
+    /// evicts clean images only — the unflushed writes sharing the slab
+    /// stay — and a slot known to be empty holds no image.
     #[test]
     fn clean_trim_never_evicts_dirty_entries() {
         let path = tmp("trim");
         let cfg = DiskStoreConfig::new().readahead_paths(1).write_back_paths(1000);
         let mut s = DiskStore::create(&path, uniform(5, 4), cfg).unwrap();
+        // Synced images that outnumber the clean budget, for readahead
+        // to bring back, then unflushed writes beside them.
+        let on_file = 4 * s.geometry().path_slots() as u32 + 8;
+        for id in 0..on_file {
+            let block = Block::metadata_only(BlockId::new(id), LeafId::new(id % 32));
+            assert!(s.place_for_init(block).unwrap().is_none());
+        }
+        s.sync().unwrap();
         for leaf in 0..32u32 {
-            let mut blocks = vec![Block::metadata_only(BlockId::new(leaf), LeafId::new(leaf))];
+            let id = on_file + leaf;
+            let mut blocks = vec![Block::metadata_only(BlockId::new(id), LeafId::new(leaf))];
             s.write_path(LeafId::new(leaf), &mut blocks);
         }
         let dirty = s.dirty_slots();
@@ -1351,12 +1527,16 @@ mod tests {
         }
         assert_eq!(s.dirty_slots(), dirty, "the clean trim evicted an unflushed write");
         assert!(s.prefetched_slots() > 0 && s.prefetched_slots() <= s.clean_cap);
-        assert!(s.cache.values().all(|c| c.dirty == c.image.is_some()), "an empty owns an image");
-        assert_eq!(s.collect_blocks().len(), 32);
+        let empty_image = s.index.iter().any(|&e| match known(e) {
+            Known::Image(frame) => is_empty(s.frame(frame)),
+            _ => false,
+        });
+        assert!(!empty_image, "an empty owns an image");
+        assert_eq!(s.collect_blocks().len(), on_file as usize + 32);
         s.sync().unwrap();
         assert_eq!(s.dirty_slots(), 0);
         assert!(s.prefetched_slots() <= s.clean_cap);
-        s.verify_consistency(32).unwrap();
+        s.verify_consistency(u64::from(on_file) + 32).unwrap();
         drop(s);
         let _ = std::fs::remove_file(&path);
     }
@@ -1367,8 +1547,13 @@ mod tests {
         let mut s =
             DiskStore::create(&path, uniform(3, 2), DiskStoreConfig::new().readahead_paths(0))
                 .unwrap();
+        let mut blocks = vec![Block::metadata_only(BlockId::new(1), LeafId::new(0))];
+        s.write_path(LeafId::new(0), &mut blocks);
+        s.sync().unwrap();
+        let reads = s.io_stats().unwrap().reads;
         s.prefetch_paths(&[LeafId::new(0), LeafId::new(1)]);
         assert_eq!(s.prefetched_slots(), 0);
+        assert_eq!(s.io_stats().unwrap().reads, reads, "a disabled prefetch read the file");
         drop(s);
         let _ = std::fs::remove_file(&path);
     }

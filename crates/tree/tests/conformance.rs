@@ -240,6 +240,12 @@ fn conformance<S: BucketStore>(make: impl Fn(TreeGeometry) -> S) {
                 let medium_reads = store.io_stats().map(|io| io.reads);
                 store.read_path_into(leaf, &mut scratch);
                 assert!(!hinted || store.io_stats().map(|io| io.reads) == medium_reads);
+                // The read left every slot of the path known, so a hint
+                // naming it again has nothing to fetch from the medium.
+                let medium_reads = store.io_stats().map(|io| io.reads);
+                store.prefetch_paths(&[leaf]);
+                let reread = store.io_stats().map(|io| io.reads) != medium_reads;
+                assert!(!reread, "round {round}: a hint re-read a known path");
                 let expected = model.take(model.path_slots(leaf));
                 assert_eq!(scratch_blocks(&scratch), expected, "round {round}: read_path_into");
                 expected

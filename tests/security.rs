@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use laoram::analysis::UniformityAudit;
 use laoram::core::{BatchOp, LaOram, LaOramConfig, SuperblockBinning, SuperblockPlanner};
 use laoram::protocol::{AccessObserver, PathOramClient, PathOramConfig, ServerOp};
+use laoram::service::{LaoramService, Request, ServiceConfig, TableSpec};
 use laoram::tree::{ArenaStore, ArenaStoreConfig, BlockId, LeafId};
 use laoram::workloads::{DlrmTraceConfig, Trace, TraceKind};
 
@@ -224,4 +225,56 @@ fn parking_client_requests_are_uniform() {
         audit.frequency().p_value,
         audit.serial().map(|x| x.p_value)
     );
+}
+
+/// Per shard, after 32 drained groups of 512 reads of `row(i)` against
+/// one padded 16 384-row, 2-shard, S = 8 table: (accesses served, paths
+/// the store read — real path reads plus dummy reads).
+fn shard_volumes_and_path_reads(row: impl Fn(u32) -> u32) -> Vec<(u64, u64)> {
+    let table = TableSpec::new("t", 16_384).shards(2).superblock_size(8).payloads(false).seed(11);
+    let mut service =
+        LaoramService::start(ServiceConfig::new().table(table).pad_shard_batches(true))
+            .expect("start");
+    for group in 0..32u32 {
+        service
+            .submit((0..512).map(|i| Request::read(0, row(group * 512 + i))).collect())
+            .expect("submit");
+        service.drain().expect("drain");
+    }
+    let counts = service
+        .stats()
+        .shards
+        .iter()
+        .map(|s| (s.stats.real_accesses, s.stats.path_reads + s.stats.dummy_reads))
+        .collect();
+    service.shutdown().expect("shutdown");
+    counts
+}
+
+/// A documented leak, pinned so that a change to it is deliberate: the
+/// store sees *how many* paths each window reads, and that count follows
+/// the private stream even with padding on. Path reads per window are
+/// bins plus cold misses plus dummy reads, and cold misses measure the
+/// stream's reuse: a short repeating stream keeps finding its rows in the
+/// superblocks it already fetched, a permutation never does. Padding
+/// equalises the accesses each shard serves, not the paths it reads.
+#[test]
+fn padding_equalises_volumes_but_path_reads_follow_the_private_stream() {
+    let repeating = shard_volumes_and_path_reads(|i| i % 97);
+    // 7 919 is odd, so `i × 7 919 mod 2^14` visits every row once.
+    let permutation = shard_volumes_and_path_reads(|i| i * 7919 % 16_384);
+    for counts in [&repeating, &permutation] {
+        assert_eq!(counts.len(), 2);
+        assert_eq!(counts[0].0, counts[1].0, "padding left unequal shard volumes: {counts:?}");
+    }
+    let (served, served_too) = (repeating[0].0 as f64, permutation[0].0 as f64);
+    assert!((served / served_too - 1.0).abs() < 0.1, "{repeating:?} vs {permutation:?}");
+    for shard in 0..2 {
+        let (few, many) = (repeating[shard].1, permutation[shard].1);
+        assert!(
+            many > 4 * few,
+            "shard {shard}: {few} path reads for a 97-row loop against {many} for a \
+             permutation; the documented gap closed, so update this test and the notes"
+        );
+    }
 }
