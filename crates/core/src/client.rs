@@ -184,9 +184,6 @@ fn proto_config(config: &LaOramConfig) -> PathOramConfig {
         .with_seed(config.seed)
         .with_payloads(config.payloads)
         .with_populate(!config.warm_start);
-    if let Some(levels) = config.levels {
-        proto_cfg = proto_cfg.with_levels(levels);
-    }
     if let Some(key) = config.sealing_key {
         proto_cfg = proto_cfg.with_sealing_key(key);
     }

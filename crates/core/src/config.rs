@@ -14,7 +14,6 @@ pub struct LaOramConfig {
     pub(crate) superblock_size: u32,
     pub(crate) fat_tree: bool,
     pub(crate) bucket_capacity: u32,
-    pub(crate) levels: Option<u32>,
     pub(crate) eviction: EvictionConfig,
     pub(crate) seed: u64,
     pub(crate) warm_start: bool,
@@ -33,7 +32,6 @@ impl LaOramConfig {
                 superblock_size: 4,
                 fat_tree: false,
                 bucket_capacity: 4,
-                levels: None,
                 eviction: EvictionConfig::paper_default(),
                 seed: 0xC0FF_EE02,
                 warm_start: true,
@@ -86,13 +84,7 @@ impl LaOramConfig {
     /// # Errors
     /// Propagates geometry validation failures.
     pub fn geometry(&self) -> Result<oram_tree::TreeGeometry, LaOramError> {
-        let geometry = match self.levels {
-            Some(levels) => oram_tree::TreeGeometry::with_levels(levels, self.profile())?,
-            None => {
-                oram_tree::TreeGeometry::for_blocks(u64::from(self.num_blocks), self.profile())?
-            }
-        };
-        Ok(geometry)
+        Ok(oram_tree::TreeGeometry::for_blocks(u64::from(self.num_blocks), self.profile())?)
     }
 }
 
@@ -137,13 +129,6 @@ impl LaOramConfigBuilder {
     #[must_use]
     pub fn bucket_capacity(mut self, z: u32) -> Self {
         self.config.bucket_capacity = z;
-        self
-    }
-
-    /// Forces a specific tree leaf level.
-    #[must_use]
-    pub fn levels(mut self, levels: u32) -> Self {
-        self.config.levels = Some(levels);
         self
     }
 

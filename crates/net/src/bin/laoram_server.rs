@@ -102,7 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = BatchPolicy::new()
         .max_batch(args.max_batch)
         .max_delay(Duration::from_micros(args.max_delay_us))
-        .align_to_superblock(true)
         .fixed_cadence(args.fixed_cadence);
     let mut config = ServiceConfig::new().queue_depth(4).batch_policy(policy);
     for t in 0..args.tables {

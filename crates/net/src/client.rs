@@ -52,7 +52,6 @@ pub struct NetClient {
     /// exposition).
     pending: std::collections::VecDeque<NetEvent>,
     session: u64,
-    max_frame_bytes: usize,
 }
 
 impl NetClient {
@@ -72,7 +71,6 @@ impl NetClient {
             wbuf: Vec::new(),
             pending: std::collections::VecDeque::new(),
             session: 0,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
         };
         client.send_frame(&Frame::Hello { version: PROTOCOL_VERSION, tenant })?;
         match client.recv_frame()? {
@@ -268,7 +266,7 @@ impl NetClient {
     fn try_recv_frame(&mut self) -> Result<Option<Frame>> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            match frame::decode(&self.rbuf, self.max_frame_bytes)? {
+            match frame::decode(&self.rbuf, DEFAULT_MAX_FRAME_BYTES)? {
                 Some((frame, consumed)) => {
                     self.rbuf.drain(..consumed);
                     return Ok(Some(frame));
@@ -287,7 +285,7 @@ impl NetClient {
     fn recv_frame(&mut self) -> Result<Frame> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            match frame::decode(&self.rbuf, self.max_frame_bytes)? {
+            match frame::decode(&self.rbuf, DEFAULT_MAX_FRAME_BYTES)? {
                 Some((frame, consumed)) => {
                     self.rbuf.drain(..consumed);
                     return Ok(frame);

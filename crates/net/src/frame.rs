@@ -27,8 +27,8 @@ pub const MIN_PROTOCOL_VERSION: u16 = 1;
 /// Handshake magic leading every [`Frame::Hello`] body: `b"LAOR"`.
 pub const HELLO_MAGIC: [u8; 4] = *b"LAOR";
 
-/// Default cap on one frame's body length (kind byte + payload), in
-/// bytes.
+/// Cap on one frame's body length (kind byte + payload), in bytes. The
+/// server and [`NetClient`](crate::NetClient) both decode with it.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Sentinel request id on a connection-level [`Frame::Error`] (one not

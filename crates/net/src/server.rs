@@ -72,8 +72,6 @@ pub struct NetServerConfig {
     pub addr: String,
     /// Reactor threads sharing the connection set (clamped to ≥ 1).
     pub reactors: usize,
-    /// Per-frame body-size cap enforced from the length prefix alone.
-    pub max_frame_bytes: usize,
     /// Global in-flight request cap ([`ErrorCode::Overloaded`] beyond).
     pub max_inflight: u64,
     /// Per-tenant in-flight cap ([`ErrorCode::TenantThrottled`] beyond).
@@ -88,7 +86,6 @@ impl Default for NetServerConfig {
         NetServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             reactors: 2,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             max_inflight: 4096,
             max_inflight_per_tenant: 1024,
             drr_quantum: 32,
@@ -108,13 +105,6 @@ impl NetServerConfig {
     #[must_use]
     pub fn reactors(mut self, reactors: usize) -> Self {
         self.reactors = reactors;
-        self
-    }
-
-    /// Sets the frame-size cap.
-    #[must_use]
-    pub fn max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = bytes;
         self
     }
 
@@ -182,7 +172,6 @@ struct NetState {
     /// The listener is gone and the micro-batcher flushed: reactors answer
     /// what is in flight, close their connections and exit.
     stop: AtomicBool,
-    max_frame_bytes: usize,
     /// Per-reactor handoff of freshly accepted connections.
     intake: Vec<Mutex<Intake>>,
     connections_accepted: AtomicU64,
@@ -231,7 +220,6 @@ impl NetServer {
             drr_quantum: config.drr_quantum,
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            max_frame_bytes: config.max_frame_bytes,
             intake: (0..reactors).map(|_| Mutex::new(Vec::new())).collect(),
             connections_accepted: AtomicU64::new(0),
             discarded_responses: AtomicU64::new(0),
@@ -497,7 +485,7 @@ impl ConnIo {
         }
         let mut consumed = 0usize;
         loop {
-            match frame::decode(&self.rbuf[consumed..], state.max_frame_bytes) {
+            match frame::decode(&self.rbuf[consumed..], DEFAULT_MAX_FRAME_BYTES) {
                 Ok(Some((parsed, used))) => {
                     consumed += used;
                     state.frames_in.fetch_add(1, Ordering::Relaxed);

@@ -17,10 +17,10 @@ use super::reassembly::Reassembly;
 use super::worker::run_worker;
 use super::{LaoramService, ShardClient, Shared, WorkerMsg};
 use crate::ingress::{Ingress, PIPELINE_DEPTH};
-use crate::telemetry::Flight;
+use crate::telemetry::{Flight, SAMPLE_WINDOW};
 use crate::{
-    DiskBackendSpec, ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend,
-    TableRecovery, TableSpec, TableStatus,
+    ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend, TableRecovery,
+    TableSpec, TableStatus,
 };
 
 /// Monotonic discriminator making concurrent services' spill directories
@@ -46,13 +46,6 @@ impl LaoramService {
             return Err(ServiceError::InvalidConfig(
                 "BatchPolicy::fixed_cadence needs a nonzero max_delay (the cadence period)".into(),
             ));
-        }
-        // Auto-spill tables are scratch-only: their client state is never
-        // persisted and their files die with the service, so a spill
-        // tuning spec asking for snapshots is a typed refusal — silently
-        // starting fresh would let data loss masquerade as recovery.
-        if config.spill_spec.as_ref().is_some_and(|spill| spill.snapshots) {
-            return Err(ServiceError::ScratchOnlySpill);
         }
         // Optimizer layouts are validated up front: a fused update applies
         // gradients in-stash, which needs payloads enabled and rows wide
@@ -263,7 +256,6 @@ impl LaoramService {
                     shard,
                     laoram_config,
                     table_recover[table],
-                    config.spill_spec.as_ref(),
                     flight.as_deref(),
                     worker as u32,
                 )?;
@@ -329,7 +321,7 @@ impl LaoramService {
         // schedule leaks nothing about traffic.
         let sampler = config.telemetry.as_ref().and_then(|spec| {
             spec.sample_interval.map(|interval| {
-                Sampler::start(shared.instruments.registry.clone(), interval, spec.sample_window)
+                Sampler::start(shared.instruments.registry.clone(), interval, SAMPLE_WINDOW)
             })
         });
 
@@ -478,7 +470,6 @@ fn build_client(
     shard: u32,
     laoram_config: &LaOramConfig,
     recover: bool,
-    spill_spec: Option<&DiskBackendSpec>,
     flight: Option<&Flight>,
     worker: u32,
 ) -> Result<(ShardClient, Option<u64>), ServiceError> {
@@ -513,27 +504,18 @@ fn build_client(
             })?;
             let file = shard_file_path(dir, spec, table, shard);
             let mut disk_config = DiskStoreConfig::new().payload_capacity(payload_capacity);
-            // Explicit disk tables carry their own tuning; Auto spill
-            // takes the service-wide spill_spec (its dir and snapshots
-            // fields do not apply — snapshots on the spill path were
-            // refused at start) or DiskStoreConfig's defaults.
-            let mut snapshots = false;
-            let mut durable = false;
-            let tuning = match &spec.backend {
-                StorageBackend::Disk(d) => Some(d),
-                StorageBackend::Auto => spill_spec,
-                _ => None,
-            };
-            if let Some(d) = tuning {
-                disk_config = disk_config
-                    .write_back_paths(d.write_back_paths)
-                    .durable_sync(d.durable_sync)
-                    .readahead_paths(d.readahead_paths);
-                if matches!(&spec.backend, StorageBackend::Disk(_)) {
-                    snapshots = d.snapshots;
+            // Explicit disk tables carry their own tuning; an Auto spill
+            // runs on DiskStoreConfig's defaults and never snapshots.
+            let (snapshots, durable) = match &spec.backend {
+                StorageBackend::Disk(d) => {
+                    disk_config = disk_config
+                        .write_back_paths(d.write_back_paths)
+                        .durable_sync(d.durable_sync)
+                        .readahead_paths(d.readahead_paths);
+                    (d.snapshots, d.durable_sync)
                 }
-                durable = d.durable_sync;
-            }
+                _ => (false, false),
+            };
             if let Some(hook) = &store_telemetry {
                 disk_config = disk_config.telemetry(hook.clone());
             }

@@ -58,18 +58,6 @@ pub enum ServiceError {
         /// The requested ticket id.
         ticket: u64,
     },
-    /// Snapshots were requested for the [`StorageBackend::Auto`] spill
-    /// path ([`ServiceConfig::spill_spec`]), which is scratch-only by
-    /// design: spill files are service-owned, deleted at shutdown, and
-    /// never carry the client state a restart needs. Refused at startup
-    /// so data loss cannot masquerade as recovery — a restartable table
-    /// needs an explicit [`StorageBackend::Disk`] backend with
-    /// [`DiskBackendSpec::snapshots`](crate::DiskBackendSpec::snapshots).
-    ///
-    /// [`StorageBackend::Auto`]: crate::StorageBackend::Auto
-    /// [`StorageBackend::Disk`]: crate::StorageBackend::Disk
-    /// [`ServiceConfig::spill_spec`]: crate::ServiceConfig::spill_spec
-    ScratchOnlySpill,
     /// A fused-update request named a table that declares no
     /// [`TableSpec::optimizer`](crate::TableSpec::optimizer) layout —
     /// the service cannot apply gradients without knowing the row's
@@ -129,12 +117,6 @@ impl fmt::Display for ServiceError {
             ServiceError::TicketClaimed { ticket } => {
                 write!(f, "request ticket {ticket} already claimed")
             }
-            ServiceError::ScratchOnlySpill => write!(
-                f,
-                "spill_spec requests snapshots, but Auto-spilled tables are scratch-only \
-                 (their files are deleted at shutdown and cannot be recovered); use an \
-                 explicit StorageBackend::Disk backend for restartable tables"
-            ),
             ServiceError::NoOptimizerLayout { table } => {
                 write!(f, "table {table} declares no optimizer layout; fetch_update refused")
             }

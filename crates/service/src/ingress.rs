@@ -17,7 +17,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use laoram_telemetry::SpanRecord;
@@ -202,7 +202,8 @@ struct PendingQueue {
     /// Rotating cursor choosing cadence-padding rows.
     pad_cursor: u64,
     shutdown: bool,
-    /// The preprocessor is gone: nothing queued will ever be taken.
+    /// The preprocessor is gone, or a panic poisoned the lock: nothing
+    /// queued will ever be taken.
     closed: bool,
 }
 
@@ -292,8 +293,7 @@ enum Close {
 #[derive(Debug, Clone, Copy)]
 struct CloseRule {
     /// The size of a size-triggered (or cadence) group: `max_batch`,
-    /// rounded down to the superblock quantum when alignment is on and
-    /// fits.
+    /// rounded down to the superblock quantum when it fits.
     flush_len: usize,
     /// `max_delay`: the coalescing deadline, or the cadence period.
     delay_ns: u64,
@@ -305,11 +305,8 @@ struct CloseRule {
 impl CloseRule {
     fn new(policy: &BatchPolicy, quantum: usize) -> Self {
         let max_batch = policy.max_batch.max(1);
-        let flush_len = if policy.align_to_superblock && max_batch >= quantum {
-            max_batch - max_batch % quantum
-        } else {
-            max_batch
-        };
+        let flush_len =
+            if max_batch >= quantum { max_batch - max_batch % quantum } else { max_batch };
         let delay_ns = policy.max_delay.as_nanos().min(u128::from(u64::MAX)) as u64;
         CloseRule { flush_len, delay_ns, fixed_cadence: policy.fixed_cadence, quantum }
     }
@@ -430,6 +427,30 @@ impl Ingress {
         }
     }
 
+    /// The `pending` lock, entered even when poisoned.
+    fn lock(&self) -> MutexGuard<'_, PendingQueue> {
+        self.entered(self.pending.lock())
+    }
+
+    /// The guard of a `pending` lock or of a wait on it. A panic under the
+    /// lock may have left the queue half updated, so a poisoned lock reads
+    /// as closed: submissions fail with [`ServiceError::Disconnected`], the
+    /// preprocessor exits, and nobody panics in turn.
+    fn entered<'a>(
+        &self,
+        result: LockResult<MutexGuard<'a, PendingQueue>>,
+    ) -> MutexGuard<'a, PendingQueue> {
+        result.unwrap_or_else(|poisoned| {
+            let mut pending = poisoned.into_inner();
+            if !pending.closed {
+                pending.closed = true;
+                self.batcher_wake.notify_all();
+                self.ready_space.notify_all();
+            }
+            pending
+        })
+    }
+
     /// The lane quantum of in-process sessions: the superblock alignment
     /// quantum, so each visit yields one superblock per shard worker in
     /// expectation.
@@ -453,7 +474,7 @@ impl Ingress {
     /// one quantum is pending, when the free slot changes no verdict and a
     /// wake-up per group would only cost the batch path a context switch.
     pub fn group_published(&self) {
-        let mut pending = self.pending.lock().expect("ingress lock");
+        let mut pending = self.lock();
         pending.in_flight = pending.in_flight.saturating_sub(1);
         self.shared.instruments.ingress_in_flight.set(pending.in_flight as u64);
         if pending.entries.len() >= self.rule.quantum {
@@ -463,7 +484,7 @@ impl Ingress {
 
     /// The ticket high-water mark: ids below this have been issued.
     pub fn issued(&self) -> u64 {
-        self.pending.lock().expect("ingress lock").next_ticket
+        self.lock().next_ticket
     }
 
     /// Whether submissions are still accepted.
@@ -497,7 +518,7 @@ impl Ingress {
     ) -> Result<RequestTicket, ServiceError> {
         self.router.validate(&request)?;
         let enqueue_ns = self.shared.now_ns();
-        let mut pending = self.pending.lock().expect("ingress lock");
+        let mut pending = self.lock();
         Self::check_open(&pending)?;
         let ticket = pending.next_ticket;
         pending.next_ticket += 1;
@@ -527,7 +548,7 @@ impl Ingress {
     /// horizon is recorded (the flush itself is asynchronous — a
     /// subsequent `wait` observes it).
     pub fn flush(&self) -> Result<(), ServiceError> {
-        let mut pending = self.pending.lock().expect("ingress lock");
+        let mut pending = self.lock();
         pending.flush_horizon = pending.next_ticket;
         self.batcher_wake.notify_all();
         Ok(())
@@ -548,7 +569,7 @@ impl Ingress {
             self.router.validate(request)?;
         }
         let enqueue_ns = self.shared.now_ns();
-        let mut pending = self.pending.lock().expect("ingress lock");
+        let mut pending = self.lock();
         loop {
             Self::check_open(&pending)?;
             if requests.is_empty() {
@@ -560,7 +581,7 @@ impl Ingress {
             if !block {
                 return Err(ServiceError::Backpressure(requests));
             }
-            pending = self.ready_space.wait(pending).expect("ingress wait");
+            pending = self.entered(self.ready_space.wait(pending));
         }
         let first = pending.next_ticket;
         let len = requests.len() as u64;
@@ -575,9 +596,9 @@ impl Ingress {
     /// Orders a stats reset behind every group already queued, blocking
     /// while the queue is full.
     pub fn send_reset(&self) -> Result<(), ServiceError> {
-        let mut pending = self.pending.lock().expect("ingress lock");
+        let mut pending = self.lock();
         while pending.ready.len() >= self.queue_depth && !pending.closed {
-            pending = self.ready_space.wait(pending).expect("ingress wait");
+            pending = self.entered(self.ready_space.wait(pending));
         }
         if pending.closed {
             return Err(ServiceError::Disconnected);
@@ -590,7 +611,7 @@ impl Ingress {
     /// Stops accepting new requests and tells the preprocessor to drain
     /// what is queued and exit.
     pub fn begin_shutdown(&self) {
-        self.pending.lock().expect("ingress lock").shutdown = true;
+        self.lock().shutdown = true;
         self.batcher_wake.notify_all();
         self.ready_space.notify_all();
     }
@@ -600,7 +621,7 @@ impl Ingress {
     /// work nobody will take. Runs from the preprocessor's drop guard,
     /// possibly mid-panic, so a poisoned lock is entered.
     pub fn close(&self) {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.lock().closed = true;
         self.ready_space.notify_all();
     }
 
@@ -615,9 +636,12 @@ impl Ingress {
     /// each call: a tick that passed while the preprocessor was blocked
     /// dispatching is skipped, never closed late, off the grid.
     pub fn take(&self) -> Taken {
-        let mut pending = self.pending.lock().expect("ingress lock");
+        let mut pending = self.lock();
         pending.last_close_ns = self.shared.now_ns();
         loop {
+            if pending.closed {
+                return Taken::Exit;
+            }
             let now_ns = self.shared.now_ns();
             let ready_first = !pending.ready.is_empty()
                 && (pending.ready_turn || pending.ready.iter().any(|r| matches!(r, Ready::Reset)));
@@ -652,9 +676,14 @@ impl Ingress {
                 Some(Close::Exit) => return Taken::Exit,
                 Some(Close::Wait(Some(until))) => {
                     let timeout = Duration::from_nanos(until.saturating_sub(now_ns));
-                    self.batcher_wake.wait_timeout(pending, timeout).expect("ingress wait").0
+                    match self.batcher_wake.wait_timeout(pending, timeout) {
+                        Ok((pending, _)) => pending,
+                        Err(poisoned) => {
+                            self.entered(Err(PoisonError::new(poisoned.into_inner().0)))
+                        }
+                    }
                 }
-                _ => self.batcher_wake.wait(pending).expect("ingress wait"),
+                _ => self.entered(self.batcher_wake.wait(pending)),
             };
         }
     }
@@ -763,11 +792,31 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_lock_reads_as_closed() {
+        let ingress = ingress(&BatchPolicy::new(), 4);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _pending = ingress.pending.lock().unwrap();
+                    panic!("panic under the ingress lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err() && ingress.pending.is_poisoned());
+        let submitted = ingress.submit_request(0, Request::read(0, 1));
+        assert!(matches!(submitted, Err(ServiceError::Disconnected)), "{submitted:?}");
+        let batch = ingress.submit_batch(vec![Request::read(0, 2)], true);
+        assert!(matches!(batch, Err(ServiceError::Disconnected)), "{batch:?}");
+        assert!(matches!(ingress.send_reset(), Err(ServiceError::Disconnected)));
+        ingress.group_published();
+        assert!(matches!(ingress.take(), Taken::Exit));
+    }
+
+    #[test]
     fn flush_len_aligns_only_when_it_fits() {
         assert_eq!(rule(false).flush_len, 8);
         let policy = BatchPolicy::new().max_batch(10);
         assert_eq!(CloseRule::new(&policy, 16).flush_len, 10, "quantum above max_batch");
-        assert_eq!(CloseRule::new(&policy.align_to_superblock(false), 4).flush_len, 10);
     }
 
     #[test]

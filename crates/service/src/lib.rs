@@ -13,9 +13,9 @@
 //!   [`Session`]) returns a [`RequestTicket`], and an internal
 //!   **micro-batcher** coalesces pending requests into superblock-aligned
 //!   pipeline groups under a configurable [`BatchPolicy`]
-//!   (`max_batch` / `max_delay` / `align_to_superblock`) — lookahead
-//!   preprocessing still sees full windows, but callers never assemble
-//!   batches by hand.
+//!   (`max_batch` / `max_delay`; a size-triggered group is rounded down
+//!   to whole superblock quanta) — lookahead preprocessing still sees
+//!   full windows, but callers never assemble batches by hand.
 //! * **Poll-based completion** — results are claimed from a completion
 //!   queue: [`try_complete`](LaoramService::try_complete) (non-blocking) or
 //!   [`complete_blocking`](LaoramService::complete_blocking) (lowest ready
@@ -117,21 +117,20 @@
 //!   tables closes that residual too, at a bandwidth price that grows
 //!   with the table count — counted in
 //!   [`ServiceStats::pad_accesses`].)
-//! * **Hot-set replication & weighted partitioning.** A *declared*
+//! * **Hot-set replication & weighted partitioning.** A
 //!   [`HotSetSpec`] or [`PartitionStrategy::Weighted`] weighting is
 //!   static configuration: replica reads pick a shard from per-group
 //!   operation *counts* (already public as shard volumes) or a
 //!   round-robin cursor, and write fan-out touches all shards of the
 //!   table uniformly — neither depends on which rows the traffic
 //!   touched, so routing adds no leakage beyond the config itself.
-//!   A hot set *derived from observed traffic*
-//!   ([`HotSetSpec::observed_top_k`]) is different: the deployed
+//!   A hot set *picked from observed traffic* is different: the deployed
 //!   configuration then **encodes the historical access histogram**
 //!   (which rows were hot), and an adversary who reads the config, or
 //!   probes which rows are answered by multiple shards, learns it.
-//!   Treat observed-mode configs as sensitive as the traffic they were
-//!   derived from, and prefer a priori hot sets (vocabulary
-//!   frequencies, feature cardinalities) when available. Padding
+//!   Treat such a config as sensitive as the traffic it was derived
+//!   from, and prefer a priori hot sets (vocabulary frequencies,
+//!   feature cardinalities) when available. Padding
 //!   composes with both mitigations: pads are applied after replica
 //!   fan-out, so padded volumes count the replicated traffic
 //!   correctly.

@@ -149,12 +149,9 @@ pub enum TableRecovery {
     /// and never recoverable (no client state is persisted for them).
     /// Reported distinctly from [`Fresh`](Self::Fresh) so an operator
     /// reading [`table_status`](crate::LaoramService::table_status)
-    /// cannot mistake an ephemeral spill for a restartable table; a
-    /// table that must survive restarts needs
-    /// [`StorageBackend::Disk`] with
-    /// [`DiskBackendSpec::snapshots`] — asking for snapshots on the
-    /// Auto spill path is refused with the typed
-    /// [`ServiceError::ScratchOnlySpill`](crate::ServiceError::ScratchOnlySpill).
+    /// cannot mistake an ephemeral spill for a restartable table. A
+    /// spill never snapshots: a table that must survive restarts needs
+    /// [`StorageBackend::Disk`] with [`DiskBackendSpec::snapshots`].
     Scratch,
 }
 
@@ -202,16 +199,13 @@ pub enum ReplicaPlacement {
 ///
 /// # Leakage
 ///
-/// A **declared** hot set ([`HotSetSpec::declared`]) is static
-/// configuration: routing decisions depend on it and on per-group
-/// operation *counts*, never on which rows the traffic actually
-/// touched, so it adds no leakage beyond the config itself. A hot set
-/// **derived from observed traffic**
-/// ([`HotSetSpec::observed_top_k`]) is different: the chosen rows — and
-/// therefore the shard-placement the adversary can probe — encode the
-/// historical access frequencies of real rows. Only use the observed
-/// mode on traffic you are willing to reveal at that granularity; see
-/// the crate-level security notes.
+/// A hot set ([`HotSetSpec::declared`]) is static configuration:
+/// routing decisions depend on it and on per-group operation *counts*,
+/// never on which rows the traffic actually touched, so it adds no
+/// leakage beyond the config itself. Rows picked from observed traffic
+/// are different: the chosen rows — and therefore the shard placement
+/// the adversary can probe — encode the historical access frequencies
+/// of real rows; see the crate-level security notes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotSetSpec {
     /// The replicated rows (deduplicated, validated against the table's
@@ -226,27 +220,6 @@ impl HotSetSpec {
     #[must_use]
     pub fn declared(rows: impl Into<Vec<u32>>) -> Self {
         HotSetSpec { rows: rows.into(), placement: ReplicaPlacement::default() }
-    }
-
-    /// Derives the hot set from an **observed access stream**: the `k`
-    /// most frequently accessed rows (ties broken by lower index).
-    ///
-    /// **Leakage note:** the resulting configuration encodes the access
-    /// histogram of `accesses` — deploying it reveals which rows were
-    /// historically hot to anyone who can read the config or probe the
-    /// replica layout. Prefer [`declared`](Self::declared) with a hot
-    /// set known a priori (vocabulary frequencies, feature cardinality)
-    /// whenever possible.
-    #[must_use]
-    pub fn observed_top_k(accesses: &[u32], k: usize) -> Self {
-        let mut counts: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for &index in accesses {
-            *counts.entry(index).or_insert(0) += 1;
-        }
-        let mut ranked: Vec<(u32, u64)> = counts.into_iter().collect();
-        ranked.sort_by_key(|&(index, count)| (std::cmp::Reverse(count), index));
-        ranked.truncate(k);
-        HotSetSpec::declared(ranked.into_iter().map(|(index, _)| index).collect::<Vec<_>>())
     }
 
     /// Sets the replica-read placement policy.
@@ -489,12 +462,13 @@ pub(crate) fn disk_slot_bytes(spec: &TableSpec) -> u64 {
 /// **Coalescing** (the default). A group closes as soon as `max_batch`
 /// requests are pending, or when [`flush`](crate::LaoramService::flush)
 /// covers the oldest pending request, or at shutdown, or when the *oldest*
-/// pending request has waited `max_delay` — whichever comes first. With
-/// `align_to_superblock` set, the size-triggered group is rounded down to
-/// the service's superblock quantum (`max(table superblock size) × total
-/// shard workers`) so the lookahead preprocessor keeps seeing full
-/// superblock windows per shard; flush, shutdown and the deadline take
-/// everything pending, unaligned — bounding latency wins over alignment.
+/// pending request has waited `max_delay` — whichever comes first. When
+/// `max_batch` is at least the service's superblock quantum
+/// (`max(table superblock size) × total shard workers`), the
+/// size-triggered group is rounded down to whole quanta so the lookahead
+/// preprocessor keeps seeing full superblock windows per shard; flush,
+/// shutdown and the deadline take everything pending, unaligned —
+/// bounding latency wins over alignment.
 /// One more trigger keeps the shards busy: while fewer than two groups are
 /// in the pipeline (one serving, one being planned) and at least one
 /// quantum is pending, the batcher closes the pending requests cut down to
@@ -527,8 +501,6 @@ pub struct BatchPolicy {
     /// Flush when the oldest pending request has waited this long (an
     /// upper bound: a free pipeline slot closes a quantum sooner).
     pub max_delay: Duration,
-    /// Round size-triggered flushes down to the superblock quantum.
-    pub align_to_superblock: bool,
     /// Close a group every `max_delay` on an absolute schedule, padding
     /// each up to the size-triggered length with dummy reads, so group
     /// boundaries and sizes stop tracking offered load (the batch-timing
@@ -537,16 +509,11 @@ pub struct BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// The default policy: up to 1024 requests or 2 ms, aligned, with
+    /// The default policy: up to 1024 requests or 2 ms, with
     /// load-dependent flushes.
     #[must_use]
     pub fn new() -> Self {
-        BatchPolicy {
-            max_batch: 1024,
-            max_delay: Duration::from_millis(2),
-            align_to_superblock: true,
-            fixed_cadence: false,
-        }
+        BatchPolicy { max_batch: 1024, max_delay: Duration::from_millis(2), fixed_cadence: false }
     }
 
     /// Sets the size trigger.
@@ -560,13 +527,6 @@ impl BatchPolicy {
     #[must_use]
     pub fn max_delay(mut self, max_delay: Duration) -> Self {
         self.max_delay = max_delay;
-        self
-    }
-
-    /// Enables or disables superblock alignment of size-triggered flushes.
-    #[must_use]
-    pub fn align_to_superblock(mut self, align: bool) -> Self {
-        self.align_to_superblock = align;
         self
     }
 
@@ -608,46 +568,24 @@ pub struct TelemetrySpec {
     /// starts no sampler thread — snapshots are still available on
     /// demand via [`telemetry_snapshot`](crate::LaoramService::telemetry_snapshot).
     pub sample_interval: Option<Duration>,
-    /// Snapshots retained by the sampler (oldest evicted first).
-    pub sample_window: usize,
-    /// Flight-recorder ring capacity, in spans.
-    pub flight_spans: usize,
     /// Directory receiving flight-recorder JSON dumps on worker error or
     /// startup refusal; `None` (default) uses the system temp dir.
     pub flight_dump_dir: Option<PathBuf>,
 }
 
 impl TelemetrySpec {
-    /// Telemetry enabled with no sampler, a 256-snapshot window, and a
-    /// 4096-span flight recorder dumping to the system temp dir.
+    /// Telemetry enabled with no sampler and the flight recorder dumping
+    /// to the system temp dir. The sampler keeps its last 256 snapshots
+    /// and the flight recorder its last 4096 spans; both are fixed.
     #[must_use]
     pub fn new() -> Self {
-        TelemetrySpec {
-            sample_interval: None,
-            sample_window: 256,
-            flight_spans: 4096,
-            flight_dump_dir: None,
-        }
+        TelemetrySpec { sample_interval: None, flight_dump_dir: None }
     }
 
     /// Starts the background sampler at a fixed `interval`.
     #[must_use]
     pub fn sample_interval(mut self, interval: Duration) -> Self {
         self.sample_interval = Some(interval);
-        self
-    }
-
-    /// Sets the number of sampler snapshots retained.
-    #[must_use]
-    pub fn sample_window(mut self, window: usize) -> Self {
-        self.sample_window = window;
-        self
-    }
-
-    /// Sets the flight-recorder ring capacity (in spans).
-    #[must_use]
-    pub fn flight_spans(mut self, spans: usize) -> Self {
-        self.flight_spans = spans;
         self
     }
 
@@ -703,19 +641,6 @@ pub struct ServiceConfig {
     /// removed at shutdown — so services sharing a spill root never
     /// touch each other's files.
     pub spill_dir: Option<PathBuf>,
-    /// Disk tuning applied to tables [`StorageBackend::Auto`] spills
-    /// (`write_back_paths`, `readahead_paths`, `durable_sync`); the
-    /// spec's `dir` is ignored — spill files always live in the
-    /// service-unique directory under [`spill_dir`](Self::spill_dir).
-    /// `None` keeps the `DiskStoreConfig` defaults.
-    ///
-    /// Spill tables are **scratch-only**: their client state is never
-    /// persisted and their files are deleted at shutdown, so a spec with
-    /// [`snapshots`](DiskBackendSpec::snapshots) enabled is refused at
-    /// startup with the typed
-    /// [`ServiceError::ScratchOnlySpill`](crate::ServiceError::ScratchOnlySpill)
-    /// — a restartable table needs an explicit [`StorageBackend::Disk`].
-    pub spill_spec: Option<DiskBackendSpec>,
     /// Telemetry: `None` (the default) disables the flight recorder, the
     /// sampler, and every export of the metrics registry; `Some` enables
     /// them per the spec.
@@ -734,7 +659,6 @@ impl ServiceConfig {
             pad_shard_batches: false,
             in_memory_cap_bytes: None,
             spill_dir: None,
-            spill_spec: None,
             telemetry: None,
         }
     }
@@ -781,15 +705,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the disk tuning for automatically spilled tables (the
-    /// spec's `dir` is ignored; `snapshots` must stay off — see
-    /// [`spill_spec`](Self::spill_spec)).
-    #[must_use]
-    pub fn spill_spec(mut self, spec: DiskBackendSpec) -> Self {
-        self.spill_spec = Some(spec);
-        self
-    }
-
     /// Enables telemetry (flight recorder + metrics export, and the
     /// sampler when the spec asks for one).
     #[must_use]
@@ -829,13 +744,9 @@ mod tests {
 
     #[test]
     fn batch_policy_builder() {
-        let p = BatchPolicy::new()
-            .max_batch(64)
-            .max_delay(Duration::from_micros(500))
-            .align_to_superblock(false);
+        let p = BatchPolicy::new().max_batch(64).max_delay(Duration::from_micros(500));
         assert_eq!(p.max_batch, 64);
         assert_eq!(p.max_delay, Duration::from_micros(500));
-        assert!(!p.align_to_superblock);
         assert!(!p.fixed_cadence);
         let p = p.fixed_cadence(true);
         assert!(p.fixed_cadence);

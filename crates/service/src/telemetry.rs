@@ -21,6 +21,11 @@ use laoram_telemetry::{
 
 use crate::spec::TelemetrySpec;
 
+/// Flight-recorder ring capacity, in spans (oldest evicted first).
+const FLIGHT_SPANS: usize = 4096;
+/// Snapshots the periodic sampler retains (oldest evicted first).
+pub(crate) const SAMPLE_WINDOW: usize = 256;
+
 /// Telemetry artifacts collected over a service's lifetime, included in
 /// [`ServiceReport`](crate::ServiceReport) when telemetry was enabled.
 #[derive(Debug, Clone)]
@@ -140,7 +145,7 @@ pub(crate) struct Flight {
 impl Flight {
     pub(crate) fn new(spec: &TelemetrySpec, epoch: Instant) -> Self {
         Flight {
-            recorder: Arc::new(FlightRecorder::new(spec.flight_spans)),
+            recorder: Arc::new(FlightRecorder::new(FLIGHT_SPANS)),
             epoch,
             dump_dir: spec.flight_dump_dir.clone().unwrap_or_else(std::env::temp_dir),
             auto_dumped: AtomicBool::new(false),

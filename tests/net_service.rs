@@ -22,9 +22,7 @@ use laoram::service::{
 fn small_config(seed: u64, max_batch: usize, max_delay: Duration) -> ServiceConfig {
     ServiceConfig::new()
         .table(TableSpec::new("t", 64).shards(2).superblock_size(4).seed(seed))
-        .batch_policy(
-            BatchPolicy::new().max_batch(max_batch).max_delay(max_delay).align_to_superblock(true),
-        )
+        .batch_policy(BatchPolicy::new().max_batch(max_batch).max_delay(max_delay))
         .queue_depth(4)
 }
 
@@ -112,9 +110,7 @@ fn trained_config(seed: u64, max_batch: usize, max_delay: Duration) -> ServiceCo
                 .row_bytes(layout.payload_bytes() as u32)
                 .optimizer(layout),
         )
-        .batch_policy(
-            BatchPolicy::new().max_batch(max_batch).max_delay(max_delay).align_to_superblock(true),
-        )
+        .batch_policy(BatchPolicy::new().max_batch(max_batch).max_delay(max_delay))
         .queue_depth(4)
 }
 

@@ -199,9 +199,10 @@ fn preprocessing_overlaps_serving_under_load() {
 #[test]
 fn request_path_serves_mixed_traffic_through_full_windows() {
     // The same two-table mixed traffic as the batch tests, but submitted
-    // request by request through per-tenant sessions. With
-    // align_to_superblock, the micro-batcher's size-triggered groups keep
-    // the lookahead invariant alive: path reads stay well under accesses.
+    // request by request through per-tenant sessions. Rounded down to
+    // whole superblock quanta, the micro-batcher's size-triggered groups
+    // keep the lookahead invariant alive: path reads stay well under
+    // accesses.
     const REQUESTS: usize = 3 * BATCH_LEN;
     let service = LaoramService::start(
         ServiceConfig::new()
@@ -221,10 +222,7 @@ fn request_path_serves_mixed_traffic_through_full_windows() {
             )
             .queue_depth(4)
             .batch_policy(
-                BatchPolicy::new()
-                    .max_batch(4096)
-                    .max_delay(std::time::Duration::from_millis(2))
-                    .align_to_superblock(true),
+                BatchPolicy::new().max_batch(4096).max_delay(std::time::Duration::from_millis(2)),
             ),
     )
     .expect("service start");

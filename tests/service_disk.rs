@@ -3,8 +3,8 @@
 //! disk backend, with read-your-writes intact and a clean shutdown.
 
 use laoram::service::{
-    DiskBackendSpec, LaoramService, Request, ResolvedBackend, ServiceConfig, ServiceError,
-    StorageBackend, TableRecovery, TableSpec,
+    DiskBackendSpec, LaoramService, Request, ResolvedBackend, ServiceConfig, StorageBackend,
+    TableRecovery, TableSpec,
 };
 
 fn unique_dir(tag: &str) -> std::path::PathBuf {
@@ -93,9 +93,7 @@ fn spilled_auto_tables_report_scratch_status() {
             .table(spec)
             .table(TableSpec::new("resident", 64).seed(10))
             .in_memory_cap_bytes(cap)
-            .spill_dir(&dir)
-            // Spill tuning (sans snapshots) is accepted and applied.
-            .spill_spec(DiskBackendSpec::new("ignored-dir").write_back_paths(8)),
+            .spill_dir(&dir),
     )
     .unwrap();
     assert_eq!(service.table_status()[0].recovery, TableRecovery::Scratch);
@@ -105,25 +103,62 @@ fn spilled_auto_tables_report_scratch_status() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An Auto table that spills and an explicit `Disk` table with
+/// `DiskBackendSpec::new`'s defaults build the same store: one trace, one
+/// seed, byte-identical responses and the same backing-file I/O.
 #[test]
-fn snapshots_on_the_spill_path_are_refused_with_a_typed_error() {
-    // Asking for snapshots on Auto-spilled tables must fail loudly at
-    // startup — the spill path is scratch-only, and silently starting
-    // fresh on the next boot would look exactly like data loss.
-    let dir = unique_dir("refuse-snap");
-    let spec = TableSpec::new("ephemeral", 2048).shards(2).seed(9);
+fn spilled_auto_table_matches_a_default_disk_table() {
+    let spill_root = unique_dir("same-spill");
+    let disk_dir = unique_dir("same-disk");
+    let spec = TableSpec::new("emb", 2048).shards(2).superblock_size(4).row_bytes(16).seed(11);
     let cap = spec.estimated_store_bytes().unwrap() / 4;
-    let result = LaoramService::start(
+    let configs = [
+        ServiceConfig::new().table(spec.clone()).in_memory_cap_bytes(cap).spill_dir(&spill_root),
         ServiceConfig::new()
-            .table(spec)
-            .in_memory_cap_bytes(cap)
-            .spill_dir(&dir)
-            .spill_spec(DiskBackendSpec::new("unused").snapshots(true)),
-    );
-    assert!(matches!(result, Err(ServiceError::ScratchOnlySpill)), "got {result:?}");
-    // The refusal happened before any file was created.
-    assert!(!dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none());
-    let _ = std::fs::remove_dir_all(&dir);
+            .table(spec.backend(StorageBackend::Disk(DiskBackendSpec::new(&disk_dir)))),
+    ];
+    // Reads and writes over the whole table, so both tables' shards
+    // write back to their files.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as u32
+    };
+    let trace: Vec<Vec<Request>> = (0..12u8)
+        .map(|round| {
+            (0..256)
+                .map(|_| {
+                    let index = next() % 2048;
+                    if next() % 2 == 0 {
+                        Request::write(0, index, vec![round; 16].into())
+                    } else {
+                        Request::read(0, index)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut runs = Vec::new();
+    for config in configs {
+        let mut service = LaoramService::start(config).unwrap();
+        assert!(matches!(service.table_backends()[0], ResolvedBackend::Disk { .. }));
+        for batch in &trace {
+            service.submit(batch.clone()).unwrap();
+        }
+        let outputs: Vec<_> = service.drain().unwrap().into_iter().map(|r| r.outputs).collect();
+        let served_io = service.table_status()[0].disk_io;
+        let report = service.shutdown().unwrap();
+        assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
+        assert!(served_io.is_some_and(|io| io.writes > 0), "no disk I/O counted: {served_io:?}");
+        runs.push((outputs, served_io, report.table_status[0].disk_io));
+    }
+    assert_eq!(runs[0].0, runs[1].0, "responses differ between the spill and the disk table");
+    assert_eq!(runs[0].1, runs[1].1, "disk I/O after the trace");
+    assert_eq!(runs[0].2, runs[1].2, "disk I/O at shutdown");
+    let _ = std::fs::remove_dir_all(&spill_root);
+    let _ = std::fs::remove_dir_all(&disk_dir);
 }
 
 #[test]

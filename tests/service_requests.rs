@@ -26,7 +26,6 @@ proptest! {
         seed in any::<u64>(),
         max_batch in 1usize..96,
         delay_us in 0u64..1500,
-        align in any::<bool>(),
         shards in 1u32..4,
         ops in proptest::collection::vec((0u32..128, any::<bool>()), 1..160),
     ) {
@@ -36,8 +35,7 @@ proptest! {
                 .batch_policy(
                     BatchPolicy::new()
                         .max_batch(max_batch)
-                        .max_delay(Duration::from_micros(delay_us))
-                        .align_to_superblock(align),
+                        .max_delay(Duration::from_micros(delay_us)),
                 ),
         )
         .expect("start");

@@ -257,9 +257,9 @@ fn refused_start_dumps_the_flight_recorder() {
 
 #[test]
 fn sampler_snapshots_are_monotone() {
-    let mut service = LaoramService::start(mem_config(2).telemetry(
-        TelemetrySpec::new().sample_interval(Duration::from_millis(2)).sample_window(64),
-    ))
+    let mut service = LaoramService::start(
+        mem_config(2).telemetry(TelemetrySpec::new().sample_interval(Duration::from_millis(2))),
+    )
     .unwrap();
     for batch in batches(4) {
         service.submit(batch).unwrap();
