@@ -91,16 +91,6 @@ impl SuperblockPlanner {
         planner
     }
 
-    /// Bounds each window's internal look-ahead (bins never span
-    /// `window_len` stream positions). Defaults to unbounded, i.e. one
-    /// window per [`plan`](Self::plan) call.
-    #[must_use]
-    pub fn with_window(mut self, window_len: usize) -> Self {
-        assert!(window_len > 0, "window length must be nonzero");
-        self.window_len = window_len;
-        self
-    }
-
     /// Plans the next window: scans `stream` into superblock bins and
     /// assigns each bin a fresh uniform path from the planner's continuous
     /// RNG stream.

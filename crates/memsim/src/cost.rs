@@ -17,12 +17,6 @@ impl TimeNs {
     pub fn as_nanos(self) -> u64 {
         self.0
     }
-
-    /// Value in milliseconds (floating point).
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
 }
 
 impl Add for TimeNs {

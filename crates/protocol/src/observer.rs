@@ -119,12 +119,6 @@ impl RecordingObserver {
     pub fn clear(&mut self) {
         self.ops.clear();
     }
-
-    /// Consumes the recording, returning the operation list.
-    #[must_use]
-    pub fn into_ops(self) -> Vec<ServerOp> {
-        self.ops
-    }
 }
 
 impl AccessObserver for RecordingObserver {

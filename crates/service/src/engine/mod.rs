@@ -48,7 +48,6 @@
 //! the reassembly lock while it holds `pending`.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -65,7 +64,7 @@ use crate::stats::{build_stats, window_stats};
 use crate::telemetry::{Flight, Instruments, TelemetryReport};
 use crate::{
     BatchResponse, BatchTicket, BatchTiming, Completion, Request, RequestTicket, ResolvedBackend,
-    ServiceError, ServiceStats, Session, ShardRouter, TableStatus,
+    ServiceError, ServiceStats, Session, ShardRouter, TableRecovery, TableStatus,
 };
 
 mod preprocessor;
@@ -184,15 +183,9 @@ pub struct LaoramService {
     reassembly: Arc<Reassembly>,
     shared: Arc<Shared>,
     router: Arc<ShardRouter>,
-    /// The storage backend chosen for each table at startup.
-    table_backends: Vec<ResolvedBackend>,
-    /// Per-table backend + recovered-vs-fresh status.
+    /// Per-table backend + recovered-vs-fresh status, as decided at
+    /// startup.
     table_status: Vec<TableStatus>,
-    /// Shard files created for Auto-spilled tables, removed at shutdown.
-    spill_cleanup: Vec<PathBuf>,
-    /// The spill directory, when this service generated it (also removed
-    /// at shutdown).
-    generated_spill_dir: Option<PathBuf>,
     /// The shard workers and the preprocessor.
     handles: Vec<JoinHandle<()>>,
     /// The periodic telemetry sampler, when one was configured.
@@ -364,25 +357,7 @@ impl LaoramService {
     /// Rejects requests naming unknown tables or out-of-range indices;
     /// [`ServiceError::Disconnected`] if the pipeline died.
     pub fn submit(&mut self, batch: Vec<Request>) -> Result<BatchTicket, ServiceError> {
-        self.queue_batch(batch, true)
-    }
-
-    /// As [`submit`](Self::submit), but failing fast instead of blocking
-    /// when the queue is full; the batch is handed back inside
-    /// [`ServiceError::Backpressure`].
-    ///
-    /// # Errors
-    /// As [`submit`](Self::submit), plus [`ServiceError::Backpressure`].
-    pub fn try_submit(&mut self, batch: Vec<Request>) -> Result<BatchTicket, ServiceError> {
-        self.queue_batch(batch, false)
-    }
-
-    fn queue_batch(
-        &mut self,
-        batch: Vec<Request>,
-        block: bool,
-    ) -> Result<BatchTicket, ServiceError> {
-        let (first_request, len) = self.ingress.submit_batch(batch, block)?;
+        let (first_request, len) = self.ingress.submit_batch(batch)?;
         let ticket = BatchTicket { id: self.next_batch, first_request, len };
         self.next_batch += 1;
         self.pending_batches.push_back(ticket);
@@ -481,21 +456,22 @@ impl LaoramService {
     }
 
     /// The storage backend chosen for each table at startup, in table
-    /// order — reports whether an
+    /// order (read from [`table_status`](Self::table_status), which adds
+    /// the recovered-vs-fresh status) — reports whether an
     /// [`StorageBackend::Auto`](crate::StorageBackend::Auto) table spilled
     /// to disk under
     /// [`in_memory_cap_bytes`](crate::ServiceConfig::in_memory_cap_bytes).
-    /// See [`table_status`](Self::table_status) for the recovered-vs-fresh
-    /// status that goes with each backend.
     #[must_use]
-    pub fn table_backends(&self) -> &[ResolvedBackend] {
-        &self.table_backends
+    pub fn table_backends(&self) -> Vec<ResolvedBackend> {
+        self.table_status.iter().map(|status| status.backend.clone()).collect()
     }
 
     /// Each table's backend *and* recovered-vs-fresh status, in table
     /// order: a snapshot-enabled disk table whose store + snapshot files
     /// already existed at startup reports
-    /// [`TableRecovery::Recovered`](crate::TableRecovery::Recovered),
+    /// [`TableRecovery::Recovered`](crate::TableRecovery::Recovered), an
+    /// Auto table that spilled
+    /// [`TableRecovery::Scratch`](crate::TableRecovery::Scratch),
     /// everything else
     /// [`TableRecovery::Fresh`](crate::TableRecovery::Fresh). Disk-backed
     /// tables additionally carry their live backend I/O counters
@@ -546,30 +522,25 @@ impl LaoramService {
     }
 
     /// Stops accepting, lets the preprocessor drain what is queued and
-    /// every shard flush, joins the pipeline threads, then removes
-    /// auto-spill shard files (and the spill directory, when this service
-    /// generated it). Idempotent; runs at shutdown and on drop.
+    /// every shard flush, joins the pipeline threads, then removes the
+    /// service-unique spill directory whole. Idempotent; runs at shutdown
+    /// and on drop.
     fn stop_pipeline(&mut self) {
         self.ingress.begin_shutdown();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        // Workers (and their stores) are gone: drop auto-spill files so a
-        // start/stop cycle cannot accumulate dead table footprints.
-        for file in self.spill_cleanup.drain(..) {
-            let _ = std::fs::remove_file(file);
-        }
-        if let Some(dir) = self.generated_spill_dir.take() {
-            let _ = std::fs::remove_dir(dir);
-        }
+        // Workers (and their stores) are gone: drop the Auto spill files
+        // so a start/stop cycle cannot accumulate dead table footprints.
+        remove_spill_dir(&self.table_status);
     }
 
     /// Stops the pipeline: drains the micro-batcher and every shard,
     /// joins all threads, and returns the final statistics plus
-    /// everything that was still unclaimed. Shard files created by
-    /// [`StorageBackend::Auto`](crate::StorageBackend::Auto) spill are
-    /// removed here (their client state is not persisted, so they cannot
-    /// serve a restart); explicitly
+    /// everything that was still unclaimed. The service-unique directory
+    /// holding every [`StorageBackend::Auto`](crate::StorageBackend::Auto)
+    /// spill file is removed here whole (their client state is not
+    /// persisted, so they cannot serve a restart); explicitly
     /// [`StorageBackend::Disk`](crate::StorageBackend::Disk)-backed files
     /// are caller-managed and left in place. If a worker died mid-drain,
     /// the lost requests are *counted*, not silently dropped:
@@ -640,6 +611,19 @@ impl LaoramService {
             table_status,
             telemetry,
         })
+    }
+}
+
+/// Removes the service-unique directory holding every Auto spill file:
+/// every [`TableRecovery::Scratch`] table lives in it, and nothing else
+/// does.
+fn remove_spill_dir(table_status: &[TableStatus]) {
+    for status in table_status {
+        if let (TableRecovery::Scratch, ResolvedBackend::Disk { dir }) =
+            (&status.recovery, &status.backend)
+        {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }
 

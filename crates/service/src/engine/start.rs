@@ -1,5 +1,5 @@
-//! Engine start-up: configuration checks, backend resolution, recovery
-//! decisions, shard client construction, and thread spawning.
+//! Engine start-up: configuration checks, one plan per table (store and
+//! recovery), shard client construction, and thread spawning.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -10,30 +10,74 @@ use std::time::Instant;
 
 use laoram_core::{LaOram, LaOramConfig, SuperblockPlanner};
 use laoram_telemetry::{Sampler, SpanRecord};
-use oram_tree::{DiskStore, DiskStoreConfig, DynBucketStore, StateSnapshot, StoreTelemetry};
+use oram_tree::{
+    ArenaStore, ArenaStoreConfig, DiskStore, DiskStoreConfig, DynBucketStore, StateSnapshot,
+    StoreTelemetry,
+};
 
 use super::preprocessor::run_preprocessor;
 use super::reassembly::Reassembly;
 use super::worker::run_worker;
-use super::{LaoramService, ShardClient, Shared, WorkerMsg};
+use super::{remove_spill_dir, LaoramService, ShardClient, Shared, WorkerMsg};
 use crate::ingress::{Ingress, PIPELINE_DEPTH};
 use crate::telemetry::{Flight, SAMPLE_WINDOW};
 use crate::{
-    ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend, TableRecovery,
-    TableSpec, TableStatus,
+    DiskBackendSpec, ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend,
+    TablePartition, TableRecovery, TableSpec, TableStatus,
 };
 
 /// Monotonic discriminator making concurrent services' spill directories
 /// (and therefore shard files) collision-free within one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// What start-up decided for one table, before any file is created:
+/// the disk store its shards use (`None`: in memory) and where its state
+/// comes from. Every later step reads only this.
+struct TablePlan {
+    disk: Option<DiskBackendSpec>,
+    recovery: TableRecovery,
+}
+
+impl TablePlan {
+    fn status(&self) -> TableStatus {
+        TableStatus {
+            backend: match &self.disk {
+                Some(disk) => ResolvedBackend::Disk { dir: disk.dir.clone() },
+                None => ResolvedBackend::InMemory,
+            },
+            recovery: self.recovery.clone(),
+            disk_io: None,
+        }
+    }
+}
+
 impl LaoramService {
     /// Builds the shard clients and starts the pipeline threads.
     ///
     /// # Errors
     /// Rejects invalid configurations; propagates shard construction
-    /// failures.
+    /// failures. With telemetry on, every refusal dumps the flight
+    /// recorder once (the spans recorded up to the refusal point), so a
+    /// refused start is diagnosable from the same artifact as a runtime
+    /// failure.
     pub fn start(config: ServiceConfig) -> Result<Self, ServiceError> {
+        // The engine epoch: every pipeline timestamp (stats *and*
+        // telemetry spans, including backend-level disk spans) is
+        // nanoseconds since this instant.
+        let start = Instant::now();
+        let flight = config.telemetry.as_ref().map(|spec| Arc::new(Flight::new(spec, start)));
+        Self::build(config, start, flight.clone()).inspect_err(|e| {
+            if let Some(f) = &flight {
+                f.dump_on_failure(&format!("startup refusal: {e}"));
+            }
+        })
+    }
+
+    fn build(
+        config: ServiceConfig,
+        start: Instant,
+        flight: Option<Arc<Flight>>,
+    ) -> Result<Self, ServiceError> {
         if config.queue_depth == 0 {
             return Err(ServiceError::InvalidConfig("queue depth must be nonzero".into()));
         }
@@ -76,186 +120,80 @@ impl LaoramService {
         let router = Arc::new(ShardRouter::new(&config.tables)?);
         let num_workers = router.num_workers();
 
-        // The engine epoch: every pipeline timestamp (stats *and*
-        // telemetry spans, including backend-level disk spans) is
-        // nanoseconds since this instant. The flight recorder is built
-        // before any construction work so a startup refusal can still
-        // dump the spans recorded up to the refusal point.
-        let start = Instant::now();
-        let flight = config.telemetry.as_ref().map(|spec| Arc::new(Flight::new(spec, start)));
+        // Always a service-unique subdirectory — even under a
+        // caller-provided spill_dir — so two services sharing one spill
+        // root can never clobber (or clean up) each other's live shard
+        // files. Every Auto spill of this service lives in it.
+        let spill_dir = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir).join(format!(
+            "laoram-spill-{}-{}",
+            std::process::id(),
+            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let plans = (0..config.tables.len())
+            .map(|table| {
+                plan_table(&config, table, router.partition(table), &spill_dir, flight.as_deref())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
-        // Per-worker LAORAM configurations, built first so the footprint
-        // estimate behind Auto backend selection uses the exact per-shard
-        // geometries.
-        let mut worker_configs: Vec<LaOramConfig> = Vec::with_capacity(num_workers);
-        let mut worker_homes = Vec::with_capacity(num_workers);
-        for worker in 0..num_workers {
-            let (table, shard) = router.worker_home(worker);
-            let spec = &config.tables[table];
-            let shard_blocks = router.partition(table).shard_size(shard);
-            let shard_seed = shard_split_seed(spec.seed, table, shard);
-            let laoram_config = LaOramConfig::builder(shard_blocks)
-                .superblock_size(spec.superblock_size)
-                .fat_tree(spec.fat_tree)
-                .payloads(spec.payloads)
-                .eviction(spec.eviction)
-                .seed(shard_seed)
-                .build()?;
-            worker_configs.push(laoram_config);
-            worker_homes.push((table, shard));
-        }
-        let table_backends = resolve_backends(&config, &worker_homes, &worker_configs)?;
-
-        // A refused start still dumps the flight recorder (the spans
-        // recorded up to the refusal point), so the refusal is
-        // diagnosable from the same artifact as a runtime failure.
-        let refuse = |e: ServiceError| -> ServiceError {
-            if let Some(f) = &flight {
-                f.dump_on_failure(&format!("startup refusal: {e}"));
-            }
-            e
-        };
-
-        // Decide recovery per table BEFORE building anything: a refused
-        // partial state must leave the directory exactly as it found it
-        // (no fresh generation-0 store created in a missing shard's
-        // slot). Partial recovery is refused outright — a table serving
-        // a mix of restored and empty shards would answer inconsistently.
-        let mut table_recover = vec![false; config.tables.len()];
-        for (table, spec) in config.tables.iter().enumerate() {
-            let check_start_ns = flight.as_ref().map(|f| f.now_ns());
-            let StorageBackend::Disk(disk) = &spec.backend else { continue };
-            if !disk.snapshots {
-                continue;
-            }
-            let ResolvedBackend::Disk { dir } = &table_backends[table] else { continue };
-            let present = (0..spec.shards)
-                .filter(|&shard| shard_file_path(dir, spec, table, shard).exists())
-                .count() as u32;
-            if present != 0 && present != spec.shards {
-                return Err(refuse(ServiceError::InvalidConfig(format!(
-                    "table '{}' has persisted state for {present} of {} shards; recover the \
-                     missing shard files (or move the stale ones aside) before starting",
-                    spec.name, spec.shards
-                ))));
-            }
-            table_recover[table] = present > 0;
-            // Per-shard geometry checks alone cannot catch a changed
-            // partition layout: different hot sets or row weightings can
-            // produce identical shard sizes while remapping which row
-            // lives in which dense slot. Recovery therefore requires the
-            // layout fingerprint written at table creation to match the
-            // layout this start would route with.
-            if table_recover[table] {
-                let expect = router.partition(table).layout_fingerprint();
-                let layout_path = table_layout_path(dir, spec, table);
-                let found = std::fs::read_to_string(&layout_path)
-                    .ok()
-                    .and_then(|text| u64::from_str_radix(text.trim(), 16).ok());
-                match found {
-                    Some(fingerprint) if fingerprint == expect => {}
-                    Some(_) => {
-                        return Err(refuse(ServiceError::InvalidConfig(format!(
-                            "table '{}' persisted state was written under a different \
-                             partition layout (its hot set, row weights, partition strategy, \
-                             or shard count changed since the files were created); recover \
-                             with the original TableSpec, or move the files aside to start \
-                             fresh",
-                            spec.name
-                        ))));
-                    }
-                    None => {
-                        return Err(refuse(ServiceError::InvalidConfig(format!(
-                            "table '{}' has persisted shard files but no readable layout \
-                             fingerprint ({}); without it a changed partition layout cannot \
-                             be detected — move the files aside to start fresh",
-                            spec.name,
-                            layout_path.display()
-                        ))));
-                    }
-                }
-            }
-            if table_recover[table] {
-                if let (Some(f), Some(start_ns)) = (&flight, check_start_ns) {
-                    f.recorder.record(SpanRecord {
-                        start_ns,
-                        end_ns: f.now_ns(),
-                        stage: "recover.table",
-                        group: None,
-                        worker: None,
-                        detail: Some(format!("table={table} shards={}", spec.shards)),
-                    });
-                }
-            }
-        }
-
-        // Build every shard's LAORAM client (over its chosen backend) and
-        // matching planner. Auto-spill files are recorded for removal at
-        // shutdown: their client state (position map, stash) is not
-        // persisted, so they cannot serve a restart and would otherwise
-        // leak a full table footprint per service lifetime. Explicit disk
-        // tables with snapshots enabled take the opposite path: existing
-        // store + snapshot pairs are *recovered* instead of recreated.
+        // Build every shard's LAORAM client and matching planner. Files a
+        // *failed* start must remove: the spill directory, and the files
+        // it created for fresh snapshot-enabled tables. Those contain nothing durable
+        // (generation 0, never synced), but left behind they would make
+        // every later start refuse as a partial/stale recovery. Recovered
+        // tables' files are never in this list.
         let mut clients: Vec<ShardClient> = Vec::with_capacity(num_workers);
         let mut planners: Vec<SuperblockPlanner> = Vec::with_capacity(num_workers);
-        let mut spill_cleanup = Vec::new();
-        let mut generated_spill_dir = None;
-        // Files a *failed* start must also remove: freshly-created stores
-        // of snapshot-enabled tables. They contain nothing durable
-        // (generation 0, never synced), but left behind they would make
-        // every subsequent start refuse as a partial/stale recovery.
-        // Recovered tables' files are never in this list.
-        let mut fresh_persistent_cleanup: Vec<PathBuf> = Vec::new();
-        let build_result = (|| -> Result<(), ServiceError> {
-            for (worker, laoram_config) in worker_configs.iter().enumerate() {
-                let (table, shard) = worker_homes[worker];
-                let spec = &config.tables[table];
-                // Record the spill file *before* creating it, so a
-                // partial-failure unwind below removes it too.
-                if let (StorageBackend::Auto, ResolvedBackend::Disk { dir }) =
-                    (&spec.backend, &table_backends[table])
-                {
-                    spill_cleanup.push(shard_file_path(dir, spec, table, shard));
-                    // The spill directory is always a service-unique
-                    // subdirectory this service created: remove it too.
-                    generated_spill_dir = Some(dir.clone());
-                }
-                if let (StorageBackend::Disk(disk), ResolvedBackend::Disk { dir }) =
-                    (&spec.backend, &table_backends[table])
-                {
-                    if disk.snapshots && !table_recover[table] {
-                        let file = shard_file_path(dir, spec, table, shard);
-                        fresh_persistent_cleanup.push(StateSnapshot::default_path(&file));
-                        fresh_persistent_cleanup.push(file);
-                        // First shard of a fresh persistent table: record
-                        // the partition layout so a later recovery can
-                        // refuse a changed hot set / weighting / strategy
-                        // instead of silently remapping rows.
-                        if shard == 0 {
-                            let layout = table_layout_path(dir, spec, table);
-                            let io_err = |e: std::io::Error| {
-                                ServiceError::InvalidConfig(format!(
-                                    "write layout fingerprint {}: {e}",
-                                    layout.display()
-                                ))
-                            };
-                            std::fs::create_dir_all(dir).map_err(io_err)?;
-                            std::fs::write(
-                                &layout,
-                                format!("{:016x}\n", router.partition(table).layout_fingerprint()),
-                            )
-                            .map_err(io_err)?;
-                            fresh_persistent_cleanup.push(layout);
-                        }
+        let mut worker_homes = Vec::with_capacity(num_workers);
+        let mut created: Vec<PathBuf> = Vec::new();
+        let built = (|| -> Result<(), ServiceError> {
+            for worker in 0..num_workers {
+                let (table, shard) = router.worker_home(worker);
+                let (spec, plan) = (&config.tables[table], &plans[table]);
+                let laoram_config =
+                    LaOramConfig::builder(router.partition(table).shard_size(shard))
+                        .superblock_size(spec.superblock_size)
+                        .fat_tree(spec.fat_tree)
+                        .payloads(spec.payloads)
+                        .eviction(spec.eviction)
+                        .seed(shard_split_seed(spec.seed, table, shard))
+                        .build()?;
+                let fresh_persistent = plan
+                    .disk
+                    .as_ref()
+                    .filter(|disk| disk.snapshots && plan.recovery == TableRecovery::Fresh);
+                if let Some(disk) = fresh_persistent {
+                    // Recorded *before* creation, so the unwind below
+                    // removes a half-built shard's files too.
+                    let file = shard_file_path(&disk.dir, spec, table, shard);
+                    created.push(StateSnapshot::default_path(&file));
+                    created.push(file);
+                    // First shard of a fresh persistent table: record
+                    // the partition layout so a later recovery can
+                    // refuse a changed hot set / weighting / strategy
+                    // instead of silently remapping rows.
+                    if shard == 0 {
+                        let layout = table_layout_path(&disk.dir, spec, table);
+                        let io_err = |e: std::io::Error| {
+                            ServiceError::InvalidConfig(format!(
+                                "write layout fingerprint {}: {e}",
+                                layout.display()
+                            ))
+                        };
+                        std::fs::create_dir_all(&disk.dir).map_err(io_err)?;
+                        created.push(layout.clone());
+                        std::fs::write(
+                            &layout,
+                            format!("{:016x}\n", router.partition(table).layout_fingerprint()),
+                        )
+                        .map_err(io_err)?;
                     }
                 }
                 let (client, planner_reseed) = build_client(
-                    &table_backends[table],
+                    plan,
                     spec,
                     table,
                     shard,
-                    laoram_config,
-                    table_recover[table],
+                    &laoram_config,
                     flight.as_deref(),
                     worker as u32,
                 )?;
@@ -263,56 +201,26 @@ impl LaoramService {
                 // at the last checkpoint, NOT from the config seed: a
                 // restart must plan fresh uniform paths, never replay
                 // the previous session's draw sequence.
-                let planner = match planner_reseed {
-                    Some(seed) => SuperblockPlanner::for_config_with_seed(
-                        laoram_config,
-                        client.geometry().num_leaves(),
-                        seed,
-                    ),
-                    None => {
-                        SuperblockPlanner::for_config(laoram_config, client.geometry().num_leaves())
+                let num_leaves = client.geometry().num_leaves();
+                planners.push(match planner_reseed {
+                    Some(seed) => {
+                        SuperblockPlanner::for_config_with_seed(&laoram_config, num_leaves, seed)
                     }
-                };
+                    None => SuperblockPlanner::for_config(&laoram_config, num_leaves),
+                });
                 clients.push(client);
-                planners.push(planner);
+                worker_homes.push((table, shard));
             }
             Ok(())
         })();
-        if let Err(e) = build_result {
-            // Don't leak the already-created spill files of earlier
-            // shards, nor the fresh (empty, unsynced) stores of
-            // snapshot-enabled tables — those would make the next start
-            // refuse as a partial recovery.
-            for file in spill_cleanup.iter().chain(&fresh_persistent_cleanup) {
+        let table_status: Vec<TableStatus> = plans.iter().map(TablePlan::status).collect();
+        if let Err(e) = built {
+            for file in &created {
                 let _ = std::fs::remove_file(file);
             }
-            if let Some(dir) = &generated_spill_dir {
-                let _ = std::fs::remove_dir(dir);
-            }
-            return Err(refuse(e));
+            remove_spill_dir(&table_status);
+            return Err(e);
         }
-        let table_status: Vec<TableStatus> = table_backends
-            .iter()
-            .zip(config.tables.iter().zip(&table_recover))
-            .map(|(backend, (spec, &recovered))| TableStatus {
-                backend: backend.clone(),
-                disk_io: None,
-                recovery: if recovered {
-                    TableRecovery::Recovered { shards: spec.shards }
-                } else if matches!(
-                    (&spec.backend, backend),
-                    (StorageBackend::Auto, ResolvedBackend::Disk { .. })
-                ) {
-                    // An Auto spill is not merely "fresh": its files are
-                    // ephemeral and can never serve a restart. Report it
-                    // distinctly so nobody mistakes the next start's
-                    // empty table for recovery.
-                    TableRecovery::Scratch
-                } else {
-                    TableRecovery::Fresh
-                },
-            })
-            .collect();
 
         let shared = Arc::new(Shared::new(start, worker_homes, flight));
 
@@ -384,10 +292,7 @@ impl LaoramService {
             reassembly,
             shared,
             router,
-            table_backends,
             table_status,
-            spill_cleanup,
-            generated_spill_dir,
             handles,
             sampler,
             next_batch: 0,
@@ -397,79 +302,129 @@ impl LaoramService {
     }
 }
 
-/// Chooses each table's storage backend: explicit selections are
-/// honoured, and `Auto` tables spill to disk when their exact per-shard
-/// footprint (slot counts from the real geometries, slot bytes from the
-/// disk layout) exceeds the configured in-memory cap.
-fn resolve_backends(
+/// Decides one table's store and recovery: the only place a
+/// [`StorageBackend`] is matched. Explicit selections are honoured; an
+/// `Auto` table spills to `spill_dir`, on a default [`DiskBackendSpec`]
+/// and as [`TableRecovery::Scratch`], when its footprint exceeds the
+/// configured in-memory cap. A snapshot-enabled disk table recovers
+/// when its files already exist.
+fn plan_table(
     config: &ServiceConfig,
-    worker_homes: &[(usize, u32)],
-    worker_configs: &[LaOramConfig],
-) -> Result<Vec<ResolvedBackend>, ServiceError> {
-    // Exact footprint per table, from the geometries the shards will use
-    // and the disk layout's slot accounting.
-    let mut footprints = vec![0u64; config.tables.len()];
-    for (worker, &(table, _)) in worker_homes.iter().enumerate() {
-        let spec = &config.tables[table];
-        footprints[table] +=
-            worker_configs[worker].geometry()?.total_slots() * crate::spec::disk_slot_bytes(spec);
+    table: usize,
+    partition: &TablePartition,
+    spill_dir: &Path,
+    flight: Option<&Flight>,
+) -> Result<TablePlan, ServiceError> {
+    let spec = &config.tables[table];
+    if spec.payloads && spec.row_bytes == 0 {
+        return Err(ServiceError::InvalidConfig(format!(
+            "table '{}' carries payloads but row_bytes = 0; bucket slots need a fixed \
+             payload capacity",
+            spec.name
+        )));
     }
-    let mut spill_dir = None;
-    let mut resolved = Vec::with_capacity(config.tables.len());
-    for (table, spec) in config.tables.iter().enumerate() {
-        let choice = match &spec.backend {
-            StorageBackend::InMemory => ResolvedBackend::InMemory,
-            StorageBackend::Disk(disk) => ResolvedBackend::Disk { dir: disk.dir.clone() },
-            StorageBackend::Auto => match config.in_memory_cap_bytes {
-                Some(cap) if footprints[table] > cap => {
-                    // Always a service-unique subdirectory — even under a
-                    // caller-provided spill_dir — so two services sharing
-                    // one spill root can never clobber (or clean up) each
-                    // other's live shard files.
-                    let dir = spill_dir
-                        .get_or_insert_with(|| {
-                            let base = match &config.spill_dir {
-                                Some(dir) => dir.clone(),
-                                None => std::env::temp_dir(),
-                            };
-                            base.join(format!(
-                                "laoram-spill-{}-{}",
-                                std::process::id(),
-                                SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-                            ))
-                        })
-                        .clone();
-                    ResolvedBackend::Disk { dir }
-                }
-                _ => ResolvedBackend::InMemory,
+    let in_memory = TablePlan { disk: None, recovery: TableRecovery::Fresh };
+    Ok(match &spec.backend {
+        StorageBackend::InMemory => in_memory,
+        StorageBackend::Auto => match config.in_memory_cap_bytes {
+            Some(cap) if crate::spec::store_bytes(spec, partition)? > cap => TablePlan {
+                disk: Some(DiskBackendSpec::new(spill_dir)),
+                recovery: TableRecovery::Scratch,
             },
-        };
-        if spec.payloads && spec.row_bytes == 0 {
+            _ => in_memory,
+        },
+        StorageBackend::Disk(disk) => TablePlan {
+            disk: Some(disk.clone()),
+            recovery: if disk.snapshots {
+                recover_table(spec, table, &disk.dir, partition, flight)?
+            } else {
+                TableRecovery::Fresh
+            },
+        },
+    })
+}
+
+/// Whether a snapshot-enabled disk table recovers, decided before any
+/// file is created: a refusal must leave the directory exactly as it
+/// found it (no fresh generation-0 store in a missing shard's slot).
+/// Partial recovery is refused outright — a table serving a mix of
+/// restored and empty shards would answer inconsistently.
+fn recover_table(
+    spec: &TableSpec,
+    table: usize,
+    dir: &Path,
+    partition: &TablePartition,
+    flight: Option<&Flight>,
+) -> Result<TableRecovery, ServiceError> {
+    let check_start_ns = flight.map(Flight::now_ns);
+    let present = (0..spec.shards)
+        .filter(|&shard| shard_file_path(dir, spec, table, shard).exists())
+        .count() as u32;
+    if present == 0 {
+        return Ok(TableRecovery::Fresh);
+    }
+    if present != spec.shards {
+        return Err(ServiceError::InvalidConfig(format!(
+            "table '{}' has persisted state for {present} of {} shards; recover the \
+             missing shard files (or move the stale ones aside) before starting",
+            spec.name, spec.shards
+        )));
+    }
+    // Per-shard geometry checks alone cannot catch a changed partition
+    // layout: different hot sets or row weightings can produce identical
+    // shard sizes while remapping which row lives in which dense slot.
+    // Recovery therefore requires the layout fingerprint written at table
+    // creation to match the layout this start would route with.
+    let layout_path = table_layout_path(dir, spec, table);
+    let found = std::fs::read_to_string(&layout_path)
+        .ok()
+        .and_then(|text| u64::from_str_radix(text.trim(), 16).ok());
+    match found {
+        Some(fingerprint) if fingerprint == partition.layout_fingerprint() => {}
+        Some(_) => {
             return Err(ServiceError::InvalidConfig(format!(
-                "table '{}' carries payloads but row_bytes = 0; bucket slots need a fixed \
-                 payload capacity",
+                "table '{}' persisted state was written under a different partition layout \
+                 (its hot set, row weights, partition strategy, or shard count changed since \
+                 the files were created); recover with the original TableSpec, or move the \
+                 files aside to start fresh",
                 spec.name
             )));
         }
-        resolved.push(choice);
+        None => {
+            return Err(ServiceError::InvalidConfig(format!(
+                "table '{}' has persisted shard files but no readable layout fingerprint \
+                 ({}); without it a changed partition layout cannot be detected — move the \
+                 files aside to start fresh",
+                spec.name,
+                layout_path.display()
+            )));
+        }
     }
-    Ok(resolved)
+    if let (Some(f), Some(start_ns)) = (flight, check_start_ns) {
+        f.recorder.record(SpanRecord {
+            start_ns,
+            end_ns: f.now_ns(),
+            stage: "recover.table",
+            group: None,
+            worker: None,
+            detail: Some(format!("table={table} shards={}", spec.shards)),
+        });
+    }
+    Ok(TableRecovery::Recovered { shards: spec.shards })
 }
 
-/// Builds one shard's LAORAM client on the table's resolved backend.
-/// With `recover` set (decided table-wide by `start` *before* any file
-/// is created), the shard is restored from its persisted store +
-/// snapshot pair; the returned seed, derived from the snapshot's RNG
-/// reseed point, is what the shard's planner must draw from so a
+/// The one store factory: builds one shard's LAORAM client on its
+/// table's plan, over an [`ArenaStore`] or a [`DiskStore`] — created
+/// fresh, or for a [`TableRecovery::Recovered`] table opened and restored
+/// with its snapshot. The returned seed, derived from the snapshot's RNG
+/// reseed point, is what a recovered shard's planner must draw from so a
 /// restart never replays the previous session's path sequence.
-#[allow(clippy::too_many_arguments)] // one call site; a params struct would only rename the noise
 fn build_client(
-    backend: &ResolvedBackend,
+    plan: &TablePlan,
     spec: &TableSpec,
     table: usize,
     shard: u32,
     laoram_config: &LaOramConfig,
-    recover: bool,
     flight: Option<&Flight>,
     worker: u32,
 ) -> Result<(ShardClient, Option<u64>), ServiceError> {
@@ -481,47 +436,32 @@ fn build_client(
         flight.map(|f| StoreTelemetry::new(Arc::clone(&f.recorder), f.epoch, Some(worker)));
     let geometry = laoram_config.geometry()?;
     let payload_capacity = if spec.payloads { spec.row_bytes } else { 0 };
-    match backend {
-        ResolvedBackend::InMemory => {
-            let store: DynBucketStore = Box::new(oram_tree::ArenaStore::new(
-                geometry,
-                oram_tree::ArenaStoreConfig::new().payload_capacity(payload_capacity),
-            ));
-            // No core.sync span hook here: an in-memory store's sync is a
-            // no-op, so the span would record nothing but its own cost
-            // (one allocation + recorder lock per superblock boundary,
-            // across every worker).
-            Ok((LaOram::with_store(laoram_config.clone(), store)?, None))
-        }
-        ResolvedBackend::Disk { dir } => {
-            let tree_err =
-                |e: oram_tree::TreeError| ServiceError::Core(laoram_core::LaOramError::from(e));
-            std::fs::create_dir_all(dir).map_err(|e| {
+    let tree_err = |e: oram_tree::TreeError| ServiceError::Core(laoram_core::LaOramError::from(e));
+    let mut snapshot = None;
+    let store: DynBucketStore = match &plan.disk {
+        None => Box::new(ArenaStore::new(
+            geometry,
+            ArenaStoreConfig::new().payload_capacity(payload_capacity),
+        )),
+        Some(disk) => {
+            std::fs::create_dir_all(&disk.dir).map_err(|e| {
                 tree_err(oram_tree::TreeError::Io(format!(
-                    "create spill directory {}: {e}",
-                    dir.display()
+                    "create store directory {}: {e}",
+                    disk.dir.display()
                 )))
             })?;
-            let file = shard_file_path(dir, spec, table, shard);
-            let mut disk_config = DiskStoreConfig::new().payload_capacity(payload_capacity);
-            // Explicit disk tables carry their own tuning; an Auto spill
-            // runs on DiskStoreConfig's defaults and never snapshots.
-            let (snapshots, durable) = match &spec.backend {
-                StorageBackend::Disk(d) => {
-                    disk_config = disk_config
-                        .write_back_paths(d.write_back_paths)
-                        .durable_sync(d.durable_sync)
-                        .readahead_paths(d.readahead_paths);
-                    (d.snapshots, d.durable_sync)
-                }
-                _ => (false, false),
-            };
+            let file = shard_file_path(&disk.dir, spec, table, shard);
+            let mut disk_config = DiskStoreConfig::new()
+                .payload_capacity(payload_capacity)
+                .write_back_paths(disk.write_back_paths)
+                .durable_sync(disk.durable_sync)
+                .readahead_paths(disk.readahead_paths);
             if let Some(hook) = &store_telemetry {
                 disk_config = disk_config.telemetry(hook.clone());
             }
-            let snap_path = StateSnapshot::default_path(&file);
-            let (mut client, planner_reseed) = if recover && snapshots {
-                let snapshot = StateSnapshot::read_from(&snap_path).map_err(|e| {
+            if let TableRecovery::Recovered { .. } = plan.recovery {
+                let read = StateSnapshot::read_from(&StateSnapshot::default_path(&file));
+                snapshot = Some(read.map_err(|e| {
                     ServiceError::InvalidConfig(format!(
                         "table '{}' shard {shard}: store file {} exists but its snapshot \
                          cannot be used ({e}); restore the snapshot or move the store aside \
@@ -529,25 +469,32 @@ fn build_client(
                         spec.name,
                         file.display()
                     ))
-                })?;
-                let store: DynBucketStore =
-                    Box::new(DiskStore::open(&file, disk_config).map_err(tree_err)?);
-                let reseed = snapshot.levels.first().map_or(snapshot.generation, |l| l.reseed);
-                (LaOram::reopen(laoram_config.clone(), store, &snapshot)?, Some(reseed))
+                })?);
+                Box::new(DiskStore::open(&file, disk_config).map_err(tree_err)?)
             } else {
-                let store: DynBucketStore =
-                    Box::new(DiskStore::create(&file, geometry, disk_config).map_err(tree_err)?);
-                (LaOram::with_store(laoram_config.clone(), store)?, None)
-            };
-            if let Some(hook) = store_telemetry {
-                client.set_telemetry(hook);
+                Box::new(DiskStore::create(&file, geometry, disk_config).map_err(tree_err)?)
             }
-            if snapshots {
-                client.persist_client_state(snap_path, durable);
-            }
-            Ok((client, planner_reseed))
+        }
+    };
+    let mut client = match &snapshot {
+        Some(snapshot) => LaOram::reopen(laoram_config.clone(), store, snapshot)?,
+        None => LaOram::with_store(laoram_config.clone(), store)?,
+    };
+    // An in-memory client gets no core.sync span hook: its store's sync
+    // is a no-op, so the span would record nothing but its own cost (one
+    // allocation + recorder lock per superblock boundary, across every
+    // worker).
+    if let Some(disk) = &plan.disk {
+        if let Some(hook) = store_telemetry {
+            client.set_telemetry(hook);
+        }
+        if disk.snapshots {
+            let file = shard_file_path(&disk.dir, spec, table, shard);
+            client.persist_client_state(StateSnapshot::default_path(&file), disk.durable_sync);
         }
     }
+    let planner_reseed = snapshot.map(|s| s.levels.first().map_or(s.generation, |l| l.reseed));
+    Ok((client, planner_reseed))
 }
 
 /// The backing file a disk-backed shard uses under `dir`. The table

@@ -5,8 +5,6 @@ use std::fmt;
 
 use laoram_core::LaOramError;
 
-use crate::Request;
-
 /// Errors produced by the serving engine.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -29,14 +27,6 @@ pub enum ServiceError {
         /// The table's entry count.
         num_blocks: u32,
     },
-    /// The bounded request queue is full ([`try_submit`]); the batch is
-    /// handed back for resubmission.
-    ///
-    /// [`try_submit`]: crate::LaoramService::try_submit
-    Backpressure(
-        /// The rejected batch, returned unchanged.
-        Vec<Request>,
-    ),
     /// [`next_response`](crate::LaoramService::next_response) was called
     /// with no submitted batch outstanding.
     NoPendingBatches,
@@ -106,9 +96,6 @@ impl fmt::Display for ServiceError {
             ServiceError::IndexOutOfRange { table, index, num_blocks } => {
                 write!(f, "index {index} outside table {table} of {num_blocks} entries")
             }
-            ServiceError::Backpressure(batch) => {
-                write!(f, "request queue full ({} requests rejected)", batch.len())
-            }
             ServiceError::NoPendingBatches => write!(f, "no submitted batch outstanding"),
             ServiceError::NoPendingRequests => write!(f, "no unclaimed request outstanding"),
             ServiceError::UnknownTicket { ticket } => {
@@ -160,6 +147,5 @@ mod tests {
         assert!(e.to_string().contains("index 9"));
         let e: ServiceError = LaOramError::InvalidConfig("x".into()).into();
         assert!(e.source().is_some());
-        assert!(ServiceError::Backpressure(vec![]).to_string().contains("queue full"));
     }
 }

@@ -554,17 +554,12 @@ impl Ingress {
         Ok(())
     }
 
-    /// Queues one pre-coalesced batch as a group. While `queue_depth`
-    /// batches are already queued it blocks, or — without `block` — fails
-    /// fast, handing the batch back inside [`ServiceError::Backpressure`].
-    /// Tickets are issued and the batch is queued under one lock, so a
-    /// rejected batch leaves no gap. Returns the batch's request-ticket
-    /// range; an empty batch is complete as submitted: nothing is queued.
-    pub fn submit_batch(
-        &self,
-        requests: Vec<Request>,
-        block: bool,
-    ) -> Result<(u64, u64), ServiceError> {
+    /// Queues one pre-coalesced batch as a group, blocking while
+    /// `queue_depth` batches are already queued. Tickets are issued and
+    /// the batch is queued under one lock, so a refused batch leaves no
+    /// gap. Returns the batch's request-ticket range; an empty batch is
+    /// complete as submitted: nothing is queued.
+    pub fn submit_batch(&self, requests: Vec<Request>) -> Result<(u64, u64), ServiceError> {
         for request in &requests {
             self.router.validate(request)?;
         }
@@ -577,9 +572,6 @@ impl Ingress {
             }
             if pending.ready.len() < self.queue_depth {
                 break;
-            }
-            if !block {
-                return Err(ServiceError::Backpressure(requests));
             }
             pending = self.entered(self.ready_space.wait(pending));
         }
@@ -805,7 +797,7 @@ mod tests {
         assert!(panicked.is_err() && ingress.pending.is_poisoned());
         let submitted = ingress.submit_request(0, Request::read(0, 1));
         assert!(matches!(submitted, Err(ServiceError::Disconnected)), "{submitted:?}");
-        let batch = ingress.submit_batch(vec![Request::read(0, 2)], true);
+        let batch = ingress.submit_batch(vec![Request::read(0, 2)]);
         assert!(matches!(batch, Err(ServiceError::Disconnected)), "{batch:?}");
         assert!(matches!(ingress.send_reset(), Err(ServiceError::Disconnected)));
         ingress.group_published();
@@ -961,7 +953,7 @@ mod tests {
         for i in 0..40 {
             ingress.submit_request(1, Request::read(0, i)).unwrap();
         }
-        let (first, len) = ingress.submit_batch(vec![Request::read(0, 0); 3], false).unwrap();
+        let (first, len) = ingress.submit_batch(vec![Request::read(0, 0); 3]).unwrap();
         assert_eq!((first, len), (40, 3));
         assert_eq!(taken(ingress.take()).1, (0..8).collect::<Vec<_>>());
         assert_eq!(taken(ingress.take()).1, vec![40, 41, 42]);

@@ -64,8 +64,10 @@
 //! * **Larger than RAM** — every shard's bucket store is chosen per table
 //!   ([`StorageBackend`]): in-memory by default, an explicit disk backend
 //!   ([`DiskBackendSpec`]), or automatic spill when the table's footprint
-//!   exceeds [`ServiceConfig::in_memory_cap_bytes`]. The backend actually
-//!   chosen is reported by [`LaoramService::table_backends`].
+//!   exceeds [`ServiceConfig::in_memory_cap_bytes`]. Start-up decides
+//!   each table's store and recovery once; the backend actually chosen
+//!   is reported by [`LaoramService::table_status`] (and, without the
+//!   recovery status, [`LaoramService::table_backends`]).
 //! * **Restartable** — a disk table with
 //!   [`DiskBackendSpec::snapshots`] checkpoints its client state
 //!   (position map, stash, RNG resume point) at every sync (one per
@@ -90,7 +92,7 @@
 //!   overlap observable.
 //! * **Backpressured** — the queue of pre-coalesced batches is bounded
 //!   ([`ServiceConfig::queue_depth`]): [`submit`](LaoramService::submit)
-//!   blocks and [`try_submit`](LaoramService::try_submit) rejects. The
+//!   blocks while it is full. The
 //!   micro-batcher closes a group early only while the pipeline has a
 //!   free slot, so when serving falls behind requests wait in its queue.
 //!
@@ -411,35 +413,6 @@ mod tests {
         service.submit(Vec::new()).unwrap();
         let response = service.next_response().unwrap();
         assert!(response.outputs.is_empty());
-        service.shutdown().unwrap();
-    }
-
-    #[test]
-    fn backpressure_rejects_when_queue_full() {
-        // Queue depth 1 and no consumption: the queue must eventually
-        // reject. (The first batch may be dequeued by the preprocessor, so
-        // allow a couple of accepted submissions before the rejection.)
-        let mut service = LaoramService::start(
-            ServiceConfig::new()
-                .table(TableSpec::new("t0", 64).superblock_size(2).seed(3))
-                .queue_depth(1),
-        )
-        .unwrap();
-        let mut rejected = false;
-        for _ in 0..64 {
-            let batch: Vec<Request> = (0..64).map(|i| Request::read(0, i)).collect();
-            match service.try_submit(batch) {
-                Ok(_) => continue,
-                Err(ServiceError::Backpressure(returned)) => {
-                    assert_eq!(returned.len(), 64, "batch handed back intact");
-                    rejected = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert!(rejected, "queue of depth 1 never pushed back");
-        service.drain().unwrap();
         service.shutdown().unwrap();
     }
 

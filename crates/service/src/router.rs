@@ -360,16 +360,6 @@ impl ShardRouter {
         &self.partitions[table]
     }
 
-    /// The flattened worker ids serving `table`, in shard order.
-    ///
-    /// # Panics
-    /// Panics if `table` is out of range.
-    #[must_use]
-    pub fn table_workers(&self, table: usize) -> std::ops::Range<usize> {
-        let base = self.worker_base[table];
-        base..base + self.partitions[table].shards() as usize
-    }
-
     /// The `(table, shard)` a flattened worker id serves.
     ///
     /// # Panics
@@ -489,12 +479,6 @@ impl GroupRouting<'_> {
     /// Starts a new group: zeroes the per-worker load counters.
     pub fn begin_group(&mut self) {
         self.loads.fill(0);
-    }
-
-    /// Operations routed to `worker` in the current group so far.
-    #[must_use]
-    pub fn group_load(&self, worker: usize) -> u32 {
-        self.loads[worker]
     }
 
     /// Routes one request, invoking `emit(worker, local, primary)` once

@@ -18,12 +18,16 @@ use oram_protocol::EvictionConfig;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StorageBackend {
-    /// In-memory unless the table's estimated footprint exceeds
+    /// In-memory unless the table's footprint
+    /// ([`TableSpec::estimated_store_bytes`]) exceeds
     /// [`ServiceConfig::in_memory_cap_bytes`], in which case the table
-    /// spills to a disk store under [`ServiceConfig::spill_dir`]. Spill
-    /// files are owned by the service and deleted at
-    /// [`shutdown`](crate::LaoramService::shutdown) — the client state
-    /// they would need for a restart is not persisted. The default.
+    /// spills to a disk store with [`DiskBackendSpec::new`]'s defaults in
+    /// a service-unique directory under [`ServiceConfig::spill_dir`],
+    /// reported as [`TableRecovery::Scratch`]. That directory is owned by
+    /// the service and removed whole at
+    /// [`shutdown`](crate::LaoramService::shutdown) and on a refused
+    /// start — the client state a restart would need is not persisted.
+    /// The default.
     #[default]
     Auto,
     /// Always in-memory ([`ArenaStore`](oram_tree::ArenaStore) at
@@ -114,8 +118,9 @@ impl DiskBackendSpec {
 }
 
 /// The backend the service actually chose for a table at startup
-/// (reported by
+/// ([`TableStatus::backend`], also listed by
 /// [`LaoramService::table_backends`](crate::LaoramService::table_backends)).
+/// An Auto table that spilled names its service-unique spill directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResolvedBackend {
     /// The table's shards live in memory.
@@ -435,24 +440,29 @@ impl TableSpec {
     /// Propagates partition and geometry validation failures (via the
     /// same builders the engine uses).
     pub fn estimated_store_bytes(&self) -> Result<u64, crate::ServiceError> {
-        let slot_bytes = disk_slot_bytes(self);
-        let partition = crate::TablePartition::for_spec(self)?;
-        let mut total = 0u64;
-        for shard in 0..partition.shards() {
-            let config = laoram_core::LaOramConfig::builder(partition.shard_size(shard))
-                .superblock_size(self.superblock_size.max(1))
-                .fat_tree(self.fat_tree)
-                .build()?;
-            total += config.geometry()?.total_slots() * slot_bytes;
-        }
-        Ok(total)
+        store_bytes(self, &crate::TablePartition::for_spec(self)?)
     }
 }
 
-/// Bytes one bucket slot of `spec` occupies on disk — the shared figure
-/// behind spill decisions and footprint estimates.
-pub(crate) fn disk_slot_bytes(spec: &TableSpec) -> u64 {
-    oram_tree::DiskStore::slot_bytes_for(if spec.payloads { spec.row_bytes } else { 0 })
+/// Bytes of server storage `spec`'s shards need under `partition`: each
+/// shard's slot count from its real geometry, times the disk layout's
+/// slot size. Behind both [`TableSpec::estimated_store_bytes`] and the
+/// engine's [`StorageBackend::Auto`] spill decision.
+pub(crate) fn store_bytes(
+    spec: &TableSpec,
+    partition: &crate::TablePartition,
+) -> Result<u64, crate::ServiceError> {
+    let slot_bytes =
+        oram_tree::DiskStore::slot_bytes_for(if spec.payloads { spec.row_bytes } else { 0 });
+    let mut total = 0u64;
+    for shard in 0..partition.shards() {
+        let config = laoram_core::LaOramConfig::builder(partition.shard_size(shard))
+            .superblock_size(spec.superblock_size.max(1))
+            .fat_tree(spec.fat_tree)
+            .build()?;
+        total += config.geometry()?.total_slots() * slot_bytes;
+    }
+    Ok(total)
 }
 
 /// How the micro-batcher closes pipeline groups over individually submitted
@@ -611,8 +621,7 @@ pub struct ServiceConfig {
     /// Capacity of the bounded queue of pre-coalesced batches (and
     /// [`reset_stats`](crate::LaoramService::reset_stats) markers) waiting
     /// for the preprocessor. Submitting past it blocks
-    /// ([`submit`](crate::LaoramService::submit)) or rejects
-    /// ([`try_submit`](crate::LaoramService::try_submit)) — the service's
+    /// ([`submit`](crate::LaoramService::submit)) — the service's
     /// backpressure. Individually submitted requests wait in the
     /// micro-batcher instead, under its [`BatchPolicy`].
     pub queue_depth: usize,
@@ -637,9 +646,9 @@ pub struct ServiceConfig {
     /// Root under which [`StorageBackend::Auto`] spills put their shard
     /// files (default: the system temp dir). The service always creates
     /// a service-unique subdirectory beneath it — reported via
-    /// [`table_backends`](crate::LaoramService::table_backends) and
-    /// removed at shutdown — so services sharing a spill root never
-    /// touch each other's files.
+    /// [`table_status`](crate::LaoramService::table_status) and removed
+    /// whole at shutdown or on a refused start — so services sharing a
+    /// spill root never touch each other's files.
     pub spill_dir: Option<PathBuf>,
     /// Telemetry: `None` (the default) disables the flight recorder, the
     /// sampler, and every export of the metrics registry; `Some` enables

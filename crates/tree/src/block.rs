@@ -144,12 +144,6 @@ impl Block {
         Block { id: BlockId(BlockId::EMPTY_RAW), leaf: LeafId::new(0), data: None }
     }
 
-    /// Whether this is a [`tombstone`](Self::tombstone) placeholder.
-    #[must_use]
-    pub fn is_tombstone(&self) -> bool {
-        self.id.0 == BlockId::EMPTY_RAW
-    }
-
     /// The block's logical identifier.
     #[must_use]
     pub fn id(&self) -> BlockId {

@@ -244,6 +244,54 @@ fn partial_shard_state_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A start refused while building its shards leaves nothing behind: the
+/// files it created for a fresh snapshot-enabled table and the whole
+/// Auto spill directory are removed, so the next start sees a fresh
+/// table, not a partial recovery.
+#[test]
+fn refused_start_removes_what_it_created() {
+    let dir = unique_dir("refused-cleanup");
+    let spill_root = unique_dir("refused-spill");
+    let blocker = unique_dir("refused-blocker");
+    std::fs::create_dir_all(&spill_root).unwrap();
+    std::fs::write(&blocker, b"a regular file, not a directory").unwrap();
+    let spilled = TableSpec::new("spilled", 2048).shards(2).seed(5);
+    let cap = spilled.estimated_store_bytes().unwrap() / 4;
+    let refused = LaoramService::start(
+        ServiceConfig::new()
+            .table(persistent_spec(&dir))
+            .table(spilled)
+            .table(
+                TableSpec::new("unreachable", 64)
+                    .row_bytes(8)
+                    .backend(StorageBackend::Disk(DiskBackendSpec::new(blocker.join("sub")))),
+            )
+            .in_memory_cap_bytes(cap)
+            .spill_dir(&spill_root),
+    );
+    assert!(refused.is_err(), "a disk table under a regular file must refuse the start");
+
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .map(|entries| entries.filter_map(|e| e.ok()).map(|e| e.path()).collect())
+        .unwrap_or_default();
+    assert!(
+        !leftovers
+            .iter()
+            .any(|p| p.extension().is_some_and(|e| e == "oram" || e == "snap" || e == "layout")),
+        "the refused start left files of the fresh persistent table: {leftovers:?}"
+    );
+    let spill_leftovers: Vec<_> =
+        std::fs::read_dir(&spill_root).unwrap().filter_map(|e| e.ok()).map(|e| e.path()).collect();
+    assert!(spill_leftovers.is_empty(), "the spill root is not empty: {spill_leftovers:?}");
+
+    let second = LaoramService::start(ServiceConfig::new().table(persistent_spec(&dir))).unwrap();
+    assert_eq!(second.table_status()[0].recovery, TableRecovery::Fresh);
+    second.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&spill_root);
+    let _ = std::fs::remove_file(&blocker);
+}
+
 #[test]
 fn store_without_snapshot_is_refused() {
     let dir = unique_dir("nosnap");

@@ -251,8 +251,29 @@ fn refused_start_dumps_the_flight_recorder() {
     assert!(body.contains("startup refusal"), "dump lacks the refusal reason: {body}");
     assert!(body.contains("\"spans\""), "dump is not a spans document: {body}");
 
+    // A refusal decided before any shard is built (a payload table with
+    // row_bytes = 0) dumps the same way.
+    let early_dump_dir = unique_dir("refusal-dumps-early");
+    std::fs::create_dir_all(&early_dump_dir).unwrap();
+    let refused = LaoramService::start(
+        ServiceConfig::new()
+            .table(TableSpec::new("bad", ENTRIES).row_bytes(0))
+            .telemetry(TelemetrySpec::new().flight_dump_dir(&early_dump_dir)),
+    );
+    assert!(refused.is_err(), "a payload table with row_bytes = 0 must refuse the start");
+    let dumps: Vec<_> = std::fs::read_dir(&early_dump_dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("laoram-flight-"))
+        .collect();
+    assert_eq!(dumps.len(), 1, "exactly one automatic dump per run");
+    let body = std::fs::read_to_string(dumps[0].path()).unwrap();
+    assert!(body.contains("startup refusal"), "dump lacks the refusal reason: {body}");
+    assert!(body.contains("\"spans\""), "dump is not a spans document: {body}");
+
     let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&dump_dir);
+    let _ = std::fs::remove_dir_all(&early_dump_dir);
 }
 
 #[test]
