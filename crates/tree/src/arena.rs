@@ -11,16 +11,16 @@
 //! per-block allocation. A zero id word is an empty slot, so a fresh
 //! arena is a zeroed allocation.
 //!
-//! The path read is **branchless and constant-shape**: every slot on the
-//! path is copied out and marked empty whether or not it holds a real
-//! block, with an arithmetic cursor advance selecting which copies
-//! survive. This removes the data-dependent skip-empty branch of the
-//! scalar scan without changing what an observer of the *request
-//! sequence* sees — which paths are read and written is decided above
-//! the [`BucketStore`](crate::BucketStore) boundary either way, and the
-//! workspace's backend-equivalence proptests pin `RecordingObserver`
-//! sequences to be identical against `DiskStore`'s scalar scan. See
-//! ARCHITECTURE.md's "Data layout" section.
+//! The path read copies the blocks on the path, not the path: it scans
+//! the path's slots root first, in slot order, skips an empty slot, and
+//! copies an occupied one to the scratch and marks it empty — the scan
+//! rule [`DiskStore`](crate::DiskStore) reads by too. So the read's work,
+//! like the write-back's, follows how many blocks the path holds. Which
+//! paths are read and written is decided above the
+//! [`BucketStore`](crate::BucketStore) boundary, and the workspace's
+//! backend-equivalence proptests pin `RecordingObserver` sequences to be
+//! identical against `DiskStore`. See ARCHITECTURE.md's "Data layout"
+//! section.
 
 use crate::path::{decode_block, decode_slot, encode_slot, is_empty, mark_empty, slot_bytes};
 use std::ops::Range;
@@ -70,8 +70,8 @@ impl ArenaStoreConfig {
 /// responses and observer sequences to be identical — while serving
 /// the path-I/O pair ([`read_path_into`](BucketStore::read_path_into) /
 /// [`write_path_with`](BucketStore::write_path_with)) without allocating:
-/// reads are a constant-shape copy-out of the path's slots, write-backs
-/// plan with reusable pools and encode winners straight into the arena.
+/// reads copy the path's occupied slots out, write-backs plan with
+/// reusable pools and encode winners straight into the arena.
 /// The store owns the slot width: payload capacity is fixed per slot at
 /// construction, as on the disk backend.
 ///
@@ -219,15 +219,12 @@ impl BucketStore for ArenaStore {
             let arena = &mut self.levels[level as usize];
             for local in (range.start - base)..(range.end - base) {
                 let slot = &mut arena[local * stride..(local + 1) * stride];
-                let occupied = usize::from(!is_empty(slot));
-                // Constant shape: copy the slot to the scratch tail and
-                // mark it empty regardless of occupancy; the cursor only
-                // advances past real blocks, so a dummy's copy is
-                // overwritten by the next one. Same visit order (root
-                // first, slot order) and output as the scalar scan.
+                if is_empty(slot) {
+                    continue;
+                }
                 out.raw_slot_mut(cursor).copy_from_slice(slot);
                 mark_empty(slot);
-                cursor += occupied;
+                cursor += 1;
             }
         }
         out.set_len(cursor);
@@ -343,6 +340,42 @@ mod tests {
             .collect();
         seen.sort();
         assert_eq!(seen, vec![(1, Some(vec![9, 8, 7])), (2, None)]);
+    }
+
+    /// A path read copies the blocks it returns and nothing else: the
+    /// scratch's backing slots past `len` keep whatever an earlier read
+    /// left there, so no empty slot's image was copied over them.
+    #[test]
+    fn path_read_writes_only_the_blocks_it_returns() {
+        let g = geometry(4);
+        let path_slots = g.path_slots() as usize;
+        let mut store = ArenaStore::new(g, ArenaStoreConfig::new().payload_capacity(4));
+        let leaf = LeafId::new(3);
+        let mut scratch = PathScratch::new();
+        scratch.ensure_shape(4);
+        for i in 0..path_slots as u32 {
+            scratch.push(BlockId::new(i + 1), leaf, Some(&[i as u8; 4]));
+        }
+        store.write_path_from(leaf, &mut scratch);
+        assert!(scratch.is_empty(), "a full path holds every block mapped to its leaf");
+
+        store.read_path_into(leaf, &mut scratch);
+        assert_eq!(scratch.len(), path_slots);
+        let earlier: Vec<Vec<u8>> =
+            (0..path_slots).map(|i| scratch.raw_slot_mut(i).to_vec()).collect();
+
+        // One block back on the path: the leaf bucket's second slot stays
+        // empty and is scanned after the block.
+        let kept = 1;
+        scratch.clear();
+        scratch.push(BlockId::new(99), leaf, Some(&[7]));
+        store.write_path_from(leaf, &mut scratch);
+        store.read_path_into(leaf, &mut scratch);
+        assert_eq!(scratch.len(), kept);
+        assert_eq!(scratch.id(0), BlockId::new(99));
+        for (i, image) in earlier.iter().enumerate().skip(kept) {
+            assert_eq!(scratch.raw_slot_mut(i), &image[..], "backing slot {i} past len");
+        }
     }
 
     #[test]

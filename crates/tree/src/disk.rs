@@ -1209,6 +1209,16 @@ mod tests {
         std::env::temp_dir().join(format!("laoram-disk-test-{}-{name}.oram", std::process::id()))
     }
 
+    /// Removes a test's file when dropped, so a test that ends in a
+    /// panic (a `should_panic` test on its passing run) cleans up too.
+    struct RemoveOnDrop(PathBuf);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
     fn uniform(levels: u32, cap: u32) -> TreeGeometry {
         TreeGeometry::with_levels(levels, BucketProfile::Uniform { capacity: cap }).unwrap()
     }
@@ -1258,6 +1268,7 @@ mod tests {
     #[should_panic(expected = "exceeds the slot capacity")]
     fn oversized_payload_rejected() {
         let path = tmp("oversize");
+        let _cleanup = RemoveOnDrop(path.clone());
         let cfg = DiskStoreConfig::new().payload_capacity(4);
         let mut s = DiskStore::create(&path, uniform(2, 2), cfg).unwrap();
         let mut blocks = vec![Block::with_data(BlockId::new(0), LeafId::new(0), vec![0; 5].into())];
@@ -1268,6 +1279,7 @@ mod tests {
     #[should_panic(expected = "metadata-only")]
     fn metadata_only_store_rejects_payloads() {
         let path = tmp("meta-only");
+        let _cleanup = RemoveOnDrop(path.clone());
         let mut s = DiskStore::create(&path, uniform(2, 2), DiskStoreConfig::new()).unwrap();
         let mut blocks = vec![Block::with_data(BlockId::new(0), LeafId::new(0), vec![1].into())];
         s.write_path(LeafId::new(0), &mut blocks);

@@ -323,10 +323,8 @@ impl PathScratch {
     }
 
     /// Mutable image bytes of backing slot `i`, which may lie at or
-    /// beyond `len` (within grown capacity): stores copy whole images in
-    /// and then [`set_len`](Self::set_len), and the branchless arena read
-    /// writes the tail slot unconditionally before deciding whether the
-    /// cursor advances.
+    /// beyond `len` (within grown capacity): stores copy the whole image
+    /// of each block they return in and then [`set_len`](Self::set_len).
     pub(crate) fn raw_slot_mut(&mut self, i: usize) -> &mut [u8] {
         let stride = self.stride();
         &mut self.buf[i * stride..(i + 1) * stride]

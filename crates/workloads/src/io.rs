@@ -76,39 +76,53 @@ fn parse_header(header: &str) -> Option<(String, u32)> {
 mod tests {
     use super::*;
     use crate::TraceKind;
+    use std::path::PathBuf;
+
+    /// A directory of this process's own under the temp directory,
+    /// removed with its contents when dropped.
+    struct TestDir(PathBuf);
+
+    impl TestDir {
+        fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("laoram-workloads-test-{}-{test}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     #[test]
     fn roundtrip() {
-        let dir = std::env::temp_dir().join("laoram-workloads-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.trace");
+        let dir = TestDir::new("roundtrip");
+        let path = dir.0.join("roundtrip.trace");
         let t = Trace::generate(TraceKind::Permutation, 128, 256, 9);
         write_trace_csv(&t, &path).unwrap();
         let back = read_trace_csv(&path).unwrap();
         assert_eq!(back.accesses(), t.accesses());
         assert_eq!(back.num_blocks(), 128);
         assert_eq!(back.kind_name(), "permutation");
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn rejects_missing_header() {
-        let dir = std::env::temp_dir().join("laoram-workloads-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("noheader.trace");
+        let dir = TestDir::new("noheader");
+        let path = dir.0.join("noheader.trace");
         std::fs::write(&path, "1\n2\n").unwrap();
         assert!(read_trace_csv(&path).is_err());
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn rejects_out_of_range_index() {
-        let dir = std::env::temp_dir().join("laoram-workloads-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("badidx.trace");
+        let dir = TestDir::new("badidx");
+        let path = dir.0.join("badidx.trace");
         std::fs::write(&path, "# kind=x num_blocks=4\n9\n").unwrap();
         assert!(read_trace_csv(&path).is_err());
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -55,8 +55,8 @@ proptest! {
     /// Path ORAM: random read/write scripts are backend-equivalent —
     /// responses, full access statistics (including the stash high-water
     /// mark and per-path fetch counts) and the server-visible access
-    /// sequence agree between the arena's constant-shape path copy and
-    /// the disk store's cached, spilling scalar scan.
+    /// sequence agree between the arena's path copy and the disk
+    /// store's cached, spilling scan.
     #[test]
     fn path_oram_backends_equivalent(
         seed in any::<u64>(),

@@ -2,13 +2,17 @@
 //! configured in-memory cap is served through `laoram-service` by the
 //! disk backend, with read-your-writes intact and a clean shutdown.
 
+mod common;
+
 use laoram::service::{
     DiskBackendSpec, LaoramService, Request, ResolvedBackend, ServiceConfig, StorageBackend,
     TableRecovery, TableSpec,
 };
 
-fn unique_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("laoram-svc-disk-{}-{tag}", std::process::id()))
+use common::TestDir;
+
+fn unique_dir(tag: &str) -> TestDir {
+    TestDir::new(format!("laoram-svc-disk-{}-{tag}", std::process::id()))
 }
 
 #[test]
@@ -76,7 +80,6 @@ fn table_over_memory_cap_is_served_from_disk() {
     for file in &shard_files {
         assert!(!file.exists(), "spill file {} survived shutdown", file.display());
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -100,7 +103,6 @@ fn spilled_auto_tables_report_scratch_status() {
     assert_eq!(service.table_status()[1].recovery, TableRecovery::Fresh);
     let report = service.shutdown().unwrap();
     assert_eq!(report.table_status[0].recovery, TableRecovery::Scratch);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An Auto table that spills and an explicit `Disk` table with
@@ -157,8 +159,6 @@ fn spilled_auto_table_matches_a_default_disk_table() {
     assert_eq!(runs[0].0, runs[1].0, "responses differ between the spill and the disk table");
     assert_eq!(runs[0].1, runs[1].1, "disk I/O after the trace");
     assert_eq!(runs[0].2, runs[1].2, "disk I/O at shutdown");
-    let _ = std::fs::remove_dir_all(&spill_root);
-    let _ = std::fs::remove_dir_all(&disk_dir);
 }
 
 #[test]
@@ -197,7 +197,6 @@ fn explicit_disk_and_memory_tables_coexist() {
     }
     let report = service.shutdown().unwrap();
     assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -238,5 +237,4 @@ fn disk_backend_with_payloads_requires_row_bytes() {
     .expect("metadata-only table with row_bytes = 0")
     .shutdown()
     .expect("shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
 }

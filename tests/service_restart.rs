@@ -3,13 +3,17 @@
 //! position map, and stash intact, and the engine reports the
 //! recovered-vs-fresh status per table.
 
+mod common;
+
 use laoram::service::{
     DiskBackendSpec, LaoramService, OptimizerLayout, Request, RowUpdate, ServiceConfig,
     StorageBackend, TableRecovery, TableSpec,
 };
 
-fn unique_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("laoram-svc-restart-{}-{tag}", std::process::id()))
+use common::TestDir;
+
+fn unique_dir(tag: &str) -> TestDir {
+    TestDir::new(format!("laoram-svc-restart-{}-{tag}", std::process::id()))
 }
 
 fn persistent_spec(dir: &std::path::Path) -> TableSpec {
@@ -79,9 +83,6 @@ fn disk_table_shutdown_and_reopen_matches_uninterrupted_run() {
     let report = second.shutdown().unwrap();
     assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
     assert_eq!(report.table_status[0].recovery, TableRecovery::Recovered { shards: 2 });
-
-    let _ = std::fs::remove_dir_all(&dir_restart);
-    let _ = std::fs::remove_dir_all(&dir_straight);
 }
 
 /// Mid-training restart: a snapshot taken between fused training epochs
@@ -165,9 +166,6 @@ fn training_resumes_exactly_across_restart() {
     );
     let report = second.shutdown().unwrap();
     assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
-
-    let _ = std::fs::remove_dir_all(&dir_restart);
-    let _ = std::fs::remove_dir_all(&dir_straight);
 }
 
 #[test]
@@ -190,7 +188,6 @@ fn lifetime_access_counter_survives_restart() {
         "recovered shards resume their lifetime access counters"
     );
     second.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -215,7 +212,6 @@ fn snapshots_disabled_recreates_tables_fresh() {
         "a snapshot-less restart must serve a fresh (empty) table"
     );
     second.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -241,7 +237,6 @@ fn partial_shard_state_is_refused() {
         !a_store.exists(),
         "the refused start must not occupy the missing shard's slot with a fresh store"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A start refused while building its shards leaves nothing behind: the
@@ -287,9 +282,6 @@ fn refused_start_removes_what_it_created() {
     let second = LaoramService::start(ServiceConfig::new().table(persistent_spec(&dir))).unwrap();
     assert_eq!(second.table_status()[0].recovery, TableRecovery::Fresh);
     second.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&spill_root);
-    let _ = std::fs::remove_file(&blocker);
 }
 
 #[test]
@@ -308,7 +300,6 @@ fn store_without_snapshot_is_refused() {
     }
     let err = LaoramService::start(ServiceConfig::new().table(persistent_spec(&dir)));
     assert!(err.is_err(), "a store without its snapshot must be refused");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Acknowledged ⇒ durable: once the engine has answered a write, the
@@ -358,7 +349,4 @@ fn acknowledged_writes_are_in_the_crash_image() {
     assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
     let report = live.shutdown().unwrap();
     assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&image);
 }

@@ -6,6 +6,8 @@
 //! start, sampler snapshot monotonicity, per-table disk I/O surfacing,
 //! and nothing being exported when not configured.
 
+mod common;
+
 use std::time::Duration;
 
 use laoram::service::{
@@ -16,8 +18,10 @@ use laoram::service::{
 const ENTRIES: u32 = 512;
 const BATCH_LEN: usize = 512;
 
-fn unique_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("laoram-telemetry-{}-{tag}", std::process::id()))
+use common::TestDir;
+
+fn unique_dir(tag: &str) -> TestDir {
+    TestDir::new(format!("laoram-telemetry-{}-{tag}", std::process::id()))
 }
 
 fn mem_config(shards: u32) -> ServiceConfig {
@@ -270,10 +274,6 @@ fn refused_start_dumps_the_flight_recorder() {
     let body = std::fs::read_to_string(dumps[0].path()).unwrap();
     assert!(body.contains("startup refusal"), "dump lacks the refusal reason: {body}");
     assert!(body.contains("\"spans\""), "dump is not a spans document: {body}");
-
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&dump_dir);
-    let _ = std::fs::remove_dir_all(&early_dump_dir);
 }
 
 #[test]
@@ -351,5 +351,4 @@ fn table_status_surfaces_disk_io_for_disk_tables_only() {
     let report = service.shutdown().unwrap();
     let final_io = report.table_status[1].disk_io.expect("shutdown report keeps disk io");
     assert!(final_io.reads >= io.reads, "io went backwards across shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
 }
