@@ -53,7 +53,7 @@ struct EngineShape {
 }
 
 fn engine_config(shape: EngineShape) -> ServiceConfig {
-    let mut config = ServiceConfig::new().queue_depth(4).batch_policy(
+    let mut config = ServiceConfig::new().batch_policy(
         BatchPolicy::new()
             .max_batch(shape.max_batch)
             .max_delay(Duration::from_micros(shape.max_delay_us)),

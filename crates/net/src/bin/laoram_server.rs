@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_batch(args.max_batch)
         .max_delay(Duration::from_micros(args.max_delay_us))
         .fixed_cadence(args.fixed_cadence);
-    let mut config = ServiceConfig::new().queue_depth(4).batch_policy(policy);
+    let mut config = ServiceConfig::new().batch_policy(policy);
     for t in 0..args.tables {
         config = config.table(
             TableSpec::new(format!("table-{t}"), args.rows)

@@ -8,7 +8,7 @@
 //!   (one lane per session)                  │ group filled by DRR over lanes
 //!                                           ├─▶ preprocessor ─────────▶ shard workers
 //!  submit() batch, reset_stats() ─▶ [ready] ┘   takes group N+1, bins   one LaOram each,
-//!   (bounded by queue_depth:                    it and draws its paths  serve group N
+//!   (bounded, 4 deep:                           it and draws its paths  serve group N
 //!    backpressure)                              while shards serve N          │
 //!                                                                             ▼
 //!  try_complete()/wait() ◀── reassembly (one lock: group order, ◀──── per-group parts
@@ -347,8 +347,8 @@ impl LaoramService {
     // ------------------------------------------------------------------
 
     /// Validates and enqueues a pre-coalesced batch as one pipeline
-    /// group, blocking while [`queue_depth`](crate::ServiceConfig::queue_depth)
-    /// batches are already queued (backpressure).
+    /// group, blocking while 4 batches are already queued
+    /// (backpressure).
     /// Returns the ticket its response will carry; the ticket also names
     /// the batch's per-request ticket range
     /// ([`BatchTicket::request_tickets`]).

@@ -19,7 +19,7 @@ use super::preprocessor::run_preprocessor;
 use super::reassembly::Reassembly;
 use super::worker::run_worker;
 use super::{remove_spill_dir, LaoramService, ShardClient, Shared, WorkerMsg};
-use crate::ingress::{Ingress, PIPELINE_DEPTH};
+use crate::ingress::{Ingress, PIPELINE_DEPTH, QUEUE_DEPTH};
 use crate::telemetry::{Flight, SAMPLE_WINDOW};
 use crate::{
     DiskBackendSpec, ResolvedBackend, ServiceConfig, ServiceError, ShardRouter, StorageBackend,
@@ -78,9 +78,6 @@ impl LaoramService {
         start: Instant,
         flight: Option<Arc<Flight>>,
     ) -> Result<Self, ServiceError> {
-        if config.queue_depth == 0 {
-            return Err(ServiceError::InvalidConfig("queue depth must be nonzero".into()));
-        }
         if config.batch_policy.max_batch == 0 {
             return Err(ServiceError::InvalidConfig(
                 "BatchPolicy::max_batch must be nonzero".into(),
@@ -244,7 +241,7 @@ impl LaoramService {
             Arc::clone(&shared),
             &config.batch_policy,
             quantum,
-            config.queue_depth,
+            QUEUE_DEPTH,
         ));
         let reassembly =
             Arc::new(Reassembly::new(Arc::clone(&shared), Arc::clone(&ingress), num_workers));

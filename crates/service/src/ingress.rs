@@ -56,6 +56,11 @@ pub(crate) struct GroupMeta {
 /// worker's channel buffers behind the one the worker is serving.
 pub(crate) const PIPELINE_DEPTH: usize = 2;
 
+/// Pre-coalesced batches and reset markers the engine queues beside the
+/// pending requests before a batch submission blocks: the service's
+/// backpressure.
+pub(crate) const QUEUE_DEPTH: usize = 4;
+
 /// What waits beside the pending requests, in submission order.
 enum Ready {
     /// A pre-coalesced batch: tickets from `first`, every request

@@ -91,7 +91,7 @@
 //!   Per-stage timestamps ([`PipelineStats`], [`BatchTiming`]) make the
 //!   overlap observable.
 //! * **Backpressured** — the queue of pre-coalesced batches is bounded
-//!   ([`ServiceConfig::queue_depth`]): [`submit`](LaoramService::submit)
+//!   (4 batches): [`submit`](LaoramService::submit)
 //!   blocks while it is full. The
 //!   micro-batcher closes a group early only while the pipeline has a
 //!   free slot, so when serving falls behind requests wait in its queue.
@@ -244,8 +244,7 @@
 //!
 //! let mut service = LaoramService::start(
 //!     ServiceConfig::new()
-//!         .table(TableSpec::new("embeddings", 256).shards(2).superblock_size(4))
-//!         .queue_depth(2),
+//!         .table(TableSpec::new("embeddings", 256).shards(2).superblock_size(4)),
 //! )?;
 //! // Request-level path: per-tenant sessions, micro-batched internally.
 //! let tenant = service.session();
@@ -317,19 +316,12 @@ mod tests {
     use super::*;
 
     fn two_shard_config() -> ServiceConfig {
-        ServiceConfig::new()
-            .table(TableSpec::new("t0", 512).shards(2).superblock_size(4).seed(11))
-            .queue_depth(4)
+        ServiceConfig::new().table(TableSpec::new("t0", 512).shards(2).superblock_size(4).seed(11))
     }
 
     #[test]
     fn start_validates_configuration() {
         assert!(LaoramService::start(ServiceConfig::new()).is_err(), "no tables");
-        assert!(
-            LaoramService::start(ServiceConfig::new().table(TableSpec::new("t", 8)).queue_depth(0))
-                .is_err(),
-            "zero queue depth"
-        );
         assert!(
             LaoramService::start(ServiceConfig::new().table(TableSpec::new("t", 8).shards(16)))
                 .is_err(),
@@ -691,7 +683,7 @@ mod tests {
 
     #[test]
     fn a_batch_stream_does_not_starve_a_pending_request() {
-        // 200 batches back to back keep the queue of depth 2 full for far
+        // 200 batches back to back keep the bounded queue full for far
         // longer than the 5 ms deadline of one session read, which must
         // still be served in between; a second read submitted once the
         // loop is over stamps its end on the engine's clock.
@@ -699,7 +691,6 @@ mod tests {
         let mut service = LaoramService::start(
             ServiceConfig::new()
                 .table(TableSpec::new("t0", 4096).shards(2).superblock_size(4).seed(7))
-                .queue_depth(2)
                 .batch_policy(policy),
         )
         .unwrap();
@@ -723,18 +714,18 @@ mod tests {
     #[test]
     fn a_request_stream_does_not_starve_a_queued_batch() {
         // 8192 session reads keep the size trigger (groups of 64) firing
-        // for over a hundred groups. Two batches queue behind them on a
-        // queue of depth 1 — the second submit blocks until the first is
-        // taken — and the second must still be taken while at least one
-        // full group of reads is pending. The coalesce spans, in group
-        // order, count the reads taken ahead of it.
+        // for over a hundred groups. One batch more than the queue holds
+        // queues behind them — the last submit blocks until the first
+        // batch is taken — and the last must still be taken while at
+        // least one full group of reads is pending. The coalesce spans,
+        // in group order, count the reads taken ahead of it.
+        use crate::ingress::QUEUE_DEPTH;
         const STREAM: usize = 8192;
         let policy =
             BatchPolicy::new().max_batch(64).max_delay(std::time::Duration::from_millis(5));
         let mut service = LaoramService::start(
             ServiceConfig::new()
                 .table(TableSpec::new("t0", 4096).shards(2).superblock_size(4).seed(7))
-                .queue_depth(1)
                 .batch_policy(policy)
                 .telemetry(TelemetrySpec::new()),
         )
@@ -743,7 +734,7 @@ mod tests {
         for i in 0..STREAM as u32 {
             session.read(0, i * 61 % 4096).unwrap();
         }
-        for _ in 0..2 {
+        for _ in 0..=QUEUE_DEPTH {
             service.submit((0..16).map(|i| Request::read(0, i)).collect()).unwrap();
         }
         service.drain().unwrap();
@@ -764,15 +755,15 @@ mod tests {
                 reads_ahead += requests;
             } else {
                 batches += 1;
-                if batches == 2 {
+                if batches == QUEUE_DEPTH + 1 {
                     break;
                 }
             }
         }
-        assert_eq!(batches, 2);
+        assert_eq!(batches, QUEUE_DEPTH + 1);
         assert!(
             reads_ahead + 64 <= STREAM,
-            "the second batch waited out the request backlog ({reads_ahead} reads went first)"
+            "the last batch waited out the request backlog ({reads_ahead} reads went first)"
         );
         service.shutdown().unwrap();
     }

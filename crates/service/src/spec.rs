@@ -618,13 +618,6 @@ impl Default for TelemetrySpec {
 pub struct ServiceConfig {
     /// The hosted tables; request `table` fields index into this list.
     pub tables: Vec<TableSpec>,
-    /// Capacity of the bounded queue of pre-coalesced batches (and
-    /// [`reset_stats`](crate::LaoramService::reset_stats) markers) waiting
-    /// for the preprocessor. Submitting past it blocks
-    /// ([`submit`](crate::LaoramService::submit)) — the service's
-    /// backpressure. Individually submitted requests wait in the
-    /// micro-batcher instead, under its [`BatchPolicy`].
-    pub queue_depth: usize,
     /// Micro-batching policy for individually submitted requests.
     pub batch_policy: BatchPolicy,
     /// Pad **every hosted table's** per-shard sub-batches up to the
@@ -657,13 +650,12 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// An empty configuration with the default queue depth (4 groups),
-    /// default [`BatchPolicy`], and shard-batch padding off.
+    /// An empty configuration with the default [`BatchPolicy`] and
+    /// shard-batch padding off.
     #[must_use]
     pub fn new() -> Self {
         ServiceConfig {
             tables: Vec::new(),
-            queue_depth: 4,
             batch_policy: BatchPolicy::default(),
             pad_shard_batches: false,
             in_memory_cap_bytes: None,
@@ -676,13 +668,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn table(mut self, spec: TableSpec) -> Self {
         self.tables.push(spec);
-        self
-    }
-
-    /// Sets the ingress queue depth (in queued batches).
-    #[must_use]
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
         self
     }
 
@@ -744,9 +729,8 @@ mod tests {
         assert_eq!(spec.superblock_size, 8);
         assert!(spec.fat_tree);
 
-        let cfg = ServiceConfig::new().table(TableSpec::new("a", 16)).queue_depth(2);
+        let cfg = ServiceConfig::new().table(TableSpec::new("a", 16));
         assert_eq!(cfg.tables.len(), 1);
-        assert_eq!(cfg.queue_depth, 2);
         assert!(!cfg.pad_shard_batches);
         assert_eq!(cfg.batch_policy, BatchPolicy::default());
     }

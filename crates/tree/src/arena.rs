@@ -1,15 +1,16 @@
-//! Arena-backed in-memory bucket storage: one contiguous allocation per
-//! tree level, fixed-stride slots, allocation-free path I/O.
+//! Arena-backed in-memory bucket storage: one contiguous slab of
+//! fixed-stride slots in flat slot order, allocation-free path I/O.
 //!
 //! [`ArenaStore`] is the in-memory store, and the default under every
-//! protocol client: each level is a single `Box<[u8]>` arena of slot
-//! images (the one image defined in `path.rs` — the bytes a
-//! [`DiskStore`](crate::DiskStore) file holds), and path I/O physically
-//! copies images between the arena
-//! and the caller's buffers — a row's bytes never keep their address
-//! across an access, which is the ORAM — with per-slot `memcpy`s and no
-//! per-block allocation. A zero id word is an empty slot, so a fresh
-//! arena is a zeroed allocation.
+//! protocol client. Its slab is the slot region of a
+//! [`DiskStore`](crate::DiskStore) file held in memory: the one slot
+//! image defined in `path.rs`, level by level, buckets in node order,
+//! so flat slot `i` is the slab's `i`-th stride and a store file's
+//! bytes after its header. Path I/O physically copies images between
+//! the slab and the caller's buffers — a row's bytes never keep their
+//! address across an access, which is the ORAM — with per-slot
+//! `memcpy`s and no per-block allocation. A zero id word is an empty
+//! slot, so a fresh arena is a zeroed allocation.
 //!
 //! The path read copies the blocks on the path, not the path: it scans
 //! the path's slots root first, in slot order, skips an empty slot, and
@@ -63,7 +64,8 @@ impl ArenaStoreConfig {
     }
 }
 
-/// In-memory bucket store with one fixed-stride arena per tree level.
+/// In-memory bucket store: one fixed-stride slab of every slot of the
+/// tree, in flat slot order — a store file's slot region in memory.
 ///
 /// Implements the same [`BucketStore`] contract as
 /// [`DiskStore`](crate::DiskStore) — the backend-equivalence suite pins
@@ -71,7 +73,7 @@ impl ArenaStoreConfig {
 /// the path-I/O pair ([`read_path_into`](BucketStore::read_path_into) /
 /// [`write_path_with`](BucketStore::write_path_with)) without allocating:
 /// reads copy the path's occupied slots out, write-backs plan with
-/// reusable pools and encode winners straight into the arena.
+/// reusable pools and encode winners straight into the slab.
 /// The store owns the slot width: payload capacity is fixed per slot at
 /// construction, as on the disk backend.
 ///
@@ -99,11 +101,9 @@ impl ArenaStoreConfig {
 pub struct ArenaStore {
     geometry: TreeGeometry,
     payload_capacity: usize,
-    /// One contiguous slot arena per level, root first.
-    levels: Vec<Box<[u8]>>,
-    /// Flat slot index of each level's first slot (ascending), mapping
-    /// the geometry's flat slot space onto (level, local) coordinates.
-    level_base: Vec<usize>,
+    /// Every slot image of the tree, `total_slots × stride` bytes, in
+    /// flat slot order: flat slot `i` is the `i`-th stride.
+    slots: Box<[u8]>,
     occupied: u64,
     plan: PlanScratch,
 }
@@ -120,38 +120,24 @@ impl std::fmt::Debug for ArenaStore {
 }
 
 impl ArenaStore {
-    /// Creates an empty store: one zero-filled (all-empty) arena per
-    /// level, sized `level slots × stride`, every page touched.
+    /// Creates an empty store: one zero-filled (all-empty) slab of
+    /// `total slots × stride` bytes, every page touched.
     #[must_use]
     pub fn new(geometry: TreeGeometry, config: ArenaStoreConfig) -> Self {
         let payload_capacity = config.payload_capacity as usize;
-        let stride = slot_bytes(payload_capacity);
-        let mut levels = Vec::new();
-        let mut level_base = Vec::new();
-        for level in geometry.path_levels() {
-            let slots = geometry.level_slot_range(level);
-            // `resize`, not `vec![0; n]`: a zeroed allocation is mapped
-            // lazily, which moves a 4 KiB-row table's ≈ 860 MiB of
-            // first-touch page faults out of this one sequential pass and
-            // into populate, where they cost about twice as much
-            // (`serve_4k_tcp` `setup_s` 0.65 s → 1.2 s, PR 15's A/B).
-            #[allow(clippy::slow_vector_initialization)]
-            let arena = {
-                let mut arena = Vec::with_capacity(slots.len() * stride);
-                arena.resize(slots.len() * stride, 0u8);
-                arena
-            };
-            levels.push(arena.into_boxed_slice());
-            level_base.push(slots.start);
-        }
-        ArenaStore {
-            geometry,
-            payload_capacity,
-            levels,
-            level_base,
-            occupied: 0,
-            plan: PlanScratch::default(),
-        }
+        let bytes = geometry.total_slots() as usize * slot_bytes(payload_capacity);
+        // `resize`, not `vec![0; n]`: a zeroed allocation is mapped
+        // lazily, which moves a 4 KiB-row table's ≈ 860 MiB of
+        // first-touch page faults out of this one sequential pass and
+        // into populate, where they cost about twice as much
+        // (`serve_4k_tcp` `setup_s` 0.65 s → 1.2 s on a 2-vCPU VM).
+        #[allow(clippy::slow_vector_initialization)]
+        let slots = {
+            let mut slots = Vec::with_capacity(bytes);
+            slots.resize(bytes, 0u8);
+            slots.into_boxed_slice()
+        };
+        ArenaStore { geometry, payload_capacity, slots, occupied: 0, plan: PlanScratch::default() }
     }
 
     /// Creates a metadata-only store (8-byte slots).
@@ -170,25 +156,16 @@ impl ArenaStore {
         slot_bytes(self.payload_capacity)
     }
 
-    /// (level, byte offset) of a flat slot index.
-    fn locate(level_base: &[usize], stride: usize, flat: usize) -> (usize, usize) {
-        let level = level_base.partition_point(|&b| b <= flat) - 1;
-        (level, (flat - level_base[level]) * stride)
-    }
-
     fn slot(&self, flat: usize) -> &[u8] {
         let stride = self.stride();
-        let (level, off) = Self::locate(&self.level_base, stride, flat);
-        &self.levels[level][off..off + stride]
+        &self.slots[flat * stride..][..stride]
     }
 
-    /// The slot images of one bucket: a bucket's slots are contiguous in
-    /// its level's arena, so the level is indexed directly.
+    /// The slot images of one bucket: a bucket's slots are contiguous.
     fn bucket_mut(&mut self, level: u32, node_in_level: u64) -> &mut [u8] {
         let stride = self.stride();
         let range = self.geometry.bucket_slot_range(level, node_in_level);
-        let base = self.level_base[level as usize];
-        &mut self.levels[level as usize][(range.start - base) * stride..(range.end - base) * stride]
+        &mut self.slots[range.start * stride..range.end * stride]
     }
 }
 
@@ -214,11 +191,7 @@ impl BucketStore for ArenaStore {
         let mut cursor = 0usize;
         for level in 0..=self.geometry.leaf_level() {
             let node = self.geometry.path_node_in_level(leaf, level);
-            let range = self.geometry.bucket_slot_range(level, node);
-            let base = self.level_base[level as usize];
-            let arena = &mut self.levels[level as usize];
-            for local in (range.start - base)..(range.end - base) {
-                let slot = &mut arena[local * stride..(local + 1) * stride];
+            for slot in self.bucket_mut(level, node).chunks_exact_mut(stride) {
                 if is_empty(slot) {
                     continue;
                 }
@@ -238,22 +211,17 @@ impl BucketStore for ArenaStore {
         placed: &mut Vec<bool>,
     ) {
         debug_assert!(self.geometry.check_leaf(leaf).is_ok(), "leaf {leaf} out of range");
-        let stride = self.stride();
-        let (levels, level_base) = (&mut self.levels, &self.level_base);
+        let (stride, slots) = (self.stride(), &mut self.slots);
         plan_greedy_write_back(
             &self.geometry,
             leaf,
             candidates,
-            |flat| {
-                let (level, off) = Self::locate(level_base, stride, flat);
-                is_empty(&levels[level][off..off + stride])
-            },
+            |flat| is_empty(&slots[flat * stride..][..stride]),
             &mut self.plan,
             placed,
         );
         for &(flat, idx) in &self.plan.placements {
-            let (level, off) = Self::locate(level_base, stride, flat);
-            let dst = &mut levels[level][off..off + stride];
+            let dst = &mut slots[flat * stride..][..stride];
             match candidates.get(idx) {
                 Candidate::Slot(raw) => {
                     assert_eq!(raw.len(), stride, "scratch shaped for a different store");
@@ -306,9 +274,7 @@ impl BucketStore for ArenaStore {
     }
 
     fn clear(&mut self) {
-        for arena in &mut self.levels {
-            arena.fill(0);
-        }
+        self.slots.fill(0);
         self.occupied = 0;
     }
 }

@@ -16,17 +16,21 @@
 //! one growable run of `slot_bytes` frames plus a free list — and carries
 //! a dirty bit for a value the file does not hold yet. Every slot starts
 //! unknown, at [`create`](DiskStore::create) as at
-//! [`open`](DiskStore::open); path reads, write-backs and prefetches
-//! learn what they read. A known-empty slot owns no frame and counts
-//! against no budget, so the empties a path read meets cost their index
-//! entry alone and are never evicted. Clean images are bounded by the
-//! clean budget ([`DiskStoreConfig::readahead_paths`]): past it, a CLOCK
-//! hand over the frames evicts clean images back to unknown — never a
-//! dirty one, and the ones the latest prefetch hint named only when
-//! nothing else is clean. Resident bytes are 4 per slot of the index (a
-//! page of it no run touches is never faulted in) plus, per frame, the
-//! image and 16 bytes of bookkeeping; the slab grows as images arrive and
-//! never past the clean budget plus the dirty images plus one hint.
+//! [`open`](DiskStore::open). File bytes enter the index by one rule: a
+//! path or bucket operation, or a prefetch, reads a bucket run holding
+//! an unknown slot once and learns every unknown slot of it, as known
+//! empty or as a clean image, so a bucket is read from the file once
+//! until its images are evicted. A known-empty slot owns no frame and
+//! counts against no budget, so the empties a path read meets cost their
+//! index entry alone and are never evicted. Clean images are bounded by
+//! the clean budget ([`DiskStoreConfig::readahead_paths`]), trimmed once
+//! at the end of each operation: past it, a CLOCK hand over the frames
+//! evicts clean images back to unknown — never a dirty one, and the ones
+//! the latest prefetch hint named only when nothing else is clean.
+//! Resident bytes are 4 per slot of the index (a page of it no run
+//! touches is never faulted in) plus, per frame, the image and 16 bytes
+//! of bookkeeping; the slab grows as images arrive and never past the
+//! clean budget plus the dirty images plus one hint or one path.
 //!
 //! # On-disk layout
 //!
@@ -44,22 +48,23 @@
 //!   [`DiskStore::open`] can rebuild the geometry and reject mismatched
 //!   callers).
 //! * **Slot**: the one slot image defined in `path.rs` — the same bytes
-//!   an arena level and a [`PathScratch`] entry hold, so a slot moves
+//!   an arena slot and a [`PathScratch`] entry hold, so a slot moves
 //!   between the file, the cache and the scratch by `memcpy`. A zero id
 //!   word, and therefore a sparse, never-written file region, is an
 //!   *empty* slot; an emptied slot is written back as all zeros and the
 //!   payload bytes past a row's length are zero.
 //!
-//! Slots are ordered exactly like [`ArenaStore`](crate::ArenaStore)'s
-//! level arenas (level by level, buckets in node order), so the two
-//! backends visit blocks in identical order — the property the
+//! The slot region is byte for byte [`ArenaStore`](crate::ArenaStore)'s
+//! slab (level by level, buckets in node order), so the two backends
+//! visit blocks in identical order — the property the
 //! backend-equivalence tests depend on.
 //!
 //! # Batched I/O
 //!
 //! A bucket's slots are contiguous on disk, so every path operation is
-//! performed as **one read per bucket** (`L + 1` reads per path) rather
-//! than one per slot, and the write-back buffer is flushed as
+//! performed as **at most one read per bucket** (`L + 1` reads per path,
+//! none for a bucket the index knows) rather than one per slot, and the
+//! write-back buffer is flushed as
 //! **run-length-coalesced writes**: dirty slots are sorted and maximal
 //! consecutive runs become single `pwrite`s. Metadata scans
 //! ([`scan_slots`](BucketStore::scan_slots), and through it the trait's
@@ -196,13 +201,14 @@ pub struct DiskStoreConfig {
     /// semantics without paying device flushes.
     pub durable_sync: bool,
     /// Maximum paths honoured per [`prefetch_paths`](BucketStore::prefetch_paths)
-    /// hint, and the clean budget: the slot cache holds at most `4 ×
-    /// readahead_paths × path_slots` clean slot images (prefetched or
-    /// flushed). Past it, a CLOCK hand evicts clean images in frame order,
+    /// hint, and the clean budget: between operations the slot cache
+    /// holds at most `4 × readahead_paths × path_slots` clean slot images
+    /// (prefetched, read on a miss, or flushed). At the end of each
+    /// operation a CLOCK hand evicts clean images past it in frame order,
     /// sparing the latest hint's until nothing else is clean. A slot
     /// known to be empty holds no image and counts against no budget.
-    /// `0` disables readahead and keeps no clean image; the slot index
-    /// still remembers empties.
+    /// `0` disables readahead and keeps no clean image between
+    /// operations; the slot index still remembers empties.
     pub readahead_paths: usize,
     /// Optional flight-recorder hook: when set, the store records
     /// `disk.read` / `disk.flush` / `disk.prefetch` spans on the owning
@@ -681,11 +687,13 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Learns the unknown slots of the bucket run `slots` from the file —
-    /// the empty ones become known-empty, the real ones stay unknown (to
-    /// the planner: taken) — so the write-back that follows can plan
-    /// against the index. One read, skipped when the index knows the run.
-    fn learn_empties(&mut self, slots: Range<u64>) -> Result<(), TreeError> {
+    /// Learns the run `slots` from the file with one read, skipped when
+    /// the index knows every slot of it: each unknown slot becomes known
+    /// empty, or a clean image stamped `hint` (0 outside a prefetch). An
+    /// entry already there is newer than the file (dirty) or mirrors these
+    /// very bytes (clean), so it stays. Never trims: the clean budget is
+    /// trimmed once at the end of the operation.
+    fn learn(&mut self, slots: Range<u64>, hint: u32) -> Result<(), TreeError> {
         if !self.any_unknown(slots.clone()) {
             return Ok(());
         }
@@ -693,48 +701,40 @@ impl DiskStore {
         self.read_run_bytes(slots.start, (slots.end - slots.start) as usize, &mut buf)?;
         let slot_bytes = self.slot_bytes() as usize;
         for (slot, image) in slots.zip(buf.chunks_exact(slot_bytes)) {
-            if self.entry(slot) == Known::Unknown {
-                check_image(image, slot)?;
-                if is_empty(image) {
-                    self.index[slot as usize] = EMPTY;
-                }
+            if self.entry(slot) != Known::Unknown {
+                continue;
             }
+            check_image(image, slot)?;
+            if is_empty(image) {
+                self.index[slot as usize] = EMPTY;
+                continue;
+            }
+            let frame = self.new_frame(slot);
+            self.frames[frame].hint = hint;
+            self.slab[frame * slot_bytes..][..slot_bytes].copy_from_slice(image);
+            self.index[slot as usize] = FRAME_BASE + frame as u32;
+            self.clean_images += 1;
         }
         self.io_buf = buf;
         Ok(())
     }
 
-    /// Destructively reads the bucket run `slots`: hands every real
-    /// image to `take` in slot order and leaves its slot emptied (dirty);
-    /// the empties a file read shows become known-empty.
+    /// Destructively reads the bucket run `slots`: learns it, then hands
+    /// every real image to `take` in slot order and leaves its slot
+    /// emptied (dirty).
     fn take_run(
         &mut self,
         slots: Range<u64>,
         mut take: impl FnMut(&[u8]),
     ) -> Result<(), TreeError> {
-        let mut buf = std::mem::take(&mut self.io_buf);
-        if self.any_unknown(slots.clone()) {
-            self.read_run_bytes(slots.start, (slots.end - slots.start) as usize, &mut buf)?;
-        }
-        let slot_bytes = self.slot_bytes() as usize;
-        for (i, slot) in slots.enumerate() {
-            match self.entry(slot) {
-                Known::Empty => continue,
-                Known::Image(frame) => take(self.frame(frame)),
-                Known::Unknown => {
-                    let image = &buf[i * slot_bytes..][..slot_bytes];
-                    check_image(image, slot)?;
-                    if is_empty(image) {
-                        self.index[slot as usize] = EMPTY;
-                        continue;
-                    }
-                    take(image);
-                }
+        self.learn(slots.clone(), 0)?;
+        for slot in slots {
+            if let Known::Image(frame) = self.entry(slot) {
+                take(self.frame(frame));
+                self.set(slot, EMPTY);
+                self.occupied -= 1;
             }
-            self.set(slot, EMPTY);
-            self.occupied -= 1;
         }
-        self.io_buf = buf;
         Ok(())
     }
 
@@ -815,7 +815,8 @@ impl DiskStore {
         }
     }
 
-    /// Spills the write-back buffer when it exceeds its budget. I/O
+    /// Ends a path or bucket operation: spills the write-back buffer
+    /// when it exceeds its budget, and trims clean images to theirs. I/O
     /// failures are remembered (the data stays buffered) and surfaced at
     /// the next [`sync`](Self::sync).
     fn maybe_spill(&mut self) {
@@ -826,6 +827,7 @@ impl DiskStore {
                 }
             }
         }
+        self.trim_clean();
     }
 
     /// Writes every buffered slot (and the current occupancy) to the
@@ -987,7 +989,7 @@ impl BucketStore for DiskStore {
         for level in 0..=self.geometry.leaf_level() {
             let node = self.geometry.path_node_in_level(leaf, level);
             let bounds = self.bucket_slot_bounds(level, node);
-            self.learn_empties(bounds).expect("bucket-store read failed");
+            self.learn(bounds, 0).expect("bucket-store read failed");
         }
         let mut plan = std::mem::take(&mut self.plan);
         let index = &self.index;
@@ -1017,7 +1019,7 @@ impl BucketStore for DiskStore {
 
     fn write_bucket(&mut self, level: u32, node_in_level: u64, blocks: Vec<Block>) -> Vec<Block> {
         let bounds = self.bucket_slot_bounds(level, node_in_level);
-        self.learn_empties(bounds.clone()).expect("bucket-store read failed");
+        self.learn(bounds.clone(), 0).expect("bucket-store read failed");
         let mut blocks = blocks.into_iter();
         for slot in bounds {
             if self.entry(slot) != Known::Empty {
@@ -1142,33 +1144,11 @@ impl BucketStore for DiskStore {
             }
         }
         runs.truncate(spans);
-        let mut buf = std::mem::take(&mut self.io_buf);
-        let slot_bytes = self.slot_bytes() as usize;
         for &(start, end) in &runs {
-            // Best-effort: a failed prefetch read just means the serving
-            // read hits the file (and reports the error there).
-            if self.read_run_bytes(start, (end - start) as usize, &mut buf).is_err() {
-                continue;
-            }
-            // An index entry already there is newer than the file (dirty)
-            // or mirrors these very bytes (clean): only unknown slots are
-            // filled in.
-            for (slot, image) in (start..end).zip(buf.chunks_exact(slot_bytes)) {
-                if self.entry(slot) != Known::Unknown || check_image(image, slot).is_err() {
-                    continue;
-                }
-                if is_empty(image) {
-                    self.index[slot as usize] = EMPTY;
-                    continue;
-                }
-                let frame = self.new_frame(slot);
-                self.frames[frame].hint = self.hint;
-                self.slab[frame * slot_bytes..][..slot_bytes].copy_from_slice(image);
-                self.index[slot as usize] = FRAME_BASE + frame as u32;
-                self.clean_images += 1;
-            }
+            // Best-effort: a read error or a corrupt slot ends the span,
+            // and the serving read hits the file and reports it there.
+            let _ = self.learn(start..end, self.hint);
         }
-        self.io_buf = buf;
         self.runs = runs;
         self.trim_clean();
         if let (Some((start_ns, before)), Some(telemetry)) = (trace, self.telemetry.as_ref()) {
@@ -1205,13 +1185,22 @@ impl Drop for DiskStore {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("laoram-disk-test-{}-{name}.oram", std::process::id()))
+    /// A test's file path, removed when the guard drops, so a test that
+    /// ends in a panic (a failing run, or a `should_panic` test's
+    /// passing one) cleans up too. Declared before the store, it drops
+    /// after it.
+    fn tmp(name: &str) -> RemoveOnDrop {
+        let file = format!("laoram-disk-test-{}-{name}.oram", std::process::id());
+        RemoveOnDrop(std::env::temp_dir().join(file))
     }
 
-    /// Removes a test's file when dropped, so a test that ends in a
-    /// panic (a `should_panic` test on its passing run) cleans up too.
     struct RemoveOnDrop(PathBuf);
+
+    impl AsRef<Path> for RemoveOnDrop {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
 
     impl Drop for RemoveOnDrop {
         fn drop(&mut self) {
@@ -1238,8 +1227,6 @@ mod tests {
         let ids: Vec<u32> = fetched.iter().map(|b| b.id().index()).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(s.occupancy(), 0);
-        drop(s);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1260,15 +1247,12 @@ mod tests {
         assert_eq!(fetched[0].data(), Some(&[0xAB; 16][..]));
         assert_eq!(fetched[1].data(), Some(&[][..]), "zero-length payloads stay Some");
         assert_eq!(fetched[2].data(), None);
-        drop(s);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the slot capacity")]
     fn oversized_payload_rejected() {
         let path = tmp("oversize");
-        let _cleanup = RemoveOnDrop(path.clone());
         let cfg = DiskStoreConfig::new().payload_capacity(4);
         let mut s = DiskStore::create(&path, uniform(2, 2), cfg).unwrap();
         let mut blocks = vec![Block::with_data(BlockId::new(0), LeafId::new(0), vec![0; 5].into())];
@@ -1279,7 +1263,6 @@ mod tests {
     #[should_panic(expected = "metadata-only")]
     fn metadata_only_store_rejects_payloads() {
         let path = tmp("meta-only");
-        let _cleanup = RemoveOnDrop(path.clone());
         let mut s = DiskStore::create(&path, uniform(2, 2), DiskStoreConfig::new()).unwrap();
         let mut blocks = vec![Block::with_data(BlockId::new(0), LeafId::new(0), vec![1].into())];
         s.write_path(LeafId::new(0), &mut blocks);
@@ -1311,8 +1294,6 @@ mod tests {
         assert!(fetched
             .iter()
             .any(|b| b.id() == BlockId::new(1) && b.data() == Some(&[1u8; 3][..])));
-        drop(reopened);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1336,7 +1317,6 @@ mod tests {
         // Too-short files fail the header read; corrupt-but-long files
         // fail the magic check. Both must refuse to open.
         assert!(DiskStore::open(&path, DiskStoreConfig::new()).is_err());
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A header is outside input: one naming a geometry whose slot index
@@ -1359,7 +1339,6 @@ mod tests {
             Ok(store) => assert_eq!(store.geometry(), &huge),
             Err(err) => assert!(matches!(err, TreeError::Io(_)), "got {err}"),
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// File bytes are outside input: a slot whose len word exceeds the
@@ -1386,8 +1365,6 @@ mod tests {
         assert!(matches!(err, Err(TreeError::CorruptStore(_))), "got {err:?}");
         let audit = s.verify_consistency(4).unwrap_err();
         assert!(audit.contains("claims a 5-byte payload"), "got {audit}");
-        drop(s);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1412,9 +1389,6 @@ mod tests {
         drop(s);
         let reopened = DiskStore::open(&path, cfg).unwrap();
         assert_eq!(reopened.occupancy(), 8);
-        drop(reopened);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&crashed);
     }
 
     #[test]
@@ -1433,8 +1407,6 @@ mod tests {
             s.dirty_slots()
         );
         s.verify_consistency(8).unwrap();
-        drop(s);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1452,8 +1424,6 @@ mod tests {
         assert_eq!(s.occupancy(), 0);
         assert_eq!(s.dirty_slots(), 0);
         assert!(s.collect_blocks().is_empty());
-        drop(s);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1484,8 +1454,6 @@ mod tests {
         let expected: Vec<_> =
             (0..8u32).map(|i| (BlockId::new(i), Some(vec![i as u8; 4]))).collect();
         assert_eq!(warm, expected, "prefetched reads return the same blocks");
-        drop(s);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1507,8 +1475,6 @@ mod tests {
         // And after a flush (dirty buffer emptied), still nothing stale.
         s.sync().unwrap();
         assert!(s.read_path(leaf).is_empty());
-        drop(s);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// One cache, two budgets: readahead that overflows the clean budget
@@ -1549,8 +1515,6 @@ mod tests {
         assert_eq!(s.dirty_slots(), 0);
         assert!(s.prefetched_slots() <= s.clean_cap);
         s.verify_consistency(u64::from(on_file) + 32).unwrap();
-        drop(s);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1566,7 +1530,51 @@ mod tests {
         s.prefetch_paths(&[LeafId::new(0), LeafId::new(1)]);
         assert_eq!(s.prefetched_slots(), 0);
         assert_eq!(s.io_stats().unwrap().reads, reads, "a disabled prefetch read the file");
+    }
+
+    /// Syncs block 1 onto `leaf`'s bucket, reopens the file, writes block
+    /// 2 into the same bucket and reads the bucket back, both sessions
+    /// at a clean budget of `readahead` paths. Returns the ids read, the
+    /// file reads since the reopen, and the clean images held after each
+    /// operation (the write-back, the bucket write, the bucket read).
+    fn write_after_reopen(name: &str, readahead: usize) -> (Vec<u32>, u64, [usize; 3]) {
+        let path = tmp(name);
+        let cfg = DiskStoreConfig::new().readahead_paths(readahead);
+        let (g, leaf) = (uniform(3, 2), LeafId::new(5));
+        let (level, node) = (g.leaf_level(), g.path_node_in_level(leaf, g.leaf_level()));
+        let mut s = DiskStore::create(&path, g, cfg.clone()).unwrap();
+        s.write_path(leaf, &mut vec![Block::metadata_only(BlockId::new(1), leaf)]);
+        let clean_after_write_back = s.prefetched_slots();
+        s.sync().unwrap();
         drop(s);
-        let _ = std::fs::remove_file(&path);
+
+        let mut s = DiskStore::open(&path, cfg).unwrap();
+        let left = s.write_bucket(level, node, vec![Block::metadata_only(BlockId::new(2), leaf)]);
+        assert!(left.is_empty(), "the leaf bucket had a free slot");
+        let clean_after_write = s.prefetched_slots();
+        let mut ids: Vec<u32> = s.read_bucket(level, node).iter().map(|b| b.id().index()).collect();
+        ids.sort_unstable();
+        let clean = [clean_after_write_back, clean_after_write, s.prefetched_slots()];
+        (ids, s.io_stats().unwrap().reads, clean)
+    }
+
+    /// The bucket write learns the whole bucket from its one file read,
+    /// the synced block's image included, so the read that follows asks
+    /// the file nothing.
+    #[test]
+    fn a_bucket_written_after_reopen_is_read_back_without_a_second_file_read() {
+        let (ids, reads, _) = write_after_reopen("write-after-reopen", 256);
+        assert_eq!(ids, vec![1, 2]);
+        assert_eq!(reads, 1, "the bucket was read from the file more than once");
+    }
+
+    /// Images learnt from miss reads count against the clean budget and
+    /// are trimmed at the end of each operation: a zero budget holds
+    /// none between operations.
+    #[test]
+    fn readahead_zero_holds_no_clean_image_between_operations() {
+        let (ids, _, clean) = write_after_reopen("write-after-reopen-no-readahead", 0);
+        assert_eq!(ids, vec![1, 2]);
+        assert_eq!(clean, [0, 0, 0]);
     }
 }

@@ -19,7 +19,7 @@
 //! (place winners out of a borrowed [`PathCandidates`] view), and inherits
 //! the `Vec<Block>` conveniences used below. Two stores ship, both
 //! holding one fixed-stride slot image: the arena-based [`ArenaStore`]
-//! (contiguous level arenas, allocation-free path I/O — see
+//! (one slab in the store file's slot order, allocation-free path I/O — see
 //! ARCHITECTURE.md's "Data layout" section) is the in-memory store, and
 //! the file-backed [`DiskStore`] serves trees larger than RAM with a
 //! write-back buffer and explicit [`sync`](BucketStore::sync) durability

@@ -3,7 +3,8 @@
 //! **zero** bucket-slot allocations, against the in-memory arena backend
 //! and against the disk backend between two syncs (a tree whose images
 //! fit the slot cache, so every image lives in the slab's recycled
-//! frames and every file read lands in the store's reused buffer).
+//! frames, and a file read lands in the store's reused buffer and from
+//! there in recycled frames too).
 //!
 //! The guard swaps in a counting global allocator (test binary only — the
 //! library itself forbids unsafe code) and drives the stores through the
@@ -152,16 +153,28 @@ fn run_guard(payload_capacity: u32) {
     );
 }
 
+/// A store file, removed when the guard drops: after the test, or while
+/// a failed assert unwinds.
+struct RemoveOnDrop(std::path::PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// The disk backend between two syncs. The default clean budget holds
 /// 1 024 paths' worth of images, far more than the 256 blocks, and the
 /// write-back budget outlasts every window, so no flush runs inside one.
 /// Warm-up windows are twice as long as the measured one: the dirty list
 /// and the free-frame list reach their high-water reservations there.
 fn run_disk_guard(payload_capacity: u32) {
-    let file = std::env::temp_dir()
-        .join(format!("laoram-alloc-guard-{}-{payload_capacity}.oram", std::process::id()));
+    let file = RemoveOnDrop(
+        std::env::temp_dir()
+            .join(format!("laoram-alloc-guard-{}-{payload_capacity}.oram", std::process::id())),
+    );
     let config = DiskStoreConfig::new().payload_capacity(payload_capacity).write_back_paths(1024);
-    let mut store = DiskStore::create(&file, geometry(), config).expect("create store");
+    let mut store = DiskStore::create(&file.0, geometry(), config).expect("create store");
     let num_leaves = store.geometry().num_leaves() as u32;
     let mut rand = xorshift();
     fill(&mut store, payload_capacity, &mut rand);
@@ -177,8 +190,6 @@ fn run_disk_guard(payload_capacity: u32) {
 
     let allocations = measured(&mut store, &mut scratch, 64, &mut rand);
     store.sync().expect("sync");
-    drop(store);
-    let _ = std::fs::remove_file(&file);
     assert_eq!(
         allocations, 0,
         "steady-state disk path accesses between syncs must not allocate \

@@ -350,14 +350,24 @@ fn arena_store_conforms() {
     conformance(|g| ArenaStore::new(g, ArenaStoreConfig::new().payload_capacity(PAYLOAD as u32)));
 }
 
+/// A store file, removed when the guard drops: after the test, or while
+/// a failed check unwinds.
+struct RemoveOnDrop(std::path::PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 #[test]
 fn disk_store_conforms() {
-    let path = std::env::temp_dir().join(format!("laoram-conformance-{}.oram", std::process::id()));
+    let file = format!("laoram-conformance-{}.oram", std::process::id());
+    let path = RemoveOnDrop(std::env::temp_dir().join(file));
     // A one-path write-back budget: the trace runs across dirty-buffer
     // spills, flush recycling into the clean cache and readahead hits.
     let config = DiskStoreConfig::new().payload_capacity(PAYLOAD as u32).write_back_paths(1);
-    conformance(|g| DiskStore::create(&path, g, config.clone()).unwrap());
-    let _ = std::fs::remove_file(&path);
+    conformance(|g| DiskStore::create(&path.0, g, config.clone()).unwrap());
 }
 
 #[test]

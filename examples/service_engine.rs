@@ -33,7 +33,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServiceConfig::new()
             .table(TableSpec::new("user-emb", ENTRIES).shards(2).superblock_size(8).seed(1))
             .table(TableSpec::new("item-emb", ENTRIES).shards(2).superblock_size(8).seed(2))
-            .queue_depth(4)
             .batch_policy(
                 BatchPolicy::new().max_batch(4096).max_delay(std::time::Duration::from_millis(1)),
             )

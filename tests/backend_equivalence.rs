@@ -14,6 +14,9 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
+mod common;
+use common::TestDir;
+
 use laoram::core::{LaOram, LaOramConfig, SuperblockPlanner};
 use laoram::protocol::{
     AccessObserver, PathOramClient, PathOramConfig, RecordingObserver, ServerOp,
@@ -24,13 +27,11 @@ use laoram::tree::{
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-/// A unique backing-file path per proptest case.
-fn store_file(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "laoram-equiv-{}-{tag}-{}.oram",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ))
+/// A unique backing-file path per proptest case, removed when the
+/// guard drops.
+fn store_file(tag: &str) -> TestDir {
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    TestDir::new(format!("laoram-equiv-{}-{tag}-{case}.oram", std::process::id()))
 }
 
 /// Shares one recorder between the test and a client-owned observer.
@@ -107,8 +108,6 @@ proptest! {
             disk_tap.ops(),
             "server-visible access sequences diverged"
         );
-        drop(disk);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// LAORAM: planned superblock streams — fused serves, batched
@@ -179,8 +178,6 @@ proptest! {
             disk_tap.ops(),
             "server-visible access sequences diverged"
         );
-        drop(disk);
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -224,8 +221,6 @@ fn disk_backend_reopens_across_sync() {
         let got = successor.read(BlockId::new(i)).unwrap();
         assert_eq!(got.as_deref(), Some(&[i as u8; 4][..]), "row {i} after reopen");
     }
-    drop(successor);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A client-state snapshot captured against the disk layout restores
@@ -291,10 +286,6 @@ fn disk_snapshot_restores_on_arena_layout() {
     arena.verify_invariants().unwrap();
     assert_eq!(disk.stats(), arena.stats(), "post-restore statistics diverged");
     assert_eq!(disk_tap.ops(), arena_tap.ops(), "post-restore access sequences diverged");
-    drop((origin, disk));
-    for file in [origin_file, successor_file] {
-        let _ = std::fs::remove_file(file);
-    }
 }
 
 /// Ring ORAM accepts non-default backends through the same trait.
@@ -313,8 +304,6 @@ fn ring_oram_runs_on_disk_backend() {
     }
     ring.verify_invariants().unwrap();
     assert_eq!(ring.stats(), mem.stats(), "ring cost accounting diverged across backends");
-    drop(ring);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The in-memory default satisfies the protocol type unchanged — a

@@ -23,7 +23,6 @@ fn small_config(seed: u64, max_batch: usize, max_delay: Duration) -> ServiceConf
     ServiceConfig::new()
         .table(TableSpec::new("t", 64).shards(2).superblock_size(4).seed(seed))
         .batch_policy(BatchPolicy::new().max_batch(max_batch).max_delay(max_delay))
-        .queue_depth(4)
 }
 
 fn start_server(config: ServiceConfig, net: NetServerConfig) -> NetServer {
@@ -111,7 +110,6 @@ fn trained_config(seed: u64, max_batch: usize, max_delay: Duration) -> ServiceCo
                 .optimizer(layout),
         )
         .batch_policy(BatchPolicy::new().max_batch(max_batch).max_delay(max_delay))
-        .queue_depth(4)
 }
 
 /// One training-mix op: a read, a full-row write, or a fused update.
@@ -542,7 +540,6 @@ fn restart_recovery_over_socket() {
                         DiskBackendSpec::new(&dir).snapshots(true).write_back_paths(4),
                     )),
             )
-            .queue_depth(4)
             .batch_policy(BatchPolicy::new().max_batch(16).max_delay(Duration::from_millis(1)))
     };
 
@@ -662,8 +659,7 @@ fn slow_reader_receives_every_response_in_order() {
                 .superblock_size(4)
                 .seed(22),
         )
-        .batch_policy(BatchPolicy::new().max_batch(64).max_delay(Duration::from_millis(1)))
-        .queue_depth(4);
+        .batch_policy(BatchPolicy::new().max_batch(64).max_delay(Duration::from_millis(1)));
     let server = start_server(config, NetServerConfig::default().max_inflight_per_tenant(READS));
     let mut client = NetClient::connect(server.local_addr(), 6).expect("connect");
     for index in 0..ROWS {
@@ -737,8 +733,7 @@ fn unread_answers_stop_the_server_reading() {
                 .superblock_size(4)
                 .seed(23),
         )
-        .batch_policy(BatchPolicy::new().max_batch(256).max_delay(Duration::from_millis(1)))
-        .queue_depth(4);
+        .batch_policy(BatchPolicy::new().max_batch(256).max_delay(Duration::from_millis(1)));
     let caps = NetServerConfig::default().max_inflight(2 * READS).max_inflight_per_tenant(READS);
     let server = start_server(config, caps);
     let mut client = NetClient::connect(server.local_addr(), 7).expect("connect");
@@ -809,8 +804,7 @@ fn wire_ids_pair_with_their_responses_across_interleaved_sessions() {
     for drop_one in [false, true] {
         let config = ServiceConfig::new()
             .table(TableSpec::new("t", 512).shards(2).superblock_size(4).seed(23))
-            .batch_policy(BatchPolicy::new().max_batch(32).max_delay(Duration::from_millis(2)))
-            .queue_depth(4);
+            .batch_policy(BatchPolicy::new().max_batch(32).max_delay(Duration::from_millis(2)));
         let server = start_server(config, NetServerConfig::default().drr_quantum(4));
         let addr = server.local_addr();
         let mut clients: Vec<NetClient> =

@@ -14,17 +14,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
+mod common;
+use common::TestDir;
+
 use laoram::core::{LaOram, LaOramConfig, SuperblockPlan};
 use laoram::tree::{BucketStore, DiskStore, DiskStoreConfig, StateSnapshot, TreeError};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-fn unique(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "laoram-persist-{}-{tag}-{}.oram",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ))
+/// A fresh directory for one test case's files (stores, snapshots and
+/// crash images), removed with its contents when the guard drops.
+fn unique(tag: &str) -> TestDir {
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir = TestDir::new(format!("laoram-persist-{}-{tag}-{case}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 fn config(s: u32, seed: u64) -> LaOramConfig {
@@ -77,9 +81,10 @@ proptest! {
         lens in proptest::collection::vec(0usize..=4, 80..81),
         crash_frac in 0.0f64..1.0,
     ) {
-        let store_path = unique("crash-live");
+        let dir = unique("crash");
+        let store_path = dir.join("live.oram");
         let snap_path = StateSnapshot::default_path(&store_path);
-        let crash_store = unique("crash-image");
+        let crash_store = dir.join("image.oram");
         let crash_snap = StateSnapshot::default_path(&crash_store);
 
         let cfg = config(s, seed);
@@ -151,9 +156,6 @@ proptest! {
                 recovered.finish().unwrap();
             }
         }
-        for p in [&store_path, &snap_path, &crash_store, &crash_snap] {
-            let _ = std::fs::remove_file(p);
-        }
     }
 }
 
@@ -163,7 +165,8 @@ proptest! {
 /// the typed `StaleSnapshot` error.
 #[test]
 fn kill_between_sync_and_snapshot_write_is_refused() {
-    let store_path = unique("stale-live");
+    let dir = unique("stale");
+    let store_path = dir.join("store.oram");
     let snap_path = StateSnapshot::default_path(&store_path);
 
     let cfg = config(2, 42);
@@ -203,8 +206,6 @@ fn kill_between_sync_and_snapshot_write_is_refused() {
         panic!("expected the typed StaleSnapshot refusal, got {err}");
     };
     assert!(snapshot < store);
-    let _ = std::fs::remove_file(&store_path);
-    let _ = std::fs::remove_file(&snap_path);
 }
 
 /// A crash image taken while unsynced spills sit in the file is refused
@@ -215,8 +216,9 @@ fn kill_between_sync_and_snapshot_write_is_refused() {
 fn unsynced_crash_image_is_refused_at_open() {
     use laoram::protocol::{PathOramClient, PathOramConfig};
     use laoram::tree::BlockId;
-    let store_path = unique("unsynced-live");
-    let crash_store = unique("unsynced-image");
+    let dir = unique("unsynced");
+    let store_path = dir.join("live.oram");
+    let crash_store = dir.join("image.oram");
 
     let proto = PathOramConfig::new(24).with_seed(9).with_payloads(true);
     let store = DiskStore::create(&store_path, proto.geometry().unwrap(), disk_config()).unwrap();
@@ -236,8 +238,6 @@ fn unsynced_crash_image_is_refused_at_open() {
     client.sync_storage().unwrap();
     drop(client);
     assert!(DiskStore::open(&store_path, disk_config()).is_ok());
-    let _ = std::fs::remove_file(&store_path);
-    let _ = std::fs::remove_file(&crash_store);
 }
 
 /// An open window (`stage_plan` + `advance_plan`, as the engine's shard
@@ -251,9 +251,10 @@ fn unsynced_crash_image_is_refused_at_open() {
 fn open_window_crash_image_recovers_to_the_last_window_end() {
     use laoram::core::{BatchOp, SuperblockPlanner};
 
-    let store_path = unique("window-live");
+    let dir = unique("window");
+    let store_path = dir.join("live.oram");
     let snap_path = StateSnapshot::default_path(&store_path);
-    let crash_store = unique("window-image");
+    let crash_store = dir.join("image.oram");
     let crash_snap = StateSnapshot::default_path(&crash_store);
     let cfg = LaOramConfig::builder(64).seed(5).superblock_size(4).payloads(true).build().unwrap();
     let disk = DiskStoreConfig::new().payload_capacity(2);
@@ -295,9 +296,6 @@ fn open_window_crash_image_recovers_to_the_last_window_end() {
     }
     recovered.finish().unwrap();
     drop(recovered);
-    for p in [&store_path, &snap_path, &crash_store, &crash_snap] {
-        let _ = std::fs::remove_file(p);
-    }
 }
 
 /// A fresh warm-start table's first activation places every row, far
@@ -309,9 +307,10 @@ fn fresh_table_crash_image_recovers_before_its_first_window_ends() {
     use laoram::core::SuperblockPlanner;
 
     const ROWS: u32 = 8192;
-    let store_path = unique("fresh-live");
+    let dir = unique("fresh");
+    let store_path = dir.join("live.oram");
     let snap_path = StateSnapshot::default_path(&store_path);
-    let crash_store = unique("fresh-image");
+    let crash_store = dir.join("image.oram");
     let crash_snap = StateSnapshot::default_path(&crash_store);
     let cfg =
         LaOramConfig::builder(ROWS).seed(6).superblock_size(4).payloads(true).build().unwrap();
@@ -342,9 +341,6 @@ fn fresh_table_crash_image_recovers_before_its_first_window_ends() {
     }
     recovered.finish().unwrap();
     drop(recovered);
-    for p in [&store_path, &snap_path, &crash_store, &crash_snap] {
-        let _ = std::fs::remove_file(p);
-    }
 }
 
 /// An open window too large for the store's write-back buffer (a 1-path
@@ -356,8 +352,9 @@ fn fresh_table_crash_image_recovers_before_its_first_window_ends() {
 fn oversized_open_window_syncs_before_it_spills() {
     use laoram::core::SuperblockPlanner;
 
-    let store_path = unique("oversized-live");
-    let crash_store = unique("oversized-image");
+    let dir = unique("oversized");
+    let store_path = dir.join("live.oram");
+    let crash_store = dir.join("image.oram");
     let cfg = config(4, 8);
     let store = DiskStore::create(&store_path, cfg.geometry().unwrap(), disk_config()).unwrap();
     let mut oram = LaOram::with_store(cfg.clone(), store).unwrap();
@@ -378,8 +375,6 @@ fn oversized_open_window_syncs_before_it_spills() {
     }
     oram.finish().unwrap();
     drop(oram);
-    let _ = std::fs::remove_file(&store_path);
-    let _ = std::fs::remove_file(&crash_store);
 }
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -406,7 +401,8 @@ fn store_and_snapshot_bytes_are_pinned() {
     const SNAPSHOT_FNV: u64 = 0x4369_3d2c_4a1e_e30a;
     const CONTENT_FNV: u64 = 0xb799_7d23_8e99_7fe5;
 
-    let store_path = unique("pinned");
+    let dir = unique("pinned");
+    let store_path = dir.join("store.oram");
     let snap_path = StateSnapshot::default_path(&store_path);
     let cfg = config(3, 0x5107_1AA6);
     let disk = DiskStoreConfig::new().payload_capacity(8).write_back_paths(1);
@@ -462,8 +458,6 @@ fn store_and_snapshot_bytes_are_pinned() {
         }
     }
     let content_fnv = fnv1a64(&content);
-    let _ = std::fs::remove_file(&store_path);
-    let _ = std::fs::remove_file(&snap_path);
     assert_eq!(
         (store_fnv, snapshot_fnv, content_fnv),
         (STORE_FNV, SNAPSHOT_FNV, CONTENT_FNV),
@@ -484,7 +478,8 @@ fn sealed_nonces_survive_a_reopen() {
     use laoram::tree::{BlockSealer, NONCE_BYTES};
 
     const KEY: u64 = 0x5EA1_ED00;
-    let store_path = unique("sealed-reopen");
+    let dir = unique("sealed-reopen");
+    let store_path = dir.join("store.oram");
     let snap_path = StateSnapshot::default_path(&store_path);
     let cfg = LaOramConfig::builder(64)
         .seed(3)
@@ -530,8 +525,6 @@ fn sealed_nonces_survive_a_reopen() {
     let bytes = std::fs::read(&store_path).unwrap();
     let reissued =
         first.iter().filter(|nonce| bytes.windows(NONCE_BYTES).any(|w| w == &nonce[..])).count();
-    let _ = std::fs::remove_file(&store_path);
-    let _ = std::fs::remove_file(&snap_path);
     assert_eq!(reissued, 0, "{reissued} of the sealer's first 64 nonces are in the store again");
 }
 
@@ -544,7 +537,6 @@ fn snapshot_publish_rewrites_one_file_in_place() {
     use std::os::unix::fs::MetadataExt;
 
     let dir = unique("in-place");
-    std::fs::create_dir_all(&dir).unwrap();
     let store_path = dir.join("table.oram");
     let snap_path = StateSnapshot::default_path(&store_path);
     let cfg = config(2, 7);
@@ -577,7 +569,6 @@ fn snapshot_publish_rewrites_one_file_in_place() {
     names.sort();
     assert!(!names.iter().any(|n| n.ends_with(".tmp")), "temp file left behind: {names:?}");
     assert_eq!(names, ["table.oram", "table.oram.snap"]);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// With a flight recorder attached, every superblock sync of a
@@ -591,7 +582,8 @@ fn sync_spans_time_the_snapshot_publish() {
     use laoram_telemetry::FlightRecorder;
 
     for persist in [true, false] {
-        let store_path = unique("spans");
+        let dir = unique("spans");
+        let store_path = dir.join("store.oram");
         let snap_path = StateSnapshot::default_path(&store_path);
         let cfg = config(2, 11);
         let store = DiskStore::create(&store_path, cfg.geometry().unwrap(), disk_config()).unwrap();
@@ -622,7 +614,5 @@ fn sync_spans_time_the_snapshot_publish() {
         } else {
             assert!(publishes.is_empty(), "no snapshot, no core.snapshot span");
         }
-        let _ = std::fs::remove_file(&store_path);
-        let _ = std::fs::remove_file(&snap_path);
     }
 }

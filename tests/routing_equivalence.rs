@@ -48,8 +48,7 @@ fn routing_modes() -> Vec<(&'static str, TableSpec)> {
 /// Runs `batches` through a fresh service over `spec` and returns every
 /// batch's outputs in submission order.
 fn run_stream(spec: TableSpec, batches: &[Vec<Request>]) -> Vec<BatchOutputs> {
-    let mut service =
-        LaoramService::start(ServiceConfig::new().table(spec).queue_depth(4)).unwrap();
+    let mut service = LaoramService::start(ServiceConfig::new().table(spec)).unwrap();
     for batch in batches {
         service.submit(batch.clone()).unwrap();
     }
@@ -111,9 +110,7 @@ proptest! {
 fn replica_fan_out_keeps_all_copies_consistent_across_superblocks() {
     let hot = 9u32;
     let mut service = LaoramService::start(
-        ServiceConfig::new()
-            .table(base_spec().hot_set(HotSetSpec::declared(vec![hot])))
-            .queue_depth(4),
+        ServiceConfig::new().table(base_spec().hot_set(HotSetSpec::declared(vec![hot]))),
     )
     .unwrap();
 
@@ -160,8 +157,7 @@ fn replicated_table_survives_restart_with_consistent_replicas() {
         .map(|i| Request::write(0, i * 2 % ENTRIES, vec![i as u8, 0xAB].into()))
         .collect();
 
-    let mut first =
-        LaoramService::start(ServiceConfig::new().table(spec()).queue_depth(4)).unwrap();
+    let mut first = LaoramService::start(ServiceConfig::new().table(spec())).unwrap();
     first.submit(writes).unwrap();
     first.drain().unwrap();
     let report = first.shutdown().unwrap();
@@ -170,8 +166,7 @@ fn replicated_table_survives_restart_with_consistent_replicas() {
     // Restart on the same files: every replica of each hot row must have
     // been recovered to the same synced state — four spread reads per
     // hot row agree, and non-hot rows read back their written payloads.
-    let mut second =
-        LaoramService::start(ServiceConfig::new().table(spec()).queue_depth(4)).unwrap();
+    let mut second = LaoramService::start(ServiceConfig::new().table(spec())).unwrap();
     for hot in [4u32, 200] {
         second.submit(vec![Request::read(0, hot); SHARDS as usize]).unwrap();
         let outputs = second.drain().unwrap().remove(0).outputs;
@@ -198,7 +193,7 @@ fn replicated_table_survives_restart_with_consistent_replicas() {
     let changed = base_spec()
         .hot_set(HotSetSpec::declared(vec![5, 200]))
         .backend(StorageBackend::Disk(DiskBackendSpec::new(&dir).snapshots(true)));
-    let refused = LaoramService::start(ServiceConfig::new().table(changed).queue_depth(4));
+    let refused = LaoramService::start(ServiceConfig::new().table(changed));
     assert!(
         matches!(refused, Err(laoram::service::ServiceError::InvalidConfig(ref msg))
             if msg.contains("partition layout")),
@@ -238,8 +233,7 @@ fn hot_set_replication_reduces_routed_skew_under_zipf() {
         }
     };
     let skew_of = |hot: bool| {
-        let mut service =
-            LaoramService::start(ServiceConfig::new().table(spec(hot)).queue_depth(4)).unwrap();
+        let mut service = LaoramService::start(ServiceConfig::new().table(spec(hot))).unwrap();
         for batch in &batches {
             service.submit(batch.clone()).unwrap();
         }
@@ -310,7 +304,7 @@ fn mitigations_cut_padding_overhead_under_zipf() {
 
         // (pads per genuine access, cumulative max/mean routed load).
         let measure = |spec: TableSpec| {
-            let config = ServiceConfig::new().table(spec).queue_depth(4).pad_shard_batches(true);
+            let config = ServiceConfig::new().table(spec).pad_shard_batches(true);
             let mut service = LaoramService::start(config).unwrap();
             service.submit(batches[0].clone()).unwrap();
             service.drain().unwrap();

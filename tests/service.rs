@@ -32,8 +32,7 @@ fn mixed_service(superblock_size: u32) -> LaoramService {
                     .superblock_size(superblock_size)
                     .payloads(false)
                     .seed(42),
-            )
-            .queue_depth(4),
+            ),
     )
     .expect("service start")
 }
@@ -220,7 +219,6 @@ fn request_path_serves_mixed_traffic_through_full_windows() {
                     .payloads(false)
                     .seed(42),
             )
-            .queue_depth(4)
             .batch_policy(
                 BatchPolicy::new().max_batch(4096).max_delay(std::time::Duration::from_millis(2)),
             ),

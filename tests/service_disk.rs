@@ -23,7 +23,7 @@ fn table_over_memory_cap_is_served_from_disk() {
     let footprint = spec.estimated_store_bytes().unwrap();
     let cap = footprint / 4;
     let mut service = LaoramService::start(
-        ServiceConfig::new().table(spec).in_memory_cap_bytes(cap).spill_dir(&dir).queue_depth(4),
+        ServiceConfig::new().table(spec).in_memory_cap_bytes(cap).spill_dir(&dir),
     )
     .unwrap();
 

@@ -39,10 +39,8 @@ fn disk_table_shutdown_and_reopen_matches_uninterrupted_run() {
     let dir_straight = unique_dir("straight");
 
     // Uninterrupted reference: one service does the writes and the reads.
-    let mut reference = LaoramService::start(
-        ServiceConfig::new().table(persistent_spec(&dir_straight)).queue_depth(4),
-    )
-    .unwrap();
+    let mut reference =
+        LaoramService::start(ServiceConfig::new().table(persistent_spec(&dir_straight))).unwrap();
     reference.submit(write_batch()).unwrap();
     reference.submit(read_batch()).unwrap();
     let reference_outputs = reference.drain().unwrap().remove(1).outputs;
@@ -51,10 +49,8 @@ fn disk_table_shutdown_and_reopen_matches_uninterrupted_run() {
 
     // Interrupted run: write, shut down cleanly, start a second service
     // on the same files, read.
-    let mut first = LaoramService::start(
-        ServiceConfig::new().table(persistent_spec(&dir_restart)).queue_depth(4),
-    )
-    .unwrap();
+    let mut first =
+        LaoramService::start(ServiceConfig::new().table(persistent_spec(&dir_restart))).unwrap();
     assert_eq!(first.table_status()[0].recovery, TableRecovery::Fresh);
     first.submit(write_batch()).unwrap();
     first.drain().unwrap();
@@ -65,10 +61,8 @@ fn disk_table_shutdown_and_reopen_matches_uninterrupted_run() {
     let survivors = std::fs::read_dir(&dir_restart).unwrap().count();
     assert!(survivors >= 4, "expected 2 stores + 2 snapshots, found {survivors} files");
 
-    let mut second = LaoramService::start(
-        ServiceConfig::new().table(persistent_spec(&dir_restart)).queue_depth(4),
-    )
-    .unwrap();
+    let mut second =
+        LaoramService::start(ServiceConfig::new().table(persistent_spec(&dir_restart))).unwrap();
     assert_eq!(
         second.table_status()[0].recovery,
         TableRecovery::Recovered { shards: 2 },
@@ -123,10 +117,8 @@ fn training_resumes_exactly_across_restart() {
     };
 
     // Uninterrupted reference: four training epochs in one service life.
-    let mut reference = LaoramService::start(
-        ServiceConfig::new().table(trained_spec(&dir_straight)).queue_depth(4),
-    )
-    .unwrap();
+    let mut reference =
+        LaoramService::start(ServiceConfig::new().table(trained_spec(&dir_straight))).unwrap();
     for epoch in 0..4 {
         reference.submit(epoch_batch(epoch)).unwrap();
     }
@@ -138,8 +130,7 @@ fn training_resumes_exactly_across_restart() {
     // Interrupted run: two epochs, clean shutdown (snapshot), recover,
     // two more epochs.
     let mut first =
-        LaoramService::start(ServiceConfig::new().table(trained_spec(&dir_restart)).queue_depth(4))
-            .unwrap();
+        LaoramService::start(ServiceConfig::new().table(trained_spec(&dir_restart))).unwrap();
     for epoch in 0..2 {
         first.submit(epoch_batch(epoch)).unwrap();
     }
@@ -148,8 +139,7 @@ fn training_resumes_exactly_across_restart() {
     assert!(report.worker_errors.is_empty(), "{:?}", report.worker_errors);
 
     let mut second =
-        LaoramService::start(ServiceConfig::new().table(trained_spec(&dir_restart)).queue_depth(4))
-            .unwrap();
+        LaoramService::start(ServiceConfig::new().table(trained_spec(&dir_restart))).unwrap();
     assert_eq!(
         second.table_status()[0].recovery,
         TableRecovery::Recovered { shards: 2 },

@@ -27,7 +27,6 @@ fn unique_dir(tag: &str) -> TestDir {
 fn mem_config(shards: u32) -> ServiceConfig {
     ServiceConfig::new()
         .table(TableSpec::new("emb", ENTRIES).shards(shards).superblock_size(4).seed(11))
-        .queue_depth(4)
 }
 
 fn batches(count: usize) -> Vec<Vec<Request>> {
@@ -333,8 +332,7 @@ fn table_status_surfaces_disk_io_for_disk_tables_only() {
                     .seed(4)
                     .row_bytes(8)
                     .backend(StorageBackend::Disk(DiskBackendSpec::new(&dir).write_back_paths(2))),
-            )
-            .queue_depth(4),
+            ),
     )
     .unwrap();
     let reads: Vec<Request> = (0..256u32)

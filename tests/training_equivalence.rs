@@ -335,8 +335,7 @@ fn routing_modes() -> Vec<(&'static str, TableSpec)> {
 type BatchOutputs = Vec<Option<Box<[u8]>>>;
 
 fn run_stream(spec: TableSpec, batches: &[Vec<Request>]) -> Vec<BatchOutputs> {
-    let mut service =
-        LaoramService::start(ServiceConfig::new().table(spec).queue_depth(4)).unwrap();
+    let mut service = LaoramService::start(ServiceConfig::new().table(spec)).unwrap();
     for batch in batches {
         service.submit(batch.clone()).unwrap();
     }
@@ -426,8 +425,7 @@ fn service_fused_matches_two_pass_training() {
     let grad = |row: u32, epoch: u32| {
         vec![f32::from(row as u16) / 16.0 - 4.0, f32::from(epoch as u16) + 0.5]
     };
-    let start =
-        || LaoramService::start(ServiceConfig::new().table(svc_spec()).queue_depth(4)).unwrap();
+    let start = || LaoramService::start(ServiceConfig::new().table(svc_spec())).unwrap();
 
     let mut fused = start();
     for epoch in 0..3u32 {
