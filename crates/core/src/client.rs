@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 use oram_protocol::{AccessKind, AccessObserver, AccessStats, PathOramClient, PathOramConfig};
 use oram_tree::{
-    ArenaStore, Block, BlockId, BucketStore, IdHashBuilder, LeafId, SnapshotFile, StateSnapshot,
+    ArenaStore, Block, BlockId, BucketStore, IdHashBuilder, SnapshotFile, StateSnapshot,
     TreeGeometry,
 };
 
@@ -502,10 +502,8 @@ impl<S: BucketStore> LaOram<S> {
         // bounded run-coalesced reads on disk; see
         // `BucketStore::prefetch_paths` for why this is unobservable
         // above the storage boundary).
-        let leaves: Vec<LeafId> =
-            (0..self.plan.num_bins() as u32).map(|bin| self.plan.bin_leaf(bin)).collect();
-        if !leaves.is_empty() {
-            self.inner.prefetch_paths(&leaves);
+        if self.plan.num_bins() > 0 {
+            self.inner.prefetch_paths(self.plan.bin_leaves());
         }
         Ok(())
     }
@@ -946,7 +944,7 @@ impl<S: BucketStore> LaOram<S> {
 mod tests {
     use super::*;
     use oram_protocol::EvictionConfig;
-    use oram_tree::ArenaStoreConfig;
+    use oram_tree::{ArenaStoreConfig, LeafId};
     use proptest::prelude::*;
 
     fn cfg(n: u32) -> crate::LaOramConfigBuilder {

@@ -55,7 +55,7 @@ mod planner;
 mod ring_client;
 mod train;
 
-pub use binning::{Bin, SuperblockBinning};
+pub use binning::SuperblockBinning;
 pub use client::{BatchOp, LaOram};
 pub use config::{LaOramConfig, LaOramConfigBuilder};
 pub use error::LaOramError;

@@ -1,28 +1,41 @@
 //! The preprocessor's path-generation step (§IV-B-3): assigning one
-//! uniformly random path to each superblock bin and indexing, per block,
-//! the ordered list of bins it appears in.
+//! uniformly random path to each superblock bin and linking, per block,
+//! the ordered bins it appears in.
 //!
 //! The `(superblock, future path)` metadata the paper sends from the
 //! preprocessor to the trainer GPU is exactly this structure.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use oram_tree::{BlockId, IdHashBuilder, LeafId};
+use oram_tree::{BlockId, LeafId};
 
-use crate::{Bin, SuperblockBinning};
+use crate::SuperblockBinning;
+
+/// `next_bin` entry of a member with no later bin in the plan.
+const NO_BIN: u32 = u32::MAX;
 
 /// A complete look-ahead plan for a known future access stream.
+///
+/// Flat, like the binning under it: a plan is a handful of arrays however
+/// many bins and blocks it covers. Each member slot of the binning has a
+/// `next_bin` entry — the next bin holding the same block — so the exit
+/// leaf of a block served in a bin is one scan of that bin's at most `S`
+/// members away, and a sorted `(block, first bin)` array answers
+/// [`first_bin_of`](Self::first_bin_of) by binary search. Building a
+/// plan makes a fixed number of allocations, and dropping it frees as
+/// many.
 #[derive(Debug, Clone)]
 pub struct SuperblockPlan {
     binning: SuperblockBinning,
     /// Path assigned to each bin, drawn uniformly.
     bin_leaves: Vec<LeafId>,
-    /// For each block touched by the stream: the ordered list of bins it
-    /// belongs to.
-    block_bins: HashMap<BlockId, Vec<u32>, IdHashBuilder>,
+    /// Parallel to the binning's member slots: the next bin holding the
+    /// slot's block, or `NO_BIN`.
+    next_bin: Vec<u32>,
+    /// Every block the stream touches with the first bin holding it,
+    /// sorted by block.
+    first_bins: Vec<(BlockId, u32)>,
     stream: Vec<u32>,
 }
 
@@ -62,11 +75,11 @@ impl SuperblockPlan {
     /// incremental client before its first window is installed).
     #[must_use]
     pub fn empty(superblock_size: u32) -> Self {
-        assert!(superblock_size > 0, "superblock size must be nonzero");
         SuperblockPlan {
-            binning: SuperblockBinning::from_parts(superblock_size, Vec::new(), Vec::new()),
+            binning: SuperblockBinning::scan(&[], superblock_size),
             bin_leaves: Vec::new(),
-            block_bins: HashMap::default(),
+            next_bin: Vec::new(),
+            first_bins: Vec::new(),
             stream: Vec::new(),
         }
     }
@@ -88,31 +101,31 @@ impl SuperblockPlan {
         window_len: usize,
     ) -> Self {
         assert!(num_leaves > 0, "tree must have at least one leaf");
-        assert!(window_len > 0, "window length must be nonzero");
-        // Windows are independent by construction (bins never span a
-        // boundary): scan each on its own and concatenate in window order.
-        let mut bins: Vec<Bin> = Vec::new();
-        let mut bin_of_position: Vec<u32> = Vec::with_capacity(stream.len());
-        for (start, end) in window_bounds(stream.len(), window_len) {
-            let window = SuperblockBinning::scan(&stream[start..end], superblock_size);
-            let base = bins.len() as u32;
-            for pos in 0..window.stream_len() {
-                bin_of_position.push(base + window.bin_of_position(pos));
-            }
-            bins.extend(window.bins().iter().cloned());
-        }
-        let binning = SuperblockBinning::from_parts(superblock_size, bins, bin_of_position);
-
+        let binning = SuperblockBinning::scan_windowed(stream, superblock_size, window_len);
         let bin_leaves: Vec<LeafId> = (0..binning.num_bins())
             .map(|_| LeafId::new(rng.random_range(0..num_leaves as u32)))
             .collect();
-        let mut block_bins: HashMap<BlockId, Vec<u32>, IdHashBuilder> = HashMap::default();
-        for (i, bin) in binning.bins().iter().enumerate() {
-            for &m in bin.members() {
-                block_bins.entry(m).or_default().push(i as u32);
+        // Every member slot as `(block, slot, bin)`, sorted: each block's
+        // slots become adjacent, in bin order, so one pass links each slot
+        // to the next and finds each block's first bin.
+        let members = binning.members();
+        let mut by_block: Vec<(BlockId, u32, u32)> = Vec::with_capacity(members.len());
+        for bin in 0..binning.num_bins() as u32 {
+            for slot in binning.bin_range(bin) {
+                by_block.push((members[slot], slot as u32, bin));
             }
         }
-        SuperblockPlan { binning, bin_leaves, block_bins, stream: stream.to_vec() }
+        by_block.sort_unstable();
+        let distinct = by_block.chunk_by(|a, b| a.0 == b.0).count();
+        let mut next_bin = vec![NO_BIN; members.len()];
+        let mut first_bins = Vec::with_capacity(distinct);
+        for occurrences in by_block.chunk_by(|a, b| a.0 == b.0) {
+            first_bins.push((occurrences[0].0, occurrences[0].2));
+            for pair in occurrences.windows(2) {
+                next_bin[pair[0].1 as usize] = pair[1].2;
+            }
+        }
+        SuperblockPlan { binning, bin_leaves, next_bin, first_bins, stream: stream.to_vec() }
     }
 
     /// The planned stream.
@@ -139,7 +152,7 @@ impl SuperblockPlan {
     /// Panics if `bin` is out of range.
     #[must_use]
     pub fn bin_members(&self, bin: u32) -> &[BlockId] {
-        self.binning.bins()[bin as usize].members()
+        self.binning.bin_members(bin)
     }
 
     /// Path assigned to bin `bin`.
@@ -149,6 +162,12 @@ impl SuperblockPlan {
     #[must_use]
     pub fn bin_leaf(&self, bin: u32) -> LeafId {
         self.bin_leaves[bin as usize]
+    }
+
+    /// Every bin's path, in bin order.
+    #[must_use]
+    pub fn bin_leaves(&self) -> &[LeafId] {
+        &self.bin_leaves
     }
 
     /// Bin covering stream position `pos`.
@@ -164,17 +183,34 @@ impl SuperblockPlan {
     /// warm-start initialiser places each block on this bin's path.
     #[must_use]
     pub fn first_bin_of(&self, block: BlockId) -> Option<u32> {
-        self.block_bins.get(&block).map(|bins| bins[0])
+        let at = self.first_bins.binary_search_by_key(&block, |&(b, _)| b).ok()?;
+        Some(self.first_bins[at].1)
+    }
+
+    /// The member slot of `block` in bin `bin`, if it is a member.
+    fn slot_of(&self, block: BlockId, bin: u32) -> Option<usize> {
+        let range = self.binning.bin_range(bin);
+        let at = self.binning.members()[range.clone()].iter().position(|&m| m == block)?;
+        Some(range.start + at)
     }
 
     /// The next bin strictly after `bin` containing `block`, i.e. the
     /// block's *future locality* (§IV): where it should be placed when it
-    /// leaves the client.
-    #[must_use]
-    pub fn next_bin_after(&self, block: BlockId, bin: u32) -> Option<u32> {
-        let bins = self.block_bins.get(&block)?;
-        let idx = bins.partition_point(|&b| b <= bin);
-        bins.get(idx).copied()
+    /// leaves the client. For a member of `bin` that is its slot's link;
+    /// otherwise the block's bins are walked from its first.
+    fn next_bin_after(&self, block: BlockId, bin: u32) -> Option<u32> {
+        let next = match self.slot_of(block, bin) {
+            Some(slot) => self.next_bin[slot],
+            None => {
+                let mut next = self.first_bin_of(block)?;
+                while next != NO_BIN && next <= bin {
+                    let slot = self.slot_of(block, next).expect("a block's bins hold it");
+                    next = self.next_bin[slot];
+                }
+                next
+            }
+        };
+        (next != NO_BIN).then_some(next)
     }
 
     /// The leaf a block should be reassigned to when flushed after being
@@ -186,29 +222,16 @@ impl SuperblockPlan {
         self.next_bin_after(block, bin).map(|b| self.bin_leaf(b))
     }
 
-    /// Blocks touched by the plan (in no particular order).
+    /// Blocks touched by the plan, in ascending id order.
     pub fn planned_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.block_bins.keys().copied()
+        self.first_bins.iter().map(|&(block, _)| block)
     }
-}
-
-/// `[start, end)` stream ranges of each look-ahead window.
-fn window_bounds(stream_len: usize, window_len: usize) -> Vec<(usize, usize)> {
-    let mut bounds = Vec::new();
-    let mut start = 0usize;
-    while start < stream_len {
-        let end = stream_len.min(start.saturating_add(window_len));
-        bounds.push((start, end));
-        start = end;
-        if window_len == usize::MAX {
-            break;
-        }
-    }
-    bounds
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use proptest::prelude::*;
 
@@ -222,16 +245,17 @@ mod tests {
     }
 
     #[test]
-    fn first_and_next_bins() {
+    fn first_and_exit_bins() {
         // Stream: [1,2, 3,4, 1,3] with S=2 -> bins {1,2}, {3,4}, {1,3}.
         let plan = SuperblockPlan::build(&[1, 2, 3, 4, 1, 3], 2, 8, 2);
         let b1 = BlockId::new(1);
         assert_eq!(plan.first_bin_of(b1), Some(0));
-        assert_eq!(plan.next_bin_after(b1, 0), Some(2));
-        assert_eq!(plan.next_bin_after(b1, 2), None);
         assert_eq!(plan.first_bin_of(BlockId::new(9)), None);
         assert_eq!(plan.exit_leaf(b1, 0), Some(plan.bin_leaf(2)));
         assert_eq!(plan.exit_leaf(b1, 2), None);
+        // Block 1 is no member of bin 1: its bins are walked from its first.
+        assert_eq!(plan.exit_leaf(b1, 1), Some(plan.bin_leaf(2)));
+        assert_eq!(plan.exit_leaf(BlockId::new(2), 0), None);
     }
 
     #[test]
@@ -247,12 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn windowed_next_bin_sees_across_windows() {
-        // Block 0 appears in window 0 and window 1: next_bin_after links
-        // them (the *bins* are window-local, the block index is global).
+    fn windowed_exit_leaf_sees_across_windows() {
+        // Block 0 appears in window 0 and window 1: its exit from bin 0
+        // leads to bin 1 (the *bins* are window-local, the links global).
         let plan = SuperblockPlan::build_windowed(&[0, 1, 0, 1], 2, 8, 4, 2);
         assert_eq!(plan.num_bins(), 2);
-        assert_eq!(plan.next_bin_after(BlockId::new(0), 0), Some(1));
+        assert_eq!(plan.exit_leaf(BlockId::new(0), 0), Some(plan.bin_leaf(1)));
     }
 
     #[test]
@@ -282,14 +306,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn window_bounds_cover_the_stream() {
-        assert_eq!(window_bounds(10, usize::MAX), vec![(0, 10)]);
-        assert_eq!(window_bounds(0, 4), Vec::<(usize, usize)>::new());
-        assert_eq!(window_bounds(10, 4), vec![(0, 4), (4, 8), (8, 10)]);
+    /// The plan as it was built before the flat layout: one bin list per
+    /// window, one leaf per bin from the seeded generator, and a map from
+    /// each block to its ordered bins.
+    struct NaivePlan {
+        bins: Vec<Vec<BlockId>>,
+        bin_of_position: Vec<u32>,
+        leaves: Vec<LeafId>,
+        block_bins: HashMap<BlockId, Vec<u32>>,
+    }
+
+    impl NaivePlan {
+        fn build(stream: &[u32], s: u32, num_leaves: u64, seed: u64, window: usize) -> Self {
+            let mut bins: Vec<Vec<BlockId>> = Vec::new();
+            let mut bin_of_position = Vec::new();
+            for chunk in stream.chunks(window.min(stream.len().max(1))) {
+                let mut current: Vec<BlockId> = Vec::new();
+                for &idx in chunk {
+                    let block = BlockId::new(idx);
+                    if !current.contains(&block) {
+                        if current.len() >= s as usize {
+                            bins.push(std::mem::take(&mut current));
+                        }
+                        current.push(block);
+                    }
+                    bin_of_position.push(bins.len() as u32);
+                }
+                bins.push(current);
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let leaves = (0..bins.len())
+                .map(|_| LeafId::new(rng.random_range(0..num_leaves as u32)))
+                .collect();
+            let mut block_bins: HashMap<BlockId, Vec<u32>> = HashMap::new();
+            for (bin, members) in bins.iter().enumerate() {
+                for &m in members {
+                    block_bins.entry(m).or_default().push(bin as u32);
+                }
+            }
+            NaivePlan { bins, bin_of_position, leaves, block_bins }
+        }
+
+        fn exit_leaf(&self, block: BlockId, bin: u32) -> Option<LeafId> {
+            let bins = self.block_bins.get(&block)?;
+            let next = bins.get(bins.partition_point(|&b| b <= bin))?;
+            Some(self.leaves[*next as usize])
+        }
     }
 
     proptest! {
+        #[test]
+        fn prop_flat_plan_matches_naive_reference(
+            stream in proptest::collection::vec(0u32..48, 0..200),
+            s in 1u32..9,
+            window in prop_oneof![1usize..70, Just(usize::MAX)],
+            seed in any::<u64>(),
+        ) {
+            let plan = SuperblockPlan::build_windowed(&stream, s, 64, seed, window);
+            let naive = NaivePlan::build(&stream, s, 64, seed, window);
+            prop_assert_eq!(plan.num_bins(), naive.bins.len());
+            for (bin, members) in naive.bins.iter().enumerate() {
+                let bin = bin as u32;
+                prop_assert_eq!(plan.bin_members(bin), members.as_slice());
+                prop_assert_eq!(plan.bin_leaf(bin), naive.leaves[bin as usize]);
+                for &m in members {
+                    prop_assert_eq!(plan.exit_leaf(m, bin), naive.exit_leaf(m, bin));
+                }
+            }
+            for pos in 0..stream.len() {
+                prop_assert_eq!(plan.bin_of_position(pos), naive.bin_of_position[pos]);
+            }
+            for idx in 0..50u32 {
+                let block = BlockId::new(idx);
+                let first = naive.block_bins.get(&block).map(|bins| bins[0]);
+                prop_assert_eq!(plan.first_bin_of(block), first);
+            }
+            let mut blocks: Vec<BlockId> = naive.block_bins.keys().copied().collect();
+            blocks.sort_unstable();
+            prop_assert!(plan.planned_blocks().eq(blocks), "planned blocks, in id order");
+        }
+
         #[test]
         fn prop_exit_leaf_consistency(
             stream in proptest::collection::vec(0u32..32, 1..200),
@@ -298,14 +394,14 @@ mod tests {
         ) {
             let plan = SuperblockPlan::build(&stream, s, 64, seed);
             // For every position, the covering bin contains the block, and
-            // exit_leaf points at a bin that also contains it.
+            // exit_leaf points at a later bin that also contains it.
             for (pos, &idx) in stream.iter().enumerate() {
                 let bin = plan.bin_of_position(pos);
                 let block = BlockId::new(idx);
                 prop_assert!(plan.bin_members(bin).contains(&block));
-                if let Some(next) = plan.next_bin_after(block, bin) {
-                    prop_assert!(next > bin);
-                    prop_assert!(plan.bin_members(next).contains(&block));
+                if let Some(leaf) = plan.exit_leaf(block, bin) {
+                    let holds = |b: u32| plan.bin_leaf(b) == leaf && plan.bin_members(b).contains(&block);
+                    prop_assert!((bin + 1..plan.num_bins() as u32).any(holds));
                 }
             }
         }

@@ -29,7 +29,6 @@ pub(crate) const PREPROCESSOR_SEED_SALT: u64 = 0x5EED_FACE;
 /// let mut planner = SuperblockPlanner::new(4, 64, 7);
 /// let first = planner.plan(&[0, 1, 2, 3]);
 /// let second = planner.plan(&[0, 1, 2, 3]);
-/// assert_eq!(planner.windows_planned(), 2);
 /// // Same stream, fresh uniform paths: the windows are independent draws.
 /// assert_eq!(first.num_bins(), second.num_bins());
 /// ```
@@ -39,8 +38,6 @@ pub struct SuperblockPlanner {
     num_leaves: u64,
     window_len: usize,
     rng: StdRng,
-    windows_planned: u64,
-    positions_planned: u64,
 }
 
 impl SuperblockPlanner {
@@ -58,8 +55,6 @@ impl SuperblockPlanner {
             num_leaves,
             window_len: usize::MAX,
             rng: StdRng::seed_from_u64(seed),
-            windows_planned: 0,
-            positions_planned: 0,
         }
     }
 
@@ -95,8 +90,6 @@ impl SuperblockPlanner {
     /// assigns each bin a fresh uniform path from the planner's continuous
     /// RNG stream.
     pub fn plan(&mut self, stream: &[u32]) -> SuperblockPlan {
-        self.windows_planned += 1;
-        self.positions_planned += stream.len() as u64;
         SuperblockPlan::build_with_rng(
             stream,
             self.superblock_size,
@@ -104,24 +97,6 @@ impl SuperblockPlanner {
             &mut self.rng,
             self.window_len,
         )
-    }
-
-    /// Number of windows planned so far.
-    #[must_use]
-    pub fn windows_planned(&self) -> u64 {
-        self.windows_planned
-    }
-
-    /// Total stream positions planned so far.
-    #[must_use]
-    pub fn positions_planned(&self) -> u64 {
-        self.positions_planned
-    }
-
-    /// The configured superblock size `S`.
-    #[must_use]
-    pub fn superblock_size(&self) -> u32 {
-        self.superblock_size
     }
 }
 
@@ -166,16 +141,6 @@ mod tests {
                 "window-1 bin {i}"
             );
         }
-    }
-
-    #[test]
-    fn planner_counts_windows_and_positions() {
-        let mut planner = SuperblockPlanner::new(2, 8, 1);
-        planner.plan(&[0, 1, 2]);
-        planner.plan(&[3]);
-        planner.plan(&[]);
-        assert_eq!(planner.windows_planned(), 3);
-        assert_eq!(planner.positions_planned(), 4);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use laoram_core::RowUpdate;
 
+use crate::RequestTicket;
+
 /// One embedding access inside a submitted batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -58,11 +60,11 @@ impl Request {
 /// therefore be claimed either wholesale
 /// ([`next_response`](crate::LaoramService::next_response)) or — if you
 /// skip `next_response` — request by request through the completion
-/// queue. Don't mix the two for one batch: a request claimed through
-/// [`wait`](crate::LaoramService::wait) is gone when `next_response`
-/// assembles the batch.
-///
-/// [`RequestTicket`]: crate::RequestTicket
+/// queue ([`request`](Self::request) names one for
+/// [`wait`](crate::LaoramService::wait)). Don't mix the two for one
+/// batch: once one of its requests is claimed on its own, `next_response`
+/// fails with [`TicketClaimed`](crate::ServiceError::TicketClaimed) and
+/// takes none of the others, which stay in the completion queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BatchTicket {
     pub(crate) id: u64,
@@ -82,6 +84,14 @@ impl BatchTicket {
     #[must_use]
     pub fn request_tickets(self) -> std::ops::Range<u64> {
         self.first_request..self.first_request + self.len
+    }
+
+    /// The ticket of the batch's request at `position`, for claiming it
+    /// on its own through [`wait`](crate::LaoramService::wait); `None`
+    /// past the batch's end.
+    #[must_use]
+    pub fn request(self, position: u64) -> Option<RequestTicket> {
+        (position < self.len).then_some(RequestTicket(self.first_request + position))
     }
 }
 

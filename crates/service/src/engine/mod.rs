@@ -365,8 +365,13 @@ impl LaoramService {
     }
 
     /// Receives the next completed batch, in submission order (blocking).
-    /// Implemented on the completion store: the batch's request
-    /// completions are claimed in ticket order and reassembled.
+    /// Implemented on the completion store: once every request of the
+    /// batch is answered, its whole ticket range is claimed under one
+    /// lock acquisition, outputs in request order. The claim is all or
+    /// nothing: if any of the batch's requests was already claimed
+    /// individually, none of the others is taken — they stay claimable
+    /// through [`try_complete`](Self::try_complete) — and the batch is
+    /// dropped from the queue of pending batches.
     ///
     /// A degraded shard answers its part of a group with empty outputs
     /// rather than stalling the pipeline; check
@@ -381,10 +386,8 @@ impl LaoramService {
     pub fn next_response(&mut self) -> Result<BatchResponse, ServiceError> {
         let ticket = self.pending_batches.pop_front().ok_or(ServiceError::NoPendingBatches)?;
         let issued = self.ingress.issued();
-        let mut outputs = Vec::with_capacity(ticket.len as usize);
-        for request in ticket.request_tickets() {
-            outputs.push(self.reassembly.claim(|store| store.poll_ticket(request, issued))?.output);
-        }
+        let outputs =
+            self.reassembly.claim(|store| store.poll_range(ticket.request_tickets(), issued))?;
         Ok(BatchResponse { ticket, outputs })
     }
 

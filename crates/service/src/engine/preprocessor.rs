@@ -1,7 +1,6 @@
 //! The preprocessor stage: closing groups, routing, padding, and
 //! look-ahead planning.
 
-use std::collections::HashMap;
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
@@ -13,9 +12,35 @@ use super::{PrepCounts, Shared, WorkerMsg, PAD_SLOT};
 use crate::ingress::{Ingress, Taken};
 use crate::{Request, RequestOp, ShardRouter};
 
-/// Per-worker routing product: shard-local index stream, operations, and
-/// each operation's position in the original group.
-type RoutedPart = (Vec<u32>, Vec<BatchOp>, Vec<u32>);
+/// One worker's part of a group: the shard-local index stream the
+/// planner reads, the operations, each operation's group position, and
+/// how many of them are cadence pads.
+#[derive(Default)]
+struct RoutedPart {
+    indices: Vec<u32>,
+    ops: Vec<BatchOp>,
+    slots: Vec<u32>,
+    cadence_pads: u64,
+}
+
+impl RoutedPart {
+    /// Appends one operation, reserving `share` operations' room in a
+    /// part that holds none yet.
+    fn push(&mut self, op: BatchOp, slot: u32, share: usize) {
+        if self.ops.is_empty() {
+            self.reserve(share);
+        }
+        self.indices.push(op.index());
+        self.ops.push(op);
+        self.slots.push(slot);
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.indices.reserve(additional);
+        self.ops.reserve(additional);
+        self.slots.reserve(additional);
+    }
+}
 
 /// Closes the ingress when the preprocessor returns or unwinds, so no
 /// submitter queues work nobody will take.
@@ -73,8 +98,11 @@ pub(super) fn run_preprocessor(
                 // outputs are discarded and which count as pads, not
                 // routed traffic.
                 let real_len = meta.requests.len();
-                let mut per_worker: HashMap<usize, RoutedPart> = HashMap::new();
-                let mut cadence_pads: HashMap<usize, u64> = HashMap::new();
+                // A worker's expected part: its share of the group, once
+                // fan-out copies are in.
+                let share = requests.len().div_ceil(workers.len());
+                let mut parts: Vec<RoutedPart> =
+                    std::iter::repeat_with(RoutedPart::default).take(workers.len()).collect();
                 for (position, request) in requests.into_iter().enumerate() {
                     let Request { table, index, op } = request;
                     let is_pad = position >= real_len;
@@ -92,8 +120,6 @@ pub(super) fn run_preprocessor(
                         .expect("ingress validated every request");
                     let fan_out = targets.len();
                     for (copy, &(worker, local, primary)) in targets.iter().enumerate() {
-                        let entry = per_worker.entry(worker).or_default();
-                        entry.0.push(local);
                         // The last copy takes the operation; earlier
                         // fan-out copies clone it.
                         let this_op = if copy + 1 == fan_out {
@@ -101,7 +127,7 @@ pub(super) fn run_preprocessor(
                         } else {
                             op.clone().expect("cloned before the last copy")
                         };
-                        entry.1.push(match this_op {
+                        let batch_op = match this_op {
                             RequestOp::Read => BatchOp::Read(local),
                             RequestOp::Write(payload) => BatchOp::Write(local, payload),
                             RequestOp::FetchUpdate(update) => {
@@ -110,45 +136,46 @@ pub(super) fn run_preprocessor(
                                     .expect("ingress validated the optimizer layout");
                                 BatchOp::FetchUpdate(local, update, layout)
                             }
-                        });
-                        entry.2.push(if primary && !is_pad { position as u32 } else { PAD_SLOT });
-                        if is_pad {
-                            *cadence_pads.entry(worker).or_insert(0) += 1;
-                        }
+                        };
+                        let slot = if primary && !is_pad { position as u32 } else { PAD_SLOT };
+                        let part = &mut parts[worker];
+                        part.push(batch_op, slot, share);
+                        part.cadence_pads += u64::from(is_pad);
                     }
                 }
                 // Skew, measured where the imbalance is created (and
                 // before padding masks it): the group's longest *genuine*
                 // sub-batch — cadence pads are excluded like every other
                 // pad.
-                let routed: Vec<(usize, u64)> = per_worker
+                let routed: Vec<(usize, u64)> = parts
                     .iter()
-                    .map(|(&w, p)| {
-                        (w, p.1.len() as u64 - cadence_pads.get(&w).copied().unwrap_or(0))
-                    })
+                    .enumerate()
+                    .filter(|(_, part)| !part.ops.is_empty())
+                    .map(|(worker, part)| (worker, part.ops.len() as u64 - part.cadence_pads))
                     .collect();
                 let max_subbatch = routed.iter().map(|&(_, n)| n).max().unwrap_or(0);
-                let mut pads: Vec<(usize, u64)> = cadence_pads.into_iter().collect();
+                let mut pads: Vec<(usize, u64)> = parts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, part)| part.cadence_pads > 0)
+                    .map(|(worker, part)| (worker, part.cadence_pads))
+                    .collect();
                 // Volume padding: bring every shard of every *hosted*
                 // table up to the group's longest sub-batch (cadence pads
                 // included — they are real work the shard performs), so a
                 // group's shard volumes reveal neither the traffic
                 // distribution nor which tables it touched.
-                let max_total: u64 =
-                    per_worker.values().map(|p| p.1.len() as u64).max().unwrap_or(0);
-                if pad_shard_batches && max_total > 0 {
-                    let longest = max_total as usize;
+                let longest = parts.iter().map(|part| part.ops.len()).max().unwrap_or(0);
+                if pad_shard_batches && longest > 0 {
                     for (worker, cursor) in pad_cursor.iter_mut().enumerate() {
-                        let entry = per_worker.entry(worker).or_default();
                         let (table, shard) = router.worker_home(worker);
                         let shard_size = router.partition(table).shard_size(shard);
-                        let short = longest - entry.1.len().min(longest);
+                        let short = longest - parts[worker].ops.len();
+                        parts[worker].reserve(short);
                         for _ in 0..short {
                             let local = *cursor % shard_size;
                             *cursor = cursor.wrapping_add(1);
-                            entry.0.push(local);
-                            entry.1.push(BatchOp::Read(local));
-                            entry.2.push(PAD_SLOT);
+                            parts[worker].push(BatchOp::Read(local), PAD_SLOT, short);
                         }
                         if short > 0 {
                             pads.push((worker, short as u64));
@@ -157,12 +184,13 @@ pub(super) fn run_preprocessor(
                 }
                 // Plan each shard's window: the dataset-scan +
                 // path-generation step, timed as the pipeline's stage A.
-                let mut dispatch = Vec::with_capacity(per_worker.len());
-                for (worker, (indices, ops, slots)) in per_worker {
-                    let plan = planners[worker].plan(&indices);
-                    dispatch.push((worker, plan, ops, slots));
+                let mut dispatch = Vec::with_capacity(workers.len());
+                for (worker, part) in parts.into_iter().enumerate() {
+                    if !part.ops.is_empty() {
+                        let plan = planners[worker].plan(&part.indices);
+                        dispatch.push((worker, plan, part.ops, part.slots));
+                    }
                 }
-                dispatch.sort_by_key(|(worker, ..)| *worker);
                 let prep_end_ns = shared.now_ns();
                 if let Some(flight) = shared.flight.as_deref() {
                     flight.recorder.record(SpanRecord {

@@ -16,7 +16,7 @@ use crate::completion::{Claim, CompletionStore, GroupDone};
 use crate::ingress::{GroupMeta, Ingress};
 use crate::stats::lifetime_totals;
 use crate::telemetry::Instruments;
-use crate::{BatchTiming, Completion, ServiceError};
+use crate::{BatchTiming, ServiceError};
 
 /// One group being reassembled.
 struct PendingGroup {
@@ -358,15 +358,15 @@ impl Reassembly {
         Seat(self)
     }
 
-    /// Parks on the condvar until `attempt` claims a completion or fails.
-    pub(super) fn claim(
+    /// Parks on the condvar until `attempt` claims what it claims or fails.
+    pub(super) fn claim<T>(
         &self,
-        mut attempt: impl FnMut(&mut CompletionStore) -> Claim,
-    ) -> Result<Completion, ServiceError> {
+        mut attempt: impl FnMut(&mut CompletionStore) -> Claim<T>,
+    ) -> Result<T, ServiceError> {
         let mut state = self.lock();
         loop {
-            if let Some(completion) = attempt(&mut state.completions)? {
-                return Ok(completion);
+            if let Some(claimed) = attempt(&mut state.completions)? {
+                return Ok(claimed);
             }
             state = self.published.wait(state).unwrap_or_else(PoisonError::into_inner);
         }

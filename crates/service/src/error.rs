@@ -43,7 +43,10 @@ pub enum ServiceError {
     /// completion was already claimed (by an earlier `wait`, a
     /// [`try_complete`](crate::LaoramService::try_complete) poll, or the
     /// batch-level
-    /// [`next_response`](crate::LaoramService::next_response)).
+    /// [`next_response`](crate::LaoramService::next_response)), or
+    /// `next_response` found one of its batch's requests claimed that way
+    /// — it then names the first such ticket and claims none of the
+    /// batch's others.
     TicketClaimed {
         /// The requested ticket id.
         ticket: u64,

@@ -240,6 +240,35 @@ fn batch_and_request_paths_interleave() {
     assert_eq!(report.truncated_requests, 0);
 }
 
+/// A batch response is claimed all or nothing: with one request of the
+/// batch already claimed through `wait`, `next_response` fails naming it
+/// and takes none of the others, which stay claimable one by one.
+#[test]
+fn batch_claim_is_all_or_nothing() {
+    let mut service = LaoramService::start(
+        ServiceConfig::new().table(TableSpec::new("t", 64).shards(2).superblock_size(4).seed(3)),
+    )
+    .expect("start");
+    let batch: Vec<Request> =
+        (0..16).map(|i| Request::write(0, i, vec![i as u8; 2].into())).collect();
+    let ticket = service.submit(batch).expect("batch submit");
+    let middle = ticket.request(9).expect("in the batch");
+    let claimed = service.wait(middle).expect("wait");
+    assert_eq!(claimed.output, None, "a first write replaces nothing");
+    assert!(
+        matches!(service.next_response(), Err(ServiceError::TicketClaimed { ticket }) if ticket == middle.id()),
+        "the batch claim fails naming the claimed request"
+    );
+    let mut rest: Vec<u64> =
+        std::iter::from_fn(|| service.try_complete()).map(|c| c.ticket.id()).collect();
+    rest.sort_unstable();
+    let expected: Vec<u64> = ticket.request_tickets().filter(|&t| t != middle.id()).collect();
+    assert_eq!(rest, expected, "every other request of the batch is still claimable");
+    assert_eq!(service.outstanding_requests(), 0);
+    let report = service.shutdown().expect("shutdown");
+    assert_eq!(report.truncated_requests, 0);
+}
+
 /// A write longer than the table's `row_bytes` can never be stored in a
 /// fixed-capacity slot: both ingress paths refuse it with a typed error at
 /// submit, no shard worker is harmed, and a sweep over the table drains.
